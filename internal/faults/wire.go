@@ -64,7 +64,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	case Corrupt:
 		mangled := make([]byte, len(p))
 		copy(mangled, p)
-		// Flip a bit in every 7th byte: enough to desync a gob stream
+		// Flip a bit in every 7th byte: enough to desync a message stream
 		// without zeroing it (a harder case for the decoder than
 		// truncation).
 		for i := 0; i < len(mangled); i += 7 {

@@ -98,6 +98,9 @@ type Aggregator struct {
 	prober           *Prober
 	qOnce            sync.Once
 	quarantine       *integrity.Ledger // coordinator-side quarantine (lazy; see quarantine.go)
+	legs             legPool           // parked goroutines the per-shard legs run on
+	soloOnce         sync.Once
+	solo             []int // 0..len(Clients)-1: the unreplicated layout's one-member groups
 
 	obsOnce    sync.Once
 	latCottage *obs.Histogram
@@ -411,51 +414,145 @@ func (a *Aggregator) observeSLO(res *Result) {
 	a.SLO.ObserveQuery(float64(res.Elapsed.Microseconds())/1000, degraded)
 }
 
+// fanout is the state one query shares with its per-shard legs: what
+// the legs read (the query, the trace they record under) and one result
+// slot per leg, so a round needs no lock — each leg writes only its own
+// slot and the query goroutine reads them after the round's Wait.
+type fanout struct {
+	a      *Aggregator
+	tb     *obs.TraceBuilder
+	parent *obs.ActiveSpan // the round's span; legs hang under it
+	terms  []string
+	wg     sync.WaitGroup
+
+	// Prediction round, one slot per shard.
+	preds []predSlot
+	// Search round, one slot per leg: leg i searches selected[i].ISN, or
+	// shard i when selected is nil (exhaustive mode).
+	selected []core.Assignment
+	deadline time.Duration
+	legs     []searchLeg
+}
+
+// predSlot is one shard's prediction-round outcome. ok marks a shard
+// that answered and matched the query; err a shard whose whole replica
+// group failed. Neither set is a clean "no match".
+type predSlot struct {
+	report core.ISNReport
+	ok     bool
+	err    error
+}
+
+// round runs fn(q, 0..n-1) concurrently, one pooled goroutine per leg,
+// and waits for all of them.
+func (q *fanout) round(n int, fn func(*fanout, int)) {
+	q.wg.Add(n)
+	for i := 0; i < n; i++ {
+		q.a.legs.run(leg{fn: fn, q: q, i: i})
+	}
+	q.wg.Wait()
+}
+
+// predictLeg gathers shard s's prediction into its slot. The whole
+// replica group answers one leg: the best live replica first, siblings
+// on failover. Only a group-wide failure (every breaker open, every
+// replica erroring) leaves the shard a missing prediction for
+// degraded-mode Algorithm 1.
+func (q *fanout) predictLeg(s int) {
+	a := q.a
+	pl := a.predictShard(s, q.tb, q.parent, q.terms)
+	if pl.err != nil {
+		q.preds[s].err = pl.err
+		return
+	}
+	if !pl.pred.Matched {
+		return
+	}
+	p := pl.pred
+	fdef, fmax := a.Ladder.Default(), a.Ladder.Max()
+	r := core.ISNReport{
+		ISN:        s,
+		QK:         p.QK,
+		QK2:        p.QK2,
+		HasK:       p.PZeroK < a.DropZeroProb,
+		HasK2:      p.PZeroK2 < a.K2ZeroProb,
+		ExpQK:      p.ExpQK,
+		LCurrent:   cluster.ServiceMS(p.Cycles, fdef),
+		LBoosted:   cluster.ServiceMS(p.Cycles, fmax),
+		PredCycles: p.Cycles,
+		RawCycles:  p.Cycles,
+		Replica:    pl.row,
+	}
+	// Eq. 2: correct the bare service-time predictions for the work
+	// already queued at the ISN, measured live rather than simulated.
+	// Queue-heavy ISNs now look as slow to Algorithm 1 as they actually
+	// are, so stage-1 cuts and the budget react to real load. The backlog
+	// is the serving replica's own — predictions from whichever replica
+	// answered feed the budget unchanged, since replicas agree on
+	// Q^K/Q^{K/2}.
+	r.AddQueueBacklog(core.QueueBacklogMS(pl.load.Depth, float64(pl.load.AvgServiceUS)/1000))
+	q.preds[s] = predSlot{report: r, ok: true}
+}
+
+// searchLeg runs leg li's search into its slot, failing over within
+// the shard's replica group before giving up. Predictive hedging reads
+// the shard's queue-corrected latency prediction: a leg already
+// expected to straggle gets its duplicate at dispatch, the rest are
+// never hedged.
+func (q *fanout) searchLeg(li int) {
+	shard, lcur, havePred := li, 0.0, false
+	if q.selected != nil {
+		shard = q.selected[li].ISN
+		lcur, havePred = q.preds[shard].report.LCurrent, q.preds[shard].ok
+	}
+	q.legs[li] = q.a.searchShard(shard, q.tb, q.parent, q.terms, q.deadline, q.a.hedgeFor(lcur, havePred))
+}
+
+// startQuery opens a query's trace (nil builder and spans without an
+// observer) and its fan-out state.
+func (a *Aggregator) startQuery(mode string, terms []string, start time.Time) (*fanout, *obs.ActiveSpan) {
+	a.initObs()
+	q := &fanout{a: a, terms: terms}
+	if a.Obs == nil {
+		return q, nil
+	}
+	q.tb = obs.NewTraceBuilder(start.UnixMicro())
+	root := q.tb.StartSpan("query", 0, start.UnixMicro())
+	root.SetAttr("mode", mode)
+	root.SetAttr("terms", strings.Join(terms, " "))
+	return q, root
+}
+
 // SearchExhaustive queries every ISN with no budget and merges. Failed
 // ISNs degrade the result (reported in Result.Failed) rather than failing
 // the query; an error is returned only when every ISN fails.
 func (a *Aggregator) SearchExhaustive(terms []string) (Result, error) {
-	a.initObs()
 	start := time.Now()
-	var tb *obs.TraceBuilder
-	if a.Obs != nil {
-		tb = obs.NewTraceBuilder(start.UnixMicro())
-	}
-	root := tb.StartSpan("query", 0, start.UnixMicro())
-	root.SetAttr("mode", "exhaustive")
-	root.SetAttr("terms", strings.Join(terms, " "))
+	q, root := a.startQuery("exhaustive", terms, start)
+	tb := q.tb
 
 	searchSpan := tb.StartSpan("search", root.ID(), nowUS())
 	shards := a.Shards()
-	lists := make([][]search.Hit, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			leg := a.searchShard(s, tb, searchSpan, terms, 0, a.hedgeFor(0, false))
-			if leg.err != nil {
-				errs[s] = leg.err
-				return
-			}
-			lists[s] = leg.hits
-		}(s)
-	}
-	wg.Wait()
+	q.parent = searchSpan
+	q.legs = make([]searchLeg, shards)
+	q.round(shards, (*fanout).searchLeg)
 	searchSpan.End(nowUS())
 	res := Result{}
-	failures := 0
-	for s, err := range errs {
-		if err != nil {
-			failures++
+	lists := make([][]search.Hit, shards)
+	for s := range q.legs {
+		if q.legs[s].err != nil {
 			res.Failed = append(res.Failed, s)
 			continue
 		}
 		res.Selected = append(res.Selected, s)
+		lists[s] = q.legs[s].hits
 	}
-	if failures == shards {
-		return Result{}, fmt.Errorf("rpc: all %d shards failed: %w", failures, errors.Join(errs...))
+	if len(res.Failed) == shards {
+		errs := make([]error, shards)
+		for s := range q.legs {
+			errs[s] = q.legs[s].err
+		}
+		return Result{}, fmt.Errorf("rpc: all %d shards failed: %w", shards, errors.Join(errs...))
 	}
 	mergeSpan := tb.StartSpan("merge", root.ID(), nowUS())
 	res.Hits = search.Merge(a.K, lists...)
@@ -481,15 +578,9 @@ func (a *Aggregator) SearchExhaustive(terms []string) (Result, error) {
 // budget span — and feeds the predictor-accuracy tracker with each
 // selected ISN's predicted vs. measured latency and top-K contribution.
 func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
-	a.initObs()
 	start := time.Now()
-	var tb *obs.TraceBuilder
-	if a.Obs != nil {
-		tb = obs.NewTraceBuilder(start.UnixMicro())
-	}
-	root := tb.StartSpan("query", 0, start.UnixMicro())
-	root.SetAttr("mode", "cottage")
-	root.SetAttr("terms", strings.Join(terms, " "))
+	q, root := a.startQuery("cottage", terms, start)
+	tb := q.tb
 
 	// Steps 2-3: gather predictions in parallel. A failed prediction
 	// (crash, timeout) is not the same as a clean "no match": the former
@@ -497,68 +588,29 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 	// the degraded-mode budget, the latter is an answered question.
 	predictSpan := tb.StartSpan("predict", root.ID(), nowUS())
 	shards := a.Shards()
-	preds := make([]core.ISNReport, 0, shards)
-	predErrs := make([]error, shards)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			// The whole replica group answers one leg: the best live
-			// replica first, siblings on failover. Only a group-wide
-			// failure (every breaker open, every replica erroring) leaves
-			// the shard a missing prediction for degraded-mode Algorithm 1.
-			pl := a.predictShard(s, tb, predictSpan, terms)
-			if pl.err != nil {
-				predErrs[s] = pl.err
-				return
-			}
-			if !pl.pred.Matched {
-				return
-			}
-			p := pl.pred
-			fdef, fmax := a.Ladder.Default(), a.Ladder.Max()
-			r := core.ISNReport{
-				ISN:        s,
-				QK:         p.QK,
-				QK2:        p.QK2,
-				HasK:       p.PZeroK < a.DropZeroProb,
-				HasK2:      p.PZeroK2 < a.K2ZeroProb,
-				ExpQK:      p.ExpQK,
-				LCurrent:   cluster.ServiceMS(p.Cycles, fdef),
-				LBoosted:   cluster.ServiceMS(p.Cycles, fmax),
-				PredCycles: p.Cycles,
-				RawCycles:  p.Cycles,
-				Replica:    pl.row,
-			}
-			// Eq. 2: correct the bare service-time predictions for the
-			// work already queued at the ISN, measured live rather than
-			// simulated. Queue-heavy ISNs now look as slow to Algorithm 1
-			// as they actually are, so stage-1 cuts and the budget react
-			// to real load. The backlog is the serving replica's own —
-			// predictions from whichever replica answered feed the budget
-			// unchanged, since replicas agree on Q^K/Q^{K/2}.
-			r.AddQueueBacklog(core.QueueBacklogMS(pl.load.Depth, float64(pl.load.AvgServiceUS)/1000))
-			mu.Lock()
-			preds = append(preds, r)
-			mu.Unlock()
-		}(s)
-	}
-	wg.Wait()
+	q.parent = predictSpan
+	q.preds = make([]predSlot, shards)
+	q.round(shards, (*fanout).predictLeg)
 	predictSpan.End(nowUS())
 
 	res := Result{}
+	preds := make([]core.ISNReport, 0, shards)
 	var missing []int
-	for s, err := range predErrs {
-		if err != nil {
+	for s := range q.preds {
+		if q.preds[s].err != nil {
 			missing = append(missing, s)
 			res.Failed = append(res.Failed, s)
+		} else if q.preds[s].ok {
+			preds = append(preds, q.preds[s].report)
 		}
 	}
 	if len(missing) == shards {
 		root.SetAttr("error", "all predictions failed")
 		a.finishTrace(tb, root, &res)
+		predErrs := make([]error, shards)
+		for s := range q.preds {
+			predErrs[s] = q.preds[s].err
+		}
 		return Result{}, fmt.Errorf("rpc: all %d shards failed prediction: %w",
 			len(missing), errors.Join(predErrs...))
 	}
@@ -582,41 +634,26 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 		return res, nil
 	}
 
-	// Steps 5-7: budget-bounded search on the selected shards, each leg
-	// failing over within its replica group before giving up. Predictive
-	// hedging reads each shard's queue-corrected latency prediction: a
-	// leg already expected to straggle gets its duplicate at dispatch,
-	// the rest are never hedged.
-	lcurByShard := make(map[int]float64, len(preds))
-	for _, r := range preds {
-		lcurByShard[r.ISN] = r.LCurrent
-	}
+	// Steps 5-7: budget-bounded search on the selected shards. A leg that
+	// fails (straggler or group-wide failure) loses its hits but the
+	// query survives; the gap is recorded so callers can see it.
 	searchSpan := tb.StartSpan("search", root.ID(), nowUS())
-	deadline := time.Duration(budget.BudgetMS * float64(time.Millisecond))
-	lists := make([][]search.Hit, len(budget.Selected))
-	legs := make([]searchLeg, len(budget.Selected))
+	q.parent = searchSpan
+	q.selected = budget.Selected
+	q.deadline = time.Duration(budget.BudgetMS * float64(time.Millisecond))
+	q.legs = make([]searchLeg, len(budget.Selected))
+	q.round(len(budget.Selected), (*fanout).searchLeg)
+	searchSpan.End(nowUS())
+	legs := q.legs
+	lists := make([][]search.Hit, len(legs))
 	for li, asg := range budget.Selected {
 		res.Selected = append(res.Selected, asg.ISN)
-		lcur, havePred := lcurByShard[asg.ISN]
-		hedge := a.hedgeFor(lcur, havePred)
-		wg.Add(1)
-		go func(li int, shard int) {
-			defer wg.Done()
-			leg := a.searchShard(shard, tb, searchSpan, terms, deadline, hedge)
-			legs[li] = leg
-			if leg.err != nil {
-				// Straggler or group-wide failure: its hits are lost but
-				// the query survives; record the gap so callers can see it.
-				mu.Lock()
-				res.Failed = append(res.Failed, shard)
-				mu.Unlock()
-				return
-			}
-			lists[li] = leg.hits
-		}(li, asg.ISN)
+		if legs[li].err != nil {
+			res.Failed = append(res.Failed, asg.ISN)
+			continue
+		}
+		lists[li] = legs[li].hits
 	}
-	wg.Wait()
-	searchSpan.End(nowUS())
 	sort.Ints(res.Failed)
 
 	// Anytime legs that hit the budget: exact-but-partial answers. They
@@ -654,19 +691,12 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 		// (predicted top-K contribution vs. whether the ISN actually
 		// placed a hit in the merged top K).
 		top := search.DocSet(res.Hits)
-		byShard := make(map[int]core.ISNReport, len(preds))
-		for _, r := range preds {
-			byShard[r.ISN] = r
-		}
 		for li, asg := range budget.Selected {
 			leg := legs[li]
-			if leg.err != nil || leg.client < 0 {
+			if leg.err != nil || leg.client < 0 || !q.preds[asg.ISN].ok {
 				continue
 			}
-			r, haveReport := byShard[asg.ISN]
-			if !haveReport {
-				continue
-			}
+			r := &q.preds[asg.ISN].report
 			// Accuracy is keyed by the client that served the leg (the
 			// selector's per-replica quality signal); on unreplicated
 			// fleets client index == shard index, as before.

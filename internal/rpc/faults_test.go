@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/gob"
 	"net"
 	"sync"
 	"testing"
@@ -236,9 +235,7 @@ func TestHedgeWinsOverStuckPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.conn.Close()
-	c.conn = stuck
-	c.enc = gob.NewEncoder(stuck)
-	c.dec = gob.NewDecoder(stuck)
+	c.attach(stuck)
 
 	agg := NewAggregator([]*Client{c}, 5)
 	agg.HedgeAfter = 20 * time.Millisecond

@@ -1,22 +1,23 @@
 package rpc
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 )
 
-// Frame layer: every byte either side of the gob codec travels inside a
-// length-prefixed, CRC32C-checksummed frame:
+// Frame layer: every message travels inside a length-prefixed,
+// CRC32C-checksummed frame:
 //
 //	[4-byte little-endian payload length][4-byte CRC32C][payload]
 //
-// gob cannot tell a flipped bit from a valid stream — in the best case
-// it errors with arbitrary garbage, in the worst it decodes a plausible
-// wrong value. With frames underneath, corruption on the wire (the
-// faults.Corrupt injector, a bad NIC, a misbehaving middlebox) is
+// One frame carries exactly one Request or Response in the fixed layout
+// of codec.go. A decoder alone cannot tell a flipped bit from a valid
+// message — in the best case it errors, in the worst it decodes a
+// plausible wrong value. With the CRC underneath, corruption on the wire
+// (the faults.Corrupt injector, a bad NIC, a misbehaving middlebox) is
 // *detected* deterministically, attributed (ErrCorruptFrame, distinct
 // from connection loss), and recovered typed: the server answers
 // CodeCorrupt, the client retries breaker-neutrally on a fresh
@@ -26,11 +27,25 @@ import (
 // frameTable is the CRC32C polynomial table shared by both directions.
 var frameTable = crc32.MakeTable(crc32.Castagnoli)
 
-// maxFramePayload bounds a single frame. gob messages here are small
-// (requests, responses) except shard transfers, which can reach tens of
-// MB — the cap rejects absurd lengths from corrupted headers before any
-// allocation happens.
+// frameHeaderLen is the length + CRC prefix of every frame.
+const frameHeaderLen = 8
+
+// maxFramePayload bounds a response frame. Responses are small except
+// shard transfers (KindFetchShard), which can reach tens of MB — the cap
+// rejects absurd lengths from corrupted headers before any allocation
+// happens.
 const maxFramePayload = 256 << 20
+
+// maxRequestPayload bounds a request frame: the largest request
+// ValidateRequest could still admit (MaxTerms terms of MaxTermLen
+// bytes). A server reads nothing bigger, so a lying 8-byte header
+// cannot make it allocate more than this per connection.
+const maxRequestPayload = requestFixedLen + MaxTerms*(4+MaxTermLen)
+
+// frameReadBuf sizes the buffered reader under a connection's frames.
+// Every request and every response short of a deep top-K or a shard
+// transfer fits, so header and payload arrive in one read.
+const frameReadBuf = 4096
 
 // ErrCorruptFrame marks a frame whose payload failed its CRC: the bytes
 // arrived, framed and sized correctly, but were mangled in transit.
@@ -51,92 +66,144 @@ func IsCorruptFrame(err error) bool { return errors.Is(err, ErrCorruptFrame) }
 // framing or an undecodable (but checksum-clean) payload.
 func IsBadFrame(err error) bool { return errors.Is(err, ErrBadFrame) }
 
-// frameWriter wraps each Write into one checksummed frame. gob emits
-// every message (type descriptors and values alike) as a single Write,
-// so frames and gob messages line up one-to-one without the writer
-// needing to know anything about gob.
-type frameWriter struct {
-	w   io.Writer
-	buf []byte // header+payload assembled for a single conn.Write
+// beginFrame appends a header placeholder to dst; the message is
+// appended straight behind it and sealFrame fills the header in.
+func beginFrame(dst []byte) []byte {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 }
 
-func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
-
-func (fw *frameWriter) Write(p []byte) (int, error) {
-	if len(p) > maxFramePayload {
-		return 0, fmt.Errorf("%w: payload %d exceeds cap", ErrBadFrame, len(p))
+// sealFrame back-fills the header of the frame that starts at
+// frame[start] and runs to the end of the slice, refusing a payload
+// above limit. The sealed bytes go out in a single Write.
+func sealFrame(frame []byte, start, limit int) error {
+	payload := frame[start+frameHeaderLen:]
+	if len(payload) > limit {
+		return fmt.Errorf("%w: payload %d exceeds cap %d", ErrBadFrame, len(payload), limit)
 	}
-	need := 8 + len(p)
-	if cap(fw.buf) < need {
-		fw.buf = make([]byte, need)
-	}
-	fw.buf = fw.buf[:need]
-	binary.LittleEndian.PutUint32(fw.buf[0:4], uint32(len(p)))
-	binary.LittleEndian.PutUint32(fw.buf[4:8], crc32.Checksum(p, frameTable))
-	copy(fw.buf[8:], p)
-	if _, err := fw.w.Write(fw.buf); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+	le.PutUint32(frame[start:], uint32(len(payload)))
+	le.PutUint32(frame[start+4:], crc32.Checksum(payload, frameTable))
+	return nil
 }
 
-// frameReader unwraps checksummed frames back into a byte stream. A
+// frameHeader splits a frame header into payload length and CRC,
+// rejecting a length above limit.
+func frameHeader(head []byte, limit int) (length int, crc uint32, err error) {
+	n := le.Uint32(head[0:4])
+	if uint64(n) > uint64(limit) {
+		return 0, 0, fmt.Errorf("%w: impossible payload length %d (cap %d)", ErrBadFrame, n, limit)
+	}
+	return int(n), le.Uint32(head[4:8]), nil
+}
+
+// checkPayload verifies a frame's payload against its header CRC.
+func checkPayload(payload []byte, want uint32) error {
+	if got := crc32.Checksum(payload, frameTable); got != want {
+		return fmt.Errorf("%w: crc %08x, want %08x over %d bytes", ErrCorruptFrame, got, want, len(payload))
+	}
+	return nil
+}
+
+// splitFrame verifies the frame at the front of data and returns its
+// payload (aliasing data) and whatever follows it.
+func splitFrame(data []byte, limit int) (payload, rest []byte, err error) {
+	if len(data) == 0 {
+		return nil, nil, io.EOF
+	}
+	if len(data) < frameHeaderLen {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	length, crc, err := frameHeader(data, limit)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(data)-frameHeaderLen < length {
+		return nil, nil, io.ErrUnexpectedEOF // header promised a payload
+	}
+	payload = data[frameHeaderLen : frameHeaderLen+length]
+	if err := checkPayload(payload, crc); err != nil {
+		return nil, nil, err
+	}
+	return payload, data[frameHeaderLen+length:], nil
+}
+
+// frameReader yields one verified payload per frame off a connection. A
 // CRC mismatch surfaces as ErrCorruptFrame, an impossible length as
 // ErrBadFrame; both are sticky — once the stream has lied there is no
 // resynchronizing it, the connection must be dropped.
 type frameReader struct {
-	r    io.Reader
-	buf  []byte // current frame's payload
-	off  int    // read offset into buf
-	err  error  // sticky error
-	head [8]byte
+	br    *bufio.Reader
+	limit int    // largest payload this side accepts
+	held  int    // bytes of the previous frame still to discard from br
+	big   []byte // payload of a frame too large for br's buffer
+	err   error  // sticky error
 }
 
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
+func newFrameReader(r io.Reader, limit int) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, frameReadBuf), limit: limit}
+}
 
-// Err returns the sticky frame-layer error, nil if the stream has been
-// clean so far. Callers use it to tell a detected corruption apart from
-// gob-level or transport errors after a decode fails.
-func (fr *frameReader) Err() error { return fr.err }
+// reset points the reader at a new connection, keeping its buffers.
+func (fr *frameReader) reset(r io.Reader) {
+	fr.br.Reset(r)
+	fr.held, fr.err = 0, nil
+}
 
-func (fr *frameReader) Read(p []byte) (int, error) {
+// next returns the next frame's verified payload. The bytes are valid
+// only until the following call: a frame that fits the read buffer is
+// handed out in place, so the common message costs one read and no copy.
+func (fr *frameReader) next() ([]byte, error) {
 	if fr.err != nil {
-		return 0, fr.err
+		return nil, fr.err
 	}
-	for fr.off == len(fr.buf) {
-		if err := fr.fill(); err != nil {
-			fr.err = err
-			return 0, err
-		}
+	payload, err := fr.read()
+	if err != nil {
+		fr.err = err
 	}
-	n := copy(p, fr.buf[fr.off:])
-	fr.off += n
-	return n, nil
+	return payload, err
 }
 
-// fill reads and verifies the next frame into fr.buf.
-func (fr *frameReader) fill() error {
-	if _, err := io.ReadFull(fr.r, fr.head[:]); err != nil {
-		return err // clean EOF between frames is a normal close
+func (fr *frameReader) read() ([]byte, error) {
+	if fr.held > 0 {
+		fr.br.Discard(fr.held) // cannot fail: these bytes were already peeked
+		fr.held = 0
 	}
-	length := binary.LittleEndian.Uint32(fr.head[0:4])
-	want := binary.LittleEndian.Uint32(fr.head[4:8])
-	if length > maxFramePayload {
-		return fmt.Errorf("%w: impossible payload length %d", ErrBadFrame, length)
-	}
-	if cap(fr.buf) < int(length) {
-		fr.buf = make([]byte, length)
-	}
-	fr.buf = fr.buf[:length]
-	fr.off = 0
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // header promised a payload
+	head, err := fr.br.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(head) > 0 {
+			err = io.ErrUnexpectedEOF
 		}
-		return err
+		return nil, err // clean EOF between frames is a normal close
 	}
-	if got := crc32.Checksum(fr.buf, frameTable); got != want {
-		return fmt.Errorf("%w: crc %08x, want %08x over %d bytes", ErrCorruptFrame, got, want, length)
+	length, crc, err := frameHeader(head, fr.limit)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	var payload []byte
+	if total := frameHeaderLen + length; total <= fr.br.Size() {
+		frame, err := fr.br.Peek(total)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // header promised a payload
+			}
+			return nil, err
+		}
+		fr.held = total
+		payload = frame[frameHeaderLen:]
+	} else {
+		fr.br.Discard(frameHeaderLen)
+		if cap(fr.big) < length {
+			fr.big = make([]byte, length)
+		}
+		payload = fr.big[:length]
+		if _, err := io.ReadFull(fr.br, payload); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	if err := checkPayload(payload, crc); err != nil {
+		return nil, err
+	}
+	return payload, nil
 }

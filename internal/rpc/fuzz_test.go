@@ -2,35 +2,89 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/gob"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"cottage/internal/obs"
 	"cottage/internal/predict"
 	"cottage/internal/search"
 )
 
-// The fuzz targets pin the wire contract of DecodeRequest/DecodeResponse:
-// arbitrary bytes — truncated frames, bit-flipped type descriptors,
-// adversarial length prefixes — must come back as an error, never a
-// panic. A panic here is a remote crash of a server (request path) or of
-// the aggregator (response path). The seed corpus under
-// testdata/fuzz/Fuzz* holds valid frames, truncations, and mutations so
+// The fuzz targets pin the wire contract of the frame layer and the
+// codec behind it: arbitrary bytes — truncated frames, flipped bits,
+// adversarial lengths and counts, a legacy gob stream — must come back
+// as a typed error, never a panic and never an allocation a lying count
+// sized. A panic here is a remote crash of a server (request path) or of
+// the aggregator (response path). Whatever does decode must survive
+// encode → decode unchanged. The seed corpus under testdata/fuzz/Fuzz*
+// (tools/gencorpus) holds valid frames, truncations, and mutations so
 // the fuzzer starts from structurally interesting inputs.
 
-func encodeFrames(tb interface{ Fatal(...any) }, vals ...any) []byte {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, v := range vals {
-		if err := enc.Encode(v); err != nil {
-			tb.Fatal(err)
-		}
+// requestFrames concatenates the frames of reqs, as a client would
+// write them down one connection.
+func requestFrames(tb testing.TB, reqs ...*Request) []byte {
+	var out []byte
+	for _, r := range reqs {
+		out = append(out, mustRequestFrame(tb, r)...)
 	}
-	return buf.Bytes()
+	return out
+}
+
+func responseFrames(tb testing.TB, resps ...*Response) []byte {
+	var out []byte
+	for _, r := range resps {
+		out = append(out, mustResponseFrame(tb, r)...)
+	}
+	return out
+}
+
+// typedStreamErr reports whether err is one of the errors a frame
+// stream may end in.
+func typedStreamErr(err error) bool {
+	return err == io.EOF || err == io.ErrUnexpectedEOF || IsCorruptFrame(err) || IsBadFrame(err)
+}
+
+// drainRequests reads data the way Server.handle does — frames off one
+// reader, stopping at the first error — and hands every request that
+// decodes to visit. The stream's terminal error must be typed, and the
+// exported ParseRequest must agree with the connection path on every
+// frame.
+func drainRequests(t *testing.T, data []byte, visit func(*Request)) {
+	fr := newFrameReader(bytes.NewReader(data), maxRequestPayload)
+	rest := data
+	for i := 0; i < 8; i++ {
+		payload, err := fr.next()
+		var req Request
+		if err == nil {
+			err = parseRequest(payload, &req)
+		}
+		viaParse, after, perr := ParseRequest(rest)
+		if (err == nil) != (perr == nil) || (err == nil && !reflect.DeepEqual(req, viaParse)) {
+			t.Fatalf("frame %d: connection path (%v) and ParseRequest (%v) disagree", i, err, perr)
+		}
+		if err != nil {
+			if !typedStreamErr(err) || !typedStreamErr(perr) {
+				t.Fatalf("frame %d: untyped errors %v / %v", i, err, perr)
+			}
+			return
+		}
+		rest = after
+		// Every count was backed by bytes of the frame.
+		if termBytes := 4 * len(req.Terms); termBytes > len(payload) {
+			t.Fatalf("frame %d: %d terms out of a %d-byte payload", i, len(req.Terms), len(payload))
+		}
+		again, _, err := ParseRequest(mustRequestFrame(t, &req))
+		if err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("frame %d: decode(encode(x)) != x: %v\n got %+v\nwant %+v", i, err, again, req)
+		}
+		visit(&req)
+	}
 }
 
 func FuzzDecodeRequest(f *testing.F) {
-	valid := encodeFrames(f,
+	valid := requestFrames(f,
 		&Request{Kind: KindSearch, ID: 1, Terms: []string{"ga", "gb"}, K: 10, DeadlineUS: 5000},
 		&Request{Kind: KindPredict, ID: 2, Terms: []string{"tail", "latency"}},
 		&Request{Kind: KindPing, ID: 3})
@@ -46,16 +100,17 @@ func FuzzDecodeRequest(f *testing.F) {
 	// Structurally valid but semantically absurd requests — the frames
 	// ValidateRequest exists to reject. Decoding them must stay boring;
 	// the interesting mutations start from real out-of-range payloads.
-	f.Add(encodeFrames(f, absurdRequests()...))
+	f.Add(requestFrames(f, absurdRequests()...))
+
+	// Bare payloads: the CRC stops almost every mutated frame at the
+	// frame layer, so the same bytes are also fed to the decoder sealed —
+	// the peer that sends a well-framed malformed message.
+	f.Add(appendRequest(nil, &Request{Kind: KindSearch, ID: 1, Terms: []string{"ga", "gb"}, K: 10}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := gob.NewDecoder(bytes.NewReader(data))
-		// Drain the stream like Server.handle does: repeated decodes off
-		// one codec, stopping at the first error. Any panic fails the run.
-		for i := 0; i < 8; i++ {
-			if _, err := DecodeRequest(dec); err != nil {
-				return
-			}
+		drainRequests(t, data, func(*Request) {})
+		if len(data) <= maxRequestPayload {
+			drainRequests(t, frameOf(t, data), func(*Request) {})
 		}
 	})
 }
@@ -63,14 +118,14 @@ func FuzzDecodeRequest(f *testing.F) {
 // absurdRequests are decodable requests that must fail validation:
 // out-of-range K, oversized term lists, giant terms, negative deadlines.
 // Shared between the fuzz seeds here and tools/gencorpus.
-func absurdRequests() []any {
-	return []any{
-		&Request{Kind: KindSearch, ID: 10, Terms: []string{"ga"}, K: 0},
-		&Request{Kind: KindSearch, ID: 11, Terms: []string{"ga"}, K: 2_000_000},
-		&Request{Kind: KindPredict, ID: 12, Terms: make([]string, MaxTerms+36)},
-		&Request{Kind: KindSearch, ID: 13, Terms: []string{strings.Repeat("z", 2048)}, K: 5},
-		&Request{Kind: KindSearch, ID: 14, Terms: []string{"ga"}, K: 5, DeadlineUS: -1},
-		&Request{Kind: Kind(99), ID: 15, K: 5},
+func absurdRequests() []*Request {
+	return []*Request{
+		{Kind: KindSearch, ID: 10, Terms: []string{"ga"}, K: 0},
+		{Kind: KindSearch, ID: 11, Terms: []string{"ga"}, K: 2_000_000},
+		{Kind: KindPredict, ID: 12, Terms: make([]string, MaxTerms+36)},
+		{Kind: KindSearch, ID: 13, Terms: []string{strings.Repeat("z", 2048)}, K: 5},
+		{Kind: KindSearch, ID: 14, Terms: []string{"ga"}, K: 5, DeadlineUS: -1},
+		{Kind: Kind(99), ID: 15, K: 5},
 	}
 }
 
@@ -80,19 +135,14 @@ func absurdRequests() []any {
 // invariants the dispatch layer relies on so absurd inputs never reach
 // index evaluation.
 func FuzzValidateRequest(f *testing.F) {
-	f.Add(encodeFrames(f, &Request{Kind: KindSearch, ID: 1, Terms: []string{"ga"}, K: 10}))
-	f.Add(encodeFrames(f, absurdRequests()...))
+	f.Add(requestFrames(f, &Request{Kind: KindSearch, ID: 1, Terms: []string{"ga"}, K: 10}))
+	f.Add(requestFrames(f, absurdRequests()...))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := gob.NewDecoder(bytes.NewReader(data))
-		for i := 0; i < 8; i++ {
-			req, err := DecodeRequest(dec)
-			if err != nil {
+		drainRequests(t, data, func(req *Request) {
+			if ValidateRequest(req) != nil {
 				return
-			}
-			if ValidateRequest(&req) != nil {
-				continue
 			}
 			if req.Kind == KindSearch || req.Kind == KindPhrase {
 				if req.K <= 0 || req.K > MaxK {
@@ -110,16 +160,19 @@ func FuzzValidateRequest(f *testing.F) {
 			if req.DeadlineUS < 0 {
 				t.Fatalf("validation admitted deadline %d", req.DeadlineUS)
 			}
-		}
+		})
 	})
 }
 
 func FuzzDecodeResponse(f *testing.F) {
-	valid := encodeFrames(f,
+	valid := responseFrames(f,
 		&Response{ID: 1, Hits: []search.Hit{{Doc: 4, Score: 2.5}, {Doc: 9, Score: 1.1}},
 			Stats: search.ExecStats{DocsScored: 40}},
 		&Response{ID: 2, Pred: predict.Prediction{Matched: true, QK: 3, Cycles: 1e7}},
-		&Response{ID: 3, Err: "deadline exceeded"})
+		&Response{ID: 3, Err: "deadline exceeded"},
+		&Response{ID: 4, Spans: []obs.Span{{Trace: 7, ID: 8, Name: "serve.search",
+			Attrs: map[string]string{"queue_wait_us": "3", "service_us": "40"}}}},
+		&Response{ID: 5, ShardBytes: []byte("shard image")})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:9])
@@ -130,12 +183,50 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	f.Add(mangled)
 
+	f.Add(appendResponse(nil, &Response{ID: 1, Hits: []search.Hit{{Doc: 4, Score: 2.5}}, Err: "e",
+		Spans: []obs.Span{{Name: "s", Attrs: map[string]string{"k": "v"}}}, ShardBytes: []byte("shard")}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := gob.NewDecoder(bytes.NewReader(data))
-		for i := 0; i < 8; i++ {
-			if _, err := DecodeResponse(dec); err != nil {
-				return
-			}
-		}
+		drainResponses(t, data)
+		drainResponses(t, frameOf(t, data)) // the same bytes as one sealed payload
 	})
+}
+
+// drainResponses reads data the way a Client does: frames off one
+// reader, stopping at the first error. See drainRequests.
+func drainResponses(t *testing.T, data []byte) {
+	fr := newFrameReader(bytes.NewReader(data), maxFramePayload)
+	rest := data
+	for i := 0; i < 8; i++ {
+		payload, err := fr.next()
+		var resp Response
+		if err == nil {
+			err = parseResponse(payload, &resp)
+		}
+		_, after, perr := ParseResponse(rest)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("frame %d: connection path (%v) and ParseResponse (%v) disagree", i, err, perr)
+		}
+		if err != nil {
+			if !typedStreamErr(err) || !typedStreamErr(perr) {
+				t.Fatalf("frame %d: untyped errors %v / %v", i, err, perr)
+			}
+			return
+		}
+		rest = after
+		// Every count was backed by bytes of the frame.
+		attrs := 0
+		for _, sp := range resp.Spans {
+			attrs += len(sp.Attrs)
+		}
+		if need := hitLen*len(resp.Hits) + spanMinLen*len(resp.Spans) + attrMinLen*attrs + len(resp.ShardBytes) + len(resp.Err); need > len(payload) {
+			t.Fatalf("frame %d: decoded %d bytes' worth out of a %d-byte payload", i, need, len(payload))
+		}
+		// decode(encode(x)) == x, compared as bytes: scores may be NaN.
+		once := mustResponseFrame(t, &resp)
+		again, _, err := ParseResponse(once)
+		if err != nil || !bytes.Equal(mustResponseFrame(t, &again), once) {
+			t.Fatalf("frame %d: decode(encode(x)) != x: %v", i, err)
+		}
+	}
 }

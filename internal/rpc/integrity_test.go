@@ -3,9 +3,10 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,77 +19,140 @@ import (
 
 // --- frame layer ---
 
+// frameOf wraps payload in one sealed frame.
+func frameOf(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	f := append(beginFrame(nil), payload...)
+	if err := sealFrame(f, 0, maxFramePayload); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
+	// Payloads on both sides of the read buffer: small ones are handed
+	// out in place, the large ones take the copy path.
 	msgs := [][]byte{
 		[]byte("alpha"),
 		{},
-		bytes.Repeat([]byte{0xAB}, 4096),
+		bytes.Repeat([]byte{0xAB}, frameReadBuf-frameHeaderLen),
+		bytes.Repeat([]byte{0xCD}, frameReadBuf),
+		bytes.Repeat([]byte{0xEF}, 3*frameReadBuf+17),
 		[]byte("omega"),
 	}
+	var stream []byte
 	for _, m := range msgs {
-		if n, err := fw.Write(m); err != nil || n != len(m) {
-			t.Fatalf("write %d bytes: n=%d err=%v", len(m), n, err)
+		stream = append(stream, frameOf(t, m)...)
+	}
+	// A plain reader delivers several frames per read — the hard case
+	// for the in-place path, where the next frame's bytes already sit
+	// behind the current one.
+	fr := newFrameReader(bytes.NewReader(stream), maxFramePayload)
+	for i, want := range msgs {
+		got, err := fr.next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: got %d bytes, want %d", i, len(got), len(want))
 		}
 	}
-	fr := newFrameReader(&buf)
-	var got bytes.Buffer
-	if _, err := io.Copy(&got, fr); err != io.EOF && err != nil {
-		t.Fatalf("read back: %v", err)
-	}
-	want := bytes.Join(msgs, nil)
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("round trip lost bytes: got %d, want %d", got.Len(), len(want))
-	}
-	if fr.Err() != nil && fr.Err() != io.EOF {
-		t.Fatalf("clean stream left sticky error %v", fr.Err())
+	if _, err := fr.next(); err != io.EOF {
+		t.Fatalf("after the last frame: got %v, want a clean io.EOF", err)
 	}
 }
 
 func TestFrameReaderDetectsCorruptPayload(t *testing.T) {
-	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	if _, err := fw.Write([]byte("the payload under test")); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[8] ^= 0x01 // first payload byte
+	raw := frameOf(t, []byte("the payload under test"))
+	raw[frameHeaderLen] ^= 0x01 // first payload byte
 
-	fr := newFrameReader(bytes.NewReader(raw))
-	_, err := fr.Read(make([]byte, 64))
-	if !IsCorruptFrame(err) {
+	fr := newFrameReader(bytes.NewReader(raw), maxFramePayload)
+	if _, err := fr.next(); !IsCorruptFrame(err) {
 		t.Fatalf("flipped payload bit: got %v, want ErrCorruptFrame", err)
 	}
 	// Sticky: the stream cannot be resynchronized after a lie.
-	if _, err2 := fr.Read(make([]byte, 64)); !IsCorruptFrame(err2) {
-		t.Fatalf("second read after corruption: got %v, want sticky ErrCorruptFrame", err2)
+	if _, err := fr.next(); !IsCorruptFrame(err) {
+		t.Fatalf("second read after corruption: got %v, want sticky ErrCorruptFrame", err)
 	}
-	if fr.Err() == nil || !IsCorruptFrame(fr.Err()) {
-		t.Fatalf("Err() = %v, want sticky ErrCorruptFrame", fr.Err())
+	if _, _, err := splitFrame(raw, maxFramePayload); !IsCorruptFrame(err) {
+		t.Fatalf("splitFrame on the same bytes: got %v, want ErrCorruptFrame", err)
 	}
 }
 
 func TestFrameReaderRejectsImpossibleLength(t *testing.T) {
-	var head [8]byte
-	binary.LittleEndian.PutUint32(head[0:4], maxFramePayload+1)
-	fr := newFrameReader(bytes.NewReader(head[:]))
-	_, err := fr.Read(make([]byte, 8))
-	if !IsBadFrame(err) {
-		t.Fatalf("absurd length: got %v, want ErrBadFrame", err)
+	for _, limit := range []int{maxFramePayload, maxRequestPayload} {
+		var head [frameHeaderLen]byte
+		binary.LittleEndian.PutUint32(head[0:4], uint32(limit)+1)
+		fr := newFrameReader(bytes.NewReader(head[:]), limit)
+		if _, err := fr.next(); !IsBadFrame(err) {
+			t.Fatalf("limit %d, absurd length: got %v, want ErrBadFrame", limit, err)
+		}
+		if fr.big != nil {
+			t.Fatalf("limit %d: a refused header still sized a %d-byte buffer", limit, cap(fr.big))
+		}
+		if _, _, err := splitFrame(head[:], limit); !IsBadFrame(err) {
+			t.Fatalf("limit %d, splitFrame: got %v, want ErrBadFrame", limit, err)
+		}
+	}
+}
+
+// TestRequestFrameCap pins the server-side bound: the largest request
+// validation could admit fits a request frame, anything a header claims
+// beyond it is refused before a byte of payload is read, and a client
+// refuses to send what no server would read.
+func TestRequestFrameCap(t *testing.T) {
+	terms := make([]string, MaxTerms)
+	for i := range terms {
+		terms[i] = strings.Repeat("t", MaxTermLen)
+	}
+	req := Request{Kind: KindSearch, ID: 1, Terms: terms, K: 10}
+	frame, err := AppendRequest(nil, &req)
+	if err != nil {
+		t.Fatalf("largest valid request refused: %v", err)
+	}
+	if got := len(frame) - frameHeaderLen; got != maxRequestPayload {
+		t.Fatalf("largest valid request is %d bytes, cap is %d", got, maxRequestPayload)
+	}
+	if maxRequestPayload > 1<<17 {
+		t.Fatalf("request cap %d: a header must not size more than ~64 KiB of terms", maxRequestPayload)
+	}
+	req.Terms = append(req.Terms, "x")
+	if _, err := AppendRequest(nil, &req); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("oversize request: got %v, want ErrBadRequest", err)
+	}
+
+	// Over the wire: the client refuses locally, untransiently, and the
+	// connection stays usable.
+	sh := buildShard(t, 73)
+	addr, stop := startServer(t, sh, nil)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetRetryPolicy(RetryPolicy{Max: 3})
+	_, err = c.Search(req.Terms, 10, 0)
+	if !errors.Is(err, ErrBadRequest) || IsTransient(err) || c.Broken() || c.Retries() != 0 {
+		t.Fatalf("oversize search: err=%v transient=%v broken=%v retries=%d", err, IsTransient(err), c.Broken(), c.Retries())
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection unusable after a refused send: %v", err)
 	}
 }
 
 func TestFrameReaderTruncatedPayload(t *testing.T) {
-	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	if _, err := fw.Write([]byte("will be cut short")); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()[:12] // header + 4 of 17 payload bytes
-	fr := newFrameReader(bytes.NewReader(raw))
-	if _, err := fr.Read(make([]byte, 64)); err != io.ErrUnexpectedEOF {
+	raw := frameOf(t, []byte("will be cut short"))[:12] // header + 4 of 17 payload bytes
+	fr := newFrameReader(bytes.NewReader(raw), maxFramePayload)
+	if _, err := fr.next(); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated payload: got %v, want ErrUnexpectedEOF", err)
+	}
+	if _, err := newFrameReader(bytes.NewReader(raw[:5]), maxFramePayload).next(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated header: got %v, want ErrUnexpectedEOF", err)
+	}
+	big := frameOf(t, make([]byte, 2*frameReadBuf))
+	if _, err := newFrameReader(bytes.NewReader(big[:len(big)-1]), maxFramePayload).next(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated large payload: got %v, want ErrUnexpectedEOF", err)
 	}
 }
 
@@ -122,25 +186,25 @@ func TestServerAnswersCodeCorruptOnMangledRequest(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// Encode a valid framed request, then flip a bit in the final
-	// frame's payload (the Request value; earlier frames are gob type
-	// descriptors and must stay intact for the decoder to reach it).
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(newFrameWriter(&buf))
-	if err := enc.Encode(&Request{ID: 1, Kind: KindSearch, Terms: []string{"ga"}, K: 5}); err != nil {
+	// A valid framed request with one payload bit flipped.
+	raw, err := AppendRequest(nil, &Request{ID: 1, Kind: KindSearch, Terms: []string{"ga"}, K: 5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0x40
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	dec := gob.NewDecoder(newFrameReader(conn))
-	resp, err := DecodeResponse(dec)
+	fr := newFrameReader(conn, maxFramePayload)
+	payload, err := fr.next()
 	if err != nil {
 		t.Fatalf("expected a typed response before close, got %v", err)
+	}
+	var resp Response
+	if err := parseResponse(payload, &resp); err != nil {
+		t.Fatal(err)
 	}
 	if resp.Code != CodeCorrupt {
 		t.Fatalf("code = %v, want CodeCorrupt", resp.Code)

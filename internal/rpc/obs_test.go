@@ -32,7 +32,7 @@ func startObsServer(tb testing.TB, sh *index.Shard, pred *predict.ISNPredictor, 
 }
 
 // TestSpanPropagation proves the trace context survives the wire: the
-// injected trace/span IDs ride the gob encode/decode round trip and the
+// injected trace/span IDs ride the wire encode/decode round trip and the
 // server's span comes back parented under the client-side span.
 func TestSpanPropagation(t *testing.T) {
 	sh := buildShard(t, 11)

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/gob"
 	"net"
 	"sync"
 	"testing"
@@ -241,9 +240,7 @@ func TestHedgeFailoverCompose(t *testing.T) {
 	c0.SetTimeout(300 * time.Millisecond)
 	c0.SetRetryPolicy(RetryPolicy{Max: 0})
 	c0.conn.Close()
-	c0.conn = stuck
-	c0.enc = gob.NewEncoder(stuck)
-	c0.dec = gob.NewDecoder(stuck)
+	c0.attach(stuck)
 	c1.SetTimeout(time.Second)
 
 	agg := NewAggregator([]*Client{c0, c1}, 10)

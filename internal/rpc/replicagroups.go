@@ -51,10 +51,17 @@ func (a *Aggregator) Shards() int {
 }
 
 // group returns shard s's client indices (a singleton on unreplicated
-// fleets, where client index == shard index).
+// fleets, where client index == shard index). The slice is shared:
+// callers must not modify it.
 func (a *Aggregator) group(s int) []int {
 	if a.Groups == nil {
-		return []int{s}
+		a.soloOnce.Do(func() {
+			a.solo = make([]int, len(a.Clients))
+			for i := range a.solo {
+				a.solo[i] = i
+			}
+		})
+		return a.solo[s : s+1 : s+1]
 	}
 	return a.Groups[s]
 }
@@ -77,6 +84,16 @@ func (a *Aggregator) replicaRow(shard, ci int) int {
 // (Allow) is only spent on the replica a leg actually sends to.
 func (a *Aggregator) rankShard(shard int) []int {
 	members := a.group(shard)
+	quarantine := a.quarantineLedger()
+	if len(members) == 1 {
+		// Nothing to order. Only quarantine takes a sole copy out of
+		// selection (as replica.Rank would); a broken or breaker-open one
+		// is still the only place to send the leg.
+		if quarantine.IsQuarantined(shard, members[0]) {
+			return nil
+		}
+		return members
+	}
 	cands := make([]replica.Candidate, len(members))
 	for i, ci := range members {
 		st := overload.Closed
@@ -89,7 +106,7 @@ func (a *Aggregator) rankShard(shard int) []int {
 		}
 		cands[i] = replica.Candidate{
 			ID:          ci,
-			Quarantined: a.clientQuarantined(ci),
+			Quarantined: quarantine.IsQuarantined(shard, ci),
 			Breaker:     st,
 			Healthy:     !a.Clients[ci].Broken(),
 			ServiceMS:   a.tracker.ServiceMS(ci),

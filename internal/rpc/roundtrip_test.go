@@ -1,0 +1,230 @@
+package rpc
+
+import (
+	"context"
+	"net"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"cottage/internal/index"
+	"cottage/internal/predict"
+	"cottage/internal/search"
+	"cottage/internal/trace"
+)
+
+// loopbackISN serves sh on loopback and dials it. Unlike startServer it
+// shuts the server down and waits for its handlers, so a test that
+// counts goroutines starts and ends clean.
+func loopbackISN(tb testing.TB, sh *index.Shard, pred *predict.ISNPredictor) *Client {
+	tb.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := &Server{Shard: sh, Pred: pred, Strategy: search.StrategyMaxScore}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(l) // nil once Shutdown closes l
+	}()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		c.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			tb.Errorf("server shutdown: %v", err)
+		}
+		<-served
+	})
+	return c
+}
+
+// roundTripFixture is one trained ISN behind a loopback connection and
+// a query that matches its shard.
+func roundTripFixture(tb testing.TB) (*Client, []string) {
+	tb.Helper()
+	shards, fleet, qs := distributedFixture(tb)
+	c := loopbackISN(tb, shards[0], fleet.Predictors[0])
+	for _, q := range qs {
+		if pred, err := c.Predict(q.Terms); err == nil && pred.Matched {
+			return c, q.Terms
+		}
+	}
+	tb.Fatal("no query matches shard 0")
+	return nil, nil
+}
+
+// TestRoundTripAllocs gates what one steady-state round trip allocates,
+// client and server together (AllocsPerRun counts the whole process, and
+// the server runs in it). The client side allocates nothing; the
+// constants are what the server has to own: for a ping its Response, for
+// a predict that plus the decoded terms (a []string and the one string
+// backing them). The predictor itself allocates nothing per call.
+func TestRoundTripAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains predictors")
+	}
+	const pingAllocs, predictAllocs = 1, 3
+	c, terms := roundTripFixture(t)
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() { _ = c.Ping() }); got > pingAllocs {
+		t.Errorf("Ping round trip: %v allocs, want <= %d", got, pingAllocs)
+	}
+	if got := testing.AllocsPerRun(200, func() { _, _, _ = c.PredictLoad(terms) }); got > predictAllocs {
+		t.Errorf("PredictLoad round trip: %v allocs, want <= %d", got, predictAllocs)
+	}
+}
+
+// TestLegGoroutinesReused: per-shard legs run on parked goroutines, so a
+// stream of queries starts none after the first, and the parked ones
+// exit on their own once the aggregator goes quiet.
+func TestLegGoroutinesReused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains predictors")
+	}
+	shards, fleet, qs := distributedFixture(t)
+	// Earlier tests' aggregators leave parked legs that retire on their
+	// own; wait until the count has held still for longer than that takes.
+	before := runtime.NumGoroutine()
+	for held := time.Now(); time.Since(held) < 2*legIdle+legIdle/5; time.Sleep(legIdle / 10) {
+		if n := runtime.NumGoroutine(); n != before {
+			before, held = n, time.Now()
+		}
+	}
+	clients := make([]*Client, len(shards))
+	for i, sh := range shards {
+		clients[i] = loopbackISN(t, sh, fleet.Predictors[i])
+	}
+	agg := NewAggregator(clients, 10)
+	query := func(q trace.Query) {
+		t.Helper()
+		if _, err := agg.SearchCottage(q.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query(qs[0])
+	warm := runtime.NumGoroutine()
+	if warm < before+len(shards) {
+		t.Fatalf("%d goroutines after the first query, %d before: no leg goroutine was kept", warm, before)
+	}
+	for i := 1; i < 200; i++ {
+		query(qs[i%len(qs)])
+		if n := runtime.NumGoroutine(); n != warm {
+			t.Fatalf("query %d: %d goroutines, %d after the first query", i, n, warm)
+		}
+	}
+
+	// Idle: every parked leg goroutine retires within two legIdle. What
+	// is left is the fixture — one handler per ISN connection and one
+	// accept loop per server.
+	fixture := warm - len(shards)
+	deadline := time.Now().Add(10 * legIdle)
+	for runtime.NumGoroutine() > fixture {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after an idle period, want %d: parked legs outlived it", runtime.NumGoroutine(), fixture)
+		}
+		time.Sleep(legIdle / 10)
+	}
+	agg.legs.mu.Lock()
+	parked := len(agg.legs.parked)
+	agg.legs.mu.Unlock()
+	if parked != 0 {
+		t.Fatalf("%d runners still on the free list after they all exited", parked)
+	}
+
+	// And the pool comes back: the next query runs and re-warms it.
+	query(qs[1])
+	if n := runtime.NumGoroutine(); n != warm {
+		t.Fatalf("%d goroutines after re-warming, want %d", n, warm)
+	}
+}
+
+// TestConcurrentQueriesShareLegPool runs many queries at once through
+// one aggregator: dispatchers pop runners while others park and retire
+// them, and every query still gets its own legs' answers.
+func TestConcurrentQueriesShareLegPool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains predictors")
+	}
+	shards, fleet, qs := distributedFixture(t)
+	clients := make([]*Client, len(shards))
+	for i, sh := range shards {
+		clients[i] = loopbackISN(t, sh, fleet.Predictors[i])
+	}
+	agg := NewAggregator(clients, 10)
+	qs = qs[:20]
+	want := make([]Result, len(qs))
+	for i, q := range qs {
+		var err error
+		if want[i], err = agg.SearchExhaustive(q.Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 60; n++ {
+				i := (w + n) % len(qs)
+				got, err := agg.SearchExhaustive(qs[i].Terms)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got.Hits, want[i].Hits) || !reflect.DeepEqual(got.Selected, want[i].Selected) {
+					t.Errorf("query %d under concurrency: hits or shards differ from the sequential answer", i)
+					return
+				}
+				if n%30 == 29 {
+					time.Sleep(legIdle + legIdle/4) // let runners retire mid-traffic
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+func benchmarkRoundTrip(b *testing.B, call func(c *Client, terms []string) error) {
+	c, terms := roundTripFixture(b)
+	if err := call(c, terms); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := call(c, terms); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRoundTrip* time one exchange with an ISN over loopback TCP,
+// client and server in this process: the per-message term of a query's
+// latency (16 predict + ~10 search exchanges per Cottage query).
+func BenchmarkRoundTripPing(b *testing.B) {
+	benchmarkRoundTrip(b, func(c *Client, _ []string) error { return c.Ping() })
+}
+
+func BenchmarkRoundTripPredict(b *testing.B) {
+	benchmarkRoundTrip(b, func(c *Client, terms []string) error {
+		_, _, err := c.PredictLoad(terms)
+		return err
+	})
+}
+
+func BenchmarkRoundTripSearch(b *testing.B) {
+	benchmarkRoundTrip(b, func(c *Client, terms []string) error {
+		_, err := c.Search(terms, 10, 0)
+		return err
+	})
+}

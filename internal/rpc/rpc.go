@@ -1,4 +1,5 @@
-// Package rpc implements a small gob-over-TCP transport so the
+// Package rpc implements a small TCP transport — checksummed frames
+// carrying a fixed-layout binary codec (frame.go, codec.go) — so the
 // partition-aggregate protocol can run across real processes, mirroring
 // the Solr deployment of Section IV: each ISN process serves search and
 // prediction requests for one shard, and an aggregator fans queries out,
@@ -16,7 +17,6 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -117,8 +117,8 @@ const (
 	// CodeCorrupt: the request's frame arrived with a failed payload CRC
 	// — the bytes were mangled in transit, not by the sender. Transient
 	// and breaker-neutral: the client resends on a fresh connection.
-	// (The server closes the stream after answering; a desynced gob
-	// session cannot be trusted further.)
+	// (The server closes the stream after answering; a stream that has
+	// lied once cannot be trusted further.)
 	CodeCorrupt
 	// CodeQuarantined: this replica's shard copy failed an integrity
 	// check and is out of service until repaired. Not transient for this
@@ -160,62 +160,6 @@ type Response struct {
 	// so the aggregator's prober can tell "node dead" from "data bad"
 	// and re-admit the replica the moment repair completes.
 	Quarantined bool
-}
-
-// wrapDecodeErr types a decode failure so callers can classify without
-// string matching: transport conditions (closed/timed-out connections,
-// clean or truncated EOFs) pass through untouched, frame-layer errors
-// keep their ErrCorruptFrame/ErrBadFrame identity, and everything else
-// — gob garbage that framed and checksummed cleanly, so it was *sent*
-// malformed rather than mangled in transit — becomes ErrBadFrame.
-// Retry/breaker logic can then stop treating a garbled payload as node
-// death: the peer is reachable, its bytes are not trustworthy.
-func wrapDecodeErr(what string, err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-		return err
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return err
-	}
-	if IsCorruptFrame(err) || IsBadFrame(err) {
-		return err
-	}
-	return fmt.Errorf("%w: %s: %v", ErrBadFrame, what, err)
-}
-
-// DecodeRequest reads one Request from a gob stream. A corrupted or
-// truncated frame yields an error, never a panic: gob's decoder can
-// panic on adversarial type descriptors, and a server must not be
-// killable by one bad frame, so the recover here is a load-bearing part
-// of the wire contract (fuzzed in fuzz_test.go). Non-transport failures
-// come back typed (ErrCorruptFrame for checksum mismatches under the
-// frame layer, ErrBadFrame for undecodable payloads).
-func DecodeRequest(dec *gob.Decoder) (req Request, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = wrapDecodeErr("decode request", fmt.Errorf("%v", r))
-		}
-	}()
-	err = wrapDecodeErr("decode request", dec.Decode(&req))
-	return req, err
-}
-
-// DecodeResponse reads one Response from a gob stream with the same
-// panic-to-error and typed-error guarantees as DecodeRequest (the
-// client side of the contract: a corrupting ISN must not take the
-// aggregator down).
-func DecodeResponse(dec *gob.Decoder) (resp Response, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = wrapDecodeErr("decode response", fmt.Errorf("%v", r))
-		}
-	}()
-	err = wrapDecodeErr("decode response", dec.Decode(&resp))
-	return resp, err
 }
 
 // Server serves one shard (one ISN) over a listener.
@@ -331,7 +275,7 @@ const (
 )
 
 // Serve accepts connections until the listener is closed. Each connection
-// gets its own goroutine and a gob codec. Temporary Accept errors are
+// gets its own goroutine and frame buffers. Temporary Accept errors are
 // retried with capped exponential backoff instead of killing the server;
 // after Shutdown (or closing the listener) Serve returns nil rather than
 // surfacing the listener teardown as an error.
@@ -415,26 +359,37 @@ func (s *Server) handle(conn net.Conn) {
 		s.trackConn(conn, false)
 		s.handlers.Done()
 	}()
-	fr := newFrameReader(conn)
-	dec := gob.NewDecoder(fr)
-	enc := gob.NewEncoder(newFrameWriter(conn))
+	fr := newFrameReader(conn, maxRequestPayload)
+	var out []byte // response frame buffer, reused across requests
+	send := func(resp *Response) error {
+		var err error
+		if out, err = AppendResponse(out[:0], resp); err != nil {
+			return err
+		}
+		_, err = conn.Write(out)
+		return err
+	}
 	for {
-		req, err := DecodeRequest(dec)
+		payload, err := fr.next()
 		if err != nil {
-			if IsCorruptFrame(err) || IsCorruptFrame(fr.Err()) {
+			if IsCorruptFrame(err) {
 				// The request's bytes were mangled in transit — detected,
 				// not guessed. Answer typed so the client retries breaker-
-				// neutrally, then drop the connection: the gob session
-				// behind a lying frame cannot be resynchronized.
-				_ = enc.Encode(&Response{Code: CodeCorrupt, Err: "corrupt request frame"})
+				// neutrally, then drop the connection: the stream behind a
+				// lying frame cannot be resynchronized.
+				_ = send(&Response{Code: CodeCorrupt, Err: "corrupt request frame"})
 			}
 			return // closed, garbled, or draining; drop it
+		}
+		var req Request
+		if err := parseRequest(payload, &req); err != nil {
+			return // checksum-clean garbage: sent malformed, drop it
 		}
 		resp := s.serve(&req)
 		if resp == nil {
 			return // injected prediction timeout: go silent like a hung process
 		}
-		if err := enc.Encode(resp); err != nil {
+		if err := send(resp); err != nil {
 			return
 		}
 		if s.inShutdown.Load() {
@@ -672,7 +627,7 @@ func (s *Server) anytimeSearch(sh *index.Shard, req *Request, deadline time.Time
 }
 
 // RetryPolicy bounds the client's transport-level retries. Retries
-// reconnect (a broken gob stream cannot be resumed) and back off
+// reconnect (a broken stream cannot be resumed) and back off
 // exponentially from Backoff, doubling per attempt, capped at
 // MaxBackoff. Application-level errors from the server (bad request,
 // missing predictor) are never retried — only transport faults are.
@@ -698,10 +653,9 @@ type Client struct {
 	mu      sync.Mutex
 	addr    string // redial target; empty for adopted connections
 	conn    net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
-	fr      *frameReader // decode-side frame layer, for typed error inspection
-	broken  bool         // the stream desynced; reconnect before reuse
+	fr      *frameReader // response frames off conn
+	out     []byte       // request frame buffer, reused across calls
+	broken  atomic.Bool  // the stream desynced; reconnect before reuse
 	next    uint64
 	timeout time.Duration
 	retry   RetryPolicy
@@ -724,8 +678,21 @@ func Dial(addr string) (*Client, error) {
 // the client cannot reconnect, so transport faults are terminal even
 // under a retry policy.
 func NewClient(conn net.Conn) *Client {
-	fr := newFrameReader(conn)
-	return &Client{conn: conn, enc: gob.NewEncoder(newFrameWriter(conn)), dec: gob.NewDecoder(fr), fr: fr}
+	c := &Client{}
+	c.attach(conn)
+	return c
+}
+
+// attach makes conn the client's connection: a fresh stream, read
+// through the client's (reused) frame buffers.
+func (c *Client) attach(conn net.Conn) {
+	c.conn = conn
+	if c.fr == nil {
+		c.fr = newFrameReader(conn, maxFramePayload)
+	} else {
+		c.fr.reset(conn)
+	}
+	c.broken.Store(false)
 }
 
 // Offline returns a client for an address that could not be dialed yet.
@@ -733,7 +700,9 @@ func NewClient(conn net.Conn) *Client {
 // ISN that is down at startup degrades exactly like one that dies later
 // instead of being fatal to the whole aggregator.
 func Offline(addr string) *Client {
-	return &Client{addr: addr, broken: true}
+	c := &Client{addr: addr}
+	c.broken.Store(true)
+	return c
 }
 
 // Close closes the underlying connection.
@@ -800,15 +769,12 @@ func IsShardCorrupt(err error) bool { return errors.Is(err, ErrShardCorrupt) }
 
 // Broken reports whether the client's connection is currently marked
 // broken (it will redial on the next call). The health prober uses this
-// to pick probe targets.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.broken
-}
+// to pick probe targets, and replica ranking reads it on every leg — it
+// must not wait behind c.mu, which an in-flight call holds for its whole
+// round trip.
+func (c *Client) Broken() bool { return c.broken.Load() }
 
-// reconnect re-establishes the connection after a transport fault. The
-// gob session restarts from scratch (fresh type table, fresh codec).
+// reconnect re-establishes the connection after a transport fault.
 func (c *Client) reconnect() error {
 	if c.addr == "" {
 		return fmt.Errorf("rpc: connection broken and no address to redial")
@@ -820,17 +786,13 @@ func (c *Client) reconnect() error {
 	if err != nil {
 		return fmt.Errorf("rpc: redial %s: %w", c.addr, err)
 	}
-	c.conn = conn
-	c.fr = newFrameReader(conn)
-	c.enc = gob.NewEncoder(newFrameWriter(conn))
-	c.dec = gob.NewDecoder(c.fr)
-	c.broken = false
+	c.attach(conn)
 	return nil
 }
 
-// call performs one round trip, retrying transport faults per the
-// client's RetryPolicy with capped exponential backoff.
-func (c *Client) call(req *Request) (*Response, error) {
+// call performs one round trip into resp, retrying transport faults per
+// the client's RetryPolicy with capped exponential backoff.
+func (c *Client) call(req *Request, resp *Response) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	backoff := c.retry.Backoff
@@ -841,31 +803,22 @@ func (c *Client) call(req *Request) (*Response, error) {
 	if cap <= 0 {
 		cap = DefaultMaxBackoff
 	}
-	var err error
 	for attempt := 0; ; attempt++ {
-		if c.broken {
+		var err error
+		if c.broken.Load() {
+			// Redial failures burn an attempt and back off like any other
+			// transport fault (the server may be restarting).
 			if rerr := c.reconnect(); rerr != nil {
 				err = errTransient{rerr}
-				// Redial failures burn an attempt and back off like any
-				// other transport fault (the server may be restarting).
-				if attempt >= c.retry.Max {
-					return nil, err
-				}
-				c.retries.Add(1)
-				time.Sleep(backoff)
-				if backoff *= 2; backoff > cap {
-					backoff = cap
-				}
-				continue
 			}
 		}
-		var resp *Response
-		resp, err = c.callOnce(req)
 		if err == nil {
-			return resp, nil
+			if err = c.callOnce(req, resp); err == nil {
+				return nil
+			}
 		}
 		if !IsTransient(err) || attempt >= c.retry.Max {
-			return nil, err
+			return err
 		}
 		c.retries.Add(1)
 		time.Sleep(backoff)
@@ -876,66 +829,73 @@ func (c *Client) call(req *Request) (*Response, error) {
 }
 
 // callOnce performs exactly one synchronous round trip on the current
-// connection. Transport faults mark the connection broken (the next
-// attempt reconnects) and come back wrapped as transient.
-func (c *Client) callOnce(req *Request) (*Response, error) {
+// connection: the request is encoded into the client's frame buffer and
+// written in one piece, the response parsed out of the frame reader's.
+// Transport faults mark the connection broken (the next attempt
+// reconnects) and come back wrapped as transient.
+func (c *Client) callOnce(req *Request, resp *Response) error {
 	c.next++
 	req.ID = c.next
+	var err error
+	if c.out, err = AppendRequest(c.out[:0], req); err != nil {
+		// Larger than any server would read: nothing was sent, the
+		// connection is fine, and resending the same request cannot help.
+		return fmt.Errorf("rpc: send: %w", err)
+	}
 	if c.timeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			c.broken = true
-			return nil, errTransient{fmt.Errorf("rpc: deadline: %w", err)}
+			c.broken.Store(true)
+			return errTransient{fmt.Errorf("rpc: deadline: %w", err)}
 		}
 	}
-	if err := c.enc.Encode(req); err != nil {
-		c.broken = true
-		return nil, errTransient{fmt.Errorf("rpc: send: %w", err)}
+	if _, err := c.conn.Write(c.out); err != nil {
+		c.broken.Store(true)
+		return errTransient{fmt.Errorf("rpc: send: %w", err)}
 	}
-	resp, err := DecodeResponse(c.dec)
+	payload, err := c.fr.next()
+	if err == nil {
+		err = parseResponse(payload, resp)
+	}
 	if err != nil {
-		c.broken = true
-		if frErr := c.fr.Err(); frErr != nil && (IsCorruptFrame(frErr) || IsBadFrame(frErr)) {
-			// The frame layer, not the transport, rejected the bytes:
-			// detected corruption (or garbage) on the response path.
-			// Transient — resend on a fresh connection — but typed, so
-			// breaker logic can stay neutral about a mangled wire.
-			return nil, errTransient{fmt.Errorf("rpc: receive: %w", frErr)}
-		}
+		// A failed CRC or an undecodable message is the wire (or the peer)
+		// lying, not the transport dying: still transient — resend on a
+		// fresh connection — but typed ErrCorruptFrame/ErrBadFrame, so
+		// breaker logic can stay neutral about a mangled wire.
+		c.broken.Store(true)
 		if errors.Is(err, io.EOF) {
-			return nil, errTransient{fmt.Errorf("rpc: server closed connection")}
+			return errTransient{fmt.Errorf("rpc: server closed connection")}
 		}
-		return nil, errTransient{fmt.Errorf("rpc: receive: %w", err)}
+		return errTransient{fmt.Errorf("rpc: receive: %w", err)}
 	}
 	if resp.ID != req.ID {
 		// A stale reply (e.g. to a request a previous timeout abandoned):
 		// the stream is out of step, resync by reconnecting.
-		c.broken = true
-		return nil, errTransient{fmt.Errorf("rpc: response ID %d for request %d", resp.ID, req.ID)}
+		c.broken.Store(true)
+		return errTransient{fmt.Errorf("rpc: response ID %d for request %d", resp.ID, req.ID)}
 	}
-	if resp.Code == CodeOverloaded {
+	switch resp.Code {
+	case CodeOverloaded:
 		// Shed by admission control: the transport and the stream are
 		// fine (do NOT mark broken), the server is just saturated.
 		// Transient, so the retry loop backs off and tries again.
-		return nil, errTransient{fmt.Errorf("rpc: %s: %w", c.addr, ErrOverloaded)}
-	}
-	if resp.Code == CodeCorrupt {
+		return errTransient{fmt.Errorf("rpc: %s: %w", c.addr, ErrOverloaded)}
+	case CodeCorrupt:
 		// The server detected our request frame was mangled in transit
 		// and will drop the connection: reconnect and resend. Transient
 		// and typed (breaker-neutral — nobody is dead, a wire lied).
-		c.broken = true
-		return nil, errTransient{fmt.Errorf("rpc: %s: %w", c.addr, ErrCorruptFrame)}
-	}
-	if resp.Code == CodeQuarantined {
+		c.broken.Store(true)
+		return errTransient{fmt.Errorf("rpc: %s: %w", c.addr, ErrCorruptFrame)}
+	case CodeQuarantined:
 		// The replica's shard copy is out of service. The connection is
 		// fine (do NOT mark broken) and retrying here is pointless until
 		// repair completes — surface typed so the caller fails over.
-		return nil, fmt.Errorf("rpc: %s: %w: %s", c.addr, ErrShardCorrupt, resp.Err)
+		return fmt.Errorf("rpc: %s: %w: %s", c.addr, ErrShardCorrupt, resp.Err)
 	}
 	if resp.Err != "" {
 		// Application-level error: the transport is fine, don't retry.
-		return nil, fmt.Errorf("rpc: server error: %s", resp.Err)
+		return fmt.Errorf("rpc: server error: %s", resp.Err)
 	}
-	return &resp, nil
+	return nil
 }
 
 // Ping checks liveness.
@@ -950,8 +910,8 @@ func (c *Client) Ping() error {
 // verdict and the data verdict are deliberately separate — a node can
 // be perfectly reachable and still not trustworthy to serve.
 func (c *Client) PingStatus() (quarantined bool, err error) {
-	resp, err := c.call(&Request{Kind: KindPing})
-	if err != nil {
+	var resp Response
+	if err := c.call(&Request{Kind: KindPing}, &resp); err != nil {
 		return false, err
 	}
 	return resp.Quarantined, nil
@@ -979,9 +939,10 @@ func (c *Client) SearchAnytime(sc obs.SpanContext, terms []string, k int, deadli
 }
 
 func (c *Client) searchCall(sc obs.SpanContext, terms []string, k int, deadline time.Duration, anytime bool) (search.Result, []obs.Span, error) {
-	resp, err := c.call(&Request{
+	var resp Response
+	err := c.call(&Request{
 		Kind: KindSearch, Terms: terms, K: k, DeadlineUS: deadline.Microseconds(),
-		Anytime: anytime, Trace: sc.Trace, Span: sc.Parent})
+		Anytime: anytime, Trace: sc.Trace, Span: sc.Parent}, &resp)
 	if err != nil {
 		return search.Result{}, nil, err
 	}
@@ -992,8 +953,8 @@ func (c *Client) searchCall(sc obs.SpanContext, terms []string, k int, deadline 
 // Phrase evaluates an exact-phrase query on the remote (positional)
 // shard.
 func (c *Client) Phrase(terms []string, k int) (search.Result, error) {
-	resp, err := c.call(&Request{Kind: KindPhrase, Terms: terms, K: k})
-	if err != nil {
+	var resp Response
+	if err := c.call(&Request{Kind: KindPhrase, Terms: terms, K: k}, &resp); err != nil {
 		return search.Result{}, err
 	}
 	return search.Result{Hits: resp.Hits, Stats: resp.Stats}, nil
@@ -1028,8 +989,8 @@ func (c *Client) PredictLoad(terms []string) (predict.Prediction, QueueInfo, err
 // (CodeQuarantined → ErrShardCorrupt), so repair never copies from a
 // replica that is itself lying.
 func (c *Client) FetchShard() (*index.Shard, error) {
-	resp, err := c.call(&Request{Kind: KindFetchShard})
-	if err != nil {
+	var resp Response
+	if err := c.call(&Request{Kind: KindFetchShard}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.ShardBytes) == 0 {
@@ -1045,7 +1006,8 @@ func (c *Client) FetchShard() (*index.Shard, error) {
 // PredictLoadSpan is PredictLoad with trace propagation (see
 // SearchSpan).
 func (c *Client) PredictLoadSpan(sc obs.SpanContext, terms []string) (predict.Prediction, QueueInfo, []obs.Span, error) {
-	resp, err := c.call(&Request{Kind: KindPredict, Terms: terms, Trace: sc.Trace, Span: sc.Parent})
+	var resp Response
+	err := c.call(&Request{Kind: KindPredict, Terms: terms, Trace: sc.Trace, Span: sc.Parent}, &resp)
 	if err != nil {
 		return predict.Prediction{}, QueueInfo{}, nil, err
 	}

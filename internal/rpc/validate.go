@@ -6,7 +6,7 @@ import (
 )
 
 // Validation bounds for decodable-but-absurd requests. A request can
-// pass the gob decoder and still be garbage — a fuzzer-mangled K of two
+// pass the wire decoder and still be garbage — a fuzzer-mangled K of two
 // billion, a thousand terms, a megabyte "term" — and each of those
 // would trigger allocation-heavy index work before failing naturally.
 // ValidateRequest rejects them up front, before admission control and

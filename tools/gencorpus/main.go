@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -20,19 +21,63 @@ import (
 
 	"cottage/internal/faults"
 	"cottage/internal/index"
+	"cottage/internal/obs"
 	"cottage/internal/predict"
 	"cottage/internal/rpc"
 	"cottage/internal/search"
 	"cottage/internal/trace"
 )
 
-func encode(vals ...any) []byte {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, v := range vals {
-		if err := enc.Encode(v); err != nil {
+// requestFrames concatenates the wire frames of reqs, as a client would
+// write them down one connection.
+func requestFrames(reqs ...*rpc.Request) []byte {
+	var out []byte
+	for _, r := range reqs {
+		var err error
+		if out, err = rpc.AppendRequest(out, r); err != nil {
 			log.Fatal(err)
 		}
+	}
+	return out
+}
+
+func responseFrames(resps ...*rpc.Response) []byte {
+	var out []byte
+	for _, r := range resps {
+		var err error
+		if out, err = rpc.AppendResponse(out, r); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return out
+}
+
+// frame wraps payload the way internal/rpc/frame.go does:
+// [4-byte LE length][4-byte CRC32C][payload].
+func frame(payload []byte) []byte {
+	out := make([]byte, 8, 8+len(payload))
+	binary.LittleEndian.PutUint32(out[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, payload...)
+}
+
+// firstPayload returns the payload of the first frame in stream.
+func firstPayload(stream []byte) []byte {
+	return stream[8 : 8+binary.LittleEndian.Uint32(stream)]
+}
+
+// patch32 returns a copy of b with a little-endian uint32 overwritten.
+func patch32(b []byte, off int, v uint32) []byte {
+	m := bytes.Clone(b)
+	binary.LittleEndian.PutUint32(m[off:], v)
+	return m
+}
+
+// legacyGob is what a pre-codec peer would send: a raw gob stream.
+func legacyGob(v any) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		log.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -82,7 +127,7 @@ func anytimeEntry(seed uint64, k byte, b1, extra uint16, termIdx ...byte) []byte
 }
 
 func main() {
-	reqValid := encode(
+	reqValid := requestFrames(
 		&rpc.Request{Kind: rpc.KindSearch, ID: 1, Terms: []string{"ga", "gb"}, K: 10, DeadlineUS: 5000},
 		&rpc.Request{Kind: rpc.KindPredict, ID: 2, Terms: []string{"tail", "latency"}},
 		&rpc.Request{Kind: rpc.KindPing, ID: 3},
@@ -91,7 +136,7 @@ func main() {
 	// validation exists to reject (out-of-range K, oversized term lists,
 	// giant terms, negative deadlines, unknown kinds). Mirrors
 	// absurdRequests in internal/rpc/fuzz_test.go.
-	reqAbsurd := encode(
+	reqAbsurd := requestFrames(
 		&rpc.Request{Kind: rpc.KindSearch, ID: 10, Terms: []string{"ga"}, K: 0},
 		&rpc.Request{Kind: rpc.KindSearch, ID: 11, Terms: []string{"ga"}, K: 2_000_000},
 		&rpc.Request{Kind: rpc.KindPredict, ID: 12, Terms: make([]string, rpc.MaxTerms+36)},
@@ -99,29 +144,58 @@ func main() {
 		&rpc.Request{Kind: rpc.KindSearch, ID: 14, Terms: []string{"ga"}, K: 5, DeadlineUS: -1},
 		&rpc.Request{Kind: rpc.Kind(99), ID: 15, K: 5},
 	)
+	// Malformed on purpose, one seed per rejection path: a cleanly framed
+	// message cut short, a term count no frame could back (the count is
+	// the last 4 bytes of a request's 54-byte fixed part, DESIGN.md §18),
+	// a stale CRC, a header claiming more than a server reads, and what a
+	// pre-codec peer would send, raw and framed.
+	const reqTermCountOff = 50
+	reqOne := firstPayload(reqValid)
+	legacyReq := legacyGob(&rpc.Request{Kind: rpc.KindSearch, ID: 1, Terms: []string{"ga"}, K: 10})
 	writeCorpus("internal/rpc/testdata/fuzz/FuzzDecodeRequest", map[string][]byte{
-		"valid":     reqValid,
-		"truncated": reqValid[:len(reqValid)/2],
-		"header":    reqValid[:7],
-		"corrupted": corrupt(reqValid),
-		"absurd":    reqAbsurd,
+		"valid":        reqValid,
+		"truncated":    reqValid[:len(reqValid)/2],
+		"header":       reqValid[:7],
+		"corrupted":    corrupt(reqValid),
+		"absurd":       reqAbsurd,
+		"shortmsg":     frame(reqOne[:20]),
+		"count":        frame(patch32(reqOne, reqTermCountOff, 0xFFFFFFFF)),
+		"badcrc":       patch32(reqValid, 4, 0xDEADBEEF),
+		"oversize":     patch32(reqValid, 0, 1<<20),
+		"legacy":       legacyReq,
+		"legacyframed": frame(legacyReq),
 	})
 	writeCorpus("internal/rpc/testdata/fuzz/FuzzValidateRequest", map[string][]byte{
 		"valid":  reqValid,
 		"absurd": reqAbsurd,
 	})
 
-	respValid := encode(
+	respValid := responseFrames(
 		&rpc.Response{ID: 1, Hits: []search.Hit{{Doc: 4, Score: 2.5}, {Doc: 9, Score: 1.1}},
 			Stats: search.ExecStats{DocsScored: 40}},
 		&rpc.Response{ID: 2, Pred: predict.Prediction{Matched: true, QK: 3, Cycles: 1e7}},
 		&rpc.Response{ID: 3, Err: "deadline exceeded"},
+		&rpc.Response{ID: 4, Spans: []obs.Span{{Trace: 7, ID: 8, Name: "serve.search",
+			Attrs: map[string]string{"queue_wait_us": "3", "service_us": "40"}}}},
+		&rpc.Response{ID: 5, ShardBytes: []byte("shard image")},
 	)
+	// The same rejection paths on the response side. A response's fixed
+	// part is 138 bytes; the Err length follows it and, Err being empty
+	// in the first frame, the hit count follows that.
+	const respHitCountOff = 138 + 4
+	respOne := firstPayload(respValid)
+	legacyResp := legacyGob(&rpc.Response{ID: 1, Err: "deadline exceeded"})
 	writeCorpus("internal/rpc/testdata/fuzz/FuzzDecodeResponse", map[string][]byte{
-		"valid":     respValid,
-		"truncated": respValid[:len(respValid)/2],
-		"header":    respValid[:9],
-		"corrupted": corrupt(respValid),
+		"valid":        respValid,
+		"truncated":    respValid[:len(respValid)/2],
+		"header":       respValid[:9],
+		"corrupted":    corrupt(respValid),
+		"shortmsg":     frame(respOne[:100]),
+		"count":        frame(patch32(respOne, respHitCountOff, 0xFFFFFFFF)),
+		"badcrc":       patch32(respValid, 4, 0xDEADBEEF),
+		"oversize":     patch32(respValid, 0, 0xFFFFFFF0),
+		"legacy":       legacyResp,
+		"legacyframed": frame(legacyResp),
 	})
 	// Trace Save/Load seeds: a valid replay file, its truncation and
 	// corruption, and structurally-valid gob frames carrying exactly the
