@@ -126,11 +126,14 @@ bench-compare:
 	$(GO) run ./tools/benchjson -compare -max-regress $(MAXREGRESS) $(BENCHBASE) /tmp/cottage-bench-head.json
 
 # Quick perf sanity on the two predictor hot paths (the ones with hard
-# ns/op acceptance bars); keeps check fast while catching gross
-# regressions. Full numbers come from `make bench`.
+# ns/op acceptance bars) and on a live Cottage query with and without
+# its predictions remembered (internal/rpc, loopback fixture; the pair
+# asserts it really timed hits and misses); keeps check fast while
+# catching gross regressions. Full numbers come from `make bench`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig7QualityPredictor|Fig9BudgetDetermination' \
 		-benchmem -benchtime 1x -timeout 10m .
+	$(GO) test -run '^$$' -bench 'SearchCottageMemo' -benchmem -benchtime 200x ./internal/rpc
 
 # Regenerate the checked-in fuzz seed corpus after wire-format changes.
 corpus:

@@ -300,10 +300,15 @@ func main() {
 		fmt.Printf(", mean overlap %.3f", overlapSum/float64(n))
 	}
 	fmt.Println()
-	if st := agg.Stats(); st.Retries > 0 || st.Hedges > 0 || st.FailoversPredict+st.FailoversSearch > 0 {
+	st := agg.Stats()
+	if st.Retries > 0 || st.Hedges > 0 || st.FailoversPredict+st.FailoversSearch > 0 {
 		fmt.Printf("transport: %d retries, %d hedges (%d won, %d cancelled), %d failovers (%d predict, %d search)\n",
 			st.Retries, st.Hedges, st.HedgeWins, st.HedgesCancelled,
 			st.FailoversPredict+st.FailoversSearch, st.FailoversPredict, st.FailoversSearch)
+	}
+	if asked := st.MemoHits + st.MemoPartial + st.MemoMisses; asked > 0 {
+		fmt.Printf("prediction memo: %d of %d queries skipped the predict round (hit rate %.1f%%), %d asked some shards, %d all\n",
+			st.MemoHits, asked, 100*float64(st.MemoHits)/float64(asked), st.MemoPartial, st.MemoMisses)
 	}
 	if prober != nil {
 		probes, revived := prober.Stats()

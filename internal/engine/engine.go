@@ -64,7 +64,7 @@ type Engine struct {
 	// touching any ISN (qcache.LRU). Cached answers cost only the client
 	// round trip plus a lookup; misses follow the configured policy and
 	// populate the cache.
-	Cache *qcache.LRU
+	Cache *qcache.LRU[[]search.Hit]
 	// Obs, when set, makes the simulated twin record the same
 	// observability surface as the live transport: one virtual-time trace
 	// per query (predict/budget/search/merge spans, per-ISN execution

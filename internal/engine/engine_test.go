@@ -328,7 +328,7 @@ func TestCacheShortCircuitsRepeats(t *testing.T) {
 		doubled = append(doubled, trace.Query{ID: 2*i + 1, Terms: qs[i].Terms, ArrivalMS: now})
 	}
 	evs := e.EvaluateAll(doubled)
-	e.Cache = qcache.NewLRU(256)
+	e.Cache = qcache.NewLRU[[]search.Hit](256)
 	defer func() { e.Cache = nil }()
 	res := e.Run(&fixedPolicy{name: "all", select_: all, budgetMS: math.Inf(1)}, evs)
 	if res.CacheHitRate < 0.45 || res.CacheHitRate > 0.55 {

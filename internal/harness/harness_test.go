@@ -10,6 +10,7 @@ import (
 	"cottage/internal/core"
 	"cottage/internal/engine"
 	"cottage/internal/qcache"
+	"cottage/internal/search"
 	"cottage/internal/trace"
 )
 
@@ -343,7 +344,7 @@ func TestCachingComposes(t *testing.T) {
 	defer func() { s.Engine.Cache = nil }()
 	s.Engine.Cache = nil
 	plain := engine.Summarize(s.Engine.Run(core.NewCottage(), s.WikiEval))
-	s.Engine.Cache = qcache.NewLRU(2048)
+	s.Engine.Cache = qcache.NewLRU[[]search.Hit](2048)
 	run := s.Engine.Run(core.NewCottage(), s.WikiEval)
 	cached := engine.Summarize(run)
 	if run.CacheHitRate <= 0.05 {

@@ -9,6 +9,7 @@ import (
 	"cottage/internal/engine"
 	"cottage/internal/faults"
 	"cottage/internal/qcache"
+	"cottage/internal/search"
 	"cottage/internal/trace"
 )
 
@@ -280,7 +281,7 @@ func Caching(s *Setup, w io.Writer) error {
 	for _, p := range []engine.Policy{baselines.Exhaustive{}, core.NewCottage()} {
 		s.Engine.Cache = nil
 		plain := engine.Summarize(s.Engine.Run(p, s.WikiEval))
-		s.Engine.Cache = qcache.NewLRU(2048)
+		s.Engine.Cache = qcache.NewLRU[[]search.Hit](2048)
 		cached := s.Engine.Run(p, s.WikiEval)
 		cs := engine.Summarize(cached)
 		fmt.Fprintf(w, "%-12s %12.2f %12.2f %12.2f %12.2f %10.3f\n",

@@ -86,6 +86,34 @@ func TestFromTraceLiveShape(t *testing.T) {
 	near(t, "named==total", a.NamedMS(), a.TotalMS)
 }
 
+// TestFromTraceMemoHit: a query whose predictions all came out of the
+// aggregator's memo records a predict span with no legs and next to no
+// duration. The phase is simply small; everything still sums to the total.
+func TestFromTraceMemoHit(t *testing.T) {
+	tr := &obs.Trace{ID: 8, Spans: []obs.Span{
+		span(8, 1, 0, "query", -1, 0, 8000, nil),
+		span(8, 2, 1, "predict", -1, 0, 0, map[string]string{"memo": "hit"}),
+		span(8, 3, 1, "budget", -1, 0, 100, nil),
+		span(8, 4, 1, "search", -1, 100, 7400, nil),
+		span(8, 5, 4, "search.isn", 0, 100, 7400, nil),
+		span(8, 6, 5, "serve.search", 0, 600, 6400,
+			map[string]string{"queue_wait_us": "1400", "service_us": "5000"}),
+		span(8, 7, 1, "merge", -1, 7500, 400, nil),
+	}}
+	a, ok := FromTrace(tr)
+	if !ok {
+		t.Fatal("FromTrace rejected a trace with a legless predict span")
+	}
+	near(t, "total", a.TotalMS, 8)
+	near(t, "predict", a.Phase[PhasePredict], 0)
+	near(t, "budget", a.Phase[PhaseBudget], 0.1)
+	near(t, "queue", a.Phase[PhaseQueue], 1.4)
+	near(t, "search", a.Phase[PhaseSearch], 5)
+	near(t, "network", a.Phase[PhaseNetwork], 1.1) // leg net 1.0 + 0.1 after the merge
+	near(t, "merge", a.Phase[PhaseMerge], 0.4)
+	near(t, "named+other==total", a.NamedMS()+a.Phase[PhaseOther], a.TotalMS)
+}
+
 func TestFromTraceHedgeAndFailover(t *testing.T) {
 	// Critical leg won by a hedge after a 3 ms timer, preceded by a
 	// failed attempt on the same shard (live failover shape).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cottage/internal/cluster"
+	"cottage/internal/features"
 	"cottage/internal/index"
 	"cottage/internal/nn"
 	"cottage/internal/search"
@@ -425,5 +426,113 @@ func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one.accs, many.accs) {
 		t.Error("Evaluate differs across GOMAXPROCS")
+	}
+}
+
+// permutations calls visit with every ordering of terms (Heap's
+// algorithm; visit must not keep the slice).
+func permutations(terms []string, visit func([]string)) {
+	p := append([]string(nil), terms...)
+	var rec func(k int)
+	rec = func(k int) {
+		if k <= 1 {
+			visit(p)
+			return
+		}
+		for i := 0; i < k; i++ {
+			rec(k - 1)
+			if k%2 == 0 {
+				p[i], p[k-1] = p[k-1], p[i]
+			} else {
+				p[0], p[k-1] = p[k-1], p[0]
+			}
+		}
+	}
+	rec(len(p))
+}
+
+// predictionBits is a Prediction with its floats as IEEE bit patterns,
+// so that == on it means bit-for-bit (NaN and -0 included).
+func predictionBits(p Prediction) [7]uint64 {
+	m := uint64(0)
+	if p.Matched {
+		m = 1
+	}
+	return [7]uint64{m, uint64(p.QK), uint64(p.QK2), math.Float64bits(p.Cycles),
+		math.Float64bits(p.PZeroK), math.Float64bits(p.PZeroK2), math.Float64bits(p.ExpQK)}
+}
+
+// TestPredictIsOrderInsensitive is the licence for keying remembered
+// predictions by qcache.Key (the sorted terms): on every shard, every
+// permutation of a query of up to four terms — unknown and repeated terms
+// included — yields bit-identical feature vectors and a bit-identical
+// Prediction. A repeated term is NOT the same query as its deduplicated
+// form (the query-length feature counts it), which is why the key keeps
+// duplicates.
+func TestPredictIsOrderInsensitive(t *testing.T) {
+	f := getFixture(t)
+	shards := f.shards[:3]
+	ds := Harvest(shards, f.train[:80], 10, search.StrategyMaxScore, cluster.DefaultCostModel())
+	cfg := DefaultConfig(10)
+	cfg.QualitySteps = 20
+	cfg.LatencySteps = 20
+	fleet, err := Train(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := [][]string{
+		{"no-such-term"},
+		{"no-such-term", f.test[0].Terms[0]},
+		{f.test[0].Terms[0], f.test[0].Terms[0], f.test[1].Terms[0]},
+	}
+	byLen := map[int]int{}
+	for _, q := range f.test {
+		if len(q.Terms) > 4 {
+			t.Fatalf("trace query with %d terms: the generators stop at 4", len(q.Terms))
+		}
+		if byLen[len(q.Terms)] < 12 {
+			byLen[len(q.Terms)]++
+			queries = append(queries, q.Terms)
+		}
+	}
+	// Four distinct terms that all occur somewhere, whatever the trace drew.
+	queries = append(queries, []string{f.test[0].Terms[0], f.test[1].Terms[0], f.test[2].Terms[0], "no-such-term"})
+	orders := 0
+	for _, terms := range queries {
+		for si, sh := range shards {
+			wantQ, wantL, wantOK := features.Extract(sh, terms)
+			want := predictionBits(fleet.Predictors[si].Predict(sh, terms))
+			permutations(terms, func(p []string) {
+				orders++
+				gotQ, gotL, gotOK := features.Extract(sh, p)
+				if gotOK != wantOK {
+					t.Fatalf("shard %d %v vs %v: matched %v vs %v", si, p, terms, gotOK, wantOK)
+				}
+				for i := range gotQ {
+					if math.Float64bits(gotQ[i]) != math.Float64bits(wantQ[i]) {
+						t.Fatalf("shard %d %v vs %v: quality feature %d differs", si, p, terms, i)
+					}
+				}
+				for i := range gotL {
+					if math.Float64bits(gotL[i]) != math.Float64bits(wantL[i]) {
+						t.Fatalf("shard %d %v vs %v: latency feature %d differs", si, p, terms, i)
+					}
+				}
+				if got := predictionBits(fleet.Predictors[si].Predict(sh, p)); got != want {
+					t.Fatalf("shard %d %v vs %v: prediction %v, want %v", si, p, terms, got, want)
+				}
+			})
+		}
+	}
+	if byLen[4] == 0 || orders < 24*len(shards) {
+		t.Fatalf("no four-term query tested (lengths %v, %d orderings)", byLen, orders)
+	}
+
+	// The counter-example the key has to respect.
+	a := []string{f.test[0].Terms[0]}
+	_, la, _ := features.Extract(shards[0], a)
+	_, laa, _ := features.Extract(shards[0], append(a, a[0]))
+	if la == laa {
+		t.Fatal("a repeated term left the latency features unchanged: the key could deduplicate after all")
 	}
 }

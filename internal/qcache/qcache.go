@@ -1,33 +1,36 @@
-// Package qcache implements an aggregator-side query result cache. Search
-// traffic is heavily skewed (the trace generators reproduce the Zipfian
-// term popularity of real logs), so a small LRU of merged top-K results
-// answers a large share of queries without touching any ISN — the classic
-// optimization of Baeza-Yates et al. (reference [1] of the paper). The
-// engine integrates it through engine.Cached, which wraps any selection
-// policy.
+// Package qcache is the aggregator-side cache keyed by a query's
+// canonical term set. Search traffic is heavily skewed (the trace
+// generators reproduce the Zipfian term popularity of real logs), so a
+// small LRU answers a large share of queries from memory. It has two
+// users: the twin's merged top-K result cache (engine.Engine.Cache — the
+// classic optimization of Baeza-Yates et al., reference [1] of the
+// paper), which skips the ISNs altogether, and the live aggregator's
+// prediction memo (internal/rpc, predmemo.go), which skips only the
+// predict round and still searches.
 package qcache
 
 import (
 	"container/list"
 	"sort"
 	"strings"
-
-	"cottage/internal/search"
 )
 
-// Key canonicalizes a query's terms (order-insensitive, deduplicated) so
-// "red car" and "car red" share a cache entry.
+// Key canonicalizes a query's terms so "red car" and "car red" share a
+// cache entry. It is order-insensitive only: a repeated term stays
+// repeated, because what is cached may depend on the term count (the
+// latency predictor's query-length feature does).
 func Key(terms []string) string {
-	c := make([]string, len(terms))
-	copy(c, terms)
-	sort.Strings(c)
-	return strings.Join(c, "\x00")
+	if !sort.StringsAreSorted(terms) {
+		terms = append([]string(nil), terms...)
+		sort.Strings(terms)
+	}
+	return strings.Join(terms, "\x00")
 }
 
-// LRU is a fixed-capacity least-recently-used result cache. It is not
-// safe for concurrent use; the simulator is single-threaded and a real
-// aggregator would shard it per worker.
-type LRU struct {
+// LRU is a fixed-capacity least-recently-used cache of V by key. It is
+// not safe for concurrent use: the simulator is single-threaded, and the
+// live aggregator's memo guards its LRU with a mutex.
+type LRU[V any] struct {
 	cap   int
 	ll    *list.List
 	items map[string]*list.Element
@@ -35,53 +38,57 @@ type LRU struct {
 	hits, misses int
 }
 
-type entry struct {
-	key  string
-	hits []search.Hit
+type entry[V any] struct {
+	key string
+	val V
 }
 
 // NewLRU creates a cache holding up to capacity entries.
-func NewLRU(capacity int) *LRU {
+func NewLRU[V any](capacity int) *LRU[V] {
 	if capacity <= 0 {
 		panic("qcache: capacity must be positive")
 	}
-	return &LRU{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+	return &LRU[V]{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// Get returns the cached hits for key, if present, and refreshes its
+// Get returns the value cached under key, if present, and refreshes its
 // recency.
-func (c *LRU) Get(key string) ([]search.Hit, bool) {
+func (c *LRU[V]) Get(key string) (V, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*entry).hits, true
+	return el.Value.(*entry[V]).val, true
 }
 
-// Put stores hits under key, evicting the least recently used entry when
-// full. The slice is stored as-is; callers must not mutate it afterwards.
-func (c *LRU) Put(key string, hits []search.Hit) {
+// Put stores v under key and reports whether that evicted the least
+// recently used entry to make room. The value is stored as-is; callers
+// must not mutate what it references afterwards.
+func (c *LRU[V]) Put(key string, v V) (evicted bool) {
 	if el, ok := c.items[key]; ok {
-		el.Value.(*entry).hits = hits
+		el.Value.(*entry[V]).val = v
 		c.ll.MoveToFront(el)
-		return
+		return false
 	}
 	if c.ll.Len() >= c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry).key)
+		delete(c.items, oldest.Value.(*entry[V]).key)
+		evicted = true
 	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, hits: hits})
+	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: v})
+	return evicted
 }
 
 // Len returns the current entry count.
-func (c *LRU) Len() int { return c.ll.Len() }
+func (c *LRU[V]) Len() int { return c.ll.Len() }
 
 // HitRate returns hits / (hits+misses) so far, or 0 before any lookup.
-func (c *LRU) HitRate() float64 {
+func (c *LRU[V]) HitRate() float64 {
 	total := c.hits + c.misses
 	if total == 0 {
 		return 0
@@ -90,10 +97,10 @@ func (c *LRU) HitRate() float64 {
 }
 
 // Stats returns raw hit/miss counters.
-func (c *LRU) Stats() (hits, misses int) { return c.hits, c.misses }
+func (c *LRU[V]) Stats() (hits, misses int) { return c.hits, c.misses }
 
 // Reset clears contents and counters.
-func (c *LRU) Reset() {
+func (c *LRU[V]) Reset() {
 	c.ll = list.New()
 	c.items = make(map[string]*list.Element)
 	c.hits, c.misses = 0, 0

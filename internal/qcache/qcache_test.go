@@ -18,10 +18,13 @@ func TestKeyCanonical(t *testing.T) {
 	if Key([]string{"ab", "c"}) == Key([]string{"a", "bc"}) {
 		t.Error("separator must prevent concatenation collisions")
 	}
+	if Key([]string{"a", "a"}) == Key([]string{"a"}) {
+		t.Error("a repeated term is a different query: the key must keep it")
+	}
 }
 
 func TestLRUBasics(t *testing.T) {
-	c := NewLRU(2)
+	c := NewLRU[[]search.Hit](2)
 	if _, ok := c.Get("x"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -31,7 +34,9 @@ func TestLRUBasics(t *testing.T) {
 		t.Fatal("miss on cached entry")
 	}
 	// "b" is now the LRU; inserting "c" evicts it.
-	c.Put("c", []search.Hit{{Doc: 3}})
+	if !c.Put("c", []search.Hit{{Doc: 3}}) {
+		t.Fatal("Put into a full cache reported no eviction")
+	}
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("LRU entry not evicted")
 	}
@@ -44,9 +49,11 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRUUpdateExisting(t *testing.T) {
-	c := NewLRU(2)
+	c := NewLRU[[]search.Hit](2)
 	c.Put("a", []search.Hit{{Doc: 1}})
-	c.Put("a", []search.Hit{{Doc: 9}})
+	if c.Put("a", []search.Hit{{Doc: 9}}) {
+		t.Fatal("updating an entry reported an eviction")
+	}
 	if c.Len() != 1 {
 		t.Fatal("update should not grow the cache")
 	}
@@ -56,7 +63,7 @@ func TestLRUUpdateExisting(t *testing.T) {
 }
 
 func TestHitRate(t *testing.T) {
-	c := NewLRU(4)
+	c := NewLRU[[]search.Hit](4)
 	c.Put("a", nil)
 	c.Get("a")
 	c.Get("a")
@@ -75,7 +82,7 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestCapacityNeverExceeded(t *testing.T) {
-	c := NewLRU(16)
+	c := NewLRU[[]search.Hit](16)
 	rng := xrand.New(1)
 	for i := 0; i < 5000; i++ {
 		c.Put(fmt.Sprintf("k%d", rng.Intn(200)), nil)
@@ -91,11 +98,11 @@ func TestNewLRUPanics(t *testing.T) {
 			t.Error("expected panic for zero capacity")
 		}
 	}()
-	NewLRU(0)
+	NewLRU[int](0)
 }
 
 func BenchmarkLRUGetPut(b *testing.B) {
-	c := NewLRU(1024)
+	c := NewLRU[[]search.Hit](1024)
 	rng := xrand.New(1)
 	keys := make([]string, 4096)
 	for i := range keys {

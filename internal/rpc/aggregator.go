@@ -17,6 +17,7 @@ import (
 	"cottage/internal/obs/anatomy"
 	"cottage/internal/obs/slo"
 	"cottage/internal/overload"
+	"cottage/internal/qcache"
 	"cottage/internal/replica"
 	"cottage/internal/search"
 )
@@ -94,6 +95,10 @@ type Aggregator struct {
 	hedgesCancelled  obs.Counter
 	failoversPredict obs.Counter
 	failoversSearch  obs.Counter
+	memoHits         obs.Counter // Cottage queries that asked no shard,
+	memoPartial      obs.Counter // some shards,
+	memoMisses       obs.Counter // every shard
+	memoEvictions    obs.Counter
 	tracker          *replica.Tracker // per-client EWMA leg time (nil until EnableReplicaGroups)
 	prober           *Prober
 	qOnce            sync.Once
@@ -101,6 +106,8 @@ type Aggregator struct {
 	legs             legPool           // parked goroutines the per-shard legs run on
 	soloOnce         sync.Once
 	solo             []int // 0..len(Clients)-1: the unreplicated layout's one-member groups
+	memoOnce         sync.Once
+	memo             *predMemo // remembered predictions (lazy; see predmemo.go)
 
 	obsOnce    sync.Once
 	latCottage *obs.Histogram
@@ -130,6 +137,7 @@ func (a *Aggregator) initObs() {
 			"Mid-query failovers to a sibling replica, by leg.",
 			&a.failoversSearch, obs.L("leg", "search"))
 		a.tracker.Register(reg)
+		a.registerMemo(reg)
 		reg.GaugeFunc("cottage_agg_client_retries",
 			"Transport-level retries summed across all ISN clients.",
 			func() float64 {
@@ -229,9 +237,13 @@ type Stats struct {
 	FailoversPredict, FailoversSearch uint64
 	// Retries sums transport-level retries across all clients.
 	Retries uint64
+	// MemoHits counts Cottage queries that skipped the predict round (every
+	// prediction remembered), MemoPartial those that asked only some
+	// shards, MemoMisses those that asked them all.
+	MemoHits, MemoPartial, MemoMisses uint64
 }
 
-// Stats snapshots the hedge/retry counters.
+// Stats snapshots the hedge/retry/memo counters.
 func (a *Aggregator) Stats() Stats {
 	s := Stats{
 		Hedges:           a.hedges.Value(),
@@ -239,6 +251,9 @@ func (a *Aggregator) Stats() Stats {
 		HedgesCancelled:  a.hedgesCancelled.Value(),
 		FailoversPredict: a.failoversPredict.Value(),
 		FailoversSearch:  a.failoversSearch.Value(),
+		MemoHits:         a.memoHits.Value(),
+		MemoPartial:      a.memoPartial.Value(),
+		MemoMisses:       a.memoMisses.Value(),
 	}
 	for _, c := range a.Clients {
 		s.Retries += c.Retries()
@@ -260,6 +275,10 @@ type Result struct {
 	// Truncated lists ISNs that answered with a deadline-terminated
 	// anytime result: their hits are exact but possibly incomplete.
 	Truncated []int
+	// Predicted lists the shards SearchCottage asked for a prediction;
+	// the others' came out of the prediction memo. Empty when the predict
+	// round was skipped.
+	Predicted []int
 	// TraceID identifies the query's recorded trace (0 when the
 	// aggregator has no observer); look it up in /debug/traces.
 	TraceID uint64
@@ -401,17 +420,26 @@ func (a *Aggregator) finishTrace(tb *obs.TraceBuilder, root *obs.ActiveSpan, res
 	}
 }
 
-// observeSLO feeds one completed query into the burn-rate monitor:
-// latency from the measured elapsed time, quality degraded when any
-// shard's hits are missing (failed) or truncated. Call it after
-// finishTrace, so a page triggered by this query finds its trace
-// already in the flight recorder.
-func (a *Aggregator) observeSLO(res *Result) {
+// finishQuery is every exit's last step, whatever the query came to:
+// its elapsed time goes to the mode's latency histogram, its trace is
+// sealed, and the burn-rate monitor hears of it — after the trace, so a
+// page triggered by this query finds it already in the flight recorder.
+// Quality is degraded when any shard's hits are missing (failed) or
+// truncated. failed marks a query that returned an error instead of an
+// answer: degraded, and past any latency limit however fast it failed.
+func (a *Aggregator) finishQuery(tb *obs.TraceBuilder, root *obs.ActiveSpan, res *Result, hist *obs.Histogram, failed bool) {
+	ms := float64(res.Elapsed.Microseconds()) / 1000
+	if hist != nil {
+		hist.Observe(ms)
+	}
+	a.finishTrace(tb, root, res)
 	if a.SLO == nil {
 		return
 	}
-	degraded := len(res.Failed) > 0 || len(res.Truncated) > 0
-	a.SLO.ObserveQuery(float64(res.Elapsed.Microseconds())/1000, degraded)
+	if failed {
+		ms = math.Inf(1)
+	}
+	a.SLO.ObserveQuery(ms, failed || len(res.Failed) > 0 || len(res.Truncated) > 0)
 }
 
 // fanout is the state one query shares with its per-shard legs: what
@@ -425,8 +453,12 @@ type fanout struct {
 	terms  []string
 	wg     sync.WaitGroup
 
-	// Prediction round, one slot per shard.
+	// Prediction round, one slot per shard. Leg i asks shard ask[i] and
+	// leaves the answer in fresh for the memo as well; the shards not in
+	// ask had their slot filled from the memo.
 	preds []predSlot
+	ask   []int
+	fresh []memoSlot
 	// Search round, one slot per leg: leg i searches selected[i].ISN, or
 	// shard i when selected is nil (exhaustive mode).
 	selected []core.Assignment
@@ -453,45 +485,22 @@ func (q *fanout) round(n int, fn func(*fanout, int)) {
 	q.wg.Wait()
 }
 
-// predictLeg gathers shard s's prediction into its slot. The whole
+// predictLeg gathers shard ask[li]'s prediction into its slot. The whole
 // replica group answers one leg: the best live replica first, siblings
 // on failover. Only a group-wide failure (every breaker open, every
 // replica erroring) leaves the shard a missing prediction for
 // degraded-mode Algorithm 1.
-func (q *fanout) predictLeg(s int) {
-	a := q.a
+func (q *fanout) predictLeg(li int) {
+	a, s := q.a, q.ask[li]
 	pl := a.predictShard(s, q.tb, q.parent, q.terms)
 	if pl.err != nil {
 		q.preds[s].err = pl.err
 		return
 	}
-	if !pl.pred.Matched {
-		return
+	q.preds[s] = a.predSlotFor(s, pl.pred, pl.row, pl.load)
+	if pl.epoch != 0 {
+		q.fresh[s] = memoSlot{pred: pl.pred, client: pl.client, epoch: pl.epoch}
 	}
-	p := pl.pred
-	fdef, fmax := a.Ladder.Default(), a.Ladder.Max()
-	r := core.ISNReport{
-		ISN:        s,
-		QK:         p.QK,
-		QK2:        p.QK2,
-		HasK:       p.PZeroK < a.DropZeroProb,
-		HasK2:      p.PZeroK2 < a.K2ZeroProb,
-		ExpQK:      p.ExpQK,
-		LCurrent:   cluster.ServiceMS(p.Cycles, fdef),
-		LBoosted:   cluster.ServiceMS(p.Cycles, fmax),
-		PredCycles: p.Cycles,
-		RawCycles:  p.Cycles,
-		Replica:    pl.row,
-	}
-	// Eq. 2: correct the bare service-time predictions for the work
-	// already queued at the ISN, measured live rather than simulated.
-	// Queue-heavy ISNs now look as slow to Algorithm 1 as they actually
-	// are, so stage-1 cuts and the budget react to real load. The backlog
-	// is the serving replica's own — predictions from whichever replica
-	// answered feed the budget unchanged, since replicas agree on
-	// Q^K/Q^{K/2}.
-	r.AddQueueBacklog(core.QueueBacklogMS(pl.load.Depth, float64(pl.load.AvgServiceUS)/1000))
-	q.preds[s] = predSlot{report: r, ok: true}
 }
 
 // searchLeg runs leg li's search into its slot, failing over within
@@ -548,6 +557,9 @@ func (a *Aggregator) SearchExhaustive(terms []string) (Result, error) {
 		lists[s] = q.legs[s].hits
 	}
 	if len(res.Failed) == shards {
+		root.SetAttr("error", "all shards failed")
+		res.Elapsed = time.Since(start)
+		a.finishQuery(tb, root, &res, a.latExhaust, true)
 		errs := make([]error, shards)
 		for s := range q.legs {
 			errs[s] = q.legs[s].err
@@ -558,11 +570,7 @@ func (a *Aggregator) SearchExhaustive(terms []string) (Result, error) {
 	res.Hits = search.Merge(a.K, lists...)
 	mergeSpan.End(nowUS())
 	res.Elapsed = time.Since(start)
-	if h := a.latExhaust; h != nil {
-		h.Observe(float64(res.Elapsed.Microseconds()) / 1000)
-	}
-	a.finishTrace(tb, root, &res)
-	a.observeSLO(&res)
+	a.finishQuery(tb, root, &res, a.latExhaust, false)
 	return res, nil
 }
 
@@ -571,6 +579,10 @@ func (a *Aggregator) SearchExhaustive(terms []string) (Result, error) {
 // deadline, and merge what returns. ISNs that fail either leg degrade
 // the result (Result.Failed) instead of failing the query; prediction
 // failures additionally feed Algorithm 1's degraded mode (a.Degraded).
+//
+// "Predict everywhere" asks only the shards whose answer to these terms
+// the prediction memo does not hold (predmemo.go): a repeated query's
+// predict round is empty, and everything downstream of it is unchanged.
 //
 // With an observer attached, every query records a trace — root span
 // with predict/budget/search/merge children, per-ISN legs, the grafted
@@ -590,10 +602,17 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 	shards := a.Shards()
 	q.parent = predictSpan
 	q.preds = make([]predSlot, shards)
-	q.round(shards, (*fanout).predictLeg)
+	key := qcache.Key(terms)
+	var memo string
+	q.ask, memo = a.recallPredictions(q, key)
+	predictSpan.SetAttr("memo", memo)
+	if len(q.ask) > 0 {
+		q.round(len(q.ask), (*fanout).predictLeg)
+		a.rememberPredictions(q, key)
+	}
 	predictSpan.End(nowUS())
 
-	res := Result{}
+	res := Result{Predicted: q.ask}
 	preds := make([]core.ISNReport, 0, shards)
 	var missing []int
 	for s := range q.preds {
@@ -606,7 +625,8 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 	}
 	if len(missing) == shards {
 		root.SetAttr("error", "all predictions failed")
-		a.finishTrace(tb, root, &res)
+		res.Elapsed = time.Since(start)
+		a.finishQuery(tb, root, &res, a.latCottage, true)
 		predErrs := make([]error, shards)
 		for s := range q.preds {
 			predErrs[s] = q.preds[s].err
@@ -629,8 +649,7 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 	res.Cut = budget.Cut
 	if len(budget.Selected) == 0 {
 		res.Elapsed = time.Since(start)
-		a.finishTrace(tb, root, &res)
-		a.observeSLO(&res)
+		a.finishQuery(tb, root, &res, a.latCottage, false)
 		return res, nil
 	}
 
@@ -704,12 +723,10 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 			contributed := search.Overlap(lists[li], top) > 0
 			a.Obs.Acc.ObserveQuality(leg.client, r.HasK, contributed)
 		}
-		a.latCottage.Observe(float64(res.Elapsed.Microseconds()) / 1000)
 		if !math.IsInf(budget.BudgetMS, 1) {
 			a.budgetHist.Observe(budget.BudgetMS)
 		}
 	}
-	a.finishTrace(tb, root, &res)
-	a.observeSLO(&res)
+	a.finishQuery(tb, root, &res, a.latCottage, false)
 	return res, nil
 }

@@ -334,9 +334,13 @@ func TestCottageFaultTolerance(t *testing.T) {
 	}
 
 	// Prediction timeouts on ISN 1: the budget is determined degraded
-	// (conservative policy), the query survives.
+	// (conservative policy), the query survives. The fault only fires on
+	// a predict request, and the baseline just left this query's
+	// predictions in the memo — behind a connection that stays healthy —
+	// so forget them to make the aggregator ask.
 	agg.Degraded = 1 // core.DegradedConservative
 	in.SetPlan(1, faults.Plan{PredictDropProb: 1})
+	agg.ForgetPredictions()
 	deg, err := agg.SearchCottage(terms)
 	if err != nil {
 		t.Fatalf("prediction timeout failed the query: %v", err)
@@ -356,9 +360,12 @@ func TestCottageFaultTolerance(t *testing.T) {
 	in.SetPlan(1, faults.Plan{})
 
 	// Kill ISN 0 mid-flight (process gone, port closed): degraded result,
-	// not an error.
+	// not an error. A death is only noticed by talking to the ISN, which a
+	// remembered prediction that cuts the shard would never do; forget,
+	// so the predict round finds it.
 	stops[0]()
 	clients[0].Close()
+	agg.ForgetPredictions()
 	part, err := agg.SearchCottage(terms)
 	if err != nil {
 		t.Fatalf("one dead ISN failed SearchCottage: %v", err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"regexp"
@@ -14,6 +15,7 @@ import (
 
 	"cottage/internal/index"
 	"cottage/internal/obs"
+	"cottage/internal/obs/anatomy"
 	"cottage/internal/predict"
 	"cottage/internal/search"
 )
@@ -136,19 +138,30 @@ func TestObsSmoke(t *testing.T) {
 	defer dbg.Close()
 
 	var res Result
+	var terms []string
 	found := false
 	for _, q := range qs[:20] {
 		r, err := agg.SearchCottage(q.Terms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.TraceID != 0 && len(r.Selected) > 0 && len(r.Hits) > 0 {
-			res, found = r, true
+		// A query asked in full: its trace has every predict leg.
+		if r.TraceID != 0 && len(r.Selected) > 0 && len(r.Hits) > 0 && len(r.Predicted) == len(clients) {
+			res, found, terms = r, true, q.Terms
 			break
 		}
 	}
 	if !found {
 		t.Fatal("no query produced a traced result with selected ISNs")
+	}
+	// The same query again: answered from the prediction memo.
+	hit, err := agg.SearchCottage(terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hit.Predicted) != 0 || hit.BudgetMS != res.BudgetMS {
+		t.Fatalf("repeat asked %v and got budget %v (first time %v), want a memo hit with the same budget",
+			hit.Predicted, hit.BudgetMS, res.BudgetMS)
 	}
 
 	get := func(path string) string {
@@ -178,6 +191,11 @@ func TestObsSmoke(t *testing.T) {
 		"cottage_agg_budget_ms_bucket",
 		"cottage_predictor_latency_abs_err_pct",
 		"cottage_predictor_quality_hit_rate",
+		"cottage_agg_predict_memo_hits_total",
+		"cottage_agg_predict_memo_partial_total",
+		"cottage_agg_predict_memo_misses_total",
+		"cottage_agg_predict_memo_evictions_total",
+		"cottage_agg_predict_memo_entries",
 	} {
 		if !families[want] {
 			t.Errorf("/metrics missing family %s (have %v)", want, families)
@@ -188,15 +206,42 @@ func TestObsSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/debug/traces")), &traces); err != nil {
 		t.Fatalf("/debug/traces not JSON: %v", err)
 	}
-	var tr *obs.Trace
+	var tr, hitTr *obs.Trace
 	for _, c := range traces {
-		if c.ID == res.TraceID {
+		switch c.ID {
+		case res.TraceID:
 			tr = c
-			break
+		case hit.TraceID:
+			hitTr = c
 		}
 	}
-	if tr == nil {
-		t.Fatalf("trace %#x not in /debug/traces", res.TraceID)
+	if tr == nil || hitTr == nil {
+		t.Fatalf("traces %#x and %#x not both in /debug/traces", res.TraceID, hit.TraceID)
+	}
+
+	// The memo hit: same phases, a predict span that says so and has no
+	// legs under it, and an attribution that still adds up.
+	if got := hitTr.Find("predict").Attrs["memo"]; got != "hit" {
+		t.Errorf("repeat's predict span has memo=%q, want hit", got)
+	}
+	if got := tr.Find("predict").Attrs["memo"]; got != "miss" {
+		t.Errorf("first query's predict span has memo=%q, want miss", got)
+	}
+	for _, name := range []string{"budget", "search", "merge", "search.isn"} {
+		if hitTr.Find(name) == nil {
+			t.Errorf("memo-hit trace missing %s; spans: %s", name, spanNames(hitTr))
+		}
+	}
+	if hitTr.Find("predict.isn") != nil || hitTr.Find("serve.predict") != nil {
+		t.Errorf("memo-hit trace has predict legs; spans: %s", spanNames(hitTr))
+	}
+	if attr, ok := anatomy.FromTrace(hitTr); !ok {
+		t.Error("anatomy rejects the memo-hit trace")
+	} else if sum := attr.NamedMS() + attr.Phase[anatomy.PhaseOther]; math.Abs(sum-attr.TotalMS) > 1e-9 {
+		t.Errorf("memo-hit trace: phases sum to %v ms of %v", sum, attr.TotalMS)
+	}
+	if st := agg.Stats(); st.MemoHits == 0 || st.MemoMisses == 0 {
+		t.Errorf("stats %+v, want at least one memo hit and one miss", st)
 	}
 
 	root := tr.Root()

@@ -55,12 +55,17 @@ func (a *Aggregator) clientQuarantined(ci int) bool {
 
 // noteCorrupt records a replica's typed corruption answer and
 // quarantines it in the coordinator's ledger. Idempotent; later calls
-// while already quarantined only extend the mismatch log.
+// while already quarantined only extend the mismatch log. Quarantine
+// also ends the client's epoch: the copy that comes back from repair is
+// not the one that answered, so the prediction memo must ask it again
+// (on the same connection — a quarantined replica's stream stays up).
 func (a *Aggregator) noteCorrupt(shard, ci int, err error) {
 	now := time.Now().UnixMilli()
 	l := a.quarantineLedger()
 	l.RecordMismatch(shard, ci, now, "rpc", err.Error())
-	l.Quarantine(shard, ci, now, err.Error())
+	if l.Quarantine(shard, ci, now, err.Error()) {
+		a.Clients[ci].epoch.Add(1)
+	}
 }
 
 // readmitClient returns a quarantined replica to rotation after the

@@ -123,7 +123,11 @@ type predictLeg struct {
 	failovers int // sibling retries burned before the answer
 	pred      predict.Prediction
 	load      QueueInfo
-	err       error
+	// epoch is the serving client's epoch if it held still across the
+	// round trip, else zero: an answer that cannot be pinned to one
+	// epoch is used for this query and not remembered.
+	epoch uint64
+	err   error
 }
 
 // predictShard runs one shard's prediction leg over its ranked replicas
@@ -150,7 +154,9 @@ func (a *Aggregator) predictShard(shard int, tb *obs.TraceBuilder, parent *obs.A
 		if sent > 0 {
 			leg.SetAttr("failover", strconv.Itoa(sent))
 		}
-		p, load, spans, err := a.Clients[ci].PredictLoadSpan(leg.Context(), terms)
+		c := a.Clients[ci]
+		epoch := c.epoch.Load()
+		p, load, spans, err := c.PredictLoadSpan(leg.Context(), terms)
 		a.observeBreaker(ci, err)
 		sent++
 		if err != nil {
@@ -169,6 +175,9 @@ func (a *Aggregator) predictShard(shard int, tb *obs.TraceBuilder, parent *obs.A
 		leg.End(nowUS())
 		out.client, out.row, out.failovers = ci, row, sent-1
 		out.pred, out.load = p, load
+		if c.epoch.Load() == epoch {
+			out.epoch = epoch
+		}
 		return out
 	}
 	if lastErr == nil {

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"net"
 	"reflect"
 	"runtime"
@@ -11,38 +10,26 @@ import (
 
 	"cottage/internal/index"
 	"cottage/internal/predict"
+	"cottage/internal/qcache"
 	"cottage/internal/search"
 	"cottage/internal/trace"
 )
 
 // loopbackISN serves sh on loopback and dials it. Unlike startServer it
-// shuts the server down and waits for its handlers, so a test that
-// counts goroutines starts and ends clean.
+// shuts the server down and waits for its handlers (startISN), so a test
+// that counts goroutines starts and ends clean.
 func loopbackISN(tb testing.TB, sh *index.Shard, pred *predict.ISNPredictor) *Client {
 	tb.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := &Server{Shard: sh, Pred: pred, Strategy: search.StrategyMaxScore}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = srv.Serve(l) // nil once Shutdown closes l
-	}()
-	c, err := Dial(l.Addr().String())
+	p := startISN(tb, l, &Server{Shard: sh, Pred: pred, Strategy: search.StrategyMaxScore})
+	c, err := Dial(p.addr)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() {
-		c.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			tb.Errorf("server shutdown: %v", err)
-		}
-		<-served
-	})
+	tb.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -227,4 +214,89 @@ func BenchmarkRoundTripSearch(b *testing.B) {
 		_, err := c.Search(terms, 10, 0)
 		return err
 	})
+}
+
+// cottageFixture is an aggregator over the trained four-ISN fleet on
+// loopback connections, and the fixture queries that select at least one
+// ISN.
+func cottageFixture(tb testing.TB) (*Aggregator, [][]string) {
+	tb.Helper()
+	isns, qs := memoFleet(tb, nil)
+	agg := NewAggregator(dialFleet(tb, isns), 10)
+	var queries [][]string
+	for _, q := range qs {
+		if res := mustCottage(tb, agg, q.Terms); len(res.Selected) > 0 {
+			queries = append(queries, q.Terms)
+		}
+	}
+	if len(queries) == 0 {
+		tb.Fatal("no fixture query selects an ISN")
+	}
+	return agg, queries
+}
+
+// BenchmarkSearchCottageMemo* time a whole Cottage query over loopback
+// TCP on the four-ISN fixture, the same queries round-robin. Hit: every
+// prediction is remembered, so a query is Algorithm 1, the search
+// fan-out and the merge. Miss: nothing is (the memo is emptied before
+// each query), so it is the full protocol plus the memo's own
+// bookkeeping — the number to hold against SearchCottage before the memo
+// existed.
+func BenchmarkSearchCottageMemoHit(b *testing.B) {
+	benchmarkSearchCottage(b, false)
+}
+
+func BenchmarkSearchCottageMemoMiss(b *testing.B) {
+	benchmarkSearchCottage(b, true)
+}
+
+func benchmarkSearchCottage(b *testing.B, forget bool) {
+	agg, queries := cottageFixture(b)
+	before := agg.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if forget {
+			agg.ForgetPredictions()
+		}
+		if _, err := agg.SearchCottage(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := agg.Stats()
+	if hits, misses := st.MemoHits-before.MemoHits, st.MemoMisses-before.MemoMisses; forget && hits != 0 || !forget && misses != 0 {
+		b.Fatalf("forget=%v: %d hits and %d misses in the timed loop", forget, hits, misses)
+	}
+}
+
+// TestMemoAllocs: a full hit allocates less than a miss, and looking a
+// query up allocates nothing at all — no per-shard cost hides in it.
+func TestMemoAllocs(t *testing.T) {
+	agg, queries := cottageFixture(t)
+	terms := queries[0]
+	search := func() {
+		if _, err := agg.SearchCottage(terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := testing.AllocsPerRun(100, search)
+	miss := testing.AllocsPerRun(100, func() {
+		agg.ForgetPredictions()
+		search()
+	})
+	if hit >= miss {
+		t.Errorf("a memo hit allocates %v per query, a miss %v: want fewer", hit, miss)
+	}
+
+	search() // remembered again
+	q := &fanout{a: agg, terms: terms, preds: make([]predSlot, agg.Shards())}
+	key := qcache.Key(terms)
+	if got := testing.AllocsPerRun(100, func() {
+		if ask, _ := agg.recallPredictions(q, key); ask != nil {
+			t.Fatalf("lookup of a remembered query wants to ask %v", ask)
+		}
+	}); got != 0 {
+		t.Errorf("memo lookup allocates %v per query, want 0", got)
+	}
 }

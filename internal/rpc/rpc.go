@@ -140,10 +140,12 @@ type Response struct {
 	// document on this shard scores above ScoreBound.
 	Terminated bool
 	ScoreBound float64
-	// QueueDepth and AvgServiceUS ride on KindPredict responses: the
-	// ISN's current admission-queue occupancy and its EWMA service time.
-	// The aggregator turns them into the Eq. 2 equivalent-latency
-	// correction (core.QueueBacklogMS) before running Algorithm 1.
+	// QueueDepth and AvgServiceUS ride on every response: the ISN's
+	// admission-queue occupancy and its EWMA service time as the reply
+	// left. The aggregator turns them into the Eq. 2 equivalent-latency
+	// correction (core.QueueBacklogMS) before running Algorithm 1 — from
+	// the KindPredict reply when it asked, from the ISN's latest reply of
+	// any kind when the prediction came out of its memo (predmemo.go).
 	QueueDepth   int
 	AvgServiceUS int64
 	// Spans carries the server-side spans recorded for this request
@@ -184,7 +186,7 @@ type Server struct {
 	// and KindPhrase must acquire a slot (or queue) before any index
 	// evaluation; shed requests get a CodeOverloaded response. KindPing
 	// and KindPredict bypass it — the control plane must stay responsive
-	// under overload, and queue-depth feedback rides on KindPredict.
+	// under overload, and their replies carry queue-depth feedback too.
 	Limit *overload.Limiter
 	// Obs, when set, receives the server's metrics (served/shed counters,
 	// service-time histogram, queue depth) and enables server-side span
@@ -389,6 +391,11 @@ func (s *Server) handle(conn net.Conn) {
 		if resp == nil {
 			return // injected prediction timeout: go silent like a hung process
 		}
+		// Load feedback on every reply (search, shed and ping as much as
+		// predict), read after the request gave its admission slot back:
+		// what the ISN looks like to the next query.
+		resp.QueueDepth = s.pendingDepth()
+		resp.AvgServiceUS = s.avgServiceUS.Load()
 		if err := send(resp); err != nil {
 			return
 		}
@@ -484,7 +491,7 @@ func (s *Server) serve(req *Request) *Response {
 }
 
 // observeService folds one search's service time into the EWMA
-// (alpha = 1/4) that KindPredict reports for Eq. 2.
+// (alpha = 1/4) that replies report for Eq. 2.
 func (s *Server) observeService(d time.Duration) {
 	us := d.Microseconds()
 	for {
@@ -499,7 +506,7 @@ func (s *Server) observeService(d time.Duration) {
 	}
 }
 
-// pendingDepth is the admission-queue occupancy KindPredict reports.
+// pendingDepth is the admission-queue occupancy every reply reports.
 func (s *Server) pendingDepth() int {
 	if s.Limit == nil {
 		return 0
@@ -576,8 +583,6 @@ func (s *Server) dispatch(req *Request) *Response {
 		s.mu.Lock()
 		resp.Pred = s.Pred.Predict(sh, req.Terms)
 		s.mu.Unlock()
-		resp.QueueDepth = s.pendingDepth()
-		resp.AvgServiceUS = s.avgServiceUS.Load()
 	case KindPhrase:
 		sh := s.shard()
 		if sh == nil {
@@ -660,6 +665,16 @@ type Client struct {
 	timeout time.Duration
 	retry   RetryPolicy
 	retries atomic.Uint64
+	// epoch names what is answering on this client: it moves with every
+	// new connection (the process behind the address may be another one)
+	// and when the aggregator quarantines the copy (repair may swap the
+	// shard). Zero until the first connection. A memoised prediction is
+	// only as good as the epoch it was made in (predmemo.go).
+	epoch atomic.Uint64
+	// depth and avgServiceUS are the load feedback of the latest reply
+	// of any kind; see lastLoad.
+	depth        atomic.Int64
+	avgServiceUS atomic.Int64
 }
 
 // Dial connects to an ISN server. The address is remembered so broken
@@ -692,6 +707,7 @@ func (c *Client) attach(conn net.Conn) {
 	} else {
 		c.fr.reset(conn)
 	}
+	c.epoch.Add(1)
 	c.broken.Store(false)
 }
 
@@ -873,6 +889,8 @@ func (c *Client) callOnce(req *Request, resp *Response) error {
 		c.broken.Store(true)
 		return errTransient{fmt.Errorf("rpc: response ID %d for request %d", resp.ID, req.ID)}
 	}
+	c.depth.Store(int64(resp.QueueDepth))
+	c.avgServiceUS.Store(resp.AvgServiceUS)
 	switch resp.Code {
 	case CodeOverloaded:
 		// Shed by admission control: the transport and the stream are
@@ -966,12 +984,22 @@ func (c *Client) Predict(terms []string) (predict.Prediction, error) {
 	return pred, err
 }
 
-// QueueInfo is the load feedback a KindPredict response carries: the
-// ISN's admission-queue occupancy and its EWMA service time. Together
-// they give the Eq. 2 queue-backlog term (depth × service time).
+// QueueInfo is the load feedback a response carries: the ISN's
+// admission-queue occupancy and its EWMA service time. Together they
+// give the Eq. 2 queue-backlog term (depth × service time).
 type QueueInfo struct {
 	Depth        int
 	AvgServiceUS int64
+}
+
+// lastLoad is the load feedback of the latest reply this client read,
+// whatever the request was (a shed search counts: it is a reply). The
+// two fields are stored one after the other, so a reader racing a reply
+// may pair one reply's depth with the next one's service time; both are
+// at most one reply old, which is all Eq. 2 asks of them. Never waits
+// behind c.mu.
+func (c *Client) lastLoad() QueueInfo {
+	return QueueInfo{Depth: int(c.depth.Load()), AvgServiceUS: c.avgServiceUS.Load()}
 }
 
 // PredictLoad fetches predictions together with the ISN's current load

@@ -11,6 +11,7 @@ package trace
 import (
 	"fmt"
 
+	"cottage/internal/qcache"
 	"cottage/internal/textgen"
 	"cottage/internal/xrand"
 )
@@ -179,4 +180,38 @@ func TrainTestSplit(qs []Query, trainFrac float64) (train, test []Query) {
 	}
 	cut := int(float64(len(qs)) * trainFrac)
 	return qs[:cut], qs[cut:]
+}
+
+// RepeatRate measures how much of a trace is repetition, which is what
+// anything that remembers answers per query can hope to reuse: whole is
+// the share of queries whose term set (qcache.Key — order-insensitive)
+// already occurred earlier in qs, terms the share whose every term
+// occurred in some earlier query. The first is the hit rate of an
+// unbounded per-query memo over one pass of the trace, the second the
+// ceiling of a per-term one.
+func RepeatRate(qs []Query) (whole, terms float64) {
+	if len(qs) == 0 {
+		return 0, 0
+	}
+	seenQuery := make(map[string]bool, len(qs))
+	seenTerm := make(map[string]bool)
+	nWhole, nTerms := 0, 0
+	for _, q := range qs {
+		key := qcache.Key(q.Terms)
+		if seenQuery[key] {
+			nWhole++
+		}
+		seenQuery[key] = true
+		all := true
+		for _, t := range q.Terms {
+			if !seenTerm[t] {
+				all = false
+				seenTerm[t] = true
+			}
+		}
+		if all {
+			nTerms++
+		}
+	}
+	return float64(nWhole) / float64(len(qs)), float64(nTerms) / float64(len(qs))
 }

@@ -232,3 +232,47 @@ func TestLoadRejectsBadTraces(t *testing.T) {
 		t.Error("garbage should fail to load")
 	}
 }
+
+// TestRepeatRate pins how much the generators repeat on the vocabulary
+// and seed the repository benchmark uses (bench/loadgen: default corpus,
+// seed 202). These are the natural hit rates of a per-query memo — the
+// figures DESIGN.md §19 and CHANGES.md quote next to the benchmark's
+// wrap-around regime, where the same 4000 queries come round again and
+// nearly everything hits.
+func TestRepeatRate(t *testing.T) {
+	if w, tm := RepeatRate(nil); w != 0 || tm != 0 {
+		t.Fatalf("empty trace: %v %v", w, tm)
+	}
+	qs := []Query{
+		{Terms: []string{"a", "b"}},
+		{Terms: []string{"b", "a"}}, // whole-query repeat, order-insensitive
+		{Terms: []string{"a"}},      // new query, every term seen
+		{Terms: []string{"a", "c"}}, // new query, new term
+	}
+	if w, tm := RepeatRate(qs); w != 0.25 || tm != 0.5 {
+		t.Fatalf("RepeatRate = %v, %v; want 0.25, 0.5", w, tm)
+	}
+
+	if testing.Short() {
+		t.Skip("generates 100k-query traces")
+	}
+	// Vocabulary and topics do not depend on the document count.
+	cc := textgen.DefaultConfig()
+	cc.NumDocs = 1
+	c := textgen.Generate(cc)
+	for _, tc := range []struct {
+		kind         Kind
+		n            int
+		whole, terms float64
+	}{
+		{Wikipedia, 4000, 0.2067, 0.4510},
+		{Wikipedia, 100000, 0.4767, 0.8732},
+		{Lucene, 4000, 0.0563, 0.2450},
+		{Lucene, 100000, 0.2136, 0.8462},
+	} {
+		w, tm := RepeatRate(Generate(c, Config{Kind: tc.kind, Seed: 202, NumQueries: tc.n, QPS: 45}))
+		if math.Abs(w-tc.whole) > 1e-4 || math.Abs(tm-tc.terms) > 1e-4 {
+			t.Errorf("%s, %d queries: whole %.4f terms %.4f, want %.4f %.4f", tc.kind, tc.n, w, tm, tc.whole, tc.terms)
+		}
+	}
+}
