@@ -11,6 +11,7 @@ package cottage
 import (
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"testing"
 
@@ -20,8 +21,11 @@ import (
 	"cottage/internal/harness"
 	"cottage/internal/index"
 	"cottage/internal/nn"
+	"cottage/internal/par"
 	"cottage/internal/predict"
 	"cottage/internal/search"
+	"cottage/internal/textgen"
+	"cottage/internal/trace"
 	"cottage/internal/xrand"
 )
 
@@ -334,6 +338,134 @@ func BenchmarkEvaluateQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Engine.Evaluate(s.WikiQueries[i%len(s.WikiQueries)])
+	}
+}
+
+// fleetShape is one of the repository benchmark's fleet shapes
+// (bench/loadgen/workload.go), rebuilt here the way bench/loadgen/fleet.go
+// builds it: same corpus generator and size, same topical allocation,
+// same trace kind, seed 202, and for the heavy shape the
+// longer-than-median half of a double-length trace.
+type fleetShape struct {
+	name               string
+	docs, shards, home int
+	kind               trace.Kind
+	qps                float64
+	heavy              bool
+
+	once    sync.Once
+	built   []*index.Shard
+	buckets [3][][]string // query terms by term count: 1, 2, 3+
+}
+
+var fleetShapes = []*fleetShape{
+	{name: "wiki16", docs: 48000, shards: 16, home: 3, kind: trace.Wikipedia, qps: 45},
+	{name: "heavy4", docs: 160000, shards: 4, home: 1, kind: trace.Lucene, qps: 5, heavy: true},
+}
+
+// fleetShapeSample caps how many queries of one term-count bucket a
+// benchmark op evaluates. They are taken at an even stride through the
+// bucket, so the sample — and therefore ns/op — is the same whatever
+// b.N the framework settles on.
+const fleetShapeSample = 128
+
+func (f *fleetShape) build() {
+	const evalQueries = 4000
+	cc := textgen.DefaultConfig()
+	cc.NumDocs = f.docs
+	corpus := textgen.Generate(cc)
+	alloc := corpus.AllocateTopical(f.shards, f.home, 0.15, 5)
+	f.built = make([]*index.Shard, len(alloc))
+	par.For(len(alloc), func(si int) {
+		bld := index.NewBuilder(si, index.DefaultBM25(), 10)
+		for _, id := range alloc[si] {
+			d := &corpus.Docs[id]
+			terms := make(map[string]int, len(d.Terms))
+			for tid, tf := range d.Terms {
+				terms[corpus.Vocab[tid]] = tf
+			}
+			bld.Add(int64(id), terms, d.Length)
+		}
+		f.built[si] = bld.Finalize()
+	})
+	n := evalQueries
+	if f.heavy {
+		n *= 2
+	}
+	qs := trace.Generate(corpus, trace.Config{Kind: f.kind, Seed: 202, NumQueries: n, QPS: f.qps})
+	if f.heavy {
+		lens := make([]int, len(qs))
+		for i, q := range qs {
+			for _, sh := range f.built {
+				for _, t := range q.Terms {
+					if ti, ok := sh.Lookup(t); ok {
+						lens[i] += ti.Len()
+					}
+				}
+			}
+		}
+		sorted := append([]int(nil), lens...)
+		sort.Ints(sorted)
+		median := sorted[len(sorted)/2]
+		kept := qs[:0]
+		for i, q := range qs {
+			if lens[i] >= median && len(kept) < evalQueries {
+				kept = append(kept, q)
+			}
+		}
+		qs = kept
+	}
+	for _, q := range qs {
+		b := len(q.Terms) - 1
+		if b > 2 {
+			b = 2
+		}
+		f.buckets[b] = append(f.buckets[b], q.Terms)
+	}
+	for i, bucket := range f.buckets {
+		if len(bucket) <= fleetShapeSample {
+			continue
+		}
+		sample := make([][]string, fleetShapeSample)
+		for j := range sample {
+			sample[j] = bucket[j*len(bucket)/fleetShapeSample]
+		}
+		f.buckets[i] = sample
+	}
+}
+
+// BenchmarkEvalFleetShape times the ISN evaluator (MaxScore, the engine's
+// and the benchmark servers' default strategy) on traffic shaped like the
+// repository benchmark's: many small topical shards under Wikipedia-like
+// queries, and a few big shards under long-list Lucene-like queries,
+// split by query term count because the evaluator's cost per posting
+// depends on it (a one-term query walks its whole list; a multi-term one
+// mostly probes). One op evaluates the bucket's sample on every shard;
+// ns/query and ns/posting (per PostingsTraversed) are reported beside it.
+func BenchmarkEvalFleetShape(b *testing.B) {
+	for _, f := range fleetShapes {
+		for bi, name := range []string{"terms1", "terms2", "terms3plus"} {
+			b.Run(f.name+"/"+name, func(b *testing.B) {
+				f.once.Do(f.build)
+				queries := f.buckets[bi]
+				if len(queries) == 0 {
+					b.Skip("no query of this term count in the trace")
+				}
+				postings := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, q := range queries {
+						for _, sh := range f.built {
+							r := search.MaxScore(sh, q, 10)
+							postings += r.Stats.PostingsTraversed
+						}
+					}
+				}
+				ns := float64(b.Elapsed().Nanoseconds())
+				b.ReportMetric(ns/float64(b.N*len(queries)), "ns/query")
+				b.ReportMetric(ns/float64(postings), "ns/posting")
+			})
+		}
 	}
 }
 

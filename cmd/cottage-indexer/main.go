@@ -194,8 +194,8 @@ func memStats(shards []*index.Shard) {
 		totPacked += packed
 		totPostings += n
 		flat := n * 8
-		log.Printf("memstats shard %d: %d postings, packed %d B (%.2f B/posting), flat %d B (8.00 B/posting), %.2fx smaller",
-			s.ID, n, packed, float64(packed)/float64(n), flat, float64(flat)/float64(packed))
+		log.Printf("memstats shard %d: %d postings, packed %d B (%.2f B/posting), flat %d B (8.00 B/posting), %.2fx smaller; BM25 length-norm table %d B",
+			s.ID, n, packed, float64(packed)/float64(n), flat, float64(flat)/float64(packed), s.NormTableBytes())
 	}
 	if totPostings > 0 {
 		log.Printf("memstats total: %d postings, packed %d B (%.2f B/posting) vs flat %d B, %.2fx smaller",

@@ -85,10 +85,12 @@ func (ti *TermInfo) BlockSpan(bi int) (lo, hi int) {
 
 // validateBlocks checks the block-max overlay invariants for one term:
 // each block's MaxDoc is its last posting's document, no posting's
-// score exceeds its block's bound, some posting attains it (scores are
-// recomputed the same way Finalize computed them, so the comparison is
-// exact), and the quantized bound dominates the exact one. The packed
-// geometry has already been checked when this runs.
+// score exceeds its block's bound, some posting attains it, and the
+// quantized bound dominates the exact one. Scores are recomputed from the
+// reference formula, BM25Params.Score, while Finalize took them from
+// TermScore and the normalisation table; the two agree bit for bit, so the
+// comparison is exact — and a table that ever disagreed with the formula
+// fails here. The packed geometry has already been checked when this runs.
 func (s *Shard) validateBlocks(ti *TermInfo) error {
 	var docs, tfs [BlockSize]uint32
 	for bi := range ti.Blocks {

@@ -67,6 +67,11 @@ type Shard struct {
 	// features). The paper evaluates P@10, so the default is 10.
 	StatsK int
 
+	// norms[dl] is BM25's length normalisation for a document of dl
+	// tokens (see buildNorms): derived from BM25, AvgDocLen and DocLens on
+	// every path that yields a serving shard, never serialized.
+	norms []float64
+
 	// Digest is the whole-shard CRC32C over document metadata and the
 	// per-block checksums (wire v4, see integrity.go).
 	Digest uint32
@@ -86,11 +91,27 @@ func DefaultBM25() BM25Params { return BM25Params{K1: 1.2, B: 0.75} }
 
 // Score computes the BM25 contribution of a term occurring tf times in a
 // document of length dl, given the term's idf and the shard's average
-// document length.
+// document length. It is the reference definition: Shard.TermScore, which
+// every evaluator calls, must return the same bits.
 func (p BM25Params) Score(idf float64, tf, dl uint32, avgDocLen float64) float64 {
-	ftf := float64(tf)
-	norm := p.K1 * (1 - p.B + p.B*float64(dl)/avgDocLen)
-	return idf * ftf * (p.K1 + 1) / (ftf + norm)
+	return bm25(idf, float64(tf), p.K1+1, p.lengthNorm(dl, avgDocLen))
+}
+
+// bm25 is the scoring expression itself, written once so that the
+// reference formula and the table-driven scorers cannot drift apart: they
+// differ only in where norm comes from.
+func bm25(idf, ftf, k1p1, norm float64) float64 {
+	return idf * ftf * k1p1 / (ftf + norm)
+}
+
+// lengthNorm is BM25's document-length normalisation, the K1*(1-B+B*dl/avgdl)
+// term of the denominator. The outer float64 conversion rounds the product
+// before bm25 adds the term frequency to it: without it an architecture
+// with fused multiply-add may compute ftf + K1*(...) in one rounding, and a
+// value read back from the shard's table (already rounded) would score a
+// last bit differently from the formula.
+func (p BM25Params) lengthNorm(dl uint32, avgDocLen float64) float64 {
+	return float64(p.K1 * (1 - p.B + p.B*float64(dl)/avgDocLen))
 }
 
 // Lookup returns the TermInfo for text and whether the shard contains it.
@@ -115,10 +136,67 @@ func (s *Shard) NumTerms() int { return len(s.Terms) }
 // collection-wide ID.
 func (s *Shard) GlobalDoc(local uint32) int64 { return s.GlobalIDs[local] }
 
-// TermScore computes the BM25 score of a single posting of term ti.
+// TermScore computes the BM25 score of a single posting of term ti. It is
+// BM25Params.Score with the length normalisation read from the shard's
+// table — one divide per posting instead of two — and returns the same
+// bits, because a table entry is the very subexpression Score computes.
 func (s *Shard) TermScore(ti *TermInfo, p Posting) float64 {
-	return s.BM25.Score(ti.Stats.IDF, p.TF, s.DocLens[p.Doc], s.AvgDocLen)
+	return s.score(ti.Stats.IDF, p)
 }
+
+func (s *Shard) score(idf float64, p Posting) float64 {
+	return bm25(idf, float64(p.TF), s.BM25.K1+1, s.docNorm(p.Doc))
+}
+
+// ScoreBlock is TermScore over lanes [from, to) of a decoded block of ti
+// (DecodeBlockInto's docs and tfs), written to the same lanes of scores.
+// The term's idf and K1+1 are read once for the block instead of once per
+// posting, and the block's divides run back to back.
+func (s *Shard) ScoreBlock(ti *TermInfo, docs, tfs *[BlockSize]uint32, from, to int, scores *[BlockSize]float64) {
+	idf, k1p1 := ti.Stats.IDF, s.BM25.K1+1
+	for j := from; j < to; j++ {
+		scores[j] = bm25(idf, float64(tfs[j]), k1p1, s.docNorm(docs[j]))
+	}
+}
+
+// docNorm is the length normalisation of document doc. A length past the
+// table — a shard assembled without buildNorms, or a document longer than
+// maxNormLen — is computed from the formula instead.
+func (s *Shard) docNorm(doc uint32) float64 {
+	dl := s.DocLens[doc]
+	if int(dl) < len(s.norms) {
+		return s.norms[dl]
+	}
+	return s.BM25.lengthNorm(dl, s.AvgDocLen)
+}
+
+// maxNormLen bounds the normalisation table: document lengths come from
+// shard files, and one absurd length must not size a multi-gigabyte
+// allocation. Longer documents are scored from the formula.
+const maxNormLen = 1 << 16
+
+// buildNorms fills the length-normalisation table, indexed by document
+// length up to the shard's longest document: 8 B x (longest + 1), at most
+// 8 B x maxNormLen, whatever the number of documents. Finalize and both
+// ReadShard loaders call it.
+func (s *Shard) buildNorms() {
+	longest := uint32(0)
+	for _, dl := range s.DocLens {
+		if dl > longest {
+			longest = dl
+		}
+	}
+	if longest >= maxNormLen {
+		longest = maxNormLen - 1
+	}
+	s.norms = make([]float64, longest+1)
+	for dl := range s.norms {
+		s.norms[dl] = s.BM25.lengthNorm(uint32(dl), s.AvgDocLen)
+	}
+}
+
+// NormTableBytes is the resident size of the length-normalisation table.
+func (s *Shard) NormTableBytes() int { return 8 * len(s.norms) }
 
 // Builder accumulates documents and produces an immutable Shard. It is not
 // safe for concurrent use; build shards in parallel with one Builder each.
@@ -213,6 +291,7 @@ func (b *Builder) Finalize() *Shard {
 		BM25:      b.bm25,
 		StatsK:    b.statsK,
 	}
+	s.buildNorms()
 	for i := range b.terms {
 		ti := &s.Terms[i]
 		ti.Text = b.terms[i]

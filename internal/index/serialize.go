@@ -239,6 +239,7 @@ func shardSkeleton(w *shardWire) *Shard {
 		Terms:     make([]TermInfo, len(w.TermTexts)),
 	}
 	s.dict = make(map[string]int32, len(s.Terms))
+	s.buildNorms()
 	return s
 }
 

@@ -58,7 +58,7 @@ func computeTermStats(s *Shard, ps []Posting, k int) (TermStats, []float64) {
 	scores := make([]float64, df)
 	maxTF := uint32(0)
 	for i, p := range ps {
-		scores[i] = s.BM25.Score(idf, p.TF, s.DocLens[p.Doc], s.AvgDocLen)
+		scores[i] = s.score(idf, p)
 		if p.TF > maxTF {
 			maxTF = p.TF
 		}
@@ -176,11 +176,11 @@ func (h *floatMinHeap) Pop() interface{} {
 func (s *Shard) Scores(ti *TermInfo) []float64 {
 	out := make([]float64, 0, ti.Packed.N)
 	var docs, tfs [BlockSize]uint32
+	var scores [BlockSize]float64
 	for bi := range ti.Blocks {
 		n := ti.DecodeBlockInto(bi, &docs, &tfs)
-		for i := 0; i < n; i++ {
-			out = append(out, s.BM25.Score(ti.Stats.IDF, tfs[i], s.DocLens[docs[i]], s.AvgDocLen))
-		}
+		s.ScoreBlock(ti, &docs, &tfs, 0, n, &scores)
+		out = append(out, scores[:n]...)
 	}
 	return out
 }

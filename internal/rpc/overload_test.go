@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cottage/internal/faults"
+	"cottage/internal/obs"
 	"cottage/internal/overload"
 	"cottage/internal/search"
 )
@@ -198,6 +199,74 @@ func TestQueuedRequestServedInOrder(t *testing.T) {
 	}
 	if c.Retries() != 0 {
 		t.Fatal("queued admission must not burn retries")
+	}
+}
+
+// TestQueueWaitSpendsTheBudget: an admitted request's budget runs from
+// its arrival, not from the moment the limiter let it in. The only slot is
+// held while a leg with a 30 ms budget queues for 60 ms (the limiter reads
+// a clock that stands still, so it does not shed the leg itself). Once
+// admitted, an anytime leg must find its deadline already behind it and
+// come back terminated before visiting a single range, and a plain leg
+// must report the deadline — a budget restarted at admission would serve
+// both in full, as if on time.
+func TestQueueWaitSpendsTheBudget(t *testing.T) {
+	const budget = 30 * time.Millisecond
+	sh := buildShard(t, 36)
+	lim := overload.NewLimiter(1, 4, overload.NewManualClock(time.Unix(0, 0)))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{Shard: sh, Strategy: search.StrategyMaxScore, Limit: lim}
+	go srv.Serve(l)
+	defer l.Close()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// queued runs call while the slot is held, and releases the slot only
+	// after the call has sat in the admission queue for twice its budget.
+	queued := func(call func()) {
+		t.Helper()
+		if err := lim.Acquire(0); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			call()
+		}()
+		for lim.Stats().Queued == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(2 * budget)
+		lim.Release()
+		<-done
+	}
+
+	queued(func() {
+		r, _, err := c.SearchAnytime(obs.SpanContext{}, []string{"ga"}, 5, budget)
+		if err != nil {
+			t.Errorf("queued anytime leg: %v", err)
+			return
+		}
+		if !r.Terminated || r.Stats.DocsScored != 0 {
+			t.Errorf("queued anytime leg was given a fresh budget: terminated %v after scoring %d documents",
+				r.Terminated, r.Stats.DocsScored)
+		}
+	})
+	queued(func() {
+		_, err := c.Search([]string{"ga"}, 5, budget)
+		if err == nil || !strings.Contains(err.Error(), "deadline exceeded") {
+			t.Errorf("queued plain leg that overran its budget returned %v, want deadline exceeded", err)
+		}
+	})
+	// Neither was shed: both were admitted and answered for.
+	if got := srv.Shed(); got != 0 {
+		t.Errorf("server shed %d requests, want 0", got)
 	}
 }
 

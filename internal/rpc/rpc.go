@@ -430,7 +430,7 @@ func (s *Server) serve(req *Request) *Response {
 		if err := s.Limit.Acquire(time.Duration(req.DeadlineUS) * time.Microsecond); err != nil {
 			s.shed.Inc()
 			if req.Anytime && req.Kind == KindSearch && req.DeadlineUS > 0 {
-				if rem := time.Duration(req.DeadlineUS)*time.Microsecond - time.Since(arrived); rem > 0 {
+				if deadline := arrived.Add(time.Duration(req.DeadlineUS) * time.Microsecond); time.Now().Before(deadline) {
 					if sh := s.shard(); sh != nil {
 						if bad := s.gate(req); bad != nil {
 							return bad
@@ -440,7 +440,7 @@ func (s *Server) serve(req *Request) *Response {
 						// The traversal stops at the remaining budget, so the
 						// work stays bounded — early termination is itself
 						// the load shedding the limiter wants.
-						return s.anytimeSearch(sh, req, time.Now().Add(rem))
+						return s.anytimeSearch(sh, req, deadline)
 					}
 					return quarantinedResp(req.ID)
 				}
@@ -451,7 +451,7 @@ func (s *Server) serve(req *Request) *Response {
 		defer s.Limit.Release()
 	}
 	start := time.Now()
-	resp := s.dispatch(req)
+	resp := s.dispatch(req, arrived)
 	service := time.Since(start)
 	if heavy {
 		s.observeService(service)
@@ -535,7 +535,10 @@ func (s *Server) gate(req *Request) *Response {
 	return nil
 }
 
-func (s *Server) dispatch(req *Request) *Response {
+// dispatch answers one admitted request. arrived is when the request
+// reached serve: a budget (DeadlineUS) is spent from there, whatever part
+// of it went on waiting for admission — queue wait is latency (Eq. 2).
+func (s *Server) dispatch(req *Request, arrived time.Time) *Response {
 	resp := &Response{ID: req.ID}
 	switch req.Kind {
 	case KindPing:
@@ -551,12 +554,11 @@ func (s *Server) dispatch(req *Request) *Response {
 		if bad := s.gate(req); bad != nil {
 			return bad
 		}
-		start := time.Now()
 		if req.Anytime && req.DeadlineUS > 0 {
-			return s.anytimeSearch(sh, req, start.Add(time.Duration(req.DeadlineUS)*time.Microsecond))
+			return s.anytimeSearch(sh, req, arrived.Add(time.Duration(req.DeadlineUS)*time.Microsecond))
 		}
 		r := search.Eval(s.Strategy, sh, req.Terms, req.K)
-		if req.DeadlineUS > 0 && time.Since(start).Microseconds() > req.DeadlineUS {
+		if req.DeadlineUS > 0 && time.Since(arrived).Microseconds() > req.DeadlineUS {
 			resp.Err = "deadline exceeded"
 			return resp
 		}

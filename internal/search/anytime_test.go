@@ -57,7 +57,8 @@ func hitsIdentical(a, b []Hit) bool {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].Doc != b[i].Doc || a[i].Local != b[i].Local ||
+			math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
 			return false
 		}
 	}

@@ -104,7 +104,7 @@ func TestBlockMaxEdgeCases(t *testing.T) {
 func TestParseStrategy(t *testing.T) {
 	for _, st := range []Strategy{
 		StrategyExhaustive, StrategyMaxScore, StrategyWAND,
-		StrategyTAAT, StrategyMaxScoreBM, StrategyWANDBM,
+		StrategyMaxScoreBM, StrategyWANDBM,
 	} {
 		got, ok := ParseStrategy(st.String())
 		if !ok || got != st {

@@ -1,40 +1,54 @@
 package search
 
-import "sort"
-
 // Merge combines per-shard hit lists into the global top-k, the
 // aggregator's step-7 ranking. Ties on score break toward the smaller
 // document ID so merged rankings are deterministic regardless of shard
-// order.
+// order. The lists need not be sorted.
+//
+// It runs per query, serially, after the last shard has answered, and
+// returns k hits out of the N·k it is given, so it selects rather than
+// sorts: each hit is compared with the worst of a best-first window of k
+// and, if it ranks before that, inserted in place. The comparator is a
+// total order (collection-wide doc IDs are unique), so the result is the
+// first k of the fully sorted input whatever the algorithm.
 func Merge(k int, lists ...[]Hit) []Hit {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	all := make([]Hit, 0, total)
+	if k > total {
+		k = total
+	}
+	if k <= 0 {
+		return []Hit{}
+	}
+	best := make([]Hit, 0, k)
 	for _, l := range lists {
-		all = append(all, l...)
+		for _, h := range l {
+			i := len(best)
+			if i < k {
+				best = best[:i+1]
+			} else if ranksBefore(h, best[k-1]) {
+				i-- // the worst of the window falls off its end
+			} else {
+				continue
+			}
+			for ; i > 0 && ranksBefore(h, best[i-1]); i-- {
+				best[i] = best[i-1]
+			}
+			best[i] = h
+		}
 	}
-	// Concrete sort.Interface rather than sort.Slice: the merge runs per
-	// query on the aggregation path, and the reflection-based swapper is
-	// measurable there. The comparator is a total order (collection-wide
-	// doc IDs are unique), so the result is algorithm-independent.
-	sort.Sort(byScoreDoc(all))
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	return best
 }
 
-type byScoreDoc []Hit
-
-func (h byScoreDoc) Len() int      { return len(h) }
-func (h byScoreDoc) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h byScoreDoc) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score > h[j].Score
+// ranksBefore is the merged ranking: higher score first, then smaller
+// collection-wide document ID.
+func ranksBefore(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	return h[i].Doc < h[j].Doc
+	return a.Doc < b.Doc
 }
 
 // DocSet returns the set of document IDs in hits.

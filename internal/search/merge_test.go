@@ -67,10 +67,23 @@ func TestMergeSortedAndDeterministic(t *testing.T) {
 func TestMergeEqualsGlobalSort(t *testing.T) {
 	rng := xrand.New(10)
 	lists := make([][]Hit, 4)
-	var all []Hit
 	for i := range lists {
 		lists[i] = randomHits(rng, 50)
-		all = append(all, lists[i]...)
+	}
+	all := sortedCopy(lists...)
+	m := Merge(10, lists...)
+	for i := range m {
+		if m[i] != all[i] {
+			t.Fatalf("merge differs from global sort at %d", i)
+		}
+	}
+}
+
+// sortedCopy is the definition Merge is held to: every hit, fully sorted.
+func sortedCopy(lists ...[]Hit) []Hit {
+	all := []Hit{}
+	for _, l := range lists {
+		all = append(all, l...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Score != all[j].Score {
@@ -78,11 +91,63 @@ func TestMergeEqualsGlobalSort(t *testing.T) {
 		}
 		return all[i].Doc < all[j].Doc
 	})
-	m := Merge(10, lists...)
-	for i := range m {
-		if m[i] != all[i] {
-			t.Fatalf("merge differs from global sort at %d", i)
+	return all
+}
+
+// TestMergeEdgeInputs: no lists, empty lists, one (unsorted) list, k
+// beyond the total and k <= 0 all return the first min(k, total) hits of
+// the sorted input — never nil, never a panic.
+func TestMergeEdgeInputs(t *testing.T) {
+	rng := xrand.New(12)
+	one := randomHits(rng, 25)
+	for name, lists := range map[string][][]Hit{
+		"no lists":     nil,
+		"empty lists":  {nil, {}, nil},
+		"one list":     {one},
+		"one and gaps": {nil, one, {}},
+		"several":      {randomHits(rng, 3), randomHits(rng, 40), nil, randomHits(rng, 1)},
+	} {
+		all := sortedCopy(lists...)
+		for _, k := range []int{-3, 0, 1, 10, len(all), len(all) + 1, 1000} {
+			want := all
+			if k < len(all) {
+				want = all[:max(k, 0)]
+			}
+			got := Merge(k, lists...)
+			if got == nil || len(got) != len(want) {
+				t.Fatalf("%s k=%d: got %d hits (nil %v), want %d", name, k, len(got), got == nil, len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s k=%d: hit %d is %v, want %v", name, k, i, got[i], want[i])
+				}
+			}
 		}
+	}
+}
+
+// TestMergeAllocs: the returned slice and nothing else, at the
+// aggregator's shape of 16 shards x 10 hits.
+func TestMergeAllocs(t *testing.T) {
+	rng := xrand.New(13)
+	lists := make([][]Hit, 16)
+	for i := range lists {
+		lists[i] = sortedCopy(randomHits(rng, 10))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Merge(10, lists...) }); allocs > 1 {
+		t.Errorf("Merge allocates %v per run, want <= 1", allocs)
+	}
+}
+
+func BenchmarkMerge16x10(b *testing.B) {
+	rng := xrand.New(13)
+	lists := make([][]Hit, 16)
+	for i := range lists {
+		lists[i] = sortedCopy(randomHits(rng, 10))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = Merge(10, lists...)
 	}
 }
 

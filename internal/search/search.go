@@ -9,7 +9,7 @@
 // Postings are stored bit-packed in 64-posting blocks (internal/index wire
 // v5); evaluators walk them through cursors that decode one block at a
 // time into fixed scratch. The reference strategies (Exhaustive, MaxScore,
-// WAND, TAAT, Anytime) visit exactly the postings their flat-slice
+// WAND, Anytime) visit exactly the postings their flat-slice
 // ancestors visited, so their ExecStats — and therefore the simulator's
 // figures — are unchanged. The block-max strategies (MaxScoreBM, WANDBM)
 // additionally consult the quantized per-block bounds to skip whole blocks
@@ -92,8 +92,6 @@ const (
 	StrategyMaxScore
 	// StrategyWAND uses pivot-based skipping with per-term upper bounds.
 	StrategyWAND
-	// StrategyTAAT scores term-at-a-time with accumulators (no pruning).
-	StrategyTAAT
 	// StrategyMaxScoreBM is MaxScore with block-max refinement: probes
 	// into non-essential lists are abandoned when the quantized bound of
 	// the block they would decode cannot lift the document.
@@ -114,8 +112,6 @@ func (st Strategy) String() string {
 		return "maxscore"
 	case StrategyWAND:
 		return "wand"
-	case StrategyTAAT:
-		return "taat"
 	case StrategyMaxScoreBM:
 		return "maxscore-bm"
 	case StrategyWANDBM:
@@ -129,7 +125,7 @@ func (st Strategy) String() string {
 func ParseStrategy(name string) (Strategy, bool) {
 	for _, st := range []Strategy{
 		StrategyExhaustive, StrategyMaxScore, StrategyWAND,
-		StrategyTAAT, StrategyMaxScoreBM, StrategyWANDBM,
+		StrategyMaxScoreBM, StrategyWANDBM,
 	} {
 		if st.String() == name {
 			return st, true
@@ -147,8 +143,6 @@ func Eval(st Strategy, s *index.Shard, terms []string, k int) Result {
 		return MaxScore(s, terms, k)
 	case StrategyWAND:
 		return WAND(s, terms, k)
-	case StrategyTAAT:
-		return TAAT(s, terms, k)
 	case StrategyMaxScoreBM:
 		return MaxScoreBM(s, terms, k)
 	case StrategyWANDBM:
@@ -217,6 +211,17 @@ func (c *cursor) posting() index.Posting {
 // guarantee that — which is what lets this inline where posting()'s
 // reload check would not.
 func (c *cursor) tf() uint32 { return c.tfs[c.pos%index.BlockSize] }
+
+// scoreBlock decodes the block holding the current position and scores
+// its postings, from the position to the block's end, into scores (lanes
+// before the position are left stale: a forward-only cursor never reads
+// them). Scoring the block whole keeps its divides out of the
+// candidate-by-candidate loop, where each would stall the comparison
+// that follows it.
+func (c *cursor) scoreBlock(s *index.Shard, scores *[index.BlockSize]float64) {
+	c.loadPos()
+	s.ScoreBlock(c.ti, &c.docs, &c.tfs, c.pos%index.BlockSize, c.blockLen(c.bi), scores)
+}
 
 // blockLen is block bi's live posting count.
 func (c *cursor) blockLen(bi int) int {
@@ -323,14 +328,28 @@ func (c *cursor) reposition(doc uint32) {
 type cursorSet struct {
 	slab []cursor
 	cs   []*cursor
-	// contrib is slab-parallel per-candidate scratch: MaxScore records
-	// each term's contribution at the current candidate here, so an
-	// accepted candidate's canonical (slab-order) score is a re-sum of
-	// m floats instead of a re-lookup of m postings.
+	// MaxScore's per-query scratch, one entry per matched term whatever
+	// their number. contrib is slab-parallel: each term's contribution at
+	// the current candidate, so an accepted candidate's canonical
+	// (slab-order) score is a re-sum of m floats instead of a re-lookup of
+	// m postings; it is all zero between candidates, and touched lists the
+	// entries the current one wrote. prefix and cur are parallel to the
+	// sorted cs: prefix[i] is the summed MaxScore of cs[0..i], cur[i] the
+	// document cs[i] stands on (endDoc once exhausted).
 	contrib []float64
-	docs    [index.BlockSize]uint32
-	tfs     [index.BlockSize]uint32
+	touched []int
+	prefix  []float64
+	cur     []uint32
+	// scores is slab-parallel too: the scores of the block an essential
+	// cursor stands in (see cursor.scoreBlock).
+	scores [][index.BlockSize]float64
+	docs   [index.BlockSize]uint32
+	tfs    [index.BlockSize]uint32
 }
+
+// endDoc is the current document of an exhausted cursor in cursorSet.cur.
+// Real documents index Shard.DocLens, so none reaches it.
+const endDoc = ^uint32(0)
 
 var cursorPool = sync.Pool{New: func() any { return new(cursorSet) }}
 
@@ -367,10 +386,16 @@ func openCursorSet(s *index.Shard, terms []string) *cursorSet {
 	for i := range slab {
 		cs = append(cs, &slab[i])
 	}
-	if cap(x.contrib) < len(slab) {
-		x.contrib = make([]float64, len(slab))
+	m := len(slab)
+	if cap(x.contrib) < m {
+		x.contrib = make([]float64, m)
+		x.touched = make([]int, m)
+		x.prefix = make([]float64, m)
+		x.cur = make([]uint32, m)
+		x.scores = make([][index.BlockSize]float64, m)
 	}
-	x.slab, x.cs, x.contrib = slab, cs, x.contrib[:len(slab)]
+	x.slab, x.cs = slab, cs
+	x.contrib, x.touched, x.prefix, x.cur, x.scores = x.contrib[:m], x.touched[:0], x.prefix[:m], x.cur[:m], x.scores[:m]
 	return x
 }
 
@@ -540,54 +565,119 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 		cs[j] = c
 	}
 	m := len(cs)
-	prefix := make([]float64, m) // prefix[i] = sum of max scores of cs[0..i]
+	prefix, contrib, touched, cur := set.prefix, set.contrib, set.touched, set.cur
 	acc := 0.0
 	for i, c := range cs {
 		acc += c.ti.Stats.MaxScore
 		prefix[i] = acc
 	}
 	tk := newTopK(k)
+	theta := tk.threshold()
 	first := 0 // first essential list index
+	// Candidates come from the essential lists cs[first:]. Whichever block
+	// an essential cursor stands in is decoded and scored whole (scoreBlock),
+	// so producing a candidate costs loads, not divides. While several lists
+	// are essential they are merged on cur, which is refreshed as cursors
+	// advance; a cursor that steps into the next block only sets stale, and
+	// that block is decoded when — if — the next candidate is looked for, as
+	// lazily as cursor.doc() would. Once exactly one list is essential
+	// (always, for a one-term query; for most others, as soon as theta has
+	// risen) its scored block is scanned directly, and [bj, bend) is the
+	// span of the block not yet offered as candidates. first only ever
+	// rises, so the merge hands over to the scan at most once.
+	stale := true
+	bj, bend := 0, 0
 	for first < m {
-		// Candidate: min doc among essential lists.
-		minDoc := uint32(0)
-		live := false
-		for _, c := range cs[first:] {
-			if c.exhausted() {
+		var doc uint32
+		score := 0.0
+		if first == m-1 {
+			c := cs[first]
+			scores := &set.scores[c.idx]
+			if bj == bend {
+				if c.exhausted() {
+					break
+				}
+				if c.pos/index.BlockSize != c.bi {
+					c.scoreBlock(s, scores)
+				}
+				bj, bend = c.pos%index.BlockSize, c.blockLen(c.bi)
+			}
+			// A document whose score plus full credit from every other
+			// list cannot beat theta is the probe loop's first rejection;
+			// runs of them are stepped over here, counted as scored.
+			rest := 0.0
+			if first > 0 {
+				rest = prefix[first-1]
+			}
+			j := bj
+			for j < bend && scores[j]+rest <= theta {
+				j++
+			}
+			survivor := j < bend
+			if survivor {
+				j++ // traversed and scored like the ones before it
+			}
+			c.pos += j - bj
+			st.PostingsTraversed += j - bj
+			st.DocsScored += j - bj
+			bj = j
+			if !survivor {
 				continue
 			}
-			if !live || c.doc() < minDoc {
-				minDoc = c.doc()
-				live = true
+			doc, score = c.docs[j-1], scores[j-1]
+			contrib[c.idx] = score
+			touched = append(touched, c.idx)
+		} else {
+			if stale {
+				for i := first; i < m; i++ {
+					c := cs[i]
+					if c.exhausted() {
+						cur[i] = endDoc
+					} else if c.pos/index.BlockSize != c.bi {
+						c.scoreBlock(s, &set.scores[c.idx])
+						cur[i] = c.docs[c.pos%index.BlockSize]
+					}
+				}
+				stale = false
 			}
-		}
-		if !live {
-			break
-		}
-		// Score essential lists at minDoc, recording per-term
-		// contributions: candidates are strictly increasing and probes
-		// seek exactly to the candidate, so an accepted document has had
-		// every list that contains it credited — its canonical score is
-		// the slab-order re-sum of contrib, no posting re-lookup needed.
-		contrib := set.contrib
-		for i := range contrib {
-			contrib[i] = 0
-		}
-		score := 0.0
-		for _, c := range cs[first:] {
-			if !c.exhausted() && c.doc() == minDoc {
-				v := s.TermScore(c.ti, index.Posting{Doc: minDoc, TF: c.tf()})
+			// Candidate: min doc among essential lists.
+			doc = cur[first]
+			for _, d := range cur[first+1:] {
+				doc = min(doc, d)
+			}
+			if doc == endDoc {
+				break
+			}
+			// Credit the essential lists standing on doc, recording per-term
+			// contributions: candidates are strictly increasing and probes
+			// seek exactly to the candidate, so an accepted document has had
+			// every list that contains it credited — its canonical score is
+			// the slab-order re-sum of contrib, no posting re-lookup needed.
+			for i := first; i < m; i++ {
+				if cur[i] != doc {
+					continue
+				}
+				c := cs[i]
+				v := set.scores[c.idx][c.pos%index.BlockSize]
 				score += v
 				contrib[c.idx] = v
+				touched = append(touched, c.idx)
 				c.pos++
 				st.PostingsTraversed++
+				switch {
+				case c.exhausted():
+					cur[i] = endDoc
+				case c.pos%index.BlockSize == 0:
+					stale = true
+				default:
+					cur[i] = c.docs[c.pos%index.BlockSize]
+				}
 			}
+			st.DocsScored++
 		}
-		st.DocsScored++
 		// Probe non-essential lists from most to least impactful,
 		// abandoning the document once even full credit from the
 		// remaining lists cannot beat the threshold.
-		theta := tk.threshold()
 		ok := true
 		for j := first - 1; j >= 0; j-- {
 			if score+prefix[j] <= theta {
@@ -602,7 +692,7 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 				// from a document in the block — so this prune is strictly
 				// tighter than the prefix[j] one above.
 				bb := 0.0
-				if bi := c.shallowBlock(minDoc); bi >= 0 {
+				if bi := c.shallowBlock(doc); bi >= 0 {
 					bb = index.DequantBound(c.ti.Blocks[bi].QMax, c.ti.Stats.MaxScore)
 				}
 				rest := 0.0
@@ -615,10 +705,11 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 					break
 				}
 			}
-			if c.seek(minDoc) {
-				v := s.TermScore(c.ti, index.Posting{Doc: minDoc, TF: c.tf()})
+			if c.seek(doc) {
+				v := s.TermScore(c.ti, index.Posting{Doc: doc, TF: c.tf()})
 				score += v
 				contrib[c.idx] = v
+				touched = append(touched, c.idx)
 			}
 			st.PostingsTraversed++
 		}
@@ -631,15 +722,19 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 			for _, v := range contrib {
 				full += v
 			}
-			if tk.offer(minDoc, full) {
+			if tk.offer(doc, full) {
 				st.HeapInserts++
+				// The threshold moved: recompute the essential boundary.
+				theta = tk.threshold()
+				for first < m && prefix[first] <= theta {
+					first++
+				}
 			}
 		}
-		// Threshold may have moved: recompute the essential boundary.
-		theta = tk.threshold()
-		for first < m && prefix[first] <= theta {
-			first++
+		for _, i := range touched {
+			contrib[i] = 0
 		}
+		touched = touched[:0]
 	}
 	if blockMax {
 		for _, c := range cs {

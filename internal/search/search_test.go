@@ -283,44 +283,6 @@ func BenchmarkWAND(b *testing.B) {
 	}
 }
 
-func TestTAATAgreesWithDAAT(t *testing.T) {
-	s := buildShard(t, 67, 2500)
-	for _, q := range queries() {
-		for _, k := range []int{1, 5, 10, 50} {
-			ex := Exhaustive(s, q, k)
-			ta := TAAT(s, q, k)
-			if !sameScores(scoreMultiset(ex), scoreMultiset(ta), 1e-9) {
-				t.Errorf("taat differs from exhaustive for %v k=%d", q, k)
-			}
-			// TAAT is exhaustive in work terms: every posting visited.
-			if ta.Stats.PostingsTraversed != ex.Stats.PostingsTraversed {
-				t.Errorf("taat traversed %d postings, exhaustive %d",
-					ta.Stats.PostingsTraversed, ex.Stats.PostingsTraversed)
-			}
-			if ta.Stats.DocsScored != ex.Stats.DocsScored {
-				t.Errorf("taat scored %d docs, exhaustive %d",
-					ta.Stats.DocsScored, ex.Stats.DocsScored)
-			}
-		}
-	}
-	if StrategyTAAT.String() != "taat" {
-		t.Error("strategy name wrong")
-	}
-	r := Eval(StrategyTAAT, s, []string{"wa"}, 5)
-	if len(r.Hits) == 0 {
-		t.Error("Eval dispatch to TAAT failed")
-	}
-}
-
-func BenchmarkTAAT(b *testing.B) {
-	s := buildShard(b, 9, 10000)
-	q := []string{"wa", "wb", "wc"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = TAAT(s, q, 10)
-	}
-}
-
 func TestTopKOfferZeroAlloc(t *testing.T) {
 	// offer is the innermost call of every evaluation strategy; the slice
 	// heap must never allocate after newTopK's single up-front make.
