@@ -105,8 +105,8 @@ integrity-smoke:
 # or the machine has drifted: a baseline the parent commit already fails
 # gates nothing, and one recorded before a 40 % speed-up would wave
 # through a 35 % regression.
-BENCHOUT ?= BENCH_PR19.json
-BENCHBASE ?= BENCH_PR19.json
+BENCHOUT ?= BENCH_PR23.json
+BENCHBASE ?= BENCH_PR23.json
 BENCHCOUNT ?= 3
 MAXREGRESS ?= 5%
 bench:
@@ -121,7 +121,7 @@ bench:
 # recorded on different days conflates code changes with machine
 # drift (observed at up to +47% on benches the code never touched).
 # Cross-PR sweep diffs stay available as an analysis tool:
-#   go run ./tools/benchjson -compare BENCH_PR10.json BENCH_PR19.json
+#   go run ./tools/benchjson -compare BENCH_PR10.json BENCH_PR23.json
 # The gate run takes more samples than the recorded sweep so its
 # minimum is at least as likely to hit the machine's floor as the
 # baseline's was — the bias a noise-tolerant gate wants.

@@ -441,7 +441,10 @@ func (f *fleetShape) build() {
 // split by query term count because the evaluator's cost per posting
 // depends on it (a one-term query walks its whole list; a multi-term one
 // mostly probes). One op evaluates the bucket's sample on every shard;
-// ns/query and ns/posting (per PostingsTraversed) are reported beside it.
+// ns/query and ns/posting (per PostingsTraversed) are reported beside it,
+// and so are postings/query and blocks-skipped/query: those two are counts,
+// the same on every run, so a change in the work done shows without a
+// timer.
 func BenchmarkEvalFleetShape(b *testing.B) {
 	for _, f := range fleetShapes {
 		for bi, name := range []string{"terms1", "terms2", "terms3plus"} {
@@ -451,19 +454,23 @@ func BenchmarkEvalFleetShape(b *testing.B) {
 				if len(queries) == 0 {
 					b.Skip("no query of this term count in the trace")
 				}
-				postings := 0
+				postings, skipped := 0, 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, q := range queries {
 						for _, sh := range f.built {
 							r := search.MaxScore(sh, q, 10)
 							postings += r.Stats.PostingsTraversed
+							skipped += r.Stats.BlocksSkipped
 						}
 					}
 				}
 				ns := float64(b.Elapsed().Nanoseconds())
-				b.ReportMetric(ns/float64(b.N*len(queries)), "ns/query")
+				nq := float64(b.N * len(queries))
+				b.ReportMetric(ns/nq, "ns/query")
 				b.ReportMetric(ns/float64(postings), "ns/posting")
+				b.ReportMetric(float64(postings)/nq, "postings/query")
+				b.ReportMetric(float64(skipped)/nq, "blocks-skipped/query")
 			})
 		}
 	}

@@ -20,8 +20,8 @@ const (
 	// autoscaleMaxR bounds both the fixed-R ladder and the controller.
 	autoscaleMaxR = 3
 	// autoscaleQPS is the base arrival rate; the profiles modulate it.
-	// At ~2.6 ms mean leg service it puts a single replica row around
-	// 45% utilization — comfortable at base load, hopeless in a burst.
+	// At ~2.4 ms mean leg service it puts a single replica row around
+	// 41% utilization — comfortable at base load, hopeless in a burst.
 	autoscaleQPS = 170
 	// autoscaleQueries bounds each non-stationary trace.
 	autoscaleQueries = 2200

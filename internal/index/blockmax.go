@@ -83,16 +83,26 @@ func (ti *TermInfo) BlockSpan(bi int) (lo, hi int) {
 	return lo, hi
 }
 
-// validateBlocks checks the block-max overlay invariants for one term:
-// each block's MaxDoc is its last posting's document, no posting's
-// score exceeds its block's bound, some posting attains it, and the
-// quantized bound dominates the exact one. Scores are recomputed from the
+// validateBlocks checks the score bounds the evaluators prune on, for one
+// term. The block-max overlay: each block's MaxDoc is its last posting's
+// document, no posting's score exceeds its block's bound, some posting
+// attains it, and the quantized bound dominates the exact one. And
+// Stats.KthScore, which MaxScore starts its threshold from: it is the
+// StatsK-th highest score of the list (the lowest, of a shorter list) —
+// some posting attains it, at least min(StatsK, df) postings reach it and
+// fewer than that exceed it. An overstated KthScore would prune documents
+// of the true top-K; one merely attained and reached often enough but
+// understated would be sound and is refused all the same, since the
+// predictors' features read it too. Scores are recomputed from the
 // reference formula, BM25Params.Score, while Finalize took them from
-// TermScore and the normalisation table; the two agree bit for bit, so the
-// comparison is exact — and a table that ever disagreed with the formula
-// fails here. The packed geometry has already been checked when this runs.
+// TermScore and the normalisation table; the two agree bit for bit, so
+// every comparison is exact — and a table that ever disagreed with the
+// formula fails here. The packed geometry has already been checked when
+// this runs.
 func (s *Shard) validateBlocks(ti *TermInfo) error {
 	var docs, tfs [BlockSize]uint32
+	kth := ti.Stats.KthScore
+	aboveKth, atKth := 0, 0
 	for bi := range ti.Blocks {
 		blk := &ti.Blocks[bi]
 		n := ti.DecodeBlockInto(bi, &docs, &tfs)
@@ -110,6 +120,12 @@ func (s *Shard) validateBlocks(ti *TermInfo) error {
 			if sc == blk.Max {
 				attained = true
 			}
+			switch {
+			case sc > kth:
+				aboveKth++
+			case sc == kth:
+				atKth++
+			}
 		}
 		if !attained {
 			return fmt.Errorf("index: term %q block %d: no posting attains block max %v", ti.Text, bi, blk.Max)
@@ -118,6 +134,10 @@ func (s *Shard) validateBlocks(ti *TermInfo) error {
 			return fmt.Errorf("index: term %q block %d: quantized bound %v below exact bound %v",
 				ti.Text, bi, DequantBound(blk.QMax, ti.Stats.MaxScore), blk.Max)
 		}
+	}
+	if want := min(s.StatsK, ti.Packed.N); atKth == 0 || aboveKth+atKth < want || aboveKth >= want {
+		return fmt.Errorf("index: term %q kth score %v is not its %d-th highest: %d postings attain it, %d exceed it",
+			ti.Text, kth, want, atKth, aboveKth)
 	}
 	return nil
 }

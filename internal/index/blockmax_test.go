@@ -264,7 +264,17 @@ func TestValidateCatchesShardCorruption(t *testing.T) {
 			mutatePostings(&s.Terms[0], func(ps []Posting) { ps[0].TF = 0 })
 		}, "zero tf"},
 		{"stats length", func(s *Shard) { s.Terms[0].Stats.PostingLen++ }, "stats posting length"},
-		{"kth above max", func(s *Shard) { s.Terms[0].Stats.KthScore = s.Terms[0].Stats.MaxScore + 1 }, "below kth"},
+		{"kth above max", func(s *Shard) { s.Terms[0].Stats.KthScore = s.Terms[0].Stats.MaxScore + 1 }, "kth score"},
+		// MaxScore primes its threshold from KthScore: one ulp of
+		// overstatement is a top-K document pruned, so one ulp must fail.
+		{"kth one ulp up", func(s *Shard) {
+			st := &s.Terms[0].Stats
+			st.KthScore = math.Nextafter(st.KthScore, math.Inf(1))
+		}, "0 postings attain it"},
+		{"kth understated", func(s *Shard) { s.Terms[0].Stats.KthScore = s.Terms[0].Stats.MinScore }, "exceed it"},
+		// A larger StatsK claims every KthScore is a lower rank's score
+		// than it is — and would let MaxScore prime queries of a larger k.
+		{"StatsK raised", func(s *Shard) { s.StatsK += 5 }, "-th highest"},
 		{"NaN idf", func(s *Shard) { s.Terms[0].Stats.IDF = math.NaN() }, "invalid idf"},
 	}
 	for _, c := range corruptions {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"cottage/internal/faults"
@@ -37,7 +38,9 @@ func fuzzSeedLegacy(f *testing.F, version int) []byte {
 // verify, and the structural invariants hold — so no input can smuggle
 // a corrupted or inconsistent shard past the load gate. Seeds cover a
 // valid v5 file, truncations, bit-flip rot (the at-rest corruption the
-// checksums exist for), and v4/v3 files exercising the legacy paths.
+// checksums exist for), v4/v3 files exercising the legacy paths, and a file
+// whose writer overstated a KthScore by one ulp and sealed it: every
+// checksum agrees, and only Validate's re-scoring can refuse it.
 func FuzzShardDecode(f *testing.F) {
 	valid := fuzzSeedShard(f)
 	f.Add(valid)
@@ -54,6 +57,15 @@ func FuzzShardDecode(f *testing.F) {
 	rottedV4 := fuzzSeedLegacy(f, wireVersionV4)
 	faults.FlipBits(rottedV4, 16, 93)
 	f.Add(rottedV4)
+	overstated := buildTestShard(f)
+	st := &overstated.Terms[0].Stats
+	st.KthScore = math.Nextafter(st.KthScore, math.Inf(1))
+	overstated.SealIntegrity()
+	var sealed bytes.Buffer
+	if err := overstated.Encode(&sealed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadShard(bytes.NewReader(data))
 		if err != nil {

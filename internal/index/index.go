@@ -397,9 +397,6 @@ func (s *Shard) Validate() error {
 		if st.PostingLen != ti.Packed.N {
 			return fmt.Errorf("index: term %q stats posting length %d != %d", ti.Text, st.PostingLen, ti.Packed.N)
 		}
-		if st.MaxScore < st.KthScore-1e-9 {
-			return fmt.Errorf("index: term %q max score below kth score", ti.Text)
-		}
 		if math.IsNaN(st.IDF) || st.IDF < 0 {
 			return fmt.Errorf("index: term %q has invalid idf %v", ti.Text, st.IDF)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -115,6 +116,13 @@ func TestDigestCatchesMetadataCorruption(t *testing.T) {
 		{"global id", func(s *Shard) { s.GlobalIDs[3] ^= 1 }},
 		{"stored sum", func(s *Shard) { s.Terms[0].Sums[0] ^= 1 }},
 		{"term stats", func(s *Shard) { s.Terms[0].Stats.KthScore *= 1.001 }},
+		// What MaxScore primes its threshold from is under the digest to
+		// the last bit: the smallest overstatement, and a raised StatsK.
+		{"kth one ulp up", func(s *Shard) {
+			st := &s.Terms[0].Stats
+			st.KthScore = math.Nextafter(st.KthScore, math.Inf(1))
+		}},
+		{"StatsK raised", func(s *Shard) { s.StatsK++ }},
 		{"block bound", func(s *Shard) { s.Terms[0].Blocks[0].Max *= 1.001 }},
 		{"bm25 params", func(s *Shard) { s.BM25.B += 0.01 }},
 	}

@@ -8,16 +8,25 @@
 //
 // Postings are stored bit-packed in 64-posting blocks (internal/index wire
 // v5); evaluators walk them through cursors that decode one block at a
-// time into fixed scratch. The reference strategies (Exhaustive, MaxScore,
-// WAND, Anytime) visit exactly the postings their flat-slice
-// ancestors visited, so their ExecStats — and therefore the simulator's
-// figures — are unchanged. The block-max strategies (MaxScoreBM, WANDBM)
-// additionally consult the quantized per-block bounds to skip whole blocks
-// without decoding them; they return bitwise-identical hits with less
-// work.
+// time into fixed scratch. Exhaustive, WAND and Anytime visit exactly the
+// postings their flat-slice ancestors visited. MaxScore — the strategy the
+// engine, the indexer and the servers run — does not: it uses two things
+// the index computed at build time and Shard.Validate re-derives at load
+// time. Its threshold starts at the largest K-th best single-term score
+// among the query's terms (TermStats.KthScore) instead of climbing there
+// from nothing, and once one list is essential it steps over every block
+// of that list whose exact maximum (Block.Max) cannot beat the threshold,
+// without decoding it. Both only rule out documents that cannot be in the
+// top-K, so the hits stay bit-identical to Exhaustive's; the work does
+// not, and ExecStats reports the work that was done — which is what the
+// simulator's service times and the latency predictor's labels are made
+// of. The block-max strategies (MaxScoreBM, WANDBM) additionally consult
+// the quantized per-block bounds (Block.QMax) of the lists they probe or
+// pivot on.
 package search
 
 import (
+	"math"
 	"sync"
 
 	"cottage/internal/index"
@@ -34,22 +43,30 @@ type Hit struct {
 // model converts it to CPU cycles (internal/cluster).
 type ExecStats struct {
 	// PostingsTraversed counts cursor advancements, including seeks
-	// (a seek is one advancement: postings are binary-searched).
+	// (a seek is one advancement: postings are binary-searched) and
+	// blocks MaxScore stepped over on Block.Max (one each: a Block read
+	// and a compare cost about what a posting does, and none of the
+	// block's postings is decoded).
 	PostingsTraversed int
 	// DocsScored counts candidate documents whose score was computed
-	// (fully or far enough to be rejected).
+	// (fully or far enough to be rejected). Documents in a skipped block
+	// were not scored and are not counted.
 	DocsScored int
-	// HeapInserts counts top-K heap updates.
+	// HeapInserts counts top-K heap updates. A MaxScore threshold that
+	// starts at a K-th score keeps the early low scorers out of the heap,
+	// so it inserts fewer documents than Exhaustive for the same hits.
 	HeapInserts int
 	// TermsMatched is how many of the query's terms exist in the shard.
 	TermsMatched int
 	// BlocksDecoded counts posting blocks unpacked from their bit-packed
-	// form. Only the block-max strategies report it (the reference
-	// strategies leave it zero so their stats stay comparable across
-	// versions); it is observability, not a cost-model input.
+	// form. Only MaxScoreBM and WANDBM report it; it is observability,
+	// not a cost-model input.
 	BlocksDecoded int
-	// BlocksSkipped counts skip decisions the block-max strategies made
-	// on quantized bounds — block ranges ruled out without decoding.
+	// BlocksSkipped counts skip decisions: blocks of the essential list
+	// MaxScore (and MaxScoreBM) stepped over on their exact maximum, each
+	// also one PostingsTraversed; probes MaxScoreBM abandoned and ranges
+	// WANDBM jumped on quantized bounds. Not a cost-model input either —
+	// what a skip costs is already in PostingsTraversed.
 	BlocksSkipped int
 }
 
@@ -526,7 +543,10 @@ func Exhaustive(s *index.Shard, terms []string, k int) Result {
 // ordered by their maximum possible contribution, and once the top-K
 // threshold exceeds the combined upper bound of the lowest-impact lists,
 // those lists stop producing candidates and are only probed for documents
-// surfaced by the essential lists.
+// surfaced by the essential lists. For k <= Shard.StatsK the threshold
+// does not start empty but at the best KthScore among the query's terms,
+// and the last essential list's blocks are skipped on Block.Max (see
+// maxScore); hits and score bits are Exhaustive's either way.
 func MaxScore(s *index.Shard, terms []string, k int) Result {
 	return maxScore(s, terms, k, false)
 }
@@ -572,8 +592,27 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 		prefix[i] = acc
 	}
 	tk := newTopK(k)
+	// theta is the pruning threshold: the heap's, or the floor the index
+	// already knows while the heap's is below it. At least StatsK documents
+	// score a term's KthScore or more, so for k <= StatsK none scoring less
+	// is in the top-K; the floor is one ulp under the largest KthScore so
+	// that a document tying it still enters (DESIGN.md §17).
 	theta := tk.threshold()
-	first := 0 // first essential list index
+	if k <= s.StatsK {
+		for _, c := range cs {
+			if ts := &c.ti.Stats; ts.PostingLen >= s.StatsK {
+				theta = max(theta, math.Nextafter(ts.KthScore, math.Inf(-1)))
+			}
+		}
+	}
+	// cs[:first] are the non-essential lists: even together they cannot
+	// lift a document past theta. The floor is below a matched term's
+	// MaxScore (Shard.Validate holds KthScore to a posting's score), so at
+	// least one list starts essential.
+	first := 0
+	for first < m && prefix[first] <= theta {
+		first++
+	}
 	// Candidates come from the essential lists cs[first:]. Whichever block
 	// an essential cursor stands in is decoded and scored whole (scoreBlock),
 	// so producing a candidate costs loads, not divides. While several lists
@@ -582,9 +621,12 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 	// that block is decoded when — if — the next candidate is looked for, as
 	// lazily as cursor.doc() would. Once exactly one list is essential
 	// (always, for a one-term query; for most others, as soon as theta has
-	// risen) its scored block is scanned directly, and [bj, bend) is the
-	// span of the block not yet offered as candidates. first only ever
-	// rises, so the merge hands over to the scan at most once.
+	// risen, or at once when the index's floor is past the other lists'
+	// bounds) its scored block is scanned directly, and [bj, bend) is the
+	// span of the block not yet offered as candidates; a block the scan
+	// enters at its first posting is tested on its exact Block.Max first and
+	// stepped over undecoded when nothing in it can beat theta. first only
+	// ever rises, so the merge hands over to the scan at most once.
 	stale := true
 	bj, bend := 0, 0
 	for first < m {
@@ -593,7 +635,29 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 		if first == m-1 {
 			c := cs[first]
 			scores := &set.scores[c.idx]
+			// A document whose score plus full credit from every other
+			// list cannot beat theta is the probe loop's first rejection.
+			rest := 0.0
+			if first > 0 {
+				rest = prefix[first-1]
+			}
 			if bj == bend {
+				if c.pos%index.BlockSize == 0 {
+					// Whole blocks of such documents are stepped over on
+					// Block.Max, each charged as one posting traversed: a
+					// Block read and a compare, nothing decoded or scored. A
+					// hand-over from the merge in mid-block scans that block
+					// out and tests from the next boundary on.
+					blocks := c.ti.Blocks
+					from := c.pos / index.BlockSize
+					bi := from
+					for bi < len(blocks) && blocks[bi].Max+rest <= theta {
+						bi++
+					}
+					st.PostingsTraversed += bi - from
+					st.BlocksSkipped += bi - from
+					c.pos = min(bi*index.BlockSize, c.ti.Len())
+				}
 				if c.exhausted() {
 					break
 				}
@@ -602,13 +666,8 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 				}
 				bj, bend = c.pos%index.BlockSize, c.blockLen(c.bi)
 			}
-			// A document whose score plus full credit from every other
-			// list cannot beat theta is the probe loop's first rejection;
-			// runs of them are stepped over here, counted as scored.
-			rest := 0.0
-			if first > 0 {
-				rest = prefix[first-1]
-			}
+			// Runs of them within the block are stepped over here, counted
+			// as traversed and scored.
 			j := bj
 			for j < bend && scores[j]+rest <= theta {
 				j++
@@ -724,8 +783,9 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 			}
 			if tk.offer(doc, full) {
 				st.HeapInserts++
-				// The threshold moved: recompute the essential boundary.
-				theta = tk.threshold()
+				// The heap's threshold moved: once past the floor it is
+				// theta, and the essential boundary moves with it.
+				theta = max(theta, tk.threshold())
 				for first < m && prefix[first] <= theta {
 					first++
 				}

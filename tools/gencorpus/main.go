@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -245,20 +246,24 @@ func main() {
 	// Shard decode seeds: a valid packed (wire v5) file, truncations,
 	// bit-flip rot at three densities (the at-rest corruption the CRC32C
 	// plane exists to refuse), genuine v4 and v3 files for the legacy
-	// load paths, and a rotted v4. Mirrors FuzzShardDecode's f.Add seeds
-	// in internal/index/fuzz_test.go.
-	b := index.NewBuilder(3, index.DefaultBM25(), 10)
-	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	for d := 0; d < 60; d++ {
-		terms := make(map[string]int, len(vocab))
-		for i, v := range vocab {
-			if tf := (d + i) % 4; tf > 0 {
-				terms[v] = tf
+	// load paths, a rotted v4, and a file sealed over a KthScore one ulp
+	// too high (checksums agree; only validation refuses it). Mirrors
+	// FuzzShardDecode's f.Add seeds in internal/index/fuzz_test.go.
+	buildShard := func() *index.Shard {
+		b := index.NewBuilder(3, index.DefaultBM25(), 10)
+		vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
+		for d := 0; d < 60; d++ {
+			terms := make(map[string]int, len(vocab))
+			for i, v := range vocab {
+				if tf := (d + i) % 4; tf > 0 {
+					terms[v] = tf
+				}
 			}
+			b.Add(int64(1000+d), terms, 12)
 		}
-		b.Add(int64(1000+d), terms, 12)
+		return b.Finalize()
 	}
-	shard := b.Finalize()
+	shard := buildShard()
 	var shardBuf bytes.Buffer
 	if err := shard.Encode(&shardBuf); err != nil {
 		log.Fatal(err)
@@ -278,6 +283,14 @@ func main() {
 	}
 	rottedV4 := legacy(4)
 	faults.FlipBits(rottedV4, 16, 93)
+	wrong := buildShard()
+	kth := &wrong.Terms[0].Stats.KthScore
+	*kth = math.Nextafter(*kth, math.Inf(1))
+	wrong.SealIntegrity()
+	var overstated bytes.Buffer
+	if err := wrong.Encode(&overstated); err != nil {
+		log.Fatal(err)
+	}
 	writeCorpus("internal/index/testdata/fuzz/FuzzShardDecode", map[string][]byte{
 		"valid":     shardV5,
 		"truncated": shardV5[:len(shardV5)/2],
@@ -288,6 +301,7 @@ func main() {
 		"legacy-v3": legacy(3),
 		"legacy-v4": legacy(4),
 		"rot-v4":    rottedV4,
+		"kth-ulp":   overstated.Bytes(),
 	})
 
 	// Packed-postings geometry seeds: the sub-wire fuzz target that
