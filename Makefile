@@ -125,6 +125,12 @@ bench:
 # The gate run takes more samples than the recorded sweep so its
 # minimum is at least as likely to hit the machine's floor as the
 # baseline's was — the bias a noise-tolerant gate wants.
+#
+# It is not part of `check`: on this shared machine it went red on
+# identical code in PRs 18, 19 and 23 (per-benchmark drift of -18 % to
+# +48 % between sweeps of one binary), so a red result says nothing about
+# the change. Run it by hand, and measure a change with alternating
+# `go test -c` binaries of both commits.
 GATECOUNT ?= 5
 BENCHHEAD ?= /tmp/cottage-bench-head.json
 bench-compare:
@@ -159,7 +165,7 @@ cover:
 	$(GO) test -cover ./... | $(GO) run ./tools/covergate -floor $(COVERFLOOR) \
 		-require cottage/internal/search,cottage/internal/index,cottage/internal/simdpack,cottage/internal/autoscale,cottage/internal/integrity
 
-check: vet build bench-build race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench-smoke bench-compare cover
+check: vet build bench-build race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench-smoke cover
 
 clean:
 	$(GO) clean ./...

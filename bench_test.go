@@ -229,7 +229,8 @@ func BenchmarkAblationKOver2(b *testing.B) {
 }
 
 // BenchmarkPruningMaxScoreVsExhaustive quantifies the dynamic-pruning
-// speedup at one ISN (DESIGN.md ablation 1).
+// speedup at one quick-scale ISN (DESIGN.md ablation 1): the one pruning
+// evaluator against the oracle it must match hit for hit.
 func BenchmarkPruningMaxScoreVsExhaustive(b *testing.B) {
 	s := setupBench(b)
 	sh := s.Engine.Shards[0]
@@ -242,21 +243,6 @@ func BenchmarkPruningMaxScoreVsExhaustive(b *testing.B) {
 	b.Run("maxscore", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = search.MaxScore(sh, q, 10)
-		}
-	})
-	b.Run("wand", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = search.WAND(sh, q, 10)
-		}
-	})
-	b.Run("maxscore-bm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = search.MaxScoreBM(sh, q, 10)
-		}
-	})
-	b.Run("wand-bm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = search.WANDBM(sh, q, 10)
 		}
 	})
 }
@@ -294,41 +280,27 @@ func buildLargeShard() *index.Shard {
 	return largeShard
 }
 
-// BenchmarkPruningLargeShard is the block-max acceptance benchmark: a
-// single ISN at realistic list lengths (50k docs, Zipfian vocabulary, so
-// frequent terms span hundreds of 64-posting blocks) with topically
-// clustered term frequencies — each topic's terms carry high TFs inside
-// the topic's contiguous 1000-document range and incidental TF-1
-// occurrences elsewhere, the structure document-reordered real indexes
-// have and the reason block bounds have regions to veto. The -bm
-// variants must beat their global-bound ancestors here; the quick-scale
-// harness shards (a few hundred docs per ISN) are too small for
-// skipping to show.
+// BenchmarkPruningLargeShard times MaxScore on a single ISN at realistic
+// list lengths (50k docs, Zipfian vocabulary, so frequent terms span
+// hundreds of 64-posting blocks) with topically clustered term
+// frequencies — each topic's terms carry high TFs inside the topic's
+// contiguous 1000-document range and incidental TF-1 occurrences
+// elsewhere, the structure document-reordered real indexes have. The
+// quick-scale harness shards (a few hundred docs per ISN) are too small
+// for skipping to show.
 func BenchmarkPruningLargeShard(b *testing.B) {
 	sh := buildLargeShard()
 	// A stopword-frequency term plus a frequent term whose high-TF docs
-	// cluster in one topic range: global per-term bounds cannot prune
-	// (nearly every posting's global ceiling matches the threshold), so
-	// plain WAND degenerates to a full merge — while the per-block
-	// quantized bounds rule out the entire TF-1 remainder of both lists
-	// without decoding it. This is the workload block-max evaluation
-	// exists for.
+	// cluster in one topic range: the threshold starts at the K-th score
+	// of the clustered term, past the stopword's bound, so one list is
+	// essential from the first posting and its TF-1 blocks are stepped
+	// over on Block.Max without being decoded.
 	q := []string{"w000", "w013"}
-	for _, bench := range []struct {
-		name string
-		eval search.Evaluator
-	}{
-		{"maxscore", search.MaxScore},
-		{"maxscore-bm", search.MaxScoreBM},
-		{"wand", search.WAND},
-		{"wand-bm", search.WANDBM},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = bench.eval(sh, q, 10)
-			}
-		})
-	}
+	b.Run("maxscore", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = search.MaxScore(sh, q, 10)
+		}
+	})
 }
 
 // BenchmarkEvaluateQuery times the policy-independent evaluation of one

@@ -207,8 +207,8 @@ func memStats(shards []*index.Shard) {
 // verifyShards loads every .shard file under dir through the eager
 // integrity verification (digest + every block checksum + structural
 // invariants) and reports per file. Corruption errors are localized to
-// (shard, term, block) by the v4 checksums; a pre-checksum v3 file
-// verifies structurally and is reported as such.
+// (shard, term, block) by the v5 checksums; a v3 or v4 file fails with
+// its version named and the advice to rebuild it.
 func verifyShards(dir string) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.shard"))
 	if err != nil {

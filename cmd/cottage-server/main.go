@@ -43,7 +43,7 @@ func main() {
 		shardPath = flag.String("shard", "", "path to a .shard file (required)")
 		modelPath = flag.String("model", "", "path to a .model file (optional)")
 		listen    = flag.String("listen", ":7001", "listen address(es); a comma-separated list serves the shard as that many replica endpoints")
-		strategy  = flag.String("strategy", "maxscore", "evaluation strategy: exhaustive|maxscore|wand|maxscore-bm|wand-bm")
+		strategy  = flag.String("strategy", "maxscore", "evaluation strategy: exhaustive|maxscore")
 		failRate  = flag.Float64("fail-rate", 0, "inject: probability each response write is dropped (connection cut)")
 		slowMS    = flag.Float64("slow-ms", 0, "inject: fixed extra delay per response write, in milliseconds")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for the injected fault schedule (replayable)")

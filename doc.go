@@ -1,7 +1,7 @@
 // Package cottage is a from-scratch Go reproduction of "Cottage:
 // Coordinated Time Budget Assignment for Latency, Quality and Power
 // Optimization in Web Search" (HPCA 2022): a distributed search engine
-// substrate (inverted index, BM25, MaxScore/WAND pruning), per-ISN neural
+// substrate (inverted index, BM25, MaxScore pruning), per-ISN neural
 // quality/latency predictors, the coordinated time-budget optimizer
 // (Algorithm 1) with DVFS frequency boosting, the paper's baselines
 // (exhaustive, aggregation policy, Rank-S, Taily) and a benchmark harness

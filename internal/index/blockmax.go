@@ -7,13 +7,13 @@ import "fmt"
 // the document of its last posting. The overlay is what makes safe
 // early termination possible — a traversal that knows "no document in
 // this region can score above X" may skip or defer the region without
-// giving up exactness (Ding & Suel's Block-Max WAND, and the anytime
-// ranking of Mackenzie et al. that internal/search.Anytime follows).
-// Since wire v5 the overlay is also the postings skip list: each Block
-// records where its bit-packed payload lives (Off) and the packed
-// widths (DocW, TFW), so block-max blocks and physical posting blocks
-// are the same thing, and a quantized copy of the bound (QMax) gives
-// skip decisions a cache-cheap one-byte upper bound.
+// giving up exactness (internal/search.MaxScore's skips over the
+// essential list, and the anytime ranking of Mackenzie et al. that
+// internal/search.Anytime follows). The overlay is also the postings skip
+// list: each Block records where its bit-packed payload lives (Off) and
+// the packed widths (DocW, TFW), so block-max blocks and physical posting
+// blocks are the same thing. A quantized copy of the bound (QMax) is part
+// of the layout and the digest, but no evaluator reads it.
 
 // BlockSize is the number of postings per block-max block. 64 keeps the
 // overlay under 2% of postings storage while giving upper bounds tight
@@ -44,7 +44,8 @@ type Block struct {
 	TFW  uint8
 	// QMax is the quantized score bound: DequantBound(QMax,
 	// Stats.MaxScore) >= Max always (quantizeBound rounds up), so
-	// skipping on QMax is sound, and scoring never reads it.
+	// skipping on QMax would be sound. Validate checks it; nothing else
+	// reads it.
 	QMax uint8
 }
 

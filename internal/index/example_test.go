@@ -31,14 +31,3 @@ func maxTF(ti *index.TermInfo) uint32 {
 	}
 	return m
 }
-
-// ExampleEncodePostings shows the compressed on-disk form of a postings
-// list.
-func ExampleEncodePostings() {
-	ps := []index.Posting{{Doc: 3, TF: 1}, {Doc: 7, TF: 2}, {Doc: 8, TF: 1}}
-	blob := index.EncodePostings(ps)
-	back, _ := index.DecodePostings(blob, len(ps))
-	fmt.Println("bytes:", len(blob), "round-trip ok:", back[2] == ps[2])
-	// Output:
-	// bytes: 6 round-trip ok: true
-}

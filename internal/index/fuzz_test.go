@@ -20,27 +20,16 @@ func fuzzSeedShard(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
-// fuzzSeedLegacy encodes the test shard in an old wire format to seed
-// the legacy load paths (v4 verify-then-repack, v3 upgrade).
-func fuzzSeedLegacy(f *testing.F, version int) []byte {
-	f.Helper()
-	s := buildTestShard(f)
-	var buf bytes.Buffer
-	if err := s.EncodeLegacy(&buf, version); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzShardDecode throws arbitrary bytes at the shard decode path. The
 // contract under fuzzing: ReadShard never panics, and anything it
 // accepts is fully intact — the stored digest and every block checksum
 // verify, and the structural invariants hold — so no input can smuggle
 // a corrupted or inconsistent shard past the load gate. Seeds cover a
 // valid v5 file, truncations, bit-flip rot (the at-rest corruption the
-// checksums exist for), v4/v3 files exercising the legacy paths, and a file
-// whose writer overstated a KthScore by one ulp and sealed it: every
-// checksum agrees, and only Validate's re-scoring can refuse it.
+// checksums exist for), files stamped v3 and v4 (refused by version; the
+// checked-in corpus adds genuine ones), and a file whose writer overstated
+// a KthScore by one ulp and sealed it: every checksum agrees, and only
+// Validate's re-scoring can refuse it.
 func FuzzShardDecode(f *testing.F) {
 	valid := fuzzSeedShard(f)
 	f.Add(valid)
@@ -52,9 +41,10 @@ func FuzzShardDecode(f *testing.F) {
 		f.Add(rotted)
 	}
 	f.Add([]byte{})
-	f.Add(fuzzSeedLegacy(f, wireVersionV3))
-	f.Add(fuzzSeedLegacy(f, wireVersionV4))
-	rottedV4 := fuzzSeedLegacy(f, wireVersionV4)
+	old := buildTestShard(f)
+	f.Add(stampedWire(f, old, 3))
+	f.Add(stampedWire(f, old, 4))
+	rottedV4 := stampedWire(f, old, 4)
 	faults.FlipBits(rottedV4, 16, 93)
 	f.Add(rottedV4)
 	overstated := buildTestShard(f)

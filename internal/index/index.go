@@ -73,7 +73,7 @@ type Shard struct {
 	norms []float64
 
 	// Digest is the whole-shard CRC32C over document metadata and the
-	// per-block checksums (wire v4, see integrity.go).
+	// per-block checksums (wire v5, see integrity.go).
 	Digest uint32
 	// integ is the lazy query-time verification memo; nil only for
 	// shards that predate SealIntegrity (never after Finalize or load).

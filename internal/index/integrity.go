@@ -106,10 +106,8 @@ func (s *Shard) blockSum(ti *TermInfo, bi int) uint32 {
 	return crc32.Update(crc, castagnoli, ti.Packed.Data[lo:hi])
 }
 
-// digestWriter folds typed values into a running CRC32C. It exists so
-// computeDigest (v5, in-memory shard) and legacyShardDigest (v4 wire
-// form, serialize.go) fold the shared regions — metadata, statistics,
-// positions — through one definition instead of two drifting copies.
+// digestWriter folds typed values into a running CRC32C for
+// computeDigest.
 type digestWriter struct {
 	crc uint32
 	buf [8]byte
@@ -211,12 +209,9 @@ func (s *Shard) computeDigest() uint32 {
 
 // SealIntegrity computes and installs the shard's per-block checksums
 // and whole-shard digest from its current in-memory contents, and resets
-// the lazy-verification memo. Finalize seals every built shard; loading
-// a pre-checksum (v3) shard seals on upgrade so the scrubber and lazy
-// query-time verification work uniformly afterwards.
+// the lazy-verification memo. Finalize seals every built shard, and
+// Encode seals one built by hand.
 func (s *Shard) SealIntegrity() {
-	total := 0
-	off := make([]int, len(s.Terms)+1)
 	for i := range s.Terms {
 		ti := &s.Terms[i]
 		if len(ti.Sums) != len(ti.Blocks) {
@@ -225,18 +220,15 @@ func (s *Shard) SealIntegrity() {
 		for bi := range ti.Blocks {
 			ti.Sums[bi] = s.blockSum(ti, bi)
 		}
-		off[i] = total
-		total += len(ti.Blocks)
 	}
-	off[len(s.Terms)] = total
 	s.Digest = s.computeDigest()
 	s.initIntegState()
 }
 
 // initIntegState builds the lazy-verification memo from the shard's
-// existing Sums without recomputing them. The v4 load path uses this
-// directly: resealing there would overwrite the on-disk checksums and
-// blind eager verification to file corruption.
+// existing Sums without recomputing them. ReadShard uses this directly:
+// resealing there would overwrite the on-disk checksums and blind eager
+// verification to file corruption.
 func (s *Shard) initIntegState() {
 	total := 0
 	off := make([]int, len(s.Terms)+1)
@@ -419,7 +411,7 @@ func (s *Shard) VerifyQuery(terms []string) error {
 
 // VerifyIntegrity re-checksums the whole shard — digest first (document
 // metadata), then every posting block — returning the first localized
-// mismatch. ReadShard runs it eagerly on every v4 load; the indexer's
+// mismatch. ReadShard runs it eagerly on every load; the indexer's
 // -verify pass and tests run it on demand.
 func (s *Shard) VerifyIntegrity() error {
 	if s.integ == nil {

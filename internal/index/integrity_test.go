@@ -144,98 +144,6 @@ func TestDigestCatchesMetadataCorruption(t *testing.T) {
 	}
 }
 
-// TestV3ShardStillLoads: a pre-checksum (wire v3) file loads, gets its
-// integrity metadata synthesized on upgrade, and is fully scrubbable
-// afterwards — the back-compat contract for existing shard files.
-func TestV3ShardStillLoads(t *testing.T) {
-	s := buildTestShard(t)
-	var buf bytes.Buffer
-	if err := s.EncodeLegacy(&buf, wireVersionV3); err != nil {
-		t.Fatal(err)
-	}
-	up, err := ReadShard(&buf)
-	if err != nil {
-		t.Fatalf("v3 shard failed to load: %v", err)
-	}
-	if !up.HasChecksums() {
-		t.Fatal("upgrade did not synthesize checksums")
-	}
-	if err := up.VerifyIntegrity(); err != nil {
-		t.Fatalf("upgraded shard failed verification: %v", err)
-	}
-	if up.TotalBlocks() != s.TotalBlocks() {
-		t.Fatalf("upgraded shard has %d blocks, want %d", up.TotalBlocks(), s.TotalBlocks())
-	}
-	// Repacking the legacy postings and resealing is deterministic, so
-	// the upgraded shard's digest matches the native v5 one.
-	if up.Digest != s.Digest {
-		t.Fatalf("synthesized digest %08x != native %08x", up.Digest, s.Digest)
-	}
-}
-
-// TestV4FileRotDetectedAtLoad: at-rest corruption of a stored v4 file —
-// a posting changed without resealing — is caught eagerly by ReadShard
-// as a localized CorruptionError (verified against the file's own
-// legacy checksums, before any repacking), never served.
-func TestV4FileRotDetectedAtLoad(t *testing.T) {
-	s := buildTestShard(t)
-	w := legacyWireOf(t, s, wireVersionV4)
-	// Rot one posting of term 0 on "disk": decode the blob, flip a TF,
-	// re-encode. The stored checksums are left as written.
-	ps, err := DecodePostings(w.PostingBlobs[0], w.PostingCounts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps[0].TF += 3
-	w.PostingBlobs[0] = EncodePostings(ps)
-	_, err = readWire(t, w)
-	if !IsCorruption(err) {
-		t.Fatalf("rotted v4 file loaded: %v", err)
-	}
-	var ce *CorruptionError
-	errors.As(err, &ce)
-	if ce.Term != w.TermTexts[0] || ce.Block != 0 {
-		t.Fatalf("rot mislocalized: %+v", ce)
-	}
-}
-
-// TestV4CleanFileUpgrades: an intact v4 file loads, verifies against
-// its legacy metadata, and comes out repacked with v5 integrity state
-// identical to a native build's.
-func TestV4CleanFileUpgrades(t *testing.T) {
-	s := buildTestShard(t)
-	var buf bytes.Buffer
-	if err := s.EncodeLegacy(&buf, wireVersionV4); err != nil {
-		t.Fatal(err)
-	}
-	up, err := ReadShard(&buf)
-	if err != nil {
-		t.Fatalf("v4 shard failed to load: %v", err)
-	}
-	if up.Digest != s.Digest {
-		t.Fatalf("upgraded digest %08x != native %08x", up.Digest, s.Digest)
-	}
-	for i := range s.Terms {
-		if !bytes.Equal(up.Terms[i].Packed.Data, s.Terms[i].Packed.Data) {
-			t.Fatalf("term %q repacked differently from native build", s.Terms[i].Text)
-		}
-		if up.Terms[i].Blocks[0].QMax != s.Terms[i].Blocks[0].QMax {
-			t.Fatalf("term %q requantized differently from native build", s.Terms[i].Text)
-		}
-	}
-}
-
-// TestV4ChecksumArrayMismatchRejected: a v4 file whose checksum arrays
-// do not line up with its terms is structurally invalid.
-func TestV4ChecksumArrayMismatchRejected(t *testing.T) {
-	s := buildTestShard(t)
-	w := legacyWireOf(t, s, wireVersionV4)
-	w.BlockSums = w.BlockSums[:1]
-	if _, err := readWire(t, w); err == nil || !strings.Contains(err.Error(), "checksum arrays") {
-		t.Fatalf("got %v, want checksum-array mismatch", err)
-	}
-}
-
 // TestBlockAddressing: the global block index space tiles the shard
 // exactly — BlockAt inverts the (term, block) → global mapping, and
 // BlockBytes sums to the shard's canonical posting bytes.
@@ -269,7 +177,7 @@ func TestBlockAddressing(t *testing.T) {
 }
 
 // TestEncodeSealsUnsealedShard: a hand-constructed (never finalized)
-// shard is sealed on first Encode, so no v4 file lacks checksums.
+// shard is sealed on first Encode, so no v5 file lacks checksums.
 func TestEncodeSealsUnsealedShard(t *testing.T) {
 	s := buildTestShard(t)
 	s.integ = nil // simulate a legacy in-memory build
@@ -377,7 +285,7 @@ func BenchmarkVerifyQueryWarm(b *testing.B) {
 }
 
 // BenchmarkSealIntegrity is the one-time load/build cost of checksumming
-// a shard end to end (the v4 load path pays this once per shard).
+// a shard end to end (Finalize pays this once per shard).
 func BenchmarkSealIntegrity(b *testing.B) {
 	s := buildTestShard(b)
 	b.ResetTimer()
@@ -386,42 +294,14 @@ func BenchmarkSealIntegrity(b *testing.B) {
 	}
 }
 
-// benchWireBytes encodes the benchmark shard at a given wire version.
-// Legacy versions go through EncodeLegacy, reproducing genuine old
-// files.
-func benchWireBytes(b *testing.B, version int) []byte {
-	b.Helper()
-	s := buildTestShard(b)
+// BenchmarkReadShardV5 pins the load-path cost: the packed payloads are
+// adopted as-is and verified.
+func BenchmarkReadShardV5(b *testing.B) {
 	var buf bytes.Buffer
-	var err error
-	if version == wireVersion {
-		err = s.Encode(&buf)
-	} else {
-		err = s.EncodeLegacy(&buf, version)
-	}
-	if err != nil {
+	if err := buildTestShard(b).Encode(&buf); err != nil {
 		b.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// BenchmarkReadShardV5 vs BenchmarkReadShardV3 pins the load-path cost
-// of the format upgrade: v5 adopts the packed payloads as-is and
-// verifies them, while v3 pays varint decode plus repack plus reseal on
-// upgrade.
-func BenchmarkReadShardV5(b *testing.B) {
-	data := benchWireBytes(b, wireVersion)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadShard(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReadShardV3(b *testing.B) {
-	data := benchWireBytes(b, wireVersionV3)
+	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -31,29 +31,22 @@ func termScoreMatchesReference(t *testing.T, s *Shard) {
 	}
 }
 
-// TestNormTableOnEveryServingPath: Finalize, the v5 loader and the legacy
-// (v3, v4) loaders — which is also what FetchShard repair goes through —
-// all leave the shard with its length-normalisation table, sized by the
-// longest document and not by the document count, and scoring through it
-// is bit-equal to the reference formula.
+// TestNormTableOnEveryServingPath: Finalize and the loader — which is
+// also what FetchShard repair goes through — both leave the shard with its
+// length-normalisation table, sized by the longest document and not by
+// the document count, and scoring through it is bit-equal to the
+// reference formula.
 func TestNormTableOnEveryServingPath(t *testing.T) {
 	built := buildTestShard(t)
-	paths := map[string]*Shard{"finalize": built}
-	for name, encode := range map[string]func(*bytes.Buffer) error{
-		"v5": func(b *bytes.Buffer) error { return built.Encode(b) },
-		"v4": func(b *bytes.Buffer) error { return built.EncodeLegacy(b, wireVersionV4) },
-		"v3": func(b *bytes.Buffer) error { return built.EncodeLegacy(b, wireVersionV3) },
-	} {
-		var buf bytes.Buffer
-		if err := encode(&buf); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		s, err := ReadShard(&buf)
-		if err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
-		paths[name] = s
+	var buf bytes.Buffer
+	if err := built.Encode(&buf); err != nil {
+		t.Fatalf("encode: %v", err)
 	}
+	loaded, err := ReadShard(&buf)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	paths := map[string]*Shard{"finalize": built, "v5": loaded}
 	longest := uint32(0)
 	for _, dl := range built.DocLens {
 		if dl > longest {

@@ -7,7 +7,7 @@ import (
 	"cottage/internal/simdpack"
 )
 
-// Packed postings layout (wire v5): a term's document-ordered postings
+// Packed postings layout (wire v5, the only one): a term's document-ordered postings
 // are tiled into the same 64-posting blocks the block-max overlay
 // already summarizes, and each block is stored bit-packed at a per-block
 // fixed width — document IDs as gaps from the previous document
@@ -212,8 +212,8 @@ func (ti *TermInfo) Posting(i int) Posting {
 }
 
 // AllPostings materializes the full postings list in document order —
-// the bridge for cold paths (stats recomputation, legacy re-encoding,
-// differential tests) that want the flat slice back.
+// the bridge for cold paths (stats recomputation, differential tests)
+// that want the flat slice back.
 func (ti *TermInfo) AllPostings() []Posting {
 	out := make([]Posting, 0, ti.Packed.N)
 	var docs, tfs [BlockSize]uint32
@@ -288,10 +288,8 @@ func (ti *TermInfo) checkPackedGeometry() error {
 // DequantBound dequantizes a block's QMax back into a score upper
 // bound. 255 maps back to maxScore exactly, so the tightest block loses
 // nothing; every other step is maxScore*q/255, and quantizeBound's
-// fixup guarantees the result is >= the block's exact Max. Skip
-// decisions may therefore trust it unconditionally — and because it is
-// only ever compared against thresholds, never added into a hit's
-// score, quantization cannot perturb ranked results.
+// fixup guarantees the result is >= the block's exact Max, which
+// Validate checks.
 func DequantBound(q uint8, maxScore float64) float64 {
 	if q == 255 {
 		return maxScore

@@ -4,22 +4,25 @@ import (
 	"bytes"
 	"container/heap"
 	"encoding/gob"
+	"fmt"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // wireOf round-trips a shard into its editable wire form so tests can
 // corrupt one field at a time.
-func wireOf(t *testing.T, s *Shard) *shardWire {
-	t.Helper()
+func wireOf(tb testing.TB, s *Shard) *shardWire {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var w shardWire
 	if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &w
 }
@@ -33,19 +36,61 @@ func readWire(t *testing.T, w *shardWire) (*Shard, error) {
 	return ReadShard(&buf)
 }
 
-// legacyWireOf round-trips a shard into the editable wire form of an
-// old format version, via EncodeLegacy.
-func legacyWireOf(t *testing.T, s *Shard, version int) *shardWire {
-	t.Helper()
+// stampedWire is the test shard's wire form with Version overwritten —
+// what ReadShard's version switch sees of a v3 or v4 file.
+func stampedWire(tb testing.TB, s *Shard, version int) []byte {
+	tb.Helper()
+	w := wireOf(tb, s)
+	w.Version = version
 	var buf bytes.Buffer
-	if err := s.EncodeLegacy(&buf, version); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// corpusSeed reads one checked-in FuzzShardDecode seed's bytes.
+func corpusSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzShardDecode", name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var w shardWire
-	if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
-		t.Fatal(err)
+	lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	return &w
+	return []byte(data)
+}
+
+// TestReadShardRefusesLegacyVersions: a v3 or v4 file — one stamped so,
+// and the genuine ones a v4-era indexer wrote, checked in as fuzz seeds —
+// is refused with its version and the remedy named.
+func TestReadShardRefusesLegacyVersions(t *testing.T) {
+	s := buildTestShard(t)
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		version int
+	}{
+		{"stamped v3", stampedWire(t, s, 3), 3},
+		{"stamped v4", stampedWire(t, s, 4), 4},
+		{"legacy-v3", corpusSeed(t, "legacy-v3"), 3},
+		{"legacy-v4", corpusSeed(t, "legacy-v4"), 4},
+	} {
+		_, err := ReadShard(bytes.NewReader(c.data))
+		if err == nil {
+			t.Fatalf("%s: loaded", c.name)
+		}
+		if want := fmt.Sprintf("version %d", c.version); !strings.Contains(err.Error(), want) ||
+			!strings.Contains(err.Error(), "cottage-indexer") {
+			t.Errorf("%s: error %q does not name %q and the cottage-indexer rebuild", c.name, err, want)
+		}
+	}
+	if _, err := ReadShard(bytes.NewReader(corpusSeed(t, "rot-v4"))); err == nil {
+		t.Error("rot-v4: loaded")
+	}
 }
 
 func TestReadShardRejectsCorruptWire(t *testing.T) {
@@ -55,7 +100,7 @@ func TestReadShardRejectsCorruptWire(t *testing.T) {
 		mutate  func(w *shardWire)
 		errFrag string
 	}{
-		{"old version", func(w *shardWire) { w.Version = wireVersionV3 - 1 }, "format version"},
+		{"old version", func(w *shardWire) { w.Version = 2 }, "format version"},
 		{"future version", func(w *shardWire) { w.Version = wireVersion + 1 }, "format version"},
 		{"missing blocks", func(w *shardWire) { w.Blocks = w.Blocks[:1] }, "inconsistent term arrays"},
 		{"missing stats", func(w *shardWire) { w.TermStats = w.TermStats[:1] }, "inconsistent term arrays"},
@@ -76,30 +121,6 @@ func TestReadShardRejectsCorruptWire(t *testing.T) {
 				t.Fatalf("corruption %q: error %q does not mention %q", c.name, err, c.errFrag)
 			}
 		})
-	}
-}
-
-// TestLegacyCorruptBlobRejected: a legacy file whose varint postings
-// blob does not decode is rejected with the offending term named.
-func TestLegacyCorruptBlobRejected(t *testing.T) {
-	s := buildTestShard(t)
-	for _, v := range []int{wireVersionV3, wireVersionV4} {
-		w := legacyWireOf(t, s, v)
-		w.PostingBlobs[0] = []byte{0xff}
-		if _, err := readWire(t, w); err == nil || !strings.Contains(err.Error(), "term") {
-			t.Fatalf("v%d corrupt blob: got %v", v, err)
-		}
-	}
-}
-
-func TestEncodeLegacyRejectsUnknownVersion(t *testing.T) {
-	s := buildTestShard(t)
-	var buf bytes.Buffer
-	if err := s.EncodeLegacy(&buf, wireVersion); err == nil {
-		t.Fatal("EncodeLegacy accepted the current version")
-	}
-	if err := s.EncodeLegacy(&buf, 2); err == nil {
-		t.Fatal("EncodeLegacy accepted an ancient version")
 	}
 }
 

@@ -42,7 +42,7 @@ type Manager struct {
 }
 
 // NewManager supervises s under cfg. The shard should already be
-// sealed (Finalize or a v4/v3 load both seal).
+// sealed (Finalize and ReadShard both leave it so).
 func NewManager(cfg Config, s *index.Shard) *Manager {
 	l := NewLedger(cfg.MaxEvents)
 	l.Metrics = cfg.Metrics

@@ -33,7 +33,7 @@ import (
 
 const (
 	tagRequest  = 0xC1 // Request, layout 1
-	tagResponse = 0xC2 // Response, layout 1
+	tagResponse = 0xC3 // Response, layout 2
 
 	reqAnytime = 1 << 0
 
@@ -45,9 +45,9 @@ const (
 	// term count.
 	requestFixedLen = 2 + 6*8 + 4
 	// responseFixedLen: tag, flags, ID, Code, ScoreBound, QueueDepth,
-	// AvgServiceUS, the six ExecStats counters, the six Prediction
+	// AvgServiceUS, the five ExecStats counters, the six Prediction
 	// fields.
-	responseFixedLen = 2 + 5*8 + 6*8 + 6*8
+	responseFixedLen = 2 + 5*8 + 5*8 + 6*8
 
 	hitLen     = 8 + 4 + 8 // Doc, Local, Score
 	spanMinLen = 6*8 + 4 + 4
@@ -105,7 +105,6 @@ func appendResponse(dst []byte, resp *Response) []byte {
 	dst = le.AppendUint64(dst, uint64(st.DocsScored))
 	dst = le.AppendUint64(dst, uint64(st.HeapInserts))
 	dst = le.AppendUint64(dst, uint64(st.TermsMatched))
-	dst = le.AppendUint64(dst, uint64(st.BlocksDecoded))
 	dst = le.AppendUint64(dst, uint64(st.BlocksSkipped))
 	p := &resp.Pred
 	dst = le.AppendUint64(dst, uint64(p.QK))
@@ -284,16 +283,15 @@ func parseResponse(p []byte, resp *Response) error {
 		DocsScored:        int(u(6)),
 		HeapInserts:       int(u(7)),
 		TermsMatched:      int(u(8)),
-		BlocksDecoded:     int(u(9)),
-		BlocksSkipped:     int(u(10)),
+		BlocksSkipped:     int(u(9)),
 	}
 	resp.Pred.Matched = flags&respMatched != 0
-	resp.Pred.QK = int(u(11))
-	resp.Pred.QK2 = int(u(12))
-	resp.Pred.Cycles = math.Float64frombits(u(13))
-	resp.Pred.PZeroK = math.Float64frombits(u(14))
-	resp.Pred.PZeroK2 = math.Float64frombits(u(15))
-	resp.Pred.ExpQK = math.Float64frombits(u(16))
+	resp.Pred.QK = int(u(10))
+	resp.Pred.QK2 = int(u(11))
+	resp.Pred.Cycles = math.Float64frombits(u(12))
+	resp.Pred.PZeroK = math.Float64frombits(u(13))
+	resp.Pred.PZeroK2 = math.Float64frombits(u(14))
+	resp.Pred.ExpQK = math.Float64frombits(u(15))
 
 	c := cursor{b: p[responseFixedLen:]}
 	resp.Err = c.str()

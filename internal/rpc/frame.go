@@ -22,7 +22,7 @@ import (
 // from connection loss), and recovered typed: the server answers
 // CodeCorrupt, the client retries breaker-neutrally on a fresh
 // connection. Castagnoli matches the shard-level checksums (integrity
-// plane, index wire v4) and is hardware-accelerated on amd64/arm64.
+// plane, index wire v5) and is hardware-accelerated on amd64/arm64.
 
 // frameTable is the CRC32C polynomial table shared by both directions.
 var frameTable = crc32.MakeTable(crc32.Castagnoli)

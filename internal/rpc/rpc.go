@@ -50,7 +50,7 @@ const (
 	// positional shard).
 	KindPhrase
 	// KindFetchShard asks the ISN for its full serialized shard — the
-	// repair transfer verb. The response carries the checksummed wire v4
+	// repair transfer verb. The response carries the checksummed wire v5
 	// bytes; the fetching side re-reads and re-verifies them end to end
 	// (index.ReadShard validates eagerly), so a transfer corrupted in
 	// flight can never be re-admitted.
@@ -153,7 +153,7 @@ type Response struct {
 	// them into the query's trace so ISN-side timing lands in the same
 	// tree as the fan-out that caused it.
 	Spans []obs.Span
-	// ShardBytes carries the serialized (wire v4, checksummed) shard on
+	// ShardBytes carries the serialized (wire v5, checksummed) shard on
 	// KindFetchShard responses.
 	ShardBytes []byte
 	// Quarantined rides on KindPing responses: true while this replica's
@@ -1012,7 +1012,7 @@ func (c *Client) PredictLoad(terms []string) (predict.Prediction, QueueInfo, err
 }
 
 // FetchShard pulls the remote ISN's full shard image for replica
-// repair. The bytes travel wire-v4 (per-block CRCs and digest intact)
+// repair. The bytes travel wire-v5 (per-block CRCs and digest intact)
 // inside checksummed frames, and ReadShard re-verifies end-to-end on
 // decode — a shard corrupted at the source, in transit, or by a buggy
 // peer cannot be re-admitted. A quarantined source refuses to serve

@@ -43,15 +43,3 @@ func ExampleMerge() {
 	// 1 9
 	// 3 7
 }
-
-// ExampleExhaustiveWeighted up-weights one term of a personalized query.
-func ExampleExhaustiveWeighted() {
-	shard := buildExampleShard()
-	res := search.ExhaustiveWeighted(shard, []search.WeightedTerm{
-		{Text: "go", Weight: 5},
-		{Text: "search", Weight: 1},
-	}, 1)
-	fmt.Println("top doc:", res.Hits[0].Doc)
-	// Output:
-	// top doc: 102
-}

@@ -321,88 +321,6 @@ func refMaxScoreWith(s *index.Shard, terms []string, k int, prime, skip bool) (R
 	return Result{Hits: tk.hits(s), Stats: st}, tr
 }
 
-func refWAND(s *index.Shard, terms []string, k int) Result {
-	slab := refOpen(s, terms)
-	st := ExecStats{TermsMatched: len(slab)}
-	if len(slab) == 0 || k <= 0 {
-		return Result{Stats: st}
-	}
-	canonical := func(doc uint32) float64 {
-		score := 0.0
-		for _, l := range slab {
-			if i := index.Seek(l.ps, doc); i < len(l.ps) && l.ps[i].Doc == doc {
-				score += s.BM25.Score(l.idf, l.ps[i].TF, s.DocLens[doc], s.AvgDocLen)
-			}
-		}
-		return score
-	}
-	tk := &refTopK{k: k}
-	cs := append([]*refList(nil), slab...)
-	for {
-		live := cs[:0]
-		for _, l := range cs {
-			if !l.done() {
-				live = append(live, l)
-			}
-		}
-		cs = live
-		if len(cs) == 0 {
-			break
-		}
-		for i := 1; i < len(cs); i++ {
-			l := cs[i]
-			j := i
-			for j > 0 && cs[j-1].doc() > l.doc() {
-				cs[j] = cs[j-1]
-				j--
-			}
-			cs[j] = l
-		}
-		theta := tk.threshold()
-		ub, pivot := 0.0, -1
-		for i, l := range cs {
-			ub += l.max
-			if ub > theta {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			break
-		}
-		pivotDoc := cs[pivot].doc()
-		if cs[0].doc() != pivotDoc {
-			adv := 0
-			for i := 1; i < pivot; i++ {
-				if cs[i].doc() < pivotDoc && cs[i].max > cs[adv].max {
-					adv = i
-				}
-			}
-			cs[adv].seek(pivotDoc)
-			st.PostingsTraversed++
-			continue
-		}
-		score := 0.0
-		for _, l := range cs {
-			if l.doc() != pivotDoc {
-				break
-			}
-			score += l.score(s)
-		}
-		st.DocsScored++
-		if score > theta && tk.offer(pivotDoc, canonical(pivotDoc)) {
-			st.HeapInserts++
-		}
-		for _, l := range cs {
-			if !l.done() && l.doc() == pivotDoc {
-				l.pos++
-				st.PostingsTraversed++
-			}
-		}
-	}
-	return Result{Hits: tk.hits(s), Stats: st}
-}
-
 // costStats is the part of ExecStats the cluster cost model reads, and the
 // skip count that explains it.
 func costStats(st ExecStats) [5]int {
@@ -410,16 +328,15 @@ func costStats(st ExecStats) [5]int {
 }
 
 // checkAgainstReference runs one query through every strategy. All must
-// return the reference's hits bit for bit; Exhaustive, MaxScore and WAND
-// must also report the reference's work counts. It returns the reference
+// return the reference's hits bit for bit; Exhaustive and MaxScore must
+// also report the reference's work counts. It returns the reference
 // MaxScore's result and trace.
 func checkAgainstReference(t *testing.T, s *index.Shard, q []string, k int) (Result, refMaxScoreTrace) {
 	t.Helper()
 	ex := refExhaustive(s, q, k)
 	ms, tr := refMaxScore(s, q, k)
-	wd := refWAND(s, q, k)
-	if !hitsIdentical(ex.Hits, ms.Hits) || !hitsIdentical(ex.Hits, wd.Hits) {
-		t.Fatalf("%v k=%d: the reference evaluators disagree:\n ex=%v\n ms=%v\n wd=%v", q, k, ex.Hits, ms.Hits, wd.Hits)
+	if !hitsIdentical(ex.Hits, ms.Hits) {
+		t.Fatalf("%v k=%d: the reference evaluators disagree:\n ex=%v\n ms=%v", q, k, ex.Hits, ms.Hits)
 	}
 	for _, c := range []struct {
 		name string
@@ -428,9 +345,6 @@ func checkAgainstReference(t *testing.T, s *index.Shard, q []string, k int) (Res
 	}{
 		{"exhaustive", Exhaustive(s, q, k), &ex},
 		{"maxscore", MaxScore(s, q, k), &ms},
-		{"wand", WAND(s, q, k), &wd},
-		{"maxscore-bm", MaxScoreBM(s, q, k), nil},
-		{"wand-bm", WANDBM(s, q, k), nil},
 		{"anytime", Anytime(s, q, k, nil), nil},
 	} {
 		if !hitsIdentical(c.got.Hits, ex.Hits) {
@@ -565,7 +479,7 @@ func runBattery(t *testing.T, shards uint64, via func(*index.Shard) *index.Shard
 }
 
 // TestStrategiesMatchReference: hits bit-equal for every strategy and
-// work counts equal for Exhaustive, MaxScore and WAND, over the battery of
+// work counts equal for Exhaustive and MaxScore, over the battery of
 // 320 random shards — which must have gone through MaxScore's early stop,
 // through candidates that only a probed list lifted into the top-K, and
 // through thresholds that started at a K-th score and at -1, skipped blocks
@@ -736,35 +650,26 @@ func TestMaxScoreFloorAndSkipCases(t *testing.T) {
 }
 
 // TestLoadedShardsMatchReference: the same battery over shards that went
-// Encode -> ReadShard in the current and both legacy formats. A loader
-// that forgot the normalisation table would still pass the comparison
-// (scoring falls back to the formula), so its presence is checked too.
+// Encode -> ReadShard. A loader that forgot the normalisation table would
+// still pass the comparison (scoring falls back to the formula), so its
+// presence is checked too.
 func TestLoadedShardsMatchReference(t *testing.T) {
-	for _, version := range []int{5, 4, 3} {
-		version := version
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			runBattery(t, 60, func(s *index.Shard) *index.Shard {
-				var buf bytes.Buffer
-				var err error
-				if version == 5 {
-					err = s.Encode(&buf)
-				} else {
-					err = s.EncodeLegacy(&buf, version)
-				}
-				if err != nil {
-					t.Fatalf("encode: %v", err)
-				}
-				loaded, err := index.ReadShard(&buf)
-				if err != nil {
-					t.Fatalf("load: %v", err)
-				}
-				if loaded.NormTableBytes() == 0 {
-					t.Fatal("loaded shard has no normalisation table")
-				}
-				return loaded
-			})
+	t.Run("v5", func(t *testing.T) {
+		runBattery(t, 60, func(s *index.Shard) *index.Shard {
+			var buf bytes.Buffer
+			if err := s.Encode(&buf); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			loaded, err := index.ReadShard(&buf)
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			if loaded.NormTableBytes() == 0 {
+				t.Fatal("loaded shard has no normalisation table")
+			}
+			return loaded
 		})
-	}
+	})
 }
 
 // TestMaxScoreAllocs: the top-K heap and the returned hits, nothing else —

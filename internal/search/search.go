@@ -1,14 +1,15 @@
 // Package search implements top-K query evaluation over an index shard:
-// exhaustive document-at-a-time (DAAT) scoring plus the MaxScore
-// (Turtle & Flood) and WAND (Broder et al.) dynamic-pruning strategies the
-// paper names as the reason a query's service time is hard to predict from
-// posting-list length alone (Section III-C). Every evaluator reports
-// ExecStats — the documents scored and postings traversed — which drive
-// the cluster simulator's service-time cost model and the C_RES metric.
+// exhaustive document-at-a-time (DAAT) scoring, the oracle, plus MaxScore
+// (Turtle & Flood), the one dynamic-pruning evaluator the paper names as
+// the reason a query's service time is hard to predict from posting-list
+// length alone (Section III-C), and Anytime, exhaustive scoring under a
+// deadline. Every evaluator reports ExecStats — the documents scored and
+// postings traversed — which drive the cluster simulator's service-time
+// cost model and the C_RES metric.
 //
 // Postings are stored bit-packed in 64-posting blocks (internal/index wire
 // v5); evaluators walk them through cursors that decode one block at a
-// time into fixed scratch. Exhaustive, WAND and Anytime visit exactly the
+// time into fixed scratch. Exhaustive and Anytime visit exactly the
 // postings their flat-slice ancestors visited. MaxScore — the strategy the
 // engine, the indexer and the servers run — does not: it uses two things
 // the index computed at build time and Shard.Validate re-derives at load
@@ -20,9 +21,7 @@
 // top-K, so the hits stay bit-identical to Exhaustive's; the work does
 // not, and ExecStats reports the work that was done — which is what the
 // simulator's service times and the latency predictor's labels are made
-// of. The block-max strategies (MaxScoreBM, WANDBM) additionally consult
-// the quantized per-block bounds (Block.QMax) of the lists they probe or
-// pivot on.
+// of.
 package search
 
 import (
@@ -58,15 +57,10 @@ type ExecStats struct {
 	HeapInserts int
 	// TermsMatched is how many of the query's terms exist in the shard.
 	TermsMatched int
-	// BlocksDecoded counts posting blocks unpacked from their bit-packed
-	// form. Only MaxScoreBM and WANDBM report it; it is observability,
-	// not a cost-model input.
-	BlocksDecoded int
-	// BlocksSkipped counts skip decisions: blocks of the essential list
-	// MaxScore (and MaxScoreBM) stepped over on their exact maximum, each
-	// also one PostingsTraversed; probes MaxScoreBM abandoned and ranges
-	// WANDBM jumped on quantized bounds. Not a cost-model input either —
-	// what a skip costs is already in PostingsTraversed.
+	// BlocksSkipped counts the blocks of the essential list MaxScore
+	// stepped over on their exact maximum, each also one
+	// PostingsTraversed. Not a cost-model input — what a skip costs is
+	// already in PostingsTraversed.
 	BlocksSkipped int
 }
 
@@ -76,7 +70,6 @@ func (s *ExecStats) Add(other ExecStats) {
 	s.DocsScored += other.DocsScored
 	s.HeapInserts += other.HeapInserts
 	s.TermsMatched += other.TermsMatched
-	s.BlocksDecoded += other.BlocksDecoded
 	s.BlocksSkipped += other.BlocksSkipped
 }
 
@@ -95,9 +88,6 @@ type Result struct {
 	ScoreBound float64
 }
 
-// Evaluator is a query evaluation strategy over one shard.
-type Evaluator func(s *index.Shard, terms []string, k int) Result
-
 // Strategy names an evaluation algorithm.
 type Strategy int
 
@@ -107,17 +97,6 @@ const (
 	// StrategyMaxScore skips non-essential lists whose upper bounds
 	// cannot lift a document into the top-K.
 	StrategyMaxScore
-	// StrategyWAND uses pivot-based skipping with per-term upper bounds.
-	StrategyWAND
-	// StrategyMaxScoreBM is MaxScore with block-max refinement: probes
-	// into non-essential lists are abandoned when the quantized bound of
-	// the block they would decode cannot lift the document.
-	StrategyMaxScoreBM
-	// StrategyWANDBM is Block-Max WAND (Ding & Suel): after the pivot is
-	// chosen on global bounds, the quantized bounds of the blocks
-	// spanning the pivot document decide whether to evaluate or to jump
-	// past the blocks entirely.
-	StrategyWANDBM
 )
 
 // String returns the strategy's name.
@@ -127,12 +106,6 @@ func (st Strategy) String() string {
 		return "exhaustive"
 	case StrategyMaxScore:
 		return "maxscore"
-	case StrategyWAND:
-		return "wand"
-	case StrategyMaxScoreBM:
-		return "maxscore-bm"
-	case StrategyWANDBM:
-		return "wand-bm"
 	default:
 		return "unknown"
 	}
@@ -140,10 +113,7 @@ func (st Strategy) String() string {
 
 // ParseStrategy maps a strategy name back to its Strategy.
 func ParseStrategy(name string) (Strategy, bool) {
-	for _, st := range []Strategy{
-		StrategyExhaustive, StrategyMaxScore, StrategyWAND,
-		StrategyMaxScoreBM, StrategyWANDBM,
-	} {
+	for _, st := range []Strategy{StrategyExhaustive, StrategyMaxScore} {
 		if st.String() == name {
 			return st, true
 		}
@@ -158,12 +128,6 @@ func Eval(st Strategy, s *index.Shard, terms []string, k int) Result {
 		return Exhaustive(s, terms, k)
 	case StrategyMaxScore:
 		return MaxScore(s, terms, k)
-	case StrategyWAND:
-		return WAND(s, terms, k)
-	case StrategyMaxScoreBM:
-		return MaxScoreBM(s, terms, k)
-	case StrategyWANDBM:
-		return WANDBM(s, terms, k)
 	default:
 		panic("search: unknown strategy")
 	}
@@ -174,13 +138,12 @@ func Eval(st Strategy, s *index.Shard, terms []string, k int) Result {
 // the cursor-owned scratch arrays, and stays cached until the position
 // leaves it. All movement is through pos; doc/posting decode on demand.
 type cursor struct {
-	ti      *index.TermInfo
-	pos     int // global posting index
-	bi      int // block currently decoded into scratch, -1 if none
-	idx     int // position in the cursorSet slab (term-appearance order)
-	decodes int // block decodes performed (BlocksDecoded for BM stats)
-	docs    [index.BlockSize]uint32
-	tfs     [index.BlockSize]uint32
+	ti   *index.TermInfo
+	pos  int // global posting index
+	bi   int // block currently decoded into scratch, -1 if none
+	idx  int // position in the cursorSet slab (term-appearance order)
+	docs [index.BlockSize]uint32
+	tfs  [index.BlockSize]uint32
 }
 
 func (c *cursor) exhausted() bool { return c.pos >= c.ti.Len() }
@@ -199,7 +162,6 @@ func (c *cursor) load(bi int) {
 func (c *cursor) loadSlow(bi int) {
 	c.ti.DecodeBlockInto(bi, &c.docs, &c.tfs)
 	c.bi = bi
-	c.decodes++
 }
 
 // loadPos decodes the block holding the current position.
@@ -252,8 +214,7 @@ func (c *cursor) blockLen(bi int) int {
 // shallowBlock returns the index of the block containing the first
 // posting with Doc >= doc, searching forward from the cursor's current
 // block, or -1 when the list has no such posting. It reads only the
-// block-max overlay — no payload is decoded — which is what makes
-// quantized-bound skipping cheaper than seeking.
+// block-max overlay — no payload is decoded.
 func (c *cursor) shallowBlock(doc uint32) int {
 	blocks := c.ti.Blocks
 	bi := c.pos / index.BlockSize
@@ -338,10 +299,7 @@ func (c *cursor) reposition(doc uint32) {
 // cursorSet is the pooled per-evaluation cursor scratch: one contiguous
 // slab of cursors plus the pointer slice the evaluators walk. Recycling
 // it through a sync.Pool makes steady-state query evaluation stop
-// allocating a map, a slice and k cursors per (query, shard) pair. The
-// set also carries one spare decode scratch for canonicalScore, so
-// re-scoring an accepted candidate never disturbs a cursor's cached
-// block.
+// allocating a map, a slice and k cursors per (query, shard) pair.
 type cursorSet struct {
 	slab []cursor
 	cs   []*cursor
@@ -360,8 +318,6 @@ type cursorSet struct {
 	// scores is slab-parallel too: the scores of the block an essential
 	// cursor stands in (see cursor.scoreBlock).
 	scores [][index.BlockSize]float64
-	docs   [index.BlockSize]uint32
-	tfs    [index.BlockSize]uint32
 }
 
 // endDoc is the current document of an exhausted cursor in cursorSet.cur.
@@ -394,7 +350,7 @@ func openCursorSet(s *index.Shard, terms []string) *cursorSet {
 		if !dup {
 			slab = append(slab, cursor{})
 			c := &slab[len(slab)-1]
-			c.ti, c.pos, c.bi, c.decodes = ti, 0, -1, 0
+			c.ti, c.pos, c.bi = ti, 0, -1
 			c.idx = len(slab) - 1
 		}
 	}
@@ -417,82 +373,6 @@ func openCursorSet(s *index.Shard, terms []string) *cursorSet {
 }
 
 func (x *cursorSet) put() { cursorPool.Put(x) }
-
-// findPosting locates doc's posting in a term by binary search over the
-// block-max overlay plus one block decode into the caller's scratch.
-func findPosting(ti *index.TermInfo, doc uint32, docs, tfs *[index.BlockSize]uint32) (index.Posting, bool) {
-	blocks := ti.Blocks
-	lo, hi := 0, len(blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if blocks[mid].MaxDoc < doc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(blocks) {
-		return index.Posting{}, false
-	}
-	n := ti.DecodeBlockInto(lo, docs, tfs)
-	a, b := 0, n
-	for a < b {
-		mid := (a + b) / 2
-		if docs[mid] < doc {
-			a = mid + 1
-		} else {
-			b = mid
-		}
-	}
-	if a == n || docs[a] != doc {
-		return index.Posting{}, false
-	}
-	return index.Posting{Doc: docs[a], TF: tfs[a]}, true
-}
-
-// canonicalScore computes a document's full score by summing term
-// contributions in slab (term-appearance) order, so that every evaluation
-// strategy assigns bitwise-identical scores to the same document and the
-// pruning strategies return exactly the exhaustive top-K. The slab is
-// iterated rather than the cs pointer slice because MaxScore and WAND
-// reorder cs; the slab always keeps the order Exhaustive sums in.
-func canonicalScore(s *index.Shard, set *cursorSet, doc uint32) float64 {
-	score := 0.0
-	for i := range set.slab {
-		c := &set.slab[i]
-		if p, ok := c.lookupPosting(doc, &set.docs, &set.tfs); ok {
-			score += s.TermScore(c.ti, p)
-		}
-	}
-	return score
-}
-
-// lookupPosting finds doc's posting in the cursor's term. When the
-// cursor's cached block covers doc's range it is searched directly —
-// the evaluator just parked this cursor at or near doc, so re-scoring
-// an accepted candidate almost never re-decodes — otherwise it falls
-// back to findPosting with the set's spare scratch, leaving the cached
-// block undisturbed.
-func (c *cursor) lookupPosting(doc uint32, docs, tfs *[index.BlockSize]uint32) (index.Posting, bool) {
-	if c.bi >= 0 && c.docs[0] <= doc && doc <= c.ti.Blocks[c.bi].MaxDoc {
-		// Blocks partition the doc space, so doc can live only here.
-		n := c.blockLen(c.bi)
-		a, b := 0, n
-		for a < b {
-			mid := (a + b) / 2
-			if c.docs[mid] < doc {
-				a = mid + 1
-			} else {
-				b = mid
-			}
-		}
-		if a < n && c.docs[a] == doc {
-			return index.Posting{Doc: doc, TF: c.tfs[a]}, true
-		}
-		return index.Posting{}, false
-	}
-	return findPosting(c.ti, doc, docs, tfs)
-}
 
 // Exhaustive evaluates the query by a full multiway DAAT merge: every
 // posting of every matching term is visited. This is the paper's baseline
@@ -546,23 +426,8 @@ func Exhaustive(s *index.Shard, terms []string, k int) Result {
 // surfaced by the essential lists. For k <= Shard.StatsK the threshold
 // does not start empty but at the best KthScore among the query's terms,
 // and the last essential list's blocks are skipped on Block.Max (see
-// maxScore); hits and score bits are Exhaustive's either way.
+// below); hits and score bits are Exhaustive's either way.
 func MaxScore(s *index.Shard, terms []string, k int) Result {
-	return maxScore(s, terms, k, false)
-}
-
-// MaxScoreBM is MaxScore refined with the quantized block bounds: before
-// a probe into a non-essential list seeks (and decodes a block), the
-// QMax bound of the block the seek would land in is checked; when even
-// that ceiling plus the remaining lists' global bounds cannot beat the
-// threshold, the candidate is abandoned without touching the payload.
-// Hits are bitwise-identical to MaxScore — the bounds only veto work,
-// never scores — but BlocksSkipped probes and their decodes are saved.
-func MaxScoreBM(s *index.Shard, terms []string, k int) Result {
-	return maxScore(s, terms, k, true)
-}
-
-func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 	set := openCursorSet(s, terms)
 	defer set.put()
 	cs := set.cs
@@ -744,26 +609,6 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 				break
 			}
 			c := cs[j]
-			if blockMax {
-				// Replace list j's global bound with the quantized ceiling
-				// of the one block its seek would decode. Sound because
-				// DequantBound >= the block's exact Max >= any contribution
-				// from a document in the block — so this prune is strictly
-				// tighter than the prefix[j] one above.
-				bb := 0.0
-				if bi := c.shallowBlock(doc); bi >= 0 {
-					bb = index.DequantBound(c.ti.Blocks[bi].QMax, c.ti.Stats.MaxScore)
-				}
-				rest := 0.0
-				if j > 0 {
-					rest = prefix[j-1]
-				}
-				if score+bb+rest <= theta {
-					ok = false
-					st.BlocksSkipped++
-					break
-				}
-			}
 			if c.seek(doc) {
 				v := s.TermScore(c.ti, index.Posting{Doc: doc, TF: c.tf()})
 				score += v
@@ -795,173 +640,6 @@ func maxScore(s *index.Shard, terms []string, k int, blockMax bool) Result {
 			contrib[i] = 0
 		}
 		touched = touched[:0]
-	}
-	if blockMax {
-		for _, c := range cs {
-			st.BlocksDecoded += c.decodes
-		}
-	}
-	return Result{Hits: tk.hits(s), Stats: st}
-}
-
-// WAND evaluates the query with the WAND pivot algorithm: cursors stay
-// sorted by their current document; the pivot is the first cursor at which
-// the cumulative upper bound exceeds the threshold, and cursors before the
-// pivot leapfrog directly to the pivot document.
-func WAND(s *index.Shard, terms []string, k int) Result {
-	return wand(s, terms, k, false)
-}
-
-// WANDBM evaluates the query with Block-Max WAND (Ding & Suel): the
-// pivot is still chosen on the global per-term bounds, but before the
-// pivot document is evaluated, the quantized bounds of the blocks that
-// span it are summed. When that refined ceiling cannot beat the
-// threshold, the whole region up to the nearest block boundary is
-// skipped with one seek instead of being scored document by document.
-// Hits are bitwise-identical to WAND; the block bounds only veto work.
-func WANDBM(s *index.Shard, terms []string, k int) Result {
-	return wand(s, terms, k, true)
-}
-
-func wand(s *index.Shard, terms []string, k int, blockMax bool) Result {
-	set := openCursorSet(s, terms)
-	defer set.put()
-	cs := set.cs
-	var st ExecStats
-	st.TermsMatched = len(cs)
-	if len(cs) == 0 || k <= 0 {
-		return Result{Stats: st}
-	}
-	tk := newTopK(k)
-	for {
-		// Drop exhausted cursors; sort the rest by current doc.
-		live := cs[:0]
-		for _, c := range cs {
-			if !c.exhausted() {
-				live = append(live, c)
-			}
-		}
-		cs = live
-		if len(cs) == 0 {
-			break
-		}
-		// Insertion sort by current doc: queries carry a handful of
-		// cursors and at most a couple moved since the last iteration,
-		// so this beats sort.Slice (which pays reflection on every
-		// swap) on the loop's hottest edge.
-		for i := 1; i < len(cs); i++ {
-			c := cs[i]
-			d := c.doc()
-			j := i
-			for j > 0 && cs[j-1].doc() > d {
-				cs[j] = cs[j-1]
-				j--
-			}
-			cs[j] = c
-		}
-		// Find the pivot.
-		theta := tk.threshold()
-		ub := 0.0
-		pivot := -1
-		for i, c := range cs {
-			ub += c.ti.Stats.MaxScore
-			if ub > theta {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			break // no document can beat the threshold anymore
-		}
-		pivotDoc := cs[pivot].doc()
-		if blockMax {
-			// Refine the pivot's ceiling with the quantized bounds of the
-			// blocks containing pivotDoc (overlay only — nothing decodes).
-			// The bound must cover every list that could credit pivotDoc,
-			// which includes cursors past the pivot parked exactly on it.
-			end := pivot
-			for end+1 < len(cs) && cs[end+1].doc() == pivotDoc {
-				end++
-			}
-			blockUB := 0.0
-			skipTo := ^uint32(0)
-			for _, c := range cs[:end+1] {
-				bi := c.shallowBlock(pivotDoc)
-				if bi < 0 {
-					continue
-				}
-				blk := &c.ti.Blocks[bi]
-				blockUB += index.DequantBound(blk.QMax, c.ti.Stats.MaxScore)
-				if blk.MaxDoc < skipTo {
-					skipTo = blk.MaxDoc
-				}
-			}
-			if blockUB <= theta {
-				// No document from pivotDoc to the earliest block horizon
-				// can beat the threshold: jump straight past it.
-				st.BlocksSkipped++
-				next := skipTo + 1
-				// Documents past pivotDoc may still gain credit from lists
-				// beyond end; never jump past the first of them. Both skip
-				// targets are strictly beyond pivotDoc (the blocks' MaxDoc
-				// >= pivotDoc, and cs[end+1] sits past it), so the seek
-				// below always progresses.
-				if end+1 < len(cs) && cs[end+1].doc() < next {
-					next = cs[end+1].doc()
-				}
-				// Advance the highest-impact cursor at or before pivotDoc
-				// (mirrors the plain-WAND advancement rule).
-				adv := 0
-				for i := 1; i <= end; i++ {
-					if cs[i].ti.Stats.MaxScore > cs[adv].ti.Stats.MaxScore {
-						adv = i
-					}
-				}
-				cs[adv].seek(next)
-				st.PostingsTraversed++
-				continue
-			}
-		}
-		if cs[0].doc() == pivotDoc {
-			// Full evaluation at pivotDoc.
-			score := 0.0
-			for _, c := range cs {
-				if c.doc() != pivotDoc {
-					break
-				}
-				score += s.TermScore(c.ti, index.Posting{Doc: pivotDoc, TF: c.tf()})
-			}
-			st.DocsScored++
-			if score > theta {
-				if tk.offer(pivotDoc, canonicalScore(s, set, pivotDoc)) {
-					st.HeapInserts++
-				}
-			}
-			for _, c := range cs {
-				if c.exhausted() || c.doc() != pivotDoc {
-					continue
-				}
-				c.pos++
-				st.PostingsTraversed++
-			}
-		} else {
-			// Advance the highest-upper-bound cursor that is strictly
-			// before the pivot document (one always exists: cs[0]).
-			// Restricting to doc < pivotDoc guarantees progress.
-			adv := 0
-			for i := 1; i < pivot; i++ {
-				if cs[i].doc() < pivotDoc && cs[i].ti.Stats.MaxScore > cs[adv].ti.Stats.MaxScore {
-					adv = i
-				}
-			}
-			cs[adv].seek(pivotDoc)
-			st.PostingsTraversed++
-		}
-	}
-	if blockMax {
-		for _, c := range set.slab {
-			st.BlocksDecoded += c.decodes
-		}
 	}
 	return Result{Hits: tk.hits(s), Stats: st}
 }

@@ -181,9 +181,9 @@ func main() {
 		&rpc.Response{ID: 5, ShardBytes: []byte("shard image")},
 	)
 	// The same rejection paths on the response side. A response's fixed
-	// part is 138 bytes; the Err length follows it and, Err being empty
+	// part is 130 bytes; the Err length follows it and, Err being empty
 	// in the first frame, the hit count follows that.
-	const respHitCountOff = 138 + 4
+	const respHitCountOff = 130 + 4
 	respOne := firstPayload(respValid)
 	legacyResp := legacyGob(&rpc.Response{ID: 1, Err: "deadline exceeded"})
 	writeCorpus("internal/rpc/testdata/fuzz/FuzzDecodeResponse", map[string][]byte{
@@ -245,10 +245,11 @@ func main() {
 
 	// Shard decode seeds: a valid packed (wire v5) file, truncations,
 	// bit-flip rot at three densities (the at-rest corruption the CRC32C
-	// plane exists to refuse), genuine v4 and v3 files for the legacy
-	// load paths, a rotted v4, and a file sealed over a KthScore one ulp
+	// plane exists to refuse), and a file sealed over a KthScore one ulp
 	// too high (checksums agree; only validation refuses it). Mirrors
-	// FuzzShardDecode's f.Add seeds in internal/index/fuzz_test.go.
+	// FuzzShardDecode's f.Add seeds in internal/index/fuzz_test.go. The
+	// checked-in legacy-v3, legacy-v4 and rot-v4 seeds are files of the
+	// formats ReadShard no longer reads; they are not regenerated.
 	buildShard := func() *index.Shard {
 		b := index.NewBuilder(3, index.DefaultBM25(), 10)
 		vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
@@ -274,15 +275,6 @@ func main() {
 		faults.FlipBits(m, n, uint64(77+n))
 		return m
 	}
-	legacy := func(version int) []byte {
-		var buf bytes.Buffer
-		if err := shard.EncodeLegacy(&buf, version); err != nil {
-			log.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	rottedV4 := legacy(4)
-	faults.FlipBits(rottedV4, 16, 93)
 	wrong := buildShard()
 	kth := &wrong.Terms[0].Stats.KthScore
 	*kth = math.Nextafter(*kth, math.Inf(1))
@@ -298,9 +290,6 @@ func main() {
 		"rot-1":     rot(1),
 		"rot-16":    rot(16),
 		"rot-256":   rot(256),
-		"legacy-v3": legacy(3),
-		"legacy-v4": legacy(4),
-		"rot-v4":    rottedV4,
 		"kth-ulp":   overstated.Bytes(),
 	})
 
