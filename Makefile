@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench-build fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench bench-smoke bench-compare corpus check clean
+.PHONY: all build vet test race bench-build fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench bench-smoke bench-compare corpus corpus-check check clean
 
 all: build
 
@@ -152,6 +152,16 @@ bench-smoke:
 corpus:
 	$(GO) run ./tools/gencorpus
 
+# The checked-in corpus is what gencorpus writes: regenerate it and fail
+# on any difference from the git index (a wire change with stale seeds).
+# The shard seeds used to churn on every run, because Builder.Add ranges
+# over a map and terms were numbered in first-seen order; Finalize now
+# numbers them in lexical order, so two builds encode the same bytes.
+corpus-check: corpus
+	git diff --exit-code --stat -- '*/testdata/fuzz/*'
+	@untracked=$$(git ls-files --others --exclude-standard -- '*/testdata/fuzz/*'); \
+		if [ -n "$$untracked" ]; then echo "untracked corpus files: $$untracked"; exit 1; fi
+
 # Per-package statement coverage with a hard floor on the query
 # evaluation core, the capacity planner, and the integrity supervisor:
 # the anytime/block-max machinery is exactness-critical, the SIMD
@@ -165,7 +175,7 @@ cover:
 	$(GO) test -cover ./... | $(GO) run ./tools/covergate -floor $(COVERFLOOR) \
 		-require cottage/internal/search,cottage/internal/index,cottage/internal/simdpack,cottage/internal/autoscale,cottage/internal/integrity
 
-check: vet build bench-build race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench-smoke cover
+check: vet build bench-build corpus-check race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench-smoke cover
 
 clean:
 	$(GO) clean ./...

@@ -8,7 +8,10 @@
 //
 // With -train N it additionally trains per-ISN quality/latency predictors
 // on N synthetic queries and writes one .model file per shard, so
-// cottage-server can answer prediction requests.
+// cottage-server can answer prediction requests. With -verify it builds
+// nothing and instead loads every .shard file in -out through the load
+// gate; files of an older shard format (v5 and before) are refused with
+// their version named, and the remedy is to rebuild them.
 package main
 
 import (
@@ -40,7 +43,6 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "synthetic corpus seed")
 		train  = flag.Int("train", 0, "train predictors on this many synthetic queries (synthetic corpus only)")
 		k      = flag.Int("k", 10, "top-K the statistics and predictors target")
-		pos    = flag.Bool("positions", false, "record term positions (enables phrase queries; -input mode only)")
 		qout   = flag.String("queriesout", "", "also write sample queries (one per line) for cottage-client")
 		tout   = flag.String("traceout", "", "also write a timed query trace (gob) for paced replay")
 		nq     = flag.Int("numqueries", 200, "how many sample queries to write with -queriesout/-traceout")
@@ -77,14 +79,11 @@ func main() {
 	var corpus *textgen.Corpus
 	if *input != "" {
 		var err error
-		shards, err = indexTextFile(*input, *nshard, *k, *pos)
+		shards, err = indexTextFile(*input, *nshard, *k)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
-		if *pos {
-			log.Fatal("-positions requires -input (the synthetic corpus is bag-of-words)")
-		}
 		cfg := textgen.DefaultConfig()
 		cfg.NumDocs = *docs
 		cfg.Seed = *seed
@@ -207,8 +206,9 @@ func memStats(shards []*index.Shard) {
 // verifyShards loads every .shard file under dir through the eager
 // integrity verification (digest + every block checksum + structural
 // invariants) and reports per file. Corruption errors are localized to
-// (shard, term, block) by the v5 checksums; a v3 or v4 file fails with
-// its version named and the advice to rebuild it.
+// (shard, term, block) by the per-block checksums; a file of an older
+// format (v3, v4 or v5) fails with its version named and the advice to
+// rebuild it.
 func verifyShards(dir string) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.shard"))
 	if err != nil {
@@ -236,7 +236,7 @@ func verifyShards(dir string) error {
 }
 
 // indexTextFile round-robins lines of a text file across shards.
-func indexTextFile(path string, nshard, k int, positions bool) ([]*index.Shard, error) {
+func indexTextFile(path string, nshard, k int) ([]*index.Shard, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -245,9 +245,6 @@ func indexTextFile(path string, nshard, k int, positions bool) ([]*index.Shard, 
 	builders := make([]*index.Builder, nshard)
 	for i := range builders {
 		builders[i] = index.NewBuilder(i, index.DefaultBM25(), k)
-		if positions {
-			builders[i].EnablePositions()
-		}
 	}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -257,11 +254,7 @@ func indexTextFile(path string, nshard, k int, positions bool) ([]*index.Shard, 
 		if len(line) == 0 {
 			continue
 		}
-		if positions {
-			builders[id%int64(nshard)].AddTokens(id, index.Tokenize(line))
-		} else {
-			builders[id%int64(nshard)].AddText(id, line)
-		}
+		builders[id%int64(nshard)].AddText(id, line)
 		id++
 	}
 	if err := sc.Err(); err != nil {
@@ -275,11 +268,4 @@ func indexTextFile(path string, nshard, k int, positions bool) ([]*index.Shard, 
 		shards[i] = b.Finalize()
 	}
 	return shards, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

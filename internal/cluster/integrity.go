@@ -4,7 +4,7 @@ import "math"
 
 // Virtual-time data integrity: the twin's model of at-rest rot,
 // quarantine and self-repair, mirroring the live path's integrity plane
-// (index wire-v5 block checksums, the rpc quarantine gate, and the
+// (index block checksums, the rpc quarantine gate, and the
 // internal/integrity scrubber/repair supervisor) so harness sweeps can
 // measure detection latency, MTTR and quality-under-repair on the
 // deterministic virtual clock.

@@ -12,8 +12,7 @@ import "fmt"
 // internal/search.Anytime follows). The overlay is also the postings skip
 // list: each Block records where its bit-packed payload lives (Off) and
 // the packed widths (DocW, TFW), so block-max blocks and physical posting
-// blocks are the same thing. A quantized copy of the bound (QMax) is part
-// of the layout and the digest, but no evaluator reads it.
+// blocks are the same thing.
 
 // BlockSize is the number of postings per block-max block. 64 keeps the
 // overlay under 2% of postings storage while giving upper bounds tight
@@ -42,18 +41,12 @@ type Block struct {
 	// DocW and TFW are the block's packed bit widths (0..32).
 	DocW uint8
 	TFW  uint8
-	// QMax is the quantized score bound: DequantBound(QMax,
-	// Stats.MaxScore) >= Max always (quantizeBound rounds up), so
-	// skipping on QMax would be sound. Validate checks it; nothing else
-	// reads it.
-	QMax uint8
 }
 
-// fillBlockBounds installs each block's exact score ceiling and its
-// quantized companion, taking the bounds from the already-materialized
-// per-posting scores (scores[i] belongs to posting i) — the same values
-// the term statistics are computed from.
-func fillBlockBounds(blocks []Block, scores []float64, maxScore float64) {
+// fillBlockBounds installs each block's score ceiling, taking it from
+// the already-materialized per-posting scores (scores[i] belongs to
+// posting i) — the same values the term statistics are computed from.
+func fillBlockBounds(blocks []Block, scores []float64) {
 	for bi := range blocks {
 		lo := bi * BlockSize
 		hi := lo + BlockSize
@@ -67,7 +60,6 @@ func fillBlockBounds(blocks []Block, scores []float64, maxScore float64) {
 			}
 		}
 		blocks[bi].Max = max
-		blocks[bi].QMax = quantizeBound(max, maxScore)
 	}
 }
 
@@ -86,12 +78,12 @@ func (ti *TermInfo) BlockSpan(bi int) (lo, hi int) {
 
 // validateBlocks checks the score bounds the evaluators prune on, for one
 // term. The block-max overlay: each block's MaxDoc is its last posting's
-// document, no posting's score exceeds its block's bound, some posting
-// attains it, and the quantized bound dominates the exact one. And
-// Stats.KthScore, which MaxScore starts its threshold from: it is the
-// StatsK-th highest score of the list (the lowest, of a shorter list) —
-// some posting attains it, at least min(StatsK, df) postings reach it and
-// fewer than that exceed it. An overstated KthScore would prune documents
+// document, no posting's score exceeds its block's bound, and some
+// posting attains it. And Stats.KthScore, which MaxScore starts its
+// threshold from: it is the StatsK-th highest score of the list (the
+// lowest, of a shorter list) — some posting attains it, at least
+// min(StatsK, df) postings reach it and fewer than that exceed it. An
+// overstated KthScore would prune documents
 // of the true top-K; one merely attained and reached often enough but
 // understated would be sound and is refused all the same, since the
 // predictors' features read it too. Scores are recomputed from the
@@ -130,10 +122,6 @@ func (s *Shard) validateBlocks(ti *TermInfo) error {
 		}
 		if !attained {
 			return fmt.Errorf("index: term %q block %d: no posting attains block max %v", ti.Text, bi, blk.Max)
-		}
-		if DequantBound(blk.QMax, ti.Stats.MaxScore) < blk.Max {
-			return fmt.Errorf("index: term %q block %d: quantized bound %v below exact bound %v",
-				ti.Text, bi, DequantBound(blk.QMax, ti.Stats.MaxScore), blk.Max)
 		}
 	}
 	if want := min(s.StatsK, ti.Packed.N); atKth == 0 || aboveKth+atKth < want || aboveKth >= want {

@@ -39,9 +39,6 @@ func TestBlocksBuiltInFinalize(t *testing.T) {
 			if !attained {
 				t.Fatalf("%q block %d: bound %v not attained (not tight)", ti.Text, bi, blk.Max)
 			}
-			if qb := DequantBound(blk.QMax, ti.Stats.MaxScore); qb < blk.Max {
-				t.Fatalf("%q block %d: quantized bound %v below exact %v", ti.Text, bi, qb, blk.Max)
-			}
 		}
 		if covered != len(ps) {
 			t.Fatalf("%q: blocks cover %d of %d postings", ti.Text, covered, len(ps))
@@ -63,8 +60,8 @@ func TestPackPostingsEdges(t *testing.T) {
 	}
 	ps := []Posting{{Doc: 3, TF: 1}}
 	packed, blocks := packPostings(ps)
-	fillBlockBounds(blocks, []float64{1.5}, 1.5)
-	if len(blocks) != 1 || blocks[0].MaxDoc != 3 || blocks[0].Max != 1.5 || blocks[0].QMax != 255 {
+	fillBlockBounds(blocks, []float64{1.5})
+	if len(blocks) != 1 || blocks[0].MaxDoc != 3 || blocks[0].Max != 1.5 {
 		t.Errorf("single-posting overlay wrong: %+v", blocks)
 	}
 	ti := &TermInfo{Packed: packed, Blocks: blocks}
@@ -112,36 +109,6 @@ func TestPackedRoundTrip(t *testing.T) {
 				t.Fatalf("%s: Posting(%d) = %+v, want %+v", name, i, one, ps[i])
 			}
 		}
-	}
-}
-
-// TestQuantizeBound: the 8-bit bound encoding is sound (never below the
-// exact bound) and exact at the top (255 dequantizes to maxScore).
-func TestQuantizeBound(t *testing.T) {
-	maxScore := 3.7218543
-	for i := 0; i <= 10000; i++ {
-		bound := maxScore * float64(i) / 10000
-		q := quantizeBound(bound, maxScore)
-		if got := DequantBound(q, maxScore); got < bound {
-			t.Fatalf("bound %v quantized to %d dequantizes to %v (unsound)", bound, q, got)
-		}
-		if q > 0 {
-			if below := DequantBound(q-1, maxScore); below >= bound && q-1 > 0 {
-				t.Fatalf("bound %v: q=%d not minimal (%d suffices)", bound, q, q-1)
-			}
-		}
-	}
-	if quantizeBound(maxScore, maxScore) != 255 {
-		t.Error("max bound must quantize to 255")
-	}
-	if DequantBound(255, maxScore) != maxScore {
-		t.Error("255 must dequantize to maxScore exactly")
-	}
-	if quantizeBound(0, maxScore) != 0 || quantizeBound(-1, maxScore) != 0 {
-		t.Error("non-positive bounds must quantize to 0")
-	}
-	if quantizeBound(2*maxScore, maxScore) != 255 {
-		t.Error("bounds above maxScore must clamp to 255")
 	}
 }
 
@@ -195,9 +162,6 @@ func TestValidateCatchesBlockCorruption(t *testing.T) {
 		{"slack bound", func(ti *TermInfo) {
 			ti.Blocks[0].Max *= 2
 		}, "attains"},
-		{"unsound quantized bound", func(ti *TermInfo) {
-			ti.Blocks[0].QMax = 0
-		}, "quantized bound"},
 		{"bad width", func(ti *TermInfo) {
 			ti.Blocks[0].DocW = 40
 		}, "bit width"},

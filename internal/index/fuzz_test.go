@@ -8,8 +8,8 @@ import (
 	"cottage/internal/faults"
 )
 
-// fuzzSeedShard encodes the standard test shard to current (v5) wire
-// bytes once per fuzz process.
+// fuzzSeedShard encodes the standard test shard to current wire bytes
+// once per fuzz process.
 func fuzzSeedShard(f *testing.F) []byte {
 	f.Helper()
 	s := buildTestShard(f)
@@ -25,9 +25,9 @@ func fuzzSeedShard(f *testing.F) []byte {
 // accepts is fully intact — the stored digest and every block checksum
 // verify, and the structural invariants hold — so no input can smuggle
 // a corrupted or inconsistent shard past the load gate. Seeds cover a
-// valid v5 file, truncations, bit-flip rot (the at-rest corruption the
-// checksums exist for), files stamped v3 and v4 (refused by version; the
-// checked-in corpus adds genuine ones), and a file whose writer overstated
+// valid file, truncations, bit-flip rot (the at-rest corruption the
+// checksums exist for), files stamped v3, v4 and v5 (refused by version;
+// the checked-in corpus adds genuine ones), and a file whose writer overstated
 // a KthScore by one ulp and sealed it: every checksum agrees, and only
 // Validate's re-scoring can refuse it.
 func FuzzShardDecode(f *testing.F) {
@@ -44,6 +44,7 @@ func FuzzShardDecode(f *testing.F) {
 	old := buildTestShard(f)
 	f.Add(stampedWire(f, old, 3))
 	f.Add(stampedWire(f, old, 4))
+	f.Add(stampedWire(f, old, 5))
 	rottedV4 := stampedWire(f, old, 4)
 	faults.FlipBits(rottedV4, 16, 93)
 	f.Add(rottedV4)
@@ -108,7 +109,6 @@ func packedFuzzTerm(f *testing.F) (*Shard, []Posting) {
 	b.dict["t"] = idx
 	b.terms = append(b.terms, "t")
 	b.postings = append(b.postings, ps)
-	b.positions = append(b.positions, nil)
 	s := b.Finalize()
 	if err := s.Validate(); err != nil {
 		f.Fatal(err)
@@ -163,7 +163,8 @@ func FuzzPackedPostingsDecode(f *testing.F) {
 }
 
 // encodeBlocksFuzz flattens a Block overlay into bytes the fuzzer can
-// mutate structurally (16 bytes per block, little endian).
+// mutate structurally (16 bytes per block, little endian: MaxDoc, Off,
+// DocW, TFW, 6 spare).
 func encodeBlocksFuzz(blocks []Block) []byte {
 	out := make([]byte, 0, 16*len(blocks))
 	for _, b := range blocks {
@@ -172,7 +173,6 @@ func encodeBlocksFuzz(blocks []Block) []byte {
 		putU32(rec[4:], b.Off)
 		rec[8] = b.DocW
 		rec[9] = b.TFW
-		rec[10] = b.QMax
 		out = append(out, rec[:]...)
 	}
 	return out
@@ -186,7 +186,6 @@ func decodeBlocksFuzz(raw []byte) []Block {
 			Off:    getU32(raw[4:]),
 			DocW:   raw[8],
 			TFW:    raw[9],
-			QMax:   raw[10],
 		})
 		raw = raw[16:]
 	}

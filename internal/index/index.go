@@ -10,6 +10,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,26 +24,23 @@ type Posting struct {
 
 // TermInfo is everything a shard knows about one term: its bit-packed
 // postings and the index-time statistics over that term's BM25 score
-// distribution. Positions is non-nil only on positional shards (see
-// EnablePositions): Positions[i] lists the ascending token offsets of
-// the term in posting i's document.
+// distribution.
 type TermInfo struct {
 	Text string
 	// Packed holds the postings, block-bit-packed (see packed.go):
 	// document gaps and tf-1 values at per-block fixed widths, decoded
 	// block-at-a-time by DecodeBlockInto.
-	Packed    PackedPostings
-	Positions [][]uint32
-	Stats     TermStats
+	Packed PackedPostings
+	Stats  TermStats
 	// Blocks is the block-max overlay and postings skip list: per-block
-	// score upper bounds (exact and quantized) plus the location and
-	// widths of each block's packed payload (see blockmax.go). Built in
+	// score upper bounds plus the location and widths of each block's
+	// packed payload (see blockmax.go). Built in
 	// Finalize and serialized with the shard; dynamic pruning, anytime
 	// traversal, and every decode depend on it.
 	Blocks []Block
 	// Sums[i] is the CRC32C of block i's packed payload plus its decode
-	// header (wire v5, see integrity.go). Sealed by SealIntegrity; the
-	// query-time and scrub-time verifiers compare against it.
+	// header (see integrity.go). Sealed by SealIntegrity; the query-time
+	// and scrub-time verifiers compare against it.
 	Sums []uint32
 }
 
@@ -73,7 +71,7 @@ type Shard struct {
 	norms []float64
 
 	// Digest is the whole-shard CRC32C over document metadata and the
-	// per-block checksums (wire v5, see integrity.go).
+	// per-block checksums (see integrity.go).
 	Digest uint32
 	// integ is the lazy query-time verification memo; nil only for
 	// shards that predate SealIntegrity (never after Finalize or load).
@@ -201,18 +199,16 @@ func (s *Shard) NormTableBytes() int { return 8 * len(s.norms) }
 // Builder accumulates documents and produces an immutable Shard. It is not
 // safe for concurrent use; build shards in parallel with one Builder each.
 type Builder struct {
-	shardID    int
-	bm25       BM25Params
-	statsK     int
-	docLens    []uint32
-	globals    []int64
-	dict       map[string]int32
-	postings   [][]Posting
-	positions  [][][]uint32
-	terms      []string
-	totalLen   uint64
-	sealed     bool
-	positional bool
+	shardID  int
+	bm25     BM25Params
+	statsK   int
+	docLens  []uint32
+	globals  []int64
+	dict     map[string]int32
+	postings [][]Posting
+	terms    []string
+	totalLen uint64
+	sealed   bool
 }
 
 // NewBuilder creates a Builder for shard shardID. statsK is the K used for
@@ -250,12 +246,8 @@ func (b *Builder) Add(globalID int64, terms map[string]int, length int) {
 			b.dict[text] = idx
 			b.terms = append(b.terms, text)
 			b.postings = append(b.postings, nil)
-			b.positions = append(b.positions, nil)
 		}
 		b.postings[idx] = append(b.postings[idx], Posting{Doc: local, TF: uint32(tf)})
-		if b.positional {
-			panic("index: positional builders must use AddTokens (Add has no ordering)")
-		}
 	}
 }
 
@@ -271,6 +263,11 @@ func (b *Builder) AddText(globalID int64, text string) {
 
 // Finalize seals the builder and computes IDF plus the full Table I/II
 // term statistics for every term. The Builder must not be used afterwards.
+//
+// Terms are numbered in lexical order, not in the order Add first met
+// them: Add ranges over a map, so first-seen order (and with it the
+// encoded shard) would differ from one build of the same documents to
+// the next.
 func (b *Builder) Finalize() *Shard {
 	if b.sealed {
 		panic("index: Finalize called twice")
@@ -292,17 +289,16 @@ func (b *Builder) Finalize() *Shard {
 		StatsK:    b.statsK,
 	}
 	s.buildNorms()
-	for i := range b.terms {
-		ti := &s.Terms[i]
-		ti.Text = b.terms[i]
-		if b.positional {
-			ti.Positions = b.positions[i]
-		}
-		ps := b.postings[i]
+	slices.Sort(b.terms)
+	for id, text := range b.terms {
+		ps := b.postings[b.dict[text]]
+		b.dict[text] = int32(id)
+		ti := &s.Terms[id]
+		ti.Text = text
 		var scores []float64
 		ti.Stats, scores = computeTermStats(s, ps, b.statsK)
 		ti.Packed, ti.Blocks = packPostings(ps)
-		fillBlockBounds(ti.Blocks, scores, ti.Stats.MaxScore)
+		fillBlockBounds(ti.Blocks, scores)
 	}
 	s.SealIntegrity()
 	return s
@@ -389,9 +385,6 @@ func (s *Shard) Validate() error {
 				}
 				prev = int64(docs[j])
 			}
-		}
-		if err := validatePositions(ti); err != nil {
-			return err
 		}
 		st := ti.Stats
 		if st.PostingLen != ti.Packed.N {

@@ -86,7 +86,6 @@ func mutatePostings(ti *TermInfo, f func(ps []Posting)) {
 	for bi := range blocks {
 		if bi < len(ti.Blocks) {
 			blocks[bi].Max = ti.Blocks[bi].Max
-			blocks[bi].QMax = ti.Blocks[bi].QMax
 		}
 	}
 	ti.Packed, ti.Blocks = packed, blocks

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 )
 
-// Data-integrity plane, index layer (wire v5): every term's postings are
+// Data-integrity plane, index layer: every term's postings are
 // checksummed per block-max block — CRC32C over the block's bit-packed
 // payload bytes plus the header that governs its decode (delta base,
 // MaxDoc, widths) — plus one whole-shard digest over the document
@@ -168,23 +168,13 @@ func (d *digestWriter) foldStats(st *TermStats) {
 	d.f64(st.EstMaxScore)
 }
 
-// foldPositions folds one term's positional lists.
-func (d *digestWriter) foldPositions(positions [][]uint32) {
-	for _, pos := range positions {
-		d.u32(uint32(len(pos)))
-		for _, p := range pos {
-			d.u32(p)
-		}
-	}
-}
-
 // computeDigest folds every serialized region the per-block sums do NOT
 // cover into one whole-shard CRC32C: document metadata, BM25 constants,
-// per-term statistics, the full block overlay (bounds, quantized
-// bounds, payload geometry), positional lists, and the block sums
-// themselves. Corruption anywhere in a shard file therefore fails
-// either a block sum (posting bytes) or the digest (everything else) —
-// a flipped bit can not land in an unprotected byte.
+// per-term statistics, the full block overlay (bounds and payload
+// geometry), and the block sums themselves. Corruption anywhere in a
+// shard file therefore fails either a block sum (posting bytes) or the
+// digest (everything else) — a flipped bit can not land in an
+// unprotected byte.
 func (s *Shard) computeDigest() uint32 {
 	var d digestWriter
 	d.foldShardHeader(s.ID, s.NumDocs, s.StatsK, s.AvgDocLen, s.BM25, s.DocLens, s.GlobalIDs)
@@ -200,9 +190,8 @@ func (s *Shard) computeDigest() uint32 {
 			d.u32(b.MaxDoc)
 			d.f64(b.Max)
 			d.u32(b.Off)
-			d.u32(uint32(b.DocW) | uint32(b.TFW)<<8 | uint32(b.QMax)<<16)
+			d.u32(uint32(b.DocW) | uint32(b.TFW)<<8)
 		}
-		d.foldPositions(ti.Positions)
 	}
 	return d.crc
 }

@@ -177,7 +177,7 @@ func TestBlockAddressing(t *testing.T) {
 }
 
 // TestEncodeSealsUnsealedShard: a hand-constructed (never finalized)
-// shard is sealed on first Encode, so no v5 file lacks checksums.
+// shard is sealed on first Encode, so no shard file lacks checksums.
 func TestEncodeSealsUnsealedShard(t *testing.T) {
 	s := buildTestShard(t)
 	s.integ = nil // simulate a legacy in-memory build
@@ -294,9 +294,9 @@ func BenchmarkSealIntegrity(b *testing.B) {
 	}
 }
 
-// BenchmarkReadShardV5 pins the load-path cost: the packed payloads are
+// BenchmarkReadShard pins the load-path cost: the packed payloads are
 // adopted as-is and verified.
-func BenchmarkReadShardV5(b *testing.B) {
+func BenchmarkReadShard(b *testing.B) {
 	var buf bytes.Buffer
 	if err := buildTestShard(b).Encode(&buf); err != nil {
 		b.Fatal(err)

@@ -2,13 +2,12 @@ package index
 
 import (
 	"fmt"
-	"math"
 
 	"cottage/internal/simdpack"
 )
 
-// Packed postings layout (wire v5, the only one): a term's document-ordered postings
-// are tiled into the same 64-posting blocks the block-max overlay
+// Packed postings layout (the only one): a term's document-ordered
+// postings are tiled into the same 64-posting blocks the block-max overlay
 // already summarizes, and each block is stored bit-packed at a per-block
 // fixed width — document IDs as gaps from the previous document
 // (delta-coded against the preceding block's MaxDoc across block
@@ -17,7 +16,7 @@ import (
 // slice per term, followed by simdpack.Pad readable slack for the
 // vectorized decoders. The Block overlay doubles as the skip list: its
 // Off/DocW/TFW fields locate and describe each block's bytes, MaxDoc
-// bounds its document span, and Max/QMax bound its scores — so seeking
+// bounds its document span, and Max bounds its scores — so seeking
 // means a binary search over Blocks plus one block decode, never a
 // sequential scan.
 //
@@ -51,8 +50,8 @@ func (ti *TermInfo) Len() int { return ti.Packed.N }
 
 // packPostings packs a document-ordered postings list, returning the
 // payload and the geometric skeleton of the block overlay (Off, DocW,
-// TFW, MaxDoc filled; Max and QMax are the caller's to fill from the
-// per-posting scores). Non-ascending or zero-tf inputs survive the
+// TFW, MaxDoc filled; Max is the caller's to fill from the per-posting
+// scores). Non-ascending or zero-tf inputs survive the
 // round trip bit-exactly (gap arithmetic wraps mod 2^32), so Validate
 // still sees — and rejects — them after packing.
 func packPostings(ps []Posting) (PackedPostings, []Block) {
@@ -283,42 +282,4 @@ func (ti *TermInfo) checkPackedGeometry() error {
 			ti.Text, len(ti.Packed.Data), off, pad)
 	}
 	return nil
-}
-
-// DequantBound dequantizes a block's QMax back into a score upper
-// bound. 255 maps back to maxScore exactly, so the tightest block loses
-// nothing; every other step is maxScore*q/255, and quantizeBound's
-// fixup guarantees the result is >= the block's exact Max, which
-// Validate checks.
-func DequantBound(q uint8, maxScore float64) float64 {
-	if q == 255 {
-		return maxScore
-	}
-	return maxScore * float64(q) / 255
-}
-
-// quantizeBound returns the smallest q with DequantBound(q, maxScore)
-// >= bound — the tightest sound 8-bit encoding of a block's score
-// ceiling.
-func quantizeBound(bound, maxScore float64) uint8 {
-	if !(bound > 0) || !(maxScore > 0) {
-		return 0
-	}
-	qf := math.Ceil(bound / maxScore * 255)
-	q := 255
-	if qf < 255 {
-		q = int(qf)
-		if q < 0 {
-			q = 0
-		}
-	}
-	// Float division can land a step off in either direction; walk up
-	// until sound, then down while the step below is still sound.
-	for q < 255 && DequantBound(uint8(q), maxScore) < bound {
-		q++
-	}
-	for q > 0 && DequantBound(uint8(q-1), maxScore) >= bound {
-		q--
-	}
-	return uint8(q)
 }

@@ -28,12 +28,8 @@ type shardWire struct {
 	// PackedData is the postings payload: each term's bit-packed block
 	// payloads plus decoder pad, exactly TermInfo.Packed.Data.
 	PackedData [][]byte
-	// Positions is nil for non-positional shards; otherwise
-	// Positions[term][posting] lists token offsets.
-	Positions [][][]uint32
 	// Blocks[term] is the term's block overlay: the packed-payload
-	// geometry (Off, DocW, TFW) and quantized bound (QMax) alongside
-	// MaxDoc/Max.
+	// geometry (Off, DocW, TFW) alongside MaxDoc/Max.
 	Blocks [][]Block
 	// BlockSums[term][block] is the per-block CRC32C and Digest the
 	// whole-shard digest over header+packed payload (see integrity.go).
@@ -41,18 +37,20 @@ type shardWire struct {
 	Digest    uint32
 }
 
-// wireVersion is the one shard format ReadShard accepts. Versions 3 and
-// 4 (delta-varint postings) were written before PR 10; ReadShard refuses
-// them and names the remedy.
-const wireVersion = 5
+// wireVersion is the one shard format ReadShard accepts. ReadShard
+// refuses the older ones it can name and gives the remedy: versions 3
+// and 4 held delta-varint postings, and version 5 also carried a
+// quantized copy of every block bound and optional term positions.
+const wireVersion = 6
 
-// Encode serializes the shard with encoding/gob in the current (v5)
-// format.
+// Encode serializes the shard with encoding/gob in the current format.
+// Two builds of the same documents encode to the same bytes: Finalize
+// numbers terms in lexical order.
 func (s *Shard) Encode(w io.Writer) error {
 	if !s.HasChecksums() {
 		// Shards built before the integrity plane (hand-constructed in
-		// tests, mostly) are sealed on first write so no v5 file ever
-		// lacks checksums.
+		// tests, mostly) are sealed on first write so no file ever lacks
+		// checksums.
 		s.SealIntegrity()
 	}
 	wire := shardWire{
@@ -66,10 +64,6 @@ func (s *Shard) Encode(w io.Writer) error {
 		StatsK:    s.StatsK,
 		Digest:    s.Digest,
 	}
-	positional := s.HasPositions()
-	if positional {
-		wire.Positions = make([][][]uint32, 0, len(s.Terms))
-	}
 	for i := range s.Terms {
 		t := &s.Terms[i]
 		wire.TermTexts = append(wire.TermTexts, t.Text)
@@ -78,9 +72,6 @@ func (s *Shard) Encode(w io.Writer) error {
 		wire.PackedData = append(wire.PackedData, t.Packed.Data)
 		wire.Blocks = append(wire.Blocks, t.Blocks)
 		wire.BlockSums = append(wire.BlockSums, t.Sums)
-		if positional {
-			wire.Positions = append(wire.Positions, t.Positions)
-		}
 	}
 	return gob.NewEncoder(w).Encode(wire)
 }
@@ -94,7 +85,7 @@ func ReadShard(r io.Reader) (*Shard, error) {
 	}
 	switch w.Version {
 	case wireVersion:
-	case 3, 4:
+	case 3, 4, 5:
 		return nil, fmt.Errorf("index: shard format version %d is no longer read (want %d); rebuild the shard with cottage-indexer",
 			w.Version, wireVersion)
 	default:
@@ -108,9 +99,6 @@ func ReadShard(r io.Reader) (*Shard, error) {
 	}
 	if len(w.BlockSums) != len(w.TermTexts) {
 		return nil, fmt.Errorf("index: shard has %d checksum arrays for %d terms", len(w.BlockSums), len(w.TermTexts))
-	}
-	if w.Positions != nil && len(w.Positions) != len(w.TermTexts) {
-		return nil, fmt.Errorf("index: positional arrays inconsistent in shard file")
 	}
 	s := &Shard{
 		ID:        w.ID,
@@ -132,9 +120,6 @@ func ReadShard(r io.Reader) (*Shard, error) {
 			Stats:  w.TermStats[i],
 			Blocks: w.Blocks[i],
 			Sums:   w.BlockSums[i],
-		}
-		if w.Positions != nil {
-			s.Terms[i].Positions = w.Positions[i]
 		}
 		s.dict[w.TermTexts[i]] = int32(i)
 	}

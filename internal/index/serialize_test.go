@@ -37,7 +37,7 @@ func readWire(t *testing.T, w *shardWire) (*Shard, error) {
 }
 
 // stampedWire is the test shard's wire form with Version overwritten —
-// what ReadShard's version switch sees of a v3 or v4 file.
+// what ReadShard's version switch sees of a v3, v4 or v5 file.
 func stampedWire(tb testing.TB, s *Shard, version int) []byte {
 	tb.Helper()
 	w := wireOf(tb, s)
@@ -64,9 +64,9 @@ func corpusSeed(t *testing.T, name string) []byte {
 	return []byte(data)
 }
 
-// TestReadShardRefusesLegacyVersions: a v3 or v4 file — one stamped so,
-// and the genuine ones a v4-era indexer wrote, checked in as fuzz seeds —
-// is refused with its version and the remedy named.
+// TestReadShardRefusesLegacyVersions: a v3, v4 or v5 file — one stamped
+// so, and the genuine ones older indexers wrote, checked in as fuzz
+// seeds — is refused with its version and the remedy named.
 func TestReadShardRefusesLegacyVersions(t *testing.T) {
 	s := buildTestShard(t)
 	for _, c := range []struct {
@@ -76,8 +76,10 @@ func TestReadShardRefusesLegacyVersions(t *testing.T) {
 	}{
 		{"stamped v3", stampedWire(t, s, 3), 3},
 		{"stamped v4", stampedWire(t, s, 4), 4},
+		{"stamped v5", stampedWire(t, s, 5), 5},
 		{"legacy-v3", corpusSeed(t, "legacy-v3"), 3},
 		{"legacy-v4", corpusSeed(t, "legacy-v4"), 4},
+		{"legacy-v5", corpusSeed(t, "legacy-v5"), 5},
 	} {
 		_, err := ReadShard(bytes.NewReader(c.data))
 		if err == nil {
@@ -90,6 +92,25 @@ func TestReadShardRefusesLegacyVersions(t *testing.T) {
 	}
 	if _, err := ReadShard(bytes.NewReader(corpusSeed(t, "rot-v4"))); err == nil {
 		t.Error("rot-v4: loaded")
+	}
+}
+
+// TestEncodeDeterministic: building the same documents again encodes to
+// the same bytes. Add ranges over a map, so terms numbered in the order
+// Add first met them would differ from build to build; Finalize numbers
+// them in lexical order.
+func TestEncodeDeterministic(t *testing.T) {
+	var first []byte
+	for i := 0; i < 8; i++ {
+		var buf bytes.Buffer
+		if err := buildTestShard(t).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("build %d encodes differently from build 0", i)
+		}
 	}
 }
 
@@ -106,7 +127,6 @@ func TestReadShardRejectsCorruptWire(t *testing.T) {
 		{"missing stats", func(w *shardWire) { w.TermStats = w.TermStats[:1] }, "inconsistent term arrays"},
 		{"missing packed payload", func(w *shardWire) { w.PackedData = w.PackedData[:1] }, "inconsistent term arrays"},
 		{"corrupt packed payload", func(w *shardWire) { w.PackedData[0] = []byte{0xff} }, "checksum mismatch"},
-		{"positional arrays", func(w *shardWire) { w.Positions = make([][][]uint32, 1) }, "positional arrays"},
 		{"invalid shard", func(w *shardWire) { w.NumDocs++ }, "failed validation"},
 	}
 	for _, c := range cases {

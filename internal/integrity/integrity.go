@@ -1,5 +1,5 @@
 // Package integrity is the quarantine/repair plane over the checksummed
-// shard format (index wire v5). It supplies three cooperating pieces:
+// shard format (internal/index). It supplies three cooperating pieces:
 //
 //   - Ledger: a corruption ledger — every detected mismatch becomes an
 //     attributed event (which shard, which replica, detected where), and

@@ -102,7 +102,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		"ping":        {Kind: KindPing, ID: 3},
 		"search":      {Kind: KindSearch, ID: 1, Terms: []string{"ga", "gb"}, K: 10, DeadlineUS: 5000, Anytime: true},
 		"max terms":   {Kind: KindPredict, ID: 2, Terms: maxTerms, Trace: math.MaxUint64, Span: 1},
-		"empty term":  {Kind: KindPhrase, Terms: []string{"", "x", ""}, K: 1},
+		"empty term":  {Kind: KindSearch, Terms: []string{"", "x", ""}, K: 1},
 		"negative":    {Kind: Kind(-7), K: -1, DeadlineUS: math.MinInt64},
 	}
 	for name, want := range cases {

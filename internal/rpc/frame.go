@@ -21,8 +21,8 @@ import (
 // *detected* deterministically, attributed (ErrCorruptFrame, distinct
 // from connection loss), and recovered typed: the server answers
 // CodeCorrupt, the client retries breaker-neutrally on a fresh
-// connection. Castagnoli matches the shard-level checksums (integrity
-// plane, index wire v5) and is hardware-accelerated on amd64/arm64.
+// connection. Castagnoli matches the shard-level checksums (the
+// integrity plane's) and is hardware-accelerated on amd64/arm64.
 
 // frameTable is the CRC32C polynomial table shared by both directions.
 var frameTable = crc32.MakeTable(crc32.Castagnoli)

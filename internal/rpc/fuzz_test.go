@@ -144,7 +144,7 @@ func FuzzValidateRequest(f *testing.F) {
 			if ValidateRequest(req) != nil {
 				return
 			}
-			if req.Kind == KindSearch || req.Kind == KindPhrase {
+			if req.Kind == KindSearch {
 				if req.K <= 0 || req.K > MaxK {
 					t.Fatalf("validation admitted K=%d", req.K)
 				}

@@ -28,12 +28,12 @@ func TestValidateRequest(t *testing.T) {
 		ok   bool
 	}{
 		{"search ok", Request{Kind: KindSearch, Terms: []string{"ga"}, K: 10}, true},
-		{"phrase ok", Request{Kind: KindPhrase, Terms: []string{"a", "b"}, K: 5}, true},
+		{"two terms ok", Request{Kind: KindSearch, Terms: []string{"a", "b"}, K: 5}, true},
 		{"ping with zero K", Request{Kind: KindPing}, true},
 		{"predict with zero K", Request{Kind: KindPredict, Terms: []string{"ga"}}, true},
 		{"search zero K", Request{Kind: KindSearch, Terms: []string{"ga"}}, false},
 		{"search negative K", Request{Kind: KindSearch, Terms: []string{"ga"}, K: -3}, false},
-		{"phrase zero K", Request{Kind: KindPhrase, Terms: []string{"ga"}}, false},
+		{"two terms zero K", Request{Kind: KindSearch, Terms: []string{"ga", "gb"}}, false},
 		{"absurd K", Request{Kind: KindSearch, Terms: []string{"ga"}, K: MaxK + 1}, false},
 		{"max K ok", Request{Kind: KindSearch, Terms: []string{"ga"}, K: MaxK}, true},
 		{"too many terms", Request{Kind: KindPredict, Terms: manyTerms}, false},
@@ -53,6 +53,15 @@ func TestValidateRequest(t *testing.T) {
 				t.Errorf("%s: error %v not wrapped in ErrBadRequest", c.name, err)
 			}
 		}
+	}
+	// Kind 3 was the phrase verb: it stays reserved, and refused. Kinds
+	// travel as integers, so the verb after it keeps its number.
+	if KindFetchShard != 4 {
+		t.Errorf("KindFetchShard = %d, want 4", KindFetchShard)
+	}
+	if err := ValidateRequest(&Request{Kind: 3, K: 5}); !errors.Is(err, ErrBadRequest) ||
+		!strings.Contains(err.Error(), "unknown request kind 3") {
+		t.Errorf("kind 3: error %v is not a bad request naming the unknown kind", err)
 	}
 }
 

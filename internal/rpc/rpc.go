@@ -46,13 +46,13 @@ const (
 	KindPredict
 	// KindPing checks liveness.
 	KindPing
-	// KindPhrase asks the ISN for an exact-phrase evaluation (requires a
-	// positional shard).
-	KindPhrase
+	// Kind 3, the retired phrase verb, is reserved: kinds travel as
+	// integers, so the verbs after it keep their numbers.
+	_
 	// KindFetchShard asks the ISN for its full serialized shard — the
-	// repair transfer verb. The response carries the checksummed wire v5
-	// bytes; the fetching side re-reads and re-verifies them end to end
-	// (index.ReadShard validates eagerly), so a transfer corrupted in
+	// repair transfer verb. The response carries the checksummed shard
+	// file bytes; the fetching side re-reads and re-verifies them end to
+	// end (index.ReadShard validates eagerly), so a transfer corrupted in
 	// flight can never be re-admitted.
 	KindFetchShard
 )
@@ -66,8 +66,6 @@ func (k Kind) String() string {
 		return "predict"
 	case KindPing:
 		return "ping"
-	case KindPhrase:
-		return "phrase"
 	case KindFetchShard:
 		return "fetchshard"
 	default:
@@ -153,7 +151,7 @@ type Response struct {
 	// them into the query's trace so ISN-side timing lands in the same
 	// tree as the fan-out that caused it.
 	Spans []obs.Span
-	// ShardBytes carries the serialized (wire v5, checksummed) shard on
+	// ShardBytes carries the serialized (checksummed) shard file on
 	// KindFetchShard responses.
 	ShardBytes []byte
 	// Quarantined rides on KindPing responses: true while this replica's
@@ -169,7 +167,7 @@ type Server struct {
 	Shard    *index.Shard
 	Pred     *predict.ISNPredictor // optional; KindPredict fails without it
 	Strategy search.Strategy
-	// Integrity, when set, supervises the shard: search/phrase requests
+	// Integrity, when set, supervises the shard: search requests
 	// pass the lazy checksum gate (a mismatched block is never scored),
 	// a detected corruption quarantines this replica (search answers
 	// CodeQuarantined until repair re-admits it), and repair swaps in a
@@ -183,8 +181,7 @@ type Server struct {
 	Faults   *faults.Injector
 	FaultISN int
 	// Limit, when set, is the admission gate for search work: KindSearch
-	// and KindPhrase must acquire a slot (or queue) before any index
-	// evaluation; shed requests get a CodeOverloaded response. KindPing
+	// must acquire a slot (or queue) before any index evaluation; shed requests get a CodeOverloaded response. KindPing
 	// and KindPredict bypass it — the control plane must stay responsive
 	// under overload, and their replies carry queue-depth feedback too.
 	Limit *overload.Limiter
@@ -200,7 +197,7 @@ type Server struct {
 	handlers   sync.WaitGroup
 	inShutdown atomic.Bool
 
-	served       obs.Counter  // search/phrase requests fully served
+	served       obs.Counter  // search requests fully served
 	shed         obs.Counter  // requests rejected with CodeOverloaded
 	avgServiceUS atomic.Int64 // EWMA of search service time (µs)
 
@@ -208,7 +205,7 @@ type Server struct {
 	serviceHist *obs.Histogram // nil when Obs is unset
 }
 
-// Served reports how many search/phrase requests this server completed.
+// Served reports how many search requests this server completed.
 func (s *Server) Served() uint64 { return s.served.Value() }
 
 // Shed reports how many requests admission control rejected.
@@ -225,11 +222,11 @@ func (s *Server) initObs() {
 		}
 		reg := s.Obs.Reg
 		reg.Register("cottage_server_served_total",
-			"Search/phrase requests fully served.", &s.served)
+			"Search requests fully served.", &s.served)
 		reg.Register("cottage_server_shed_total",
 			"Requests rejected by admission control (CodeOverloaded).", &s.shed)
 		s.serviceHist = reg.Histogram("cottage_server_service_ms",
-			"Search/phrase service time (admission grant to response ready).",
+			"Search service time (admission grant to response ready).",
 			obs.LatencyBucketsMS())
 		reg.GaugeFunc("cottage_server_queue_depth",
 			"Admission-queue occupancy.", func() float64 { return float64(s.pendingDepth()) })
@@ -420,7 +417,7 @@ func (s *Server) serve(req *Request) *Response {
 	if err := ValidateRequest(req); err != nil {
 		return &Response{ID: req.ID, Code: CodeBadRequest, Err: err.Error()}
 	}
-	heavy := req.Kind == KindSearch || req.Kind == KindPhrase
+	heavy := req.Kind == KindSearch
 	arrived := time.Now()
 	var queueWait time.Duration
 	if heavy && s.Limit != nil {
@@ -429,7 +426,7 @@ func (s *Server) serve(req *Request) *Response {
 		// queue wait is latency).
 		if err := s.Limit.Acquire(time.Duration(req.DeadlineUS) * time.Microsecond); err != nil {
 			s.shed.Inc()
-			if req.Anytime && req.Kind == KindSearch && req.DeadlineUS > 0 {
+			if req.Anytime && req.DeadlineUS > 0 {
 				if deadline := arrived.Add(time.Duration(req.DeadlineUS) * time.Microsecond); time.Now().Before(deadline) {
 					if sh := s.shard(); sh != nil {
 						if bad := s.gate(req); bad != nil {
@@ -585,21 +582,6 @@ func (s *Server) dispatch(req *Request, arrived time.Time) *Response {
 		s.mu.Lock()
 		resp.Pred = s.Pred.Predict(sh, req.Terms)
 		s.mu.Unlock()
-	case KindPhrase:
-		sh := s.shard()
-		if sh == nil {
-			return quarantinedResp(req.ID)
-		}
-		if bad := s.gate(req); bad != nil {
-			return bad
-		}
-		r, err := search.Phrase(sh, req.Terms, req.K)
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		resp.Hits = r.Hits
-		resp.Stats = r.Stats
 	case KindFetchShard:
 		// Repair transfer: hand out this replica's shard bytes, but only
 		// from a healthy copy — a quarantined replica must never be a
@@ -970,16 +952,6 @@ func (c *Client) searchCall(sc obs.SpanContext, terms []string, k int, deadline 
 		Terminated: resp.Terminated, ScoreBound: resp.ScoreBound}, resp.Spans, nil
 }
 
-// Phrase evaluates an exact-phrase query on the remote (positional)
-// shard.
-func (c *Client) Phrase(terms []string, k int) (search.Result, error) {
-	var resp Response
-	if err := c.call(&Request{Kind: KindPhrase, Terms: terms, K: k}, &resp); err != nil {
-		return search.Result{}, err
-	}
-	return search.Result{Hits: resp.Hits, Stats: resp.Stats}, nil
-}
-
 // Predict fetches the remote ISN's quality/latency predictions.
 func (c *Client) Predict(terms []string) (predict.Prediction, error) {
 	pred, _, err := c.PredictLoad(terms)
@@ -1012,8 +984,8 @@ func (c *Client) PredictLoad(terms []string) (predict.Prediction, QueueInfo, err
 }
 
 // FetchShard pulls the remote ISN's full shard image for replica
-// repair. The bytes travel wire-v5 (per-block CRCs and digest intact)
-// inside checksummed frames, and ReadShard re-verifies end-to-end on
+// repair. The bytes travel as the shard file (per-block CRCs and digest
+// intact) inside checksummed frames, and ReadShard re-verifies end-to-end on
 // decode — a shard corrupted at the source, in transit, or by a buggy
 // peer cannot be re-admitted. A quarantined source refuses to serve
 // (CodeQuarantined → ErrShardCorrupt), so repair never copies from a

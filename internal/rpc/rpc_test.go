@@ -225,40 +225,25 @@ func TestClientSearchDeadlinePasses(t *testing.T) {
 	}
 }
 
-func TestPhraseOverWire(t *testing.T) {
-	b := index.NewBuilder(0, index.DefaultBM25(), 10)
-	b.EnablePositions()
-	b.AddTokens(0, []string{"red", "fast", "car"})
-	b.AddTokens(1, []string{"fast", "red", "car"})
-	sh := b.Finalize()
-	addr, stop := startServer(t, sh, nil)
+// TestReservedKindOverWire: a request of the retired phrase verb (kind 3)
+// is refused as a bad request, and the connection serves the next call.
+func TestReservedKindOverWire(t *testing.T) {
+	addr, stop := startServer(t, buildShard(t, 9), nil)
 	defer stop()
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	r, err := c.Phrase([]string{"red", "fast"}, 10)
-	if err != nil {
-		t.Fatal(err)
+	var resp Response
+	if err := c.call(&Request{Kind: 3, Terms: []string{"ga", "gb"}, K: 5}, &resp); err == nil {
+		t.Fatal("kind 3 was served")
 	}
-	if len(r.Hits) != 1 || r.Hits[0].Doc != 0 {
-		t.Fatalf("phrase over wire wrong: %+v", r.Hits)
+	if resp.Code != CodeBadRequest {
+		t.Fatalf("kind 3 answered with code %d, want CodeBadRequest", resp.Code)
 	}
-	// Non-positional shard: server reports the error, connection survives.
-	plain := buildShard(t, 9)
-	addr2, stop2 := startServer(t, plain, nil)
-	defer stop2()
-	c2, err := Dial(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, err := c2.Phrase([]string{"ga", "gb"}, 5); err == nil {
-		t.Fatal("expected positional error over the wire")
-	}
-	if err := c2.Ping(); err != nil {
-		t.Fatal("connection broken after phrase error")
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection broken after kind 3: %v", err)
 	}
 }
 

@@ -26,11 +26,11 @@ const (
 var ErrBadRequest = errors.New("rpc: bad request")
 
 // ValidateRequest checks a decoded Request against the sanity bounds.
-// K bounds apply only to kinds that return results (search, phrase):
+// K bounds apply only to the kind that returns results (search):
 // KindPredict and KindPing legitimately carry K == 0.
 func ValidateRequest(req *Request) error {
 	switch req.Kind {
-	case KindSearch, KindPhrase:
+	case KindSearch:
 		if req.K <= 0 {
 			return fmt.Errorf("%w: K=%d, must be positive", ErrBadRequest, req.K)
 		}

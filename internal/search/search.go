@@ -7,8 +7,8 @@
 // postings traversed — which drive the cluster simulator's service-time
 // cost model and the C_RES metric.
 //
-// Postings are stored bit-packed in 64-posting blocks (internal/index wire
-// v5); evaluators walk them through cursors that decode one block at a
+// Postings are stored bit-packed in 64-posting blocks (internal/index);
+// evaluators walk them through cursors that decode one block at a
 // time into fixed scratch. Exhaustive and Anytime visit exactly the
 // postings their flat-slice ancestors visited. MaxScore — the strategy the
 // engine, the indexer and the servers run — does not: it uses two things

@@ -243,13 +243,15 @@ func main() {
 		"absent": anytimeEntry(1023, 24, 100, 1, 0),
 	})
 
-	// Shard decode seeds: a valid packed (wire v5) file, truncations,
+	// Shard decode seeds: a valid file in the current format, truncations,
 	// bit-flip rot at three densities (the at-rest corruption the CRC32C
 	// plane exists to refuse), and a file sealed over a KthScore one ulp
 	// too high (checksums agree; only validation refuses it). Mirrors
 	// FuzzShardDecode's f.Add seeds in internal/index/fuzz_test.go. The
-	// checked-in legacy-v3, legacy-v4 and rot-v4 seeds are files of the
-	// formats ReadShard no longer reads; they are not regenerated.
+	// checked-in legacy-v3, legacy-v4, legacy-v5 and rot-v4 seeds are
+	// files of the formats ReadShard no longer reads; they are not
+	// regenerated. Finalize numbers terms in lexical order, so a rerun
+	// writes the same bytes.
 	buildShard := func() *index.Shard {
 		b := index.NewBuilder(3, index.DefaultBM25(), 10)
 		vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
@@ -269,9 +271,9 @@ func main() {
 	if err := shard.Encode(&shardBuf); err != nil {
 		log.Fatal(err)
 	}
-	shardV5 := shardBuf.Bytes()
+	shardBytes := shardBuf.Bytes()
 	rot := func(n int) []byte {
-		m := bytes.Clone(shardV5)
+		m := bytes.Clone(shardBytes)
 		faults.FlipBits(m, n, uint64(77+n))
 		return m
 	}
@@ -284,9 +286,9 @@ func main() {
 		log.Fatal(err)
 	}
 	writeCorpus("internal/index/testdata/fuzz/FuzzShardDecode", map[string][]byte{
-		"valid":     shardV5,
-		"truncated": shardV5[:len(shardV5)/2],
-		"header":    shardV5[:11],
+		"valid":     shardBytes,
+		"truncated": shardBytes[:len(shardBytes)/2],
+		"header":    shardBytes[:11],
 		"rot-1":     rot(1),
 		"rot-16":    rot(16),
 		"rot-256":   rot(256),
@@ -328,7 +330,7 @@ func main() {
 
 // packedBlocksBytes flattens a Block overlay the way the fuzz target's
 // decoder reads it back: 16 bytes per block, little endian — MaxDoc,
-// Off, DocW, TFW, QMax, 5 spare.
+// Off, DocW, TFW, 6 spare.
 func packedBlocksBytes(blocks []index.Block) []byte {
 	out := make([]byte, 0, 16*len(blocks))
 	for _, b := range blocks {
@@ -337,7 +339,6 @@ func packedBlocksBytes(blocks []index.Block) []byte {
 		binary.LittleEndian.PutUint32(rec[4:], b.Off)
 		rec[8] = b.DocW
 		rec[9] = b.TFW
-		rec[10] = b.QMax
 		out = append(out, rec[:]...)
 	}
 	return out
