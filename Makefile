@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench-build fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench bench-smoke bench-compare corpus corpus-check check clean
+.PHONY: all build vet test race bench-build fuzz-smoke bench bench-smoke bench-compare corpus corpus-check cover check clean
 
 all: build
 
@@ -20,6 +20,15 @@ test:
 
 # The harness package replays every experiment; under the race detector
 # it needs more than `go test`'s default 10-minute package timeout.
+#
+# `race` and `cover` both run every test, so the gate tests need no
+# targets of their own: the overload sweep (harness TestOverloadSweepSmoke),
+# observability over a live fixture (rpc TestObsSmoke), the seeded chaos
+# schedule on the replicated twin (harness TestChaosSmoke), the
+# autoscaling and hedging curves (harness TestAutoscaleSweepCurves,
+# TestHedgingSweepCurves), tail anatomy and burn-rate paging (harness
+# TestAnatomy*, internal/obs/...), and data integrity under rot, quarantine
+# and repair (harness TestIntegritySmoke, TestIntegrityDeterministic).
 race:
 	$(GO) test -race -timeout 45m ./...
 
@@ -43,55 +52,6 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzShardDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzPackedPostingsDecode -fuzztime $(FUZZTIME)
-
-# The overload sweep (bounded admission queues at 1x-4x load) on the
-# quick-scale setup: shed rates grow with load while the admitted p99
-# stays bounded and Cottage's budget inflates via Eq. 2 feedback.
-overload-smoke:
-	$(GO) test ./internal/harness -run Overload -count=1
-
-# End-to-end observability gate: a live distributed fixture with a debug
-# listener — /metrics must parse and expose the latency/predictor
-# families, and a traced Cottage query must come back from /debug/traces
-# with a complete span tree (phases, legs, grafted ISN serve spans, and
-# the Algorithm 1 decision record).
-obs-smoke:
-	$(GO) test ./internal/rpc -run TestObsSmoke -count=1
-
-# Deterministic chaos gate on the replicated twin: a seeded fault
-# schedule (crashes, dropped streams, corrupted replies, slowdowns)
-# must cost failovers and latency — never a lost query — and every
-# Algorithm 1 budget must dominate its selected shards' boosted
-# latencies. Runs under the race detector.
-chaos-smoke:
-	$(GO) test -race ./internal/harness -run TestChaosSmoke -count=1 -timeout 10m
-
-# Closed-loop capacity gate on the quick-scale twin: under a flash-crowd
-# trace the controller must hold the p99 SLO on fewer machine-hours than
-# the smallest adequate fixed fleet, and predictive hedging must match
-# the fixed-delay tail at a measurably lower hedge rate. Both replays
-# are deterministic in virtual time.
-autoscale-smoke:
-	$(GO) test ./internal/harness -run 'TestAutoscaleSweepCurves|TestHedgingSweepCurves' -count=1 -timeout 10m
-
-# Tail-anatomy gate on the twin: per-phase attribution must reconcile
-# with end-to-end latency (>= 95% mean coverage), the experiment output
-# must be byte-identical across GOMAXPROCS, and an SLO burn-rate breach
-# must page and capture a flight-recorder dump. Zero-alloc attribution
-# on the hot path is pinned by the obs/anatomy package tests.
-anatomy-smoke:
-	$(GO) test ./internal/harness -run TestAnatomy -count=1 -timeout 10m
-	$(GO) test ./internal/obs/... -count=1
-
-# End-to-end data-integrity gate: bit-flip rot over real shard bytes is
-# always refused at load (1-bit through 256-bit densities), the
-# query-time checksum gate serves zero corrupted postings while
-# localizing rot to the block, and the replicated twin holds P@10
-# through scheduled rot/quarantine/repair cycles with typed bounces
-# only (never a silently lost query). Byte-determinism across
-# GOMAXPROCS is pinned alongside.
-integrity-smoke:
-	$(GO) test -race ./internal/harness -run 'TestIntegrity' -count=1 -timeout 10m
 
 # Full perf-regression sweep: every figure benchmark plus the pruning,
 # per-query and fleet-shaped evaluation benches, recorded to $(BENCHOUT)
@@ -175,7 +135,7 @@ cover:
 	$(GO) test -cover ./... | $(GO) run ./tools/covergate -floor $(COVERFLOOR) \
 		-require cottage/internal/search,cottage/internal/index,cottage/internal/simdpack,cottage/internal/autoscale,cottage/internal/integrity
 
-check: vet build bench-build corpus-check race fuzz-smoke overload-smoke obs-smoke chaos-smoke autoscale-smoke anatomy-smoke integrity-smoke bench-smoke cover
+check: vet build bench-build corpus-check race fuzz-smoke bench-smoke cover
 
 clean:
 	$(GO) clean ./...

@@ -219,13 +219,17 @@ func BenchmarkFig15Ablation(b *testing.B) {
 // BenchmarkAblationBoost compares the boost-disabled variant (the
 // DESIGN.md ablation on frequency boosting).
 func BenchmarkAblationBoost(b *testing.B) {
-	replay(b, &core.Cottage{DropZeroProb: 0.8, K2ZeroProb: 0.95, Boost: false, Downclock: true, LatencyMargin: 0.5})
+	p := core.NewCottage()
+	p.Boost = false
+	replay(b, p)
 }
 
 // BenchmarkAblationKOver2 compares the strict top-K variant (no K/2
 // relaxation).
 func BenchmarkAblationKOver2(b *testing.B) {
-	replay(b, &core.Cottage{DropZeroProb: 0.8, K2ZeroProb: 0.95, Boost: true, Downclock: true, StrictTopK: true, LatencyMargin: 0.5})
+	p := core.NewCottage()
+	p.StrictTopK = true
+	replay(b, p)
 }
 
 // BenchmarkPruningMaxScoreVsExhaustive quantifies the dynamic-pruning

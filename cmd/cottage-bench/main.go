@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"cottage/internal/cluster"
 	"cottage/internal/harness"
 	"cottage/internal/obs"
 	"cottage/internal/obs/anatomy"
@@ -108,8 +109,7 @@ func main() {
 		if *replicas < 2 {
 			log.Fatal("-hedge-predictive needs -replicas >= 2")
 		}
-		s.Engine.HedgePredictive = true
-		s.Engine.HedgeThresholdMS = *hedgeThMS
+		s.Engine.Hedge = cluster.Hedge{Predictive: true, ThresholdMS: *hedgeThMS}
 	}
 
 	if *debugAddr != "" {

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"cottage/internal/cluster"
 	"cottage/internal/core"
 	"cottage/internal/obs"
 	"cottage/internal/obs/anatomy"
@@ -131,9 +132,7 @@ func main() {
 		}
 		log.Printf("%d shards x replica groups over %d servers", len(groups), len(clients))
 	}
-	agg.HedgeAfter = time.Duration(*hedgeMS * float64(time.Millisecond))
-	agg.HedgePredictive = *hedgePred
-	agg.HedgeThresholdMS = *hedgeThMS
+	agg.Hedge = cluster.Hedge{AfterMS: *hedgeMS, Predictive: *hedgePred, ThresholdMS: *hedgeThMS}
 	if *hedgePred && *hedgeThMS <= 0 {
 		log.Fatal("-hedge-predictive needs -hedge-threshold-ms > 0")
 	}

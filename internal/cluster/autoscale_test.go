@@ -221,9 +221,9 @@ func TestDefectEWMAFlagsSilentStraggler(t *testing.T) {
 
 	// Both queues are empty at tMS, so Eq. 2 alone sees only service
 	// time; the defect term is the whole difference.
-	eq2 := c.ShardEquivalentLatencyMS(0, tMS, 9e6, 1.8)
-	pred := c.ShardPredictedLegMS(0, tMS, 9e6, 1.8)
 	sel := c.SelectReplica(0, tMS)
+	eq2 := c.EquivalentLatencyMS(sel, tMS, 9e6, 1.8)
+	pred := c.ShardPredictedLegMS(0, tMS, 9e6, 1.8)
 	if want := eq2 + c.NodeDefectMS(sel); math.Abs(pred-want) > 1e-9 {
 		t.Fatalf("predicted leg %v, want Eq.2 %v + defect %v", pred, eq2, c.NodeDefectMS(sel))
 	}

@@ -70,6 +70,35 @@ func (l Ladder) Validate() error {
 	return nil
 }
 
+// Hedge is the hedged-request rule both serving paths apply to each
+// search leg, the live aggregator and the twin each from its own latency
+// prediction. The zero value never hedges.
+type Hedge struct {
+	// AfterMS > 0 duplicates a leg still unanswered after this many
+	// milliseconds (the fixed-delay timer). Ignored when Predictive is set.
+	AfterMS float64
+	// Predictive duplicates at dispatch the legs whose predicted latency
+	// exceeds ThresholdMS, and never hedges the rest.
+	Predictive  bool
+	ThresholdMS float64
+}
+
+// DelayMS returns when to hedge a leg whose predicted latency is predMS
+// (havePred false: there is no prediction): 0 duplicates it at dispatch,
+// a positive delay arms a timer, and a negative one never hedges.
+func (h Hedge) DelayMS(predMS float64, havePred bool) float64 {
+	if h.Predictive {
+		if havePred && h.ThresholdMS > 0 && predMS > h.ThresholdMS {
+			return 0
+		}
+		return -1
+	}
+	if h.AfterMS > 0 {
+		return h.AfterMS
+	}
+	return -1
+}
+
 // CostModel converts measured query-evaluation work into CPU cycles. The
 // constants are the calibration lever that maps our ~48K-document corpus
 // onto the paper's 34M-document testbed: per-unit costs are inflated so
@@ -514,18 +543,6 @@ func (c *Cluster) ShardQueueDelayMS(shard int, tMS float64) float64 {
 		return math.Inf(1)
 	}
 	return c.QueueDelayMS(n, tMS)
-}
-
-// ShardEquivalentLatencyMS is Eq. 2 at shard granularity: the equivalent
-// latency of predictedCycles of work on the shard's best live replica at
-// frequency f (+Inf when the shard is down). Replicas of a shard share
-// its speed factor, so the cycle cost needs no per-replica adjustment.
-func (c *Cluster) ShardEquivalentLatencyMS(shard int, tMS, predictedCycles, f float64) float64 {
-	n := c.SelectReplica(shard, tMS)
-	if n < 0 {
-		return math.Inf(1)
-	}
-	return c.EquivalentLatencyMS(n, tMS, predictedCycles, f)
 }
 
 // defectAlpha smooths the per-node latency-defect EWMA: heavy enough
@@ -1020,13 +1037,6 @@ func (c *Cluster) FailoverDelayMS(e Execution, dispatchMS float64) float64 {
 		return 0
 	}
 	return d
-}
-
-// ClientLatencyMS converts an aggregator-side completion time for a query
-// that arrived (at the aggregator) at tMS into the client-observed
-// latency.
-func (c *Cluster) ClientLatencyMS(tMS, aggDoneMS float64) float64 {
-	return (aggDoneMS - tMS) + 2*c.Net.ClientMS
 }
 
 // AveragePowerWatts reports mean package power over the simulated horizon.

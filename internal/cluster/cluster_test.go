@@ -204,15 +204,6 @@ func TestUtilizationAndReset(t *testing.T) {
 	}
 }
 
-func TestClientLatency(t *testing.T) {
-	c := testCluster(1)
-	got := c.ClientLatencyMS(10, 25)
-	want := 15 + 2*c.Net.ClientMS
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("client latency = %v, want %v", got, want)
-	}
-}
-
 func TestInferenceOverheadCharged(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumISNs = 1

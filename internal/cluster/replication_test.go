@@ -60,8 +60,8 @@ func TestShardAvailability(t *testing.T) {
 	if c.SelectReplica(0, 0) != -1 {
 		t.Fatal("selected a replica of a dead shard")
 	}
-	if !math.IsInf(c.ShardEquivalentLatencyMS(0, 0, 1e6, 1.8), 1) {
-		t.Fatal("dead shard's equivalent latency not +Inf")
+	if !math.IsInf(c.ShardPredictedLegMS(0, 0, 1e6, 1.8), 1) {
+		t.Fatal("dead shard's predicted leg latency not +Inf")
 	}
 	ex := c.ExecuteShard(0, 0, 1e6, 1.8, math.Inf(1))
 	if !ex.Failed || ex.Shard != 0 {

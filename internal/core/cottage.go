@@ -18,7 +18,6 @@ import (
 
 	"cottage/internal/cluster"
 	"cottage/internal/engine"
-	"cottage/internal/predict"
 	"cottage/internal/trace"
 )
 
@@ -36,9 +35,8 @@ type ISNReport struct {
 	LBoosted    float64 // equivalent latency at the maximum frequency
 	PredCycles  float64
 	// RawCycles is the predictor's cycle estimate before the latency
-	// margin inflates it — the honest prediction, kept so accuracy
-	// tracking measures the model rather than the safety margin. Zero
-	// means "same as PredCycles" (no margin applied).
+	// margin inflates it into PredCycles — the honest prediction, kept so
+	// accuracy tracking measures the model rather than the safety margin.
 	RawCycles float64
 	// Replica is which copy of the shard answered the prediction round
 	// (replica row index, 0 on unreplicated fleets). Replicas of a shard
@@ -100,8 +98,19 @@ type BudgetOptions struct {
 // whose current-frequency latency exceeds it are boosted to the smallest
 // ladder frequency that meets it.
 func DetermineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOptions) BudgetResult {
+	// Stage 1: rank candidates by expected quality and cut ISNs with zero
+	// predicted top-K contribution.
 	var res BudgetResult
-	cands := stage1Cut(reports, &res)
+	cands := make([]ISNReport, 0, len(reports))
+	for _, r := range reports {
+		if !r.HasK {
+			res.Cut = append(res.Cut, r.ISN)
+			continue
+		}
+		cands = append(cands, r)
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].ExpQK > cands[j].ExpQK })
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].LBoosted > cands[j].LBoosted })
 	if len(cands) == 0 {
 		res.BudgetMS = math.Inf(1)
 		res.BudgetISN = -1
@@ -121,23 +130,6 @@ func DetermineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOpti
 	}
 	assignFrequencies(&res, cands, T, ladder, opts)
 	return res
-}
-
-// stage1Cut is Algorithm 1's lines 3–11: rank candidates by expected
-// quality, cut ISNs with zero predicted top-K contribution, and return
-// the survivors sorted by descending boosted latency (stage 2's order).
-func stage1Cut(reports []ISNReport, res *BudgetResult) []ISNReport {
-	cands := make([]ISNReport, 0, len(reports))
-	for _, r := range reports {
-		if !r.HasK {
-			res.Cut = append(res.Cut, r.ISN)
-			continue
-		}
-		cands = append(cands, r)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ExpQK > cands[j].ExpQK })
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].LBoosted > cands[j].LBoosted })
-	return cands
 }
 
 // assignFrequencies is Algorithm 1's assignment stage for a chosen
@@ -184,13 +176,9 @@ func assignFrequencies(res *BudgetResult, cands []ISNReport, T float64, ladder c
 
 // Cottage is the full coordinated policy (Fig. 5's seven steps).
 type Cottage struct {
-	// DropZeroProb cuts an ISN when its quality model assigns at least
-	// this probability to the zero class (calibrated cutoff; see
-	// predict.Prediction).
-	DropZeroProb float64
-	// K2ZeroProb is the same threshold for the "contributes to top-K/2"
-	// test in stage 2.
-	K2ZeroProb float64
+	// Params are the cutoffs and degraded-mode policy (for dead nodes in
+	// the simulated cluster), shared with the live aggregator.
+	Params
 	// Boost enables frequency boosting (ablation switch; the paper's
 	// Cottage always boosts).
 	Boost bool
@@ -211,15 +199,11 @@ type Cottage struct {
 	// contribution, so under-prediction is far costlier than the small
 	// budget slack over-prediction adds).
 	LatencyMargin float64
-	// Degraded selects how Algorithm 1 reacts when ISNs fail to deliver
-	// predictions (dead nodes in the simulated cluster): exclude them,
-	// or fall back to a conservative budget. See DegradedMode.
-	Degraded DegradedMode
 }
 
 // NewCottage returns the paper's configuration.
 func NewCottage() *Cottage {
-	return &Cottage{DropZeroProb: 0.8, K2ZeroProb: 0.95, Boost: true, Downclock: true, LatencyMargin: 0.5}
+	return &Cottage{Params: Params{DropZeroProb: 0.8, K2ZeroProb: 0.95}, Boost: true, Downclock: true, LatencyMargin: 0.5}
 }
 
 // Name implements engine.Policy.
@@ -235,58 +219,32 @@ func coordOverheadMS(e *engine.Engine) float64 {
 // Reports gathers the per-ISN prediction tuples for a query (steps 2–3).
 func (c *Cottage) Reports(e *engine.Engine, q trace.Query, nowMS float64) []ISNReport {
 	preds := e.Fleet.PredictAll(e.Shards, q.Terms)
-	return reportsFromPredictions(e, preds, nowMS, c.DropZeroProb, c.K2ZeroProb, c.LatencyMargin)
-}
-
-// shardLeg picks the shard's serving replica for the upcoming leg and
-// returns its replica row plus Eq. 2 equivalent latencies at the default
-// and max frequencies. A fully-dead shard falls back to replica row 0's
-// queue view so policies that do not filter availability (the ablations,
-// the oracle) keep their pre-replication behaviour; availability-aware
-// callers filter with ShardFailed first.
-func shardLeg(e *engine.Engine, shard int, nowMS, cycles float64) (rep int, lcur, lboost float64) {
-	node := e.Cluster.SelectReplica(shard, nowMS)
-	if node < 0 {
-		node = shard
-	}
-	fdef, fmax := e.Cluster.Ladder.Default(), e.Cluster.Ladder.Max()
-	return e.Cluster.Topo().ReplicaOf(node),
-		e.Cluster.EquivalentLatencyMS(node, nowMS, cycles, fdef),
-		e.Cluster.EquivalentLatencyMS(node, nowMS, cycles, fmax)
-}
-
-func reportsFromPredictions(e *engine.Engine, preds []predict.Prediction, nowMS float64,
-	dropZeroProb, k2ZeroProb, latencyMargin float64) []ISNReport {
-
 	reports := make([]ISNReport, 0, len(preds))
 	for isn, p := range preds {
 		// A dead shard — every replica down — never answers the prediction
 		// round: its report is missing, and degraded-mode Algorithm 1
 		// (Cottage.Degraded) decides how to optimize without it. While any
 		// replica lives, the shard's predictions survive node loss.
-		if e.Cluster.ShardFailed(isn) {
+		if e.Cluster.ShardFailed(isn) || !p.Matched {
 			continue
 		}
-		if !p.Matched {
-			continue
-		}
-		cycles := p.Cycles * (1 + latencyMargin)
-		rep, lcur, lboost := shardLeg(e, isn, nowMS, cycles)
-		reports = append(reports, ISNReport{
-			ISN:        isn,
-			QK:         p.QK,
-			QK2:        p.QK2,
-			HasK:       p.PZeroK < dropZeroProb,
-			HasK2:      p.PZeroK2 < k2ZeroProb,
-			ExpQK:      p.ExpQK,
-			LCurrent:   lcur,
-			LBoosted:   lboost,
-			PredCycles: cycles,
-			RawCycles:  p.Cycles,
-			Replica:    rep,
-		})
+		row, queueMS := servingQueue(e, isn, nowMS)
+		reports = append(reports, c.Report(isn, p, c.LatencyMargin, queueMS, row, e.Cluster.Ladder))
 	}
 	return reports
+}
+
+// servingQueue picks the shard's serving replica for the upcoming leg and
+// returns its replica row and Eq. 2's exact queue term there. A dead
+// shard falls back to replica row 0, so policies that do not filter
+// availability (the ablations, the oracle) keep their pre-replication
+// behaviour; availability-aware callers filter with ShardFailed first.
+func servingQueue(e *engine.Engine, shard int, nowMS float64) (row int, queueMS float64) {
+	node := e.Cluster.SelectReplica(shard, nowMS)
+	if node < 0 {
+		node = shard
+	}
+	return e.Cluster.Topo().ReplicaOf(node), e.Cluster.QueueDelayMS(node, nowMS)
 }
 
 // Decide implements engine.Policy: Algorithm 1 over the fleet's
@@ -295,8 +253,7 @@ func (c *Cottage) Decide(e *engine.Engine, q trace.Query, nowMS float64) engine.
 	if e.Fleet == nil {
 		panic("core: Cottage requires a trained fleet (engine.TrainFleet)")
 	}
-	reports := c.Reports(e, q, nowMS)
-	return c.decideFromReports(e, reports)
+	return c.decideFromReports(e, c.Reports(e, q, nowMS))
 }
 
 func (c *Cottage) decideFromReports(e *engine.Engine, reports []ISNReport) engine.Decision {
@@ -310,19 +267,15 @@ func (c *Cottage) decideFromReports(e *engine.Engine, reports []ISNReport) engin
 	for _, r := range reports {
 		d.PredCycles[r.ISN] = r.PredCycles
 	}
-	res := DetermineBudgetDegraded(reports, e.Cluster.FailedShardCount(), e.Cluster.Ladder, BudgetOptions{
-		StrictTopK: c.StrictTopK,
-		Downclock:  c.Downclock,
-	}, c.Degraded)
-	if e.Obs != nil {
-		var missing []int
-		for si := range e.Shards {
-			if e.Cluster.ShardFailed(si) {
-				missing = append(missing, si)
-			}
+	var missing []int
+	for si := range e.Shards {
+		if e.Cluster.ShardFailed(si) {
+			missing = append(missing, si)
 		}
-		d.Record = NewDecisionRecord(res, reports, missing, c.Degraded, e.Cluster.Ladder)
 	}
+	var res BudgetResult
+	res, d.Record = c.Params.Budget(reports, missing, e.Cluster.Ladder,
+		BudgetOptions{StrictTopK: c.StrictTopK, Downclock: c.Downclock}, e.Obs != nil)
 	if len(res.Selected) == 0 {
 		// Every candidate was cut (or nothing matched). Fall back to the
 		// highest-expected-quality ISN so the client never gets an empty

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"cottage/internal/cluster"
-)
+import "cottage/internal/cluster"
 
 // DegradedMode selects how Algorithm 1 behaves when some ISNs never
 // delivered a prediction (crashed nodes, dropped prediction round,
@@ -42,24 +38,13 @@ func (m DegradedMode) String() string {
 // whose predictions never did. With no missing ISNs (or DegradedExclude)
 // it is exactly DetermineBudget; with DegradedConservative and missing
 // ISNs, the budget is relaxed to the slowest responding candidate's
-// boosted latency so no surviving contributor is cut for speed.
+// boosted latency — StrictTopK's budget, since every stage-1 survivor is
+// a top-K contributor — so no surviving contributor is cut for speed.
 func DetermineBudgetDegraded(reports []ISNReport, missing int, ladder cluster.Ladder,
 	opts BudgetOptions, mode DegradedMode) BudgetResult {
 
-	if missing <= 0 || mode != DegradedConservative {
-		return DetermineBudget(reports, ladder, opts)
+	if missing > 0 && mode == DegradedConservative {
+		opts.StrictTopK = true
 	}
-	var res BudgetResult
-	cands := stage1Cut(reports, &res)
-	if len(cands) == 0 {
-		res.BudgetMS = math.Inf(1)
-		res.BudgetISN = -1
-		return res
-	}
-	// cands is sorted by descending boosted latency, so the conservative
-	// budget is the head's. Every candidate meets it at max frequency,
-	// so the assignment stage cuts nobody.
-	res.BudgetISN = cands[0].ISN
-	assignFrequencies(&res, cands, cands[0].LBoosted, ladder, opts)
-	return res
+	return DetermineBudget(reports, ladder, opts)
 }

@@ -21,21 +21,3 @@ func TestQueueBacklogMS(t *testing.T) {
 		}
 	}
 }
-
-func TestAddQueueBacklog(t *testing.T) {
-	r := ISNReport{LCurrent: 10, LBoosted: 6}
-	r.AddQueueBacklog(4)
-	if r.LCurrent != 14 || r.LBoosted != 10 {
-		t.Fatalf("after AddQueueBacklog(4): LCurrent=%g LBoosted=%g, want 14/10", r.LCurrent, r.LBoosted)
-	}
-	// The queue term must be shared so frequency assignment can recover
-	// it: the current/boosted gap is unchanged by the correction.
-	if gap := r.LCurrent - r.LBoosted; gap != 4 {
-		t.Fatalf("current-boosted gap = %g, want 4 (backlog must not distort it)", gap)
-	}
-	r.AddQueueBacklog(0)
-	r.AddQueueBacklog(-3)
-	if r.LCurrent != 14 || r.LBoosted != 10 {
-		t.Fatalf("non-positive backlog must be a no-op, got LCurrent=%g LBoosted=%g", r.LCurrent, r.LBoosted)
-	}
-}

@@ -66,20 +66,9 @@ func (o *CottageOracle) Decide(e *engine.Engine, q trace.Query, nowMS float64) e
 		if !p.Matched {
 			continue
 		}
-		cycles := p.Cycles * (1 + o.inner.LatencyMargin)
-		rep, lcur, lboost := shardLeg(e, isn, nowMS, cycles)
-		reports = append(reports, ISNReport{
-			ISN:        isn,
-			QK:         qk[isn],
-			QK2:        qk2[isn],
-			HasK:       qk[isn] > 0,
-			HasK2:      qk2[isn] > 0,
-			ExpQK:      float64(qk[isn]),
-			LCurrent:   lcur,
-			LBoosted:   lboost,
-			PredCycles: cycles,
-			Replica:    rep,
-		})
+		truth := quality{qk: qk[isn], qk2: qk2[isn], hasK: qk[isn] > 0, hasK2: qk2[isn] > 0, expQK: float64(qk[isn])}
+		row, queueMS := servingQueue(e, isn, nowMS)
+		reports = append(reports, newReport(isn, truth, p.Cycles, o.inner.LatencyMargin, queueMS, row, e.Cluster.Ladder))
 	}
 	return o.inner.decideFromReports(e, reports)
 }

@@ -10,8 +10,8 @@ import (
 // NewDecisionRecord converts one Algorithm 1 run into the span
 // annotation obs traces carry: the chosen budget, which ISN set it, who
 // got boosted/downclocked/dropped, and every report's inputs. Both
-// serving paths (rpc.Aggregator and the simulated engine) build their
-// records here so a trace reads the same regardless of substrate.
+// serving paths build their records here, through Params.Budget, so a
+// trace reads the same regardless of substrate.
 //
 // missing lists ISNs whose predictions never arrived; mode is the
 // degraded policy that handled them (recorded only when missing is
@@ -68,23 +68,8 @@ func NewDecisionRecord(res BudgetResult, reports []ISNReport, missing []int,
 			queue = 0
 		}
 		rr.PredLatencyMS = queue + cluster.ServiceMS(r.PredCycles, rr.FreqGHz)
-		raw := r.RawCycles
-		if raw == 0 {
-			raw = r.PredCycles
-		}
-		rr.PredServiceMS = cluster.ServiceMS(raw, rr.FreqGHz)
+		rr.PredServiceMS = cluster.ServiceMS(r.RawCycles, rr.FreqGHz)
 		d.Reports = append(d.Reports, rr)
 	}
 	return d
-}
-
-// PredictedServiceMS returns the raw (unmargined) predicted service
-// time for one report at frequency f — the quantity accuracy tracking
-// compares against measured service time.
-func PredictedServiceMS(r ISNReport, f float64) float64 {
-	raw := r.RawCycles
-	if raw == 0 {
-		raw = r.PredCycles
-	}
-	return cluster.ServiceMS(raw, f)
 }

@@ -100,20 +100,10 @@ func (v *CottageNoML) Decide(e *engine.Engine, q trace.Query, nowMS float64) eng
 		if !p.Matched {
 			continue
 		}
-		cycles := p.Cycles * (1 + v.LatencyMargin)
-		rep, lcur, lboost := shardLeg(e, isn, nowMS, cycles)
-		reports = append(reports, ISNReport{
-			ISN:        isn,
-			QK:         int(math.Round(estK[isn])),
-			QK2:        int(math.Round(estK2[isn])),
-			HasK:       estK[isn] >= v.Tau,
-			HasK2:      estK2[isn] >= v.Tau,
-			ExpQK:      estK[isn],
-			LCurrent:   lcur,
-			LBoosted:   lboost,
-			PredCycles: cycles,
-			Replica:    rep,
-		})
+		est := quality{qk: int(math.Round(estK[isn])), qk2: int(math.Round(estK2[isn])), expQK: estK[isn],
+			hasK: estK[isn] >= v.Tau, hasK2: estK2[isn] >= v.Tau}
+		row, queueMS := servingQueue(e, isn, nowMS)
+		reports = append(reports, newReport(isn, est, p.Cycles, v.LatencyMargin, queueMS, row, e.Cluster.Ladder))
 	}
 	inner := &Cottage{Boost: v.Boost, StrictTopK: v.StrictTopK, Downclock: v.Downclock}
 	return inner.decideFromReports(e, reports)

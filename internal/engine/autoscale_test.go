@@ -56,7 +56,7 @@ func TestScaledRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	e, corpus := scaledEngine(t, 3)
 	qs := flashTrace(corpus)
 	e.Scaler = testScaler(3)
-	e.HedgeDelayMS = 30
+	e.Hedge.AfterMS = 30
 	run := func(procs int) RunResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		evs := e.EvaluateAll(qs)
@@ -122,7 +122,7 @@ func TestHedgingTamesInjectedStraggler(t *testing.T) {
 	p := &fixedPolicy{name: "all", select_: all, budgetMS: math.Inf(1)}
 
 	plain := e.Run(p, evs)
-	e.HedgeDelayMS = 25
+	e.Hedge.AfterMS = 25
 	hedged := e.Run(p, evs)
 
 	tail := func(r RunResult) float64 {

@@ -82,20 +82,11 @@ type Engine struct {
 	// ScaleStartR is the active replica count per shard at the start of
 	// a scaled run (default 1 — the controller earns its capacity).
 	ScaleStartR int
-	// HedgeDelayMS > 0 enables fixed-delay hedged requests: any leg
-	// whose response would take longer than this gets a duplicate sent
-	// to a sibling replica after the delay (the classic tail-taming
-	// baseline). Ignored when HedgePredictive is set.
-	HedgeDelayMS float64
-	// HedgePredictive hedges only legs the predictor flags: when a
-	// shard's predicted leg latency (margined cycle prediction plus
-	// live queue backlog, Eq. 2, plus the serving replica's observed
-	// latency defect) exceeds HedgeThresholdMS, the duplicate is sent
-	// immediately at dispatch — no timer, no waiting for the straggler
-	// to prove itself. Requires a policy that fills
-	// Decision.PredCycles; legs without a prediction never hedge.
-	HedgePredictive  bool
-	HedgeThresholdMS float64
+	// Hedge sends a duplicate of a leg to a sibling replica. A leg's
+	// predictive hedge signal is Eq. 2 over the policy's
+	// Decision.PredCycles plus the serving replica's latency defect; legs
+	// without a prediction never hedge.
+	Hedge cluster.Hedge
 	// Anatomy, when set alongside Obs, receives a per-phase latency
 	// attribution for every executed query (cache hits are skipped —
 	// they have no phases to attribute). Registered on the observer's
@@ -497,21 +488,11 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 		if d.Freq != nil && d.Freq[si] > 0 {
 			f = d.Freq[si]
 		}
-		// Hedging: predictive mode duplicates flagged legs at dispatch
-		// (predicted leg latency — Eq. 2 plus the replica's observed
-		// defect — over the threshold), fixed-delay mode duplicates any
-		// leg still unanswered after the timer. +Inf disables hedging
-		// for this leg.
-		hedgeDelay := math.Inf(1)
-		if e.HedgePredictive {
-			if d.PredCycles != nil && e.HedgeThresholdMS > 0 && d.PredCycles[si] > 0 {
-				if pl := e.Cluster.ShardPredictedLegMS(si, dispatch, d.PredCycles[si], f); pl > e.HedgeThresholdMS {
-					hedgeDelay = 0
-				}
-			}
-		} else if e.HedgeDelayMS > 0 {
-			hedgeDelay = e.HedgeDelayMS
+		predMS, havePred := 0.0, false
+		if e.Hedge.Predictive && d.PredCycles != nil && d.PredCycles[si] > 0 {
+			predMS, havePred = e.Cluster.ShardPredictedLegMS(si, dispatch, d.PredCycles[si], f), true
 		}
+		hedgeDelay := e.Hedge.DelayMS(predMS, havePred)
 		exec, hr := e.Cluster.ExecuteShardHedged(si, dispatch, ev.Cycles[si], f, deadline, hedgeDelay)
 		if hr.Hedged {
 			out.HedgedISNs++
@@ -589,6 +570,7 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 				truncBounds = make(map[int]float64)
 			}
 			truncBounds[si] = r.ScoreBound
+			d.Record.MarkTruncated(si, r.ScoreBound)
 			if resp := e.Cluster.ResponseAtAggregatorMS(exec); resp > aggDone {
 				aggDone = resp
 			}
@@ -627,13 +609,6 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 	out.LatencyMS = aggDone + e.Cluster.Net.ClientMS - ev.Query.ArrivalMS
 	if e.Cache != nil {
 		e.Cache.Put(qcache.Key(ev.Query.Terms), merged)
-	}
-	if d.Record != nil && truncBounds != nil {
-		for si := range e.Shards {
-			if _, ok := truncBounds[si]; ok {
-				d.Record.Truncated = append(d.Record.Truncated, si)
-			}
-		}
 	}
 	e.recordQuery(p, ev, d, arrive, dispatch, aggDone, execs, hedgeWaits, truncBounds, out)
 	if e.SLO != nil {

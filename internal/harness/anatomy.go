@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"cottage/internal/cluster"
 	"cottage/internal/core"
 	"cottage/internal/engine"
 	"cottage/internal/obs"
@@ -58,7 +59,7 @@ func Anatomy(s *Setup, w io.Writer) error {
 		{"cottage+hedge", 2, core.NewCottage(), func(eng *engine.Engine) {
 			// Replicated fleet with a limping row-0 replica on shard 0 —
 			// the setup where hedge-wait time shows up on the tail.
-			eng.HedgeDelayMS = hedgeFixedDelayMS
+			eng.Hedge = cluster.Hedge{AfterMS: hedgeFixedDelayMS}
 			eng.Cluster.SetExtraDelayMS(eng.Cluster.Topo().Node(0, 0), hedgeStragglerMS)
 		}},
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"cottage/internal/autoscale"
+	"cottage/internal/cluster"
 	"cottage/internal/core"
 	"cottage/internal/engine"
 	"cottage/internal/stats"
@@ -254,13 +255,11 @@ func runHedgingRows(s *Setup) []hedgingRow {
 		}
 	}
 	rows = append(rows, row("no-hedge"))
-	eng.HedgeDelayMS = hedgeFixedDelayMS
+	eng.Hedge = cluster.Hedge{AfterMS: hedgeFixedDelayMS}
 	rows = append(rows, row(fmt.Sprintf("fixed-%dms", hedgeFixedDelayMS)))
-	eng.HedgeDelayMS = 0
-	eng.HedgePredictive = true
-	eng.HedgeThresholdMS = hedgeThresholdMS
+	eng.Hedge = cluster.Hedge{Predictive: true, ThresholdMS: hedgeThresholdMS}
 	rows = append(rows, row(fmt.Sprintf("predictive-%dms", hedgeThresholdMS)))
-	eng.HedgePredictive = false
+	eng.Hedge = cluster.Hedge{}
 	return rows
 }
 

@@ -57,7 +57,7 @@ func chaosFixture(t *testing.T) (*engine.Engine, []*engine.Evaluated) {
 //  3. quality stays within straggler noise of the fault-free run:
 //     faults cost failovers and latency, not results.
 //
-// Wired as `make chaos-smoke` (part of `make check`), run with -race.
+// `make check` runs it with and without -race.
 func TestChaosSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains predictors")

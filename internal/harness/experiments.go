@@ -554,11 +554,12 @@ func Fig15(s *Setup, w io.Writer) error {
 // on/off, downclock on/off, strict top-K, and the quality-prediction
 // oracle.
 func Ablations(s *Setup, w io.Writer) error {
+	noBoost, noDownclock, strict := core.NewCottage(), core.NewCottage(), core.NewCottage()
+	noBoost.Boost = false
+	noDownclock.Downclock = false
+	strict.StrictTopK = true
 	policies := []engine.Policy{
-		core.NewCottage(),
-		&core.Cottage{DropZeroProb: 0.8, K2ZeroProb: 0.95, Boost: false, Downclock: true, LatencyMargin: 0.5},
-		&core.Cottage{DropZeroProb: 0.8, K2ZeroProb: 0.95, Boost: true, Downclock: false, LatencyMargin: 0.5},
-		&core.Cottage{DropZeroProb: 0.8, K2ZeroProb: 0.95, Boost: true, Downclock: true, StrictTopK: true, LatencyMargin: 0.5},
+		core.NewCottage(), noBoost, noDownclock, strict,
 		core.NewCottageOracle(s.Engine, s.WikiEval),
 	}
 	labels := []string{"cottage (full)", "no boost", "no downclock", "strict top-K", "oracle quality"}

@@ -13,7 +13,7 @@ import (
 // and the P@10-held-under-repair bound are all enforced inside
 // IntegritySweep itself — it returns an error the moment any of them
 // breaks — so the smoke only has to run it and sanity-check the report.
-// Wired as `make integrity-smoke` (part of `make check`), run with -race.
+// `make check` runs it with and without -race.
 func TestIntegritySmoke(t *testing.T) {
 	s := testSetup(t)
 	var buf bytes.Buffer

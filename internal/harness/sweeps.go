@@ -135,7 +135,8 @@ func Replication(s *Setup, w io.Writer) error {
 func CutoffFrontier(s *Setup, w io.Writer) error {
 	fmt.Fprintf(w, "%-8s %8s %8s %10s %10s %10s\n", "cutoff", "P@10", "ISNs", "avg ms", "power W", "C_RES")
 	for _, dz := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.99} {
-		p := &core.Cottage{DropZeroProb: dz, K2ZeroProb: 0.95, Boost: true, Downclock: true, LatencyMargin: 0.5}
+		p := core.NewCottage()
+		p.DropZeroProb = dz
 		sm := engine.Summarize(s.Engine.Run(p, s.WikiEval))
 		fmt.Fprintf(w, "%-8.2f %8.3f %8.2f %10.2f %10.2f %10.0f\n",
 			dz, sm.MeanPAtK, sm.MeanISNs, sm.MeanLatency, sm.AvgPowerW, sm.MeanCRES)

@@ -73,20 +73,37 @@ func (t *Trace) Root() *Span {
 // which ISN's boosted latency set it, and who got boosted, downclocked
 // or dropped. Everything needed to replay the decision by hand.
 type DecisionRecord struct {
-	BudgetMS       float64        `json:"budget_ms"`
-	BudgetISN      int            `json:"budget_isn"` // ISN whose L^boosted set T; -1 if none
-	Selected       []int          `json:"selected,omitempty"`
-	Boosted        []int          `json:"boosted,omitempty"`
-	Downclocked    []int          `json:"downclocked,omitempty"`
-	Dropped        []int          `json:"dropped,omitempty"`
+	BudgetMS    float64 `json:"budget_ms"`
+	BudgetISN   int     `json:"budget_isn"` // ISN whose L^boosted set T; -1 if none
+	Selected    []int   `json:"selected,omitempty"`
+	Boosted     []int   `json:"boosted,omitempty"`
+	Downclocked []int   `json:"downclocked,omitempty"`
+	Dropped     []int   `json:"dropped,omitempty"`
 	// Truncated lists ISNs whose execution missed the budget but still
 	// answered with a truncated anytime result (filled in after the
 	// search legs complete, not by Algorithm 1 itself).
-	Truncated []int `json:"truncated,omitempty"`
-	Missing   []int `json:"missing,omitempty"` // ISNs with no prediction (degraded)
+	Truncated      []int          `json:"truncated,omitempty"`
+	Missing        []int          `json:"missing,omitempty"` // ISNs with no prediction (degraded)
 	DegradedMode   string         `json:"degraded_mode,omitempty"`
 	DegradedReason string         `json:"degraded_reason,omitempty"`
 	Reports        []ReportRecord `json:"reports,omitempty"`
+}
+
+// MarkTruncated folds one anytime leg that hit its budget into the
+// record: isn joins Truncated, and its report carries the leg's score
+// bound. The search legs, not Algorithm 1, discover truncation, so both
+// serving paths call this after the fact. No-op on a nil record.
+func (d *DecisionRecord) MarkTruncated(isn int, scoreBound float64) {
+	if d == nil {
+		return
+	}
+	d.Truncated = append(d.Truncated, isn)
+	for i := range d.Reports {
+		if d.Reports[i].ISN == isn {
+			d.Reports[i].Truncated = true
+			d.Reports[i].ScoreBound = scoreBound
+		}
+	}
 }
 
 // ReportRecord is one ISN's predictor inputs and Algorithm 1 outcome.

@@ -187,3 +187,22 @@ func TestSetMaxSpansDefaults(t *testing.T) {
 	var nilB *TraceBuilder
 	nilB.SetMaxSpans(10) // nil-safe
 }
+
+// TestMarkTruncated: folding a truncated leg lists its ISN and marks that
+// ISN's report with the leg's score bound, leaving the others alone; a
+// nil record (no observer) ignores it.
+func TestMarkTruncated(t *testing.T) {
+	var none *DecisionRecord
+	none.MarkTruncated(1, 2.5)
+	d := &DecisionRecord{Reports: []ReportRecord{{ISN: 0}, {ISN: 3}}}
+	d.MarkTruncated(3, 2.5)
+	if len(d.Truncated) != 1 || d.Truncated[0] != 3 {
+		t.Fatalf("Truncated = %v, want [3]", d.Truncated)
+	}
+	if r := d.Reports[1]; !r.Truncated || r.ScoreBound != 2.5 {
+		t.Fatalf("ISN 3 report %+v, want truncated at bound 2.5", r)
+	}
+	if r := d.Reports[0]; r.Truncated || r.ScoreBound != 0 {
+		t.Fatalf("ISN 0 report %+v touched", r)
+	}
+}

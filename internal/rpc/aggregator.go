@@ -34,28 +34,13 @@ type Aggregator struct {
 	// demo processes share one machine), but the budget math is the real
 	// thing.
 	Ladder cluster.Ladder
-	// DropZeroProb / K2ZeroProb mirror core.Cottage's calibrated cutoffs.
-	DropZeroProb float64
-	K2ZeroProb   float64
-	// Degraded picks the budget policy when some ISNs fail to deliver a
-	// prediction: exclude them from the optimization (default) or fall
-	// back to the conservative max-boosted-latency budget so stragglers
-	// that recover mid-query can still land their hits.
-	Degraded core.DegradedMode
-	// HedgeAfter, when positive, issues a second copy of a search request
-	// on a fresh connection if the first has not answered within this
-	// window; the first reply wins and the loser is cancelled. Zero
-	// disables hedging.
-	HedgeAfter time.Duration
-	// HedgePredictive switches hedging from fixed-delay timers to
-	// predictor-driven: a search leg whose predicted queue-inclusive
-	// latency (the Eq. 2-corrected LCurrent from the prediction round)
-	// exceeds HedgeThresholdMS is hedged immediately at dispatch, and
-	// unflagged legs are never hedged — no duplicate for requests the
-	// predictor already expects to be fast. HedgeAfter is ignored in
-	// this mode; legs without a prediction never hedge.
-	HedgePredictive  bool
-	HedgeThresholdMS float64
+	// Params are core.Cottage's calibrated cutoffs and degraded-mode
+	// policy, applied the same way here as in the twin.
+	core.Params
+	// Hedge sends a duplicate search request on a fresh connection; the
+	// first reply wins and the loser is cancelled. A leg's predictive
+	// hedge signal is its Eq. 2-corrected LCurrent.
+	Hedge cluster.Hedge
 	// Anytime makes every budgeted search leg use the anytime traversal:
 	// ISNs that would overrun the budget answer with an exact truncated
 	// top-K and a score-bound certificate instead of erroring, and
@@ -218,11 +203,10 @@ func (a *Aggregator) observeBreaker(i int, err error) {
 // NewAggregator wires an aggregator over dialed clients.
 func NewAggregator(clients []*Client, k int) *Aggregator {
 	return &Aggregator{
-		Clients:      clients,
-		K:            k,
-		Ladder:       cluster.DefaultLadder(),
-		DropZeroProb: 0.8,
-		K2ZeroProb:   0.95,
+		Clients: clients,
+		K:       k,
+		Ladder:  cluster.DefaultLadder(),
+		Params:  core.Params{DropZeroProb: 0.8, K2ZeroProb: 0.95},
 	}
 }
 
@@ -287,21 +271,15 @@ type Result struct {
 // nowUS is the span clock for the live path.
 func nowUS() int64 { return time.Now().UnixMicro() }
 
-// hedgeFor returns the hedge timer for one shard's search leg: the
-// fixed HedgeAfter delay in timer mode; in predictive mode, immediate
-// (0) for legs whose predicted queue-inclusive latency crosses the
-// threshold and disabled (-1) for everything else.
+// hedgeFor returns the hedge timer for one shard's search leg, whose
+// live hedge signal is its predicted queue-inclusive latency: 0 hedges
+// at dispatch, -1 never.
 func (a *Aggregator) hedgeFor(predLCurrentMS float64, havePred bool) time.Duration {
-	if a.HedgePredictive {
-		if havePred && a.HedgeThresholdMS > 0 && predLCurrentMS > a.HedgeThresholdMS {
-			return 0
-		}
+	ms := a.Hedge.DelayMS(predLCurrentMS, havePred)
+	if ms < 0 {
 		return -1
 	}
-	if a.HedgeAfter > 0 {
-		return a.HedgeAfter
-	}
-	return -1
+	return time.Duration(ms * float64(time.Millisecond))
 }
 
 // hedgeInfo reports what the hedging layer did for one search leg — the
@@ -402,27 +380,10 @@ func (a *Aggregator) clientSearch(c *Client, sc obs.SpanContext, terms []string,
 	return c.SearchSpan(sc, terms, a.K, deadline)
 }
 
-// finishTrace seals and records a query's trace, stamping its ID into
-// the result and feeding the phase-attribution collector. No-op without
-// an observer (nil builder).
-func (a *Aggregator) finishTrace(tb *obs.TraceBuilder, root *obs.ActiveSpan, res *Result) {
-	if tb == nil {
-		return
-	}
-	root.End(nowUS())
-	tr := tb.Finish()
-	a.Obs.AddTrace(tr)
-	res.TraceID = tr.ID
-	if a.Anatomy != nil {
-		if attr, ok := anatomy.FromTrace(tr); ok {
-			a.Anatomy.Observe(attr)
-		}
-	}
-}
-
 // finishQuery is every exit's last step, whatever the query came to:
-// its elapsed time goes to the mode's latency histogram, its trace is
-// sealed, and the burn-rate monitor hears of it — after the trace, so a
+// its elapsed time goes to the mode's latency histogram, its trace (with
+// an observer) is sealed, recorded, stamped into res and attributed to
+// phases, and the burn-rate monitor hears of it — after the trace, so a
 // page triggered by this query finds it already in the flight recorder.
 // Quality is degraded when any shard's hits are missing (failed) or
 // truncated. failed marks a query that returned an error instead of an
@@ -432,7 +393,17 @@ func (a *Aggregator) finishQuery(tb *obs.TraceBuilder, root *obs.ActiveSpan, res
 	if hist != nil {
 		hist.Observe(ms)
 	}
-	a.finishTrace(tb, root, res)
+	if tb != nil {
+		root.End(nowUS())
+		tr := tb.Finish()
+		a.Obs.AddTrace(tr)
+		res.TraceID = tr.ID
+		if a.Anatomy != nil {
+			if attr, ok := anatomy.FromTrace(tr); ok {
+				a.Anatomy.Observe(attr)
+			}
+		}
+	}
 	if a.SLO == nil {
 		return
 	}
@@ -509,12 +480,63 @@ func (q *fanout) predictLeg(li int) {
 // expected to straggle gets its duplicate at dispatch, the rest are
 // never hedged.
 func (q *fanout) searchLeg(li int) {
-	shard, lcur, havePred := li, 0.0, false
+	shard, lcur, havePred := q.legShard(li), 0.0, false
 	if q.selected != nil {
-		shard = q.selected[li].ISN
 		lcur, havePred = q.preds[shard].report.LCurrent, q.preds[shard].ok
 	}
 	q.legs[li] = q.a.searchShard(shard, q.tb, q.parent, q.terms, q.deadline, q.a.hedgeFor(lcur, havePred))
+}
+
+// legShard is the shard search leg li asks.
+func (q *fanout) legShard(li int) int {
+	if q.selected == nil {
+		return li
+	}
+	return q.selected[li].ISN
+}
+
+// searchRound is steps 5–7 of both protocols: n search legs under the
+// query's "search" span, one per selected shard (every shard when
+// q.selected is nil), filed on res. A leg that fails (straggler or group-wide failure)
+// loses its hits but the query survives: its shard joins res.Failed. An
+// anytime leg that hit the budget answered exact-but-partial hits: its
+// shard joins res.Truncated, and rec when tracing. The hits come back
+// one slot per leg.
+func (q *fanout) searchRound(root *obs.ActiveSpan, n int, res *Result, rec *obs.DecisionRecord) [][]search.Hit {
+	span := q.tb.StartSpan("search", root.ID(), nowUS())
+	q.parent = span
+	q.legs = make([]searchLeg, n)
+	q.round(n, (*fanout).searchLeg)
+	span.End(nowUS())
+	lists := make([][]search.Hit, n)
+	for li := range q.legs {
+		leg, shard := &q.legs[li], q.legShard(li)
+		if q.selected != nil || leg.err == nil {
+			// Cottage lists every shard it searched, exhaustive search
+			// the shards that answered.
+			res.Selected = append(res.Selected, shard)
+		}
+		if leg.err != nil {
+			res.Failed = append(res.Failed, shard)
+			continue
+		}
+		lists[li] = leg.hits
+		if leg.terminated {
+			res.Truncated = append(res.Truncated, shard)
+			rec.MarkTruncated(shard, leg.bound)
+		}
+	}
+	sort.Ints(res.Failed) // a Cottage query's missing predictions came first
+	return lists
+}
+
+// merge is every answered query's last phase: the top K of the legs'
+// hits, under the query's "merge" span.
+func (q *fanout) merge(root *obs.ActiveSpan, res *Result, lists [][]search.Hit, start time.Time) {
+	span := q.tb.StartSpan("merge", root.ID(), nowUS())
+	res.Hits = search.Merge(q.a.K, lists...)
+	span.End(nowUS())
+	res.Elapsed = time.Since(start)
 }
 
 // startQuery opens a query's trace (nil builder and spans without an
@@ -538,39 +560,21 @@ func (a *Aggregator) startQuery(mode string, terms []string, start time.Time) (*
 func (a *Aggregator) SearchExhaustive(terms []string) (Result, error) {
 	start := time.Now()
 	q, root := a.startQuery("exhaustive", terms, start)
-	tb := q.tb
-
-	searchSpan := tb.StartSpan("search", root.ID(), nowUS())
 	shards := a.Shards()
-	q.parent = searchSpan
-	q.legs = make([]searchLeg, shards)
-	q.round(shards, (*fanout).searchLeg)
-	searchSpan.End(nowUS())
-	res := Result{}
-	lists := make([][]search.Hit, shards)
-	for s := range q.legs {
-		if q.legs[s].err != nil {
-			res.Failed = append(res.Failed, s)
-			continue
-		}
-		res.Selected = append(res.Selected, s)
-		lists[s] = q.legs[s].hits
-	}
+	var res Result
+	lists := q.searchRound(root, shards, &res, nil)
 	if len(res.Failed) == shards {
 		root.SetAttr("error", "all shards failed")
 		res.Elapsed = time.Since(start)
-		a.finishQuery(tb, root, &res, a.latExhaust, true)
+		a.finishQuery(q.tb, root, &res, a.latExhaust, true)
 		errs := make([]error, shards)
 		for s := range q.legs {
 			errs[s] = q.legs[s].err
 		}
 		return Result{}, fmt.Errorf("rpc: all %d shards failed: %w", shards, errors.Join(errs...))
 	}
-	mergeSpan := tb.StartSpan("merge", root.ID(), nowUS())
-	res.Hits = search.Merge(a.K, lists...)
-	mergeSpan.End(nowUS())
-	res.Elapsed = time.Since(start)
-	a.finishQuery(tb, root, &res, a.latExhaust, false)
+	q.merge(root, &res, lists, start)
+	a.finishQuery(q.tb, root, &res, a.latExhaust, false)
 	return res, nil
 }
 
@@ -638,12 +642,8 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 	// Step 4: time budget determination, degraded if predictions are
 	// missing.
 	budgetSpan := tb.StartSpan("budget", root.ID(), nowUS())
-	budget := core.DetermineBudgetDegraded(preds, len(missing), a.Ladder, core.BudgetOptions{}, a.Degraded)
-	var rec *obs.DecisionRecord
-	if a.Obs != nil {
-		rec = core.NewDecisionRecord(budget, preds, missing, a.Degraded, a.Ladder)
-		budgetSpan.SetDecision(rec)
-	}
+	budget, rec := a.Params.Budget(preds, missing, a.Ladder, core.BudgetOptions{}, a.Obs != nil)
+	budgetSpan.SetDecision(rec)
 	budgetSpan.End(nowUS())
 	res.BudgetMS = budget.BudgetMS
 	res.Cut = budget.Cut
@@ -653,55 +653,11 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 		return res, nil
 	}
 
-	// Steps 5-7: budget-bounded search on the selected shards. A leg that
-	// fails (straggler or group-wide failure) loses its hits but the
-	// query survives; the gap is recorded so callers can see it.
-	searchSpan := tb.StartSpan("search", root.ID(), nowUS())
-	q.parent = searchSpan
+	// Steps 5-7: budget-bounded search on the selected shards.
 	q.selected = budget.Selected
 	q.deadline = time.Duration(budget.BudgetMS * float64(time.Millisecond))
-	q.legs = make([]searchLeg, len(budget.Selected))
-	q.round(len(budget.Selected), (*fanout).searchLeg)
-	searchSpan.End(nowUS())
-	legs := q.legs
-	lists := make([][]search.Hit, len(legs))
-	for li, asg := range budget.Selected {
-		res.Selected = append(res.Selected, asg.ISN)
-		if legs[li].err != nil {
-			res.Failed = append(res.Failed, asg.ISN)
-			continue
-		}
-		lists[li] = legs[li].hits
-	}
-	sort.Ints(res.Failed)
-
-	// Anytime legs that hit the budget: exact-but-partial answers. They
-	// are recorded on the result, and — when tracing — folded back into
-	// the decision record after the fact (the search legs, not Algorithm
-	// 1, discover truncation).
-	for li, asg := range budget.Selected {
-		leg := legs[li]
-		if leg.err != nil || !leg.terminated {
-			continue
-		}
-		res.Truncated = append(res.Truncated, asg.ISN)
-		if rec == nil {
-			continue
-		}
-		rec.Truncated = append(rec.Truncated, asg.ISN)
-		for ri := range rec.Reports {
-			if rec.Reports[ri].ISN == asg.ISN {
-				rec.Reports[ri].Truncated = true
-				rec.Reports[ri].ScoreBound = leg.bound
-			}
-		}
-	}
-	sort.Ints(res.Truncated)
-
-	mergeSpan := tb.StartSpan("merge", root.ID(), nowUS())
-	res.Hits = search.Merge(a.K, lists...)
-	mergeSpan.End(nowUS())
-	res.Elapsed = time.Since(start)
+	lists := q.searchRound(root, len(budget.Selected), &res, rec)
+	q.merge(root, &res, lists, start)
 
 	if a.Obs != nil {
 		// Predictor accuracy (Fig. 5–7, live): each surviving leg scores
@@ -711,7 +667,7 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 		// placed a hit in the merged top K).
 		top := search.DocSet(res.Hits)
 		for li, asg := range budget.Selected {
-			leg := legs[li]
+			leg := &q.legs[li]
 			if leg.err != nil || leg.client < 0 || !q.preds[asg.ISN].ok {
 				continue
 			}

@@ -238,7 +238,7 @@ func TestHedgeWinsOverStuckPrimary(t *testing.T) {
 	c.attach(stuck)
 
 	agg := NewAggregator([]*Client{c}, 5)
-	agg.HedgeAfter = 20 * time.Millisecond
+	agg.Hedge.AfterMS = 20
 	res, err := agg.SearchExhaustive([]string{"ga"})
 	if err != nil {
 		t.Fatalf("hedge did not rescue the stuck primary: %v", err)
@@ -269,7 +269,7 @@ func TestHedgeCancelledWhenPrimaryWins(t *testing.T) {
 	c.SetTimeout(5 * time.Second)
 
 	agg := NewAggregator([]*Client{c}, 5)
-	agg.HedgeAfter = 30 * time.Millisecond
+	agg.Hedge.AfterMS = 30
 	res, err := agg.SearchExhaustive([]string{"ga"})
 	if err != nil {
 		t.Fatal(err)

@@ -4,35 +4,36 @@ import (
 	"testing"
 	"time"
 
+	"cottage/internal/cluster"
 	"cottage/internal/faults"
 	"cottage/internal/obs"
 )
 
 // TestHedgeFor pins the per-leg hedge timer rule: fixed-delay mode
-// echoes HedgeAfter (or never), predictive mode hedges flagged legs
+// echoes Hedge.AfterMS (or never), predictive mode hedges flagged legs
 // immediately and everything else never.
 func TestHedgeFor(t *testing.T) {
 	cases := []struct {
 		name        string
 		predictive  bool
-		after       time.Duration
+		afterMS     float64
 		thresholdMS float64
 		lcurMS      float64
 		havePred    bool
 		want        time.Duration
 	}{
 		{name: "timer/off", want: -1},
-		{name: "timer/set", after: 20 * time.Millisecond, want: 20 * time.Millisecond},
+		{name: "timer/set", afterMS: 20, want: 20 * time.Millisecond},
 		{name: "predictive/flagged", predictive: true, thresholdMS: 10, lcurMS: 50, havePred: true, want: 0},
 		{name: "predictive/below-threshold", predictive: true, thresholdMS: 10, lcurMS: 5, havePred: true, want: -1},
 		{name: "predictive/no-prediction", predictive: true, thresholdMS: 10, lcurMS: 50, havePred: false, want: -1},
 		{name: "predictive/zero-threshold", predictive: true, lcurMS: 50, havePred: true, want: -1},
-		// Predictive mode owns the decision: a leftover HedgeAfter must
+		// Predictive mode owns the decision: a leftover AfterMS must
 		// not leak timer hedges onto unflagged legs.
-		{name: "predictive/ignores-timer", predictive: true, after: 20 * time.Millisecond, thresholdMS: 10, lcurMS: 5, havePred: true, want: -1},
+		{name: "predictive/ignores-timer", predictive: true, afterMS: 20, thresholdMS: 10, lcurMS: 5, havePred: true, want: -1},
 	}
 	for _, tc := range cases {
-		a := &Aggregator{HedgePredictive: tc.predictive, HedgeAfter: tc.after, HedgeThresholdMS: tc.thresholdMS}
+		a := &Aggregator{Hedge: cluster.Hedge{AfterMS: tc.afterMS, Predictive: tc.predictive, ThresholdMS: tc.thresholdMS}}
 		if got := a.hedgeFor(tc.lcurMS, tc.havePred); got != tc.want {
 			t.Errorf("%s: hedgeFor(%v, %v) = %v, want %v", tc.name, tc.lcurMS, tc.havePred, got, tc.want)
 		}
@@ -58,8 +59,7 @@ func TestPredictiveHedgeDispatch(t *testing.T) {
 	c.SetTimeout(5 * time.Second)
 
 	agg := NewAggregator([]*Client{c}, 5)
-	agg.HedgePredictive = true
-	agg.HedgeThresholdMS = 10
+	agg.Hedge = cluster.Hedge{Predictive: true, ThresholdMS: 10}
 
 	// Unflagged: predicted 5ms < 10ms threshold. The reply takes ~30ms,
 	// but a fixed 20ms timer that would have fired here must not exist.
@@ -90,7 +90,7 @@ func TestPredictiveHedgeDispatch(t *testing.T) {
 
 // TestPredictiveModeSuppressesExhaustiveTimer: SearchExhaustive has no
 // prediction step, so under predictive hedging it must never hedge —
-// even with a HedgeAfter short enough that timer mode would fire.
+// even with an AfterMS short enough that timer mode would fire.
 func TestPredictiveModeSuppressesExhaustiveTimer(t *testing.T) {
 	sh := buildShard(t, 47)
 	in := faults.NewInjector(17)
@@ -105,9 +105,7 @@ func TestPredictiveModeSuppressesExhaustiveTimer(t *testing.T) {
 	c.SetTimeout(5 * time.Second)
 
 	agg := NewAggregator([]*Client{c}, 5)
-	agg.HedgePredictive = true
-	agg.HedgeThresholdMS = 10
-	agg.HedgeAfter = 5 * time.Millisecond
+	agg.Hedge = cluster.Hedge{AfterMS: 5, Predictive: true, ThresholdMS: 10}
 
 	res, err := agg.SearchExhaustive([]string{"ga"})
 	if err != nil {

@@ -107,7 +107,7 @@ func parsePrometheus(tb testing.TB, text string) map[string]bool {
 	return families
 }
 
-// TestObsSmoke is the CI obs-smoke gate: distributed fixture, debug
+// TestObsSmoke is the observability gate: distributed fixture, debug
 // listener, traced queries. Asserts /metrics parses and exposes the
 // latency/predictor families, and that a traced Cottage query yields a
 // complete span tree (predict/budget/search/merge under one root, legs

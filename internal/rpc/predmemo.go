@@ -3,7 +3,6 @@ package rpc
 import (
 	"sync"
 
-	"cottage/internal/cluster"
 	"cottage/internal/core"
 	"cottage/internal/obs"
 	"cottage/internal/overload"
@@ -195,27 +194,9 @@ func (a *Aggregator) predSlotFor(shard int, p predict.Prediction, row int, load 
 	if !p.Matched {
 		return predSlot{}
 	}
-	fdef, fmax := a.Ladder.Default(), a.Ladder.Max()
-	r := core.ISNReport{
-		ISN:        shard,
-		QK:         p.QK,
-		QK2:        p.QK2,
-		HasK:       p.PZeroK < a.DropZeroProb,
-		HasK2:      p.PZeroK2 < a.K2ZeroProb,
-		ExpQK:      p.ExpQK,
-		LCurrent:   cluster.ServiceMS(p.Cycles, fdef),
-		LBoosted:   cluster.ServiceMS(p.Cycles, fmax),
-		PredCycles: p.Cycles,
-		RawCycles:  p.Cycles,
-		Replica:    row,
-	}
-	// Eq. 2: correct the bare service-time predictions for the work
-	// already queued at the ISN, measured live rather than simulated.
-	// Queue-heavy ISNs now look as slow to Algorithm 1 as they actually
-	// are, so stage-1 cuts and the budget react to real load. The backlog
-	// is the serving replica's own — predictions from whichever replica
-	// answered feed the budget unchanged, since replicas agree on
-	// Q^K/Q^{K/2}.
-	r.AddQueueBacklog(core.QueueBacklogMS(load.Depth, float64(load.AvgServiceUS)/1000))
-	return predSlot{report: r, ok: true}
+	// Eq. 2 with the serving replica's own backlog, measured live, so
+	// stage-1 cuts and the budget react to real load; replicas agree on
+	// Q^K/Q^{K/2}. The live path applies no latency margin.
+	queueMS := core.QueueBacklogMS(load.Depth, float64(load.AvgServiceUS)/1000)
+	return predSlot{report: a.Params.Report(shard, p, 0, queueMS, row, a.Ladder), ok: true}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cottage/internal/cluster"
 	"cottage/internal/core"
 	"cottage/internal/faults"
 	"cottage/internal/index"
@@ -92,6 +93,21 @@ func memoFleet(tb testing.TB, customize func(i int, srv *Server, l net.Listener)
 		isns[i] = startISN(tb, l, srv)
 	}
 	return isns, f.qs
+}
+
+// clonePredictor returns a decoded copy of p with inference scratch of
+// its own, for a second user of the same model.
+func clonePredictor(tb testing.TB, p *predict.ISNPredictor) *predict.ISNPredictor {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := p.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	c, err := predict.DecodeISNPredictor(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 // dialFleet connects a fresh set of clients to isns.
@@ -260,15 +276,7 @@ func TestMemoReasksRestartedShard(t *testing.T) {
 	// The new process serves shard 0's data. It answers in the same fan-out
 	// as ISN 0, so it needs inference scratch of its own: a decoded copy.
 	f := &memoFixture
-	var model bytes.Buffer
-	if err := f.fleet.Predictors[0].Encode(&model); err != nil {
-		t.Fatal(err)
-	}
-	pred, err := predict.DecodeISNPredictor(&model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped := startISN(t, l, &Server{Shard: f.shards[0], Pred: pred, Strategy: search.StrategyMaxScore})
+	swapped := startISN(t, l, &Server{Shard: f.shards[0], Pred: clonePredictor(t, f.fleet.Predictors[0]), Strategy: search.StrategyMaxScore})
 	// Something has to touch the dead connection for anyone to know: here
 	// the ping a prober would send (a search leg would do as well).
 	if err := clients[2].Ping(); err != nil {
@@ -466,8 +474,7 @@ func TestPredictiveHedgeReadsMemoisedPrediction(t *testing.T) {
 	})
 	agg := NewAggregator(dialFleet(t, isns), 10)
 	terms := selectingQuery(t, agg, qs[:10], 0)
-	agg.HedgePredictive = true
-	agg.HedgeThresholdMS = 1e-9 // every leg with a prediction is "slow"
+	agg.Hedge = cluster.Hedge{Predictive: true, ThresholdMS: 1e-9} // every leg with a prediction is "slow"
 
 	cold := mustCottage(t, agg, terms)
 	hedges := agg.Stats().Hedges

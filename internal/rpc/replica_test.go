@@ -247,7 +247,7 @@ func TestHedgeFailoverCompose(t *testing.T) {
 	if err := agg.EnableReplicaGroups([][]int{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	agg.HedgeAfter = 20 * time.Millisecond
+	agg.Hedge.AfterMS = 20
 
 	res, err := agg.SearchExhaustive([]string{"ga"})
 	if err != nil {
