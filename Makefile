@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench-build fuzz-smoke bench bench-smoke bench-compare corpus corpus-check cover check clean
+.PHONY: all build vet test race bench-build fuzz-smoke bench-smoke corpus corpus-check cover check clean
 
 all: build
 
@@ -53,56 +53,12 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzShardDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzPackedPostingsDecode -fuzztime $(FUZZTIME)
 
-# Full perf-regression sweep: every figure benchmark plus the pruning,
-# per-query and fleet-shaped evaluation benches, recorded to $(BENCHOUT)
-# via tools/benchjson so the baseline can be checked in and diffed. Each
-# benchmark runs $(BENCHCOUNT) times and benchjson keeps the fastest —
-# minimum-of-N is what makes a tight regression gate usable on a
-# shared, noisy machine.
-#
-# $(BENCHBASE) is re-recorded (make bench BENCHOUT=BENCH_PRnn.json, then
-# point BENCHBASE at it) whenever a PR moves the gated benches on purpose
-# or the machine has drifted: a baseline the parent commit already fails
-# gates nothing, and one recorded before a 40 % speed-up would wave
-# through a 35 % regression.
-BENCHOUT ?= BENCH_PR23.json
-BENCHBASE ?= BENCH_PR23.json
-BENCHCOUNT ?= 3
-MAXREGRESS ?= 5%
-bench:
-	$(GO) test -run '^$$' -bench 'Fig|Table1|Pruning|EvaluateQuery|EvalFleetShape|Ablation|Oracle' \
-		-benchmem -count $(BENCHCOUNT) -timeout 60m . | tee /dev/stderr | $(GO) run ./tools/benchjson -o $(BENCHOUT)
-
-# Same-machine perf-regression gate on the query-evaluation hot path:
-# re-measure the pruning, per-query and fleet-shaped benches now (min of
-# $(GATECOUNT)) and fail if any is more than $(MAXREGRESS) slower
-# than the committed $(BENCHBASE) sweep. Fresh-run-vs-baseline is the
-# only sound shape for an ns/op gate — diffing two checked-in sweeps
-# recorded on different days conflates code changes with machine
-# drift (observed at up to +47% on benches the code never touched).
-# Cross-PR sweep diffs stay available as an analysis tool:
-#   go run ./tools/benchjson -compare BENCH_PR10.json BENCH_PR23.json
-# The gate run takes more samples than the recorded sweep so its
-# minimum is at least as likely to hit the machine's floor as the
-# baseline's was — the bias a noise-tolerant gate wants.
-#
-# It is not part of `check`: on this shared machine it went red on
-# identical code in PRs 18, 19 and 23 (per-benchmark drift of -18 % to
-# +48 % between sweeps of one binary), so a red result says nothing about
-# the change. Run it by hand, and measure a change with alternating
-# `go test -c` binaries of both commits.
-GATECOUNT ?= 5
-BENCHHEAD ?= /tmp/cottage-bench-head.json
-bench-compare:
-	$(GO) test -run '^$$' -bench 'Pruning|EvaluateQuery|EvalFleetShape' -count $(GATECOUNT) -timeout 30m . \
-		| $(GO) run ./tools/benchjson -o $(BENCHHEAD)
-	$(GO) run ./tools/benchjson -compare -max-regress $(MAXREGRESS) $(BENCHBASE) $(BENCHHEAD)
-
 # Quick perf sanity on the two predictor hot paths (the ones with hard
 # ns/op acceptance bars) and on a live Cottage query with and without
 # its predictions remembered (internal/rpc, loopback fixture; the pair
 # asserts it really timed hits and misses); keeps check fast while
-# catching gross regressions. Full numbers come from `make bench`.
+# catching gross regressions. End-to-end numbers come from the
+# socket-level benchmark (bench/run.sh, BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig7QualityPredictor|Fig9BudgetDetermination' \
 		-benchmem -benchtime 1x -timeout 10m .

@@ -29,8 +29,6 @@ import (
 	"cottage/internal/cluster"
 	"cottage/internal/index"
 	"cottage/internal/obs"
-	"cottage/internal/obs/anatomy"
-	"cottage/internal/obs/slo"
 	"cottage/internal/par"
 	"cottage/internal/predict"
 	"cottage/internal/qcache"
@@ -65,13 +63,11 @@ type Engine struct {
 	// round trip plus a lookup; misses follow the configured policy and
 	// populate the cache.
 	Cache *qcache.LRU[[]search.Hit]
-	// Obs, when set, makes the simulated twin record the same
-	// observability surface as the live transport: one virtual-time trace
-	// per query (predict/budget/search/merge spans, per-ISN execution
-	// legs, the Algorithm 1 decision record), latency/budget histograms,
-	// and rolling predictor accuracy — so harness sweeps validate the
-	// instrumentation itself.
-	Obs *obs.Observer
+	// Telemetry makes the simulated twin report the same observability
+	// surface as the live transport, on the virtual clock — so harness
+	// sweeps validate the instrumentation itself. The SLO monitor also
+	// hears the fleet's average power.
+	Telemetry
 	// Scaler, when set, closes the autoscaling loop during Run: every
 	// arrival feeds its rate estimator, completed legs feed per-shard
 	// service EWMAs, and on each cadence tick the controller's plan is
@@ -87,26 +83,9 @@ type Engine struct {
 	// Decision.PredCycles plus the serving replica's latency defect; legs
 	// without a prediction never hedge.
 	Hedge cluster.Hedge
-	// Anatomy, when set alongside Obs, receives a per-phase latency
-	// attribution for every executed query (cache hits are skipped —
-	// they have no phases to attribute). Registered on the observer's
-	// registry at Run start.
-	Anatomy *anatomy.Collector
-	// SLO, when set, is fed every query's latency and quality signal
-	// (degraded = any failed/truncated/dropped/shed shard) plus the
-	// fleet's average power, driving burn-rate alerting on the twin's
-	// virtual clock.
-	SLO *slo.QuerySLO
 
-	// runObs caches the current Run's metric handles (resolved once per
-	// Run so the per-query hot path never touches the registry).
-	runObs *engineRunObs
-}
-
-// engineRunObs holds one Run's pre-resolved metric handles.
-type engineRunObs struct {
-	latency *obs.Histogram
-	budget  *obs.Histogram
+	hists QueryHists // the current Run's, resolved at its start
+	legs  []Leg      // runOne's scratch: one query's legs
 }
 
 // Config assembles an Engine.
@@ -379,21 +358,9 @@ func (e *Engine) Run(p Policy, evs []*Evaluated) RunResult {
 		e.Scaler.Reset(r0)
 		e.Cluster.SetAllActiveReplicas(r0, 0)
 	}
-	e.runObs = nil
+	e.hists = e.Hists(p.Name())
 	if e.Obs != nil {
-		reg := e.Obs.Reg
-		e.runObs = &engineRunObs{
-			latency: reg.Histogram("cottage_agg_query_ms",
-				"End-to-end query latency at the aggregator (virtual time).",
-				obs.LatencyBucketsMS(), obs.L("mode", p.Name())),
-			budget: reg.Histogram("cottage_agg_budget_ms",
-				"Algorithm 1 time budget T per query (finite budgets only).",
-				obs.LatencyBucketsMS()),
-		}
-		e.Cluster.Register(reg) // idempotent: create-or-get
-		if e.Anatomy != nil {
-			e.Anatomy.Register(reg)
-		}
+		e.Cluster.Register(e.Obs.Reg) // idempotent: create-or-get
 	}
 	res := RunResult{Policy: p.Name(), Outcomes: make([]Outcome, 0, len(evs))}
 	for _, ev := range evs {
@@ -428,16 +395,13 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 				ArrivalMS: ev.Query.ArrivalMS,
 				LatencyMS: 2*e.Cluster.Net.ClientMS + cacheLookupMS,
 				BudgetMS:  0,
+				PAtK:      pAtK(hits, ev),
 			}
-			if len(ev.TopK) > 0 {
-				out.PAtK = float64(search.Overlap(hits, ev.TopKSet)) / float64(len(ev.TopK))
-			} else {
-				out.PAtK = 1
-			}
-			e.recordCacheHit(p, ev, out)
-			if e.SLO != nil {
-				e.SLO.ObserveQuery(out.LatencyMS, false)
-			}
+			// A single query root, no fan-out: no phases to attribute.
+			tb, root := e.startTrace(p, ev)
+			root.SetAttr("cache", "hit")
+			root.End(vtUS(ev.Query.ArrivalMS + out.LatencyMS))
+			e.FinishQuery(e.hists, tb, out.LatencyMS, 0, false, false)
 			p.Observe(out.LatencyMS)
 			return out
 		}
@@ -473,13 +437,14 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 		ArrivalMS: ev.Query.ArrivalMS,
 		BudgetMS:  d.BudgetMS,
 	}
-	var lists [][]search.Hit
-	var execs []cluster.Execution // recorded for the trace (observer only)
-	var hedgeWaits []float64      // parallel to execs: hedge-timer wait on won legs
-	var truncBounds map[int]float64
+	// A dead participant never answers: the aggregator gives up on it at
+	// the budget, or — with no budget — at its failure-detection timeout.
+	giveup := deadline
+	if math.IsInf(giveup, 1) {
+		giveup = dispatch + e.Cluster.FailTimeoutMS
+	}
+	legs := e.legs[:0]
 	aggDone := dispatch
-	anyDropped := false
-	anyFailed := false
 	for si := range e.Shards {
 		if !d.Participate[si] {
 			continue
@@ -501,124 +466,92 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 			}
 			out.DuplicateMS += hr.DuplicateMS
 		}
-		if e.Obs != nil {
-			execs = append(execs, exec)
-			// A won hedge's leg was sent at dispatch+hedgeDelay; that wait
-			// is hedge time, not failover time, so recordQuery needs it to
-			// split the two apart.
-			hw := 0.0
-			if hr.Hedged && hr.Won {
-				hw = hedgeDelay
-			}
-			hedgeWaits = append(hedgeWaits, hw)
+		l := Leg{Shard: si, Client: si, Replica: exec.Replica, Failovers: exec.Failovers,
+			Truth: ev.PerShard[si].Hits, ActualMS: exec.ServiceMS,
+			QueueMS: exec.QueueMS, ServiceMS: exec.ServiceMS, FreqGHz: exec.Freq,
+			EndMS: e.Cluster.ResponseAtAggregatorMS(exec), Hedged: hr.Hedged}
+		if hr.Hedged && hr.Won {
+			// The winning duplicate was sent at dispatch+hedgeDelay: that
+			// wait is hedge time, not failover time.
+			l.HedgeWaitMS = hedgeDelay
 		}
-		out.Failovers += exec.Failovers
-		if exec.Failed || exec.Dropped {
-			// The whole replica group is lost (dead shard, or every
-			// failover attempt crashed/dropped): nothing was searched.
-			anyFailed = true
-			out.FailedISNs++
-			continue
-		}
-		if exec.Shed {
-			// Overloaded node: an immediate rejection, not silence — the
-			// aggregator hears back after one hop and moves on without
-			// this shard's hits.
-			out.ShedISNs++
-			if resp := e.Cluster.ResponseAtAggregatorMS(exec); resp > aggDone {
-				aggDone = resp
-			}
-			continue
-		}
-		if exec.CorruptReject {
-			// Every replica bounced on integrity grounds: typed rejection
-			// after one hop, contribution lost, and — by construction —
-			// not one corrupted posting in the merge.
-			out.CorruptISNs++
-			if resp := e.Cluster.ResponseAtAggregatorMS(exec); resp > aggDone {
-				aggDone = resp
-			}
-			continue
-		}
-		out.ActiveISNs++
-		if e.Scaler != nil && exec.Completed {
-			e.Scaler.RecordService(exec.Shard, exec.ServiceMS)
+		l.FailoverMS = e.Cluster.FailoverDelayMS(exec, dispatch) - l.HedgeWaitMS
+		if rep := d.Record.Report(si); rep != nil {
+			// Scored against the unmargined service-time prediction (the
+			// paper's Fig. 8 quantity): the LatencyMargin safety inflation
+			// is policy, not predictor error.
+			l.Pred = LegPred{OK: true, LatencyMS: rep.PredServiceMS, HasK: rep.HasK}
 		}
 		switch {
+		case exec.Failed:
+			l.Status = LegFailed
+		case exec.Dropped:
+			l.Status = LegSevered
+		case exec.Shed:
+			// Overloaded node: an immediate rejection, not silence — the
+			// aggregator hears back after one hop and moves on.
+			l.Status = LegShed
+		case exec.CorruptReject:
+			// Every replica bounced on integrity grounds: a typed rejection
+			// after one hop, and not one corrupted posting in the merge.
+			l.Status = LegCorrupt
 		case exec.Completed:
-			out.DocsSearched += ev.PerShard[si].Stats.DocsScored
-			lists = append(lists, ev.PerShard[si].Hits)
-			if resp := e.Cluster.ResponseAtAggregatorMS(exec); resp > aggDone {
-				aggDone = resp
+			l.Status, l.Hits, l.DocsScored = LegAnswered, ev.PerShard[si].Hits, ev.PerShard[si].Stats.DocsScored
+			if e.Scaler != nil {
+				e.Scaler.RecordService(exec.Shard, exec.ServiceMS)
 			}
 		case e.Anytime && exec.WorkFrac > 0:
 			// Budget miss, anytime mode: the node spent WorkFrac of the
 			// full service before the deadline. Replay the anytime
 			// traversal against that fraction of the query's measured
-			// cycle cost (virtual time — deterministic, no wall clock)
-			// and merge the truncated, quality-bounded answer.
+			// cycle cost (virtual time — deterministic, no wall clock).
 			budget := exec.WorkFrac * e.Cluster.Cost.Cycles(ev.PerShard[si].Stats)
 			r := search.Anytime(e.Shards[si], ev.Query.Terms, e.K, func(st search.ExecStats) bool {
 				return e.Cluster.Cost.Cycles(st) > budget
 			})
-			out.TruncatedISNs++
-			out.DocsSearched += r.Stats.DocsScored
-			if len(r.Hits) > 0 {
-				lists = append(lists, r.Hits)
-			}
-			if truncBounds == nil {
-				truncBounds = make(map[int]float64)
-			}
-			truncBounds[si] = r.ScoreBound
-			d.Record.MarkTruncated(si, r.ScoreBound)
-			if resp := e.Cluster.ResponseAtAggregatorMS(exec); resp > aggDone {
-				aggDone = resp
-			}
+			l.Status, l.Hits, l.DocsScored, l.ScoreBound = LegTruncated, r.Hits, r.Stats.DocsScored, r.ScoreBound
 		default:
-			out.DocsSearched += ev.PerShard[si].Stats.DocsScored
-			anyDropped = true
-			out.DroppedISNs++
+			l.Status, l.DocsScored = LegDropped, ev.PerShard[si].Stats.DocsScored
 		}
-	}
-	if anyDropped {
-		// The aggregator waited for the full budget before giving up on
-		// the stragglers.
-		if t := deadline + e.Cluster.Net.AggToISNMS; t > aggDone {
-			aggDone = t
+		switch l.Status {
+		case LegFailed, LegSevered:
+			// The whole replica group is lost (dead shard, or every
+			// failover attempt crashed/dropped): no answer is coming.
+			aggDone = max(aggDone, giveup+e.Cluster.Net.AggToISNMS)
+		case LegDropped:
+			// The aggregator waits out the budget on a straggler.
+			aggDone = max(aggDone, deadline+e.Cluster.Net.AggToISNMS)
+		default:
+			aggDone = max(aggDone, l.EndMS)
 		}
+		legs = append(legs, l)
 	}
-	if anyFailed {
-		// A dead participant never answers: the aggregator gives up at
-		// the budget, or — with no budget — at its failure-detection
-		// timeout.
-		giveup := deadline
-		if math.IsInf(giveup, 1) {
-			giveup = dispatch + e.Cluster.FailTimeoutMS
-		}
-		if t := giveup + e.Cluster.Net.AggToISNMS; t > aggDone {
-			aggDone = t
-		}
-	}
-	merged := search.Merge(e.K, lists...)
-	denom := len(ev.TopK)
-	if denom > 0 {
-		out.PAtK = float64(search.Overlap(merged, ev.TopKSet)) / float64(denom)
-	} else {
-		out.PAtK = 1 // nothing to find; trivially perfect
-	}
+	e.legs = legs
+	merged := Gather(e.K, legs, d.Record, e.Accuracy(), ev.TopKSet, &out, nil)
+	out.PAtK = pAtK(merged, ev)
 	out.LatencyMS = aggDone + e.Cluster.Net.ClientMS - ev.Query.ArrivalMS
 	if e.Cache != nil {
 		e.Cache.Put(qcache.Key(ev.Query.Terms), merged)
 	}
-	e.recordQuery(p, ev, d, arrive, dispatch, aggDone, execs, hedgeWaits, truncBounds, out)
+	tb, root := e.startTrace(p, ev)
+	if tb != nil {
+		e.traceQuery(tb, root, d, arrive, dispatch, aggDone, legs)
+	}
+	e.FinishQuery(e.hists, tb, out.LatencyMS, d.BudgetMS, false, out.Degraded())
 	if e.SLO != nil {
-		degraded := out.FailedISNs > 0 || out.TruncatedISNs > 0 ||
-			out.DroppedISNs > 0 || out.ShedISNs > 0 || out.CorruptISNs > 0
-		e.SLO.ObserveQuery(out.LatencyMS, degraded)
 		e.SLO.ObservePower(e.Cluster.AveragePowerWatts())
 	}
 	p.Observe(out.LatencyMS)
 	return out
+}
+
+// pAtK is the share of the exhaustive top K that hits recovers; 1 when
+// there is nothing to find.
+func pAtK(hits []search.Hit, ev *Evaluated) float64 {
+	if len(ev.TopK) == 0 {
+		return 1
+	}
+	return float64(search.Overlap(hits, ev.TopKSet)) / float64(len(ev.TopK))
 }
 
 // vtUS converts a virtual-time millisecond stamp into the microsecond
@@ -626,46 +559,23 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 // clock, not the wall clock).
 func vtUS(ms float64) int64 { return int64(ms * 1000) }
 
-// recordCacheHit traces an aggregator cache hit: a single query root,
-// no fan-out.
-func (e *Engine) recordCacheHit(p Policy, ev *Evaluated, out Outcome) {
+// startTrace opens a replayed query's trace; nil without an observer.
+func (e *Engine) startTrace(p Policy, ev *Evaluated) (*obs.TraceBuilder, *obs.ActiveSpan) {
 	if e.Obs == nil {
-		return
+		return nil, nil
 	}
-	e.runObs.latency.Observe(out.LatencyMS)
 	tb := obs.NewTraceBuilder(vtUS(ev.Query.ArrivalMS))
 	root := tb.StartSpan("query", 0, vtUS(ev.Query.ArrivalMS))
 	root.SetAttr("mode", p.Name())
-	root.SetAttr("cache", "hit")
 	root.SetAttr("query_id", strconv.Itoa(ev.Query.ID))
-	root.End(vtUS(ev.Query.ArrivalMS + out.LatencyMS))
-	e.Obs.AddTrace(tb.Finish())
+	return tb, root
 }
 
-// recordQuery emits the simulated twin's observability for one replayed
-// query: the same span tree the live aggregator records (query root,
-// predict/budget/search/merge phases, per-ISN execution legs), the
-// latency/budget histograms, and — when the policy produced an
-// Algorithm 1 decision record — predictor-accuracy samples comparing
-// predicted equivalent latency and top-K contribution against what the
-// simulator actually did.
-func (e *Engine) recordQuery(p Policy, ev *Evaluated, d Decision,
-	arrive, dispatch, aggDone float64, execs []cluster.Execution,
-	hedgeWaits []float64, truncBounds map[int]float64, out Outcome) {
-
-	if e.Obs == nil {
-		return
-	}
-	e.runObs.latency.Observe(out.LatencyMS)
-	if !math.IsInf(d.BudgetMS, 1) && d.BudgetMS > 0 {
-		e.runObs.budget.Observe(d.BudgetMS)
-	}
-
-	tb := obs.NewTraceBuilder(vtUS(ev.Query.ArrivalMS))
-	root := tb.StartSpan("query", 0, vtUS(ev.Query.ArrivalMS))
-	root.SetAttr("mode", p.Name())
-	root.SetAttr("query_id", strconv.Itoa(ev.Query.ID))
-
+// traceQuery records the span tree the live aggregator records (query
+// root, predict/budget/search/merge phases, per-ISN legs) for one
+// replayed query, on the virtual clock.
+func (e *Engine) traceQuery(tb *obs.TraceBuilder, root *obs.ActiveSpan, d Decision,
+	arrive, dispatch, aggDone float64, legs []Leg) {
 	if d.UsedPredictors {
 		ps := tb.StartSpan("predict", root.ID(), vtUS(arrive))
 		ps.End(vtUS(dispatch))
@@ -675,90 +585,17 @@ func (e *Engine) recordQuery(p Policy, ev *Evaluated, d Decision,
 	bs.End(vtUS(dispatch))
 
 	ss := tb.StartSpan("search", root.ID(), vtUS(dispatch))
-	for i, exec := range execs {
+	for i := range legs {
+		// Every leg's span starts at dispatch, so a failover's or a won
+		// hedge's later send shows up inside it (failover_ms, hedge_wait_ms).
 		leg := tb.StartSpan("search.isn", ss.ID(), vtUS(dispatch))
-		leg.SetISN(exec.Shard)
-		leg.SetAttr("replica", strconv.Itoa(exec.Replica))
-		if exec.Failovers > 0 {
-			leg.SetAttr("failovers", strconv.Itoa(exec.Failovers))
-		}
-		leg.SetAttr("freq_ghz", strconv.FormatFloat(exec.Freq, 'g', -1, 64))
-		// Phase attribution attrs: how much of this leg's span was a hedge
-		// timer vs failover detection vs real work. The leg span starts at
-		// dispatch, so the winning attempt's later send shows up here.
-		hw := 0.0
-		if i < len(hedgeWaits) {
-			hw = hedgeWaits[i]
-		}
-		if hw > 0 {
-			leg.SetAttr("hedged", "true")
-			leg.SetAttr("hedge_wait_ms", strconv.FormatFloat(hw, 'g', -1, 64))
-		}
-		if fo := e.Cluster.FailoverDelayMS(exec, dispatch) - hw; fo > 0 {
-			leg.SetAttr("failover_ms", strconv.FormatFloat(fo, 'g', -1, 64))
-		}
-		switch {
-		case exec.Failed:
-			leg.SetAttr("failed", "true")
-		case exec.Shed:
-			leg.SetAttr("shed", "true")
-		case exec.Dropped:
-			leg.SetAttr("conn_dropped", "true")
-		default:
-			leg.SetAttr("queue_ms", strconv.FormatFloat(exec.QueueMS, 'g', -1, 64))
-			leg.SetAttr("service_ms", strconv.FormatFloat(exec.ServiceMS, 'g', -1, 64))
-			if !exec.Completed {
-				if bound, ok := truncBounds[exec.Shard]; ok {
-					leg.SetAttr("truncated", "true")
-					leg.SetAttr("score_bound", strconv.FormatFloat(bound, 'g', -1, 64))
-				} else {
-					leg.SetAttr("dropped", "true")
-				}
-			}
-		}
-		leg.End(vtUS(e.Cluster.ResponseAtAggregatorMS(exec)))
+		legs[i].Annotate(leg)
+		leg.End(vtUS(legs[i].EndMS))
 	}
 	ss.End(vtUS(aggDone))
 	ms := tb.StartSpan("merge", root.ID(), vtUS(aggDone))
 	ms.End(vtUS(aggDone))
 	root.End(vtUS(aggDone + e.Cluster.Net.ClientMS))
-	tr := tb.Finish()
-	e.Obs.AddTrace(tr)
-	if e.Anatomy != nil {
-		if attr, ok := anatomy.FromTrace(tr); ok {
-			e.Anatomy.Observe(attr)
-		}
-	}
-
-	// Predictor accuracy, when the policy exposed its reports: the
-	// unmargined service-time prediction at the assigned frequency
-	// against the simulator's actual service time (the paper's Fig. 8
-	// quantity — the deliberate LatencyMargin safety inflation is policy,
-	// not predictor error), and predicted top-K membership against the
-	// shard's true overlap with the exhaustive top-K. Truncated
-	// executions are skipped: their busy time is the budget, not the
-	// query's cost.
-	if d.Record == nil {
-		return
-	}
-	byShard := make(map[int]*obs.ReportRecord, len(d.Record.Reports))
-	for i := range d.Record.Reports {
-		byShard[d.Record.Reports[i].ISN] = &d.Record.Reports[i]
-	}
-	for _, exec := range execs {
-		rep := byShard[exec.Shard]
-		if rep == nil || exec.Failed || exec.Shed || exec.Dropped {
-			continue
-		}
-		// Accuracy is tracked per shard: replicas of a shard share its
-		// documents and hardware class, so the predictor's target is the
-		// shard regardless of which copy served the leg.
-		if exec.Completed {
-			e.Obs.Acc.ObserveLatency(exec.Shard, rep.PredServiceMS, exec.ServiceMS)
-		}
-		actualHasK := search.Overlap(ev.PerShard[exec.Shard].Hits, ev.TopKSet) > 0
-		e.Obs.Acc.ObserveQuality(exec.Shard, rep.HasK, actualHasK)
-	}
 }
 
 // chargeInference accounts the per-ISN predictor inference cost on every

@@ -6,8 +6,9 @@
 // Attribution is derived purely from the span tree obs records, so both
 // serving paths feed it with no extra clocks: the live aggregator
 // (internal/rpc, wall-clock spans) and the simulated twin
-// (internal/engine, virtual-time spans) produce the same span names and
-// attrs, and FromTrace reads either shape. The decomposition follows
+// (internal/engine, virtual-time spans) write their search legs with
+// one function (engine.Leg.Annotate), and FromTrace reads that one
+// shape. The decomposition follows
 // the critical path: the aggregator-side predict/budget/merge stages
 // are taken at face value, and the search stage is split along the
 // shard leg that finished last (the leg the aggregator actually waited
@@ -82,20 +83,13 @@ func (a *Attribution) NamedMS() float64 {
 func durMS(sp *obs.Span) float64 { return float64(sp.DurUS) / 1000 }
 
 // legFailed reports whether a search.isn span is a failed attempt: the
-// live path stamps "error" on exhausted failover legs, the twin stamps
-// "failed" / "shed" / "conn_dropped" on legs that returned no hits.
+// live path stamps "error" on each attempt a failover abandoned, and a
+// leg that returned no hits carries "failed" / "shed" / "conn_dropped".
 func legFailed(sp *obs.Span) bool {
-	if _, ok := sp.Attrs["error"]; ok {
-		return true
-	}
-	if _, ok := sp.Attrs["failed"]; ok {
-		return true
-	}
-	if _, ok := sp.Attrs["shed"]; ok {
-		return true
-	}
-	if _, ok := sp.Attrs["conn_dropped"]; ok {
-		return true
+	for _, k := range [...]string{"error", "failed", "shed", "conn_dropped"} {
+		if _, ok := sp.Attrs[k]; ok {
+			return true
+		}
 	}
 	return false
 }
@@ -114,18 +108,13 @@ func attrF(sp *obs.Span, key string) float64 {
 }
 
 // FromTrace decomposes a completed trace into a phase attribution.
-// Returns ok=false when the trace has no root span or no elapsed time
-// (nothing to attribute). Allocation-free on well-formed traces.
+// Returns ok=false when the trace has no root span, no elapsed time or
+// no stage under the root (an aggregator cache hit): nothing to
+// attribute. Allocation-free on well-formed traces.
 //
-// Both span shapes are understood:
-//
-//   - live (internal/rpc): wall-clock spans; the critical search leg
-//     carries a grafted "serve.search" child whose queue_wait_us attr
-//     splits server time into queue and service, hedge wins are stamped
-//     as hedge_wait_us, and failed failover attempts are sibling
-//     "search.isn" spans with an "error" attr.
-//   - twin (internal/engine): virtual-time spans; legs carry queue_ms /
-//     service_ms / hedge_wait_ms / failover_ms attrs directly.
+// Search legs carry queue_ms / service_ms / hedge_wait_ms attrs, and
+// failover time either as failover_ms inside the leg (the twin) or as
+// failed sibling "search.isn" spans with an "error" attr (live).
 func FromTrace(t *obs.Trace) (Attribution, bool) {
 	var a Attribution
 	if t == nil {
@@ -196,13 +185,14 @@ func FromTrace(t *obs.Trace) (Attribution, bool) {
 			last = end
 		}
 	}
-	if first >= 0 {
-		if pre := first - root.StartUS; pre > 0 {
-			a.Phase[PhaseNetwork] += float64(pre) / 1000
-		}
-		if post := root.StartUS + root.DurUS - last; post > 0 {
-			a.Phase[PhaseNetwork] += float64(post) / 1000
-		}
+	if first < 0 {
+		return Attribution{}, false
+	}
+	if pre := first - root.StartUS; pre > 0 {
+		a.Phase[PhaseNetwork] += float64(pre) / 1000
+	}
+	if post := root.StartUS + root.DurUS - last; post > 0 {
+		a.Phase[PhaseNetwork] += float64(post) / 1000
 	}
 
 	if searchSp != nil {
@@ -245,25 +235,10 @@ func decomposeSearch(spans []obs.Span, searchSp *obs.Span, a *Attribution) {
 	}
 
 	legMS := durMS(crit)
-	hedge := attrF(crit, "hedge_wait_ms") + attrF(crit, "hedge_wait_us")/1000
+	hedge := attrF(crit, "hedge_wait_ms")
 	inlineFailover := attrF(crit, "failover_ms") // twin: retries inside the leg span
 	queue := attrF(crit, "queue_ms")
 	service := attrF(crit, "service_ms")
-	if _, ok := crit.Attrs["queue_ms"]; !ok {
-		// Live shape: the serving ISN's grafted serve span carries the
-		// queue/service split; time on the leg outside it is network.
-		for i := range spans {
-			sp := &spans[i]
-			if sp.Parent != crit.ID || sp.Name != "serve.search" {
-				continue
-			}
-			queue = attrF(sp, "queue_wait_us") / 1000
-			if service = durMS(sp) - queue; service < 0 {
-				service = 0
-			}
-			break
-		}
-	}
 
 	// Failed sibling attempts on the critical shard (live failover runs
 	// them serially before the surviving leg, as separate error spans).

@@ -57,19 +57,26 @@ func TestFromTraceTwinShape(t *testing.T) {
 	near(t, "named==total", a.NamedMS()+a.Phase[PhaseOther], a.TotalMS)
 }
 
+// liveLeg is a live search leg as the aggregator writes it: the
+// queue/service split it read off its grafted serve.search child (serve
+// span 6.4 ms, 1.4 ms of it queued) on the leg itself, like the twin's.
+func liveLeg(trace, id, parent uint64, startUS int64) []obs.Span {
+	return []obs.Span{
+		span(trace, id, parent, "search.isn", 0, startUS, 7400,
+			map[string]string{"replica": "0", "queue_ms": "1.4", "service_ms": "5"}),
+		span(trace, id+1, id, "serve.search", 0, startUS+500, 6400,
+			map[string]string{"queue_wait_us": "1400", "service_us": "5000"}),
+	}
+}
+
 func TestFromTraceLiveShape(t *testing.T) {
-	// Live shape: no queue_ms on the leg; a grafted serve.search child
-	// carries queue_wait_us, and its duration minus that wait is service.
-	tr := &obs.Trace{ID: 7, Spans: []obs.Span{
+	tr := &obs.Trace{ID: 7, Spans: append([]obs.Span{
 		span(7, 1, 0, "query", -1, 0, 10000, nil),
 		span(7, 2, 1, "predict", -1, 0, 2000, nil),
 		span(7, 3, 1, "budget", -1, 2000, 100, nil),
 		span(7, 4, 1, "search", -1, 2100, 7400, nil),
-		span(7, 5, 4, "search.isn", 0, 2100, 7400, nil),
-		span(7, 6, 5, "serve.search", 0, 2600, 6400,
-			map[string]string{"queue_wait_us": "1400", "service_us": "5000"}),
 		span(7, 7, 1, "merge", -1, 9500, 400, nil),
-	}}
+	}, liveLeg(7, 5, 4, 2100)...)}
 	a, ok := FromTrace(tr)
 	if !ok {
 		t.Fatal("FromTrace rejected live-shaped trace")
@@ -78,7 +85,7 @@ func TestFromTraceLiveShape(t *testing.T) {
 	near(t, "predict", a.Phase[PhasePredict], 2)
 	near(t, "budget", a.Phase[PhaseBudget], 0.1)
 	near(t, "queue", a.Phase[PhaseQueue], 1.4)
-	near(t, "search", a.Phase[PhaseSearch], 5) // serve dur 6.4 - queue 1.4
+	near(t, "search", a.Phase[PhaseSearch], 5)
 	// Leg net: 7.4 - 1.4 - 5 = 1.0; client post-merge gap: 0.1.
 	near(t, "network", a.Phase[PhaseNetwork], 1.1)
 	near(t, "merge", a.Phase[PhaseMerge], 0.4)
@@ -90,16 +97,13 @@ func TestFromTraceLiveShape(t *testing.T) {
 // aggregator's memo records a predict span with no legs and next to no
 // duration. The phase is simply small; everything still sums to the total.
 func TestFromTraceMemoHit(t *testing.T) {
-	tr := &obs.Trace{ID: 8, Spans: []obs.Span{
+	tr := &obs.Trace{ID: 8, Spans: append([]obs.Span{
 		span(8, 1, 0, "query", -1, 0, 8000, nil),
 		span(8, 2, 1, "predict", -1, 0, 0, map[string]string{"memo": "hit"}),
 		span(8, 3, 1, "budget", -1, 0, 100, nil),
 		span(8, 4, 1, "search", -1, 100, 7400, nil),
-		span(8, 5, 4, "search.isn", 0, 100, 7400, nil),
-		span(8, 6, 5, "serve.search", 0, 600, 6400,
-			map[string]string{"queue_wait_us": "1400", "service_us": "5000"}),
 		span(8, 7, 1, "merge", -1, 7500, 400, nil),
-	}}
+	}, liveLeg(8, 5, 4, 100)...)}
 	a, ok := FromTrace(tr)
 	if !ok {
 		t.Fatal("FromTrace rejected a trace with a legless predict span")
@@ -123,7 +127,7 @@ func TestFromTraceHedgeAndFailover(t *testing.T) {
 		span(9, 3, 2, "search.isn", 0, 0, 4000,
 			map[string]string{"error": "connection reset"}),
 		span(9, 4, 2, "search.isn", 0, 4000, 26000,
-			map[string]string{"queue_ms": "2", "service_ms": "18", "hedge_wait_us": "3000"}),
+			map[string]string{"queue_ms": "2", "service_ms": "18", "hedge_wait_ms": "3"}),
 	}}
 	a, ok := FromTrace(tr)
 	if !ok {
@@ -199,6 +203,10 @@ func TestFromTraceRejects(t *testing.T) {
 	zero := &obs.Trace{ID: 2, Spans: []obs.Span{span(2, 1, 0, "query", -1, 0, 0, nil)}}
 	if _, ok := FromTrace(zero); ok {
 		t.Error("zero-duration root accepted")
+	}
+	hit := &obs.Trace{ID: 3, Spans: []obs.Span{span(3, 1, 0, "query", -1, 0, 40, nil)}}
+	if _, ok := FromTrace(hit); ok {
+		t.Error("stageless root (a cache hit) accepted")
 	}
 }
 

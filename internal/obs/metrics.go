@@ -141,12 +141,10 @@ func LinearBuckets(start, width float64, n int) []float64 {
 // failure-detection timeout.
 func LatencyBucketsMS() []float64 { return ExpBuckets(0.05, 2, 20) }
 
-// Observe records one value.
+// Observe records one value. Min/max are published before the counts,
+// and Snapshot reads the counts before min/max, so a scrape that sees a
+// value's bucket also sees the range that value widened.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
 	for {
 		old := h.min.Load()
 		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
@@ -159,6 +157,10 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
+	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
+	h.counts[i].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
 }
 
 func (*Histogram) metricKind() string { return "histogram" }
@@ -183,12 +185,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Counts: make([]uint64, len(h.counts)),
 		Count:  h.count.Load(),
 		Sum:    h.sum.Load(),
-		Min:    math.Float64frombits(h.min.Load()),
-		Max:    math.Float64frombits(h.max.Load()),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
+	s.Min = math.Float64frombits(h.min.Load())
+	s.Max = math.Float64frombits(h.max.Load())
 	return s
 }
 

@@ -98,12 +98,22 @@ func (d *DecisionRecord) MarkTruncated(isn int, scoreBound float64) {
 		return
 	}
 	d.Truncated = append(d.Truncated, isn)
+	if r := d.Report(isn); r != nil {
+		r.Truncated, r.ScoreBound = true, scoreBound
+	}
+}
+
+// Report returns isn's report, or nil (also on a nil record).
+func (d *DecisionRecord) Report(isn int) *ReportRecord {
+	if d == nil {
+		return nil
+	}
 	for i := range d.Reports {
 		if d.Reports[i].ISN == isn {
-			d.Reports[i].Truncated = true
-			d.Reports[i].ScoreBound = scoreBound
+			return &d.Reports[i]
 		}
 	}
+	return nil
 }
 
 // ReportRecord is one ISN's predictor inputs and Algorithm 1 outcome.

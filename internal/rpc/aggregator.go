@@ -3,8 +3,7 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,10 +11,9 @@ import (
 
 	"cottage/internal/cluster"
 	"cottage/internal/core"
+	"cottage/internal/engine"
 	"cottage/internal/integrity"
 	"cottage/internal/obs"
-	"cottage/internal/obs/anatomy"
-	"cottage/internal/obs/slo"
 	"cottage/internal/overload"
 	"cottage/internal/qcache"
 	"cottage/internal/replica"
@@ -61,19 +59,8 @@ type Aggregator struct {
 	// the client indices of its replicas. nil means the unreplicated
 	// layout: client i is shard i's only copy.
 	Groups [][]int
-	// Obs, when set, records one trace per query (predict → budget →
-	// search → merge, with the Algorithm 1 decision record and the
-	// ISN-side spans grafted in), latency/budget histograms, and rolling
-	// predictor accuracy. Set before concurrent use.
-	Obs *obs.Observer
-	// Anatomy, when set alongside Obs, receives every completed query's
-	// per-phase latency attribution (registered on the observer's
-	// registry at first use). Set before concurrent use.
-	Anatomy *anatomy.Collector
-	// SLO, when set, is fed every query's end-to-end latency and quality
-	// signal (degraded = any failed or truncated shard) for burn-rate
-	// alerting. Set before concurrent use.
-	SLO *slo.QuerySLO
+	// Telemetry's traces also graft the ISN-side serve spans in.
+	engine.Telemetry
 
 	hedges           obs.Counter
 	hedgeWins        obs.Counter
@@ -94,10 +81,8 @@ type Aggregator struct {
 	memoOnce         sync.Once
 	memo             *predMemo // remembered predictions (lazy; see predmemo.go)
 
-	obsOnce    sync.Once
-	latCottage *obs.Histogram
-	latExhaust *obs.Histogram
-	budgetHist *obs.Histogram
+	obsOnce                    sync.Once
+	cottageHists, exhaustHists engine.QueryHists
 }
 
 // initObs registers the aggregator's metrics (idempotent, no-op without
@@ -132,22 +117,11 @@ func (a *Aggregator) initObs() {
 				}
 				return float64(sum)
 			})
-		a.latCottage = reg.Histogram("cottage_agg_query_ms",
-			"End-to-end query latency at the aggregator.",
-			obs.LatencyBucketsMS(), obs.L("mode", "cottage"))
-		a.latExhaust = reg.Histogram("cottage_agg_query_ms",
-			"End-to-end query latency at the aggregator.",
-			obs.LatencyBucketsMS(), obs.L("mode", "exhaustive"))
-		a.budgetHist = reg.Histogram("cottage_agg_budget_ms",
-			"Algorithm 1 time budget T per query (finite budgets only).",
-			obs.LatencyBucketsMS())
+		a.cottageHists, a.exhaustHists = a.Hists("cottage"), a.Hists("exhaustive")
 		for i, b := range a.Breakers {
 			if b != nil {
 				b.Register(reg, obs.L("isn", strconv.Itoa(i)))
 			}
-		}
-		if a.Anatomy != nil {
-			a.Anatomy.Register(reg)
 		}
 	})
 }
@@ -249,16 +223,12 @@ func (a *Aggregator) Stats() Stats {
 type Result struct {
 	Hits     []search.Hit
 	BudgetMS float64
-	Selected []int // ISN indices searched
 	Cut      []int
 	Elapsed  time.Duration
-	// Failed lists ISNs that errored or timed out; their contributions
-	// are missing from Hits (degraded but non-empty results, the
-	// behaviour a production aggregator prefers over failing the query).
-	Failed []int
-	// Truncated lists ISNs that answered with a deadline-terminated
-	// anytime result: their hits are exact but possibly incomplete.
-	Truncated []int
+	// Filing's Selected, Failed and Truncated say how each shard's leg
+	// ended; exhaustive search lists only the shards that answered as
+	// Selected.
+	engine.Filing
 	// Predicted lists the shards SearchCottage asked for a prediction;
 	// the others' came out of the prediction memo. Empty when the predict
 	// round was skipped.
@@ -282,28 +252,20 @@ func (a *Aggregator) hedgeFor(predLCurrentMS float64, havePred bool) time.Durati
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// hedgeInfo reports what the hedging layer did for one search leg — the
-// phase-attribution input: a won hedge's timer wait sat on the query's
-// critical path.
-type hedgeInfo struct {
-	hedged bool  // a duplicate request was issued
-	won    bool  // the duplicate's answer was used
-	waitUS int64 // timer wait before the duplicate went out
-}
-
 // searchHedged runs one ISN's search leg, optionally hedging it with a
 // duplicate request on a fresh connection after hedgeAfter (0 =
 // duplicate immediately — predictive mode's flagged straggler; < 0 =
 // never hedge). The fresh connection matters: a request queued behind
 // a stuck stream on the shared client would inherit exactly the delay
 // the hedge is trying to escape. Server-side spans from whichever leg
-// won come back for grafting.
-func (a *Aggregator) searchHedged(isn int, sc obs.SpanContext, terms []string, deadline, hedgeAfter time.Duration) (search.Result, []obs.Span, hedgeInfo, error) {
-	var hi hedgeInfo
+// won come back for grafting, and l records what the hedging did — the
+// phase-attribution input: a won hedge's timer wait sat on the query's
+// critical path.
+func (a *Aggregator) searchHedged(l *engine.Leg, isn int, sc obs.SpanContext, terms []string, deadline, hedgeAfter time.Duration) (search.Result, []obs.Span, error) {
+	l.Hedged, l.HedgeWaitMS = false, 0
 	primary := a.Clients[isn]
 	if hedgeAfter < 0 || primary.Addr() == "" {
-		r, spans, err := a.clientSearch(primary, sc, terms, deadline)
-		return r, spans, hi, err
+		return a.clientSearch(primary, sc, terms, deadline)
 	}
 	type outcome struct {
 		r     search.Result
@@ -332,8 +294,7 @@ func (a *Aggregator) searchHedged(isn int, sc obs.SpanContext, terms []string, d
 			hedge = hc
 			hc.SetTimeout(primary.timeout)
 			a.hedges.Inc()
-			hi.hedged = true
-			hi.waitUS = hedgeAfter.Microseconds()
+			l.Hedged = true
 			inflight++
 			go func() {
 				r, spans, err := a.clientSearch(hc, sc, terms, deadline)
@@ -366,9 +327,9 @@ func (a *Aggregator) searchHedged(isn int, sc obs.SpanContext, terms []string, d
 	}
 	if first.err == nil && first.hedge {
 		a.hedgeWins.Inc()
-		hi.won = true
+		l.HedgeWaitMS = float64(hedgeAfter.Microseconds()) / 1000
 	}
-	return first.r, first.spans, hi, first.err
+	return first.r, first.spans, first.err
 }
 
 // clientSearch issues one search round trip on c, anytime-flagged when
@@ -381,36 +342,15 @@ func (a *Aggregator) clientSearch(c *Client, sc obs.SpanContext, terms []string,
 }
 
 // finishQuery is every exit's last step, whatever the query came to:
-// its elapsed time goes to the mode's latency histogram, its trace (with
-// an observer) is sealed, recorded, stamped into res and attributed to
-// phases, and the burn-rate monitor hears of it — after the trace, so a
-// page triggered by this query finds it already in the flight recorder.
-// Quality is degraded when any shard's hits are missing (failed) or
-// truncated. failed marks a query that returned an error instead of an
-// answer: degraded, and past any latency limit however fast it failed.
-func (a *Aggregator) finishQuery(tb *obs.TraceBuilder, root *obs.ActiveSpan, res *Result, hist *obs.Histogram, failed bool) {
-	ms := float64(res.Elapsed.Microseconds()) / 1000
-	if hist != nil {
-		hist.Observe(ms)
-	}
-	if tb != nil {
-		root.End(nowUS())
-		tr := tb.Finish()
-		a.Obs.AddTrace(tr)
-		res.TraceID = tr.ID
-		if a.Anatomy != nil {
-			if attr, ok := anatomy.FromTrace(tr); ok {
-				a.Anatomy.Observe(attr)
-			}
-		}
-	}
-	if a.SLO == nil {
-		return
-	}
-	if failed {
-		ms = math.Inf(1)
-	}
-	a.SLO.ObserveQuery(ms, failed || len(res.Failed) > 0 || len(res.Truncated) > 0)
+// it stamps the elapsed time, ends the trace's root span and hands the
+// query to the shared finish. Quality is degraded when any shard's hits
+// are missing (failed) or truncated; failed marks a query that returned
+// an error instead of an answer.
+func (a *Aggregator) finishQuery(q *fanout, root *obs.ActiveSpan, res *Result, h engine.QueryHists, start time.Time, failed bool) {
+	res.Elapsed = time.Since(start)
+	root.End(nowUS())
+	res.TraceID = a.FinishQuery(h, q.tb, float64(res.Elapsed.Microseconds())/1000, res.BudgetMS,
+		failed, len(res.Failed)+len(res.Truncated) > 0)
 }
 
 // fanout is the state one query shares with its per-shard legs: what
@@ -434,7 +374,7 @@ type fanout struct {
 	// shard i when selected is nil (exhaustive mode).
 	selected []core.Assignment
 	deadline time.Duration
-	legs     []searchLeg
+	legs     []engine.Leg
 }
 
 // predSlot is one shard's prediction-round outcome. ok marks a shard
@@ -480,63 +420,34 @@ func (q *fanout) predictLeg(li int) {
 // expected to straggle gets its duplicate at dispatch, the rest are
 // never hedged.
 func (q *fanout) searchLeg(li int) {
-	shard, lcur, havePred := q.legShard(li), 0.0, false
+	l := &q.legs[li]
+	l.Shard = li
 	if q.selected != nil {
-		lcur, havePred = q.preds[shard].report.LCurrent, q.preds[shard].ok
+		l.Shard = q.selected[li].ISN
+		p := &q.preds[l.Shard]
+		l.Pred = engine.LegPred{OK: p.ok, LatencyMS: p.report.LCurrent, HasK: p.report.HasK}
 	}
-	q.legs[li] = q.a.searchShard(shard, q.tb, q.parent, q.terms, q.deadline, q.a.hedgeFor(lcur, havePred))
-}
-
-// legShard is the shard search leg li asks.
-func (q *fanout) legShard(li int) int {
-	if q.selected == nil {
-		return li
-	}
-	return q.selected[li].ISN
+	q.a.searchShard(l, q.tb, q.parent, q.terms, q.deadline, q.a.hedgeFor(l.Pred.LatencyMS, l.Pred.OK))
 }
 
 // searchRound is steps 5–7 of both protocols: n search legs under the
 // query's "search" span, one per selected shard (every shard when
-// q.selected is nil), filed on res. A leg that fails (straggler or group-wide failure)
-// loses its hits but the query survives: its shard joins res.Failed. An
-// anytime leg that hit the budget answered exact-but-partial hits: its
-// shard joins res.Truncated, and rec when tracing. The hits come back
-// one slot per leg.
-func (q *fanout) searchRound(root *obs.ActiveSpan, n int, res *Result, rec *obs.DecisionRecord) [][]search.Hit {
+// q.selected is nil), then the shared gather under the "merge" span. A
+// leg that fails (straggler or group-wide failure) loses its hits but
+// the query survives: its shard joins res.Failed. An anytime leg that
+// hit the budget answered exact-but-partial hits: its shard joins
+// res.Truncated, and rec when tracing. Each leg's own prediction is
+// scored against the merged answer.
+func (q *fanout) searchRound(root *obs.ActiveSpan, n int, res *Result, rec *obs.DecisionRecord) {
 	span := q.tb.StartSpan("search", root.ID(), nowUS())
 	q.parent = span
-	q.legs = make([]searchLeg, n)
+	q.legs = make([]engine.Leg, n)
 	q.round(n, (*fanout).searchLeg)
 	span.End(nowUS())
-	lists := make([][]search.Hit, n)
-	for li := range q.legs {
-		leg, shard := &q.legs[li], q.legShard(li)
-		if q.selected != nil || leg.err == nil {
-			// Cottage lists every shard it searched, exhaustive search
-			// the shards that answered.
-			res.Selected = append(res.Selected, shard)
-		}
-		if leg.err != nil {
-			res.Failed = append(res.Failed, shard)
-			continue
-		}
-		lists[li] = leg.hits
-		if leg.terminated {
-			res.Truncated = append(res.Truncated, shard)
-			rec.MarkTruncated(shard, leg.bound)
-		}
-	}
-	sort.Ints(res.Failed) // a Cottage query's missing predictions came first
-	return lists
-}
-
-// merge is every answered query's last phase: the top K of the legs'
-// hits, under the query's "merge" span.
-func (q *fanout) merge(root *obs.ActiveSpan, res *Result, lists [][]search.Hit, start time.Time) {
-	span := q.tb.StartSpan("merge", root.ID(), nowUS())
-	res.Hits = search.Merge(q.a.K, lists...)
+	span = q.tb.StartSpan("merge", root.ID(), nowUS())
+	var out engine.Outcome
+	res.Hits = engine.Gather(q.a.K, q.legs, rec, q.a.Accuracy(), nil, &out, &res.Filing)
 	span.End(nowUS())
-	res.Elapsed = time.Since(start)
 }
 
 // startQuery opens a query's trace (nil builder and spans without an
@@ -560,21 +471,21 @@ func (a *Aggregator) startQuery(mode string, terms []string, start time.Time) (*
 func (a *Aggregator) SearchExhaustive(terms []string) (Result, error) {
 	start := time.Now()
 	q, root := a.startQuery("exhaustive", terms, start)
-	shards := a.Shards()
 	var res Result
-	lists := q.searchRound(root, shards, &res, nil)
-	if len(res.Failed) == shards {
+	q.searchRound(root, a.Shards(), &res, nil)
+	if len(res.Failed) == len(q.legs) {
 		root.SetAttr("error", "all shards failed")
-		res.Elapsed = time.Since(start)
-		a.finishQuery(q.tb, root, &res, a.latExhaust, true)
-		errs := make([]error, shards)
+		a.finishQuery(q, root, &res, a.exhaustHists, start, true)
+		errs := make([]error, len(q.legs))
 		for s := range q.legs {
-			errs[s] = q.legs[s].err
+			errs[s] = q.legs[s].Err
 		}
-		return Result{}, fmt.Errorf("rpc: all %d shards failed: %w", shards, errors.Join(errs...))
+		return Result{}, fmt.Errorf("rpc: all %d shards failed: %w", len(q.legs), errors.Join(errs...))
 	}
-	q.merge(root, &res, lists, start)
-	a.finishQuery(q.tb, root, &res, a.latExhaust, false)
+	if len(res.Failed) > 0 {
+		res.Selected = slices.DeleteFunc(res.Selected, func(s int) bool { return slices.Contains(res.Failed, s) })
+	}
+	a.finishQuery(q, root, &res, a.exhaustHists, start, false)
 	return res, nil
 }
 
@@ -629,8 +540,7 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 	}
 	if len(missing) == shards {
 		root.SetAttr("error", "all predictions failed")
-		res.Elapsed = time.Since(start)
-		a.finishQuery(tb, root, &res, a.latCottage, true)
+		a.finishQuery(q, root, &res, a.cottageHists, start, true)
 		predErrs := make([]error, shards)
 		for s := range q.preds {
 			predErrs[s] = q.preds[s].err
@@ -647,42 +557,12 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 	budgetSpan.End(nowUS())
 	res.BudgetMS = budget.BudgetMS
 	res.Cut = budget.Cut
-	if len(budget.Selected) == 0 {
-		res.Elapsed = time.Since(start)
-		a.finishQuery(tb, root, &res, a.latCottage, false)
-		return res, nil
+	if len(budget.Selected) > 0 {
+		// Steps 5-7: budget-bounded search on the selected shards.
+		q.selected = budget.Selected
+		q.deadline = time.Duration(budget.BudgetMS * float64(time.Millisecond))
+		q.searchRound(root, len(budget.Selected), &res, rec)
 	}
-
-	// Steps 5-7: budget-bounded search on the selected shards.
-	q.selected = budget.Selected
-	q.deadline = time.Duration(budget.BudgetMS * float64(time.Millisecond))
-	lists := q.searchRound(root, len(budget.Selected), &res, rec)
-	q.merge(root, &res, lists, start)
-
-	if a.Obs != nil {
-		// Predictor accuracy (Fig. 5–7, live): each surviving leg scores
-		// its ISN's latency prediction (equivalent latency vs. measured
-		// leg wall time, both queue-inclusive) and its quality call
-		// (predicted top-K contribution vs. whether the ISN actually
-		// placed a hit in the merged top K).
-		top := search.DocSet(res.Hits)
-		for li, asg := range budget.Selected {
-			leg := &q.legs[li]
-			if leg.err != nil || leg.client < 0 || !q.preds[asg.ISN].ok {
-				continue
-			}
-			r := &q.preds[asg.ISN].report
-			// Accuracy is keyed by the client that served the leg (the
-			// selector's per-replica quality signal); on unreplicated
-			// fleets client index == shard index, as before.
-			a.Obs.Acc.ObserveLatency(leg.client, r.LCurrent, leg.ms)
-			contributed := search.Overlap(lists[li], top) > 0
-			a.Obs.Acc.ObserveQuality(leg.client, r.HasK, contributed)
-		}
-		if !math.IsInf(budget.BudgetMS, 1) {
-			a.budgetHist.Observe(budget.BudgetMS)
-		}
-	}
-	a.finishQuery(tb, root, &res, a.latCottage, false)
+	a.finishQuery(q, root, &res, a.cottageHists, start, false)
 	return res, nil
 }

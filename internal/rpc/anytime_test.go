@@ -1,10 +1,12 @@
 package rpc
 
 import (
+	"net"
 	"testing"
 	"time"
 
 	"cottage/internal/obs"
+	"cottage/internal/overload"
 	"cottage/internal/search"
 )
 
@@ -87,5 +89,67 @@ func TestSearchAnytimeWithoutDeadlineFallsBack(t *testing.T) {
 	}
 	if len(r.Hits) == 0 {
 		t.Error("no hits")
+	}
+}
+
+// TestTruncatedLegScoresQualityNotLatency: an anytime leg cut at the
+// budget took the budget, not the query's cost, so predictor accuracy
+// scores its quality call and not its latency. Every searched shard's
+// only admission slot is held (on a limiter whose clock stands still, so
+// it never sheds) while a repeat of the query queues past its budget:
+// its legs come back truncated.
+func TestTruncatedLegScoresQualityNotLatency(t *testing.T) {
+	isns, qs := memoFleet(t, func(_ int, srv *Server, l net.Listener) net.Listener {
+		srv.Limit = overload.NewLimiter(1, 4, overload.NewManualClock(time.Unix(0, 0)))
+		return l
+	})
+	agg := NewAggregator(dialFleet(t, isns), 10)
+	agg.Anytime = true
+	agg.Obs = obs.NewObserver(len(isns), 16)
+	var first Result
+	var terms []string
+	for _, q := range qs {
+		if r := mustCottage(t, agg, q.Terms); len(r.Selected) > 0 && len(r.Failed)+len(r.Truncated) == 0 {
+			first, terms = r, q.Terms
+			break
+		}
+	}
+	if terms == nil {
+		t.Fatal("no fixture query searched a shard cleanly")
+	}
+	before := agg.Obs.Acc.Snapshot()
+
+	for _, s := range first.Selected {
+		if err := isns[s].srv.Limit.Acquire(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan Result, 1)
+	go func() {
+		res, err := agg.SearchCottage(terms)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	for _, s := range first.Selected {
+		for wait := time.Now(); isns[s].srv.Limit.Stats().Queued == 0 && time.Since(wait) < 2*time.Second; {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	time.Sleep(time.Duration(2*first.BudgetMS*float64(time.Millisecond)) + 5*time.Millisecond)
+	for _, s := range first.Selected {
+		isns[s].srv.Limit.Release()
+	}
+	res := <-done
+	if len(res.Truncated) == 0 {
+		t.Fatalf("repeat searched %v, truncated none (failed %v)", res.Selected, res.Failed)
+	}
+	after := agg.Obs.Acc.Snapshot()
+	for _, s := range res.Truncated {
+		if after[s].LatSamples != before[s].LatSamples || after[s].QualSamples != before[s].QualSamples+1 {
+			t.Errorf("truncated shard %d: latency samples %d -> %d, quality samples %d -> %d; want latency unchanged, quality +1",
+				s, before[s].LatSamples, after[s].LatSamples, before[s].QualSamples, after[s].QualSamples)
+		}
 	}
 }

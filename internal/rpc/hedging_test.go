@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cottage/internal/cluster"
+	"cottage/internal/engine"
 	"cottage/internal/faults"
 	"cottage/internal/obs"
 )
@@ -63,7 +64,7 @@ func TestPredictiveHedgeDispatch(t *testing.T) {
 
 	// Unflagged: predicted 5ms < 10ms threshold. The reply takes ~30ms,
 	// but a fixed 20ms timer that would have fired here must not exist.
-	r, _, _, err := agg.searchHedged(0, obs.SpanContext{}, []string{"ga"}, 0, agg.hedgeFor(5, true))
+	r, _, err := agg.searchHedged(&engine.Leg{}, 0, obs.SpanContext{}, []string{"ga"}, 0, agg.hedgeFor(5, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestPredictiveHedgeDispatch(t *testing.T) {
 
 	// Flagged: predicted 50ms > threshold — the duplicate goes out
 	// immediately rather than after any delay.
-	r, _, _, err = agg.searchHedged(0, obs.SpanContext{}, []string{"ga"}, 0, agg.hedgeFor(50, true))
+	r, _, err = agg.searchHedged(&engine.Leg{}, 0, obs.SpanContext{}, []string{"ga"}, 0, agg.hedgeFor(50, true))
 	if err != nil {
 		t.Fatal(err)
 	}

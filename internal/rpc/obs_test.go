@@ -16,6 +16,7 @@ import (
 	"cottage/internal/index"
 	"cottage/internal/obs"
 	"cottage/internal/obs/anatomy"
+	"cottage/internal/overload"
 	"cottage/internal/predict"
 	"cottage/internal/search"
 )
@@ -337,4 +338,83 @@ func spanNames(tr *obs.Trace) string {
 		names[i] = fmt.Sprintf("%s<-%d", s.Name, s.Parent)
 	}
 	return strings.Join(names, ", ")
+}
+
+// TestLegSplitMatchesServeSpan: a live search leg carries the
+// queue/service split phase attribution reads, taken from the serve span
+// its reply grafted in bit for bit as anatomy.FromTrace used to derive it
+// there: the span's queue_wait_us as queue, the rest of its duration as
+// service. Some exhaustive queries find one ISN's only admission slot
+// held for a few milliseconds (on a limiter whose clock stands still, so
+// it never sheds), so their legs there really queue.
+func TestLegSplitMatchesServeSpan(t *testing.T) {
+	isns, qs := memoFleet(t, func(_ int, srv *Server, l net.Listener) net.Listener {
+		srv.Obs = obs.NewObserver(1, 4)
+		srv.Limit = overload.NewLimiter(1, 4, overload.NewManualClock(time.Unix(0, 0)))
+		srv.initObs() // registers the limiter here, not in Serve while the test holds its slot
+		return l
+	})
+	agg := NewAggregator(dialFleet(t, isns), 10)
+	agg.Obs = obs.NewObserver(len(isns), 64)
+	for i, q := range qs[:8] {
+		lim := isns[i%len(isns)].srv.Limit
+		if err := lim.Acquire(0); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := agg.SearchExhaustive(q.Terms)
+			done <- err
+		}()
+		for lim.Stats().Queued == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(3 * time.Millisecond)
+		lim.Release()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		mustCottage(t, agg, q.Terms)
+	}
+	attrF := func(sp *obs.Span, key string) float64 {
+		f, err := strconv.ParseFloat(sp.Attrs[key], 64)
+		if err != nil || f < 0 {
+			return 0
+		}
+		return f
+	}
+	legs, queued := 0, 0
+	for _, tr := range agg.Obs.Traces.Recent(0) {
+		for i := range tr.Spans {
+			leg := &tr.Spans[i]
+			if leg.Name != "search.isn" {
+				continue
+			}
+			var serve *obs.Span
+			for j := range tr.Spans {
+				if tr.Spans[j].Parent == leg.ID && tr.Spans[j].Name == "serve.search" {
+					serve = &tr.Spans[j]
+				}
+			}
+			if serve == nil {
+				t.Fatalf("trace %#x: leg on ISN %d has no grafted serve span", tr.ID, leg.ISN)
+			}
+			queue := attrF(serve, "queue_wait_us") / 1000
+			service := float64(serve.DurUS)/1000 - queue
+			if service < 0 {
+				service = 0
+			}
+			if q, s := attrF(leg, "queue_ms"), attrF(leg, "service_ms"); math.Float64bits(q) != math.Float64bits(queue) ||
+				math.Float64bits(s) != math.Float64bits(service) {
+				t.Errorf("trace %#x ISN %d: leg split %v/%v ms, serve span says %v/%v", tr.ID, leg.ISN, q, s, queue, service)
+			}
+			legs++
+			if queue > 0 {
+				queued++
+			}
+		}
+	}
+	if legs == 0 || queued == 0 {
+		t.Fatalf("%d traced search legs, %d of them queued; want some of each", legs, queued)
+	}
 }

@@ -538,13 +538,17 @@ func TestEveryExitIsObserved(t *testing.T) {
 		return agg
 	}
 	burning := func(o *slo.Objective) bool { fast, _ := o.Burn(); return fast > 0 }
+	latencies := func(agg *Aggregator, mode string) uint64 {
+		h := agg.Obs.Reg.Histogram("cottage_agg_query_ms", "", obs.LatencyBucketsMS(), obs.L("mode", mode))
+		return h.Snapshot().Count
+	}
 	empty, deadCottage, deadExhaustive := newAgg(), newAgg(), newAgg()
 
 	res := mustCottage(t, empty, []string{"no-shard-has-this-term"})
 	if len(res.Selected) != 0 || res.TraceID == 0 {
 		t.Fatalf("unmatched query: selected %v, trace %#x", res.Selected, res.TraceID)
 	}
-	if n := empty.latCottage.Snapshot().Count; n != 1 {
+	if n := latencies(empty, "cottage"); n != 1 {
 		t.Fatalf("no-ISN-selected exit: %d latency observations, want 1", n)
 	}
 	if burning(empty.SLO.Latency) || burning(empty.SLO.Quality) {
@@ -567,11 +571,7 @@ func TestEveryExitIsObserved(t *testing.T) {
 		if _, err := tc.search([]string{"ga"}); err == nil {
 			t.Fatalf("%s: query over a dead fleet succeeded", tc.mode)
 		}
-		hist := tc.agg.latCottage
-		if tc.mode == "exhaustive" {
-			hist = tc.agg.latExhaust
-		}
-		if n := hist.Snapshot().Count; n != 1 {
+		if n := latencies(tc.agg, tc.mode); n != 1 {
 			t.Errorf("%s: %d latency observations of the failed query, want 1", tc.mode, n)
 		}
 		if q := tc.agg.SLO; !burning(q.Latency) || !burning(q.Quality) {

@@ -5,11 +5,11 @@ import (
 	"strconv"
 	"time"
 
+	"cottage/internal/engine"
 	"cottage/internal/obs"
 	"cottage/internal/overload"
 	"cottage/internal/predict"
 	"cottage/internal/replica"
-	"cottage/internal/search"
 )
 
 // EnableReplicaGroups switches the aggregator from a flat ISN list to
@@ -187,29 +187,16 @@ func (a *Aggregator) predictShard(shard int, tb *obs.TraceBuilder, parent *obs.A
 	return out
 }
 
-// searchLeg is the outcome of one shard's search leg.
-type searchLeg struct {
-	client    int
-	row       int
-	failovers int
-	hits      []search.Hit
-	ms        float64
-	err       error
-	// terminated/bound echo an anytime leg's certificate: exact but
-	// possibly incomplete hits, nothing unseen scoring above bound.
-	terminated bool
-	bound      float64
-}
-
-// searchShard runs one shard's search leg over its ranked replicas with
-// mid-query failover, composing with hedging (each attempt may itself
-// hedge via searchHedged; hedge is the per-leg timer from hedgeFor).
-// Retries inherit the remaining budget, not a fresh one: a failover
-// late in the budget gets only what is left, and when nothing is left
-// the leg is abandoned — degraded Algorithm 1 already priced the shard
-// in, so the query survives.
-func (a *Aggregator) searchShard(shard int, tb *obs.TraceBuilder, parent *obs.ActiveSpan, terms []string, deadline, hedge time.Duration) searchLeg {
-	out := searchLeg{client: -1}
+// searchShard runs shard l.Shard's search leg into l over its ranked
+// replicas with mid-query failover, composing with hedging (each attempt
+// may itself hedge via searchHedged; hedge is the per-leg timer from
+// hedgeFor). Retries inherit the remaining budget, not a fresh one: a
+// failover late in the budget gets only what is left, and when nothing
+// is left the leg is abandoned — degraded Algorithm 1 already priced the
+// shard in, so the query survives. Each abandoned attempt keeps a span of
+// its own; the answering one is written by Leg.Annotate.
+func (a *Aggregator) searchShard(l *engine.Leg, tb *obs.TraceBuilder, parent *obs.ActiveSpan, terms []string, deadline, hedge time.Duration) {
+	shard := l.Shard
 	var absDeadline time.Time
 	if deadline > 0 {
 		absDeadline = time.Now().Add(deadline)
@@ -233,20 +220,17 @@ func (a *Aggregator) searchShard(shard int, tb *obs.TraceBuilder, parent *obs.Ac
 			a.failoversSearch.Inc()
 		}
 		leg := tb.StartSpan("search.isn", parent.ID(), nowUS())
-		leg.SetISN(shard)
 		row := a.replicaRow(shard, ci)
-		leg.SetAttr("replica", strconv.Itoa(row))
-		if sent > 0 {
-			leg.SetAttr("failover", strconv.Itoa(sent))
-		}
 		legStart := time.Now()
-		r, spans, hi, err := a.searchHedged(ci, leg.Context(), terms, remaining, hedge)
+		r, spans, err := a.searchHedged(l, ci, leg.Context(), terms, remaining, hedge)
 		a.observeBreaker(ci, err)
 		sent++
 		if err != nil {
 			if IsShardCorrupt(err) {
 				a.noteCorrupt(shard, ci, err)
 			}
+			lost := engine.Leg{Shard: shard, Replica: row, Failovers: sent - 1, Status: engine.LegFailed}
+			lost.Annotate(leg)
 			leg.SetAttr("error", err.Error())
 			leg.End(nowUS())
 			lastErr = fmt.Errorf("replica %d: %w", ci, err)
@@ -256,29 +240,38 @@ func (a *Aggregator) searchShard(shard int, tb *obs.TraceBuilder, parent *obs.Ac
 			spans[si].ISN = shard
 		}
 		tb.AddSpans(spans)
-		if hi.hedged {
-			leg.SetAttr("hedged", "true")
-			// Only a winning hedge's timer wait sat on the critical path —
-			// phase attribution charges it to hedge-wait, not search.
-			if hi.won && hi.waitUS > 0 {
-				leg.SetAttr("hedge_wait_us", strconv.FormatInt(hi.waitUS, 10))
-			}
-		}
+		l.Client, l.Replica, l.Failovers = ci, row, sent-1
+		l.Hits = r.Hits
 		if r.Terminated {
-			leg.SetAttr("truncated", "true")
-			leg.SetAttr("score_bound", strconv.FormatFloat(r.ScoreBound, 'g', -1, 64))
+			l.Status, l.ScoreBound = engine.LegTruncated, r.ScoreBound
 		}
+		l.QueueMS, l.ServiceMS = serveSplit(spans, leg.ID())
+		l.Annotate(leg)
 		leg.End(nowUS())
-		ms := float64(time.Since(legStart).Microseconds()) / 1000
-		a.tracker.Observe(ci, ms)
-		out.client, out.row, out.failovers = ci, row, sent-1
-		out.hits, out.ms = r.Hits, ms
-		out.terminated, out.bound = r.Terminated, r.ScoreBound
-		return out
+		l.ActualMS = float64(time.Since(legStart).Microseconds()) / 1000
+		a.tracker.Observe(ci, l.ActualMS)
+		return
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no replicas configured")
 	}
-	out.err = fmt.Errorf("shard %d: %w", shard, lastErr)
-	return out
+	l.Status, l.Client, l.Err = engine.LegFailed, -1, fmt.Errorf("shard %d: %w", shard, lastErr)
+}
+
+// serveSplit reads a leg's queue/service split off the serve span its
+// reply grafted in: the ISN's admission-queue wait, and the rest of its
+// time on the request as service. Both are zero when the reply carried
+// no span (an untraced query, or a server without an observer).
+func serveSplit(spans []obs.Span, leg uint64) (queueMS, serviceMS float64) {
+	for i := range spans {
+		sp := &spans[i]
+		if sp.Parent != leg || sp.Name != "serve.search" {
+			continue
+		}
+		if wait, err := strconv.ParseFloat(sp.Attrs["queue_wait_us"], 64); err == nil && wait > 0 {
+			queueMS = wait / 1000
+		}
+		return queueMS, max(float64(sp.DurUS)/1000-queueMS, 0)
+	}
+	return 0, 0
 }
