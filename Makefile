@@ -12,8 +12,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# The second pass type-checks the non-amd64 build: the portable kernels
+# (internal/nn, internal/simdpack kernels_generic.go) compile nowhere else.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -54,7 +57,8 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzPackedPostingsDecode -fuzztime $(FUZZTIME)
 
 # Quick perf sanity on the two predictor hot paths (the ones with hard
-# ns/op acceptance bars) and on a live Cottage query with and without
+# ns/op acceptance bars), on one twin replay under Cottage (internal/core,
+# the work twin_qps times), and on a live Cottage query with and without
 # its predictions remembered (internal/rpc, loopback fixture; the pair
 # asserts it really timed hits and misses); keeps check fast while
 # catching gross regressions. End-to-end numbers come from the
@@ -62,6 +66,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig7QualityPredictor|Fig9BudgetDetermination' \
 		-benchmem -benchtime 1x -timeout 10m .
+	$(GO) test -run '^$$' -bench 'RunCottage' -benchmem -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'SearchCottageMemo' -benchmem -benchtime 200x ./internal/rpc
 
 # Regenerate the checked-in fuzz seed corpus after wire-format changes.

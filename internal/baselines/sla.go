@@ -38,7 +38,7 @@ func (p *FixedSLA) Decide(e *engine.Engine, q trace.Query, nowMS float64) engine
 	if e.Fleet == nil {
 		panic("baselines: FixedSLA requires a trained fleet")
 	}
-	preds := e.Fleet.PredictAll(e.Shards, q.Terms)
+	preds := e.Predictions(q)
 	d := engine.Decision{
 		Participate:    make([]bool, len(e.Shards)),
 		Freq:           make([]float64, len(e.Shards)),

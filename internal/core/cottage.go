@@ -218,7 +218,7 @@ func coordOverheadMS(e *engine.Engine) float64 {
 
 // Reports gathers the per-ISN prediction tuples for a query (steps 2–3).
 func (c *Cottage) Reports(e *engine.Engine, q trace.Query, nowMS float64) []ISNReport {
-	preds := e.Fleet.PredictAll(e.Shards, q.Terms)
+	preds := e.Predictions(q)
 	reports := make([]ISNReport, 0, len(preds))
 	for isn, p := range preds {
 		// A dead shard — every replica down — never answers the prediction

@@ -57,7 +57,7 @@ var twinFixture struct {
 	err  error
 }
 
-func trainedTwin(t *testing.T) (*engine.Engine, []*engine.Evaluated) {
+func trainedTwin(t testing.TB) (*engine.Engine, []*engine.Evaluated) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("trains predictors")

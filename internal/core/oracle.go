@@ -60,7 +60,7 @@ func (o *CottageOracle) Decide(e *engine.Engine, q trace.Query, nowMS float64) e
 		panic("core: CottageOracle used on a query it was not built for")
 	}
 	qk2 := o.truthK2[q.ID]
-	preds := e.Fleet.PredictAll(e.Shards, q.Terms)
+	preds := e.Predictions(q)
 	reports := make([]ISNReport, 0, len(preds))
 	for isn, p := range preds {
 		if !p.Matched {

@@ -29,7 +29,7 @@ func (v *CottageISN) Decide(e *engine.Engine, q trace.Query, _ float64) engine.D
 	if e.Fleet == nil {
 		panic("core: CottageISN requires a trained fleet")
 	}
-	preds := e.Fleet.PredictAll(e.Shards, q.Terms)
+	preds := e.Predictions(q)
 	d := engine.Decision{
 		Participate: make([]bool, len(e.Shards)),
 		BudgetMS:    math.Inf(1),
@@ -93,7 +93,7 @@ func (v *CottageNoML) Decide(e *engine.Engine, q trace.Query, nowMS float64) eng
 	}
 	estK := e.Gamma.Estimate(q.Terms, e.K)
 	estK2 := e.Gamma.Estimate(q.Terms, e.K/2)
-	preds := e.Fleet.PredictAll(e.Shards, q.Terms)
+	preds := e.Predictions(q)
 
 	reports := make([]ISNReport, 0, len(preds))
 	for isn, p := range preds {

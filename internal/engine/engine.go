@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 
 	"cottage/internal/autoscale"
@@ -86,6 +87,16 @@ type Engine struct {
 
 	hists QueryHists // the current Run's, resolved at its start
 	legs  []Leg      // runOne's scratch: one query's legs
+	run   runTrace   // the current Run's trace; zero outside Run
+}
+
+// runTrace is what Predictions knows about the Run in progress: the
+// replayed trace, the position of the query being replayed, and — once a
+// policy has asked — every query's predictions.
+type runTrace struct {
+	evs   []*Evaluated
+	at    int
+	preds [][]predict.Prediction
 }
 
 // Config assembles an Engine.
@@ -363,7 +374,10 @@ func (e *Engine) Run(p Policy, evs []*Evaluated) RunResult {
 		e.Cluster.Register(e.Obs.Reg) // idempotent: create-or-get
 	}
 	res := RunResult{Policy: p.Name(), Outcomes: make([]Outcome, 0, len(evs))}
-	for _, ev := range evs {
+	e.run = runTrace{evs: evs}
+	defer func() { e.run = runTrace{} }()
+	for i, ev := range evs {
+		e.run.at = i
 		res.Outcomes = append(res.Outcomes, e.runOne(p, ev))
 	}
 	res.DurationMS = e.Cluster.NowMS()
@@ -380,6 +394,31 @@ func (e *Engine) Run(p Policy, evs []*Evaluated) RunResult {
 		res.ScaleLog = append([]autoscale.Change(nil), e.Scaler.Log()...)
 	}
 	return res
+}
+
+// Predictions returns every ISN's prediction for q (steps 2–3 of the
+// protocol), for policies that predict. Inside Run, the first call
+// predicts the whole replayed trace at once with Fleet.PredictTrace,
+// which keeps one ISN's weights in cache across all of its queries, and
+// every later call for the query being replayed reads its row. The fill
+// is lazy, so a policy that never asks never pays, and the table is
+// dropped when Run returns, so every replay still does all of its own
+// inference. Any other call — outside Run, or for a query that is not the
+// one being replayed — runs Fleet.PredictAll. Both give the same bits.
+// Callers must not modify the returned slice.
+func (e *Engine) Predictions(q trace.Query) []predict.Prediction {
+	r := &e.run
+	if r.at < len(r.evs) && r.evs[r.at].Query.ID == q.ID && slices.Equal(r.evs[r.at].Query.Terms, q.Terms) {
+		if r.preds == nil {
+			terms := make([][]string, len(r.evs))
+			for i, ev := range r.evs {
+				terms[i] = ev.Query.Terms
+			}
+			r.preds = e.Fleet.PredictTrace(e.Shards, terms)
+		}
+		return r.preds[r.at]
+	}
+	return e.Fleet.PredictAll(e.Shards, q.Terms)
 }
 
 // cacheLookupMS is the aggregator-side cost of a cache probe.

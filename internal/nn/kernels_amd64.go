@@ -2,24 +2,75 @@
 
 package nn
 
-// The SSE2 micro-kernels in kernels_amd64.s process eight output columns
-// of the transposed weight layout at a time; the wrappers here tile the
-// output dimension and finish the remainder with the scalar strided loop.
-// Both paths accumulate bias-first in ascending input order, so they are
-// bit-identical to each other and to the portable fallbacks in
-// kernels_generic.go.
+// The kernels in kernels_amd64.s process a tile of output columns of the
+// transposed weight layout at a time: 32 lanes in eight YMM registers
+// when the CPU has AVX2, 16 lanes in eight XMM registers otherwise. The
+// wrappers here tile the output dimension and finish any remainder the
+// tiles leave with the scalar strided loop. Every path accumulates
+// bias-first in ascending input order, so all of them are bit-identical
+// to each other and to the portable loops in kernels.go.
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv0() (eax uint32)
+
+// cpuHasAVX2 reports whether the CPU implements AVX2 and the OS saves the
+// YMM registers across context switches.
+func cpuHasAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	const xmmYMMState = 1<<1 | 1<<2
+	if xgetbv0()&xmmYMMState != xmmYMMState {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// hasAVX2 is the CPU's answer, read once; useAVX2 selects the tile the
+// matvec wrapper runs. Only the kernel tests change useAVX2, to hold
+// every dispatch level the CPU has to the reference.
+var (
+	hasAVX2 = cpuHasAVX2()
+	useAVX2 = hasAVX2
+)
 
 //go:noescape
-func colsDense8(z, wt, bias, x *float64, k, stride int)
+func colsDense16(z, a, wt, bias, x *float64, k, stride int)
 
 //go:noescape
-func colsNZ8(z, wt, bias *float64, idx *int32, xv *float64, nnz, stride int)
+func colsDense8(z, a, wt, bias, x *float64, k, stride int)
+
+//go:noescape
+func colsDense4(z, a, wt, bias, x *float64, k, stride int)
+
+//go:noescape
+func avxCols32(z, a, wt, bias, x *float64, k, stride int)
+
+//go:noescape
+func avxCols8(z, a, wt, bias, x *float64, k, stride int)
+
+//go:noescape
+func avxCols4(z, a, wt, bias, x *float64, k, stride int, mask *int64)
+
+// avxMasks[n] selects the first n lanes of a four-lane avxCols4 tile.
+var avxMasks = [5][4]int64{
+	{0, 0, 0, 0},
+	{-1, 0, 0, 0},
+	{-1, -1, 0, 0},
+	{-1, -1, -1, 0},
+	{-1, -1, -1, -1},
+}
 
 //go:noescape
 func gradCols8(gw, act, delta *float64, batch, actStride, deltaStride int)
-
-//go:noescape
-func colsDense4(z, wt, bias, x *float64, k, stride int)
 
 //go:noescape
 func gradCols4(gw, act, delta *float64, batch, actStride, deltaStride int)
@@ -44,7 +95,7 @@ func gradWT(gw, act, delta []float64, batch, in, out int) {
 		for ; i < in; i++ {
 			s := gwRow[i]
 			for r := 0; r < batch; r++ {
-				s += delta[r*out+o] * act[r*in+i]
+				s += float64(delta[r*out+o] * act[r*in+i])
 			}
 			gwRow[i] = s
 		}
@@ -69,46 +120,57 @@ func adamBulk(params, grad, m, v []float64, lr, inv float64, tc TrainConfig) int
 }
 
 // matvecWT computes z = W·x + bias from the transposed weight layout wt
-// (wt[i*out+o]) with a dense input vector.
-func matvecWT(z, wt, bias, x []float64, out, k int) {
+// (wt[i*out+o]) and, when a is non-nil, a = ReLU(z) in the same pass.
+func matvecWT(z, a, wt, bias, x []float64, out, k int) {
+	// Reslicing bounds every address the kernels touch: a short slice
+	// panics here rather than letting the assembly read past it.
+	z, wt, bias, x = z[:out], wt[:k*out], bias[:out], x[:k]
+	if a != nil {
+		a = a[:out]
+	}
 	o := 0
 	if k > 0 {
-		for ; o+8 <= out; o += 8 {
-			colsDense8(&z[o], &wt[o], &bias[o], &x[0], k, out*8)
+		stride := out * 8
+		if useAVX2 {
+			for ; o+32 <= out; o += 32 {
+				avxCols32(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride)
+			}
+			for ; o+8 <= out; o += 8 {
+				avxCols8(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride)
+			}
+			for ; o < out; o += 4 {
+				avxCols4(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride, &avxMasks[min(out-o, 4)][0])
+			}
+			return
+		}
+		for ; o+16 <= out; o += 16 {
+			colsDense16(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride)
+		}
+		if o+8 <= out {
+			colsDense8(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride)
+			o += 8
 		}
 		if o+4 <= out {
-			colsDense4(&z[o], &wt[o], &bias[o], &x[0], k, out*8)
+			colsDense4(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride)
 			o += 4
 		}
 	}
 	for ; o < out; o++ {
 		s := bias[o]
 		for i := 0; i < k; i++ {
-			s += x[i] * wt[i*out+o]
+			s += float64(x[i] * wt[i*out+o])
 		}
 		z[o] = s
+		if a != nil {
+			a[o] = relu(s)
+		}
 	}
 }
 
-// matvecWTNZ is matvecWT for an input given as a compacted ascending
-// (index, value) list of its nonzero entries. ReLU zeroes roughly half of
-// each hidden activation vector; the skipped terms are exact ±0, which
-// cannot change a sum that started from the bias, so the result matches
-// the dense kernel bit for bit.
-func matvecWTNZ(z, wt, bias []float64, idx []int32, xv []float64, out, k int) {
-	if len(idx) == 0 {
-		copy(z[:out], bias[:out])
-		return
+// lane is &a[o], or nil when there is no activation row to write.
+func lane(a []float64, o int) *float64 {
+	if a == nil {
+		return nil
 	}
-	o := 0
-	for ; o+8 <= out; o += 8 {
-		colsNZ8(&z[o], &wt[o], &bias[o], &idx[0], &xv[0], len(idx), out*8)
-	}
-	for ; o < out; o++ {
-		s := bias[o]
-		for j, i := range idx {
-			s += xv[j] * wt[int(i)*out+o]
-		}
-		z[o] = s
-	}
+	return &a[o]
 }

@@ -1,25 +1,137 @@
-// SSE2 inference kernels. Each function accumulates eight output lanes
-// of z = W·x + bias in XMM registers, reading the transposed weight
-// layout wt (wt[i*out+o]) so one 16-byte load covers two adjacent
-// outputs. Every lane is an independent IEEE-754 double accumulator that
-// adds bias first and then products in ascending input order — the exact
-// sequence of the scalar reference — so the vector and scalar paths are
-// bit-identical. SSE2 is part of the amd64 baseline, so there is no CPU
-// feature dispatch (and deliberately no FMA, which would round
-// differently).
+// Dense inference and training kernels. Each matvec kernel accumulates
+// one tile of output lanes of z = W·x + bias in vector registers, reading
+// the transposed weight layout wt (wt[i*out+o]) so one load covers
+// adjacent outputs. Every lane is an independent IEEE-754 double
+// accumulator that adds bias first and then products in ascending input
+// order — the exact sequence of the scalar reference — so the vector and
+// scalar paths are bit-identical. Products round before they are added
+// (MULPD then ADDPD): there is deliberately no FMA, which would round
+// once where the reference rounds twice.
+//
+// When a is non-nil the matvec kernels also write a = ReLU(z) with MAXPD
+// against +0. MAXPD returns its second (source) operand when the inputs
+// compare unordered or are both zeros, so −0 and NaN become +0 — exactly
+// the scalar v > 0 ? v : 0.
+//
+// The SSE2 kernels are the amd64 baseline; the AVX2 kernels run only when
+// cpuHasAVX2 (CPUID + XGETBV) says the CPU and OS support them.
 
 #include "textflag.h"
 
-// func colsDense8(z, wt, bias, x *float64, k, stride int)
-// z[0..8) = bias[0..8) + Σ_{i<k} x[i] * wt[i*stride/8 .. +8)
-// stride is in bytes; wt points at the first of the eight columns.
-TEXT ·colsDense8(SB), NOSPLIT, $0-48
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (eax uint32)
+// The low half of XCR0: which register states the OS saves.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET
+
+// func colsDense16(z, a, wt, bias, x *float64, k, stride int)
+// The SSE2 tile: z[0..16) = bias[0..16) + Σ_{i<k} x[i] *
+// wt[i*stride/8 .. +16), and a[0..16) = ReLU(z) when a is non-nil. Eight
+// XMM accumulators keep eight independent add chains in flight. stride
+// is in bytes; wt points at the first of the sixteen columns.
+TEXT ·colsDense16(SB), NOSPLIT, $0-56
 	MOVQ z+0(FP), DI
-	MOVQ wt+8(FP), SI
-	MOVQ bias+16(FP), BX
-	MOVQ x+24(FP), R9
-	MOVQ k+32(FP), CX
-	MOVQ stride+40(FP), DX
+	MOVQ a+8(FP), R8
+	MOVQ wt+16(FP), SI
+	MOVQ bias+24(FP), BX
+	MOVQ x+32(FP), R9
+	MOVQ k+40(FP), CX
+	MOVQ stride+48(FP), DX
+	MOVUPS 0(BX), X0
+	MOVUPS 16(BX), X1
+	MOVUPS 32(BX), X2
+	MOVUPS 48(BX), X3
+	MOVUPS 64(BX), X4
+	MOVUPS 80(BX), X5
+	MOVUPS 96(BX), X6
+	MOVUPS 112(BX), X7
+	XORQ AX, AX
+dense16loop:
+	CMPQ AX, CX
+	JGE  dense16done
+	MOVQ (R9)(AX*8), X8
+	UNPCKLPD X8, X8
+	MOVUPS 0(SI), X9
+	MULPD X8, X9
+	ADDPD X9, X0
+	MOVUPS 16(SI), X10
+	MULPD X8, X10
+	ADDPD X10, X1
+	MOVUPS 32(SI), X11
+	MULPD X8, X11
+	ADDPD X11, X2
+	MOVUPS 48(SI), X12
+	MULPD X8, X12
+	ADDPD X12, X3
+	MOVUPS 64(SI), X13
+	MULPD X8, X13
+	ADDPD X13, X4
+	MOVUPS 80(SI), X14
+	MULPD X8, X14
+	ADDPD X14, X5
+	MOVUPS 96(SI), X15
+	MULPD X8, X15
+	ADDPD X15, X6
+	MOVUPS 112(SI), X9
+	MULPD X8, X9
+	ADDPD X9, X7
+	ADDQ DX, SI
+	INCQ AX
+	JMP  dense16loop
+dense16done:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	TESTQ R8, R8
+	JZ    dense16ret
+	XORPD X8, X8
+	MAXPD X8, X0
+	MAXPD X8, X1
+	MAXPD X8, X2
+	MAXPD X8, X3
+	MAXPD X8, X4
+	MAXPD X8, X5
+	MAXPD X8, X6
+	MAXPD X8, X7
+	MOVUPS X0, 0(R8)
+	MOVUPS X1, 16(R8)
+	MOVUPS X2, 32(R8)
+	MOVUPS X3, 48(R8)
+	MOVUPS X4, 64(R8)
+	MOVUPS X5, 80(R8)
+	MOVUPS X6, 96(R8)
+	MOVUPS X7, 112(R8)
+dense16ret:
+	RET
+
+// func colsDense8(z, a, wt, bias, x *float64, k, stride int)
+// Eight-lane variant of colsDense16 for output blocks of 8..15.
+TEXT ·colsDense8(SB), NOSPLIT, $0-56
+	MOVQ z+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ wt+16(FP), SI
+	MOVQ bias+24(FP), BX
+	MOVQ x+32(FP), R9
+	MOVQ k+40(FP), CX
+	MOVQ stride+48(FP), DX
 	MOVUPS 0(BX), X0
 	MOVUPS 16(BX), X1
 	MOVUPS 32(BX), X2
@@ -50,51 +162,168 @@ dense8done:
 	MOVUPS X1, 16(DI)
 	MOVUPS X2, 32(DI)
 	MOVUPS X3, 48(DI)
+	TESTQ R8, R8
+	JZ    dense8ret
+	XORPD X4, X4
+	MAXPD X4, X0
+	MAXPD X4, X1
+	MAXPD X4, X2
+	MAXPD X4, X3
+	MOVUPS X0, 0(R8)
+	MOVUPS X1, 16(R8)
+	MOVUPS X2, 32(R8)
+	MOVUPS X3, 48(R8)
+dense8ret:
 	RET
 
-// func colsNZ8(z, wt, bias *float64, idx *int32, xv *float64, nnz, stride int)
-// z[0..8) = bias[0..8) + Σ_{j<nnz} xv[j] * wt[idx[j]*stride/8 .. +8)
-// The compacted (idx, xv) list holds the nonzero inputs in ascending
-// index order (see forwardZ), so the per-lane sum order is canonical.
-TEXT ·colsNZ8(SB), NOSPLIT, $0-56
+// func avxCols32(z, a, wt, bias, x *float64, k, stride int)
+// The AVX2 tile: colsDense16's contract over 32 lanes, eight YMM
+// accumulators of four outputs each.
+TEXT ·avxCols32(SB), NOSPLIT, $0-56
 	MOVQ z+0(FP), DI
-	MOVQ wt+8(FP), SI
-	MOVQ bias+16(FP), BX
-	MOVQ idx+24(FP), R8
-	MOVQ xv+32(FP), R9
-	MOVQ nnz+40(FP), CX
+	MOVQ a+8(FP), R8
+	MOVQ wt+16(FP), SI
+	MOVQ bias+24(FP), BX
+	MOVQ x+32(FP), R9
+	MOVQ k+40(FP), CX
 	MOVQ stride+48(FP), DX
-	MOVUPS 0(BX), X0
-	MOVUPS 16(BX), X1
-	MOVUPS 32(BX), X2
-	MOVUPS 48(BX), X3
+	VMOVUPD 0(BX), Y0
+	VMOVUPD 32(BX), Y1
+	VMOVUPD 64(BX), Y2
+	VMOVUPD 96(BX), Y3
+	VMOVUPD 128(BX), Y4
+	VMOVUPD 160(BX), Y5
+	VMOVUPD 192(BX), Y6
+	VMOVUPD 224(BX), Y7
 	XORQ AX, AX
-nz8loop:
+avx32loop:
 	CMPQ AX, CX
-	JGE  nz8done
-	MOVLQSX (R8)(AX*4), R10
-	IMULQ DX, R10
-	MOVQ (R9)(AX*8), X4
-	UNPCKLPD X4, X4
-	MOVUPS 0(SI)(R10*1), X5
-	MULPD X4, X5
-	ADDPD X5, X0
-	MOVUPS 16(SI)(R10*1), X6
-	MULPD X4, X6
-	ADDPD X6, X1
-	MOVUPS 32(SI)(R10*1), X7
-	MULPD X4, X7
-	ADDPD X7, X2
-	MOVUPS 48(SI)(R10*1), X8
-	MULPD X4, X8
-	ADDPD X8, X3
+	JGE  avx32done
+	VBROADCASTSD (R9)(AX*8), Y8
+	VMULPD 0(SI), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(SI), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(SI), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(SI), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD 128(SI), Y8, Y13
+	VADDPD Y13, Y4, Y4
+	VMULPD 160(SI), Y8, Y14
+	VADDPD Y14, Y5, Y5
+	VMULPD 192(SI), Y8, Y15
+	VADDPD Y15, Y6, Y6
+	VMULPD 224(SI), Y8, Y9
+	VADDPD Y9, Y7, Y7
+	ADDQ DX, SI
 	INCQ AX
-	JMP  nz8loop
-nz8done:
-	MOVUPS X0, 0(DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
+	JMP  avx32loop
+avx32done:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	TESTQ R8, R8
+	JZ    avx32ret
+	VXORPD Y8, Y8, Y8
+	VMAXPD Y8, Y0, Y0
+	VMAXPD Y8, Y1, Y1
+	VMAXPD Y8, Y2, Y2
+	VMAXPD Y8, Y3, Y3
+	VMAXPD Y8, Y4, Y4
+	VMAXPD Y8, Y5, Y5
+	VMAXPD Y8, Y6, Y6
+	VMAXPD Y8, Y7, Y7
+	VMOVUPD Y0, 0(R8)
+	VMOVUPD Y1, 32(R8)
+	VMOVUPD Y2, 64(R8)
+	VMOVUPD Y3, 96(R8)
+	VMOVUPD Y4, 128(R8)
+	VMOVUPD Y5, 160(R8)
+	VMOVUPD Y6, 192(R8)
+	VMOVUPD Y7, 224(R8)
+avx32ret:
+	VZEROUPPER
+	RET
+
+// func avxCols8(z, a, wt, bias, x *float64, k, stride int)
+// Eight-lane AVX2 tile for what the 32-lane tile leaves.
+TEXT ·avxCols8(SB), NOSPLIT, $0-56
+	MOVQ z+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ wt+16(FP), SI
+	MOVQ bias+24(FP), BX
+	MOVQ x+32(FP), R9
+	MOVQ k+40(FP), CX
+	MOVQ stride+48(FP), DX
+	VMOVUPD 0(BX), Y0
+	VMOVUPD 32(BX), Y1
+	XORQ AX, AX
+avx8loop:
+	CMPQ AX, CX
+	JGE  avx8done
+	VBROADCASTSD (R9)(AX*8), Y8
+	VMULPD 0(SI), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(SI), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	ADDQ DX, SI
+	INCQ AX
+	JMP  avx8loop
+avx8done:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	TESTQ R8, R8
+	JZ    avx8ret
+	VXORPD Y8, Y8, Y8
+	VMAXPD Y8, Y0, Y0
+	VMAXPD Y8, Y1, Y1
+	VMOVUPD Y0, 0(R8)
+	VMOVUPD Y1, 32(R8)
+avx8ret:
+	VZEROUPPER
+	RET
+
+// func avxCols4(z, a, wt, bias, x *float64, k, stride int, mask *int64)
+// The last one to four lanes. mask holds four int64 lanes, all ones for
+// the lanes to compute; VMASKMOVPD reads and writes only those, so a
+// partial tile never touches memory past the end of wt, bias, z or a.
+TEXT ·avxCols4(SB), NOSPLIT, $0-64
+	MOVQ z+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ wt+16(FP), SI
+	MOVQ bias+24(FP), BX
+	MOVQ x+32(FP), R9
+	MOVQ k+40(FP), CX
+	MOVQ stride+48(FP), DX
+	MOVQ mask+56(FP), R10
+	VMOVDQU (R10), Y15
+	VMASKMOVPD (BX), Y15, Y0
+	XORQ AX, AX
+avx4loop:
+	CMPQ AX, CX
+	JGE  avx4done
+	VBROADCASTSD (R9)(AX*8), Y8
+	VMASKMOVPD (SI), Y15, Y9
+	VMULPD Y9, Y8, Y9
+	VADDPD Y9, Y0, Y0
+	ADDQ DX, SI
+	INCQ AX
+	JMP  avx4loop
+avx4done:
+	VMASKMOVPD Y0, Y15, (DI)
+	TESTQ R8, R8
+	JZ    avx4ret
+	VXORPD Y8, Y8, Y8
+	VMAXPD Y8, Y0, Y0
+	VMASKMOVPD Y0, Y15, (R8)
+avx4ret:
+	VZEROUPPER
 	RET
 
 // func gradCols8(gw, act, delta *float64, batch, actStride, deltaStride int)
@@ -143,15 +372,16 @@ grad8done:
 	MOVUPS X3, 48(DI)
 	RET
 
-// func colsDense4(z, wt, bias, x *float64, k, stride int)
+// func colsDense4(z, a, wt, bias, x *float64, k, stride int)
 // Four-lane tail variant of colsDense8 for output blocks of 4..7.
-TEXT ·colsDense4(SB), NOSPLIT, $0-48
+TEXT ·colsDense4(SB), NOSPLIT, $0-56
 	MOVQ z+0(FP), DI
-	MOVQ wt+8(FP), SI
-	MOVQ bias+16(FP), BX
-	MOVQ x+24(FP), R9
-	MOVQ k+32(FP), CX
-	MOVQ stride+40(FP), DX
+	MOVQ a+8(FP), R8
+	MOVQ wt+16(FP), SI
+	MOVQ bias+24(FP), BX
+	MOVQ x+32(FP), R9
+	MOVQ k+40(FP), CX
+	MOVQ stride+48(FP), DX
 	MOVUPS 0(BX), X0
 	MOVUPS 16(BX), X1
 	XORQ AX, AX
@@ -172,6 +402,14 @@ dense4loop:
 dense4done:
 	MOVUPS X0, 0(DI)
 	MOVUPS X1, 16(DI)
+	TESTQ R8, R8
+	JZ    dense4ret
+	XORPD X4, X4
+	MAXPD X4, X0
+	MAXPD X4, X1
+	MOVUPS X0, 0(R8)
+	MOVUPS X1, 16(R8)
+dense4ret:
 	RET
 
 // func gradCols4(gw, act, delta *float64, batch, actStride, deltaStride int)

@@ -2,58 +2,11 @@
 
 package nn
 
-// Portable fallbacks for the SSE2 kernels in kernels_amd64.s: plain
-// scalar loops over the transposed weight layout, accumulating bias-first
-// in ascending input order so results match the vector path bit for bit.
+// Off amd64 the portable loops in kernels.go are the production kernels.
 
-// matvecWT computes z = W·x + bias from the transposed weight layout wt
-// (wt[i*out+o]) with a dense input vector.
-func matvecWT(z, wt, bias, x []float64, out, k int) {
-	z = z[:out]
-	copy(z, bias[:out])
-	for i := 0; i < k; i++ {
-		xv := x[i]
-		row := wt[i*out : i*out+out]
-		for o := range z {
-			z[o] += row[o] * xv
-		}
-	}
-}
+func matvecWT(z, a, wt, bias, x []float64, out, k int) { matvecWTGo(z, a, wt, bias, x, out, k) }
 
-// matvecWTNZ is matvecWT for an input given as a compacted ascending
-// (index, value) list of its nonzero entries. The skipped terms are exact
-// ±0, which cannot change a sum that started from the bias, so the result
-// matches the dense kernel bit for bit.
-func matvecWTNZ(z, wt, bias []float64, idx []int32, xv []float64, out, k int) {
-	z = z[:out]
-	copy(z, bias[:out])
-	for j, i := range idx {
-		v := xv[j]
-		row := wt[int(i)*out : int(i)*out+out]
-		for o := range z {
-			z[o] += row[o] * v
-		}
-	}
-}
-
-// gradWT accumulates the mini-batch weight gradient gw[o*in+i] +=
-// Σ_r delta[r*out+o] * act[r*in+i] over ascending batch row r, matching
-// the per-sample reference backward chain element for element.
-func gradWT(gw, act, delta []float64, batch, in, out int) {
-	for r := 0; r < batch; r++ {
-		actRow := act[r*in : (r+1)*in]
-		for o := 0; o < out; o++ {
-			d := delta[r*out+o]
-			if d == 0 {
-				continue
-			}
-			row := gw[o*in : (o+1)*in]
-			for i, a := range actRow {
-				row[i] += d * a
-			}
-		}
-	}
-}
+func gradWT(gw, act, delta []float64, batch, in, out int) { gradWTGo(gw, act, delta, batch, in, out) }
 
 // adamBulk is a no-op on platforms without the packed kernels; update()
 // runs the scalar loop over the whole parameter vector.

@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package nn
+
+// dispatchPaths is empty off amd64: matvecWT is the portable loop, which
+// the kernel tests run as their own path.
+func dispatchPaths() []matvecPath { return nil }

@@ -9,14 +9,69 @@ import (
 )
 
 // refMatvec is the naive reference: z[o] = bias[o] + Σ_i w[o*k+i]*x[i] in
-// canonical order. Every kernel must match it bit for bit.
+// canonical order, each product rounded before it is added. Every kernel
+// must match it bit for bit.
 func refMatvec(z, w, bias, x []float64, out, k int) {
 	for o := 0; o < out; o++ {
 		s := bias[o]
 		for i := 0; i < k; i++ {
-			s += w[o*k+i] * x[i]
+			s += float64(w[o*k+i] * x[i])
 		}
 		z[o] = s
+	}
+}
+
+type matvecFunc func(z, a, wt, bias, x []float64, out, k int)
+
+type matvecPath struct {
+	name string
+	fn   matvecFunc
+}
+
+// matvecPaths is every implementation of matvecWT this build can run: the
+// portable loops on any architecture, plus each CPU dispatch level.
+func matvecPaths() []matvecPath {
+	return append([]matvecPath{{"portable", matvecWTGo}}, dispatchPaths()...)
+}
+
+// sameBits is bit equality, with any NaN equal to any NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkMatvec runs every path on one input and holds z to the reference
+// bit for bit, and the fused activation row to v > 0 ? v : 0 of it.
+func checkMatvec(t *testing.T, w, bias, x []float64, out, k int) {
+	t.Helper()
+	want := make([]float64, out)
+	refMatvec(want, w, bias, x, out, k)
+	wt := transpose(w, out, k)
+	for _, p := range matvecPaths() {
+		for _, fused := range []bool{false, true} {
+			z := make([]float64, out)
+			var a []float64
+			if fused {
+				a = make([]float64, out)
+				for o := range a {
+					a[o] = math.NaN() // garbage the kernel must overwrite
+				}
+			}
+			p.fn(z, a, wt, bias, x, out, k)
+			for o := range want {
+				if !sameBits(z[o], want[o]) {
+					t.Fatalf("%s out=%d k=%d fused=%v: z[%d] = %v, want %v", p.name, out, k, fused, o, z[o], want[o])
+				}
+				if fused {
+					r := 0.0
+					if want[o] > 0 {
+						r = want[o]
+					}
+					if math.Float64bits(a[o]) != math.Float64bits(r) {
+						t.Fatalf("%s out=%d k=%d: a[%d] = %v (bits %#x), want ReLU(%v) = %v", p.name, out, k, o, a[o], math.Float64bits(a[o]), want[o], r)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -39,76 +94,92 @@ func transpose(w []float64, out, k int) []float64 {
 	return wt
 }
 
-// Shapes chosen to exercise every tile path: the 8-lane kernel, the
-// 4-lane tail, the scalar tail, out < 4 (fully scalar), and k = 0.
+// Shapes chosen to exercise every tile path: the 32-lane AVX2 and 16-lane
+// SSE2 tiles, the 8-lane tiles, the 4-lane and masked 1–3-lane tails, the
+// SSE2 scalar tail, out < 4, and k = 0.
 var kernelShapes = [][2]int{
 	{1, 1}, {2, 3}, {3, 5}, {4, 16}, {5, 2}, {6, 7}, {7, 15},
 	{8, 8}, {9, 6}, {11, 4}, {12, 13}, {15, 15}, {16, 24},
 	{20, 3}, {24, 64}, {128, 128}, {129, 130}, {3, 0},
+	{32, 7}, {33, 5}, {35, 3}, {40, 9}, {44, 2}, {63, 3}, {64, 15},
+	{11, 64}, {6, 64}, {20, 64}, {70, 1},
 }
 
 func TestMatvecWTMatchesReference(t *testing.T) {
 	rng := xrand.New(11)
 	for _, shape := range kernelShapes {
 		out, k := shape[0], shape[1]
-		w := randSlice(rng, out*k)
-		bias := randSlice(rng, out)
-		x := randSlice(rng, k)
-		want := make([]float64, out)
-		refMatvec(want, w, bias, x, out, k)
-		got := make([]float64, out)
-		matvecWT(got, transpose(w, out, k), bias, x, out, k)
-		for o := range want {
-			if got[o] != want[o] {
-				t.Fatalf("matvecWT out=%d k=%d: z[%d] = %v, want %v", out, k, o, got[o], want[o])
-			}
-		}
+		checkMatvec(t, randSlice(rng, out*k), randSlice(rng, out), randSlice(rng, k), out, k)
 	}
 }
 
+// TestMatvecWTNZMatchesReference holds the dense kernel to the reference
+// on ReLU-sparse inputs — every other entry an exact +0, what a hidden
+// layer feeds the next — which the forward pass multiplies through
+// instead of skipping.
 func TestMatvecWTNZMatchesReference(t *testing.T) {
 	rng := xrand.New(12)
 	for _, shape := range kernelShapes {
 		out, k := shape[0], shape[1]
-		w := randSlice(rng, out*k)
-		bias := randSlice(rng, out)
-		// Sparse input with exact zeros, like a ReLU activation vector,
-		// compacted the way forwardZ compacts it.
 		x := randSlice(rng, k)
-		var idx []int32
-		var xv []float64
 		for i := range x {
 			if i%2 == 0 {
 				x[i] = 0
 			} else {
-				idx = append(idx, int32(i))
-				xv = append(xv, x[i])
+				x[i] = relu(x[i])
 			}
 		}
-		want := make([]float64, out)
-		refMatvec(want, w, bias, x, out, k)
-		got := make([]float64, out)
-		matvecWTNZ(got, transpose(w, out, k), bias, idx, xv, out, k)
-		for o := range want {
-			if got[o] != want[o] {
-				t.Fatalf("matvecWTNZ out=%d k=%d: z[%d] = %v, want %v", out, k, o, got[o], want[o])
+		checkMatvec(t, randSlice(rng, out*k), randSlice(rng, out), x, out, k)
+	}
+}
+
+// TestMatvecWTNZAllZero: an all-zero activation row (every unit of the
+// layer below dead) must yield exactly the bias, and its ReLU.
+func TestMatvecWTNZAllZero(t *testing.T) {
+	rng := xrand.New(14)
+	for _, shape := range [][2]int{{13, 9}, {64, 64}, {11, 64}} {
+		out, k := shape[0], shape[1]
+		bias := randSlice(rng, out)
+		checkMatvec(t, randSlice(rng, out*k), bias, make([]float64, k), out, k)
+		for _, p := range matvecPaths() {
+			got := randSlice(rng, out)
+			p.fn(got, nil, randSlice(rng, out*k), bias, make([]float64, k), out, k)
+			for o := range bias {
+				if math.Float64bits(got[o]) != math.Float64bits(bias[o]) {
+					t.Fatalf("%s: z[%d] = %v, want bias %v", p.name, o, got[o], bias[o])
+				}
 			}
 		}
 	}
 }
 
-func TestMatvecWTNZAllZero(t *testing.T) {
-	// An all-zero input (empty compacted list) must yield exactly the bias.
-	rng := xrand.New(14)
-	out, k := 13, 9
-	wt := randSlice(rng, out*k)
-	bias := randSlice(rng, out)
-	got := randSlice(rng, out) // pre-filled with garbage the copy must overwrite
-	matvecWTNZ(got, wt, bias, nil, nil, out, k)
-	for o := range bias {
-		if got[o] != bias[o] {
-			t.Fatalf("z[%d] = %v, want bias %v", o, got[o], bias[o])
+// TestReLUSpecialValues drives the fused activation through −0, NaN, ±Inf
+// and subnormals of both signs on every path: MAXPD against +0 must map
+// exactly what v > 0 ? v : 0 maps (−0, NaN and every negative to +0).
+func TestReLUSpecialValues(t *testing.T) {
+	special := []float64{
+		math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, -0x1p-1030, math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	for _, k := range []int{0, 1, 5} {
+		// Each z is a special bias plus k products of +0 inputs with
+		// negative weights: exact −0 terms, which leave every special
+		// value (−0 included) as it is.
+		for _, out := range []int{len(special), 32 + len(special), 64} {
+			bias := make([]float64, out)
+			for o := range bias {
+				bias[o] = special[o%len(special)]
+			}
+			w := make([]float64, out*k)
+			for i := range w {
+				w[i] = -1.5
+			}
+			checkMatvec(t, w, bias, make([]float64, k), out, k)
 		}
+	}
+	if relu(math.NaN()) != 0 || math.Signbit(relu(math.Copysign(0, -1))) {
+		t.Fatal("relu does not map NaN and −0 to +0")
 	}
 }
 
@@ -137,17 +208,22 @@ func TestGradWTMatchesReference(t *testing.T) {
 			for i := 0; i < in; i++ {
 				s := want[o*in+i]
 				for r := 0; r < batch; r++ {
-					s += delta[r*out+o] * act[r*in+i]
+					s += float64(delta[r*out+o] * act[r*in+i])
 				}
 				want[o*in+i] = s
 			}
 		}
-		got := make([]float64, out*in)
-		copy(got, init)
-		gradWT(got, act, delta, batch, in, out)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("gradWT batch=%d in=%d out=%d: gw[%d] = %v, want %v", batch, in, out, i, got[i], want[i])
+		for _, p := range []struct {
+			name string
+			fn   func(gw, act, delta []float64, batch, in, out int)
+		}{{"gradWT", gradWT}, {"portable", gradWTGo}} {
+			got := make([]float64, out*in)
+			copy(got, init)
+			p.fn(got, act, delta, batch, in, out)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s batch=%d in=%d out=%d: gw[%d] = %v, want %v", p.name, batch, in, out, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -7,10 +7,10 @@
 // TensorFlow/Keras dependency with a self-contained, deterministic
 // implementation.
 //
-// All forward and backward paths — single-sample, batched, and the
-// zero-skipping inference kernel — accumulate each output in the same
-// canonical order (bias first, then products in ascending input index;
-// see kernels_amd64.s and kernels_generic.go), so they agree bit for bit
+// All forward and backward paths — single-sample, batched, every CPU
+// dispatch level and the portable loops — accumulate each output in the
+// same canonical order (bias first, then products in ascending input
+// index; see kernels_amd64.s and kernels.go), so they agree bit for bit
 // and training remains deterministic regardless of which path a caller
 // takes.
 package nn
@@ -141,23 +141,15 @@ func (n *Network) NumParams() int {
 type scratch struct {
 	acts [][]float64 // activations per layer, acts[0] is the (normalized) input
 	zs   [][]float64 // pre-activations per layer
-	// idx/xv hold the compacted nonzero entries of the activation vector
-	// feeding the next layer (see matvecWTNZ); rebuilt every layer.
-	idx []int32
-	xv  []float64
 }
 
 func (n *Network) newScratch() *scratch {
 	s := &scratch{}
 	s.acts = append(s.acts, make([]float64, n.Cfg.InputDim))
-	maxOut := 0
 	for _, l := range n.Layers {
 		s.zs = append(s.zs, make([]float64, l.Out))
 		s.acts = append(s.acts, make([]float64, l.Out))
-		maxOut = max(maxOut, l.Out)
 	}
-	s.idx = make([]int32, maxOut)
-	s.xv = make([]float64, maxOut)
 	return s
 }
 
@@ -169,50 +161,26 @@ func (n *Network) getScratch() *scratch {
 }
 
 // forwardZ runs the network up to the output layer's pre-activations and
-// returns them (aliasing sc's last zs slice). Layer 0 uses the dense
-// matvecWT kernel — its standardized input has no zeros to skip — and the
-// activation pass compacts each layer's ReLU survivors (roughly half the
-// vector) into an (index, value) list so the layers above gather only
-// those columns via matvecWTNZ. Both kernels keep the canonical summation
-// order, so the choice never changes a bit.
+// returns them (aliasing sc's last zs slice). Each hidden layer is one
+// dense kernel call that writes both z and its ReLU; the zero activations
+// it multiplies through contribute exact ±0 terms, which cannot change a
+// sum that started from the bias (DESIGN.md §12).
 func (n *Network) forwardZ(x []float64, sc *scratch) []float64 {
-	in := sc.acts[0]
 	if n.Norm != nil {
-		n.Norm.Apply(x, in)
+		n.Norm.Apply(x, sc.acts[0])
 	} else {
-		copy(in, x)
+		copy(sc.acts[0], x)
 	}
 	last := len(n.Layers) - 1
-	idx, xv := sc.idx, sc.xv
-	nnz := 0
-	var z []float64
 	for li := range n.Layers {
 		l := &n.Layers[li]
-		z = sc.zs[li]
-		if li == 0 {
-			matvecWT(z, n.wt[0], l.B, in, l.Out, l.In)
-		} else {
-			matvecWTNZ(z, n.wt[li], l.B, idx[:nnz], xv, l.Out, l.In)
+		var a []float64 // the output layer feeds softmax, not ReLU
+		if li < last {
+			a = sc.acts[li+1]
 		}
-		if li == last {
-			break
-		}
-		// ReLU into the dense activation row (backprop reads it) while
-		// compacting the positive entries for the next layer's gather.
-		out := sc.acts[li+1]
-		nnz = 0
-		for i, v := range z {
-			if v > 0 {
-				out[i] = v
-				idx[nnz] = int32(i)
-				xv[nnz] = v
-				nnz++
-			} else {
-				out[i] = 0
-			}
-		}
+		matvecWT(sc.zs[li], a, n.wt[li], l.B, sc.acts[li], l.Out, l.In)
 	}
-	return z
+	return sc.zs[last]
 }
 
 // forward runs the network, filling sc, and returns the softmax output
@@ -302,32 +270,23 @@ func (n *Network) newBatchScratch(rows int) *batchScratch {
 }
 
 // forwardBatch runs the first m rows loaded into bs.acts[0] through the
-// network, one packed matvecWT per row per layer (the transposed weight
-// panel stays hot in L1d across rows), leaving pre-activations in bs.zs
-// and class probabilities in the final bs.acts entry. Each row's outputs
-// are bit-identical to a single-sample forward of the same input. Callers
-// must have a current Rebuild (Train refreshes wt every step).
+// network, one fused matvecWT+ReLU per row per layer (the transposed
+// weight panel stays hot in L1d across rows), leaving pre-activations in
+// bs.zs and class probabilities in the final bs.acts entry. Each row's
+// outputs are bit-identical to a single-sample forward of the same input.
+// Callers must have a current Rebuild (Train refreshes wt every step).
 func (n *Network) forwardBatch(bs *batchScratch, m int) {
 	last := len(n.Layers) - 1
 	for li := range n.Layers {
 		l := &n.Layers[li]
-		z := bs.zs[li]
-		wt, a := n.wt[li], bs.acts[li]
+		z, in, out := bs.zs[li], bs.acts[li], bs.acts[li+1]
 		for r := 0; r < m; r++ {
-			matvecWT(z[r*l.Out:(r+1)*l.Out], wt, l.B, a[r*l.In:(r+1)*l.In], l.Out, l.In)
-		}
-		out := bs.acts[li+1]
-		if li == last {
-			for r := 0; r < m; r++ {
-				softmax(z[r*l.Out:(r+1)*l.Out], out[r*l.Out:(r+1)*l.Out])
-			}
-		} else {
-			for i, v := range z[:m*l.Out] {
-				if v > 0 {
-					out[i] = v
-				} else {
-					out[i] = 0
-				}
+			zr, or := z[r*l.Out:(r+1)*l.Out], out[r*l.Out:(r+1)*l.Out]
+			if li == last {
+				matvecWT(zr, nil, n.wt[li], l.B, in[r*l.In:(r+1)*l.In], l.Out, l.In)
+				softmax(zr, or)
+			} else {
+				matvecWT(zr, or, n.wt[li], l.B, in[r*l.In:(r+1)*l.In], l.Out, l.In)
 			}
 		}
 	}
@@ -577,7 +536,7 @@ func (n *Network) Train(xs [][]float64, ys []int, tc TrainConfig) ([]float64, er
 				// a +0 bias — then apply the ReLU' mask.
 				nd := nxt[:batch*in]
 				for r := 0; r < batch; r++ {
-					matvecWT(nd[r*in:(r+1)*in], l.W, zeroBias, delta[r*out:(r+1)*out], in, out)
+					matvecWT(nd[r*in:(r+1)*in], nil, l.W, zeroBias, delta[r*out:(r+1)*out], in, out)
 				}
 				for i2, zv := range bs.zs[li-1][:batch*in] {
 					if zv <= 0 {
@@ -620,7 +579,7 @@ func (n *Network) backprop(x []float64, y int, sc *scratch, g *gradients) float6
 			gb[o] += d
 			row := gw[o*l.In : (o+1)*l.In]
 			for i, a := range act {
-				row[i] += d * a
+				row[i] += float64(d * a)
 			}
 		}
 		if li == 0 {
@@ -636,7 +595,7 @@ func (n *Network) backprop(x []float64, y int, sc *scratch, g *gradients) float6
 			}
 			row := l.W[o*l.In : (o+1)*l.In]
 			for i, w := range row {
-				next[i] += w * d
+				next[i] += float64(w * d)
 			}
 		}
 		for i := range next {

@@ -241,6 +241,62 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsMalformedShapes: Decode refuses any network whose
+// layers do not chain from the input to the classes, or whose slices are
+// not the length their shape implies — the kernels would otherwise read
+// past the transposed weights (a 4-input second layer behind a 64-unit
+// first one used to decode and classify from out-of-bounds memory).
+func TestDecodeRejectsMalformedShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mangle func(n *Network)
+	}{
+		{"layer In does not chain", func(n *Network) {
+			n.Layers[1].In = 4
+			n.Layers[1].W = n.Layers[1].W[:4*64]
+		}},
+		{"input dim", func(n *Network) { n.Cfg.InputDim = 14 }},
+		{"classes", func(n *Network) { n.Cfg.NumClasses = 12 }},
+		{"one class", func(n *Network) {
+			last := &n.Layers[2]
+			last.Out, last.W, last.B = 1, last.W[:64], last.B[:1]
+			n.Cfg.NumClasses = 1
+		}},
+		{"short W", func(n *Network) { n.Layers[0].W = n.Layers[0].W[:15*64-1] }},
+		{"long B", func(n *Network) { n.Layers[2].B = append(n.Layers[2].B, 0) }},
+		{"zero-width layer", func(n *Network) {
+			n.Layers[0].Out, n.Layers[0].W, n.Layers[0].B = 0, nil, nil
+			n.Layers[1].In, n.Layers[1].W = 0, nil
+		}},
+		{"no layers", func(n *Network) { n.Layers = nil }},
+		{"normalizer means", func(n *Network) {
+			n.Norm = &Normalizer{Mean: make([]float64, 14), Std: make([]float64, 15)}
+		}},
+		{"normalizer deviations", func(n *Network) {
+			n.Norm = &Normalizer{Mean: make([]float64, 15), Std: make([]float64, 16)}
+		}},
+	} {
+		n := New(FastConfig(15, 11, 1))
+		tc.mangle(n)
+		var buf bytes.Buffer
+		if err := n.Encode(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, err := Decode(&buf); err == nil {
+			t.Errorf("%s: Decode accepted a malformed network (%d layers)", tc.name, len(got.Layers))
+		}
+	}
+	n := New(FastConfig(15, 11, 1))
+	n.Norm = &Normalizer{Mean: make([]float64, 15), Std: make([]float64, 15)}
+	var buf bytes.Buffer
+	if err := n.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(&buf); err != nil {
+		t.Fatalf("well-formed network rejected: %v", err)
+	}
+}
+
 func TestNormalizer(t *testing.T) {
 	xs := [][]float64{{1, 100}, {3, 300}, {5, 500}}
 	nm := FitNormalizer(xs)
@@ -273,16 +329,27 @@ func TestTrainingDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkInferenceFast(b *testing.B) {
-	n := New(FastConfig(16, 24, 1))
-	p := n.NewPredictor()
-	x := make([]float64, 16)
-	for i := range x {
-		x[i] = float64(i)
+// benchInputs is a rotating set of 256 standard-normal inputs: with one
+// fixed input every branch predicts perfectly and each layer's ReLU
+// pattern never changes, which flatters whatever the kernels branch on.
+func benchInputs(dim int) [][]float64 {
+	rng := xrand.New(31)
+	xs := make([][]float64, 256)
+	for i := range xs {
+		xs[i] = make([]float64, dim)
+		for j := range xs[i] {
+			xs[i][j] = rng.NormFloat64()
+		}
 	}
+	return xs
+}
+
+func BenchmarkInferenceFast(b *testing.B) {
+	p := New(FastConfig(16, 24, 1)).NewPredictor()
+	xs := benchInputs(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.Classify(x)
+		_ = p.Classify(xs[i%len(xs)])
 	}
 }
 
@@ -290,15 +357,11 @@ func BenchmarkInferenceFast(b *testing.B) {
 // 5x128 architecture — the quantity Figs. 7b/8b report (41-80 us on the
 // paper's hardware).
 func BenchmarkInferencePaper(b *testing.B) {
-	n := New(PaperConfig(16, 24, 1))
-	p := n.NewPredictor()
-	x := make([]float64, 16)
-	for i := range x {
-		x[i] = float64(i)
-	}
+	p := New(PaperConfig(16, 24, 1)).NewPredictor()
+	xs := benchInputs(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.Classify(x)
+		_ = p.Classify(xs[i%len(xs)])
 	}
 }
 

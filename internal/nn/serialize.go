@@ -27,9 +27,42 @@ func Decode(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("nn: decoding network: %w", err)
 	}
 	n := &Network{Cfg: w.Cfg, Layers: w.Layers, Norm: w.Norm}
-	if len(n.Layers) == 0 {
-		return nil, fmt.Errorf("nn: decoded network has no layers")
+	if err := n.checkShapes(); err != nil {
+		return nil, fmt.Errorf("nn: decoded network: %w", err)
 	}
 	n.Rebuild()
 	return n, nil
+}
+
+// checkShapes verifies that the layer shapes chain from the input to the
+// classes and that every weight, bias and normalizer slice has the length
+// its shape implies. The inference kernels index by these dimensions, so
+// a network that fails here must never reach them.
+func (n *Network) checkShapes() error {
+	if len(n.Layers) == 0 {
+		return fmt.Errorf("no layers")
+	}
+	in := n.Cfg.InputDim
+	if in <= 0 {
+		return fmt.Errorf("input dimension %d", in)
+	}
+	for li, l := range n.Layers {
+		if l.In != in {
+			return fmt.Errorf("layer %d takes %d inputs, the layer below gives %d", li, l.In, in)
+		}
+		if l.Out <= 0 {
+			return fmt.Errorf("layer %d has %d outputs", li, l.Out)
+		}
+		if len(l.W) != l.In*l.Out || len(l.B) != l.Out {
+			return fmt.Errorf("layer %d is %d×%d with %d weights and %d biases", li, l.Out, l.In, len(l.W), len(l.B))
+		}
+		in = l.Out
+	}
+	if n.Cfg.NumClasses < 2 || in != n.Cfg.NumClasses {
+		return fmt.Errorf("output layer has %d units for %d classes (need at least 2)", in, n.Cfg.NumClasses)
+	}
+	if nm := n.Norm; nm != nil && (len(nm.Mean) != n.Cfg.InputDim || len(nm.Std) != n.Cfg.InputDim) {
+		return fmt.Errorf("normalizer has %d means and %d deviations for %d inputs", len(nm.Mean), len(nm.Std), n.Cfg.InputDim)
+	}
+	return nil
 }

@@ -262,19 +262,46 @@ type Fleet struct {
 	Predictors []*ISNPredictor
 }
 
-// PredictAll runs every ISN's predictors for a query, fanned out across
-// CPUs — in production each ISN predicts on its own node concurrently,
-// and here every ISN owns its predictor scratch while out is
-// index-addressed, so the fan-out is race-free and deterministic. Two
-// concurrent PredictAll calls on the same Fleet are not allowed (the
-// per-ISN inference scratch is single-threaded), matching the aggregator,
-// which issues one prediction round at a time per fleet.
+// PredictAll runs every ISN's predictors for a query: the one-query case
+// of PredictTrace.
 func (f *Fleet) PredictAll(shards []*index.Shard, terms []string) []Prediction {
 	out := make([]Prediction, len(shards))
-	par.For(len(shards), func(i int) {
-		out[i] = f.Predictors[i].Predict(shards[i], terms)
-	})
+	f.predict(out, shards, [][]string{terms})
 	return out
+}
+
+// PredictTrace runs every ISN's predictors for every query of a trace and
+// returns one row per query, each what PredictAll returns for it. The
+// work is ISN-major: each worker takes one ISN and runs all the queries
+// through it, so that ISN's three networks (≈140 KB of transposed
+// weights at the default architecture) stay in cache from one query to
+// the next instead of being streamed in again for every query.
+func (f *Fleet) PredictTrace(shards []*index.Shard, terms [][]string) [][]Prediction {
+	n := len(shards)
+	flat := make([]Prediction, len(terms)*n)
+	f.predict(flat, shards, terms)
+	rows := make([][]Prediction, len(terms))
+	for q := range rows {
+		rows[q] = flat[q*n : (q+1)*n : (q+1)*n]
+	}
+	return rows
+}
+
+// predict fills out[q*len(shards)+isn] with ISN isn's prediction for
+// query q, one worker per ISN — in production each ISN predicts on its
+// own node concurrently. Every ISN owns its predictor scratch and out is
+// index-addressed, so the fan-out is race-free and deterministic. Two
+// concurrent calls on the same Fleet are not allowed (the per-ISN
+// inference scratch is single-threaded), matching the aggregator, which
+// issues one prediction round at a time per fleet.
+func (f *Fleet) predict(out []Prediction, shards []*index.Shard, terms [][]string) {
+	n := len(shards)
+	par.For(n, func(isn int) {
+		p, sh := f.Predictors[isn], shards[isn]
+		for q, t := range terms {
+			out[q*n+isn] = p.Predict(sh, t)
+		}
+	})
 }
 
 // Train fits per-ISN models from a harvested dataset. Returns an error if

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"cottage/internal/cluster"
@@ -36,7 +37,14 @@ func getFixture(tb testing.TB) *fixture {
 	cfg.NumTopics = 24
 	cfg.TopicTermCount = 150
 	corpus := textgen.Generate(cfg)
-	alloc := corpus.AllocateTopical(8, 2, 0.15, 7)
+	shards := buildShards(corpus, corpus.AllocateTopical(8, 2, 0.15, 7))
+	qs := trace.Generate(corpus, trace.Config{Kind: trace.Wikipedia, Seed: 11, NumQueries: 700, QPS: 10})
+	train, test := trace.TrainTestSplit(qs, 0.8)
+	cached = &fixture{corpus: corpus, shards: shards, train: train, test: test}
+	return cached
+}
+
+func buildShards(corpus *textgen.Corpus, alloc [][]int) []*index.Shard {
 	shards := make([]*index.Shard, len(alloc))
 	for si, docIDs := range alloc {
 		b := index.NewBuilder(si, index.DefaultBM25(), 10)
@@ -50,10 +58,70 @@ func getFixture(tb testing.TB) *fixture {
 		}
 		shards[si] = b.Finalize()
 	}
-	qs := trace.Generate(corpus, trace.Config{Kind: trace.Wikipedia, Seed: 11, NumQueries: 700, QPS: 10})
-	train, test := trace.TrainTestSplit(qs, 0.8)
-	cached = &fixture{corpus: corpus, shards: shards, train: train, test: test}
-	return cached
+	return shards
+}
+
+// fleet16 is a trained 16-ISN fleet — the paper's deployment shape — and
+// the terms of 400 queries it was not trained on, for the predict
+// benchmarks.
+var fleet16 struct {
+	once   sync.Once
+	shards []*index.Shard
+	fleet  *Fleet
+	terms  [][]string
+	err    error
+}
+
+func getFleet16(b *testing.B) (*Fleet, []*index.Shard, [][]string) {
+	b.Helper()
+	f := &fleet16
+	f.once.Do(func() {
+		cfg := textgen.DefaultConfig()
+		cfg.NumDocs = 8000
+		cfg.VocabSize = 6000
+		cfg.NumTopics = 32
+		cfg.TopicTermCount = 150
+		corpus := textgen.Generate(cfg)
+		f.shards = buildShards(corpus, corpus.AllocateTopical(16, 2, 0.15, 7))
+		qs := trace.Generate(corpus, trace.Config{Kind: trace.Wikipedia, Seed: 13, NumQueries: 800, QPS: 10})
+		pcfg := DefaultConfig(10)
+		pcfg.QualitySteps = 100
+		pcfg.LatencySteps = 60
+		ds := Harvest(f.shards, qs[:400], 10, search.StrategyMaxScore, cluster.DefaultCostModel())
+		f.fleet, f.err = Train(ds, pcfg)
+		for _, q := range qs[400:] {
+			f.terms = append(f.terms, q.Terms)
+		}
+	})
+	if f.err != nil {
+		b.Fatal(f.err)
+	}
+	return f.fleet, f.shards, f.terms
+}
+
+// BenchmarkPredictAll is the query-major predict round: every ISN's three
+// networks for one query, then the next query. One op is the whole
+// 400-query trace; us/query is per query across all 16 ISNs.
+func BenchmarkPredictAll(b *testing.B) {
+	fleet, shards, terms := getFleet16(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range terms {
+			_ = fleet.PredictAll(shards, t)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(terms)), "us/query")
+}
+
+// BenchmarkPredictTrace is the same work ISN-major (what the twin does
+// inside Engine.Run): every query through one ISN, then the next ISN.
+func BenchmarkPredictTrace(b *testing.B) {
+	fleet, shards, terms := getFleet16(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = fleet.PredictTrace(shards, terms)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(terms)), "us/query")
 }
 
 func TestHarvestLabels(t *testing.T) {
@@ -379,14 +447,17 @@ func TestISNPredictorPredictZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	// Harvest, Train, PredictAll and Evaluate all fan out through par.For;
-	// index-addressed writes mean the worker count must never change a bit
-	// of any result. Replaying at 1 and 8 procs must agree exactly.
+	// Harvest, Train, PredictAll, PredictTrace and Evaluate all fan out
+	// through par.For; index-addressed writes mean the worker count must
+	// never change a bit of any result. Replaying at 1 and 8 procs must
+	// agree exactly, and the ISN-major trace rows must equal the
+	// query-major PredictAll rows bit for bit.
 	f := getFixture(t)
 	type snapshot struct {
 		ds    *Dataset
 		w     [][]float64
 		preds [][]Prediction
+		trace [][]Prediction
 		accs  []Accuracy
 	}
 	run := func(procs int) snapshot {
@@ -408,13 +479,27 @@ func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			}
 		}
 		var preds [][]Prediction
+		var terms [][]string
 		for _, q := range f.test[:10] {
 			preds = append(preds, fleet.PredictAll(f.shards, q.Terms))
+			terms = append(terms, q.Terms)
 		}
-		return snapshot{ds: ds, w: w, preds: preds, accs: Evaluate(fleet, ds)}
+		return snapshot{ds: ds, w: w, preds: preds, trace: fleet.PredictTrace(f.shards, terms), accs: Evaluate(fleet, ds)}
 	}
 	one := run(1)
 	many := run(8)
+	for _, s := range []snapshot{one, many} {
+		for q := range s.preds {
+			for isn := range s.preds[q] {
+				if a, b := predictionBits(s.trace[q][isn]), predictionBits(s.preds[q][isn]); a != b {
+					t.Fatalf("query %d ISN %d: PredictTrace %v, PredictAll %v", q, isn, a, b)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(one.trace, many.trace) {
+		t.Error("PredictTrace differs across GOMAXPROCS")
+	}
 	if !reflect.DeepEqual(one.ds, many.ds) {
 		t.Error("Harvest differs across GOMAXPROCS")
 	}

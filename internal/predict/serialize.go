@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"cottage/internal/features"
 	"cottage/internal/nn"
 )
 
@@ -64,6 +65,22 @@ func DecodeISNPredictor(r io.Reader) (*ISNPredictor, error) {
 	lat, err := nn.Decode(bytes.NewReader(w.Lat))
 	if err != nil {
 		return nil, err
+	}
+	// Predict feeds fixed-size feature vectors and reads class indices as
+	// contributions and latency bins: each network must fit its role.
+	for _, c := range []struct {
+		name        string
+		net         *nn.Network
+		in, classes int
+	}{
+		{"QK", qk, features.QualityDim, w.K + 1},
+		{"QK2", qk2, features.QualityDim, w.K/2 + 1},
+		{"latency", lat, features.LatencyDim, w.LatBins.N},
+	} {
+		if c.net.Cfg.InputDim != c.in || c.net.Cfg.NumClasses != c.classes {
+			return nil, fmt.Errorf("predict: decoding predictor: %s net maps %d inputs to %d classes, want %d to %d",
+				c.name, c.net.Cfg.InputDim, c.net.Cfg.NumClasses, c.in, c.classes)
+		}
 	}
 	return &ISNPredictor{
 		ISN: w.ISN, K: w.K,

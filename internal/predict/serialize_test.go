@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"cottage/internal/cluster"
+	"cottage/internal/features"
+	"cottage/internal/nn"
 	"cottage/internal/search"
 )
 
@@ -40,6 +42,44 @@ func TestISNPredictorRoundTrip(t *testing.T) {
 		b := got.Predict(f.shards[0], q.Terms)
 		if a != b {
 			t.Fatalf("prediction differs after round trip: %+v vs %+v", a, b)
+		}
+	}
+}
+
+// TestDecodeISNPredictorRejectsMismatchedNets: each network must take the
+// feature vector its role feeds it and output the classes its role reads
+// (K+1 contributions, K/2+1, LatBins.N latency bins).
+func TestDecodeISNPredictorRejectsMismatchedNets(t *testing.T) {
+	const k = 10
+	bins := Bins{LogLo: 1, LogHi: 2, N: 20}
+	good := func() *ISNPredictor {
+		return &ISNPredictor{K: k, LatBins: bins,
+			QKNet:  nn.New(nn.FastConfig(features.QualityDim, k+1, 1)),
+			QK2Net: nn.New(nn.FastConfig(features.QualityDim, k/2+1, 2)),
+			LatNet: nn.New(nn.FastConfig(features.LatencyDim, bins.N, 3)),
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mangle func(p *ISNPredictor)
+	}{
+		{"none", func(*ISNPredictor) {}},
+		{"QK classes", func(p *ISNPredictor) { p.QKNet = nn.New(nn.FastConfig(features.QualityDim, k, 1)) }},
+		{"QK2 classes", func(p *ISNPredictor) { p.QK2Net = nn.New(nn.FastConfig(features.QualityDim, k+1, 2)) }},
+		{"QK input", func(p *ISNPredictor) { p.QKNet = nn.New(nn.FastConfig(features.QualityDim+1, k+1, 1)) }},
+		{"latency input", func(p *ISNPredictor) { p.LatNet = nn.New(nn.FastConfig(features.LatencyDim-1, bins.N, 3)) }},
+		{"latency bins", func(p *ISNPredictor) { p.LatBins.N = 19 }},
+		{"K", func(p *ISNPredictor) { p.K = 8 }},
+	} {
+		p := good()
+		tc.mangle(p)
+		var buf bytes.Buffer
+		if err := p.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DecodeISNPredictor(&buf)
+		if (err == nil) != (tc.name == "none") {
+			t.Errorf("%s: DecodeISNPredictor error = %v", tc.name, err)
 		}
 	}
 }
