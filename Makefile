@@ -45,7 +45,10 @@ bench-build:
 
 # Each fuzz target gets a short budget; any panic in the frame reader or
 # the wire decoder behind it (internal/rpc frame.go, codec.go) is a
-# remote crash, so this runs on every check.
+# remote crash, so this runs on every check. The model decoders' seeds
+# are kilobytes of gob, and Go's minimizer spends up to a minute on each
+# new input of that size (quadratic subset removal), so their targets
+# cap minimization at 1 s to leave the budget for mutation.
 fuzz-smoke:
 	$(GO) test ./internal/rpc/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rpc/ -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
@@ -55,6 +58,8 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzShardDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run '^$$' -fuzz FuzzPackedPostingsDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/predict/ -run '^$$' -fuzz FuzzDecodeISNPredictor -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Quick perf sanity on the two predictor hot paths (the ones with hard
 # ns/op acceptance bars), on one twin replay under Cottage (internal/core,

@@ -21,14 +21,15 @@ import (
 type FixedSLA struct {
 	// BudgetMS is the a-priori deadline every query gets.
 	BudgetMS float64
-	// LatencyMargin mirrors Cottage's safety margin on predicted service
-	// times.
-	LatencyMargin float64
 }
+
+// slaLatencyMargin is Cottage's safety margin on predicted service times
+// (core.NewCottage's LatencyMargin), applied the same way here.
+const slaLatencyMargin = 0.5
 
 // NewFixedSLA returns the configuration used in the experiments: a 20 ms
 // SLA, a typical tail target for interactive search.
-func NewFixedSLA() *FixedSLA { return &FixedSLA{BudgetMS: 20, LatencyMargin: 0.5} }
+func NewFixedSLA() *FixedSLA { return &FixedSLA{BudgetMS: 20} }
 
 // Name implements engine.Policy.
 func (p *FixedSLA) Name() string { return "sla-dvfs" }
@@ -55,7 +56,7 @@ func (p *FixedSLA) Decide(e *engine.Engine, q trace.Query, nowMS float64) engine
 			d.Freq[isn] = ladder.Levels[0]
 			continue
 		}
-		cycles := pr.Cycles * (1 + p.LatencyMargin)
+		cycles := pr.Cycles * (1 + slaLatencyMargin)
 		queue := e.Cluster.QueueDelayMS(isn, nowMS)
 		for _, f := range ladder.Levels {
 			if queue+cluster.ServiceMS(cycles, f) <= p.BudgetMS {

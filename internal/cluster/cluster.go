@@ -166,8 +166,8 @@ func DefaultNetwork() Network {
 	return Network{AggToISNMS: 0.05, ClientMS: 0.2}
 }
 
-// ISN is the simulated state of one index-serving node: when each of its
-// workers frees up, and cumulative accounting.
+// ISN is the simulated state of one index-serving node: a single FIFO
+// worker, when it frees up, and cumulative accounting.
 type ISN struct {
 	ID int
 	// SpeedFactor scales this node's service time (1 = nominal, 2 = a
@@ -188,11 +188,10 @@ type ISN struct {
 	// as busy time at the serving frequency — the node burns power while
 	// it limps.
 	ExtraDelayMS float64
-	// freeAtMS[w] is when worker w finishes its current backlog. The
-	// paper's ISNs are multithreaded Solr instances; WorkersPerISN > 1
-	// lets an ISN serve that many queries concurrently (each worker is
-	// one core for power accounting).
-	freeAtMS []float64
+	// freeAtMS is when the node finishes its current backlog: requests
+	// are served one at a time in arrival order (one core for power
+	// accounting).
+	freeAtMS float64
 	// active marks the node as accepting new work. The autoscaler
 	// deactivates replica rows it scales away; a deactivated node drains
 	// its backlog (offAtMS) and then stops costing idle power.
@@ -224,17 +223,6 @@ type ISN struct {
 	// Totals for reporting.
 	BusyMS        float64
 	QueriesServed int
-}
-
-// earliestWorker returns the index of the worker that frees up first.
-func (n *ISN) earliestWorker() int {
-	best := 0
-	for w := 1; w < len(n.freeAtMS); w++ {
-		if n.freeAtMS[w] < n.freeAtMS[best] {
-			best = w
-		}
-	}
-	return best
 }
 
 // Cluster simulates a fleet of ISNs sharing one CPU package. With
@@ -277,7 +265,8 @@ type Cluster struct {
 	// anytime traversal, so a request cut off at its budget still returns
 	// a quality-bounded best-so-far (Execution.WorkFrac), and admission
 	// control admits over-queue requests that can still start before
-	// their deadline instead of shedding them outright.
+	// their deadline instead of shedding them outright. engine.Run sets
+	// it from Engine.Anytime for each replay.
 	Anytime bool
 	// ScrubEpochMS is how long the background scrubber takes to sweep one
 	// node's whole shard copy (0 = scrubbing off): injected rot the
@@ -329,16 +318,11 @@ type Config struct {
 	// documents on the same hardware class — so per-shard latency
 	// predictors stay valid across failover.
 	SpeedFactors []float64
-	// WorkersPerISN is each ISN's concurrency (default 1). Each busy
-	// worker is charged as one active core.
-	WorkersPerISN int
 	// FailTimeoutMS overrides the failure-detection timeout (default 100).
 	FailTimeoutMS float64
 	// MaxQueueMS bounds per-ISN queueing delay; arrivals beyond it are
 	// shed (0 = unbounded).
 	MaxQueueMS float64
-	// Anytime enables truncated (best-so-far) answers on deadline misses.
-	Anytime bool
 	// ScrubEpochMS sets the background scrubber's full-sweep time per
 	// node (0 = off); RepairMS sets detection-to-readmission repair time
 	// for quarantined copies (0 = no repair). See integrity.go.
@@ -388,7 +372,6 @@ func New(cfg Config) *Cluster {
 		InferMS:       cfg.InferMS,
 		FailTimeoutMS: cfg.FailTimeoutMS,
 		MaxQueueMS:    cfg.MaxQueueMS,
-		Anytime:       cfg.Anytime,
 		ScrubEpochMS:  cfg.ScrubEpochMS,
 		RepairMS:      cfg.RepairMS,
 		dynamic:       cfg.DynamicMachines,
@@ -402,18 +385,13 @@ func New(cfg Config) *Cluster {
 	if c.FailTimeoutMS <= 0 {
 		c.FailTimeoutMS = 100
 	}
-	workers := cfg.WorkersPerISN
-	if workers <= 0 {
-		workers = 1
-	}
 	for i := 0; i < c.topo.Nodes(); i++ {
 		shard := c.topo.ShardOf(i)
 		speed := 1.0
 		if shard < len(cfg.SpeedFactors) && cfg.SpeedFactors[shard] > 0 {
 			speed = cfg.SpeedFactors[shard]
 		}
-		n := &ISN{ID: i, SpeedFactor: speed,
-			freeAtMS: make([]float64, workers), active: true, offAtMS: math.Inf(1)}
+		n := &ISN{ID: i, SpeedFactor: speed, active: true, offAtMS: math.Inf(1)}
 		n.resetIntegrityState()
 		c.ISNs = append(c.ISNs, n)
 	}
@@ -424,12 +402,7 @@ func New(cfg Config) *Cluster {
 func (c *Cluster) Shards() int { return c.topo.Shards }
 
 // Replicas returns the replication factor R.
-func (c *Cluster) Replicas() int {
-	if c.topo.R < 1 {
-		return 1
-	}
-	return c.topo.R
-}
+func (c *Cluster) Replicas() int { return c.topo.R }
 
 // Topo returns the shard × replica layout.
 func (c *Cluster) Topo() replica.Topology { return c.topo }
@@ -682,13 +655,10 @@ func (c *Cluster) SetActiveReplicas(shard, r int, tMS float64) {
 		}
 		if n.active {
 			n.active = false
-			drainEnd := tMS
-			for _, free := range n.freeAtMS {
-				if free > drainEnd {
-					drainEnd = free
-				}
+			n.offAtMS = tMS
+			if n.freeAtMS > tMS {
+				n.offAtMS = n.freeAtMS
 			}
-			n.offAtMS = drainEnd
 		}
 	}
 }
@@ -722,10 +692,9 @@ func (c *Cluster) MachineMS() float64 {
 }
 
 // QueueDelayMS returns how long a request arriving at the ISN at tMS
-// waits before service starts (time until the earliest worker frees up).
+// waits before service starts (time until the node frees up).
 func (c *Cluster) QueueDelayMS(isn int, tMS float64) float64 {
-	n := c.ISNs[isn]
-	d := n.freeAtMS[n.earliestWorker()] - tMS
+	d := c.ISNs[isn].freeAtMS - tMS
 	if d < 0 {
 		return 0
 	}
@@ -850,10 +819,9 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 			return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Shed: true}
 		}
 	}
-	worker := node.earliestWorker()
 	start := arrive
-	if node.freeAtMS[worker] > start {
-		start = node.freeAtMS[worker]
+	if node.freeAtMS > start {
+		start = node.freeAtMS
 	}
 	full := ServiceMS(cycles, f) + node.ExtraDelayMS + injDelayMS
 	node.defectMS += defectAlpha * ((node.ExtraDelayMS + injDelayMS) - node.defectMS)
@@ -877,7 +845,7 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 			workFrac = busy / full
 		}
 	}
-	node.freeAtMS[worker] = finish
+	node.freeAtMS = finish
 	node.BusyMS += busy + c.InferMS
 	node.QueriesServed++
 	c.Meter.AddBusy(f, busy)
@@ -1072,9 +1040,7 @@ func (c *Cluster) Utilization() float64 {
 // Reset returns the cluster to its initial state, keeping configuration.
 func (c *Cluster) Reset() {
 	for _, n := range c.ISNs {
-		for w := range n.freeAtMS {
-			n.freeAtMS[w] = 0
-		}
+		n.freeAtMS = 0
 		n.BusyMS = 0
 		n.QueriesServed = 0
 		n.active = true

@@ -198,9 +198,15 @@ func TestUtilizationAndReset(t *testing.T) {
 	if c.ISNs[0].QueriesServed != 1 {
 		t.Error("QueriesServed not counted")
 	}
+	if c.QueueDelayMS(0, 0) <= 0 {
+		t.Error("a request arriving behind the first should queue")
+	}
 	c.Reset()
 	if c.NowMS() != 0 || c.Utilization() != 0 || c.Meter.BusyEnergyMJ() != 0 {
 		t.Error("reset incomplete")
+	}
+	if c.QueueDelayMS(0, 0) != 0 {
+		t.Error("reset left a backlog on the ISN")
 	}
 }
 
@@ -316,32 +322,5 @@ func TestTimelineInvariants(t *testing.T) {
 	}
 	if u := c.Utilization(); u <= 0 || u > 1 {
 		t.Fatalf("utilization out of range: %v", u)
-	}
-}
-
-func TestMultiWorkerISN(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumISNs = 1
-	cfg.InferMS = 0
-	cfg.WorkersPerISN = 2
-	c := New(cfg)
-	// Two simultaneous requests run in parallel on the two workers.
-	e1 := c.Execute(0, 0, 1.8e6, 1.8, math.Inf(1))
-	e2 := c.Execute(0, 0, 1.8e6, 1.8, math.Inf(1))
-	if e2.QueueMS != 0 {
-		t.Fatalf("second request queued %v ms on a 2-worker ISN", e2.QueueMS)
-	}
-	if e1.FinishMS != e2.FinishMS {
-		t.Fatalf("parallel requests should finish together: %v vs %v", e1.FinishMS, e2.FinishMS)
-	}
-	// A third request must wait for a worker.
-	e3 := c.Execute(0, 0, 1.8e6, 1.8, math.Inf(1))
-	if e3.QueueMS <= 0 {
-		t.Fatal("third request should queue")
-	}
-	c.Reset()
-	e4 := c.Execute(0, 0, 1.8e6, 1.8, math.Inf(1))
-	if e4.QueueMS != 0 {
-		t.Fatal("reset should clear all workers")
 	}
 }

@@ -14,12 +14,13 @@ import (
 // Cottage), but the aggregator must wait for the slowest participant —
 // which is why Fig. 15(a) shows it ~1.9x slower than coordinated Cottage.
 type CottageISN struct {
-	DropZeroProb float64
+	// inner supplies Cottage's calibrated cutoff (Params.DropZeroProb).
+	inner *Cottage
 }
 
 // NewCottageISN returns the ablation with the same calibrated cutoff as
 // Cottage.
-func NewCottageISN() *CottageISN { return &CottageISN{DropZeroProb: 0.8} }
+func NewCottageISN() *CottageISN { return &CottageISN{inner: NewCottage()} }
 
 // Name implements engine.Policy.
 func (*CottageISN) Name() string { return "cottage-isn" }
@@ -46,7 +47,7 @@ func (v *CottageISN) Decide(e *engine.Engine, q trace.Query, _ float64) engine.D
 		if p.ExpQK > best {
 			best, bestISN = p.ExpQK, isn
 		}
-		if p.PZeroK < v.DropZeroProb {
+		if p.PZeroK < v.inner.DropZeroProb {
 			d.Participate[isn] = true
 			any = true
 		}
@@ -70,17 +71,14 @@ type CottageNoML struct {
 	// Tau is the Gamma-estimate threshold standing in for the "zero
 	// contribution" test.
 	Tau float64
-	// Boost, StrictTopK, Downclock and LatencyMargin mirror Cottage's
-	// switches.
-	Boost         bool
-	StrictTopK    bool
-	Downclock     bool
-	LatencyMargin float64
+	// inner is the Cottage whose margin, Algorithm 1 switches and
+	// frequency boosting the variant runs on its Gamma reports.
+	inner *Cottage
 }
 
 // NewCottageNoML returns the paper's configuration.
 func NewCottageNoML() *CottageNoML {
-	return &CottageNoML{Tau: 0.05, Boost: true, Downclock: true, LatencyMargin: 0.5}
+	return &CottageNoML{Tau: 0.05, inner: NewCottage()}
 }
 
 // Name implements engine.Policy.
@@ -103,10 +101,9 @@ func (v *CottageNoML) Decide(e *engine.Engine, q trace.Query, nowMS float64) eng
 		est := quality{qk: int(math.Round(estK[isn])), qk2: int(math.Round(estK2[isn])), expQK: estK[isn],
 			hasK: estK[isn] >= v.Tau, hasK2: estK2[isn] >= v.Tau}
 		row, queueMS := servingQueue(e, isn, nowMS)
-		reports = append(reports, newReport(isn, est, p.Cycles, v.LatencyMargin, queueMS, row, e.Cluster.Ladder))
+		reports = append(reports, newReport(isn, est, p.Cycles, v.inner.LatencyMargin, queueMS, row, e.Cluster.Ladder))
 	}
-	inner := &Cottage{Boost: v.Boost, StrictTopK: v.StrictTopK, Downclock: v.Downclock}
-	return inner.decideFromReports(e, reports)
+	return v.inner.decideFromReports(e, reports)
 }
 
 // Observe implements engine.Policy.

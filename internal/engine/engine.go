@@ -74,11 +74,9 @@ type Engine struct {
 	// service EWMAs, and on each cadence tick the controller's plan is
 	// applied to the cluster's active replica rows. The cluster should
 	// be built with DynamicMachines so scale-downs show up in power and
-	// machine time.
+	// machine time. A scaled run starts with one active replica per
+	// shard: the controller earns its capacity.
 	Scaler *autoscale.Controller
-	// ScaleStartR is the active replica count per shard at the start of
-	// a scaled run (default 1 — the controller earns its capacity).
-	ScaleStartR int
 	// Hedge sends a duplicate of a leg to a sibling replica. A leg's
 	// predictive hedge signal is Eq. 2 over the policy's
 	// Decision.PredCycles plus the serving replica's latency defect; legs
@@ -362,12 +360,8 @@ func (e *Engine) Run(p Policy, evs []*Evaluated) RunResult {
 		e.Cache.Reset()
 	}
 	if e.Scaler != nil {
-		r0 := e.ScaleStartR
-		if r0 < 1 {
-			r0 = 1
-		}
-		e.Scaler.Reset(r0)
-		e.Cluster.SetAllActiveReplicas(r0, 0)
+		e.Scaler.Reset(1)
+		e.Cluster.SetAllActiveReplicas(1, 0)
 	}
 	e.hists = e.Hists(p.Name())
 	if e.Obs != nil {

@@ -137,13 +137,6 @@ func (in *Injector) SetPlan(isn int, p Plan) {
 	in.plans[isn] = p
 }
 
-// PlanFor returns the current plan for an ISN (zero Plan if none).
-func (in *Injector) PlanFor(isn int) Plan {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.plans[isn]
-}
-
 // Crash marks an ISN dead; Revive undoes it.
 func (in *Injector) Crash(isn int) {
 	in.mu.Lock()

@@ -148,7 +148,6 @@ func runAutoscaleConfigs(s *Setup, qs []trace.Query) []autoscaleRow {
 	}
 	eng := dynamicEngine(s, autoscaleMaxR)
 	eng.Scaler = autoscaleController(len(eng.Shards))
-	eng.ScaleStartR = 1
 	rows = append(rows, row("closed-loop", eng))
 	return rows
 }

@@ -317,8 +317,8 @@ func TestHeterogeneityOrdering(t *testing.T) {
 // (more downclocking) at higher latency.
 func TestFixedSLABehaviour(t *testing.T) {
 	s := testSetup(t)
-	tight := engine.Summarize(s.Engine.Run(&baselines.FixedSLA{BudgetMS: 8, LatencyMargin: 0.5}, s.WikiEval))
-	loose := engine.Summarize(s.Engine.Run(&baselines.FixedSLA{BudgetMS: 40, LatencyMargin: 0.5}, s.WikiEval))
+	tight := engine.Summarize(s.Engine.Run(&baselines.FixedSLA{BudgetMS: 8}, s.WikiEval))
+	loose := engine.Summarize(s.Engine.Run(&baselines.FixedSLA{BudgetMS: 40}, s.WikiEval))
 	if tight.MeanISNs != float64(len(s.Engine.Shards)) {
 		t.Errorf("sla-dvfs must never cut ISNs, got %v", tight.MeanISNs)
 	}

@@ -260,7 +260,7 @@ func AllocationStudy(s *Setup, w io.Writer) error {
 func BudgetCompare(s *Setup, w io.Writer) error {
 	fmt.Fprintf(w, "%-16s %10s %10s %8s %8s\n", "policy", "avg ms", "p95 ms", "P@10", "power W")
 	for _, sla := range []float64{8, 15, 25, 40} {
-		p := &baselines.FixedSLA{BudgetMS: sla, LatencyMargin: 0.5}
+		p := &baselines.FixedSLA{BudgetMS: sla}
 		sm := engine.Summarize(s.Engine.Run(p, s.WikiEval))
 		fmt.Fprintf(w, "sla-dvfs %4.0fms %10.2f %10.2f %8.3f %8.2f\n",
 			sla, sm.MeanLatency, sm.P95Latency, sm.MeanPAtK, sm.AvgPowerW)

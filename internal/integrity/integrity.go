@@ -130,11 +130,10 @@ type Snapshot struct {
 // Ledger records detected corruptions and tracks each replica-shard's
 // quarantine/repair state machine. Safe for concurrent use.
 type Ledger struct {
-	mu        sync.Mutex
-	events    []Event // ring buffer, newest last
-	maxEvents int
-	next      int // ring cursor once full
-	replicas  map[replicaKey]*replicaState
+	mu       sync.Mutex
+	events   []Event // ring buffer of the last ledgerEvents, newest last
+	next     int     // ring cursor once full
+	replicas map[replicaKey]*replicaState
 
 	mismatches  uint64
 	quarantines uint64
@@ -145,22 +144,21 @@ type Ledger struct {
 	Metrics *Metrics
 }
 
-// NewLedger builds a ledger retaining the last maxEvents events
-// (default 256 when <= 0).
-func NewLedger(maxEvents int) *Ledger {
-	if maxEvents <= 0 {
-		maxEvents = 256
-	}
-	return &Ledger{maxEvents: maxEvents, replicas: make(map[replicaKey]*replicaState)}
+// ledgerEvents is how many events a Ledger retains.
+const ledgerEvents = 256
+
+// NewLedger builds a ledger retaining the last ledgerEvents events.
+func NewLedger() *Ledger {
+	return &Ledger{replicas: make(map[replicaKey]*replicaState)}
 }
 
 func (l *Ledger) record(ev Event) {
-	if len(l.events) < l.maxEvents {
+	if len(l.events) < ledgerEvents {
 		l.events = append(l.events, ev)
 		return
 	}
 	l.events[l.next] = ev
-	l.next = (l.next + 1) % l.maxEvents
+	l.next = (l.next + 1) % ledgerEvents
 }
 
 func (l *Ledger) replica(shard, replica int) *replicaState {
@@ -290,7 +288,7 @@ func (l *Ledger) Snapshot() Snapshot {
 		snap.MeanMTTRMS = l.mttrTotalMS / int64(l.repairs)
 	}
 	// Ring order: next..end is the oldest run once wrapped.
-	if len(l.events) == l.maxEvents {
+	if len(l.events) == ledgerEvents {
 		snap.Events = append(snap.Events, l.events[l.next:]...)
 		snap.Events = append(snap.Events, l.events[:l.next]...)
 	} else {

@@ -53,7 +53,7 @@ func corruptOneBlock(t testing.TB, s *index.Shard) (string, int) {
 }
 
 func TestLedgerStateMachine(t *testing.T) {
-	l := NewLedger(0)
+	l := NewLedger()
 	if l.State(3, 1) != Healthy || l.IsQuarantined(3, 1) {
 		t.Fatal("fresh replica not healthy")
 	}
@@ -105,21 +105,22 @@ func TestLedgerStateMachine(t *testing.T) {
 }
 
 func TestLedgerEventRingWraps(t *testing.T) {
-	l := NewLedger(4)
-	for i := 0; i < 7; i++ {
+	l := NewLedger()
+	const total = ledgerEvents + 3
+	for i := 0; i < total; i++ {
 		l.RecordMismatch(0, 0, int64(i), "scrub", fmt.Sprintf("e%d", i))
 	}
 	snap := l.Snapshot()
-	if len(snap.Events) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(snap.Events))
+	if len(snap.Events) != ledgerEvents {
+		t.Fatalf("ring holds %d events, want %d", len(snap.Events), ledgerEvents)
 	}
 	for i, ev := range snap.Events {
 		if want := fmt.Sprintf("e%d", i+3); ev.Detail != want {
 			t.Fatalf("event %d = %q, want %q (oldest-first)", i, ev.Detail, want)
 		}
 	}
-	if snap.Mismatches != 7 {
-		t.Fatalf("mismatch total %d survived the ring, want 7", snap.Mismatches)
+	if snap.Mismatches != total {
+		t.Fatalf("mismatch total %d survived the ring, want %d", snap.Mismatches, total)
 	}
 }
 
@@ -337,7 +338,7 @@ func TestManagerScrubDetects(t *testing.T) {
 }
 
 func TestHandlerServesSnapshot(t *testing.T) {
-	l := NewLedger(0)
+	l := NewLedger()
 	l.RecordMismatch(2, 1, 50, "frame", "payload crc")
 	l.Quarantine(2, 1, 50, "payload crc")
 	h := Handler(l.Snapshot)

@@ -15,8 +15,6 @@ type Config struct {
 	Replica int
 	// ScrubBytesPerSec paces the background scrubber (<= 0 disables).
 	ScrubBytesPerSec int
-	// MaxEvents bounds the ledger ring (default 256).
-	MaxEvents int
 	// Metrics, when set, mirrors detections and transitions onto the
 	// registry counters.
 	Metrics *Metrics
@@ -44,7 +42,7 @@ type Manager struct {
 // NewManager supervises s under cfg. The shard should already be
 // sealed (Finalize and ReadShard both leave it so).
 func NewManager(cfg Config, s *index.Shard) *Manager {
-	l := NewLedger(cfg.MaxEvents)
+	l := NewLedger()
 	l.Metrics = cfg.Metrics
 	m := &Manager{cfg: cfg, ledger: l, shard: s}
 	m.scrub.BytesPerSec = cfg.ScrubBytesPerSec

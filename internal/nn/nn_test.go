@@ -269,6 +269,15 @@ func TestDecodeRejectsMalformedShapes(t *testing.T) {
 			n.Layers[1].In, n.Layers[1].W = 0, nil
 		}},
 		{"no layers", func(n *Network) { n.Layers = nil }},
+		{"In·Out wraps to zero", func(n *Network) {
+			// 2^62 inputs × 4 outputs is 2^64 weights, which wraps to
+			// the empty slice's length in int arithmetic.
+			n.Cfg.InputDim = 1 << 62
+			n.Layers = []layer{
+				{In: 1 << 62, Out: 4, B: make([]float64, 4)},
+				{In: 4, Out: 11, W: make([]float64, 44), B: make([]float64, 11)},
+			}
+		}},
 		{"normalizer means", func(n *Network) {
 			n.Norm = &Normalizer{Mean: make([]float64, 14), Std: make([]float64, 15)}
 		}},

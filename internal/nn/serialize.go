@@ -53,7 +53,9 @@ func (n *Network) checkShapes() error {
 		if l.Out <= 0 {
 			return fmt.Errorf("layer %d has %d outputs", li, l.Out)
 		}
-		if len(l.W) != l.In*l.Out || len(l.B) != l.Out {
+		// len(W) = In·Out, tested by division: the product of two
+		// decoded dimensions can wrap around to a small length.
+		if len(l.W)%l.Out != 0 || len(l.W)/l.Out != l.In || len(l.B) != l.Out {
 			return fmt.Errorf("layer %d is %d×%d with %d weights and %d biases", li, l.Out, l.In, len(l.W), len(l.B))
 		}
 		in = l.Out

@@ -1,8 +1,6 @@
 package predict
 
 import (
-	"math"
-
 	"cottage/internal/index"
 	"cottage/internal/stats"
 )
@@ -16,34 +14,16 @@ import (
 // paper shows why the Gamma fit misestimates tails, which is exactly the
 // weakness the Cottage-withoutML ablation quantifies.
 //
-// Two modes are provided:
-//
-//   - ModeTaily follows Aly et al.: a query's score on a shard is
-//     modelled as ONE Gamma whose mean/variance are the sums of the
-//     per-term moments (the "all terms present" assumption), over the
-//     documents matching the most frequent term. For multi-term queries
-//     whose terms rarely co-occur this misestimates tails and distorts
-//     the cross-shard ranking — the Fig. 6 failure mode the paper
-//     attributes to Taily, and the error source behind Taily's 0.887
-//     P@10 and the Cottage-withoutML ablation's quality loss.
-//   - ModeUnion is our improved variant for disjunctive retrieval: each
-//     term keeps its own Gamma and the count above a threshold is the
-//     union bound Σ_t df_t · P_t(X > s). It stays index-time / per-shard
-//     computable; the ablation benchmarks quantify the difference.
+// It follows Aly et al.: a query's score on a shard is modelled as ONE
+// Gamma whose mean/variance are the sums of the per-term moments (the
+// "all terms present" assumption), over the documents matching the most
+// frequent term. For multi-term queries whose terms rarely co-occur this
+// misestimates tails and distorts the cross-shard ranking — the Fig. 6
+// failure mode the paper attributes to Taily, and the error source behind
+// Taily's 0.887 P@10 and the Cottage-withoutML ablation's quality loss.
 type GammaEstimator struct {
 	Shards []*index.Shard
-	Mode   GammaMode
 }
-
-// GammaMode selects the estimator variant.
-type GammaMode int
-
-const (
-	// ModeTaily is the published Taily model (sum-of-moments, all-terms).
-	ModeTaily GammaMode = iota
-	// ModeUnion is the per-term union-bound variant.
-	ModeUnion
-)
 
 // termModel is the fitted Gamma plus document count for one (term, shard).
 type termModel struct {
@@ -70,19 +50,6 @@ func fitTerm(s *index.Shard, text string) termModel {
 	return termModel{dist: d, df: float64(st.PostingLen), ok: true, max: st.MaxScore}
 }
 
-// expectedAboveUnion estimates how many documents on shard s score above
-// threshold for the query (union bound over terms).
-func expectedAboveUnion(models []termModel, threshold float64) float64 {
-	total := 0.0
-	for _, m := range models {
-		if !m.ok {
-			continue
-		}
-		total += m.df * m.dist.TailProb(threshold)
-	}
-	return total
-}
-
 // expectedAboveTaily estimates the count with Taily's model: one Gamma
 // whose moments are the sums of the per-term moments (the "all terms
 // present" score assumption), applied over the documents matching the
@@ -93,7 +60,7 @@ func expectedAboveUnion(models []termModel, threshold float64) float64 {
 // while retaining over-claimed shards — the "improperly cutoff some ISNs
 // that would significantly contribute" failure the paper attributes to
 // distribution-based prediction (Section III-B, Fig. 6).
-func expectedAboveTaily(models []termModel, numDocs int, threshold float64) float64 {
+func expectedAboveTaily(models []termModel, threshold float64) float64 {
 	mean, variance := 0.0, 0.0
 	df := 0.0
 	any := false
@@ -141,14 +108,6 @@ func (g *GammaEstimator) Estimate(terms []string, k int) []float64 {
 	if !anyMatch {
 		return out
 	}
-	estimate := func(si int, s float64) float64 {
-		return expectedAboveTaily(models[si], g.Shards[si].NumDocs, s)
-	}
-	if g.Mode == ModeUnion {
-		estimate = func(si int, s float64) float64 {
-			return expectedAboveUnion(models[si], s)
-		}
-	}
 	// Find the collection-wide score s* with expected count K above it
 	// (binary search; the expected count is monotone decreasing in the
 	// threshold). Taily's summed moments can push the model's support
@@ -156,8 +115,8 @@ func (g *GammaEstimator) Estimate(terms []string, k int) []float64 {
 	// means plus a generous tail allowance.
 	countAt := func(s float64) float64 {
 		total := 0.0
-		for si := range models {
-			total += estimate(si, s)
+		for _, m := range models {
+			total += expectedAboveTaily(m, s)
 		}
 		return total
 	}
@@ -171,22 +130,8 @@ func (g *GammaEstimator) Estimate(terms []string, k int) []float64 {
 		}
 	}
 	sStar := (lo + hi) / 2
-	for si := range models {
-		out[si] = estimate(si, sStar)
-	}
-	return out
-}
-
-// EstimateCounts rounds Estimate to integer contribution predictions, the
-// form Algorithm 1 consumes in the Cottage-withoutML ablation.
-func (g *GammaEstimator) EstimateCounts(terms []string, k int) []int {
-	est := g.Estimate(terms, k)
-	out := make([]int, len(est))
-	for i, e := range est {
-		out[i] = int(math.Round(e))
-		if out[i] > k {
-			out[i] = k
-		}
+	for si, m := range models {
+		out[si] = expectedAboveTaily(m, sStar)
 	}
 	return out
 }

@@ -334,7 +334,7 @@ func TestClampClass(t *testing.T) {
 
 func TestGammaEstimator(t *testing.T) {
 	f := getFixture(t)
-	g := &GammaEstimator{Shards: f.shards, Mode: ModeUnion}
+	g := &GammaEstimator{Shards: f.shards}
 	cost := cluster.DefaultCostModel()
 	ds := Harvest(f.shards, f.test[:50], 10, search.StrategyMaxScore, cost)
 	// The estimator should be correlated with the truth: shards with
@@ -373,24 +373,6 @@ func TestGammaEstimatorNoMatch(t *testing.T) {
 	for _, e := range est {
 		if e != 0 {
 			t.Fatal("absent term should estimate zero everywhere")
-		}
-	}
-	counts := g.EstimateCounts([]string{"zzzznotaword"}, 10)
-	for _, c := range counts {
-		if c != 0 {
-			t.Fatal("counts should be zero")
-		}
-	}
-}
-
-func TestEstimateCountsClamped(t *testing.T) {
-	f := getFixture(t)
-	g := &GammaEstimator{Shards: f.shards}
-	for _, q := range f.test[:20] {
-		for _, c := range g.EstimateCounts(q.Terms, 10) {
-			if c < 0 || c > 10 {
-				t.Fatalf("count %d out of [0,10]", c)
-			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // quarantineLedger lazily builds the aggregator's ledger so struct-
 // literal construction (tests, tools) stays valid.
 func (a *Aggregator) quarantineLedger() *integrity.Ledger {
-	a.qOnce.Do(func() { a.quarantine = integrity.NewLedger(0) })
+	a.qOnce.Do(func() { a.quarantine = integrity.NewLedger() })
 	return a.quarantine
 }
 

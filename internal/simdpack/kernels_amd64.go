@@ -4,8 +4,8 @@ package simdpack
 
 // The SSE2 kernels in kernels_amd64.s decode one 64-value block per
 // call: sixteen iterations, each reconstructing four lanes with a pair
-// of packed shifts, a mask, and (per variant) an in-register prefix sum
-// or increment. SSE2 packed shifts saturate to zero for counts >= 32,
+// of packed shifts, a mask, and an in-register prefix sum (document-ID
+// gaps) or increment (term frequencies). SSE2 packed shifts saturate to zero for counts >= 32,
 // which is what makes the unconditional two-word read correct at every
 // bit offset — including offset 0, where the second word's contribution
 // is shifted entirely away. Callers must honor the Pad contract: the
@@ -15,25 +15,10 @@ package simdpack
 // degenerate all-zero / all-base / all-one block directly.
 
 //go:noescape
-func unpack64asm(src *byte, dst *uint32, w uint64)
-
-//go:noescape
 func unpackDeltas64asm(src *byte, dst *uint32, w, base uint64)
 
 //go:noescape
 func unpackInc64asm(src *byte, dst *uint32, w uint64)
-
-// Unpack decodes one 64-value block packed at width w into dst.
-// src must hold PackedBytes(w)+Pad readable bytes when w > 0.
-func Unpack(src []byte, w uint32, dst *[BlockLen]uint32) {
-	if w == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	unpack64asm(&src[0], &dst[0], uint64(w))
-}
 
 // UnpackDeltas decodes one block of gaps packed at width w and returns
 // the running sums seeded at base: dst[v] = base + gap[0] + ... + gap[v].

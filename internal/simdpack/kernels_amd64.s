@@ -12,54 +12,14 @@
 // one word past the packed payload — the Pad contract in simdpack.go
 // keeps that read in bounds, and the mask keeps it out of the result.
 //
-// The delta variant adds an in-register prefix sum: two shift-and-add
+// The delta decoder adds an in-register prefix sum: two shift-and-add
 // steps turn [g0 g1 g2 g3] into inclusive sums, a broadcast carry from
 // the previous group is added, and the new carry is the top lane
-// splatted (PSHUFD $0xFF). The increment variant adds one per value via
+// splatted (PSHUFD $0xFF). The increment decoder adds one per value via
 // PSUBL of an all-ones register (x - (-1) = x + 1). Integer ops only:
 // both paths are bit-identical to the portable reference decoders.
 
 #include "textflag.h"
-
-// func unpack64asm(src *byte, dst *uint32, w uint64)
-TEXT ·unpack64asm(SB), NOSPLIT, $0-24
-	MOVQ src+0(FP), SI
-	MOVQ dst+8(FP), DI
-	MOVQ w+16(FP), R9
-
-	// X5 = broadcast((1<<w)-1); the 64-bit shift makes w=32 exact.
-	MOVQ $1, AX
-	MOVQ R9, CX
-	SHLQ CX, AX
-	DECQ AX
-	MOVQ AX, X5
-	PSHUFD $0x00, X5, X5
-
-	XORQ BX, BX
-	MOVQ $16, CX
-
-unpackloop:
-	MOVQ BX, AX
-	SHRQ $5, AX
-	SHLQ $4, AX
-	MOVOU (SI)(AX*1), X0
-	MOVOU 16(SI)(AX*1), X1
-	MOVQ BX, DX
-	ANDQ $31, DX
-	MOVQ DX, X2
-	MOVQ $32, R8
-	SUBQ DX, R8
-	MOVQ R8, X3
-	PSRLL X2, X0
-	PSLLL X3, X1
-	POR  X1, X0
-	PAND X5, X0
-	MOVOU X0, (DI)
-	ADDQ $16, DI
-	ADDQ R9, BX
-	DECQ CX
-	JNZ  unpackloop
-	RET
 
 // func unpackDeltas64asm(src *byte, dst *uint32, w, base uint64)
 TEXT ·unpackDeltas64asm(SB), NOSPLIT, $0-32

@@ -7,11 +7,6 @@ package simdpack
 // arithmetic only) and honor the same signatures, so the index and
 // search layers are architecture-blind.
 
-// Unpack decodes one 64-value block packed at width w into dst.
-func Unpack(src []byte, w uint32, dst *[BlockLen]uint32) {
-	unpackRef(src, w, dst)
-}
-
 // UnpackDeltas decodes one block of gaps packed at width w and returns
 // the running sums seeded at base: dst[v] = base + gap[0] + ... + gap[v].
 func UnpackDeltas(src []byte, w uint32, base uint32, dst *[BlockLen]uint32) {

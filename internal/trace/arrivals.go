@@ -11,8 +11,8 @@ import (
 // stationary profile is the original homogeneous Poisson trace; the
 // others modulate the instantaneous rate λ(t) to reproduce the traffic
 // regimes a fixed-capacity fleet cannot serve efficiently — diurnal
-// swings, flash crowds, and sustained ramps — which is what the
-// autoscaling experiments stress.
+// swings and flash crowds — which is what the autoscaling experiments
+// stress.
 type Profile int
 
 const (
@@ -30,10 +30,6 @@ const (
 	// FlashFactor for FlashDurationMS — the breaking-news spike that
 	// arrives faster than any human can re-provision a fleet.
 	Flash
-	// Ramp scales the rate linearly from RampStart·QPS at t=0 to
-	// RampEnd·QPS at t=RampOverMS, constant afterwards — organic growth
-	// (or decay) compressed into one trace.
-	Ramp
 )
 
 // String names the profile.
@@ -45,8 +41,6 @@ func (p Profile) String() string {
 		return "diurnal"
 	case Flash:
 		return "flash"
-	case Ramp:
-		return "ramp"
 	default:
 		return "unknown"
 	}
@@ -67,11 +61,6 @@ type ArrivalConfig struct {
 	FlashEveryMS    float64 // burst cadence (default 30 000 ms)
 	FlashDurationMS float64 // burst length (default 4 000 ms)
 	FlashFactor     float64 // rate multiplier during a burst (default 4)
-
-	// Ramp.
-	RampStart  float64 // rate multiplier at t=0 (default 0.5)
-	RampEnd    float64 // rate multiplier at t=RampOverMS (default 2)
-	RampOverMS float64 // time to reach RampEnd (default 60 000 ms)
 }
 
 // withDefaults fills zero fields with the documented defaults.
@@ -90,15 +79,6 @@ func (a ArrivalConfig) withDefaults() ArrivalConfig {
 	}
 	if a.FlashFactor <= 0 {
 		a.FlashFactor = 4
-	}
-	if a.RampStart <= 0 {
-		a.RampStart = 0.5
-	}
-	if a.RampEnd <= 0 {
-		a.RampEnd = 2
-	}
-	if a.RampOverMS <= 0 {
-		a.RampOverMS = 60_000
 	}
 	return a
 }
@@ -127,12 +107,6 @@ func (a ArrivalConfig) RateAtMS(baseQPS, tMS float64) float64 {
 			return baseQPS * a.FlashFactor
 		}
 		return baseQPS
-	case Ramp:
-		frac := tMS / a.RampOverMS
-		if frac > 1 {
-			frac = 1
-		}
-		return baseQPS * (a.RampStart + (a.RampEnd-a.RampStart)*frac)
 	default:
 		return baseQPS
 	}
@@ -145,13 +119,9 @@ func (a ArrivalConfig) maxRate(baseQPS float64) float64 {
 	case Diurnal:
 		return baseQPS * (1 + a.DiurnalAmp)
 	case Flash:
-		return baseQPS * a.FlashFactor
-	case Ramp:
-		m := a.RampStart
-		if a.RampEnd > m {
-			m = a.RampEnd
-		}
-		return baseQPS * m
+		// A FlashFactor below 1 is a dip, not a burst: the off-burst
+		// base rate is then the maximum.
+		return baseQPS * math.Max(1, a.FlashFactor)
 	default:
 		return baseQPS
 	}

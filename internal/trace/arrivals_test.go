@@ -11,7 +11,7 @@ import (
 // arrival sequences.
 func TestNonStationaryDeterministic(t *testing.T) {
 	c := testCorpus()
-	profiles := []Profile{Stationary, Diurnal, Flash, Ramp}
+	profiles := []Profile{Stationary, Diurnal, Flash}
 	firstArrivals := make(map[Profile]float64)
 	for _, p := range profiles {
 		cfg := Config{Kind: Wikipedia, Seed: 11, NumQueries: 400, QPS: 20,
@@ -102,25 +102,31 @@ func TestFlashRateShape(t *testing.T) {
 	}
 }
 
-// TestRampRateShape: the second half of the ramp is denser than the
-// first when RampEnd > RampStart.
-func TestRampRateShape(t *testing.T) {
+// TestFlashDipKeepsBaseRate: a FlashFactor below 1 models a traffic
+// dip. Off-burst arrivals must still come at the base rate, and the dip
+// windows at the reduced one.
+func TestFlashDipKeepsBaseRate(t *testing.T) {
 	c := testCorpus()
-	ac := ArrivalConfig{Profile: Ramp, RampStart: 0.25, RampEnd: 2, RampOverMS: 40_000}
-	qs := Generate(c, Config{Kind: Wikipedia, Seed: 6, NumQueries: 4000, QPS: 30, Arrivals: ac})
-	lo, hi := 0, 0
+	ac := ArrivalConfig{Profile: Flash, FlashEveryMS: 10_000, FlashDurationMS: 4_000, FlashFactor: 0.5}
+	qs := Generate(c, Config{Kind: Wikipedia, Seed: 9, NumQueries: 4000, QPS: 100, Arrivals: ac})
+
+	inDip, base := 0, 0
+	horizon := DurationMS(qs)
 	for _, q := range qs {
-		if q.ArrivalMS >= ac.RampOverMS {
-			break
-		}
-		if q.ArrivalMS < ac.RampOverMS/2 {
-			lo++
+		if q.ArrivalMS >= ac.FlashEveryMS && math.Mod(q.ArrivalMS, ac.FlashEveryMS) < ac.FlashDurationMS {
+			inDip++
 		} else {
-			hi++
+			base++
 		}
 	}
-	if hi <= lo {
-		t.Errorf("ramp not ramping: %d arrivals in first half vs %d in second", lo, hi)
+	dipMS := math.Floor(horizon/ac.FlashEveryMS) * ac.FlashDurationMS
+	baseRate := float64(base) / (horizon - dipMS)
+	dipRate := float64(inDip) / dipMS
+	if math.Abs(baseRate-0.1) > 0.01 {
+		t.Errorf("off-dip rate %.4f/ms, want ~0.1 (100 QPS)", baseRate)
+	}
+	if math.Abs(dipRate-0.05) > 0.01 {
+		t.Errorf("dip rate %.4f/ms, want ~0.05 (50 QPS)", dipRate)
 	}
 }
 
@@ -143,13 +149,6 @@ func TestRateAtMS(t *testing.T) {
 	}
 	if got := f.RateAtMS(10, 50); got != 10 {
 		t.Errorf("flash first-cadence rate %v, want 10 (no burst before one cadence)", got)
-	}
-	r := ArrivalConfig{Profile: Ramp, RampStart: 1, RampEnd: 3, RampOverMS: 1000}
-	if got := r.RateAtMS(10, 500); math.Abs(got-20) > 1e-9 {
-		t.Errorf("ramp midpoint rate %v, want 20", got)
-	}
-	if got := r.RateAtMS(10, 5000); got != 30 {
-		t.Errorf("ramp plateau rate %v, want 30", got)
 	}
 }
 
