@@ -36,9 +36,6 @@ func (Exhaustive) Decide(e *engine.Engine, _ trace.Query, _ float64) engine.Deci
 	}
 }
 
-// Observe implements engine.Policy.
-func (Exhaustive) Observe(float64) {}
-
 // Aggregation is the epoch-based aggregation policy (Yun et al., SIGIR'15
 // family, as characterized in the paper's Fig. 3b): all ISNs participate,
 // but the aggregator stops waiting after a fixed time budget recomputed
@@ -75,8 +72,8 @@ func (a *Aggregation) Decide(e *engine.Engine, _ trace.Query, _ float64) engine.
 	}
 }
 
-// Observe implements engine.Policy: collects latencies and rolls the
-// epoch budget.
+// Observe collects latencies and rolls the epoch budget. The engine
+// feeds every query's client latency to a policy that has this method.
 func (a *Aggregation) Observe(latencyMS float64) {
 	a.window = append(a.window, latencyMS)
 	if len(a.window) >= a.EpochQueries {

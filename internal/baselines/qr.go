@@ -147,6 +147,3 @@ func (q *QR) Decide(e *engine.Engine, qr trace.Query, _ float64) engine.Decision
 		CoordMS:     0.15, // estimator round + one aggregator-side inference
 	}
 }
-
-// Observe implements engine.Policy.
-func (*QR) Observe(float64) {}

@@ -144,6 +144,3 @@ func (r *RankS) Decide(e *engine.Engine, q trace.Query, _ float64) engine.Decisi
 		CoordMS: 0.3,
 	}
 }
-
-// Observe implements engine.Policy.
-func (*RankS) Observe(float64) {}

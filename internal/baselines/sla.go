@@ -68,6 +68,3 @@ func (p *FixedSLA) Decide(e *engine.Engine, q trace.Query, nowMS float64) engine
 	}
 	return d
 }
-
-// Observe implements engine.Policy.
-func (*FixedSLA) Observe(float64) {}

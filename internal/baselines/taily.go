@@ -55,6 +55,3 @@ func (t *Taily) Decide(e *engine.Engine, q trace.Query, _ float64) engine.Decisi
 		CoordMS:     0.1, // one estimator round at the ISNs
 	}
 }
-
-// Observe implements engine.Policy.
-func (*Taily) Observe(float64) {}

@@ -711,6 +711,24 @@ func (c *Cluster) EquivalentLatencyMS(isn int, tMS, predictedCycles, f float64) 
 	return backlogMS + ServiceMS(predictedCycles, f)
 }
 
+// LegStatus is how one shard leg ended, in the one vocabulary both
+// serving paths share: the twin's Execute classifies every attempt with
+// it, the live aggregator's legs set it, and engine.Gather files legs by
+// it. The statuses before LegFailed reached a node, which ran the work
+// or (LegCorrupt) bounced it; those from LegCorrupt on lost the attempt,
+// so a replicated shard fails over past them.
+type LegStatus uint8
+
+const (
+	LegAnswered  LegStatus = iota // complete hits
+	LegTruncated                  // anytime leg cut at the budget: exact but partial hits
+	LegDropped                    // missed the budget with nothing to show
+	LegCorrupt                    // every replica bounced it on integrity grounds
+	LegFailed                     // no reply: a dead group, or every attempt errored
+	LegSevered                    // the node ran it, but a dropped connection lost the reply
+	LegShed                       // rejected by admission control
+)
+
 // Execution reports what happened when an ISN processed a request.
 type Execution struct {
 	ISN       int
@@ -718,34 +736,25 @@ type Execution struct {
 	FinishMS  float64 // service end (possibly truncated by deadline)
 	ServiceMS float64 // actual busy time charged
 	Freq      float64
-	Completed bool // false if the deadline truncated the work
+	// Status is how the attempt ended. Execute sets LegAnswered,
+	// LegDropped (the deadline cut the work off), LegSevered (an injected
+	// connection drop or corrupted reply: the node did the work and
+	// burned the power, but the reply never reached the aggregator, which
+	// notices the severed stream after one network round trip), LegFailed
+	// (a dead node or an injected crash: no work, no reply), LegShed (the
+	// queue already exceeded MaxQueueMS on arrival: an immediate
+	// rejection, no work) or LegCorrupt (the node's integrity plane
+	// bounced it: its copy is quarantined, or the request tripped the
+	// query-time checksum gate on fresh rot — a typed rejection after one
+	// hop, and the corrupted copy never contributes hits).
+	Status LegStatus
 	// WorkFrac is the fraction of the request's full service time the
-	// node performed before the deadline cut it off (1 when Completed).
-	// Anytime-mode callers replay the truncated traversal against this
-	// fraction of the full cycle budget to recover the partial answer.
+	// node performed before the deadline cut it off (1 when the work
+	// completed). Anytime-mode callers replay the truncated traversal
+	// against this fraction of the full cycle budget to recover the
+	// partial answer.
 	WorkFrac float64
-	// Failed marks a request sent to a dead ISN: no work was done and no
-	// response will ever arrive (the aggregator waits out its
-	// failure-detection timeout instead of the response).
-	Failed bool
-	// Shed marks a request rejected by admission control: the ISN's
-	// queue already exceeded MaxQueueMS on arrival, so it answered with
-	// an immediate rejection instead of queueing the work. Unlike
-	// Failed, the aggregator hears back right away.
-	Shed    bool
-	QueueMS float64
-	// Dropped marks an injected connection drop (or corrupted reply): the
-	// node did the work and burned the power, but the response never
-	// reached the aggregator, which notices the severed stream after one
-	// network round trip and can fail over.
-	Dropped bool
-	// CorruptReject marks a request bounced by the node's integrity
-	// plane: its shard copy is quarantined (or the request itself
-	// tripped the query-time checksum gate on fresh rot). Like Shed, the
-	// aggregator hears the typed rejection after one hop and fails over;
-	// the corrupted copy never contributes hits — the twin's
-	// CodeQuarantined.
-	CorruptReject bool
+	QueueMS  float64
 	// Shard and Replica locate the execution in the replica topology
 	// (Shard == ISN and Replica == 0 on the unreplicated node-level path).
 	Shard   int
@@ -760,7 +769,7 @@ type Execution struct {
 // (absolute; +Inf for none). If the work cannot finish by the deadline the
 // ISN still spends the truncated busy time (it worked until the budget
 // expired, as in step 6 of the paper's protocol) but the execution is
-// marked incomplete and its results are dropped by the aggregator.
+// LegDropped and its results are dropped by the aggregator.
 //
 // Inference overhead (quality+latency predictors, step 2) is charged as
 // busy time at the default frequency before service.
@@ -774,7 +783,7 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 	if node.Failed {
 		// The request is lost; the node does no work and burns no power.
 		c.observe(arrive)
-		return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Failed: true}
+		return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegFailed}
 	}
 	// Integrity gate: a quarantined copy refuses the request outright,
 	// and undetected rot is caught the moment a query reads the bad
@@ -788,7 +797,7 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 	if node.quarantined {
 		c.integ.corruptRejects++
 		c.observe(arrive)
-		return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, CorruptReject: true}
+		return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegCorrupt}
 	}
 	// Per-request chaos from the seeded schedule: a crashed plan loses
 	// the request like a dead node; a drop or corrupt verdict lets the
@@ -799,7 +808,7 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 		switch d := c.Faults.OnRequest(isn); d.Kind {
 		case faults.Crash:
 			c.observe(arrive)
-			return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Failed: true}
+			return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegFailed}
 		case faults.Drop, faults.Corrupt:
 			dropped = true
 			injDelayMS = d.DelayMS
@@ -816,7 +825,7 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 		// gets the rejection after one network hop.
 		if !c.Anytime || arrive+qd >= deadlineMS {
 			c.observe(arrive)
-			return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Shed: true}
+			return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegShed}
 		}
 	}
 	start := arrive
@@ -827,12 +836,12 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 	node.defectMS += defectAlpha * ((node.ExtraDelayMS + injDelayMS) - node.defectMS)
 	finish := start + full
 	busy := full
-	completed := true
+	status := LegAnswered
 	workFrac := 1.0
 	if finish > deadlineMS {
 		// Work until the budget expires, then abandon (or, in anytime
 		// mode, answer with whatever the truncated traversal found).
-		completed = false
+		status = LegDropped
 		if deadlineMS > start {
 			busy = deadlineMS - start
 			finish = deadlineMS
@@ -853,6 +862,10 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 		c.Meter.AddBusy(c.Ladder.Max(), c.InferMS)
 	}
 	c.observe(finish)
+	if dropped {
+		// Finished or not, the reply is lost on the severed stream.
+		status = LegSevered
+	}
 	return Execution{
 		ISN:       isn,
 		Shard:     shard,
@@ -861,10 +874,9 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 		FinishMS:  finish,
 		ServiceMS: busy,
 		Freq:      f,
-		Completed: completed,
+		Status:    status,
 		WorkFrac:  workFrac,
 		QueueMS:   start - arrive,
-		Dropped:   dropped,
 	}
 }
 
@@ -876,7 +888,7 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 // whatever deadline remains. Degraded Algorithm 1 is the caller's last
 // resort for when the loop exhausts the whole group. The returned
 // Execution carries the serving replica and the failover count; for a
-// shard with no live replica it reports Failed after one detection
+// shard with no live replica it reports LegFailed after one detection
 // round trip, like a node-level send to a dead ISN.
 func (c *Cluster) ExecuteShard(shard int, tMS, cycles, f, deadlineMS float64) Execution {
 	order := c.rankShard(shard, tMS)
@@ -888,15 +900,14 @@ func (c *Cluster) ExecuteShard(shard int, tMS, cycles, f, deadlineMS float64) Ex
 			StartMS: arrive, FinishMS: arrive, Freq: f,
 		}
 		// An empty group can mean two very different things: every
-		// replica dead (silence, then a reset — Failed) or every live
+		// replica dead (silence, then a reset — LegFailed) or every live
 		// replica quarantined mid-repair (a typed CodeQuarantined bounce
 		// after one hop — the aggregator knows precisely why the shard's
 		// contribution is missing, and that it is temporary).
+		ex.Status = LegFailed
 		if c.groupQuarantined(shard) {
-			ex.CorruptReject = true
+			ex.Status = LegCorrupt
 			c.integ.corruptRejects++
-		} else {
-			ex.Failed = true
 		}
 		return ex
 	}
@@ -905,7 +916,7 @@ func (c *Cluster) ExecuteShard(shard int, tMS, cycles, f, deadlineMS float64) Ex
 	for attempt, node := range order {
 		e := c.Execute(node, sendMS, cycles, f, deadlineMS)
 		e.Failovers = attempt
-		if !e.Failed && !e.Shed && !e.Dropped && !e.CorruptReject {
+		if e.Status < LegCorrupt {
 			return e
 		}
 		last = e
@@ -951,7 +962,7 @@ func (c *Cluster) ExecuteShardHedged(shard int, tMS, cycles, f, deadlineMS, hedg
 	if hedgeDelayMS < 0 || math.IsInf(hedgeDelayMS, 1) {
 		return primary, hr
 	}
-	if primary.Failed || primary.Shed || primary.Dropped || primary.CorruptReject {
+	if primary.Status >= LegCorrupt {
 		// ExecuteShard already burned through the group's failover legs;
 		// there is no healthier sibling left for a hedge to reach.
 		return primary, hr
@@ -973,7 +984,7 @@ func (c *Cluster) ExecuteShardHedged(shard int, tMS, cycles, f, deadlineMS, hedg
 	}
 	hr.Hedged = true
 	hedge := c.Execute(hedgeNode, hedgeAt, cycles, f, deadlineMS)
-	if hedge.Failed || hedge.Shed || hedge.Dropped || hedge.CorruptReject {
+	if hedge.Status >= LegCorrupt {
 		hr.DuplicateMS = hedge.ServiceMS
 		return primary, hr
 	}

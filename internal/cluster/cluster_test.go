@@ -76,7 +76,7 @@ func TestExecuteNoQueue(t *testing.T) {
 	c := testCluster(2)
 	// 3.6e6 cycles at 1.8 GHz = 2 ms.
 	e := c.Execute(0, 10, 3.6e6, 1.8, math.Inf(1))
-	if !e.Completed {
+	if e.Status != LegAnswered {
 		t.Fatal("should complete")
 	}
 	wantStart := 10 + c.Net.AggToISNMS
@@ -112,7 +112,7 @@ func TestDeadlineTruncation(t *testing.T) {
 	c := testCluster(1)
 	// 18e6 cycles at 1.8 GHz = 10 ms, but deadline at t=5.
 	e := c.Execute(0, 0, 18e6, 1.8, 5)
-	if e.Completed {
+	if e.Status != LegDropped {
 		t.Fatal("should not complete")
 	}
 	if e.FinishMS != 5 {
@@ -123,7 +123,7 @@ func TestDeadlineTruncation(t *testing.T) {
 	}
 	// Deadline earlier than start: no busy time at all.
 	e2 := c.Execute(0, 0, 1e6, 1.8, 1)
-	if e2.Completed || e2.ServiceMS != 0 {
+	if e2.Status != LegDropped || e2.ServiceMS != 0 {
 		t.Errorf("pre-start deadline: %+v", e2)
 	}
 }
@@ -308,10 +308,10 @@ func TestTimelineInvariants(t *testing.T) {
 		if e.FinishMS < e.StartMS {
 			t.Fatalf("request %d finishes before it starts", i)
 		}
-		if e.Completed && e.FinishMS > deadline+1e-9 {
+		if e.Status == LegAnswered && e.FinishMS > deadline+1e-9 {
 			t.Fatalf("request %d completed past its deadline", i)
 		}
-		if !e.Completed && deadline == math.Inf(1) {
+		if e.Status != LegAnswered && deadline == math.Inf(1) {
 			t.Fatalf("request %d dropped with no deadline", i)
 		}
 		lastFinish[isn] = e.FinishMS

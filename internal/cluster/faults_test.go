@@ -15,7 +15,7 @@ func TestFailedISN(t *testing.T) {
 	}
 	before := c.Meter.BusyEnergyMJ()
 	exec := c.Execute(3, 0, 10e6, c.Ladder.Default(), math.Inf(1))
-	if !exec.Failed || exec.Completed {
+	if exec.Status != LegFailed {
 		t.Fatalf("dead ISN execution: %+v", exec)
 	}
 	if exec.ServiceMS != 0 || c.ISNs[3].BusyMS != 0 {
@@ -26,7 +26,7 @@ func TestFailedISN(t *testing.T) {
 	}
 	c.ReviveISN(3)
 	exec = c.Execute(3, 0, 10e6, c.Ladder.Default(), math.Inf(1))
-	if exec.Failed || !exec.Completed {
+	if exec.Status != LegAnswered {
 		t.Fatalf("revived ISN execution: %+v", exec)
 	}
 }

@@ -22,7 +22,7 @@ func TestQueryDetectsRotAndFailsOver(t *testing.T) {
 	c.CorruptISN(0, 0, 0.5)              // shard 0 replica 0 rots at t=0
 
 	ex := c.ExecuteShard(0, 10, 1e6, 1.8, math.Inf(1))
-	if ex.Failed || ex.CorruptReject || !ex.Completed {
+	if ex.Status != LegAnswered {
 		t.Fatalf("query lost to a repairable fault: %+v", ex)
 	}
 	if ex.ISN != 2 || ex.Failovers != 1 {
@@ -104,7 +104,7 @@ func TestRepairReadmitsWithMTTR(t *testing.T) {
 	}
 	// The repaired copy serves again.
 	ex := c.ExecuteShard(0, 100, 1e6, 1.8, math.Inf(1))
-	if ex.CorruptReject || ex.Failed {
+	if ex.Status == LegCorrupt || ex.Status == LegFailed {
 		t.Fatalf("repaired shard cannot serve: %+v", ex)
 	}
 	if c.QuarantinedCount() != 0 {
@@ -117,7 +117,7 @@ func TestWholeGroupQuarantinedBouncesTyped(t *testing.T) {
 	c.CorruptISN(0, 0, 0.2)
 	c.CorruptISN(1, 0, 0.8)
 	ex := c.ExecuteShard(0, 10, 1e6, 1.8, math.Inf(1))
-	if !ex.CorruptReject {
+	if ex.Status != LegCorrupt {
 		t.Fatalf("whole-group corruption must surface typed, got %+v", ex)
 	}
 	if ex.ServiceMS != 0 {
@@ -130,7 +130,7 @@ func TestWholeGroupQuarantinedBouncesTyped(t *testing.T) {
 	// empty-rank path — still a typed bounce, never a silent failure:
 	// the group is alive and mid-repair, not dead.
 	ex = c.ExecuteShard(0, 20, 1e6, 1.8, math.Inf(1))
-	if !ex.CorruptReject || ex.Failed {
+	if ex.Status != LegCorrupt {
 		t.Fatalf("fully quarantined group must bounce typed, got %+v", ex)
 	}
 	if st := c.IntegrityStats(); st.CorruptRejects != 3 {
@@ -221,7 +221,7 @@ func TestHedgingSkipsQuarantinedSibling(t *testing.T) {
 	// Force a hedge: primary (node 0) gets a slow leg via backlog.
 	c.Execute(0, 0, 50e6, 1.8, math.Inf(1))
 	ex, hr := c.ExecuteShardHedged(0, 1, 1e6, 1.8, math.Inf(1), 0)
-	if ex.CorruptReject || ex.Failed {
+	if ex.Status == LegCorrupt || ex.Status == LegFailed {
 		t.Fatalf("primary leg lost: %+v", ex)
 	}
 	if hr.Hedged {

@@ -64,7 +64,7 @@ func TestShardAvailability(t *testing.T) {
 		t.Fatal("dead shard's predicted leg latency not +Inf")
 	}
 	ex := c.ExecuteShard(0, 0, 1e6, 1.8, math.Inf(1))
-	if !ex.Failed || ex.Shard != 0 {
+	if ex.Status != LegFailed || ex.Shard != 0 {
 		t.Fatalf("ExecuteShard on dead shard: %+v", ex)
 	}
 }
@@ -73,7 +73,7 @@ func TestExecuteShardRoutesAroundDeadReplica(t *testing.T) {
 	c := newReplicated(t, 2, 2)
 	c.FailISN(0) // shard 0 replica 0 dead; sibling is node 2
 	ex := c.ExecuteShard(0, 0, 1e6, 1.8, math.Inf(1))
-	if ex.Failed || !ex.Completed {
+	if ex.Status != LegAnswered {
 		t.Fatalf("execution lost: %+v", ex)
 	}
 	// The selector knew the replica was dead (prober knowledge): the leg
@@ -101,7 +101,7 @@ func TestExecuteShardFailsOverOnInjectedDrop(t *testing.T) {
 	inj.SetPlan(0, faults.Plan{DropProb: 1}) // replica 0 severs every stream
 	c.Faults = inj
 	ex := c.ExecuteShard(0, 0, 1e6, 1.8, math.Inf(1))
-	if ex.Failed || ex.Dropped || !ex.Completed {
+	if ex.Status != LegAnswered {
 		t.Fatalf("failover did not recover the leg: %+v", ex)
 	}
 	if ex.ISN != 1 || ex.Failovers != 1 {

@@ -304,6 +304,3 @@ func (c *Cottage) decideFromReports(e *engine.Engine, reports []ISNReport) engin
 	}
 	return d
 }
-
-// Observe implements engine.Policy.
-func (*Cottage) Observe(float64) {}

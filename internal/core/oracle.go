@@ -72,6 +72,3 @@ func (o *CottageOracle) Decide(e *engine.Engine, q trace.Query, nowMS float64) e
 	}
 	return o.inner.decideFromReports(e, reports)
 }
-
-// Observe implements engine.Policy.
-func (*CottageOracle) Observe(float64) {}

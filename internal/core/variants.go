@@ -58,9 +58,6 @@ func (v *CottageISN) Decide(e *engine.Engine, q trace.Query, _ float64) engine.D
 	return d
 }
 
-// Observe implements engine.Policy.
-func (*CottageISN) Observe(float64) {}
-
 // CottageNoML is the Cottage-withoutML ablation (Section V-D): the full
 // coordinated Algorithm 1, but with quality contributions estimated by
 // Taily's Gamma model instead of the neural network. Latency prediction
@@ -105,6 +102,3 @@ func (v *CottageNoML) Decide(e *engine.Engine, q trace.Query, nowMS float64) eng
 	}
 	return v.inner.decideFromReports(e, reports)
 }
-
-// Observe implements engine.Policy.
-func (*CottageNoML) Observe(float64) {}

@@ -66,8 +66,7 @@ type Engine struct {
 	Cache *qcache.LRU[[]search.Hit]
 	// Telemetry makes the simulated twin report the same observability
 	// surface as the live transport, on the virtual clock — so harness
-	// sweeps validate the instrumentation itself. The SLO monitor also
-	// hears the fleet's average power.
+	// sweeps validate the instrumentation itself.
 	Telemetry
 	// Scaler, when set, closes the autoscaling loop during Run: every
 	// arrival feeds its rate estimator, completed legs feed per-shard
@@ -280,9 +279,18 @@ type Decision struct {
 type Policy interface {
 	Name() string
 	Decide(e *Engine, q trace.Query, nowMS float64) Decision
-	// Observe feeds back the client latency of a completed query, for
-	// adaptive policies (epoch-based aggregation). Others ignore it.
-	Observe(latencyMS float64)
+}
+
+// observer is the optional half of a Policy: an adaptive policy
+// (epoch-based aggregation) hears the client latency of every query it
+// decided, cache hits included.
+type observer interface{ Observe(latencyMS float64) }
+
+// observe feeds a finished query's latency to p if p adapts to it.
+func observe(p Policy, latencyMS float64) {
+	if o, ok := p.(observer); ok {
+		o.Observe(latencyMS)
+	}
 }
 
 // Outcome is one query's result under a policy.
@@ -435,7 +443,7 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 			root.SetAttr("cache", "hit")
 			root.End(vtUS(ev.Query.ArrivalMS + out.LatencyMS))
 			e.FinishQuery(e.hists, tb, out.LatencyMS, 0, false, false)
-			p.Observe(out.LatencyMS)
+			observe(p, out.LatencyMS)
 			return out
 		}
 	}
@@ -515,43 +523,33 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 			// is policy, not predictor error.
 			l.Pred = LegPred{OK: true, LatencyMS: rep.PredServiceMS, HasK: rep.HasK}
 		}
-		switch {
-		case exec.Failed:
-			l.Status = LegFailed
-		case exec.Dropped:
-			l.Status = LegSevered
-		case exec.Shed:
-			// Overloaded node: an immediate rejection, not silence — the
-			// aggregator hears back after one hop and moves on.
-			l.Status = LegShed
-		case exec.CorruptReject:
-			// Every replica bounced on integrity grounds: a typed rejection
-			// after one hop, and not one corrupted posting in the merge.
-			l.Status = LegCorrupt
-		case exec.Completed:
-			l.Status, l.Hits, l.DocsScored = LegAnswered, ev.PerShard[si].Hits, ev.PerShard[si].Stats.DocsScored
+		l.Status = exec.Status
+		switch l.Status {
+		case cluster.LegAnswered:
+			l.Hits, l.DocsScored = ev.PerShard[si].Hits, ev.PerShard[si].Stats.DocsScored
 			if e.Scaler != nil {
 				e.Scaler.RecordService(exec.Shard, exec.ServiceMS)
 			}
-		case e.Anytime && exec.WorkFrac > 0:
-			// Budget miss, anytime mode: the node spent WorkFrac of the
-			// full service before the deadline. Replay the anytime
-			// traversal against that fraction of the query's measured
-			// cycle cost (virtual time — deterministic, no wall clock).
-			budget := exec.WorkFrac * e.Cluster.Cost.Cycles(ev.PerShard[si].Stats)
-			r := search.Anytime(e.Shards[si], ev.Query.Terms, e.K, func(st search.ExecStats) bool {
-				return e.Cluster.Cost.Cycles(st) > budget
-			})
-			l.Status, l.Hits, l.DocsScored, l.ScoreBound = LegTruncated, r.Hits, r.Stats.DocsScored, r.ScoreBound
-		default:
-			l.Status, l.DocsScored = LegDropped, ev.PerShard[si].Stats.DocsScored
+		case cluster.LegDropped:
+			l.DocsScored = ev.PerShard[si].Stats.DocsScored
+			if e.Anytime && exec.WorkFrac > 0 {
+				// Budget miss, anytime mode: the node spent WorkFrac of the
+				// full service before the deadline. Replay the anytime
+				// traversal against that fraction of the query's measured
+				// cycle cost (virtual time — deterministic, no wall clock).
+				budget := exec.WorkFrac * e.Cluster.Cost.Cycles(ev.PerShard[si].Stats)
+				r := search.Anytime(e.Shards[si], ev.Query.Terms, e.K, func(st search.ExecStats) bool {
+					return e.Cluster.Cost.Cycles(st) > budget
+				})
+				l.Status, l.Hits, l.DocsScored, l.ScoreBound = cluster.LegTruncated, r.Hits, r.Stats.DocsScored, r.ScoreBound
+			}
 		}
 		switch l.Status {
-		case LegFailed, LegSevered:
+		case cluster.LegFailed, cluster.LegSevered:
 			// The whole replica group is lost (dead shard, or every
 			// failover attempt crashed/dropped): no answer is coming.
 			aggDone = max(aggDone, giveup+e.Cluster.Net.AggToISNMS)
-		case LegDropped:
+		case cluster.LegDropped:
 			// The aggregator waits out the budget on a straggler.
 			aggDone = max(aggDone, deadline+e.Cluster.Net.AggToISNMS)
 		default:
@@ -571,10 +569,7 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 		e.traceQuery(tb, root, d, arrive, dispatch, aggDone, legs)
 	}
 	e.FinishQuery(e.hists, tb, out.LatencyMS, d.BudgetMS, false, out.Degraded())
-	if e.SLO != nil {
-		e.SLO.ObservePower(e.Cluster.AveragePowerWatts())
-	}
-	p.Observe(out.LatencyMS)
+	observe(p, out.LatencyMS)
 	return out
 }
 

@@ -205,8 +205,6 @@ func (p policyFunc) Name() string { return p.name }
 func (p policyFunc) Decide(e *Engine, q trace.Query, now float64) Decision {
 	return p.decide(e, q, now)
 }
-func (policyFunc) Observe(float64) {}
-
 func TestNoParticipantsYieldsZeroQuality(t *testing.T) {
 	e, qs := smallEngine(t)
 	evs := e.EvaluateAll(qs[:5])

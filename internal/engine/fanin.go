@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 
+	"cottage/internal/cluster"
 	"cottage/internal/obs"
 	"cottage/internal/obs/anatomy"
 	"cottage/internal/obs/slo"
@@ -17,20 +18,6 @@ import (
 // Leg per shard; Gather files, merges and scores the legs, and
 // Telemetry.FinishQuery reports the query.
 
-// LegStatus is how one shard's search leg ended. The statuses before
-// LegFailed reached a node that ran or bounced the request.
-type LegStatus uint8
-
-const (
-	LegAnswered  LegStatus = iota // complete hits
-	LegTruncated                  // anytime leg cut at the budget: exact but partial hits
-	LegDropped                    // missed the budget with nothing to show
-	LegCorrupt                    // every replica bounced it on integrity grounds
-	LegFailed                     // no reply: a dead group, or every attempt errored
-	LegSevered                    // the node ran it, but a dropped connection lost the reply
-	LegShed                       // rejected by admission control
-)
-
 // Leg is one shard's search leg, whichever transport ran it.
 type Leg struct {
 	Shard int
@@ -38,11 +25,11 @@ type Leg struct {
 	// the serving client live (the replica selector's per-copy signal),
 	// the shard in the twin (its replicas share documents and hardware).
 	Client     int
-	Replica    int // the serving copy's row in the shard's replica group
-	Failovers  int // sibling attempts lost before the one that ended the leg
-	Status     LegStatus
-	ScoreBound float64      // LegTruncated: no unseen document scores above it
-	Hits       []search.Hit // merged when LegAnswered or LegTruncated
+	Replica    int               // the serving copy's row in the shard's replica group
+	Failovers  int               // sibling attempts lost before the one that ended the leg
+	Status     cluster.LegStatus // how the leg ended; the twin's Execution reports the same
+	ScoreBound float64           // LegTruncated: no unseen document scores above it
+	Hits       []search.Hit      // merged when LegAnswered or LegTruncated
 	// Truth is the shard's exhaustive top K where the caller knows it
 	// (the twin). Quality is scored on it instead of Hits, so a leg cut
 	// or dropped at the budget is judged on what its shard holds.
@@ -98,32 +85,32 @@ func Gather(k int, legs []Leg, rec *obs.DecisionRecord, acc *obs.Accuracy, ref m
 		l := &legs[i]
 		out.Failovers += l.Failovers
 		out.DocsSearched += l.DocsScored
-		if l.Status < LegCorrupt {
+		if l.Status < cluster.LegCorrupt {
 			out.ActiveISNs++
 		}
 		if f != nil {
 			f.Selected = append(f.Selected, l.Shard)
 		}
 		switch l.Status {
-		case LegAnswered:
+		case cluster.LegAnswered:
 			lists = append(lists, l.Hits)
-		case LegTruncated:
+		case cluster.LegTruncated:
 			lists = append(lists, l.Hits)
 			out.TruncatedISNs++
 			rec.MarkTruncated(l.Shard, l.ScoreBound)
 			if f != nil {
 				f.Truncated = append(f.Truncated, l.Shard)
 			}
-		case LegDropped:
+		case cluster.LegDropped:
 			out.DroppedISNs++
-		case LegCorrupt:
+		case cluster.LegCorrupt:
 			out.CorruptISNs++
-		case LegFailed, LegSevered:
+		case cluster.LegFailed, cluster.LegSevered:
 			out.FailedISNs++
 			if f != nil {
 				f.Failed = append(f.Failed, l.Shard)
 			}
-		case LegShed:
+		case cluster.LegShed:
 			out.ShedISNs++
 		}
 	}
@@ -133,10 +120,10 @@ func Gather(k int, legs []Leg, rec *obs.DecisionRecord, acc *obs.Accuracy, ref m
 	hits := search.Merge(k, lists...)
 	for i := range legs {
 		l := &legs[i]
-		if acc == nil || !l.Pred.OK || l.Status >= LegFailed {
+		if acc == nil || !l.Pred.OK || l.Status >= cluster.LegFailed {
 			continue
 		}
-		if l.Status == LegAnswered {
+		if l.Status == cluster.LegAnswered {
 			acc.ObserveLatency(l.Client, l.Pred.LatencyMS, l.ActualMS)
 		}
 		if ref == nil {
@@ -190,20 +177,20 @@ func (l *Leg) Annotate(sp *obs.ActiveSpan) {
 		sp.SetAttr("failover_ms", fmtMS(l.FailoverMS))
 	}
 	switch l.Status {
-	case LegFailed:
+	case cluster.LegFailed:
 		sp.SetAttr("failed", "true")
-	case LegSevered:
+	case cluster.LegSevered:
 		sp.SetAttr("conn_dropped", "true")
-	case LegShed:
+	case cluster.LegShed:
 		sp.SetAttr("shed", "true")
 	default:
 		sp.SetAttr("queue_ms", fmtMS(l.QueueMS))
 		sp.SetAttr("service_ms", fmtMS(l.ServiceMS))
 		switch l.Status {
-		case LegTruncated:
+		case cluster.LegTruncated:
 			sp.SetAttr("truncated", "true")
 			sp.SetAttr("score_bound", fmtMS(l.ScoreBound))
-		case LegDropped, LegCorrupt:
+		case cluster.LegDropped, cluster.LegCorrupt:
 			sp.SetAttr("dropped", "true")
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cottage/internal/cluster"
 	"cottage/internal/obs"
 	"cottage/internal/obs/slo"
 	"cottage/internal/search"
@@ -18,18 +19,18 @@ import (
 // query reads as degraded to the SLO monitor.
 func TestGatherFilesEachStatus(t *testing.T) {
 	cases := []struct {
-		status                    LegStatus
+		status                    cluster.LegStatus
 		merged, active, lat, qual bool
 		failed, truncated         bool
 		count                     func(*Outcome) int // the status's own counter; nil for answered
 	}{
-		{LegAnswered, true, true, true, true, false, false, nil},
-		{LegTruncated, true, true, false, true, false, true, func(o *Outcome) int { return o.TruncatedISNs }},
-		{LegDropped, false, true, false, true, false, false, func(o *Outcome) int { return o.DroppedISNs }},
-		{LegCorrupt, false, false, false, true, false, false, func(o *Outcome) int { return o.CorruptISNs }},
-		{LegFailed, false, false, false, false, true, false, func(o *Outcome) int { return o.FailedISNs }},
-		{LegSevered, false, false, false, false, true, false, func(o *Outcome) int { return o.FailedISNs }},
-		{LegShed, false, false, false, false, false, false, func(o *Outcome) int { return o.ShedISNs }},
+		{cluster.LegAnswered, true, true, true, true, false, false, nil},
+		{cluster.LegTruncated, true, true, false, true, false, true, func(o *Outcome) int { return o.TruncatedISNs }},
+		{cluster.LegDropped, false, true, false, true, false, false, func(o *Outcome) int { return o.DroppedISNs }},
+		{cluster.LegCorrupt, false, false, false, true, false, false, func(o *Outcome) int { return o.CorruptISNs }},
+		{cluster.LegFailed, false, false, false, false, true, false, func(o *Outcome) int { return o.FailedISNs }},
+		{cluster.LegSevered, false, false, false, false, true, false, func(o *Outcome) int { return o.FailedISNs }},
+		{cluster.LegShed, false, false, false, false, false, false, func(o *Outcome) int { return o.ShedISNs }},
 	}
 	for _, tc := range cases {
 		const shard = 3
@@ -63,7 +64,7 @@ func TestGatherFilesEachStatus(t *testing.T) {
 		if out.Failovers != 1 || out.DocsSearched != 7 {
 			t.Errorf("status %d: %d failovers, %d docs searched, want 1 and 7", tc.status, out.Failovers, out.DocsSearched)
 		}
-		if got := out.Degraded(); got != (tc.status != LegAnswered) {
+		if got := out.Degraded(); got != (tc.status != cluster.LegAnswered) {
 			t.Errorf("status %d: degraded %v", tc.status, got)
 		}
 		a := acc.Snapshot()[shard]
@@ -87,11 +88,11 @@ func TestGatherFilesEachStatus(t *testing.T) {
 // without an accuracy tracker nothing is scored.
 func TestGatherMergesInLegOrder(t *testing.T) {
 	legs := []Leg{
-		{Shard: 5, Status: LegFailed},
-		{Shard: 0, Status: LegAnswered, Hits: []search.Hit{{Doc: 1, Score: 5}, {Doc: 2, Score: 1}}},
-		{Shard: 2, Status: LegTruncated, Hits: []search.Hit{{Doc: 3, Score: 4}}},
-		{Shard: 4, Status: LegDropped, Hits: []search.Hit{{Doc: 9, Score: 9}}},
-		{Shard: 3, Client: 1, Status: LegDropped, Pred: LegPred{OK: true, HasK: true},
+		{Shard: 5, Status: cluster.LegFailed},
+		{Shard: 0, Status: cluster.LegAnswered, Hits: []search.Hit{{Doc: 1, Score: 5}, {Doc: 2, Score: 1}}},
+		{Shard: 2, Status: cluster.LegTruncated, Hits: []search.Hit{{Doc: 3, Score: 4}}},
+		{Shard: 4, Status: cluster.LegDropped, Hits: []search.Hit{{Doc: 9, Score: 9}}},
+		{Shard: 3, Client: 1, Status: cluster.LegDropped, Pred: LegPred{OK: true, HasK: true},
 			Truth: []search.Hit{{Doc: 8, Score: 2}}},
 	}
 	f := Filing{Failed: []int{6}}

@@ -33,9 +33,6 @@ func (p FixedBudget) Decide(e *engine.Engine, _ trace.Query, _ float64) engine.D
 	return engine.Decision{Participate: part, BudgetMS: p.BudgetMS}
 }
 
-// Observe implements engine.Policy.
-func (FixedBudget) Observe(float64) {}
-
 // AnytimeBudgets is the deadline ladder the anytime sweep replays, in
 // ms. The quick-scale exhaustive latency distribution (Fig. 2a) puts
 // most shard services under 10 ms, so the low rungs force real budget

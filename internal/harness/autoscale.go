@@ -215,9 +215,6 @@ func (p predictiveAll) Decide(e *engine.Engine, q trace.Query, nowMS float64) en
 	return d
 }
 
-// Observe implements engine.Policy.
-func (predictiveAll) Observe(float64) {}
-
 // hedgingRow is one hedging mode's outcome.
 type hedgingRow struct {
 	label     string

@@ -26,8 +26,9 @@ func Example() {
 	if _, err := net.Train(xs, ys, nn.DefaultTrainConfig(200)); err != nil {
 		panic(err)
 	}
-	fmt.Println("class of -3.3:", net.Classify([]float64{-3.3}))
-	fmt.Println("class of +7.1:", net.Classify([]float64{7.1}))
+	p := net.NewPredictor()
+	fmt.Println("class of -3.3:", p.Classify([]float64{-3.3}))
+	fmt.Println("class of +7.1:", p.Classify([]float64{7.1}))
 	// Output:
 	// class of -3.3: 0
 	// class of +7.1: 1

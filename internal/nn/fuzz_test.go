@@ -37,10 +37,11 @@ func FuzzDecode(f *testing.F) {
 		for i := range x {
 			x[i] = float64(i) - 1.5
 		}
-		if probs := n.Forward(x); len(probs) != n.Cfg.NumClasses {
+		p := n.NewPredictor()
+		if probs := p.Probs(x); len(probs) != n.Cfg.NumClasses {
 			t.Fatalf("forward pass gave %d probabilities for %d classes", len(probs), n.Cfg.NumClasses)
 		}
-		if c := n.NewPredictor().Classify(x); c < 0 || c >= n.Cfg.NumClasses {
+		if c := p.Classify(x); c < 0 || c >= n.Cfg.NumClasses {
 			t.Fatalf("class %d outside [0,%d)", c, n.Cfg.NumClasses)
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"cottage/internal/race"
 	"cottage/internal/xrand"
 )
 
@@ -261,23 +260,31 @@ func TestAdamBulkMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestForwardBatchMatchesForward: dataset evaluation (evalBatches, over
+// more rows than one chunk) visits every sample once, in order, with a
+// probability row bit-equal to the single-sample Predictor.Probs.
 func TestForwardBatchMatchesForward(t *testing.T) {
-	xs, ys := spiralData(40, 88)
+	xs, ys := spiralData(150, 88)
 	n := New(Config{InputDim: 2, Hidden: []int{16, 16}, NumClasses: 2, Seed: 3})
 	if _, err := n.Train(xs, ys, DefaultTrainConfig(30)); err != nil {
 		t.Fatal(err)
 	}
-	batch := n.ForwardBatch(xs)
-	if len(batch) != len(xs) {
-		t.Fatalf("ForwardBatch returned %d rows, want %d", len(batch), len(xs))
-	}
-	for i, x := range xs {
-		want := n.Forward(x)
+	p := n.NewPredictor()
+	next := 0
+	n.evalBatches(xs, func(i int, probs []float64) {
+		if i != next {
+			t.Fatalf("evalBatches visited sample %d, want %d", i, next)
+		}
+		next++
+		want := p.Probs(xs[i])
 		for c := range want {
-			if batch[i][c] != want[c] {
-				t.Fatalf("sample %d class %d: batch %v, forward %v", i, c, batch[i][c], want[c])
+			if probs[c] != want[c] {
+				t.Fatalf("sample %d class %d: batch %v, predictor %v", i, c, probs[c], want[c])
 			}
 		}
+	})
+	if next != len(xs) {
+		t.Fatalf("evalBatches visited %d of %d samples", next, len(xs))
 	}
 }
 
@@ -331,17 +338,5 @@ func TestPredictorProbsZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = p.Classify(x) }); allocs != 0 {
 		t.Errorf("Predictor.Classify allocates %v per run, want 0", allocs)
-	}
-}
-
-func TestNetworkClassifyZeroAllocSteadyState(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race runtime randomly drops sync.Pool items; pooled paths allocate")
-	}
-	n := New(FastConfig(15, 24, 1))
-	x := make([]float64, 15)
-	_ = n.Classify(x) // warm the scratch pool
-	if allocs := testing.AllocsPerRun(100, func() { _ = n.Classify(x) }); allocs != 0 {
-		t.Errorf("Network.Classify allocates %v per run, want 0", allocs)
 	}
 }

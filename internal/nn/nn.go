@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"cottage/internal/xrand"
 )
@@ -64,11 +63,12 @@ type layer struct {
 	B       []float64
 }
 
-// Network is a feed-forward classifier. It is safe for concurrent
-// inference after training completes; Train must not run concurrently
-// with anything else. Code that mutates Layers directly (fine-tuning,
-// perturbation tests) must call Rebuild afterwards so the inference
-// kernels see the new weights.
+// Network is a feed-forward classifier. Inference runs through a
+// Predictor, whose scratch belongs to one goroutine: concurrent callers
+// each take their own from NewPredictor and share the trained weights
+// read-only. Train must not run concurrently with anything else. Code
+// that mutates Layers directly (fine-tuning, perturbation tests) must
+// call Rebuild afterwards so the inference kernels see the new weights.
 type Network struct {
 	Cfg    Config
 	Layers []layer
@@ -78,9 +78,6 @@ type Network struct {
 	// column-lane inference kernels read (see kernels_amd64.s). Rebuilt
 	// whenever the weights settle: New, Train, Decode, Rebuild.
 	wt [][]float64
-	// pool recycles forward scratch across Forward/Classify calls so the
-	// convenience entry points are pool-backed rather than allocating.
-	pool sync.Pool
 }
 
 // New builds a network with He-initialized weights (appropriate for ReLU).
@@ -153,13 +150,6 @@ func (n *Network) newScratch() *scratch {
 	return s
 }
 
-func (n *Network) getScratch() *scratch {
-	if sc, _ := n.pool.Get().(*scratch); sc != nil {
-		return sc
-	}
-	return n.newScratch()
-}
-
 // forwardZ runs the network up to the output layer's pre-activations and
 // returns them (aliasing sc's last zs slice). Each hidden layer is one
 // dense kernel call that writes both z and its ReLU; the zero activations
@@ -192,28 +182,6 @@ func (n *Network) forward(x []float64, sc *scratch) []float64 {
 	return out
 }
 
-// Forward returns class probabilities for x in a fresh slice. Scratch
-// comes from the network's pool, so the only steady-state allocation is
-// the result; fully allocation-free callers use a Predictor.
-func (n *Network) Forward(x []float64) []float64 {
-	sc := n.getScratch()
-	probs := n.forward(x, sc)
-	out := make([]float64, len(probs))
-	copy(out, probs)
-	n.pool.Put(sc)
-	return out
-}
-
-// Classify returns the argmax class for x. It skips the softmax — exp is
-// strictly increasing, so the logits' argmax is the probabilities' argmax
-// — and is allocation-free at steady state.
-func (n *Network) Classify(x []float64) int {
-	sc := n.getScratch()
-	c := argmax(n.forwardZ(x, sc))
-	n.pool.Put(sc)
-	return c
-}
-
 // Predictor wraps a trained network with reusable scratch space for
 // allocation-free single-threaded inference. Each goroutine needs its own
 // Predictor.
@@ -233,22 +201,10 @@ func (p *Predictor) Probs(x []float64) []float64 {
 	return p.net.forward(x, p.sc)
 }
 
-// Classify returns the argmax class for x, skipping the softmax (see
-// Network.Classify).
+// Classify returns the argmax class for x. It skips the softmax — exp is
+// strictly increasing, so the logits' argmax is the probabilities' argmax.
 func (p *Predictor) Classify(x []float64) int {
 	return argmax(p.net.forwardZ(x, p.sc))
-}
-
-// Expected returns the probability-weighted mean of class indices — useful
-// when classes encode ordered bins (latency bins), where the expectation is
-// a smoother estimate than the argmax.
-func (p *Predictor) Expected(x []float64) float64 {
-	probs := p.Probs(x)
-	e := 0.0
-	for c, pr := range probs {
-		e += float64(c) * pr
-	}
-	return e
 }
 
 // batchScratch holds flat row-major activations for a mini-batch forward
@@ -299,28 +255,6 @@ func (n *Network) loadBatchRow(dst, x []float64) {
 	} else {
 		copy(dst, x)
 	}
-}
-
-// ForwardBatch returns class probabilities for every sample in xs using
-// one batched pass per layer. Results match per-sample Forward calls bit
-// for bit; the returned rows are views into a single fresh allocation.
-func (n *Network) ForwardBatch(xs [][]float64) [][]float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	d, c := n.Cfg.InputDim, n.Cfg.NumClasses
-	bs := n.newBatchScratch(len(xs))
-	for r, x := range xs {
-		n.loadBatchRow(bs.acts[0][r*d:(r+1)*d], x)
-	}
-	n.forwardBatch(bs, len(xs))
-	flat := make([]float64, len(xs)*c)
-	copy(flat, bs.acts[len(n.Layers)])
-	out := make([][]float64, len(xs))
-	for r := range out {
-		out[r] = flat[r*c : (r+1)*c : (r+1)*c]
-	}
-	return out
 }
 
 // evalChunk bounds batch-scratch size for whole-dataset evaluation.
@@ -606,15 +540,6 @@ func (n *Network) backprop(x []float64, y int, sc *scratch, g *gradients) float6
 		delta = next
 	}
 	return loss
-}
-
-// Loss returns the mean cross-entropy of the dataset.
-func (n *Network) Loss(xs [][]float64, ys []int) float64 {
-	total := 0.0
-	n.evalBatches(xs, func(i int, probs []float64) {
-		total += -math.Log(math.Max(probs[ys[i]], 1e-12))
-	})
-	return total / float64(len(xs))
 }
 
 // Accuracy returns the exact-class accuracy over the dataset.

@@ -60,14 +60,14 @@ func TestNewPanics(t *testing.T) {
 }
 
 func TestForwardIsDistribution(t *testing.T) {
-	n := New(Config{InputDim: 5, Hidden: []int{16}, NumClasses: 4, Seed: 2})
+	p := New(Config{InputDim: 5, Hidden: []int{16}, NumClasses: 4, Seed: 2}).NewPredictor()
 	rng := xrand.New(3)
 	for trial := 0; trial < 50; trial++ {
 		x := make([]float64, 5)
 		for i := range x {
 			x[i] = rng.NormFloat64() * 10
 		}
-		probs := n.Forward(x)
+		probs := p.Probs(x)
 		sum := 0.0
 		for _, p := range probs {
 			if p < 0 || p > 1 || math.IsNaN(p) {
@@ -180,33 +180,29 @@ func TestAccuracyWithin(t *testing.T) {
 	}
 }
 
+// TestPredictorMatchesForward: two predictors on one network give the
+// same forward pass bit for bit, whatever the other ran last (each owns
+// its scratch), and Classify, which skips the softmax, is the argmax of
+// Probs.
 func TestPredictorMatchesForward(t *testing.T) {
 	xs, ys := spiralData(100, 44)
 	n := New(Config{InputDim: 2, Hidden: []int{8}, NumClasses: 2, Seed: 9})
 	if _, err := n.Train(xs, ys, DefaultTrainConfig(50)); err != nil {
 		t.Fatal(err)
 	}
-	p := n.NewPredictor()
+	p, q := n.NewPredictor(), n.NewPredictor()
 	for i := 0; i < 20; i++ {
-		want := n.Forward(xs[i])
-		got := p.Probs(xs[i])
+		q.Probs(xs[len(xs)-1-i])
+		want := append([]float64(nil), p.Probs(xs[i])...)
+		got := q.Probs(xs[i])
 		for c := range want {
-			if math.Abs(want[c]-got[c]) > 1e-12 {
-				t.Fatalf("predictor diverges from Forward at sample %d", i)
+			if want[c] != got[c] {
+				t.Fatalf("predictors diverge at sample %d class %d: %v vs %v", i, c, want[c], got[c])
 			}
 		}
-		if p.Classify(xs[i]) != n.Classify(xs[i]) {
-			t.Fatal("Classify mismatch")
+		if p.Classify(xs[i]) != argmax(want) {
+			t.Fatalf("sample %d: Classify %d, argmax of Probs %d", i, p.Classify(xs[i]), argmax(want))
 		}
-	}
-}
-
-func TestExpectedValue(t *testing.T) {
-	n := New(Config{InputDim: 1, Hidden: []int{4}, NumClasses: 3, Seed: 1})
-	p := n.NewPredictor()
-	e := p.Expected([]float64{0.5})
-	if e < 0 || e > 2 {
-		t.Errorf("Expected = %v outside class range", e)
 	}
 }
 
@@ -224,9 +220,10 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pa, pb := n.NewPredictor(), got.NewPredictor()
 	for i := 0; i < 20; i++ {
-		a := n.Forward(xs[i])
-		b := got.Forward(xs[i])
+		a := pa.Probs(xs[i])
+		b := pb.Probs(xs[i])
 		for c := range a {
 			if a[c] != b[c] {
 				t.Fatal("round trip changed outputs")
@@ -399,9 +396,10 @@ func TestGradientCheck(t *testing.T) {
 	g.zero()
 	n.backprop(x, y, sc, g)
 
+	p := n.NewPredictor()
 	loss := func() float64 {
 		n.Rebuild() // the perturbation loop below edits Layers directly
-		probs := n.Forward(x)
+		probs := p.Probs(x)
 		return -math.Log(probs[y])
 	}
 	const h = 1e-6

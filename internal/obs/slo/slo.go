@@ -358,19 +358,15 @@ func Handler(m *Monitor) http.Handler {
 }
 
 // QuerySLO bundles the per-query objectives a serving path feeds: the
-// latency target, a quality objective (the P@10 proxy — a query
-// degraded by failed or truncated shards spends quality budget), and a
-// power-cap objective for the twin. All methods are nil-safe, so call
-// sites need no SLO-enabled branching.
+// latency target and a quality objective (the P@10 proxy — a query
+// degraded by failed or truncated shards spends quality budget). All
+// methods are nil-safe, so call sites need no SLO-enabled branching.
 type QuerySLO struct {
 	// LatencyMS is the per-query latency target backing Latency.
 	LatencyMS float64
-	// PowerCapW is the fleet power cap backing Power.
-	PowerCapW float64
 
 	Latency *Objective
 	Quality *Objective
-	Power   *Objective
 }
 
 // ObserveQuery feeds one completed query: its end-to-end latency and
@@ -386,12 +382,4 @@ func (q *QuerySLO) ObserveQuery(latencyMS float64, degraded bool) {
 	if q.Quality != nil {
 		q.Quality.Observe(!degraded)
 	}
-}
-
-// ObservePower feeds a fleet power sample against the cap.
-func (q *QuerySLO) ObservePower(watts float64) {
-	if q == nil || q.Power == nil {
-		return
-	}
-	q.Power.Observe(watts <= q.PowerCapW)
 }

@@ -204,25 +204,20 @@ func TestSLOHandler(t *testing.T) {
 func TestQuerySLO(t *testing.T) {
 	var q *QuerySLO
 	q.ObserveQuery(1, false) // nil-safe
-	q.ObservePower(1)
 
 	c := &clock{}
 	m := newTestMonitor(c)
 	q = &QuerySLO{
 		LatencyMS: 10,
-		PowerCapW: 100,
 		Latency:   m.Objective("latency", 0.1),
 		Quality:   m.Objective("quality", 0.1),
-		Power:     m.Objective("power", 0.1),
 	}
-	q.ObserveQuery(5, false)  // fast, intact
-	q.ObserveQuery(50, true)  // slow, degraded
-	q.ObservePower(90)        // under cap
-	q.ObservePower(150)       // over cap
+	q.ObserveQuery(5, false) // fast, intact
+	q.ObserveQuery(50, true) // slow, degraded
 	for _, tc := range []struct {
 		o    *Objective
 		want float64
-	}{{q.Latency, 5}, {q.Quality, 5}, {q.Power, 5}} {
+	}{{q.Latency, 5}, {q.Quality, 5}} {
 		if fast, _ := tc.o.Burn(); fast != tc.want {
 			t.Errorf("%s fast burn = %v, want %v", tc.o.Name(), fast, tc.want)
 		}

@@ -55,9 +55,9 @@ type Aggregator struct {
 	// Overload rejections never trip a breaker: a shedding ISN is busy,
 	// not dead.
 	Breakers []*overload.Breaker
-	// Groups, when set (EnableReplicaGroups), maps each logical shard to
-	// the client indices of its replicas. nil means the unreplicated
-	// layout: client i is shard i's only copy.
+	// Groups maps each logical shard to the client indices of its
+	// replicas. NewAggregator makes client i shard i's only copy;
+	// EnableReplicaGroups replaces the groups.
 	Groups [][]int
 	// Telemetry's traces also graft the ISN-side serve spans in.
 	engine.Telemetry
@@ -76,8 +76,6 @@ type Aggregator struct {
 	qOnce            sync.Once
 	quarantine       *integrity.Ledger // coordinator-side quarantine (lazy; see quarantine.go)
 	legs             legPool           // parked goroutines the per-shard legs run on
-	soloOnce         sync.Once
-	solo             []int // 0..len(Clients)-1: the unreplicated layout's one-member groups
 	memoOnce         sync.Once
 	memo             *predMemo // remembered predictions (lazy; see predmemo.go)
 
@@ -174,13 +172,21 @@ func (a *Aggregator) observeBreaker(i int, err error) {
 	}
 }
 
-// NewAggregator wires an aggregator over dialed clients.
+// NewAggregator wires an aggregator over dialed clients, one shard per
+// client: an unreplicated fleet is a set of singleton replica groups.
 func NewAggregator(clients []*Client, k int) *Aggregator {
+	ids := make([]int, len(clients))
+	groups := make([][]int, len(clients))
+	for i := range ids {
+		ids[i] = i
+		groups[i] = ids[i : i+1 : i+1]
+	}
 	return &Aggregator{
 		Clients: clients,
 		K:       k,
 		Ladder:  cluster.DefaultLadder(),
 		Params:  core.Params{DropZeroProb: 0.8, K2ZeroProb: 0.95},
+		Groups:  groups,
 	}
 }
 
@@ -265,7 +271,7 @@ func (a *Aggregator) searchHedged(l *engine.Leg, isn int, sc obs.SpanContext, te
 	l.Hedged, l.HedgeWaitMS = false, 0
 	primary := a.Clients[isn]
 	if hedgeAfter < 0 || primary.Addr() == "" {
-		return a.clientSearch(primary, sc, terms, deadline)
+		return primary.searchCall(sc, terms, a.K, deadline, a.Anytime)
 	}
 	type outcome struct {
 		r     search.Result
@@ -275,7 +281,7 @@ func (a *Aggregator) searchHedged(l *engine.Leg, isn int, sc obs.SpanContext, te
 	}
 	ch := make(chan outcome, 2) // buffered: abandoned legs must not leak
 	go func() {
-		r, spans, err := a.clientSearch(primary, sc, terms, deadline)
+		r, spans, err := primary.searchCall(sc, terms, a.K, deadline, a.Anytime)
 		ch <- outcome{r, spans, err, false}
 	}()
 
@@ -297,7 +303,7 @@ func (a *Aggregator) searchHedged(l *engine.Leg, isn int, sc obs.SpanContext, te
 			l.Hedged = true
 			inflight++
 			go func() {
-				r, spans, err := a.clientSearch(hc, sc, terms, deadline)
+				r, spans, err := hc.searchCall(sc, terms, a.K, deadline, a.Anytime)
 				ch <- outcome{r, spans, err, true}
 			}()
 		}
@@ -330,15 +336,6 @@ func (a *Aggregator) searchHedged(l *engine.Leg, isn int, sc obs.SpanContext, te
 		l.HedgeWaitMS = float64(hedgeAfter.Microseconds()) / 1000
 	}
 	return first.r, first.spans, first.err
-}
-
-// clientSearch issues one search round trip on c, anytime-flagged when
-// the aggregator is in anytime mode.
-func (a *Aggregator) clientSearch(c *Client, sc obs.SpanContext, terms []string, deadline time.Duration) (search.Result, []obs.Span, error) {
-	if a.Anytime {
-		return c.SearchAnytime(sc, terms, a.K, deadline)
-	}
-	return c.SearchSpan(sc, terms, a.K, deadline)
 }
 
 // finishQuery is every exit's last step, whatever the query came to:
@@ -400,34 +397,76 @@ func (q *fanout) round(n int, fn func(*fanout, int)) {
 // replica group answers one leg: the best live replica first, siblings
 // on failover. Only a group-wide failure (every breaker open, every
 // replica erroring) leaves the shard a missing prediction for
-// degraded-mode Algorithm 1.
+// degraded-mode Algorithm 1. An answer is remembered only if the
+// serving client's epoch held still across the round trip: one that
+// cannot be pinned to one epoch is used for this query alone.
 func (q *fanout) predictLeg(li int) {
 	a, s := q.a, q.ask[li]
-	pl := a.predictShard(s, q.tb, q.parent, q.terms)
-	if pl.err != nil {
-		q.preds[s].err = pl.err
-		return
-	}
-	q.preds[s] = a.predSlotFor(s, pl.pred, pl.row, pl.load)
-	if pl.epoch != 0 {
-		q.fresh[s] = memoSlot{pred: pl.pred, client: pl.client, epoch: pl.epoch}
+	err := q.failover(s, "predict.isn", &a.failoversPredict, 0, func(sp *obs.ActiveSpan, ci, row, sent int, _ time.Duration) error {
+		sp.SetISN(s)
+		sp.SetAttr("replica", strconv.Itoa(row))
+		if sent > 0 {
+			sp.SetAttr("failover", strconv.Itoa(sent))
+		}
+		c := a.Clients[ci]
+		epoch := c.epoch.Load()
+		p, load, spans, err := c.PredictLoadSpan(sp.Context(), q.terms)
+		if err != nil {
+			return err
+		}
+		q.graft(s, spans)
+		sp.End(nowUS())
+		q.preds[s] = a.predSlotFor(s, p, row, load)
+		if c.epoch.Load() == epoch {
+			q.fresh[s] = memoSlot{pred: p, client: ci, epoch: epoch}
+		}
+		return nil
+	})
+	if err != nil {
+		q.preds[s].err = fmt.Errorf("shard %d predict: %w", s, err)
 	}
 }
 
 // searchLeg runs leg li's search into its slot, failing over within
-// the shard's replica group before giving up. Predictive hedging reads
-// the shard's queue-corrected latency prediction: a leg already
-// expected to straggle gets its duplicate at dispatch, the rest are
-// never hedged.
+// the shard's replica group before giving up; each attempt may itself
+// hedge (searchHedged). Predictive hedging reads the shard's
+// queue-corrected latency prediction: a leg already expected to
+// straggle gets its duplicate at dispatch, the rest are never hedged.
+// Each abandoned attempt keeps a span of its own; the answering one is
+// written by Leg.Annotate.
 func (q *fanout) searchLeg(li int) {
-	l := &q.legs[li]
+	a, l := q.a, &q.legs[li]
 	l.Shard = li
 	if q.selected != nil {
 		l.Shard = q.selected[li].ISN
 		p := &q.preds[l.Shard]
 		l.Pred = engine.LegPred{OK: p.ok, LatencyMS: p.report.LCurrent, HasK: p.report.HasK}
 	}
-	q.a.searchShard(l, q.tb, q.parent, q.terms, q.deadline, q.a.hedgeFor(l.Pred.LatencyMS, l.Pred.OK))
+	s, hedge := l.Shard, a.hedgeFor(l.Pred.LatencyMS, l.Pred.OK)
+	err := q.failover(s, "search.isn", &a.failoversSearch, q.deadline, func(sp *obs.ActiveSpan, ci, row, sent int, remaining time.Duration) error {
+		start := time.Now()
+		r, spans, err := a.searchHedged(l, ci, sp.Context(), q.terms, remaining, hedge)
+		if err != nil {
+			lost := engine.Leg{Shard: s, Replica: row, Failovers: sent, Status: cluster.LegFailed}
+			lost.Annotate(sp)
+			return err
+		}
+		q.graft(s, spans)
+		l.Client, l.Replica, l.Failovers = ci, row, sent
+		l.Hits = r.Hits
+		if r.Terminated {
+			l.Status, l.ScoreBound = cluster.LegTruncated, r.ScoreBound
+		}
+		l.QueueMS, l.ServiceMS = serveSplit(spans, sp.ID())
+		l.Annotate(sp)
+		sp.End(nowUS())
+		l.ActualMS = float64(time.Since(start).Microseconds()) / 1000
+		a.tracker.Observe(ci, l.ActualMS)
+		return nil
+	})
+	if err != nil {
+		l.Status, l.Client, l.Err = cluster.LegFailed, -1, fmt.Errorf("shard %d: %w", s, err)
+	}
 }
 
 // searchRound is steps 5–7 of both protocols: n search legs under the

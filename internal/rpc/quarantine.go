@@ -32,11 +32,8 @@ func (a *Aggregator) quarantineLedger() *integrity.Ledger {
 func (a *Aggregator) IntegrityLedger() *integrity.Ledger { return a.quarantineLedger() }
 
 // shardOf maps a client index back to its logical shard (the client's
-// replica-group row key; identity on unreplicated fleets).
+// replica-group row key).
 func (a *Aggregator) shardOf(ci int) int {
-	if a.Groups == nil {
-		return ci
-	}
 	for s, g := range a.Groups {
 		for _, m := range g {
 			if m == ci {

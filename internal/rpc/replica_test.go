@@ -8,6 +8,7 @@ import (
 
 	"cottage/internal/faults"
 	"cottage/internal/index"
+	"cottage/internal/obs"
 	"cottage/internal/overload"
 	"cottage/internal/predict"
 )
@@ -16,7 +17,8 @@ import (
 // clients[r*shards+s] is shard s's replica r, each replica pair serving
 // the same index) and returns the dialed clients plus per-client stop
 // functions. The injector ISN is the client index, so plans target one
-// replica, not one shard.
+// replica, not one shard. Each replica row past the first serves a copy
+// of preds[s]: a predictor's inference scratch belongs to one server.
 func replicatedFleet(t *testing.T, shards []*index.Shard, preds []*predict.ISNPredictor, r int, in *faults.Injector) (clients []*Client, stops []func()) {
 	t.Helper()
 	n := len(shards) * r
@@ -28,6 +30,9 @@ func replicatedFleet(t *testing.T, shards []*index.Shard, preds []*predict.ISNPr
 			var p *predict.ISNPredictor
 			if preds != nil {
 				p = preds[s]
+				if row > 0 {
+					p = clonePredictor(t, p)
+				}
 			}
 			addr, stop := startFaultyServer(t, shards[s], p, in, ci)
 			stops[ci] = stop
@@ -113,6 +118,53 @@ func TestReplicaGroupFailover(t *testing.T) {
 	if len(part.Hits) == 0 {
 		t.Fatal("surviving shard contributed nothing")
 	}
+}
+
+// TestReplicaGroupPredictFailover: the prediction leg fails over inside
+// a replica group as the search leg does. With shard 0's first-ranked
+// replica severing every stream, a Cottage query still hears shard 0's
+// prediction, from the sibling, and Algorithm 1's record says so.
+func TestReplicaGroupPredictFailover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains predictors")
+	}
+	shards, fleet, qs := distributedFixture(t)
+	in := faults.NewInjector(23)
+	clients, _ := replicatedFleet(t, shards, fleet.Predictors, 2, in)
+	agg := NewAggregator(clients, 10)
+	agg.Obs = obs.NewObserver(len(clients), 16)
+	if err := agg.EnableReplicaGroups(rowGroups(len(shards), 2)); err != nil {
+		t.Fatal(err)
+	}
+	terms := selectingQuery(t, agg, qs, 0)
+	if st := agg.Stats(); st.FailoversPredict != 0 {
+		t.Fatalf("healthy fleet burned predict failovers: %+v", st)
+	}
+
+	ranked := agg.rankShard(0)
+	in.SetPlan(ranked[0], faults.Plan{DropProb: 1})
+	res := mustCottage(t, agg, terms)
+	if len(res.Failed) != 0 {
+		t.Fatalf("failover did not absorb a single-replica fault: Failed=%v", res.Failed)
+	}
+	if st := agg.Stats(); st.FailoversPredict == 0 {
+		t.Fatalf("prediction served past a dead replica without a failover: %+v", st)
+	}
+	want := agg.replicaRow(0, ranked[1])
+	for _, tr := range agg.Obs.Traces.Recent(0) {
+		if tr.ID != res.TraceID {
+			continue
+		}
+		r := tr.Find("budget").Decision.Report(0)
+		if r == nil {
+			t.Fatal("no report for shard 0 in the decision record")
+		}
+		if r.Replica != want {
+			t.Fatalf("shard 0 predicted by replica row %d, want the sibling's row %d", r.Replica, want)
+		}
+		return
+	}
+	t.Fatalf("no trace %#x", res.TraceID)
 }
 
 // TestProbeKeepsBreakerIdentity pins the prober/breaker interplay for

@@ -11,6 +11,7 @@ import (
 	"cottage/internal/index"
 	"cottage/internal/predict"
 	"cottage/internal/qcache"
+	"cottage/internal/race"
 	"cottage/internal/search"
 	"cottage/internal/trace"
 )
@@ -53,12 +54,17 @@ func roundTripFixture(tb testing.TB) (*Client, []string) {
 // the server runs in it). The client side allocates nothing; the
 // constants are what the server has to own: for a ping its Response, for
 // a predict that plus the decoded terms (a []string and the one string
-// backing them). The predictor itself allocates nothing per call.
+// backing them). The predictor itself allocates nothing per call. The
+// query ceilings are whole queries over the four-ISN fixture, as
+// measured when they were set: a Cottage query whose predictions are
+// all remembered, and an exhaustive one. Every search leg's failover
+// loop runs inside them.
 func TestRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains predictors")
 	}
 	const pingAllocs, predictAllocs = 1, 3
+	const cottageHitAllocs, exhaustiveAllocs = 22, 31
 	c, terms := roundTripFixture(t)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
@@ -68,6 +74,23 @@ func TestRoundTripAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, func() { _, _, _ = c.PredictLoad(terms) }); got > predictAllocs {
 		t.Errorf("PredictLoad round trip: %v allocs, want <= %d", got, predictAllocs)
+	}
+
+	if race.Enabled {
+		return // a query's pooled buffers allocate when the race runtime drops Pool.Put items
+	}
+	agg, queries := cottageFixture(t)
+	terms = queries[0]
+	mustCottage(t, agg, terms)
+	if got := testing.AllocsPerRun(100, func() { mustCottage(t, agg, terms) }); got > cottageHitAllocs {
+		t.Errorf("memo-hit SearchCottage: %v allocs, want <= %d", got, cottageHitAllocs)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := agg.SearchExhaustive(terms); err != nil {
+			t.Fatal(err)
+		}
+	}); got > exhaustiveAllocs {
+		t.Errorf("SearchExhaustive: %v allocs, want <= %d", got, exhaustiveAllocs)
 	}
 }
 
