@@ -65,14 +65,18 @@ fuzz-smoke:
 # ns/op acceptance bars), on one twin replay under Cottage (internal/core,
 # the work twin_qps times), and on a live Cottage query with and without
 # its predictions remembered (internal/rpc, loopback fixture; the pair
-# asserts it really timed hits and misses); keeps check fast while
-# catching gross regressions. End-to-end numbers come from the
+# asserts it really timed hits and misses), and on the build path: one
+# quick-scale setup (internal/harness: corpus, parallel shard builds,
+# training) and one corpus synthesis (internal/textgen); keeps check fast
+# while catching gross regressions. End-to-end numbers come from the
 # socket-level benchmark (bench/run.sh, BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig7QualityPredictor|Fig9BudgetDetermination' \
 		-benchmem -benchtime 1x -timeout 10m .
 	$(GO) test -run '^$$' -bench 'RunCottage' -benchmem -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'SearchCottageMemo' -benchmem -benchtime 200x ./internal/rpc
+	$(GO) test -run '^$$' -bench '^BenchmarkQuickBuild$$' -benchmem -benchtime 1x ./internal/harness
+	$(GO) test -run '^$$' -bench '^BenchmarkGenerate$$' -benchmem -benchtime 1x ./internal/textgen
 
 # Regenerate the checked-in fuzz seed corpus after wire-format changes.
 corpus:

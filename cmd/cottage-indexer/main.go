@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"cottage/internal/cluster"
+	"cottage/internal/engine"
 	"cottage/internal/index"
 	"cottage/internal/obs"
 	"cottage/internal/predict"
@@ -89,19 +90,9 @@ func main() {
 		cfg.Seed = *seed
 		corpus = textgen.Generate(cfg)
 		alloc := corpus.AllocateTopical(*nshard, max(1, *nshard/5), 0.15, *seed)
-		shards = make([]*index.Shard, len(alloc))
-		for si, ids := range alloc {
-			b := index.NewBuilder(si, index.DefaultBM25(), *k)
-			for _, id := range ids {
-				d := &corpus.Docs[id]
-				terms := make(map[string]int, len(d.Terms))
-				for tid, tf := range d.Terms {
-					terms[corpus.Vocab[tid]] = tf
-				}
-				b.Add(int64(id), terms, d.Length)
-			}
-			shards[si] = b.Finalize()
-		}
+		ecfg := engine.DefaultConfig()
+		ecfg.K = *k
+		shards = engine.BuildFromAllocation(corpus, alloc, ecfg)
 	}
 
 	for _, s := range shards {

@@ -123,20 +123,23 @@ func DefaultConfig() Config {
 // for; see textgen.AllocateTopical).
 func BuildShards(corpus *textgen.Corpus, cfg Config, homeShards int, spill float64, seed uint64) []*index.Shard {
 	alloc := corpus.AllocateTopical(cfg.NumShards, homeShards, spill, seed)
-	return buildFromAllocation(corpus, alloc, cfg)
+	return BuildFromAllocation(corpus, alloc, cfg)
 }
 
 // BuildShardsRoundRobin indexes with source-order allocation, for
 // contrast experiments.
 func BuildShardsRoundRobin(corpus *textgen.Corpus, cfg Config) []*index.Shard {
-	return buildFromAllocation(corpus, corpus.AllocateRoundRobin(cfg.NumShards), cfg)
+	return BuildFromAllocation(corpus, corpus.AllocateRoundRobin(cfg.NumShards), cfg)
 }
 
-func buildFromAllocation(corpus *textgen.Corpus, alloc [][]int, cfg Config) []*index.Shard {
+// BuildFromAllocation indexes alloc[si]'s documents of corpus into shard
+// si, in the order listed, building the shards in parallel. The shards
+// are the same bytes whatever the number of cores.
+func BuildFromAllocation(corpus *textgen.Corpus, alloc [][]int, cfg Config) []*index.Shard {
 	shards := make([]*index.Shard, len(alloc))
-	for si, docIDs := range alloc {
+	par.For(len(alloc), func(si int) {
 		b := index.NewBuilder(si, cfg.BM25, cfg.K)
-		for _, id := range docIDs {
+		for _, id := range alloc[si] {
 			d := &corpus.Docs[id]
 			terms := make(map[string]int, len(d.Terms))
 			for tid, tf := range d.Terms {
@@ -145,7 +148,7 @@ func buildFromAllocation(corpus *textgen.Corpus, alloc [][]int, cfg Config) []*i
 			b.Add(int64(id), terms, d.Length)
 		}
 		shards[si] = b.Finalize()
-	}
+	})
 	return shards
 }
 

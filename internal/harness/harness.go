@@ -12,7 +12,6 @@ import (
 	"cottage/internal/baselines"
 	"cottage/internal/core"
 	"cottage/internal/engine"
-	"cottage/internal/index"
 	"cottage/internal/par"
 	"cottage/internal/predict"
 	"cottage/internal/textgen"
@@ -100,21 +99,7 @@ func Build(cfg SetupConfig) (*Setup, error) {
 	s.Corpus = textgen.Generate(cfg.CorpusCfg)
 	s.Alloc = s.Corpus.AllocateTopical(cfg.EngineCfg.NumShards, cfg.HomeShards, cfg.Spill, cfg.AllocSeed)
 
-	// Shards build independently; fan out across CPUs (bounded — a
-	// goroutine per shard on a large fleet just thrashes the scheduler).
-	shards := make([]*index.Shard, len(s.Alloc))
-	par.For(len(s.Alloc), func(si int) {
-		b := index.NewBuilder(si, cfg.EngineCfg.BM25, cfg.EngineCfg.K)
-		for _, id := range s.Alloc[si] {
-			d := &s.Corpus.Docs[id]
-			terms := make(map[string]int, len(d.Terms))
-			for tid, tf := range d.Terms {
-				terms[s.Corpus.Vocab[tid]] = tf
-			}
-			b.Add(int64(id), terms, d.Length)
-		}
-		shards[si] = b.Finalize()
-	})
+	shards := engine.BuildFromAllocation(s.Corpus, s.Alloc, cfg.EngineCfg)
 	s.Engine = engine.New(shards, cfg.EngineCfg)
 
 	// The three traces are independently seeded reads of the corpus;

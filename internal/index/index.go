@@ -13,6 +13,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"cottage/internal/par"
 )
 
 // Posting is one (document, term-frequency) pair. Doc is a shard-local
@@ -198,6 +200,7 @@ func (s *Shard) NormTableBytes() int { return 8 * len(s.norms) }
 
 // Builder accumulates documents and produces an immutable Shard. It is not
 // safe for concurrent use; build shards in parallel with one Builder each.
+// Finalize itself spreads its per-term work over every core.
 type Builder struct {
 	shardID  int
 	bm25     BM25Params
@@ -267,7 +270,10 @@ func (b *Builder) AddText(globalID int64, text string) {
 // Terms are numbered in lexical order, not in the order Add first met
 // them: Add ranges over a map, so first-seen order (and with it the
 // encoded shard) would differ from one build of the same documents to
-// the next.
+// the next. After the numbering, the terms' statistics, packed postings
+// and block bounds are computed under par.For over fixed chunks of term
+// IDs, each chunk writing only its own terms, so the shard is the same
+// bytes on any number of cores.
 func (b *Builder) Finalize() *Shard {
 	if b.sealed {
 		panic("index: Finalize called twice")
@@ -290,19 +296,31 @@ func (b *Builder) Finalize() *Shard {
 	}
 	s.buildNorms()
 	slices.Sort(b.terms)
+	postings := make([][]Posting, len(b.terms))
 	for id, text := range b.terms {
-		ps := b.postings[b.dict[text]]
+		postings[id] = b.postings[b.dict[text]]
 		b.dict[text] = int32(id)
-		ti := &s.Terms[id]
-		ti.Text = text
-		var scores []float64
-		ti.Stats, scores = computeTermStats(s, ps, b.statsK)
-		ti.Packed, ti.Blocks = packPostings(ps)
-		fillBlockBounds(ti.Blocks, scores)
+		s.Terms[id].Text = text
 	}
+	chunks := (len(postings) + finalizeChunk - 1) / finalizeChunk
+	par.For(chunks, func(c int) {
+		var buf statsScratch
+		for id := c * finalizeChunk; id < min((c+1)*finalizeChunk, len(postings)); id++ {
+			ps, ti := postings[id], &s.Terms[id]
+			var scores []float64
+			ti.Stats, scores = computeTermStats(s, ps, b.statsK, &buf)
+			ti.Packed, ti.Blocks = packPostings(ps)
+			fillBlockBounds(ti.Blocks, scores)
+		}
+	})
 	s.SealIntegrity()
 	return s
 }
+
+// finalizeChunk is how many consecutive term IDs one Finalize worker
+// takes at a time: enough to amortize its scratch buffers, few enough
+// that the Zipfian spread of list lengths evens out across workers.
+const finalizeChunk = 256
 
 // Tokenize lower-cases text and splits it into maximal runs of letters and
 // digits. It is intentionally simple — the experiments use a synthetic

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"cottage/internal/textgen"
 	"cottage/internal/xrand"
 )
 
@@ -346,15 +347,31 @@ func TestZeroTFIgnored(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func BenchmarkFinalize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buildTestShard(b)
+	}
+}
+
+// BenchmarkFinalizeCorpus times Finalize alone on one shard of 20 000
+// documents of the synthetic corpus (24 000-term vocabulary, Zipfian list
+// lengths), the shape the experiments and the benchmark fleets build.
+func BenchmarkFinalizeCorpus(b *testing.B) {
+	cfg := textgen.DefaultConfig()
+	cfg.NumDocs = 20000
+	corpus := textgen.Generate(cfg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bld := NewBuilder(0, DefaultBM25(), 10)
+		for _, d := range corpus.Docs {
+			terms := make(map[string]int, len(d.Terms))
+			for tid, tf := range d.Terms {
+				terms[corpus.Vocab[tid]] = tf
+			}
+			bld.Add(int64(d.ID), terms, d.Length)
+		}
+		b.StartTimer()
+		bld.Finalize()
 	}
 }

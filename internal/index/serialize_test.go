@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -171,19 +170,5 @@ func TestLoadFileRejectsCorruptFile(t *testing.T) {
 	}
 	if _, err := LoadFile(path); err == nil {
 		t.Fatal("corrupt file loaded successfully")
-	}
-}
-
-// floatMinHeap.Pop exists only to satisfy heap.Interface (heapInsertions
-// uses Fix, never Pop); keep it honest anyway.
-func TestFloatMinHeapPop(t *testing.T) {
-	h := &floatMinHeap{}
-	heap.Push(h, 3.0)
-	heap.Push(h, 1.0)
-	heap.Push(h, 2.0)
-	for i, want := range []float64{1, 2, 3} {
-		if got := heap.Pop(h).(float64); got != want {
-			t.Fatalf("pop %d = %v, want %v", i, got, want)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -46,16 +45,25 @@ type TermStats struct {
 	EstMaxScore        float64 // cheap upper-bound approximation of MaxScore
 }
 
+// statsScratch is computeTermStats's reusable working space: the score
+// list, its sorted copy and the radix sort's keys. Finalize keeps one per
+// goroutine, so a term's statistics allocate nothing once it has grown.
+type statsScratch struct {
+	scores, sorted []float64
+	keys, tmp      []uint64
+}
+
 // computeTermStats evaluates the term's score over every posting (exactly
 // what the indexing phase of the paper does) and summarizes. It runs on
 // the builder's flat postings, before they are packed; the materialized
 // per-posting scores are returned alongside the statistics so Finalize
-// can build the block-max overlay from the same values.
-func computeTermStats(s *Shard, ps []Posting, k int) (TermStats, []float64) {
+// can build the block-max overlay from the same values. They live in buf
+// and are valid until buf's next use.
+func computeTermStats(s *Shard, ps []Posting, k int, buf *statsScratch) (TermStats, []float64) {
 	df := len(ps)
 	idf := math.Log(1 + (float64(s.NumDocs)-float64(df)+0.5)/(float64(df)+0.5))
 
-	scores := make([]float64, df)
+	scores := grow(&buf.scores, df)
 	maxTF := uint32(0)
 	for i, p := range ps {
 		scores[i] = s.score(idf, p)
@@ -72,9 +80,9 @@ func computeTermStats(s *Shard, ps []Posting, k int) (TermStats, []float64) {
 	}
 	st.SumScore, st.SumScore2 = sum, sum2
 
-	sorted := make([]float64, df)
+	sorted := grow(&buf.sorted, df)
 	copy(sorted, scores)
-	sort.Float64s(sorted)
+	sortScores(sorted, buf)
 	st.MinScore = sorted[0]
 	st.MaxScore = sorted[df-1]
 	st.Q1 = stats.PercentileSorted(sorted, 25)
@@ -85,8 +93,7 @@ func computeTermStats(s *Shard, ps []Posting, k int) (TermStats, []float64) {
 	if st.Variance < 0 {
 		st.Variance = 0 // numerical noise on constant score lists
 	}
-	st.GeoMean = stats.GeometricMean(sorted)
-	st.HarmMean = stats.HarmonicMean(sorted)
+	st.GeoMean, st.HarmMean = sortedMeans(sorted)
 
 	// K-th highest score (the full K-th if the list is long enough,
 	// otherwise the smallest score — everything is "in the top-K").
@@ -139,35 +146,141 @@ func computeTermStats(s *Shard, ps []Posting, k int) (TermStats, []float64) {
 
 // heapInsertions counts how many scores would enter a size-k min-heap when
 // scanned in order — the number of top-K churn events a DAAT evaluator
-// experiences for this term alone.
+// experiences for this term alone. The heap is inlined as in the
+// evaluator's top-K: container/heap would box every push.
 func heapInsertions(scores []float64, k int) int {
-	h := &floatMinHeap{}
+	h := make([]float64, 0, k)
 	inserts := 0
 	for _, sc := range scores {
-		if h.Len() < k {
-			heap.Push(h, sc)
+		if len(h) < k {
+			h = append(h, sc)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if h[i] >= h[p] {
+					break
+				}
+				h[i], h[p] = h[p], h[i]
+				i = p
+			}
 			inserts++
-		} else if sc > (*h)[0] {
-			(*h)[0] = sc
-			heap.Fix(h, 0)
+		} else if sc > h[0] {
+			h[0] = sc
+			for i := 0; ; {
+				m := 2*i + 1
+				if m >= len(h) {
+					break
+				}
+				if r := m + 1; r < len(h) && h[r] < h[m] {
+					m = r
+				}
+				if h[m] >= h[i] {
+					break
+				}
+				h[i], h[m] = h[m], h[i]
+				i = m
+			}
 			inserts++
 		}
 	}
 	return inserts
 }
 
-type floatMinHeap []float64
+// sortedMeans returns stats.GeometricMean and stats.HarmonicMean of an
+// ascending slice in one pass. It makes the same additions in the same
+// order, but takes the log and the reciprocal once per run of equal
+// values: a term's scores repeat heavily, because a score depends only
+// on the posting's tf and its document's length.
+func sortedMeans(sorted []float64) (geo, harm float64) {
+	logSum, invSum, n := 0.0, 0.0, 0
+	for i := 0; i < len(sorted); {
+		x := sorted[i]
+		j := i + 1
+		for j < len(sorted) && sorted[j] == x {
+			j++
+		}
+		if x > 0 {
+			lx, ix := math.Log(x), 1/x
+			n += j - i
+			for ; i < j; i++ {
+				logSum += lx
+				invSum += ix
+			}
+		}
+		i = j
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	geo = math.Exp(logSum / float64(n))
+	if invSum != 0 {
+		harm = float64(n) / invSum
+	}
+	return geo, harm
+}
 
-func (h floatMinHeap) Len() int            { return len(h) }
-func (h floatMinHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h floatMinHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *floatMinHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *floatMinHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// radixCutover is the list length from which sortScores radix-sorts.
+// The radix sort's eight passes cost about as much as sort.Float64s near
+// 512 scores and half as much from 4096 on.
+const radixCutover = 1024
+
+// sortScores sorts xs ascending in place. It leaves exactly the slice
+// sort.Float64s leaves whenever xs holds no NaN and no negative zero —
+// the values whose place among equals sort.Float64s does not fix — and
+// BM25 scores are positive. Long lists are LSD-radix-sorted on the
+// order-preserving uint64 image of the float bits: flip the sign bit of
+// a non-negative value, every bit of a negative one.
+func sortScores(xs []float64, buf *statsScratch) {
+	if len(xs) < radixCutover {
+		sort.Float64s(xs)
+		return
+	}
+	keys, tmp := grow(&buf.keys, len(xs)), grow(&buf.tmp, len(xs))
+	var counts [8][256]uint32
+	for i, x := range xs {
+		k := math.Float64bits(x)
+		k ^= uint64(int64(k)>>63) | 1<<63
+		keys[i] = k
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	for d := range counts {
+		c, shift := &counts[d], uint(8*d)
+		if int(c[byte(keys[0]>>shift)]) == len(keys) {
+			continue // every key has this digit: the pass would not move one
+		}
+		sum := uint32(0)
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			b := byte(k >> shift)
+			tmp[c[b]] = k
+			c[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	for i, k := range keys {
+		if k>>63 != 0 {
+			k ^= 1 << 63
+		} else {
+			k = ^k
+		}
+		xs[i] = math.Float64frombits(k)
+	}
+}
+
+// grow returns (*buf)[:n], reallocating *buf first if it is too short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // Scores materializes the BM25 score of every posting of ti, in document

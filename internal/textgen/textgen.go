@@ -127,15 +127,33 @@ func Generate(cfg Config) *Corpus {
 	}
 	topicPicker := xrand.NewZipf(docRng, 0.7, cfg.NumTopics)
 
+	// Each document's tokens are counted in counts (indexed by term ID,
+	// all zero between documents) and the IDs it touched are listed, so
+	// its Terms map is made at its final size with one insert per
+	// distinct term. A second goroutine builds the maps, a chunk of
+	// documents at a time; the random stream stays on this one, in
+	// document order.
+	counts := make([]int32, cfg.VocabSize)
+	var usedTopical []int
 	c.Docs = make([]Document, cfg.NumDocs)
+	// Three chunks circulate: one being filled, one being turned into
+	// maps and one queued between the two. Both channels can hold all
+	// three, so no send blocks.
+	const chunks = 3
+	full, free, done := make(chan *termChunk, chunks), make(chan *termChunk, chunks), make(chan struct{})
+	for range chunks {
+		free <- new(termChunk)
+	}
+	go buildTermMaps(c.Docs, full, free, done)
+	ch := <-free
 	for i := range c.Docs {
 		topic := topicPicker.Draw()
 		length := int(docRng.LogNormal(logOfMean(cfg.MeanDocLen, cfg.DocLenSigma), cfg.DocLenSigma))
 		if length < 8 {
 			length = 8
 		}
-		terms := make(map[int]int)
-		var usedTopical []int
+		usedTopical = usedTopical[:0]
+		start := len(ch.ids)
 		for tok := 0; tok < length; tok++ {
 			var term int
 			if docRng.Float64() < cfg.TopicMixture {
@@ -150,11 +168,60 @@ func Generate(cfg Config) *Corpus {
 			} else {
 				term = background.Draw()
 			}
-			terms[term]++
+			if counts[term] == 0 {
+				ch.ids = append(ch.ids, term)
+			}
+			counts[term]++
 		}
-		c.Docs[i] = Document{ID: i, Topic: topic, Length: length, Terms: terms}
+		for _, term := range ch.ids[start:] {
+			ch.tfs = append(ch.tfs, counts[term])
+			counts[term] = 0
+		}
+		ch.ends = append(ch.ends, len(ch.ids))
+		c.Docs[i] = Document{ID: i, Topic: topic, Length: length}
+		if len(ch.ends) == chunkDocs || i == len(c.Docs)-1 {
+			full <- ch
+			ch = <-free
+			ch.first, ch.ends, ch.ids, ch.tfs = i+1, ch.ends[:0], ch.ids[:0], ch.tfs[:0]
+		}
 	}
+	close(full)
+	<-done
 	return c
+}
+
+// chunkDocs is how many documents' term counts Generate hands to the
+// map-building goroutine at once.
+const chunkDocs = 512
+
+// termChunk is the term counts of consecutive documents, the first of
+// which is docs[first]: document first+j counted tfs[k] occurrences of
+// term ids[k] for k in [ends[j-1], ends[j]) (from 0 for j = 0).
+type termChunk struct {
+	first int
+	ends  []int
+	ids   []int
+	tfs   []int32
+}
+
+// buildTermMaps fills the Terms map of every document in each chunk
+// received on full, returns the chunk on free, and closes done once full
+// is closed. It writes only the Terms field of documents the generating
+// goroutine has finished with.
+func buildTermMaps(docs []Document, full <-chan *termChunk, free chan<- *termChunk, done chan<- struct{}) {
+	for ch := range full {
+		start := 0
+		for j, end := range ch.ends {
+			terms := make(map[int]int, end-start)
+			for k := start; k < end; k++ {
+				terms[ch.ids[k]] = int(ch.tfs[k])
+			}
+			docs[ch.first+j].Terms = terms
+			start = end
+		}
+		free <- ch
+	}
+	close(done)
 }
 
 // logOfMean converts a desired arithmetic mean of a log-normal into the

@@ -1,6 +1,10 @@
 package textgen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"slices"
 	"testing"
 )
 
@@ -29,6 +33,53 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.Vocab[i] != b.Vocab[i] {
 			t.Fatalf("vocab term %d differs", i)
 		}
+	}
+}
+
+// corpusDigest hashes everything Generate produces: the vocabulary, each
+// topic's term list, and every document's ID, topic, length and (term, tf)
+// pairs in term order (Terms is a map, so its iteration order is not).
+func corpusDigest(c *Corpus) string {
+	h := sha256.New()
+	put := func(vs ...int) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+	}
+	put(len(c.Vocab))
+	for _, w := range c.Vocab {
+		put(len(w))
+		h.Write([]byte(w))
+	}
+	put(len(c.TopicTerms))
+	for _, terms := range c.TopicTerms {
+		put(len(terms))
+		put(terms...)
+	}
+	put(len(c.Docs))
+	for _, d := range c.Docs {
+		put(d.ID, d.Topic, d.Length, len(d.Terms))
+		ids := make([]int, 0, len(d.Terms))
+		for id := range d.Terms {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			put(id, d.Terms[id])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateGolden pins the corpus bit for bit: every figure, trace and
+// shard downstream is a function of it, so a faster generator must draw
+// the same documents.
+func TestGenerateGolden(t *testing.T) {
+	const want = "e179ca3ba1e46a66e835865110887da8777acd3c5e46528f06ede28042b5f906"
+	if got := corpusDigest(Generate(smallConfig())); got != want {
+		t.Fatalf("corpus digest = %s, want %s", got, want)
 	}
 }
 

@@ -175,10 +175,18 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 }
 
 // Zipf draws integers from [0, n) with P(k) proportional to 1/(k+1)^s.
-// It precomputes the CDF once, so draws are O(log n).
+// It precomputes the CDF once, plus a guide table that narrows each
+// draw's binary search to the few ranks whose CDF entries straddle the
+// uniform variate, so draws cost O(1) on average.
+//
+// The guide makes no draw differ from a plain binary search over the
+// whole CDF: guide[b] is the first rank whose CDF entry is >= b/nb, with
+// nb a power of two, so b = int(u*nb) is exact and the first entry >= u
+// lies in [guide[b], guide[b+1]].
 type Zipf struct {
-	rng *RNG
-	cdf []float64
+	rng   *RNG
+	cdf   []float64
+	guide []int32 // len nb+1
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
@@ -195,14 +203,31 @@ func NewZipf(rng *RNG, s float64, n int) *Zipf {
 	for k := range cdf {
 		cdf[k] /= sum
 	}
-	return &Zipf{rng: rng, cdf: cdf}
+	nb := 1
+	for nb < n {
+		nb *= 2
+	}
+	guide := make([]int32, nb+1)
+	k := 0
+	for b := range guide {
+		for k < n-1 && cdf[k] < float64(b)/float64(nb) {
+			k++
+		}
+		guide[b] = int32(k)
+	}
+	return &Zipf{rng: rng, cdf: cdf, guide: guide}
 }
 
 // Draw returns the next rank.
 func (z *Zipf) Draw() int {
-	u := z.rng.Float64()
-	// Binary search for the first CDF entry >= u.
-	lo, hi := 0, len(z.cdf)-1
+	return z.rank(z.rng.Float64())
+}
+
+// rank returns the first rank whose CDF entry is >= u, or the last rank
+// if there is none, for u in [0, 1).
+func (z *Zipf) rank(u float64) int {
+	b := int(u * float64(len(z.guide)-1))
+	lo, hi := int(z.guide[b]), int(z.guide[b+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

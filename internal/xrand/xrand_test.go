@@ -223,6 +223,68 @@ func TestZipfDistribution(t *testing.T) {
 	}
 }
 
+// searchCDF is the plain binary search for the first CDF entry >= u (the
+// last rank if none is), over the whole table.
+func searchCDF(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfDrawMatchesSearch: the guided draw returns the rank the plain
+// binary search returns, for the same uniform variate, over a stream of
+// draws and at every guide bucket's edges.
+func TestZipfDrawMatchesSearch(t *testing.T) {
+	draws := 1 << 20
+	if testing.Short() {
+		draws = 1 << 14
+	}
+	for _, n := range []int{1, 2, 3, 400, 9000, 24000} {
+		for _, s := range []float64{0.7, 0.9, 1.05} {
+			z := NewZipf(New(uint64(n)), s, n)
+			ref := New(uint64(n))
+			for i := 0; i < draws; i++ {
+				got, want := z.Draw(), searchCDF(z.cdf, ref.Float64())
+				if got != want {
+					t.Fatalf("n=%d s=%v draw %d: rank %d, want %d", n, s, i, got, want)
+				}
+			}
+			nb := len(z.guide) - 1
+			if nb < n || nb&(nb-1) != 0 {
+				t.Fatalf("n=%d: guide has %d buckets, want the next power of two", n, nb)
+			}
+			for b := 0; b < nb; b++ {
+				edge := float64(b) / float64(nb)
+				for _, u := range []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, 1)} {
+					if u < 0 || u >= 1 {
+						continue
+					}
+					if got, want := z.rank(u), searchCDF(z.cdf, u); got != want {
+						t.Fatalf("n=%d s=%v u=%v: rank %d, want %d", n, s, u, got, want)
+					}
+				}
+			}
+			for _, e := range z.cdf {
+				for _, u := range []float64{e, math.Nextafter(e, 0), math.Nextafter(e, 1)} {
+					if u < 0 || u >= 1 {
+						continue
+					}
+					if got, want := z.rank(u), searchCDF(z.cdf, u); got != want {
+						t.Fatalf("n=%d s=%v u=%v: rank %d, want %d", n, s, u, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestZipfN(t *testing.T) {
 	z := NewZipf(New(1), 1.2, 42)
 	if z.N() != 42 {
