@@ -62,8 +62,9 @@ fuzz-smoke:
 	$(GO) test ./internal/predict/ -run '^$$' -fuzz FuzzDecodeISNPredictor -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Quick perf sanity on the two predictor hot paths (the ones with hard
-# ns/op acceptance bars), on one twin replay under Cottage (internal/core,
-# the work twin_qps times), and on a live Cottage query with and without
+# ns/op acceptance bars), on one twin replay under Cottage and one under
+# exhaustive search (internal/core, the work twin_qps times) and one
+# replayed query (internal/engine), and on a live Cottage query with and without
 # its predictions remembered (internal/rpc, loopback fixture; the pair
 # asserts it really timed hits and misses), and on the build path: one
 # quick-scale setup (internal/harness: corpus, parallel shard builds,
@@ -73,7 +74,8 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig7QualityPredictor|Fig9BudgetDetermination' \
 		-benchmem -benchtime 1x -timeout 10m .
-	$(GO) test -run '^$$' -bench 'RunCottage' -benchmem -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'RunCottage|RunExhaustive' -benchmem -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkRunQuery$$' -benchmem -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'SearchCottageMemo' -benchmem -benchtime 200x ./internal/rpc
 	$(GO) test -run '^$$' -bench '^BenchmarkQuickBuild$$' -benchmem -benchtime 1x ./internal/harness
 	$(GO) test -run '^$$' -bench '^BenchmarkGenerate$$' -benchmem -benchtime 1x ./internal/textgen

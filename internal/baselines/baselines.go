@@ -12,9 +12,10 @@ import (
 	"cottage/internal/trace"
 )
 
-// allOf returns a participation vector selecting every shard.
-func allOf(n int) []bool {
-	p := make([]bool, n)
+// allOf returns a participation vector selecting every shard, in e's
+// decision storage (engine.DecisionBuffers).
+func allOf(e *engine.Engine) []bool {
+	p := e.DecisionBuffers().Participate
 	for i := range p {
 		p[i] = true
 	}
@@ -31,7 +32,7 @@ func (Exhaustive) Name() string { return "exhaustive" }
 // Decide implements engine.Policy.
 func (Exhaustive) Decide(e *engine.Engine, _ trace.Query, _ float64) engine.Decision {
 	return engine.Decision{
-		Participate: allOf(len(e.Shards)),
+		Participate: allOf(e),
 		BudgetMS:    math.Inf(1),
 	}
 }
@@ -67,7 +68,7 @@ func (*Aggregation) Name() string { return "aggregation" }
 // Decide implements engine.Policy.
 func (a *Aggregation) Decide(e *engine.Engine, _ trace.Query, _ float64) engine.Decision {
 	return engine.Decision{
-		Participate: allOf(len(e.Shards)),
+		Participate: allOf(e),
 		BudgetMS:    a.budget,
 	}
 }

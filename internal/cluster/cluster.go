@@ -247,8 +247,13 @@ type Cluster struct {
 	// a probe interval — while drop and slow stay per-request surprises
 	// that only mid-query failover can absorb.
 	Faults *faults.Injector
-	// topo is the shard × replica layout (R=1 when unconfigured).
-	topo replica.Topology
+	// topo is the shard × replica layout (R=1 when unconfigured), and
+	// groups[s] is shard s's replica group in it, built once.
+	topo   replica.Topology
+	groups [][]int
+	// rankCands and rankOrder are rankShard's scratch.
+	rankCands []replica.Candidate
+	rankOrder []int
 	// FailTimeoutMS is the aggregator's failure-detection timeout: how
 	// long it waits for an ISN that will never answer before giving up,
 	// when no tighter per-query budget applies (budgeted queries give up
@@ -377,6 +382,9 @@ func New(cfg Config) *Cluster {
 		dynamic:       cfg.DynamicMachines,
 		topo:          replica.Topology{Shards: cfg.NumISNs, R: r},
 	}
+	c.groups = c.topo.Groups()
+	c.rankCands = make([]replica.Candidate, r)
+	c.rankOrder = make([]int, 0, r)
 	if c.dynamic {
 		// The idle floor is integrated per replica row (IdleWatts is the
 		// per-row package floor; a row is Shards nodes).
@@ -441,7 +449,7 @@ func (c *Cluster) nodeDead(node int) bool {
 // ShardFailed reports whether a shard has lost every replica — only then
 // does the aggregator have to fall back to degraded Algorithm 1.
 func (c *Cluster) ShardFailed(shard int) bool {
-	for _, n := range c.topo.Group(shard) {
+	for _, n := range c.groups[shard] {
 		if !c.nodeDead(n) {
 			return false
 		}
@@ -465,7 +473,7 @@ func (c *Cluster) FailedShardCount() int {
 // first (empty when the whole group is down).
 func (c *Cluster) LiveReplicas(shard int) []int {
 	var live []int
-	for _, n := range c.topo.Group(shard) {
+	for _, n := range c.groups[shard] {
 		if !c.nodeDead(n) {
 			live = append(live, n)
 		}
@@ -477,10 +485,24 @@ func (c *Cluster) LiveReplicas(shard int) []int {
 // selector rule. In the twin every transport signal is perfect, so the
 // ranking reduces to: live replicas by current queue delay, ties by id —
 // the same join-the-shortest-queue choice a live aggregator converges to
-// once its EWMA warms up.
+// once its EWMA warms up. The order is the cluster's scratch, valid until
+// the next rankShard: every caller is done with it before ranking again.
 func (c *Cluster) rankShard(shard int, tMS float64) []int {
-	group := c.topo.Group(shard)
-	cands := make([]replica.Candidate, len(group))
+	group := c.groups[shard]
+	if len(group) == 1 {
+		// A sole replica has nothing to be ordered against (the live
+		// Aggregator.rankShard takes the same shortcut); only the
+		// selector's exclusions apply. Its integrity sync still runs:
+		// routing is what advances the quarantine state machine.
+		n := group[0]
+		c.syncIntegrity(n, tMS)
+		if c.nodeDead(n) || !c.ISNs[n].active || c.ISNs[n].quarantined {
+			return c.rankOrder[:0]
+		}
+		c.rankOrder = append(c.rankOrder[:0], n)
+		return c.rankOrder
+	}
+	cands := c.rankCands[:len(group)]
 	for i, n := range group {
 		c.syncIntegrity(n, tMS)
 		cands[i] = replica.Candidate{
@@ -494,7 +516,8 @@ func (c *Cluster) rankShard(shard int, tMS float64) []int {
 			ServiceMS:   c.QueueDelayMS(n, tMS),
 		}
 	}
-	return replica.Rank(cands)
+	c.rankOrder = replica.RankInto(c.rankOrder, cands)
+	return c.rankOrder
 }
 
 // SelectReplica returns the best live replica for a request to shard
@@ -604,7 +627,7 @@ func (c *Cluster) accrueTo(tMS float64) {
 // accept new work.
 func (c *Cluster) ActiveReplicas(shard int) int {
 	n := 0
-	for _, node := range c.topo.Group(shard) {
+	for _, node := range c.groups[shard] {
 		if c.ISNs[node].active {
 			n++
 		}
@@ -643,7 +666,7 @@ func (c *Cluster) SetActiveReplicas(shard, r int, tMS float64) {
 		r = c.topo.R
 	}
 	c.accrueTo(tMS)
-	group := c.topo.Group(shard)
+	group := c.groups[shard]
 	for row, nodeID := range group {
 		n := c.ISNs[nodeID]
 		if row < r {

@@ -100,7 +100,7 @@ func (c *Cluster) NodeQuarantined(node int) bool { return c.ISNs[node].quarantin
 // member must be alive — an all-dead group is a failure, not a bounce).
 func (c *Cluster) groupQuarantined(shard int) bool {
 	alive := false
-	for _, n := range c.topo.Group(shard) {
+	for _, n := range c.groups[shard] {
 		if c.nodeDead(n) || !c.ISNs[n].active {
 			continue
 		}

@@ -112,6 +112,25 @@ func TestRepairReadmitsWithMTTR(t *testing.T) {
 	}
 }
 
+// TestSoleReplicaRankingSyncsIntegrity: a group of one skips the sort,
+// not the integrity sync, so routing alone still sees the scrubber's
+// detection and the repair's readmission.
+func TestSoleReplicaRankingSyncsIntegrity(t *testing.T) {
+	c := integrityCluster(t, 1, 1, 100, 40)
+	c.CorruptISN(0, 30, 0.5) // scrub detects at 50, repair lands at 90
+	for _, step := range []struct {
+		tMS  float64
+		want int
+	}{{49, 0}, {60, -1}, {89, -1}, {90, 0}} {
+		if got := c.SelectReplica(0, step.tMS); got != step.want {
+			t.Fatalf("SelectReplica at %v ms = %d, want %d", step.tMS, got, step.want)
+		}
+	}
+	if st := c.IntegrityStats(); st.ScrubDetections != 1 || st.Repairs != 1 {
+		t.Fatalf("stats: %+v, want one scrub detection and one repair", st)
+	}
+}
+
 func TestWholeGroupQuarantinedBouncesTyped(t *testing.T) {
 	c := integrityCluster(t, 1, 2, 0, 0)
 	c.CorruptISN(0, 0, 0.2)

@@ -14,7 +14,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"cottage/internal/cluster"
 	"cottage/internal/engine"
@@ -98,10 +98,42 @@ type BudgetOptions struct {
 // whose current-frequency latency exceeds it are boosted to the smallest
 // ladder frequency that meets it.
 func DetermineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOptions) BudgetResult {
+	return determineBudget(reports, ladder, opts, &budgetBuf{})
+}
+
+// budgetBuf is storage Algorithm 1 fills instead of allocating: the
+// stage-1 survivors, and the Cut and Selected lists the BudgetResult
+// returns in it. A zero budgetBuf gives fresh slices each call. The twin
+// keeps one per engine, with its reports, in the engine's
+// DecisionBuffers (see decisionBufs), so a result there is valid until
+// the engine's next Decide.
+type budgetBuf struct {
+	reports, cands []ISNReport
+	cut            []int
+	selected       []Assignment
+}
+
+// decisionBufs returns e's decision storage and core's buffers kept in it.
+func decisionBufs(e *engine.Engine) (*engine.DecisionBuffers, *budgetBuf) {
+	db := e.DecisionBuffers()
+	buf, ok := db.Policy.(*budgetBuf)
+	if !ok {
+		buf = new(budgetBuf)
+		db.Policy = buf
+	}
+	return db, buf
+}
+
+func determineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOptions, buf *budgetBuf) BudgetResult {
+	if cap(buf.cands) < len(reports) {
+		buf.cands = make([]ISNReport, 0, len(reports))
+		buf.cut = make([]int, 0, len(reports))
+		buf.selected = make([]Assignment, 0, len(reports))
+	}
 	// Stage 1: rank candidates by expected quality and cut ISNs with zero
 	// predicted top-K contribution.
-	var res BudgetResult
-	cands := make([]ISNReport, 0, len(reports))
+	res := BudgetResult{Cut: buf.cut[:0], Selected: buf.selected[:0]}
+	cands := buf.cands[:0]
 	for _, r := range reports {
 		if !r.HasK {
 			res.Cut = append(res.Cut, r.ISN)
@@ -109,8 +141,14 @@ func DetermineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOpti
 		}
 		cands = append(cands, r)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ExpQK > cands[j].ExpQK })
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].LBoosted > cands[j].LBoosted })
+	// These are the orders sort.Slice and sort.SliceStable gave with
+	// less = "a's key > b's": each comparator is negative exactly when
+	// that less is true, and the slices sorts come from the same
+	// templates, so every input permutes the same way, ties and NaN
+	// included (TestDetermineBudgetMatchesReflectSorts). Which tied
+	// candidate comes first decides the budget ISN.
+	slices.SortFunc(cands, func(a, b ISNReport) int { return descending(a.ExpQK, b.ExpQK) })
+	slices.SortStableFunc(cands, func(a, b ISNReport) int { return descending(a.LBoosted, b.LBoosted) })
 	if len(cands) == 0 {
 		res.BudgetMS = math.Inf(1)
 		res.BudgetISN = -1
@@ -130,6 +168,19 @@ func DetermineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOpti
 	}
 	assignFrequencies(&res, cands, T, ladder, opts)
 	return res
+}
+
+// descending orders a before b when a > b. It is not cmp.Compare with
+// the operands swapped, which would also order NaN; here NaN ties with
+// everything, as it did under the old less.
+func descending(a, b float64) int {
+	if a > b {
+		return -1
+	}
+	if b > a {
+		return 1
+	}
+	return 0
 }
 
 // assignFrequencies is Algorithm 1's assignment stage for a chosen
@@ -170,8 +221,8 @@ func assignFrequencies(res *BudgetResult, cands []ISNReport, T float64, ladder c
 			Downclocked: need < ladder.Default(),
 		})
 	}
-	sort.Slice(res.Selected, func(i, j int) bool { return res.Selected[i].ISN < res.Selected[j].ISN })
-	sort.Ints(res.Cut)
+	slices.SortFunc(res.Selected, func(a, b Assignment) int { return a.ISN - b.ISN })
+	slices.Sort(res.Cut)
 }
 
 // Cottage is the full coordinated policy (Fig. 5's seven steps).
@@ -218,9 +269,12 @@ func coordOverheadMS(e *engine.Engine) float64 {
 
 // Reports gathers the per-ISN prediction tuples for a query (steps 2–3).
 func (c *Cottage) Reports(e *engine.Engine, q trace.Query, nowMS float64) []ISNReport {
-	preds := e.Predictions(q)
-	reports := make([]ISNReport, 0, len(preds))
-	for isn, p := range preds {
+	return c.appendReports(make([]ISNReport, 0, len(e.Shards)), e, q, nowMS)
+}
+
+// appendReports is Reports appending to reports.
+func (c *Cottage) appendReports(reports []ISNReport, e *engine.Engine, q trace.Query, nowMS float64) []ISNReport {
+	for isn, p := range e.Predictions(q) {
 		// A dead shard — every replica down — never answers the prediction
 		// round: its report is missing, and degraded-mode Algorithm 1
 		// (Cottage.Degraded) decides how to optimize without it. While any
@@ -253,16 +307,20 @@ func (c *Cottage) Decide(e *engine.Engine, q trace.Query, nowMS float64) engine.
 	if e.Fleet == nil {
 		panic("core: Cottage requires a trained fleet (engine.TrainFleet)")
 	}
-	return c.decideFromReports(e, c.Reports(e, q, nowMS))
+	db, buf := decisionBufs(e)
+	buf.reports = c.appendReports(buf.reports[:0], e, q, nowMS)
+	return c.decideFromReports(e, buf.reports, db, buf)
 }
 
-func (c *Cottage) decideFromReports(e *engine.Engine, reports []ISNReport) engine.Decision {
+// decideFromReports runs Algorithm 1 over reports and builds the
+// Decision in db, with buf as Algorithm 1's storage.
+func (c *Cottage) decideFromReports(e *engine.Engine, reports []ISNReport, db *engine.DecisionBuffers, buf *budgetBuf) engine.Decision {
 	d := engine.Decision{
-		Participate:    make([]bool, len(e.Shards)),
-		Freq:           make([]float64, len(e.Shards)),
+		Participate:    db.Participate,
+		Freq:           db.Freq,
 		CoordMS:        coordOverheadMS(e),
 		UsedPredictors: true,
-		PredCycles:     make([]float64, len(e.Shards)),
+		PredCycles:     db.PredCycles,
 	}
 	for _, r := range reports {
 		d.PredCycles[r.ISN] = r.PredCycles
@@ -274,8 +332,8 @@ func (c *Cottage) decideFromReports(e *engine.Engine, reports []ISNReport) engin
 		}
 	}
 	var res BudgetResult
-	res, d.Record = c.Params.Budget(reports, missing, e.Cluster.Ladder,
-		BudgetOptions{StrictTopK: c.StrictTopK, Downclock: c.Downclock}, e.Obs != nil)
+	res, d.Record = c.Params.budget(reports, missing, e.Cluster.Ladder,
+		BudgetOptions{StrictTopK: c.StrictTopK, Downclock: c.Downclock}, e.Obs != nil, buf)
 	if len(res.Selected) == 0 {
 		// Every candidate was cut (or nothing matched). Fall back to the
 		// highest-expected-quality ISN so the client never gets an empty

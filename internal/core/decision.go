@@ -82,8 +82,14 @@ func (p Params) Report(isn int, pred predict.Prediction, margin, queueMS float64
 // (nil otherwise).
 func (p Params) Budget(reports []ISNReport, missing []int, ladder cluster.Ladder,
 	opts BudgetOptions, record bool) (BudgetResult, *obs.DecisionRecord) {
+	return p.budget(reports, missing, ladder, opts, record, &budgetBuf{})
+}
 
-	res := DetermineBudgetDegraded(reports, len(missing), ladder, opts, p.Degraded)
+// budget is Budget with buf as Algorithm 1's storage.
+func (p Params) budget(reports []ISNReport, missing []int, ladder cluster.Ladder,
+	opts BudgetOptions, record bool, buf *budgetBuf) (BudgetResult, *obs.DecisionRecord) {
+
+	res := determineBudget(reports, ladder, p.Degraded.options(opts, len(missing)), buf)
 	if !record {
 		return res, nil
 	}

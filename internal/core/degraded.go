@@ -42,9 +42,14 @@ func (m DegradedMode) String() string {
 // a top-K contributor — so no surviving contributor is cut for speed.
 func DetermineBudgetDegraded(reports []ISNReport, missing int, ladder cluster.Ladder,
 	opts BudgetOptions, mode DegradedMode) BudgetResult {
+	return DetermineBudget(reports, ladder, mode.options(opts, missing))
+}
 
-	if missing > 0 && mode == DegradedConservative {
+// options are the Algorithm 1 options mode runs with when missing ISNs
+// sent no prediction.
+func (m DegradedMode) options(opts BudgetOptions, missing int) BudgetOptions {
+	if missing > 0 && m == DegradedConservative {
 		opts.StrictTopK = true
 	}
-	return DetermineBudget(reports, ladder, opts)
+	return opts
 }

@@ -70,5 +70,6 @@ func (o *CottageOracle) Decide(e *engine.Engine, q trace.Query, nowMS float64) e
 		row, queueMS := servingQueue(e, isn, nowMS)
 		reports = append(reports, newReport(isn, truth, p.Cycles, o.inner.LatencyMargin, queueMS, row, e.Cluster.Ladder))
 	}
-	return o.inner.decideFromReports(e, reports)
+	db, buf := decisionBufs(e)
+	return o.inner.decideFromReports(e, reports, db, buf)
 }

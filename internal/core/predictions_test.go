@@ -95,3 +95,16 @@ func BenchmarkRunCottage(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(evs)), "us/query")
 }
+
+// BenchmarkRunExhaustive is BenchmarkRunCottage's sibling under
+// exhaustive search: no predictions and no Algorithm 1, so what is left
+// is the replay path itself — routing, execution, power and fan-in.
+func BenchmarkRunExhaustive(b *testing.B) {
+	eng, evs := trainedTwin(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Run(baselines.Exhaustive{}, evs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(evs)), "us/query")
+}

@@ -100,5 +100,6 @@ func (v *CottageNoML) Decide(e *engine.Engine, q trace.Query, nowMS float64) eng
 		row, queueMS := servingQueue(e, isn, nowMS)
 		reports = append(reports, newReport(isn, est, p.Cycles, v.inner.LatencyMargin, queueMS, row, e.Cluster.Ladder))
 	}
-	return v.inner.decideFromReports(e, reports)
+	db, buf := decisionBufs(e)
+	return v.inner.decideFromReports(e, reports, db, buf)
 }

@@ -83,8 +83,12 @@ type Engine struct {
 	Hedge cluster.Hedge
 
 	hists QueryHists // the current Run's, resolved at its start
-	legs  []Leg      // runOne's scratch: one query's legs
 	run   runTrace   // the current Run's trace; zero outside Run
+	// runOne's scratch: one query's legs, its merge, and the storage its
+	// policy decides in (DecisionBuffers).
+	legs     []Leg
+	merge    MergeBuf
+	decision DecisionBuffers
 }
 
 // runTrace is what Predictions knows about the Run in progress: the
@@ -273,6 +277,35 @@ type Decision struct {
 	// hedging combines them with live queue state to flag straggler
 	// legs at dispatch; nil for baselines that do not predict.
 	PredCycles []float64
+}
+
+// DecisionBuffers is storage a Policy may build its Decision in instead
+// of allocating per query. The engine replays one query at a time, so a
+// Decision built here is valid until the next Decide on the same engine;
+// a policy that keeps a Decision's slices across queries must allocate
+// its own.
+type DecisionBuffers struct {
+	Participate []bool
+	Freq        []float64
+	PredCycles  []float64
+	// Policy is the deciding policy's own per-query scratch, kept here
+	// for it and never read by the engine (core keeps Algorithm 1's
+	// buffers in it).
+	Policy any
+}
+
+// DecisionBuffers returns the engine's decision storage with
+// Participate, Freq and PredCycles zeroed, one slot per shard.
+func (e *Engine) DecisionBuffers() *DecisionBuffers {
+	b := &e.decision
+	if n := len(e.Shards); len(b.Participate) != n {
+		b.Participate, b.Freq, b.PredCycles = make([]bool, n), make([]float64, n), make([]float64, n)
+	} else {
+		clear(b.Participate)
+		clear(b.Freq)
+		clear(b.PredCycles)
+	}
+	return b
 }
 
 // Policy decides, per query, which ISNs run, at what frequency, and under
@@ -510,10 +543,11 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 			}
 			out.DuplicateMS += hr.DuplicateMS
 		}
-		l := Leg{Shard: si, Client: si, Replica: exec.Replica, Failovers: exec.Failovers,
+		legs = append(legs, Leg{Shard: si, Client: si, Replica: exec.Replica, Failovers: exec.Failovers,
 			Truth: ev.PerShard[si].Hits, ActualMS: exec.ServiceMS,
 			QueueMS: exec.QueueMS, ServiceMS: exec.ServiceMS, FreqGHz: exec.Freq,
-			EndMS: e.Cluster.ResponseAtAggregatorMS(exec), Hedged: hr.Hedged}
+			EndMS: e.Cluster.ResponseAtAggregatorMS(exec), Hedged: hr.Hedged, Status: exec.Status})
+		l := &legs[len(legs)-1]
 		if hr.Hedged && hr.Won {
 			// The winning duplicate was sent at dispatch+hedgeDelay: that
 			// wait is hedge time, not failover time.
@@ -526,7 +560,6 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 			// is policy, not predictor error.
 			l.Pred = LegPred{OK: true, LatencyMS: rep.PredServiceMS, HasK: rep.HasK}
 		}
-		l.Status = exec.Status
 		switch l.Status {
 		case cluster.LegAnswered:
 			l.Hits, l.DocsScored = ev.PerShard[si].Hits, ev.PerShard[si].Stats.DocsScored
@@ -558,14 +591,13 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 		default:
 			aggDone = max(aggDone, l.EndMS)
 		}
-		legs = append(legs, l)
 	}
 	e.legs = legs
-	merged := Gather(e.K, legs, d.Record, e.Accuracy(), ev.TopKSet, &out, nil)
+	merged := Gather(e.K, legs, d.Record, e.Accuracy(), ev.TopKSet, &out, nil, &e.merge)
 	out.PAtK = pAtK(merged, ev)
 	out.LatencyMS = aggDone + e.Cluster.Net.ClientMS - ev.Query.ArrivalMS
 	if e.Cache != nil {
-		e.Cache.Put(qcache.Key(ev.Query.Terms), merged)
+		e.Cache.Put(qcache.Key(ev.Query.Terms), slices.Clone(merged)) // merged is e.merge's
 	}
 	tb, root := e.startTrace(p, ev)
 	if tb != nil {

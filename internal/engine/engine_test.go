@@ -352,6 +352,27 @@ func TestCacheShortCircuitsRepeats(t *testing.T) {
 	}
 }
 
+// TestCachedHitsOutliveLaterQueries: a repeat arrives after other
+// queries were merged, so the cache must hold its own copy of a merged
+// answer, not the engine's merge storage.
+func TestCachedHitsOutliveLaterQueries(t *testing.T) {
+	e, qs := smallEngine(t)
+	twice := make([]trace.Query, 0, 40)
+	for i := 0; i < 40; i++ {
+		twice = append(twice, trace.Query{ID: i, Terms: qs[i%20].Terms, ArrivalMS: float64(40 * (i + 1))})
+	}
+	evs := e.EvaluateAll(twice)
+	e.Cache = qcache.NewLRU[[]search.Hit](256)
+	defer func() { e.Cache = nil }()
+	res := e.Run(&fixedPolicy{name: "all", select_: all, budgetMS: math.Inf(1)}, evs)
+	for i := 20; i < 40; i++ {
+		hit, miss := res.Outcomes[i], res.Outcomes[i-20]
+		if hit.ActiveISNs != 0 || hit.PAtK != miss.PAtK {
+			t.Fatalf("repeat %d: %d ISNs searched, P@K %v; first answer's P@K %v", i, hit.ActiveISNs, hit.PAtK, miss.PAtK)
+		}
+	}
+}
+
 func TestReplayDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	// EvaluateAll fans out per query and per shard through par; Run's
 	// outcome accounting is sequential over an index-addressed input. The

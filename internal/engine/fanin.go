@@ -72,15 +72,30 @@ type Filing struct {
 	Truncated []int
 }
 
+// MergeBuf is storage Gather merges in. The hits Gather returns alias
+// it, valid until the next Gather with the same MergeBuf: the twin keeps
+// one per engine, and the live aggregator, whose hits go back to its
+// caller, passes nil for fresh ones.
+type MergeBuf struct {
+	lists [][]search.Hit
+	hits  []search.Hit
+}
+
 // Gather walks one query's legs in leg order: it counts each in out
 // (and lists it in f, when set), folds truncated legs into rec, and
-// merges the answered and truncated hits into the top k. With acc set
-// it scores each leg's prediction: latency on answered legs only (a cut
-// leg's time is the budget, not the query's cost), quality on every leg
-// that reached a node, as whether the leg placed a document in ref —
-// the merged answer when ref is nil.
-func Gather(k int, legs []Leg, rec *obs.DecisionRecord, acc *obs.Accuracy, ref map[int64]bool, out *Outcome, f *Filing) []search.Hit {
-	lists := make([][]search.Hit, 0, len(legs))
+// merges the answered and truncated hits into the top k, in buf (nil:
+// fresh storage). With acc set it scores each leg's prediction: latency
+// on answered legs only (a cut leg's time is the budget, not the
+// query's cost), quality on every leg that reached a node, as whether
+// the leg placed a document in ref — the merged answer when ref is nil.
+func Gather(k int, legs []Leg, rec *obs.DecisionRecord, acc *obs.Accuracy, ref map[int64]bool, out *Outcome, f *Filing, buf *MergeBuf) []search.Hit {
+	if buf == nil {
+		buf = &MergeBuf{hits: []search.Hit{}} // search.Merge's storage
+	}
+	if cap(buf.lists) < len(legs) {
+		buf.lists = make([][]search.Hit, 0, len(legs))
+	}
+	lists := buf.lists[:0]
 	for i := range legs {
 		l := &legs[i]
 		out.Failovers += l.Failovers
@@ -117,7 +132,9 @@ func Gather(k int, legs []Leg, rec *obs.DecisionRecord, acc *obs.Accuracy, ref m
 	if f != nil {
 		sort.Ints(f.Failed) // the caller may have listed some first (live: missing predictions)
 	}
-	hits := search.Merge(k, lists...)
+	buf.lists = lists
+	buf.hits = search.MergeInto(buf.hits, k, lists...)
+	hits := buf.hits
 	for i := range legs {
 		l := &legs[i]
 		if acc == nil || !l.Pred.OK || l.Status >= cluster.LegFailed {

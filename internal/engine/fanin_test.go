@@ -40,7 +40,7 @@ func TestGatherFilesEachStatus(t *testing.T) {
 		acc := obs.NewAccuracy(shard + 1)
 		var out Outcome
 		var f Filing
-		hits := Gather(10, legs, rec, acc, nil, &out, &f)
+		hits := Gather(10, legs, rec, acc, nil, &out, &f, nil)
 
 		if got := len(hits) == 1; got != tc.merged {
 			t.Errorf("status %d: hits %v, merged %v", tc.status, hits, tc.merged)
@@ -97,7 +97,7 @@ func TestGatherMergesInLegOrder(t *testing.T) {
 	}
 	f := Filing{Failed: []int{6}}
 	var out Outcome
-	hits := Gather(10, legs, nil, nil, nil, &out, &f)
+	hits := Gather(10, legs, nil, nil, nil, &out, &f, nil)
 	want := []search.Hit{{Doc: 1, Score: 5}, {Doc: 3, Score: 4}, {Doc: 2, Score: 1}}
 	if !reflect.DeepEqual(hits, want) {
 		t.Fatalf("merged %v, want %v", hits, want)
@@ -107,7 +107,7 @@ func TestGatherMergesInLegOrder(t *testing.T) {
 	}
 
 	acc := obs.NewAccuracy(2)
-	Gather(10, legs, nil, acc, map[int64]bool{8: true}, &Outcome{}, nil)
+	Gather(10, legs, nil, acc, map[int64]bool{8: true}, &Outcome{}, nil, nil)
 	if a := acc.Snapshot()[1]; a.QualSamples != 1 || a.QualHitRate != 1 || a.LatSamples != 0 {
 		t.Fatalf("dropped leg scored %+v, want one quality hit on its truth", a)
 	}

@@ -570,10 +570,11 @@ func Ablations(s *Setup, w io.Writer) error {
 		sm := engine.Summarize(s.Engine.Run(p, s.WikiEval))
 		// Attribute busy energy above the default frequency to boosting.
 		boost, total := 0.0, 0.0
-		for f, e := range s.Engine.Cluster.Meter.ByFrequency() {
-			total += e
+		freqs, mj := s.Engine.Cluster.Meter.Attribution()
+		for fi, f := range freqs {
+			total += mj[fi]
 			if f > def {
-				boost += e
+				boost += mj[fi]
 			}
 		}
 		share := 0.0

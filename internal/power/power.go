@@ -68,10 +68,12 @@ func (m Model) BusyEnergyMJ(f, durationMS float64) float64 {
 type Meter struct {
 	model  Model
 	busyMJ float64 // accumulated above-idle energy
-	// byFreq attributes busy energy to the frequency it was burned at,
-	// so the harness can show how much of a policy's power is boost
-	// energy vs default-frequency work.
-	byFreq map[float64]float64
+	// freqs and freqMJ attribute busy energy to the frequency it was
+	// burned at, so the harness can show how much of a policy's power is
+	// boost energy vs default-frequency work: freqMJ[i] was burned at
+	// freqs[i], in the order the frequencies were first charged. A run
+	// charges at most the ladder's few levels, so a scan finds the slot.
+	freqs, freqMJ []float64
 	// dynamicIdle switches the idle floor from "IdleWatts for the whole
 	// horizon" to explicitly-integrated machine time (AddIdleMachineMS):
 	// the accounting a fleet whose machine count changes mid-run needs.
@@ -82,24 +84,39 @@ type Meter struct {
 
 // NewMeter creates a meter over model.
 func NewMeter(model Model) *Meter {
-	return &Meter{model: model, byFreq: make(map[float64]float64)}
+	return &Meter{model: model}
 }
 
 // AddBusy records one core busy for durationMS at frequency f.
 func (mt *Meter) AddBusy(f, durationMS float64) {
 	e := mt.model.BusyEnergyMJ(f, durationMS)
 	mt.busyMJ += e
-	mt.byFreq[f] += e
+	for i, g := range mt.freqs {
+		if g == f {
+			mt.freqMJ[i] += e
+			return
+		}
+	}
+	mt.freqs = append(mt.freqs, f)
+	mt.freqMJ = append(mt.freqMJ, e)
 }
 
 // ByFrequency returns a copy of the busy-energy attribution per
 // frequency (GHz -> millijoules).
 func (mt *Meter) ByFrequency() map[float64]float64 {
-	out := make(map[float64]float64, len(mt.byFreq))
-	for f, e := range mt.byFreq {
-		out[f] = e
+	out := make(map[float64]float64, len(mt.freqs))
+	for i, f := range mt.freqs {
+		out[f] = mt.freqMJ[i]
 	}
 	return out
+}
+
+// Attribution returns copies of the busy-energy attribution as parallel
+// slices, in the order the frequencies were first charged: a fixed
+// order, so a sum over it repeats bit for bit where a map range does
+// not.
+func (mt *Meter) Attribution() (freqs, mj []float64) {
+	return append([]float64(nil), mt.freqs...), append([]float64(nil), mt.freqMJ...)
 }
 
 // SetDynamicIdle switches the meter to integrated machine-time idle
@@ -149,7 +166,7 @@ func (mt *Meter) BusyEnergyMJ() float64 { return mt.busyMJ }
 // Reset clears accumulated energy.
 func (mt *Meter) Reset() {
 	mt.busyMJ = 0
-	mt.byFreq = make(map[float64]float64)
+	mt.freqs, mt.freqMJ = mt.freqs[:0], mt.freqMJ[:0]
 	mt.idleMachineMS = 0
 }
 

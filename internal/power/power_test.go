@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -112,8 +113,23 @@ func TestByFrequencyAttribution(t *testing.T) {
 	if mt.ByFrequency()[1.8] == 0 {
 		t.Error("ByFrequency returned internal state")
 	}
+	// Attribution lists the frequencies in the order they were first
+	// charged, so sums over it repeat bit for bit.
+	freqs, mj := mt.Attribution()
+	if !slices.Equal(freqs, []float64{1.8, 2.7}) || mj[0] != mt.ByFrequency()[1.8] || mj[1] != by[2.7] {
+		t.Errorf("Attribution() = %v, %v; want [1.8 2.7] in first-charged order with ByFrequency's energies", freqs, mj)
+	}
+	freqs[0], mj[0] = 0, 0
+	if f, _ := mt.Attribution(); f[0] != 1.8 {
+		t.Error("Attribution returned internal state")
+	}
 	mt.Reset()
-	if len(mt.ByFrequency()) != 0 {
+	if f, e := mt.Attribution(); len(mt.ByFrequency()) != 0 || len(f) != 0 || len(e) != 0 {
 		t.Error("reset did not clear attribution")
+	}
+	mt.AddBusy(2.7, 1)
+	mt.AddBusy(1.2, 1)
+	if f, _ := mt.Attribution(); !slices.Equal(f, []float64{2.7, 1.2}) {
+		t.Errorf("after Reset, Attribution() order %v, want [2.7 1.2]", f)
 	}
 }

@@ -14,11 +14,11 @@
 //   - Topology: the shard × replica layout and its node numbering,
 //     shared by the simulated cluster (internal/cluster) and the CLI
 //     address grouping (ParseGroups / GroupFlat);
-//   - Candidate/Rank: the replica selector — a pure, deterministic
-//     ranking over per-replica health signals (breaker state, prober
-//     health, rolling service time, predictor accuracy) that never
-//     selects a failed replica and never panics on empty groups
-//     (fuzzed by FuzzReplicaSelect);
+//   - Candidate/RankInto: the replica selector — a deterministic,
+//     allocation-free ranking over per-replica health signals (breaker
+//     state, prober health, rolling service time, predictor accuracy)
+//     that never selects a failed replica and never panics on empty
+//     groups (fuzzed by FuzzReplicaSelect, through Rank);
 //   - Tracker: a lock-free rolling EWMA of per-replica service time,
 //     the selector's latency signal on the live path.
 //

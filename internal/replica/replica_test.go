@@ -3,9 +3,11 @@ package replica
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cottage/internal/overload"
+	"cottage/internal/xrand"
 )
 
 func TestTopologyLayout(t *testing.T) {
@@ -127,6 +129,84 @@ func TestRankAccuracyTiebreak(t *testing.T) {
 	}
 	if got := Rank(cands); got[0] != 1 {
 		t.Fatalf("accuracy tiebreak picked %v", got)
+	}
+}
+
+// stableRank is Rank as it was written with sort.SliceStable over a
+// filtered copy, kept as the oracle for the in-place insertion sort.
+func stableRank(cands []Candidate) []int {
+	live := make([]Candidate, 0, len(cands))
+	for _, c := range cands {
+		if c.Failed || c.Quarantined {
+			continue
+		}
+		live = append(live, c)
+	}
+	sort.SliceStable(live, func(i, j int) bool {
+		a, b := live[i], live[j]
+		if ra, rb := breakerRank(a.Breaker), breakerRank(b.Breaker); ra != rb {
+			return ra < rb
+		}
+		if a.Healthy != b.Healthy {
+			return a.Healthy
+		}
+		if sa, sb := sane(a.ServiceMS), sane(b.ServiceMS); sa != sb {
+			return sa < sb
+		}
+		if ea, eb := sane(a.AccErrPct), sane(b.AccErrPct); ea != eb {
+			return ea < eb
+		}
+		return a.ID < b.ID
+	})
+	out := make([]int, len(live))
+	for i, c := range live {
+		out[i] = c.ID
+	}
+	return out
+}
+
+// TestRankIntoMatchesStableSort compares RankInto with the stable-sort
+// oracle on groups of 0-8 replicas whose signals come from a few values
+// each — NaN, negative and +Inf among them — under every breaker state,
+// with failed and quarantined members and tied (sometimes repeated)
+// IDs. It also reuses one destination throughout, as the cluster does.
+func TestRankIntoMatchesStableSort(t *testing.T) {
+	rng := xrand.New(35)
+	signal := []float64{0, 0, 1, 2.5, 2.5, -1, math.NaN(), math.Inf(1)}
+	var dst []int
+	for trial := 0; trial < 20000; trial++ {
+		n := trial % 9
+		cands := make([]Candidate, n)
+		for i := range cands {
+			cands[i] = Candidate{
+				ID:          rng.Intn(n + 2),
+				Failed:      rng.Intn(5) == 0,
+				Quarantined: rng.Intn(6) == 0,
+				Breaker:     overload.State(rng.Intn(5) - 1),
+				Healthy:     rng.Intn(3) > 0,
+				ServiceMS:   signal[rng.Intn(len(signal))],
+				AccErrPct:   signal[rng.Intn(len(signal))],
+			}
+		}
+		want := stableRank(cands)
+		dst = RankInto(dst, cands)
+		if len(dst)+len(want) > 0 && !reflect.DeepEqual(dst, want) {
+			t.Fatalf("trial %d: RankInto = %v, stable sort = %v", trial, dst, want)
+		}
+	}
+}
+
+func TestRankIntoAllocatesNothing(t *testing.T) {
+	cands := make([]Candidate, 8)
+	dst := make([]int, 0, len(cands))
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range cands {
+			cands[i] = Candidate{ID: i, ServiceMS: float64(8 - i), Healthy: i%3 > 0}
+		}
+		dst = RankInto(dst, cands)
+	})
+	if allocs != 0 || len(dst) != len(cands) {
+		t.Fatalf("RankInto made %v allocations, ranked %v", allocs, dst)
 	}
 }
 

@@ -1,10 +1,6 @@
 package replica
 
-import (
-	"sort"
-
-	"cottage/internal/overload"
-)
+import "cottage/internal/overload"
 
 // Candidate is one replica's health signals at selection time. All
 // fields are observations, not commands: Rank orders candidates, it
@@ -84,34 +80,47 @@ func breakerRank(s overload.State) int {
 //
 // The rule is deliberately total and deterministic: two aggregators
 // with the same observations route the same way, which keeps simulated
-// sweeps and live traffic comparable.
-func Rank(cands []Candidate) []int {
-	live := make([]Candidate, 0, len(cands))
+// sweeps and live traffic comparable. Rank reorders cands (see RankInto).
+func Rank(cands []Candidate) []int { return RankInto(nil, cands) }
+
+// RankInto is Rank without allocating: it moves the selectable
+// candidates to the front of cands, sorts them there by Rank's rule, and
+// writes their IDs into dst[:0], which it returns (grown only when dst
+// is too short). Groups are a handful of replicas, so the sort is an
+// insertion sort; the rule ends on the unique ID, so any correct sort
+// gives the same order.
+func RankInto(dst []int, cands []Candidate) []int {
+	live := cands[:0]
 	for _, c := range cands {
-		if c.Failed || c.Quarantined {
-			continue
+		if !c.Failed && !c.Quarantined {
+			live = append(live, c)
 		}
-		live = append(live, c)
 	}
-	sort.SliceStable(live, func(i, j int) bool {
-		a, b := live[i], live[j]
-		if ra, rb := breakerRank(a.Breaker), breakerRank(b.Breaker); ra != rb {
-			return ra < rb
+	for i := 1; i < len(live); i++ {
+		for j := i; j > 0 && ranksBefore(&live[j], &live[j-1]); j-- {
+			live[j], live[j-1] = live[j-1], live[j]
 		}
-		if a.Healthy != b.Healthy {
-			return a.Healthy
-		}
-		if sa, sb := sane(a.ServiceMS), sane(b.ServiceMS); sa != sb {
-			return sa < sb
-		}
-		if ea, eb := sane(a.AccErrPct), sane(b.AccErrPct); ea != eb {
-			return ea < eb
-		}
-		return a.ID < b.ID
-	})
-	out := make([]int, len(live))
-	for i, c := range live {
-		out[i] = c.ID
 	}
-	return out
+	dst = dst[:0]
+	for i := range live {
+		dst = append(dst, live[i].ID)
+	}
+	return dst
+}
+
+// ranksBefore is Rank's rule: whether a is preferred to b.
+func ranksBefore(a, b *Candidate) bool {
+	if ra, rb := breakerRank(a.Breaker), breakerRank(b.Breaker); ra != rb {
+		return ra < rb
+	}
+	if a.Healthy != b.Healthy {
+		return a.Healthy
+	}
+	if sa, sb := sane(a.ServiceMS), sane(b.ServiceMS); sa != sb {
+		return sa < sb
+	}
+	if ea, eb := sane(a.AccErrPct), sane(b.AccErrPct); ea != eb {
+		return ea < eb
+	}
+	return a.ID < b.ID
 }

@@ -485,7 +485,7 @@ func (q *fanout) searchRound(root *obs.ActiveSpan, n int, res *Result, rec *obs.
 	span.End(nowUS())
 	span = q.tb.StartSpan("merge", root.ID(), nowUS())
 	var out engine.Outcome
-	res.Hits = engine.Gather(q.a.K, q.legs, rec, q.a.Accuracy(), nil, &out, &res.Filing)
+	res.Hits = engine.Gather(q.a.K, q.legs, rec, q.a.Accuracy(), nil, &out, &res.Filing, nil)
 	span.End(nowUS())
 }
 

@@ -399,7 +399,7 @@ func TestQuarantineFailoverAndRepair(t *testing.T) {
 	if !agg.clientQuarantined(0) {
 		t.Fatal("coordinator did not quarantine replica 0")
 	}
-	if got := agg.rankShard(0); len(got) != 1 || got[0] != 1 {
+	if got := agg.rankShard(0, nil, nil); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("rankShard = %v, want [1] while replica 0 is quarantined", got)
 	}
 	// Data fault, not node death: the breaker must not have moved.
@@ -442,7 +442,7 @@ func TestQuarantineFailoverAndRepair(t *testing.T) {
 	if agg.clientQuarantined(0) {
 		t.Fatal("prober never re-admitted the repaired replica")
 	}
-	if got := agg.rankShard(0); len(got) != 2 {
+	if got := agg.rankShard(0, nil, nil); len(got) != 2 {
 		t.Fatalf("rankShard after readmit = %v, want both replicas", got)
 	}
 	snap := agg.IntegrityLedger().Snapshot()

@@ -141,7 +141,7 @@ func TestReplicaGroupPredictFailover(t *testing.T) {
 		t.Fatalf("healthy fleet burned predict failovers: %+v", st)
 	}
 
-	ranked := agg.rankShard(0)
+	ranked := agg.rankShard(0, nil, nil)
 	in.SetPlan(ranked[0], faults.Plan{DropProb: 1})
 	res := mustCottage(t, agg, terms)
 	if len(res.Failed) != 0 {

@@ -55,11 +55,13 @@ func (a *Aggregator) replicaRow(shard, ci int) int {
 }
 
 // rankShard orders a shard's replicas best-first by the shared selector
-// rule (replica.Rank): breaker state, then transport health, then
+// rule (replica.RankInto): breaker state, then transport health, then
 // rolling service time, then rolling predictor error. Ranking reads
 // Breaker.State(), which never mutates; the half-open probe slot
-// (Allow) is only spent on the replica a leg actually sends to.
-func (a *Aggregator) rankShard(shard int) []int {
+// (Allow) is only spent on the replica a leg actually sends to. cands
+// and order are the caller's scratch; the returned order is in order's
+// storage (or the group itself, for a sole replica).
+func (a *Aggregator) rankShard(shard int, cands []replica.Candidate, order []int) []int {
 	members := a.Groups[shard]
 	quarantine := a.quarantineLedger()
 	if len(members) == 1 {
@@ -71,8 +73,7 @@ func (a *Aggregator) rankShard(shard int) []int {
 		}
 		return members
 	}
-	cands := make([]replica.Candidate, len(members))
-	for i, ci := range members {
+	for _, ci := range members {
 		st := overload.Closed
 		if b := a.breaker(ci); b != nil {
 			st = b.State()
@@ -81,16 +82,16 @@ func (a *Aggregator) rankShard(shard int) []int {
 		if a.Obs != nil {
 			acc = a.Obs.Acc.EWMAAbsErrPct(ci)
 		}
-		cands[i] = replica.Candidate{
+		cands = append(cands, replica.Candidate{
 			ID:          ci,
 			Quarantined: quarantine.IsQuarantined(shard, ci),
 			Breaker:     st,
 			Healthy:     !a.Clients[ci].Broken(),
 			ServiceMS:   a.tracker.ServiceMS(ci),
 			AccErrPct:   acc,
-		}
+		})
 	}
-	return replica.Rank(cands)
+	return replica.RankInto(order, cands)
 }
 
 // failover runs one shard leg over the shard's ranked replicas until an
@@ -118,7 +119,12 @@ func (q *fanout) failover(shard int, span string, failovers *obs.Counter, deadli
 	}
 	var lastErr error
 	sent := 0
-	for _, ci := range a.rankShard(shard) {
+	// The ranking's scratch lives in this leg's frame: a query's legs
+	// run concurrently, and a replica group is a few copies (a larger
+	// one spills to the heap).
+	var cands [4]replica.Candidate
+	var order [4]int
+	for _, ci := range a.rankShard(shard, cands[:0], order[:0]) {
 		remaining := deadline
 		if deadline > 0 {
 			remaining = time.Until(absDeadline)

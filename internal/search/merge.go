@@ -11,7 +11,13 @@ package search
 // and, if it ranks before that, inserted in place. The comparator is a
 // total order (collection-wide doc IDs are unique), so the result is the
 // first k of the fully sorted input whatever the algorithm.
-func Merge(k int, lists ...[]Hit) []Hit {
+func Merge(k int, lists ...[]Hit) []Hit { return MergeInto([]Hit{}, k, lists...) }
+
+// MergeInto is Merge into dst's storage: the window is dst[:0] when its
+// capacity holds k hits, and a new slice otherwise. The result aliases
+// dst, so a caller that reuses dst across queries must copy out any hits
+// it keeps.
+func MergeInto(dst []Hit, k int, lists ...[]Hit) []Hit {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
@@ -20,9 +26,12 @@ func Merge(k int, lists ...[]Hit) []Hit {
 		k = total
 	}
 	if k <= 0 {
-		return []Hit{}
+		return dst[:0]
 	}
-	best := make([]Hit, 0, k)
+	best := dst[:0]
+	if cap(best) < k {
+		best = make([]Hit, 0, k)
+	}
 	for _, l := range lists {
 		for _, h := range l {
 			i := len(best)
