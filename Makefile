@@ -14,9 +14,12 @@ build:
 
 # The second pass type-checks the non-amd64 build: the portable kernels
 # (internal/nn, internal/simdpack kernels_generic.go) compile nowhere else.
+# The last step fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists: $$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

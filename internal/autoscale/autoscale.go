@@ -33,18 +33,32 @@ type PlannerConfig struct {
 	// milliseconds. Zero disables the latency term (plan on utilization
 	// alone).
 	SLOp99MS float64
-	// UtilizationCap is the maximum per-replica utilization ρ the plan
-	// tolerates (default 0.85). Above it the queueing delay explodes and
-	// the p99 formula is meaningless anyway.
-	UtilizationCap float64
 	// MaxReplicas caps R at the hardware that exists (default 1).
 	MaxReplicas int
 }
 
+// The planner's and controller's fixed tuning. They are typed so that
+// 1-serviceAlpha is the float64 subtraction from the rounded 0.2, not
+// an untyped constant folded exactly to 0.8.
+const (
+	// utilizationCap is the maximum per-replica utilization ρ a plan
+	// tolerates. Above it the queueing delay explodes and the p99
+	// formula is meaningless anyway.
+	utilizationCap float64 = 0.85
+	// hysteresisFrac widens the gap between the scale-up and scale-down
+	// thresholds: a shard only scales down if the plan recomputed
+	// against an SLO tightened by this fraction *still* wants fewer
+	// replicas. Without it a target hovering at a plan boundary flaps
+	// machines every cooldown.
+	hysteresisFrac float64 = 0.15
+	// serviceAlpha is the service-time EWMA weight.
+	serviceAlpha float64 = 0.2
+	// rateAlpha blends the newest windowed arrival-rate measurement into
+	// the running estimate.
+	rateAlpha float64 = 0.5
+)
+
 func (p PlannerConfig) withDefaults() PlannerConfig {
-	if p.UtilizationCap <= 0 || p.UtilizationCap >= 1 {
-		p.UtilizationCap = 0.85
-	}
 	if p.MaxReplicas < 1 {
 		p.MaxReplicas = 1
 	}
@@ -63,7 +77,7 @@ func P99MS(serviceMS, rho float64) float64 {
 }
 
 // PlanReplicas returns the smallest replica count R ≤ MaxReplicas that
-// keeps per-replica utilization under the cap and predicted p99 within
+// keeps per-replica utilization under utilizationCap and predicted p99 within
 // the SLO, or MaxReplicas when even the full fleet cannot (the
 // controller then runs saturated and the SLO-miss shows up in the
 // measured tail, where it belongs). With no load or no service data it
@@ -75,7 +89,7 @@ func PlanReplicas(cfg PlannerConfig, arrivalQPS, serviceMS float64) int {
 	}
 	for r := 1; r <= cfg.MaxReplicas; r++ {
 		rho := arrivalQPS * serviceMS / 1000 / float64(r)
-		if rho >= cfg.UtilizationCap {
+		if rho >= utilizationCap {
 			continue
 		}
 		if cfg.SLOp99MS <= 0 || P99MS(serviceMS, rho) <= cfg.SLOp99MS {
@@ -96,23 +110,12 @@ type Config struct {
 	// Scale-ups are never delayed — under-capacity costs latency now,
 	// over-capacity only costs watts.
 	ScaleDownCooldownMS float64
-	// HysteresisFrac widens the gap between the scale-up and scale-down
-	// thresholds (default 0.15): a shard only scales down if the plan
-	// recomputed against an SLO tightened by this fraction *still* wants
-	// fewer replicas. Without it a target hovering at a plan boundary
-	// flaps machines every cooldown.
-	HysteresisFrac float64
 	// BoostQueueMS is the live queue-depth emergency trigger: a shard
 	// whose selected replica already has more than this much backlog at
 	// replan time gets one extra replica immediately, whatever the model
 	// says (default 0 = disabled). This is the Eq. 2 signal closing the
 	// loop on everything the M/M/1 model cannot see.
 	BoostQueueMS float64
-	// ServiceAlpha is the service-time EWMA weight (default 0.2).
-	ServiceAlpha float64
-	// RateAlpha blends the newest windowed arrival-rate measurement into
-	// the running estimate (default 0.5).
-	RateAlpha float64
 }
 
 func (c Config) withDefaults() Config {
@@ -122,15 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScaleDownCooldownMS <= 0 {
 		c.ScaleDownCooldownMS = 3 * c.ReplanIntervalMS
-	}
-	if c.HysteresisFrac <= 0 {
-		c.HysteresisFrac = 0.15
-	}
-	if c.ServiceAlpha <= 0 || c.ServiceAlpha > 1 {
-		c.ServiceAlpha = 0.2
-	}
-	if c.RateAlpha <= 0 || c.RateAlpha > 1 {
-		c.RateAlpha = 0.5
 	}
 	return c
 }
@@ -205,15 +199,8 @@ func (c *Controller) RecordService(shard int, serviceMS float64) {
 		c.svcEWMA[shard] = serviceMS
 		return
 	}
-	a := c.cfg.ServiceAlpha
-	c.svcEWMA[shard] = a*serviceMS + (1-a)*c.svcEWMA[shard]
+	c.svcEWMA[shard] = serviceAlpha*serviceMS + (1-serviceAlpha)*c.svcEWMA[shard]
 }
-
-// Replicas returns the controller's current plan for a shard.
-func (c *Controller) Replicas(shard int) int { return c.current[shard] }
-
-// RateQPS returns the current arrival-rate estimate.
-func (c *Controller) RateQPS() float64 { return c.rateQPS }
 
 // Log returns every scale event decided so far, in order — the plan
 // trail determinism tests compare byte for byte.
@@ -241,7 +228,7 @@ func (c *Controller) Replan(tMS float64, queueMS []float64) []Change {
 		c.rateQPS = inst
 		c.haveRate = true
 	} else {
-		c.rateQPS = c.cfg.RateAlpha*inst + (1-c.cfg.RateAlpha)*c.rateQPS
+		c.rateQPS = rateAlpha*inst + (1-rateAlpha)*c.rateQPS
 	}
 	c.arrivals = 0
 	c.lastReplanMS = tMS
@@ -269,7 +256,7 @@ func (c *Controller) Replan(tMS float64, queueMS []float64) []Change {
 			c.lastChangeMS[s] = tMS
 		case target < c.current[s]:
 			tight := c.cfg.Planner
-			tight.SLOp99MS *= 1 - c.cfg.HysteresisFrac
+			tight.SLOp99MS *= 1 - hysteresisFrac
 			if PlanReplicas(tight, c.rateQPS, svc) >= c.current[s] {
 				break // inside the hysteresis band: hold
 			}

@@ -97,12 +97,12 @@ func TestControllerScalesUpOnLoad(t *testing.T) {
 		t.Fatalf("changes %v, want both shards scaled", ch)
 	}
 	for s := 0; s < 2; s++ {
-		if c.Replicas(s) != 2 {
-			t.Fatalf("shard %d at R=%d, want 2", s, c.Replicas(s))
+		if c.current[s] != 2 {
+			t.Fatalf("shard %d at R=%d, want 2", s, c.current[s])
 		}
 	}
-	if math.Abs(c.RateQPS()-150) > 1e-9 {
-		t.Fatalf("rate estimate %v, want 150", c.RateQPS())
+	if math.Abs(c.rateQPS-150) > 1e-9 {
+		t.Fatalf("rate estimate %v, want 150", c.rateQPS)
 	}
 }
 
@@ -122,28 +122,28 @@ func TestControllerScaleDownCooldownAndHysteresis(t *testing.T) {
 	c := New(cfg, 1, 1)
 	feed(c, 1, 300, 10) // 300 QPS → R=4 (ρ at R=3 would be 1.0)
 	c.Replan(1000, nil)
-	if c.Replicas(0) != 4 {
-		t.Fatalf("R=%d after burst, want 4", c.Replicas(0))
+	if c.current[0] != 4 {
+		t.Fatalf("R=%d after burst, want 4", c.current[0])
 	}
 	// Load vanishes. The very next ticks are inside the cooldown: hold.
 	feed(c, 1, 10, 10)
 	c.Replan(2000, nil)
 	feed(c, 1, 10, 10)
 	c.Replan(3000, nil)
-	if c.Replicas(0) != 4 {
-		t.Fatalf("scaled down inside cooldown to R=%d", c.Replicas(0))
+	if c.current[0] != 4 {
+		t.Fatalf("scaled down inside cooldown to R=%d", c.current[0])
 	}
 	// Past the cooldown: one step at a time, not a cliff dive.
 	feed(c, 1, 10, 10)
 	c.Replan(4000, nil)
-	if c.Replicas(0) != 3 {
-		t.Fatalf("R=%d after cooldown, want one-step 3", c.Replicas(0))
+	if c.current[0] != 3 {
+		t.Fatalf("R=%d after cooldown, want one-step 3", c.current[0])
 	}
 	// The next step has its own cooldown.
 	feed(c, 1, 10, 10)
 	c.Replan(5000, nil)
-	if c.Replicas(0) != 3 {
-		t.Fatalf("second step ignored the cooldown: R=%d", c.Replicas(0))
+	if c.current[0] != 3 {
+		t.Fatalf("second step ignored the cooldown: R=%d", c.current[0])
 	}
 }
 
@@ -152,8 +152,8 @@ func TestControllerQueueBoost(t *testing.T) {
 	// Light modeled load but a deep live queue: boost one step anyway.
 	feed(c, 1, 10, 10)
 	ch := c.Replan(1000, []float64{120})
-	if len(ch) != 1 || c.Replicas(0) != 2 {
-		t.Fatalf("queue boost did not fire: %v, R=%d", ch, c.Replicas(0))
+	if len(ch) != 1 || c.current[0] != 2 {
+		t.Fatalf("queue boost did not fire: %v, R=%d", ch, c.current[0])
 	}
 	// Shallow queue: no boost.
 	feed(c, 1, 10, 10)
@@ -191,7 +191,7 @@ func TestControllerHoldsWithoutServiceSignal(t *testing.T) {
 	if ch := c.Replan(1000, nil); ch != nil {
 		t.Fatalf("replanned a shard with no service data: %v", ch)
 	}
-	if c.Replicas(0) != 2 {
+	if c.current[0] != 2 {
 		t.Fatal("initial R not held")
 	}
 }
@@ -201,7 +201,7 @@ func TestControllerReset(t *testing.T) {
 	feed(c, 2, 300, 10)
 	c.Replan(1000, nil)
 	c.Reset(1)
-	if c.Replicas(0) != 1 || c.Replicas(1) != 1 || c.Log() != nil || c.RateQPS() != 0 {
+	if c.current[0] != 1 || c.current[1] != 1 || c.Log() != nil || c.rateQPS != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	// A reset controller replays to the same plan.
@@ -219,13 +219,10 @@ func TestControllerDefaultsAndClamps(t *testing.T) {
 	if cfg.ReplanIntervalMS != 2000 || cfg.ScaleDownCooldownMS != 6000 {
 		t.Fatalf("cadence defaults: %+v", cfg)
 	}
-	if cfg.HysteresisFrac != 0.15 || cfg.ServiceAlpha != 0.2 || cfg.RateAlpha != 0.5 {
-		t.Fatalf("smoothing defaults: %+v", cfg)
-	}
-	if New(Config{}, 1, 9).Replicas(0) != 1 {
+	if New(Config{}, 1, 9).current[0] != 1 {
 		t.Fatal("initialR not clamped to MaxReplicas")
 	}
-	if New(Config{Planner: PlannerConfig{MaxReplicas: 4}}, 1, 0).Replicas(0) != 1 {
+	if New(Config{Planner: PlannerConfig{MaxReplicas: 4}}, 1, 0).current[0] != 1 {
 		t.Fatal("initialR not clamped to 1")
 	}
 	defer func() {
@@ -253,7 +250,7 @@ func TestChangeString(t *testing.T) {
 	}
 }
 
-// TestControllerRateBlending: the windowed rate blends with RateAlpha
+// TestControllerRateBlending: the windowed rate blends with rateAlpha
 // rather than whiplashing to the newest window.
 func TestControllerRateBlending(t *testing.T) {
 	c := New(controllerCfg(), 1, 1)
@@ -261,7 +258,7 @@ func TestControllerRateBlending(t *testing.T) {
 	c.Replan(1000, nil) // rate = 100
 	feed(c, 1, 300, 10)
 	c.Replan(2000, nil) // rate = 0.5·300 + 0.5·100 = 200
-	if math.Abs(c.RateQPS()-200) > 1e-9 {
-		t.Fatalf("blended rate %v, want 200", c.RateQPS())
+	if math.Abs(c.rateQPS-200) > 1e-9 {
+		t.Fatalf("blended rate %v, want 200", c.rateQPS)
 	}
 }

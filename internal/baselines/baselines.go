@@ -82,6 +82,3 @@ func (a *Aggregation) Observe(latencyMS float64) {
 		a.window = a.window[:0]
 	}
 }
-
-// Budget exposes the current epoch budget (for tests and the harness).
-func (a *Aggregation) Budget() float64 { return a.budget }

@@ -73,14 +73,14 @@ func TestExhaustiveDecision(t *testing.T) {
 
 func TestAggregationEpochs(t *testing.T) {
 	a := NewAggregation()
-	if !math.IsInf(a.Budget(), 1) {
+	if !math.IsInf(a.budget, 1) {
 		t.Fatal("first epoch must be unbudgeted")
 	}
 	// Feed one epoch of latencies 1..100; the 60th percentile is ~60.
 	for i := 1; i <= a.EpochQueries; i++ {
 		a.Observe(float64(i))
 	}
-	if b := a.Budget(); b < 55 || b > 65 {
+	if b := a.budget; b < 55 || b > 65 {
 		t.Fatalf("epoch budget = %v, want ~60", b)
 	}
 	// Next epoch's latencies are smaller; after it closes the budget
@@ -88,7 +88,7 @@ func TestAggregationEpochs(t *testing.T) {
 	for i := 0; i < a.EpochQueries; i++ {
 		a.Observe(10)
 	}
-	if b := a.Budget(); b != 10 {
+	if b := a.budget; b != 10 {
 		t.Fatalf("adapted budget = %v, want 10", b)
 	}
 	f := getFixture(t)
@@ -255,5 +255,5 @@ func TestFixedSLARequiresFleet(t *testing.T) {
 			t.Error("FixedSLA without a fleet should panic")
 		}
 	}()
-	NewFixedSLA().Decide(f.eng, f.qs[0], 0)
+	(&FixedSLA{BudgetMS: 20}).Decide(f.eng, f.qs[0], 0)
 }

@@ -27,10 +27,6 @@ type FixedSLA struct {
 // (core.NewCottage's LatencyMargin), applied the same way here.
 const slaLatencyMargin = 0.5
 
-// NewFixedSLA returns the configuration used in the experiments: a 20 ms
-// SLA, a typical tail target for interactive search.
-func NewFixedSLA() *FixedSLA { return &FixedSLA{BudgetMS: 20} }
-
 // Name implements engine.Policy.
 func (p *FixedSLA) Name() string { return "sla-dvfs" }
 

@@ -15,7 +15,6 @@ func newDynamic(t *testing.T, shards, r int) *Cluster {
 		Ladder:          DefaultLadder(),
 		Cost:            DefaultCostModel(),
 		Net:             DefaultNetwork(),
-		Power:           power.Default(),
 		DynamicMachines: true,
 	})
 }
@@ -57,8 +56,8 @@ func TestScaleDownDrains(t *testing.T) {
 		t.Fatalf("setup: finish %v too early", ex.FinishMS)
 	}
 	c.SetActiveReplicas(0, 1, 10) // deactivate node 1 at t=10, mid-service
-	if c.ActiveReplicas(0) != 1 {
-		t.Fatalf("active replicas %d, want 1", c.ActiveReplicas(0))
+	if !c.ISNs[0].active || c.ISNs[1].active {
+		t.Fatalf("active nodes %v, %v; want only node 0", c.ISNs[0].active, c.ISNs[1].active)
 	}
 	// New work must avoid the draining node even though its sibling's
 	// queue is longer... here node 0 is idle, so just check selection.
@@ -73,7 +72,7 @@ func TestScaleDownDrains(t *testing.T) {
 	}
 	// Reactivation restores the node and cancels any pending power-off.
 	c.SetActiveReplicas(0, 2, ex.FinishMS+100)
-	if c.ActiveReplicas(0) != 2 || c.SelectReplica(0, ex.FinishMS+100) != 0 {
+	if !c.ISNs[0].active || !c.ISNs[1].active || c.SelectReplica(0, ex.FinishMS+100) != 0 {
 		t.Fatal("reactivation did not restore the replica")
 	}
 }
@@ -201,7 +200,7 @@ func TestDefectEWMAFlagsSilentStraggler(t *testing.T) {
 	c := newDynamic(t, 1, 2)
 	c.SetExtraDelayMS(0, 80)
 
-	if got := c.NodeDefectMS(0); got != 0 {
+	if got := c.ISNs[0].defectMS; got != 0 {
 		t.Fatalf("defect before any request: %v", got)
 	}
 	// Serve a few requests on each node, spaced out so queues are empty
@@ -212,10 +211,10 @@ func TestDefectEWMAFlagsSilentStraggler(t *testing.T) {
 		c.Execute(1, tMS, 9e6, 1.8, math.Inf(1))
 		tMS += 500
 	}
-	if got := c.NodeDefectMS(0); got < 70 {
+	if got := c.ISNs[0].defectMS; got < 70 {
 		t.Fatalf("straggler defect EWMA %v has not converged toward 80", got)
 	}
-	if got := c.NodeDefectMS(1); got != 0 {
+	if got := c.ISNs[1].defectMS; got != 0 {
 		t.Fatalf("clean node accrued defect %v", got)
 	}
 
@@ -224,13 +223,13 @@ func TestDefectEWMAFlagsSilentStraggler(t *testing.T) {
 	sel := c.SelectReplica(0, tMS)
 	eq2 := c.EquivalentLatencyMS(sel, tMS, 9e6, 1.8)
 	pred := c.ShardPredictedLegMS(0, tMS, 9e6, 1.8)
-	if want := eq2 + c.NodeDefectMS(sel); math.Abs(pred-want) > 1e-9 {
-		t.Fatalf("predicted leg %v, want Eq.2 %v + defect %v", pred, eq2, c.NodeDefectMS(sel))
+	if want := eq2 + c.ISNs[sel].defectMS; math.Abs(pred-want) > 1e-9 {
+		t.Fatalf("predicted leg %v, want Eq.2 %v + defect %v", pred, eq2, c.ISNs[sel].defectMS)
 	}
 
 	// Reset clears the history with the rest of the run state.
 	c.Reset()
-	if got := c.NodeDefectMS(0); got != 0 {
+	if got := c.ISNs[0].defectMS; got != 0 {
 		t.Fatalf("defect survived Reset: %v", got)
 	}
 }

@@ -44,16 +44,6 @@ func (l Ladder) Default() float64 { return l.Levels[l.DefaultIdx] }
 // Max returns the highest (boost) frequency in GHz.
 func (l Ladder) Max() float64 { return l.Levels[len(l.Levels)-1] }
 
-// ClampUp returns the lowest ladder frequency >= f, or Max if none.
-func (l Ladder) ClampUp(f float64) float64 {
-	for _, lv := range l.Levels {
-		if lv >= f-1e-12 {
-			return lv
-		}
-	}
-	return l.Max()
-}
-
 // Validate checks ladder invariants.
 func (l Ladder) Validate() error {
 	if len(l.Levels) == 0 {
@@ -315,7 +305,6 @@ type Config struct {
 	Ladder   Ladder
 	Cost     CostModel
 	Net      Network
-	Power    power.Model
 	InferMS  float64
 	// SpeedFactors optionally sets per-shard service-time multipliers
 	// (heterogeneous fleet). Missing or non-positive entries default to 1.
@@ -348,7 +337,6 @@ func DefaultConfig() Config {
 		Ladder:  DefaultLadder(),
 		Cost:    DefaultCostModel(),
 		Net:     DefaultNetwork(),
-		Power:   power.Default(),
 		InferMS: 0.11, // quality (41 µs) + latency (70 µs) inference, Figs. 7b/8b
 	}
 }
@@ -365,7 +353,7 @@ func New(cfg Config) *Cluster {
 	if r < 1 {
 		r = 1
 	}
-	pw := cfg.Power
+	pw := power.Default()
 	if !cfg.DynamicMachines {
 		pw.IdleWatts *= float64(r) // R replica rows = R× the idle hardware
 	}
@@ -417,12 +405,6 @@ func (c *Cluster) Topo() replica.Topology { return c.topo }
 
 // FailISN marks an ISN dead (see ISN.Failed).
 func (c *Cluster) FailISN(isn int) { c.ISNs[isn].Failed = true }
-
-// ReviveISN brings a failed ISN back.
-func (c *Cluster) ReviveISN(isn int) { c.ISNs[isn].Failed = false }
-
-// IsFailed reports whether an ISN is currently dead.
-func (c *Cluster) IsFailed(isn int) bool { return c.ISNs[isn].Failed }
 
 // FailedCount returns how many ISNs are currently dead.
 func (c *Cluster) FailedCount() int {
@@ -546,10 +528,6 @@ func (c *Cluster) ShardQueueDelayMS(shard int, tMS float64) float64 {
 // light enough that one chaos slowdown does not brand a healthy node.
 const defectAlpha = 0.25
 
-// NodeDefectMS returns the node's rolling latency-defect estimate: the
-// observed per-request service time beyond the cost model's prediction.
-func (c *Cluster) NodeDefectMS(isn int) float64 { return c.ISNs[isn].defectMS }
-
 // ShardPredictedLegMS is the predictive-hedging signal for one search
 // leg: Eq. 2's equivalent latency on the shard's selected replica plus
 // that replica's observed latency defect. The defect term is what lets
@@ -621,18 +599,6 @@ func (c *Cluster) accrueTo(tMS float64) {
 	// IdleWatts is calibrated per replica row (= Shards nodes).
 	c.Meter.AddIdleMachineMS(nodeMS/float64(c.topo.Shards), 1)
 	c.accruedToMS = tMS
-}
-
-// ActiveReplicas returns how many of a shard's replica rows currently
-// accept new work.
-func (c *Cluster) ActiveReplicas(shard int) int {
-	n := 0
-	for _, node := range c.groups[shard] {
-		if c.ISNs[node].active {
-			n++
-		}
-	}
-	return n
 }
 
 // TotalActiveNodes returns the number of powered-on, work-accepting

@@ -23,18 +23,6 @@ func TestLadder(t *testing.T) {
 	if l.Default() != 1.8 || l.Max() != 2.7 {
 		t.Errorf("default %v max %v", l.Default(), l.Max())
 	}
-	if l.ClampUp(1.0) != 1.2 {
-		t.Error("ClampUp below ladder")
-	}
-	if l.ClampUp(1.9) != 2.1 {
-		t.Error("ClampUp mid ladder")
-	}
-	if l.ClampUp(3.5) != 2.7 {
-		t.Error("ClampUp above ladder")
-	}
-	if l.ClampUp(1.8) != 1.8 {
-		t.Error("ClampUp exact level")
-	}
 }
 
 func TestLadderValidate(t *testing.T) {

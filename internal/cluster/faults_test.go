@@ -10,7 +10,7 @@ import (
 func TestFailedISN(t *testing.T) {
 	c := New(DefaultConfig())
 	c.FailISN(3)
-	if !c.IsFailed(3) || c.FailedCount() != 1 {
+	if !c.ISNs[3].Failed || c.FailedCount() != 1 {
 		t.Fatal("FailISN did not register")
 	}
 	before := c.Meter.BusyEnergyMJ()
@@ -24,7 +24,7 @@ func TestFailedISN(t *testing.T) {
 	if c.Meter.BusyEnergyMJ() != before {
 		t.Fatal("dead ISN burned active power")
 	}
-	c.ReviveISN(3)
+	c.ISNs[3].Failed = false
 	exec = c.Execute(3, 0, 10e6, c.Ladder.Default(), math.Inf(1))
 	if exec.Status != LegAnswered {
 		t.Fatalf("revived ISN execution: %+v", exec)
@@ -51,7 +51,7 @@ func TestFaultsSurviveReset(t *testing.T) {
 	c.FailISN(2)
 	c.SetExtraDelayMS(5, 10)
 	c.Reset()
-	if !c.IsFailed(2) || c.ISNs[5].ExtraDelayMS != 10 {
+	if !c.ISNs[2].Failed || c.ISNs[5].ExtraDelayMS != 10 {
 		t.Fatal("Reset cleared injected faults")
 	}
 	c.ClearFaults()

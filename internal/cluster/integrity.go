@@ -90,11 +90,6 @@ func (c *Cluster) CorruptISN(node int, tMS, offsetFrac float64) {
 	c.integ.corruptions++
 }
 
-// NodeQuarantined reports whether a node is currently out of service
-// for data integrity (advance state with tMS first via any routing
-// call; this is a pure read).
-func (c *Cluster) NodeQuarantined(node int) bool { return c.ISNs[node].quarantined }
-
 // groupQuarantined reports whether shard's replica group is unservable
 // specifically because every live member is quarantined (at least one
 // member must be alive — an all-dead group is a failure, not a bounce).
@@ -110,17 +105,6 @@ func (c *Cluster) groupQuarantined(shard int) bool {
 		alive = true
 	}
 	return alive
-}
-
-// QuarantinedCount returns how many nodes are currently quarantined.
-func (c *Cluster) QuarantinedCount() int {
-	n := 0
-	for _, node := range c.ISNs {
-		if node.quarantined {
-			n++
-		}
-	}
-	return n
 }
 
 // IntegrityStats snapshots the corruption/repair ledger.

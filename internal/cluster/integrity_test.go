@@ -28,7 +28,7 @@ func TestQueryDetectsRotAndFailsOver(t *testing.T) {
 	if ex.ISN != 2 || ex.Failovers != 1 {
 		t.Fatalf("served by node %d after %d failovers, want sibling 2 after 1", ex.ISN, ex.Failovers)
 	}
-	if !c.NodeQuarantined(0) {
+	if !c.ISNs[0].quarantined {
 		t.Fatal("detected rot did not quarantine the node")
 	}
 	st := c.IntegrityStats()
@@ -73,11 +73,11 @@ func TestScrubDetectionBoundedByOneEpoch(t *testing.T) {
 	// detection waits almost a full epoch for the next pass.
 	c.CorruptISN(0, 51, 0.5) // cursor passed 0.5 at t=50; next pass at 150
 	c.syncIntegrity(0, 149)
-	if c.NodeQuarantined(0) {
+	if c.ISNs[0].quarantined {
 		t.Fatal("detected before the cursor could have returned")
 	}
 	c.syncIntegrity(0, 150)
-	if !c.NodeQuarantined(0) {
+	if !c.ISNs[0].quarantined {
 		t.Fatal("not detected by the next pass")
 	}
 	if st := c.IntegrityStats(); st.MeanDetectionMS != 99 {
@@ -107,8 +107,10 @@ func TestRepairReadmitsWithMTTR(t *testing.T) {
 	if ex.Status == LegCorrupt || ex.Status == LegFailed {
 		t.Fatalf("repaired shard cannot serve: %+v", ex)
 	}
-	if c.QuarantinedCount() != 0 {
-		t.Fatal("quarantine count nonzero after repair")
+	for _, n := range c.ISNs {
+		if n.quarantined {
+			t.Fatalf("node %d still quarantined after repair", n.ID)
+		}
 	}
 }
 
@@ -184,12 +186,12 @@ func TestResetAndClearFaultsClearIntegrity(t *testing.T) {
 	c := integrityCluster(t, 1, 2, 100, 40)
 	c.CorruptISN(0, 0, 0.5)
 	c.syncIntegrity(0, 60)
-	if !c.NodeQuarantined(0) {
+	if !c.ISNs[0].quarantined {
 		t.Fatal("setup: node not quarantined")
 	}
 
 	c.ClearFaults()
-	if c.NodeQuarantined(0) || !math.IsInf(c.ISNs[0].corruptAtMS, 1) {
+	if c.ISNs[0].quarantined || !math.IsInf(c.ISNs[0].corruptAtMS, 1) {
 		t.Fatal("ClearFaults left integrity fault state")
 	}
 	if c.IntegrityStats().Quarantines != 1 {
@@ -198,7 +200,7 @@ func TestResetAndClearFaultsClearIntegrity(t *testing.T) {
 
 	c.CorruptISN(1, 0, 0.5)
 	c.Reset()
-	if c.NodeQuarantined(1) || !math.IsInf(c.ISNs[1].corruptAtMS, 1) {
+	if c.ISNs[1].quarantined || !math.IsInf(c.ISNs[1].corruptAtMS, 1) {
 		t.Fatal("Reset left integrity fault state")
 	}
 	if st := c.IntegrityStats(); st != (IntegrityStats{}) {

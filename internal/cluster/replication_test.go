@@ -16,7 +16,6 @@ func newReplicated(t *testing.T, shards, r int) *Cluster {
 		Ladder:       DefaultLadder(),
 		Cost:         DefaultCostModel(),
 		Net:          DefaultNetwork(),
-		Power:        power.Default(),
 		SpeedFactors: []float64{1, 2}, // shard 1 is a straggler class
 	}
 	return New(cfg)

@@ -66,16 +66,6 @@ func fillBlockBounds(blocks []Block, scores []float64) {
 // NumBlocks returns how many block-max blocks tile the term's postings.
 func (ti *TermInfo) NumBlocks() int { return len(ti.Blocks) }
 
-// BlockSpan returns block bi's posting index range [lo, hi).
-func (ti *TermInfo) BlockSpan(bi int) (lo, hi int) {
-	lo = bi * BlockSize
-	hi = lo + BlockSize
-	if hi > ti.Packed.N {
-		hi = ti.Packed.N
-	}
-	return lo, hi
-}
-
 // validateBlocks checks the score bounds the evaluators prune on, for one
 // term. The block-max overlay: each block's MaxDoc is its last posting's
 // document, no posting's score exceeds its block's bound, and some

@@ -20,7 +20,7 @@ func TestBlocksBuiltInFinalize(t *testing.T) {
 		}
 		covered := 0
 		for bi, blk := range ti.Blocks {
-			lo, hi := ti.BlockSpan(bi)
+			lo, hi := bi*BlockSize, min((bi+1)*BlockSize, ti.Packed.N)
 			if lo != covered {
 				t.Fatalf("%q block %d: span starts at %d, want %d", ti.Text, bi, lo, covered)
 			}

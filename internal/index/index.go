@@ -123,12 +123,6 @@ func (s *Shard) Lookup(text string) (*TermInfo, bool) {
 	return &s.Terms[i], true
 }
 
-// HasTerm reports whether the shard's dictionary contains text.
-func (s *Shard) HasTerm(text string) bool {
-	_, ok := s.dict[text]
-	return ok
-}
-
 // NumTerms returns the dictionary size.
 func (s *Shard) NumTerms() int { return len(s.Terms) }
 

@@ -56,9 +56,6 @@ func TestLookup(t *testing.T) {
 	if _, ok := s.Lookup("nonexistent"); ok {
 		t.Fatal("Lookup succeeded for absent term")
 	}
-	if !s.HasTerm("alpha") || s.HasTerm("nope") {
-		t.Fatal("HasTerm wrong")
-	}
 }
 
 func TestPostingsSortedAndValid(t *testing.T) {
@@ -342,7 +339,7 @@ func TestZeroTFIgnored(t *testing.T) {
 	b := NewBuilder(0, DefaultBM25(), 10)
 	b.Add(1, map[string]int{"good": 2, "bad": 0}, 2)
 	s := b.Finalize()
-	if s.HasTerm("bad") {
+	if _, ok := s.Lookup("bad"); ok {
 		t.Error("zero-tf term should not be indexed")
 	}
 }

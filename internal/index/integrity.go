@@ -423,15 +423,6 @@ func (s *Shard) VerifyIntegrity() error {
 	return nil
 }
 
-// CorruptBlocks reports how many blocks lazy verification has found
-// corrupt so far — the quarantine trigger an owning server polls.
-func (s *Shard) CorruptBlocks() int {
-	if s.integ == nil {
-		return 0
-	}
-	return int(s.integ.corruptBlocks.Load())
-}
-
 // PostingBytes returns the checksummed byte size of the shard's
 // postings — the sum of every block's header-plus-payload, exactly
 // Σ BlockBytes — the scrub-pacing denominator: a scrubber at B

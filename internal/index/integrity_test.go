@@ -10,6 +10,15 @@ import (
 	"testing"
 )
 
+// corruptBlocks reports how many blocks lazy verification has found
+// corrupt so far.
+func corruptBlocks(s *Shard) int {
+	if s.integ == nil {
+		return 0
+	}
+	return int(s.integ.corruptBlocks.Load())
+}
+
 // multiBlockTerm returns a term with at least two block-max blocks, so
 // corruption tests can pin block-level localization.
 func multiBlockTerm(t *testing.T, s *Shard) *TermInfo {
@@ -41,8 +50,8 @@ func TestSealedShardVerifiesClean(t *testing.T) {
 			t.Fatalf("clean shard failed VerifyBlockAt(%d): %v", g, err)
 		}
 	}
-	if s.CorruptBlocks() != 0 {
-		t.Fatalf("clean shard reports %d corrupt blocks", s.CorruptBlocks())
+	if corruptBlocks(s) != 0 {
+		t.Fatalf("clean shard reports %d corrupt blocks", corruptBlocks(s))
 	}
 }
 
@@ -75,16 +84,16 @@ func TestBlockCorruptionLocalized(t *testing.T) {
 	if err := s.VerifyBlock(ti, 1); !IsCorruption(err) {
 		t.Fatalf("memoized re-verify: got %v", err)
 	}
-	if s.CorruptBlocks() != 1 {
-		t.Fatalf("CorruptBlocks = %d, want 1", s.CorruptBlocks())
+	if corruptBlocks(s) != 1 {
+		t.Fatalf("corrupt blocks = %d, want 1", corruptBlocks(s))
 	}
 	// Corruption is sticky across scrub epochs and never double-counted.
 	s.ResetVerification()
 	if err := s.VerifyBlock(ti, 1); !IsCorruption(err) {
 		t.Fatalf("post-reset re-verify: got %v", err)
 	}
-	if s.CorruptBlocks() != 1 {
-		t.Fatalf("CorruptBlocks after reset = %d, want 1", s.CorruptBlocks())
+	if corruptBlocks(s) != 1 {
+		t.Fatalf("corrupt blocks after reset = %d, want 1", corruptBlocks(s))
 	}
 	// The query-time gate refuses to let the term be scored.
 	if err := s.VerifyQuery([]string{ti.Text}); !IsCorruption(err) {
@@ -201,7 +210,7 @@ func TestEncodeSealsUnsealedShard(t *testing.T) {
 func TestUnsealedShardSkipsVerification(t *testing.T) {
 	s := buildTestShard(t)
 	s.integ = nil
-	if s.HasChecksums() || s.TotalBlocks() != 0 || s.CorruptBlocks() != 0 {
+	if s.HasChecksums() || s.TotalBlocks() != 0 || corruptBlocks(s) != 0 {
 		t.Fatal("unsealed shard claims integrity state")
 	}
 	if err := s.VerifyIntegrity(); err != nil {
@@ -235,8 +244,8 @@ func TestScrubberWalkFindsRot(t *testing.T) {
 	if found != 1 {
 		t.Fatalf("scrub walk found %d corrupt blocks, want 1", found)
 	}
-	if s.CorruptBlocks() != 1 {
-		t.Fatalf("CorruptBlocks = %d, want 1", s.CorruptBlocks())
+	if corruptBlocks(s) != 1 {
+		t.Fatalf("corrupt blocks = %d, want 1", corruptBlocks(s))
 	}
 }
 
@@ -262,7 +271,7 @@ func TestRepairBySwapClearsState(t *testing.T) {
 	if err := repaired.VerifyIntegrity(); err != nil {
 		t.Fatalf("repaired shard dirty: %v", err)
 	}
-	if repaired.CorruptBlocks() != 0 {
+	if corruptBlocks(repaired) != 0 {
 		t.Fatal("repaired shard inherited corruption state")
 	}
 }

@@ -256,24 +256,6 @@ func (l *Ledger) IsQuarantined(shard, replica int) bool {
 	return rs != nil && rs.state != Healthy
 }
 
-// State returns a replica's current integrity state.
-func (l *Ledger) State(shard, replica int) State {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rs := l.replicas[replicaKey{shard, replica}]
-	if rs == nil {
-		return Healthy
-	}
-	return rs.state
-}
-
-// Mismatches returns the count of detected corruptions so far.
-func (l *Ledger) Mismatches() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mismatches
-}
-
 // Snapshot returns the full ledger state, events oldest-first.
 func (l *Ledger) Snapshot() Snapshot {
 	l.mu.Lock()

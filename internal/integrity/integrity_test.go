@@ -52,9 +52,25 @@ func corruptOneBlock(t testing.TB, s *index.Shard) (string, int) {
 	return "", 0
 }
 
+// stateOf reads one replica's state from a ledger snapshot; a replica
+// the ledger has never seen is Healthy.
+func stateOf(snap Snapshot, shard, replica int) State {
+	for _, r := range snap.Replicas {
+		if r.Shard == shard && r.Replica == replica {
+			return r.State
+		}
+	}
+	return Healthy
+}
+
+// managerState is the state of the replica a manager guards.
+func managerState(m *Manager) State {
+	return stateOf(m.Snapshot(), m.cfg.ShardID, m.cfg.Replica)
+}
+
 func TestLedgerStateMachine(t *testing.T) {
 	l := NewLedger()
-	if l.State(3, 1) != Healthy || l.IsQuarantined(3, 1) {
+	if stateOf(l.Snapshot(), 3, 1) != Healthy || l.IsQuarantined(3, 1) {
 		t.Fatal("fresh replica not healthy")
 	}
 	l.RecordMismatch(3, 1, 100, "query", "block 1")
@@ -64,25 +80,25 @@ func TestLedgerStateMachine(t *testing.T) {
 	if l.Quarantine(3, 1, 150, "again") {
 		t.Fatal("double quarantine accepted")
 	}
-	if got := l.State(3, 1); got != Quarantined {
+	if got := stateOf(l.Snapshot(), 3, 1); got != Quarantined {
 		t.Fatalf("state = %v, want quarantined", got)
 	}
 	// Repair that fails returns to quarantined; MTTR keeps counting
 	// from the first detection.
 	l.StartRepair(3, 1, 200)
-	if got := l.State(3, 1); got != Repairing {
+	if got := stateOf(l.Snapshot(), 3, 1); got != Repairing {
 		t.Fatalf("state = %v, want repairing", got)
 	}
 	if !l.IsQuarantined(3, 1) {
 		t.Fatal("repairing replica must still be out of service")
 	}
 	l.FailRepair(3, 1, 250, "peer down")
-	if got := l.State(3, 1); got != Quarantined {
+	if got := stateOf(l.Snapshot(), 3, 1); got != Quarantined {
 		t.Fatalf("state after failed repair = %v", got)
 	}
 	l.StartRepair(3, 1, 300)
 	l.Readmit(3, 1, 600)
-	if got := l.State(3, 1); got != Healthy {
+	if got := stateOf(l.Snapshot(), 3, 1); got != Healthy {
 		t.Fatalf("state after readmit = %v", got)
 	}
 	snap := l.Snapshot()
@@ -99,7 +115,7 @@ func TestLedgerStateMachine(t *testing.T) {
 	l.StartRepair(3, 1, 700) // healthy: no-op
 	l.FailRepair(3, 1, 700, "x")
 	l.Readmit(3, 1, 700)
-	if got := l.Snapshot(); got.Repairs != 1 || l.State(3, 1) != Healthy {
+	if got := l.Snapshot(); got.Repairs != 1 || stateOf(l.Snapshot(), 3, 1) != Healthy {
 		t.Fatalf("guards leaked transitions: %+v", got)
 	}
 }
@@ -141,18 +157,18 @@ func TestScrubberPacing(t *testing.T) {
 	total := int64(s.PostingBytes())
 	sc.Step(s, 1000+total) // one full shard's worth of budget
 	sc.Step(s, 2000+2*total)
-	if sc.Epochs() == 0 {
+	if sc.epochs == 0 {
 		t.Fatalf("no epoch completed after %d bytes of budget", 2*total)
 	}
 	// Budget carry is capped: a huge idle gap can't scrub more than one
 	// pass worth in a single step.
-	before := sc.Epochs()
+	before := sc.epochs
 	res = sc.Step(s, 100_000_000)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if sc.Epochs() > before+2 {
-		t.Fatalf("idle gap scrubbed %d epochs in one step", sc.Epochs()-before)
+	if sc.epochs > before+2 {
+		t.Fatalf("idle gap scrubbed %d epochs in one step", sc.epochs-before)
 	}
 }
 
@@ -205,7 +221,7 @@ func TestManagerQueryGateQuarantines(t *testing.T) {
 	met := NewMetrics(reg)
 	m := NewManager(Config{ShardID: 4, Replica: 0, Metrics: met}, s)
 
-	if m.Shard() != s || m.State() != Healthy {
+	if m.Shard() != s || managerState(m) != Healthy {
 		t.Fatal("healthy manager hides its shard")
 	}
 	if err := m.VerifyQuery([]string{"alpha"}, 10); err != nil {
@@ -216,8 +232,8 @@ func TestManagerQueryGateQuarantines(t *testing.T) {
 	if !index.IsCorruption(err) {
 		t.Fatalf("gate missed corruption: %v", err)
 	}
-	if m.State() != Quarantined {
-		t.Fatalf("state = %v, want quarantined", m.State())
+	if managerState(m) != Quarantined {
+		t.Fatalf("state = %v, want quarantined", managerState(m))
 	}
 	if m.Shard() != nil {
 		t.Fatal("quarantined manager still serves its shard")
@@ -259,7 +275,7 @@ func TestManagerRepairReadmits(t *testing.T) {
 	if err := m.Repair(200, nil); err == nil {
 		t.Fatal("failed fetch reported success")
 	}
-	if m.State() != Quarantined || m.Shard() != nil {
+	if managerState(m) != Quarantined || m.Shard() != nil {
 		t.Fatal("failed repair re-admitted the replica")
 	}
 	// Second attempt succeeds: fresh shard swaps in, state is healthy,
@@ -267,7 +283,7 @@ func TestManagerRepairReadmits(t *testing.T) {
 	if err := m.Repair(600, nil); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
-	if m.State() != Healthy || m.Shard() == nil {
+	if managerState(m) != Healthy || m.Shard() == nil {
 		t.Fatal("repair did not re-admit")
 	}
 	if err := m.VerifyQuery([]string{term}, 700); err != nil {
@@ -305,8 +321,8 @@ func TestManagerRepairRejectsCorruptTransfer(t *testing.T) {
 	if !index.IsCorruption(err) {
 		t.Fatalf("corrupt transfer accepted: %v", err)
 	}
-	if m.State() != Quarantined {
-		t.Fatalf("state = %v after corrupt transfer", m.State())
+	if managerState(m) != Quarantined {
+		t.Fatalf("state = %v after corrupt transfer", managerState(m))
 	}
 	// No repair source configured at all: typed failure, still out.
 	if err := m.Repair(30, nil); err == nil || !strings.Contains(err.Error(), "no repair source") {
@@ -324,11 +340,11 @@ func TestManagerScrubDetects(t *testing.T) {
 	}
 	corruptOneBlock(t, s)
 	now := int64(0)
-	for i := 0; i < 200 && m.State() == Healthy; i++ {
+	for i := 0; i < 200 && managerState(m) == Healthy; i++ {
 		now += 100
 		m.ScrubStep(now)
 	}
-	if m.State() != Quarantined {
+	if managerState(m) != Quarantined {
 		t.Fatal("scrub never found the rot")
 	}
 	ev := m.Snapshot().Events
@@ -383,7 +399,7 @@ func TestRunLoopScrubsAndRepairs(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		snap := m.Snapshot()
-		if snap.Repairs >= 1 && m.State() == Healthy {
+		if snap.Repairs >= 1 && managerState(m) == Healthy {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -391,8 +407,8 @@ func TestRunLoopScrubsAndRepairs(t *testing.T) {
 	close(stop)
 	<-done
 	snap := m.Snapshot()
-	if snap.Quarantines != 1 || snap.Repairs < 1 || m.State() != Healthy {
-		t.Fatalf("loop did not heal: %+v (state %v)", snap, m.State())
+	if snap.Quarantines != 1 || snap.Repairs < 1 || managerState(m) != Healthy {
+		t.Fatalf("loop did not heal: %+v (state %v)", snap, managerState(m))
 	}
 }
 

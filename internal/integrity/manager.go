@@ -49,9 +49,6 @@ func NewManager(cfg Config, s *index.Shard) *Manager {
 	return m
 }
 
-// Ledger exposes the manager's corruption ledger (snapshotting, debug).
-func (m *Manager) Ledger() *Ledger { return m.ledger }
-
 // Shard returns the serving shard, or nil while the replica is
 // quarantined or repairing — callers must answer "unavailable", never
 // serve from a copy that failed a checksum.
@@ -63,9 +60,6 @@ func (m *Manager) Shard() *index.Shard {
 	}
 	return m.shard
 }
-
-// State reports the replica's integrity state.
-func (m *Manager) State() State { return m.ledger.State(m.cfg.ShardID, m.cfg.Replica) }
 
 // VerifyQuery is the query-time integrity gate: it lazily verifies
 // every block of every query term and, on a mismatch, records the

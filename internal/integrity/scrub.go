@@ -44,9 +44,6 @@ func (sc *Scrubber) Reset() {
 	sc.epochs = 0
 }
 
-// Epochs reports completed full passes over the shard.
-func (sc *Scrubber) Epochs() int { return sc.epochs }
-
 // EpochMS returns how long one full pass over s takes at the configured
 // pace, in milliseconds (0 when scrubbing is disabled or s is empty) —
 // the scrub-pace half of the detection-latency bound: an at-rest flip

@@ -109,12 +109,12 @@ func adamStep2(params, grad, m, v *float64, n int, consts *float64)
 // the parameter vector and returns how many elements it covered; update()
 // finishes the odd tail with the scalar code. Lane-wise SQRTPD/DIVPD
 // round exactly like their scalar forms, so both paths agree bitwise.
-func adamBulk(params, grad, m, v []float64, lr, inv float64, tc TrainConfig) int {
+func adamBulk(params, grad, m, v []float64, lr, inv float64) int {
 	n2 := len(params) &^ 1
 	if n2 == 0 {
 		return 0
 	}
-	consts := [7]float64{inv, tc.Beta1, 1 - tc.Beta1, tc.Beta2, 1 - tc.Beta2, lr, tc.Epsilon}
+	consts := [7]float64{inv, beta1, 1 - beta1, beta2, 1 - beta2, lr, epsilon}
 	adamStep2(&params[0], &grad[0], &m[0], &v[0], n2, &consts[0])
 	return n2
 }

@@ -10,6 +10,6 @@ func gradWT(gw, act, delta []float64, batch, in, out int) { gradWTGo(gw, act, de
 
 // adamBulk is a no-op on platforms without the packed kernels; update()
 // runs the scalar loop over the whole parameter vector.
-func adamBulk(params, grad, m, v []float64, lr, inv float64, tc TrainConfig) int {
+func adamBulk(params, grad, m, v []float64, lr, inv float64) int {
 	return 0
 }

@@ -230,7 +230,6 @@ func TestGradWTMatchesReference(t *testing.T) {
 
 func TestAdamBulkMatchesScalar(t *testing.T) {
 	rng := xrand.New(15)
-	tc := DefaultTrainConfig(1)
 	for _, n := range []int{0, 1, 2, 3, 7, 16, 33} {
 		params := randSlice(rng, n)
 		grad := randSlice(rng, n)
@@ -246,11 +245,11 @@ func TestAdamBulkMatchesScalar(t *testing.T) {
 		wv := append([]float64(nil), v...)
 		for i := range wp {
 			gr := grad[i] * inv
-			wm[i] = tc.Beta1*wm[i] + (1-tc.Beta1)*gr
-			wv[i] = tc.Beta2*wv[i] + (1-tc.Beta2)*gr*gr
-			wp[i] -= lr * wm[i] / (math.Sqrt(wv[i]) + tc.Epsilon)
+			wm[i] = beta1*wm[i] + (1-beta1)*gr
+			wv[i] = beta2*wv[i] + (1-beta2)*gr*gr
+			wp[i] -= lr * wm[i] / (math.Sqrt(wv[i]) + epsilon)
 		}
-		update(params, grad, m, v, lr, inv, tc)
+		update(params, grad, m, v, lr, inv)
 		for i := 0; i < n; i++ {
 			if params[i] != wp[i] || m[i] != wm[i] || v[i] != wv[i] {
 				t.Fatalf("n=%d elem %d: packed (p=%v m=%v v=%v), scalar (p=%v m=%v v=%v)",
@@ -300,12 +299,12 @@ func TestTrainMatchesPerSampleReference(t *testing.T) {
 	sc := ref.newScratch()
 	g := newGradients(ref)
 	g.zero()
-	for b := 0; b < tc.BatchSize; b++ {
+	for b := 0; b < batchSize; b++ {
 		i := rng.Intn(len(xs))
 		ref.backprop(xs[i], ys[i], sc, g)
 	}
-	opt := newAdam(ref, tc)
-	opt.step(ref, g, tc.BatchSize)
+	opt := newAdam(ref)
+	opt.step(ref, g, batchSize)
 
 	got := New(Config{InputDim: 2, Hidden: []int{8, 8}, NumClasses: 2, Seed: 21})
 	if _, err := got.Train(xs, ys, tc); err != nil {

@@ -313,37 +313,33 @@ func argmax(xs []float64) int {
 	return best
 }
 
-// TrainConfig controls optimization. Zero-valued fields are filled with
-// the defaults from DefaultTrainConfig.
+// Adam's canonical hyperparameters and the mini-batch size. They are
+// typed so that 1-beta1 is the run-time subtraction from the rounded
+// 0.9, not an untyped constant folded exactly to 0.1.
+const (
+	learningRate float64 = 1e-3
+	beta1        float64 = 0.9
+	beta2        float64 = 0.999
+	epsilon      float64 = 1e-8
+	batchSize            = 32
+)
+
+// TrainConfig controls optimization: Adam with the canonical
+// hyperparameters on mini-batches of 32, over inputs standardized to
+// zero mean and unit variance with training-set statistics (the Table
+// I/II features span six orders of magnitude).
 type TrainConfig struct {
-	LearningRate float64
-	Beta1        float64
-	Beta2        float64
-	Epsilon      float64
-	BatchSize    int
 	// Steps is the number of gradient steps ("training iterations" in the
 	// paper's Figs. 7a/8a — quality converges around 600, latency around
 	// 60).
 	Steps int
-	Seed  uint64
-	// Normalize standardizes inputs to zero mean / unit variance using
-	// training-set statistics. Strongly recommended: the Table I/II
-	// features span six orders of magnitude.
-	Normalize bool
+	// Seed drives the mini-batch sampling.
+	Seed uint64
 }
 
-// DefaultTrainConfig mirrors Adam's canonical hyperparameters.
+// DefaultTrainConfig returns steps gradient steps at seed 1.
 func DefaultTrainConfig(steps int) TrainConfig {
-	return TrainConfig{
-		LearningRate: 1e-3,
-		Beta1:        0.9,
-		Beta2:        0.999,
-		Epsilon:      1e-8,
-		BatchSize:    32,
-		Steps:        steps,
-		Seed:         1,
-		Normalize:    true,
-	}
+	return TrainConfig{Steps: steps, Seed: 1}
 }
 
 // ErrBadTrainingData is returned when inputs and labels disagree or are
@@ -371,40 +367,23 @@ func (n *Network) Train(xs [][]float64, ys []int, tc TrainConfig) ([]float64, er
 			return nil, fmt.Errorf("%w: label %d out of [0,%d)", ErrBadTrainingData, ys[i], n.Cfg.NumClasses)
 		}
 	}
-	if tc.LearningRate == 0 {
-		tc.LearningRate = 1e-3
-	}
-	if tc.Beta1 == 0 {
-		tc.Beta1 = 0.9
-	}
-	if tc.Beta2 == 0 {
-		tc.Beta2 = 0.999
-	}
-	if tc.Epsilon == 0 {
-		tc.Epsilon = 1e-8
-	}
-	if tc.BatchSize <= 0 {
-		tc.BatchSize = 32
-	}
 	if tc.Steps <= 0 {
 		tc.Steps = 100
 	}
-	if tc.Normalize {
-		n.Norm = FitNormalizer(xs)
-	}
+	n.Norm = FitNormalizer(xs)
 
 	d, c := n.Cfg.InputDim, n.Cfg.NumClasses
 	numLayers := len(n.Layers)
-	batch := tc.BatchSize
+	batch := batchSize
 
 	// Standardize the dataset once up front; each batch gather is then a
-	// straight copy instead of BatchSize normalizer passes per step.
+	// straight copy instead of batchSize normalizer passes per step.
 	normX := make([]float64, len(xs)*d)
 	for i, x := range xs {
 		n.loadBatchRow(normX[i*d:(i+1)*d], x)
 	}
 
-	opt := newAdam(n, tc)
+	opt := newAdam(n)
 	rng := xrand.New(tc.Seed).SplitName("batches")
 	grads := newGradients(n)
 	bs := n.newBatchScratch(batch)
@@ -596,14 +575,13 @@ func (g *gradients) zero() {
 
 // adam holds first/second moment estimates per parameter.
 type adam struct {
-	tc     TrainConfig
 	mw, vw [][]float64
 	mb, vb [][]float64
 	t      int
 }
 
-func newAdam(n *Network, tc TrainConfig) *adam {
-	a := &adam{tc: tc}
+func newAdam(n *Network) *adam {
+	a := &adam{}
 	for _, l := range n.Layers {
 		a.mw = append(a.mw, make([]float64, len(l.W)))
 		a.vw = append(a.vw, make([]float64, len(l.W)))
@@ -615,21 +593,21 @@ func newAdam(n *Network, tc TrainConfig) *adam {
 
 func (a *adam) step(n *Network, g *gradients, batchSize int) {
 	a.t++
-	lr := a.tc.LearningRate *
-		math.Sqrt(1-math.Pow(a.tc.Beta2, float64(a.t))) /
-		(1 - math.Pow(a.tc.Beta1, float64(a.t)))
+	lr := learningRate *
+		math.Sqrt(1-math.Pow(beta2, float64(a.t))) /
+		(1 - math.Pow(beta1, float64(a.t)))
 	inv := 1 / float64(batchSize)
 	for li := range n.Layers {
-		update(n.Layers[li].W, g.w[li], a.mw[li], a.vw[li], lr, inv, a.tc)
-		update(n.Layers[li].B, g.b[li], a.mb[li], a.vb[li], lr, inv, a.tc)
+		update(n.Layers[li].W, g.w[li], a.mw[li], a.vw[li], lr, inv)
+		update(n.Layers[li].B, g.b[li], a.mb[li], a.vb[li], lr, inv)
 	}
 }
 
-func update(params, grad, m, v []float64, lr, inv float64, tc TrainConfig) {
-	for i := adamBulk(params, grad, m, v, lr, inv, tc); i < len(params); i++ {
+func update(params, grad, m, v []float64, lr, inv float64) {
+	for i := adamBulk(params, grad, m, v, lr, inv); i < len(params); i++ {
 		gr := grad[i] * inv
-		m[i] = tc.Beta1*m[i] + (1-tc.Beta1)*gr
-		v[i] = tc.Beta2*v[i] + (1-tc.Beta2)*gr*gr
-		params[i] -= lr * m[i] / (math.Sqrt(v[i]) + tc.Epsilon)
+		m[i] = beta1*m[i] + (1-beta1)*gr
+		v[i] = beta2*v[i] + (1-beta2)*gr*gr
+		params[i] -= lr * m[i] / (math.Sqrt(v[i]) + epsilon)
 	}
 }

@@ -34,8 +34,8 @@ type Label struct{ Key, Value string }
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Collector is anything the registry can export: Counter, Gauge,
-// GaugeFunc or Histogram.
+// Collector is anything the registry can export: Counter, GaugeFunc or
+// Histogram.
 type Collector interface{ metricKind() string }
 
 // Counter is a monotonically increasing atomic counter. The zero value
@@ -58,23 +58,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 func (*Counter) metricKind() string { return "counter" }
 
-// Gauge is an instantaneous value. The zero value is ready to use.
-type Gauge struct{ f atomicFloat }
-
-// NewGauge returns a standalone gauge.
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.f.Store(v) }
-
-// Add folds a delta into the gauge.
-func (g *Gauge) Add(v float64) { g.f.Add(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.f.Load() }
-
-func (*Gauge) metricKind() string { return "gauge" }
-
 // GaugeFunc exports a value computed at scrape time — the adoption path
 // for state that already lives elsewhere (limiter occupancy, breaker
 // state, cluster virtual time). Fn must be safe for concurrent use.
@@ -86,8 +69,7 @@ func (*GaugeFunc) metricKind() string { return "gauge" }
 // one atomic increment per bucket, one per total count and a CAS-add on
 // the sum per Observe — no mutex anywhere on the update path. Bounds
 // are upper bucket edges (ascending); an implicit +Inf bucket catches
-// the overflow, and min/max are tracked exactly so quantile estimates
-// can clamp to the observed range.
+// the overflow, and min/max are tracked exactly.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
@@ -124,18 +106,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// LinearBuckets returns n bounds from start spaced by width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n <= 0 {
-		panic("obs: LinearBuckets wants width > 0, n > 0")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i+1)*width
-	}
-	return b
-}
-
 // LatencyBucketsMS is the default latency binning: 0.05 ms to ~26 s in
 // 20 doubling buckets, covering fabric round trips through the
 // failure-detection timeout.
@@ -167,8 +137,7 @@ func (*Histogram) metricKind() string { return "histogram" }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 // Concurrent writers may land between bucket reads, so the bucket sum
-// can trail Count by in-flight observations; quantiles remain within
-// one bucket of exact either way.
+// can trail Count by in-flight observations.
 type HistogramSnapshot struct {
 	Bounds []float64 // upper bucket edges (no +Inf)
 	Counts []uint64  // len(Bounds)+1
@@ -193,67 +162,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Max = math.Float64frombits(h.max.Load())
 	return s
 }
-
-// Mean returns the snapshot's mean, or 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-th quantile (0 <= q <= 1) by linear
-// interpolation within the containing bucket, clamped to the observed
-// [Min, Max]. Returns 0 when the histogram is empty.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	total := uint64(0)
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range s.Counts {
-		next := cum + float64(c)
-		if rank <= next && c > 0 {
-			lo := s.Min
-			if i > 0 {
-				lo = s.Bounds[i-1]
-			}
-			hi := s.Max
-			if i < len(s.Bounds) {
-				hi = s.Bounds[i]
-			}
-			if lo < s.Min {
-				lo = s.Min
-			}
-			if hi > s.Max {
-				hi = s.Max
-			}
-			if hi <= lo {
-				return hi
-			}
-			frac := 0.0
-			if c > 0 {
-				frac = (rank - cum) / float64(c)
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum = next
-	}
-	return s.Max
-}
-
-// Quantile is Snapshot().Quantile for one-off reads.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // entry is one registered metric with its identity.
 type entry struct {
@@ -317,11 +225,6 @@ func (r *Registry) Register(name, help string, m Collector, labels ...Label) Col
 // Counter creates (or returns the existing) counter under name+labels.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.Register(name, help, NewCounter(), labels...).(*Counter)
-}
-
-// Gauge creates (or returns the existing) gauge under name+labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.Register(name, help, NewGauge(), labels...).(*Gauge)
 }
 
 // GaugeFunc registers a scrape-time callback gauge under name+labels.
@@ -401,9 +304,6 @@ func writeEntry(w io.Writer, e *entry) error {
 	switch m := e.m.(type) {
 	case *Counter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", e.name, formatLabels(e.labels), m.Value())
-		return err
-	case *Gauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", e.name, formatLabels(e.labels), formatValue(m.Value()))
 		return err
 	case *GaugeFunc:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", e.name, formatLabels(e.labels), formatValue(m.Fn()))

@@ -19,11 +19,15 @@ func TestCounterGauge(t *testing.T) {
 	if again := r.Counter("reqs_total", "requests"); again != c {
 		t.Fatal("Counter create-or-get returned a different instance")
 	}
-	g := r.Gauge("depth", "queue depth")
-	g.Set(3)
-	g.Add(-1)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("gauge = %g, want 2", got)
+	depth := 3.0
+	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
+	depth--
+	var out strings.Builder
+	if err := r.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\ndepth 2\n") {
+		t.Fatalf("scrape does not read the gauge at scrape time:\n%s", out.String())
 	}
 }
 
@@ -44,48 +48,74 @@ func TestRegisterAdoptsExisting(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantiles: each value lands in the first bucket whose
+// upper bound is at or above it, so the cumulative counts a scraper
+// reads place every quantile in its bucket; values past the last bound
+// land in +Inf, and the count, sum and range are exact.
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(LinearBuckets(0, 1, 100)) // 1..100
+	bounds := make([]float64, 100) // 1..100
+	for i := range bounds {
+		bounds[i] = float64(i + 1)
+	}
+	h := NewHistogram(bounds)
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) - 0.5) // 0.5, 1.5, ... 99.5
 	}
+	h.Observe(100) // on a bound: that bucket, not the next
 	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d, want 100", s.Count)
+	if s.Count != 101 || s.Sum != 5100 {
+		t.Fatalf("count = %d, sum = %g, want 101, 5100", s.Count, s.Sum)
 	}
-	checks := []struct{ q, want, tol float64 }{
-		{0.50, 50, 1.5},
-		{0.95, 95, 1.5},
-		{0.99, 99, 1.5},
-	}
-	for _, c := range checks {
-		got := s.Quantile(c.q)
-		if math.Abs(got-c.want) > c.tol {
-			t.Errorf("p%g = %g, want %g±%g", c.q*100, got, c.want, c.tol)
+	for i, c := range s.Counts {
+		want := uint64(1)
+		switch i {
+		case 99:
+			want = 2
+		case 100:
+			want = 0
+		}
+		if c != want {
+			t.Fatalf("bucket %d holds %d, want %d", i, c, want)
 		}
 	}
-	if got := s.Mean(); math.Abs(got-50) > 0.5 {
-		t.Errorf("mean = %g, want ~50", got)
+	// The bucket where the cumulative count first reaches q·Count holds
+	// the q-quantile.
+	for _, c := range []struct{ q, le float64 }{{0.50, 51}, {0.95, 96}, {0.99, 100}} {
+		cum := uint64(0)
+		for i, n := range s.Counts {
+			if cum += n; float64(cum) >= c.q*float64(s.Count) {
+				if s.Bounds[i] != c.le {
+					t.Errorf("p%g in the bucket up to %g, want %g", c.q*100, s.Bounds[i], c.le)
+				}
+				break
+			}
+		}
 	}
-	if s.Min != 0.5 || s.Max != 99.5 {
-		t.Errorf("min/max = %g/%g, want 0.5/99.5", s.Min, s.Max)
+	h.Observe(1e9)
+	if s := h.Snapshot(); s.Counts[100] != 1 {
+		t.Fatalf("+Inf bucket holds %d, want 1", s.Counts[100])
+	}
+	if s.Min != 0.5 || s.Max != 100 {
+		t.Errorf("min/max = %g/%g, want 0.5/100", s.Min, s.Max)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(LatencyBucketsMS())
 	s := h.Snapshot()
-	if q := s.Quantile(0.99); q != 0 {
-		t.Fatalf("empty quantile = %g, want 0", q)
+	if s.Count != 0 || s.Sum != 0 || !math.IsInf(s.Min, 1) || !math.IsInf(s.Max, -1) {
+		t.Fatalf("empty snapshot %+v, want zero count and sum, +Inf min, -Inf max", s)
 	}
-	if m := s.Mean(); m != 0 {
-		t.Fatalf("empty mean = %g, want 0", m)
+	for i, c := range s.Counts {
+		if c != 0 {
+			t.Fatalf("empty bucket %d holds %d", i, c)
+		}
 	}
 }
 
 // TestHistogramConcurrent hammers one histogram from many writers while
-// a reader snapshots quantiles — the race detector is the real assertion,
-// plus the final totals must add up exactly.
+// a reader snapshots it — the race detector is the real assertion, plus
+// the final totals must add up exactly.
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram(ExpBuckets(0.1, 2, 16))
 	const writers = 8
@@ -101,8 +131,8 @@ func TestHistogramConcurrent(t *testing.T) {
 			default:
 			}
 			s := h.Snapshot()
-			if q := s.Quantile(0.95); q < 0 {
-				t.Errorf("negative quantile %g", q)
+			if s.Count > writers*perWriter {
+				t.Errorf("count %d beyond what was written", s.Count)
 				return
 			}
 		}
@@ -133,8 +163,8 @@ func TestHistogramConcurrent(t *testing.T) {
 	if bucketSum != s.Count {
 		t.Fatalf("bucket sum %d != count %d", bucketSum, s.Count)
 	}
-	if q95 := s.Quantile(0.95); q95 < 50 || q95 > 100 {
-		t.Errorf("p95 = %g, want within (50, 100) for uniform [0,100)", q95)
+	if s.Min < 0 || s.Max >= 100 {
+		t.Errorf("min/max = %g/%g, want within [0, 100)", s.Min, s.Max)
 	}
 }
 

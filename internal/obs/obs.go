@@ -94,6 +94,3 @@ type SpanContext struct {
 	Trace  uint64
 	Parent uint64
 }
-
-// Traced reports whether the context carries a live trace.
-func (sc SpanContext) Traced() bool { return sc.Trace != 0 }

@@ -245,9 +245,6 @@ type Objective struct {
 // Name returns the objective's label.
 func (o *Objective) Name() string { return o.name }
 
-// Target returns the objective's error budget (tolerated bad fraction).
-func (o *Objective) Target() float64 { return o.target }
-
 // Observe records one event's outcome and re-evaluates the alert
 // state. Nil-safe. The page callback, if any, fires outside the locks.
 func (o *Objective) Observe(good bool) {

@@ -151,7 +151,7 @@ func TestObjectiveCreateOrGet(t *testing.T) {
 	if len(m.Objectives()) != 1 {
 		t.Fatalf("objectives = %d", len(m.Objectives()))
 	}
-	if m.Objective("zero", 0).Target() != 0.001 {
+	if m.Objective("zero", 0).target != 0.001 {
 		t.Error("non-positive target not clamped")
 	}
 }

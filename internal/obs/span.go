@@ -48,16 +48,6 @@ func (t *Trace) Find(name string) *Span {
 	return nil
 }
 
-// Span returns the span with the given ID, or nil.
-func (t *Trace) Span(id uint64) *Span {
-	for i := range t.Spans {
-		if t.Spans[i].ID == id {
-			return &t.Spans[i]
-		}
-	}
-	return nil
-}
-
 // Root returns the root span (Parent == 0), or nil.
 func (t *Trace) Root() *Span {
 	for i := range t.Spans {
@@ -152,10 +142,6 @@ const DefaultMaxSpans = 512
 // registers it as cottage_trace_spans_dropped_total.
 var droppedSpans Counter
 
-// DroppedSpanTotal returns the process-wide count of spans refused by
-// trace span caps.
-func DroppedSpanTotal() uint64 { return droppedSpans.Value() }
-
 // TraceBuilder accumulates one query's spans. All methods are safe on a
 // nil receiver (no-ops), so call sites need no Obs-enabled branching.
 // Span appends take one short mutex acquisition — the builder is per
@@ -173,20 +159,6 @@ type TraceBuilder struct {
 // buffer's notion of when the query ran); span times are independent.
 func NewTraceBuilder(startUnixUS int64) *TraceBuilder {
 	return &TraceBuilder{trace: NewID(), start: startUnixUS, max: DefaultMaxSpans}
-}
-
-// SetMaxSpans overrides the grafted-span cap (<= 0 restores the
-// default). Call before recording.
-func (b *TraceBuilder) SetMaxSpans(n int) {
-	if b == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultMaxSpans
-	}
-	b.mu.Lock()
-	b.max = n
-	b.mu.Unlock()
 }
 
 // TraceID returns the trace's ID, or 0 on a nil builder.

@@ -83,7 +83,7 @@ func TestNilBuilderSafe(t *testing.T) {
 	if s.ID() != 0 {
 		t.Fatal("nil span ID != 0")
 	}
-	if sc := s.Context(); sc.Traced() {
+	if sc := s.Context(); sc.Trace != 0 {
 		t.Fatal("nil span context claims traced")
 	}
 	b.AddSpans([]Span{{Name: "orphan"}})
@@ -149,9 +149,9 @@ func TestRecorderJSONL(t *testing.T) {
 
 func TestAddSpansCapDropsGrafts(t *testing.T) {
 	tb := NewTraceBuilder(0)
-	tb.SetMaxSpans(4)
+	tb.max = 4
 	root := tb.StartSpan("query", 0, 0)
-	before := DroppedSpanTotal()
+	before := droppedSpans.Value()
 	// Graft more serve-spans than the cap allows.
 	for i := 0; i < 10; i++ {
 		tb.AddSpans([]Span{{ID: NewID(), Parent: root.ID(), Name: "serve.search", StartUS: int64(i), DurUS: 1}})
@@ -165,7 +165,7 @@ func TestAddSpansCapDropsGrafts(t *testing.T) {
 	if tr.DroppedSpans != 6 {
 		t.Fatalf("DroppedSpans = %d, want 6", tr.DroppedSpans)
 	}
-	if got := DroppedSpanTotal() - before; got != 6 {
+	if got := droppedSpans.Value() - before; got != 6 {
 		t.Fatalf("process-wide drop counter advanced %d, want 6", got)
 	}
 	if tr.Root() == nil {
@@ -173,9 +173,9 @@ func TestAddSpansCapDropsGrafts(t *testing.T) {
 	}
 }
 
-func TestSetMaxSpansDefaults(t *testing.T) {
+// TestDefaultMaxSpans: a new builder caps grafts at DefaultMaxSpans.
+func TestDefaultMaxSpans(t *testing.T) {
 	tb := NewTraceBuilder(0)
-	tb.SetMaxSpans(-1) // restores the default
 	spans := make([]Span, DefaultMaxSpans+5)
 	for i := range spans {
 		spans[i] = Span{ID: NewID(), Name: "serve.search"}
@@ -184,8 +184,6 @@ func TestSetMaxSpansDefaults(t *testing.T) {
 	if tr := tb.Finish(); len(tr.Spans) != DefaultMaxSpans || tr.DroppedSpans != 5 {
 		t.Fatalf("kept %d dropped %d, want %d/5", len(tr.Spans), tr.DroppedSpans, DefaultMaxSpans)
 	}
-	var nilB *TraceBuilder
-	nilB.SetMaxSpans(10) // nil-safe
 }
 
 // TestMarkTruncated: folding a truncated leg lists its ISN and marks that

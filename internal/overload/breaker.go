@@ -141,9 +141,6 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// Transitions reports how many state changes the breaker has made.
-func (b *Breaker) Transitions() uint64 { return b.transitions.Value() }
-
 // LastOpened returns when the breaker last entered the open state (zero
 // if it never opened). The health prober uses it as the start of the
 // outage when computing revival latency.

@@ -11,16 +11,16 @@ import (
 func TestBreakerTransitionsAndLastOpened(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
 	b := NewBreaker(2, 100*time.Millisecond, clk)
-	if b.Transitions() != 0 {
-		t.Fatalf("fresh breaker transitions = %d, want 0", b.Transitions())
+	if b.transitions.Value() != 0 {
+		t.Fatalf("fresh breaker transitions = %d, want 0", b.transitions.Value())
 	}
 	if !b.LastOpened().IsZero() {
 		t.Fatal("fresh breaker has a LastOpened timestamp")
 	}
 	b.OnFailure()
 	b.OnFailure() // closed → open
-	if b.Transitions() != 1 {
-		t.Fatalf("transitions after open = %d, want 1", b.Transitions())
+	if b.transitions.Value() != 1 {
+		t.Fatalf("transitions after open = %d, want 1", b.transitions.Value())
 	}
 	opened := b.LastOpened()
 	if !opened.Equal(clk.Now()) {
@@ -30,20 +30,20 @@ func TestBreakerTransitionsAndLastOpened(t *testing.T) {
 	if !b.Allow() { // open → half-open
 		t.Fatal("cooldown elapsed, probe must be allowed")
 	}
-	if b.Transitions() != 2 {
-		t.Fatalf("transitions after half-open = %d, want 2", b.Transitions())
+	if b.transitions.Value() != 2 {
+		t.Fatalf("transitions after half-open = %d, want 2", b.transitions.Value())
 	}
 	b.OnSuccess() // half-open → closed
-	if b.Transitions() != 3 {
-		t.Fatalf("transitions after close = %d, want 3", b.Transitions())
+	if b.transitions.Value() != 3 {
+		t.Fatalf("transitions after close = %d, want 3", b.transitions.Value())
 	}
 	// LastOpened survives closure: the prober reads it after reviving.
 	if !b.LastOpened().Equal(opened) {
 		t.Fatal("LastOpened changed on close")
 	}
 	b.OnSuccess() // closed → closed: not a transition
-	if b.Transitions() != 3 {
-		t.Fatalf("closed→closed counted as transition: %d", b.Transitions())
+	if b.transitions.Value() != 3 {
+		t.Fatalf("closed→closed counted as transition: %d", b.transitions.Value())
 	}
 }
 

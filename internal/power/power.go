@@ -101,16 +101,6 @@ func (mt *Meter) AddBusy(f, durationMS float64) {
 	mt.freqMJ = append(mt.freqMJ, e)
 }
 
-// ByFrequency returns a copy of the busy-energy attribution per
-// frequency (GHz -> millijoules).
-func (mt *Meter) ByFrequency() map[float64]float64 {
-	out := make(map[float64]float64, len(mt.freqs))
-	for i, f := range mt.freqs {
-		out[f] = mt.freqMJ[i]
-	}
-	return out
-}
-
 // Attribution returns copies of the busy-energy attribution as parallel
 // slices, in the order the frequencies were first charged: a fixed
 // order, so a sum over it repeats bit for bit where a map range does

@@ -96,9 +96,6 @@ func (c *LRU[V]) HitRate() float64 {
 	return float64(c.hits) / float64(total)
 }
 
-// Stats returns raw hit/miss counters.
-func (c *LRU[V]) Stats() (hits, misses int) { return c.hits, c.misses }
-
 // Reset clears contents and counters.
 func (c *LRU[V]) Reset() {
 	c.ll = list.New()

@@ -71,9 +71,8 @@ func TestHitRate(t *testing.T) {
 	if hr := c.HitRate(); hr < 0.66 || hr > 0.67 {
 		t.Errorf("hit rate = %v, want 2/3", hr)
 	}
-	h, m := c.Stats()
-	if h != 2 || m != 1 {
-		t.Errorf("stats = %d/%d", h, m)
+	if c.hits != 2 || c.misses != 1 {
+		t.Errorf("stats = %d/%d", c.hits, c.misses)
 	}
 	c.Reset()
 	if c.Len() != 0 || c.HitRate() != 0 {

@@ -2,15 +2,19 @@ package replica
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cottage/internal/overload"
 )
 
-// FuzzReplicaSelect drives Rank with arbitrary health, breaker, service
-// and accuracy observations and checks the selector's two hard
+// FuzzReplicaSelect drives RankInto with arbitrary health, breaker,
+// service and accuracy observations and checks the selector's two hard
 // guarantees: it never selects a failed replica, and it never panics —
-// including on empty and all-failed groups.
+// including on empty and all-failed groups. It ranks into a reused
+// destination holding stale IDs, with a capacity anywhere from 0 to the
+// group size, as both transports do, and checks that the order is the
+// one a fresh destination gets.
 func FuzzReplicaSelect(f *testing.F) {
 	f.Add(0, uint64(0), int64(0), int64(0))
 	f.Add(3, uint64(0b101010), int64(12), int64(99))
@@ -41,7 +45,18 @@ func FuzzReplicaSelect(f *testing.F) {
 			}
 			failed[i] = fbit
 		}
-		order := Rank(cands)
+		want := RankInto(nil, slices.Clone(cands))
+		dst := make([]int, int(uint64(errBits)>>32)%(n+1))
+		for i := range dst {
+			dst[i] = n - 1 - i // stale IDs from an earlier group
+		}
+		order := RankInto(dst, cands)
+		if !slices.Equal(order, want) {
+			t.Fatalf("order %v into a reused destination, %v into a fresh one", order, want)
+		}
+		if len(order) > 0 && len(order) <= cap(dst) && &order[0] != &dst[:1][0] {
+			t.Fatalf("order of %d IDs did not reuse a destination of capacity %d", len(order), cap(dst))
+		}
 		seen := make(map[int]bool, len(order))
 		for _, id := range order {
 			if failed[id] {

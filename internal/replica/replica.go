@@ -18,7 +18,7 @@
 //     allocation-free ranking over per-replica health signals (breaker
 //     state, prober health, rolling service time, predictor accuracy)
 //     that never selects a failed replica and never panics on empty
-//     groups (fuzzed by FuzzReplicaSelect, through Rank);
+//     groups (fuzzed by FuzzReplicaSelect);
 //   - Tracker: a lock-free rolling EWMA of per-replica service time,
 //     the selector's latency signal on the live path.
 //
@@ -42,17 +42,6 @@ type Topology struct {
 	// R is the replication factor: how many interchangeable copies serve
 	// each shard.
 	R int
-}
-
-// Validate checks the layout.
-func (t Topology) Validate() error {
-	if t.Shards <= 0 {
-		return fmt.Errorf("replica: non-positive shard count %d", t.Shards)
-	}
-	if t.R < 1 {
-		return fmt.Errorf("replica: replication factor %d < 1", t.R)
-	}
-	return nil
 }
 
 // Nodes is the total node count (Shards × R).

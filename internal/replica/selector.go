@@ -67,9 +67,10 @@ func breakerRank(s overload.State) int {
 	}
 }
 
-// Rank orders a replica group's candidates best-first and returns their
-// IDs. Failed and Quarantined replicas are excluded entirely; an empty
-// (or all-failed) group yields an empty slice, never a panic. The
+// RankInto orders a replica group's candidates best-first and writes
+// their IDs into dst[:0], which it returns (grown only when dst is too
+// short). Failed and Quarantined replicas are excluded entirely; an
+// empty (or all-failed) group yields an empty slice, never a panic. The
 // ranking rule, most significant first:
 //
 //  1. breaker state: closed < half-open < open,
@@ -80,15 +81,11 @@ func breakerRank(s overload.State) int {
 //
 // The rule is deliberately total and deterministic: two aggregators
 // with the same observations route the same way, which keeps simulated
-// sweeps and live traffic comparable. Rank reorders cands (see RankInto).
-func Rank(cands []Candidate) []int { return RankInto(nil, cands) }
-
-// RankInto is Rank without allocating: it moves the selectable
-// candidates to the front of cands, sorts them there by Rank's rule, and
-// writes their IDs into dst[:0], which it returns (grown only when dst
-// is too short). Groups are a handful of replicas, so the sort is an
-// insertion sort; the rule ends on the unique ID, so any correct sort
-// gives the same order.
+// sweeps and live traffic comparable. RankInto allocates nothing: it
+// moves the selectable candidates to the front of cands and sorts them
+// there. Groups are a handful of replicas, so the sort is an insertion
+// sort; the rule ends on the unique ID, so any correct sort gives the
+// same order.
 func RankInto(dst []int, cands []Candidate) []int {
 	live := cands[:0]
 	for _, c := range cands {
@@ -108,7 +105,7 @@ func RankInto(dst []int, cands []Candidate) []int {
 	return dst
 }
 
-// ranksBefore is Rank's rule: whether a is preferred to b.
+// ranksBefore is RankInto's rule: whether a is preferred to b.
 func ranksBefore(a, b *Candidate) bool {
 	if ra, rb := breakerRank(a.Breaker), breakerRank(b.Breaker); ra != rb {
 		return ra < rb

@@ -24,7 +24,7 @@ func TestSearchAnytimeOverWire(t *testing.T) {
 	defer c.Close()
 
 	terms := []string{"ga", "gb"}
-	r, _, err := c.SearchAnytime(obs.SpanContext{}, terms, 10, 5*time.Second)
+	r, _, err := c.searchCall(obs.SpanContext{}, terms, 10, 5*time.Second, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSearchAnytimeOverWire(t *testing.T) {
 
 	// A truncated answer (whenever the 1us deadline fires mid-shard) must
 	// still carry exact hits and a bound covering the full evaluation.
-	r, _, err = c.SearchAnytime(obs.SpanContext{}, terms, 10, time.Microsecond)
+	r, _, err = c.searchCall(obs.SpanContext{}, terms, 10, time.Microsecond, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSearchAnytimeWithoutDeadlineFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	r, _, err := c.SearchAnytime(obs.SpanContext{}, []string{"ga"}, 5, 0)
+	r, _, err := c.searchCall(obs.SpanContext{}, []string{"ga"}, 5, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

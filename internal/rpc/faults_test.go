@@ -32,7 +32,7 @@ func startFaultyServer(tb testing.TB, sh *index.Shard, pred *predict.ISNPredicto
 func TestRetryUnderFaults(t *testing.T) {
 	sh := buildShard(t, 41)
 	want := search.MaxScore(sh, []string{"ga", "gb"}, 5)
-	fast := RetryPolicy{Max: 6, Backoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
+	fast := RetryPolicy{Max: 6, Backoff: time.Millisecond}
 
 	cases := []struct {
 		name    string
@@ -340,7 +340,7 @@ func TestCottageFaultTolerance(t *testing.T) {
 	// so forget them to make the aggregator ask.
 	agg.Degraded = 1 // core.DegradedConservative
 	in.SetPlan(1, faults.Plan{PredictDropProb: 1})
-	agg.ForgetPredictions()
+	agg.predMemo().reset()
 	deg, err := agg.SearchCottage(terms)
 	if err != nil {
 		t.Fatalf("prediction timeout failed the query: %v", err)
@@ -365,7 +365,7 @@ func TestCottageFaultTolerance(t *testing.T) {
 	// so the predict round finds it.
 	stops[0]()
 	clients[0].Close()
-	agg.ForgetPredictions()
+	agg.predMemo().reset()
 	part, err := agg.SearchCottage(terms)
 	if err != nil {
 		t.Fatalf("one dead ISN failed SearchCottage: %v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -334,6 +335,34 @@ func startIntegrityServer(tb testing.TB, mgr *integrity.Manager) (addr string, s
 	return l.Addr().String(), func() { l.Close() }
 }
 
+// TestAllReplicasQuarantinedIsShardCorrupt: a shard whose every replica
+// is quarantined fails its leg as corrupt, naming the shard, the way the
+// twin files such a leg (LegCorrupt) — not as a shard with no replicas.
+func TestAllReplicasQuarantinedIsShardCorrupt(t *testing.T) {
+	var clients []*Client
+	for s := 0; s < 2; s++ {
+		addr, stop := startServer(t, buildShard(t, uint64(80+s)), nil)
+		defer stop()
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients = append(clients, c)
+	}
+	agg := NewAggregator(clients, 5)
+	for s := range clients {
+		agg.noteCorrupt(s, s, fmt.Errorf("scrub: %w", ErrShardCorrupt))
+	}
+	_, err := agg.SearchExhaustive([]string{"ga", "gb"})
+	if !IsShardCorrupt(err) {
+		t.Fatalf("SearchExhaustive error %v, want one wrapping ErrShardCorrupt", err)
+	}
+	if !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("SearchExhaustive error %q does not name the shard", err)
+	}
+}
+
 // TestQuarantineFailoverAndRepair is the integrity plane end to end
 // over real sockets: replica 0's shard rots in memory, the first query
 // touching the bad block quarantines it server-side, the aggregator
@@ -393,7 +422,7 @@ func TestQuarantineFailoverAndRepair(t *testing.T) {
 	}
 
 	// Server side quarantined itself; coordinator marked it too.
-	if st := mgr.State(); st == integrity.Healthy {
+	if mgr.Shard() != nil {
 		t.Fatal("server-side manager still Healthy after detection")
 	}
 	if !agg.clientQuarantined(0) {
@@ -422,8 +451,8 @@ func TestQuarantineFailoverAndRepair(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
-	if st := mgr.State(); st != integrity.Healthy {
-		t.Fatalf("state after repair = %v, want Healthy", st)
+	if mgr.Shard() == nil {
+		t.Fatalf("replica still out of service after repair: %+v", mgr.Snapshot().Replicas)
 	}
 	if q, err := c0.PingStatus(); err != nil || q {
 		t.Fatalf("PingStatus after repair = (%v, %v), want (false, nil)", q, err)
@@ -445,7 +474,7 @@ func TestQuarantineFailoverAndRepair(t *testing.T) {
 	if got := agg.rankShard(0, nil, nil); len(got) != 2 {
 		t.Fatalf("rankShard after readmit = %v, want both replicas", got)
 	}
-	snap := agg.IntegrityLedger().Snapshot()
+	snap := agg.quarantineLedger().Snapshot()
 	if snap.Repairs == 0 {
 		t.Fatal("coordinator ledger recorded no repair")
 	}

@@ -257,7 +257,7 @@ func TestQueueWaitSpendsTheBudget(t *testing.T) {
 	}
 
 	queued(func() {
-		r, _, err := c.SearchAnytime(obs.SpanContext{}, []string{"ga"}, 5, budget)
+		r, _, err := c.searchCall(obs.SpanContext{}, []string{"ga"}, 5, budget, true)
 		if err != nil {
 			t.Errorf("queued anytime leg: %v", err)
 			return
@@ -305,7 +305,7 @@ func TestShutdownDrains(t *testing.T) {
 
 	predictDone := make(chan error, 1)
 	go func() {
-		_, err := c.Predict([]string{"ga"}) // ~250ms in-flight, then app error (no model)
+		_, _, err := c.PredictLoad([]string{"ga"}) // ~250ms in-flight, then app error (no model)
 		predictDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the predict reach the server
@@ -351,7 +351,7 @@ func TestShutdownForceClosesOnExpiredContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	go c.Predict([]string{"ga"}) //nolint:errcheck // response is cut off by design
+	go c.PredictLoad([]string{"ga"}) //nolint:errcheck // response is cut off by design
 	time.Sleep(50 * time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

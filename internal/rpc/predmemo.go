@@ -84,12 +84,6 @@ func (m *predMemo) entries() int {
 	return m.lru.Len()
 }
 
-func (m *predMemo) reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lru.Reset()
-}
-
 // registerMemo exposes the memo's counters and size on the aggregator's
 // registry. The counters are Aggregator fields adopted in place, so
 // Stats() and the registry read the same atomics.
@@ -114,13 +108,6 @@ func (a *Aggregator) predMemo() *predMemo {
 	a.memoOnce.Do(func() { a.memo = newPredMemo(a.Shards()) })
 	return a.memo
 }
-
-// ForgetPredictions empties the prediction memo: the next query of every
-// term set asks all its shards again. Serving never needs it — slots
-// invalidate themselves (see usable) — but a caller that changed what
-// the ISNs would answer behind healthy connections (retrained models
-// pushed in place, a test injecting predict-only faults) does.
-func (a *Aggregator) ForgetPredictions() { a.predMemo().reset() }
 
 // usable reports whether a remembered slot may stand in for asking its
 // shard now: the three rules at the top of this file.

@@ -25,6 +25,16 @@ import (
 	"cottage/internal/trace"
 )
 
+// reset empties the memo: the next query of every term set asks all its
+// shards again. Serving never needs it, because slots invalidate
+// themselves (see usable), but a test that changes what the ISNs would
+// answer behind healthy connections does.
+func (m *predMemo) reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.lru.Reset()
+}
+
 // memoFixture is distributedFixture trained once for this file's tests.
 // They run one after the other and each serves every shard from one
 // Server at a time, so sharing the predictors' scratch is safe.
@@ -155,9 +165,9 @@ func sameDecision(got, want Result) error {
 func selectingQuery(tb testing.TB, agg *Aggregator, qs []trace.Query, s int) []string {
 	tb.Helper()
 	for _, q := range qs {
-		agg.ForgetPredictions()
+		agg.predMemo().reset()
 		if res := mustCottage(tb, agg, q.Terms); slices.Contains(res.Selected, s) && len(res.Failed) == 0 {
-			agg.ForgetPredictions()
+			agg.predMemo().reset()
 			return q.Terms
 		}
 	}
@@ -178,7 +188,7 @@ func TestMemoEquivalence(t *testing.T) {
 
 	want := make([]Result, len(qs))
 	for i, q := range qs {
-		forgetting.ForgetPredictions()
+		forgetting.predMemo().reset()
 		want[i] = mustCottage(t, forgetting, q.Terms)
 		if len(want[i].Predicted) != shards {
 			t.Fatalf("query %d: a forgotten memo asked %v, want all %d shards", i, want[i].Predicted, shards)
@@ -210,7 +220,7 @@ func TestMemoEquivalence(t *testing.T) {
 		if len(res.Predicted) != 0 {
 			t.Fatalf("second pass, query %d %v: asked %v, want a full hit", i, rev, res.Predicted)
 		}
-		forgetting.ForgetPredictions()
+		forgetting.predMemo().reset()
 		if err := sameDecision(res, mustCottage(t, forgetting, rev)); err != nil {
 			t.Fatalf("second pass, query %d %v: %v", i, rev, err)
 		}
@@ -238,7 +248,7 @@ func TestMemoEquivalence(t *testing.T) {
 				}
 				// Some clients keep knocking entries out from under the others.
 				if w == 0 && n%10 == 9 {
-					remembering.ForgetPredictions()
+					remembering.predMemo().reset()
 				}
 			}
 		}(w)
@@ -352,7 +362,7 @@ func TestMemoBypassedForUnhealthyReplica(t *testing.T) {
 				if !slices.Contains(got.Failed, sick) {
 					t.Fatalf("sick shard not in Failed %v: its prediction was not treated as missing", got.Failed)
 				}
-				agg.ForgetPredictions()
+				agg.predMemo().reset()
 				want := mustCottage(t, agg, terms)
 				if !reflect.DeepEqual(got.Failed, want.Failed) {
 					t.Fatalf("failed %v, want %v", got.Failed, want.Failed)

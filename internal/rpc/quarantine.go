@@ -9,7 +9,7 @@ import (
 // Coordinator-side quarantine: the aggregator keeps its own integrity
 // ledger over the replicas it routes to. A replica that answers
 // CodeQuarantined (ErrShardCorrupt) is marked here and drops out of
-// selection entirely — replica.Rank excludes quarantined candidates
+// selection entirely — replica.RankInto excludes quarantined candidates
 // outright, strictly below breaker-open, because an open breaker can
 // still admit a probe while a replica known to serve corrupt bytes
 // must never be chosen. Re-admission is driven by the prober: a ping
@@ -26,10 +26,6 @@ func (a *Aggregator) quarantineLedger() *integrity.Ledger {
 	a.qOnce.Do(func() { a.quarantine = integrity.NewLedger() })
 	return a.quarantine
 }
-
-// IntegrityLedger exposes the coordinator-side quarantine ledger for
-// stats, metrics mirroring, and the /debug/integrity endpoint.
-func (a *Aggregator) IntegrityLedger() *integrity.Ledger { return a.quarantineLedger() }
 
 // shardOf maps a client index back to its logical shard (the client's
 // replica-group row key).

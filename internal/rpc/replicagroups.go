@@ -66,7 +66,7 @@ func (a *Aggregator) rankShard(shard int, cands []replica.Candidate, order []int
 	quarantine := a.quarantineLedger()
 	if len(members) == 1 {
 		// Nothing to order. Only quarantine takes a sole copy out of
-		// selection (as replica.Rank would); a broken or breaker-open one
+		// selection (as replica.RankInto would); a broken or breaker-open one
 		// is still the only place to send the leg.
 		if quarantine.IsQuarantined(shard, members[0]) {
 			return nil
@@ -104,7 +104,10 @@ func (a *Aggregator) rankShard(shard int, cands []replica.Candidate, order []int
 // abandoned when nothing is left: degraded Algorithm 1 already priced
 // the shard in, so the query survives. That check comes before the
 // breaker's, so an abandoned leg spends no half-open probe. Returns nil
-// once an attempt succeeds, else why the last replica failed.
+// once an attempt succeeds, else why the last replica failed (the
+// callers prefix the shard). Groups are never empty, so an empty
+// ranking means every replica of the shard is quarantined, and the leg
+// fails with ErrShardCorrupt.
 //
 // attempt sends the leg to client ci, the replica in row row of the
 // group, after sent earlier attempts; sp is its open span. On success it
@@ -155,7 +158,7 @@ func (q *fanout) failover(shard int, span string, failovers *obs.Counter, deadli
 		lastErr = fmt.Errorf("replica %d: %w", ci, err)
 	}
 	if lastErr == nil {
-		lastErr = fmt.Errorf("no replicas configured")
+		lastErr = fmt.Errorf("every replica quarantined: %w", ErrShardCorrupt)
 	}
 	return lastErr
 }

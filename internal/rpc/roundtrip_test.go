@@ -41,7 +41,7 @@ func roundTripFixture(tb testing.TB) (*Client, []string) {
 	shards, fleet, qs := distributedFixture(tb)
 	c := loopbackISN(tb, shards[0], fleet.Predictors[0])
 	for _, q := range qs {
-		if pred, err := c.Predict(q.Terms); err == nil && pred.Matched {
+		if pred, _, err := c.PredictLoad(q.Terms); err == nil && pred.Matched {
 			return c, q.Terms
 		}
 	}
@@ -324,7 +324,7 @@ func benchmarkSearchCottage(b *testing.B, forget bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if forget {
-			agg.ForgetPredictions()
+			agg.predMemo().reset()
 		}
 		if _, err := agg.SearchCottage(queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
@@ -349,7 +349,7 @@ func TestMemoAllocs(t *testing.T) {
 	}
 	hit := testing.AllocsPerRun(100, search)
 	miss := testing.AllocsPerRun(100, func() {
-		agg.ForgetPredictions()
+		agg.predMemo().reset()
 		search()
 	})
 	if hit >= miss {

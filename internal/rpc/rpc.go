@@ -617,8 +617,8 @@ func (s *Server) anytimeSearch(sh *index.Shard, req *Request, deadline time.Time
 
 // RetryPolicy bounds the client's transport-level retries. Retries
 // reconnect (a broken stream cannot be resumed) and back off
-// exponentially from Backoff, doubling per attempt, capped at
-// MaxBackoff. Application-level errors from the server (bad request,
+// exponentially from Backoff, doubling per attempt, capped at 250 ms
+// (maxBackoff). Application-level errors from the server (bad request,
 // missing predictor) are never retried — only transport faults are.
 type RetryPolicy struct {
 	// Max is the number of additional attempts after the first (0
@@ -626,14 +626,13 @@ type RetryPolicy struct {
 	Max int
 	// Backoff is the first retry's delay. Zero means DefaultBackoff.
 	Backoff time.Duration
-	// MaxBackoff caps the doubling. Zero means DefaultMaxBackoff.
-	MaxBackoff time.Duration
 }
 
-// Defaults for RetryPolicy's zero fields.
 const (
-	DefaultBackoff    = 2 * time.Millisecond
-	DefaultMaxBackoff = 250 * time.Millisecond
+	// DefaultBackoff is the first retry's delay when Backoff is zero.
+	DefaultBackoff = 2 * time.Millisecond
+	// maxBackoff caps the doubling.
+	maxBackoff = 250 * time.Millisecond
 )
 
 // Client is a synchronous connection to one ISN server. It is safe for
@@ -799,10 +798,6 @@ func (c *Client) call(req *Request, resp *Response) error {
 	if backoff <= 0 {
 		backoff = DefaultBackoff
 	}
-	cap := c.retry.MaxBackoff
-	if cap <= 0 {
-		cap = DefaultMaxBackoff
-	}
 	for attempt := 0; ; attempt++ {
 		var err error
 		if c.broken.Load() {
@@ -822,8 +817,8 @@ func (c *Client) call(req *Request, resp *Response) error {
 		}
 		c.retries.Add(1)
 		time.Sleep(backoff)
-		if backoff *= 2; backoff > cap {
-			backoff = cap
+		if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 	}
 }
@@ -932,14 +927,6 @@ func (c *Client) SearchSpan(sc obs.SpanContext, terms []string, k int, deadline 
 	return c.searchCall(sc, terms, k, deadline, false)
 }
 
-// SearchAnytime is SearchSpan with the anytime flag: the server runs the
-// deadline-aware traversal, so a budget overrun comes back as an exact
-// truncated top-K (Result.Terminated, Result.ScoreBound) instead of a
-// "deadline exceeded" error.
-func (c *Client) SearchAnytime(sc obs.SpanContext, terms []string, k int, deadline time.Duration) (search.Result, []obs.Span, error) {
-	return c.searchCall(sc, terms, k, deadline, true)
-}
-
 func (c *Client) searchCall(sc obs.SpanContext, terms []string, k int, deadline time.Duration, anytime bool) (search.Result, []obs.Span, error) {
 	var resp Response
 	err := c.call(&Request{
@@ -950,12 +937,6 @@ func (c *Client) searchCall(sc obs.SpanContext, terms []string, k int, deadline 
 	}
 	return search.Result{Hits: resp.Hits, Stats: resp.Stats,
 		Terminated: resp.Terminated, ScoreBound: resp.ScoreBound}, resp.Spans, nil
-}
-
-// Predict fetches the remote ISN's quality/latency predictions.
-func (c *Client) Predict(terms []string) (predict.Prediction, error) {
-	pred, _, err := c.PredictLoad(terms)
-	return pred, err
 }
 
 // QueueInfo is the load feedback a response carries: the ISN's

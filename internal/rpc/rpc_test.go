@@ -82,7 +82,7 @@ func TestPredictWithoutModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Predict([]string{"ga"}); err == nil {
+	if _, _, err := c.PredictLoad([]string{"ga"}); err == nil {
 		t.Fatal("predict should fail with no model loaded")
 	}
 	// The connection must survive the application-level error.

@@ -64,15 +64,6 @@ type ExecStats struct {
 	BlocksSkipped int
 }
 
-// Add accumulates other into s.
-func (s *ExecStats) Add(other ExecStats) {
-	s.PostingsTraversed += other.PostingsTraversed
-	s.DocsScored += other.DocsScored
-	s.HeapInserts += other.HeapInserts
-	s.TermsMatched += other.TermsMatched
-	s.BlocksSkipped += other.BlocksSkipped
-}
-
 // Result is a shard's answer to a query: its local top-K and the work done.
 type Result struct {
 	Hits  []Hit // descending score, ties broken by ascending doc ID

@@ -218,27 +218,6 @@ func TestExecStatsSane(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := ExecStats{PostingsTraversed: 1, DocsScored: 2, HeapInserts: 3, TermsMatched: 4, BlocksSkipped: 5}
-	b := ExecStats{PostingsTraversed: 10, DocsScored: 20, HeapInserts: 30, TermsMatched: 40, BlocksSkipped: 50}
-	a.Add(b)
-	if a != (ExecStats{PostingsTraversed: 11, DocsScored: 22, HeapInserts: 33, TermsMatched: 44, BlocksSkipped: 55}) {
-		t.Errorf("Add wrong: %+v", a)
-	}
-}
-
-// TestStatsAddBlockFields: the one block counter left, BlocksSkipped,
-// sums across per-shard merges like the posting counters do.
-func TestStatsAddBlockFields(t *testing.T) {
-	var total ExecStats
-	for _, n := range []int{2, 0, 20} {
-		total.Add(ExecStats{BlocksSkipped: n})
-	}
-	if total != (ExecStats{BlocksSkipped: 22}) {
-		t.Errorf("Add dropped block fields: %+v", total)
-	}
-}
-
 func TestStrategyString(t *testing.T) {
 	if StrategyExhaustive.String() != "exhaustive" ||
 		StrategyMaxScore.String() != "maxscore" ||

@@ -61,25 +61,6 @@ func (g GammaDist) Mean() float64 { return g.Shape * g.Scale }
 // Variance returns the distribution variance.
 func (g GammaDist) Variance() float64 { return g.Shape * g.Scale * g.Scale }
 
-// PDF evaluates the density at x.
-func (g GammaDist) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x == 0 {
-		if g.Shape < 1 {
-			return math.Inf(1)
-		}
-		if g.Shape == 1 {
-			return 1 / g.Scale
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(g.Shape)
-	logp := (g.Shape-1)*math.Log(x) - x/g.Scale - lg - g.Shape*math.Log(g.Scale)
-	return math.Exp(logp)
-}
-
 // CDF returns P(X <= x), the regularized lower incomplete gamma
 // P(shape, x/scale).
 func (g GammaDist) CDF(x float64) float64 {

@@ -87,20 +87,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It sorts a copy; the input is not
 // modified. Returns 0 for an empty slice.
@@ -217,12 +203,6 @@ func (h *Histogram) Total() int {
 		t += c
 	}
 	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
 }
 
 // Fraction returns the share of observations falling into bin i.

@@ -329,12 +329,3 @@ func (c *Corpus) AllocateTopical(numShards, homeShards int, spill float64, seed 
 	}
 	return shards
 }
-
-// TotalTokens returns the number of tokens across the whole corpus.
-func (c *Corpus) TotalTokens() int {
-	t := 0
-	for i := range c.Docs {
-		t += c.Docs[i].Length
-	}
-	return t
-}

@@ -40,13 +40,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Split derives a new generator whose stream is statistically independent of
-// the parent's. The parent advances by exactly one step, so inserting or
-// removing Split calls does not shift unrelated streams.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64()}
-}
-
 // SplitName derives a child generator keyed by a string label, so subsystems
 // can be given stable streams by name regardless of the order in which they
 // are created.
@@ -113,32 +106,6 @@ func (r *RNG) ExpFloat64() float64 {
 // LogNormal returns exp(N(mu, sigma)).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
-// Poisson returns a Poisson variate with the given mean, using Knuth's
-// product method for small means and a normal approximation above 30 (the
-// approximation error there is far below anything our workloads notice).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := mean + math.Sqrt(mean)*r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Gamma returns a Gamma(shape, scale) variate using the Marsaglia–Tsang
@@ -238,6 +205,3 @@ func (z *Zipf) rank(u float64) int {
 	}
 	return lo
 }
-
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }

@@ -4,8 +4,10 @@
 // of `make cover`: the exactness-critical query-evaluation packages
 // (internal/search, internal/index) must not silently decay.
 //
-// Usage: go test -cover ./... | go run ./tools/covergate \
-//	-floor 85 -require cottage/internal/search,cottage/internal/index
+// Usage:
+//
+//	go test -cover ./... | go run ./tools/covergate \
+//		-floor 85 -require cottage/internal/search,cottage/internal/index
 package main
 
 import (
