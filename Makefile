@@ -65,7 +65,9 @@ fuzz-smoke:
 	$(GO) test ./internal/predict/ -run '^$$' -fuzz FuzzDecodeISNPredictor -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Quick perf sanity on the two predictor hot paths (the ones with hard
-# ns/op acceptance bars), on one twin replay under Cottage and one under
+# ns/op acceptance bars), on one pass of fleet inference over a trace
+# (internal/predict BenchmarkPredictTrace, where a Cottage twin replay
+# spends most of its CPU), on one twin replay under Cottage and one under
 # exhaustive search (internal/core, the work twin_qps times) and one
 # replayed query (internal/engine), and on a live Cottage query with and without
 # its predictions remembered (internal/rpc, loopback fixture; the pair
@@ -77,6 +79,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig7QualityPredictor|Fig9BudgetDetermination' \
 		-benchmem -benchtime 1x -timeout 10m .
+	$(GO) test -run '^$$' -bench '^BenchmarkPredictTrace$$' -benchmem -benchtime 1x ./internal/predict
 	$(GO) test -run '^$$' -bench 'RunCottage|RunExhaustive' -benchmem -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkRunQuery$$' -benchmem -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'SearchCottageMemo' -benchmem -benchtime 200x ./internal/rpc

@@ -128,7 +128,7 @@ func BenchmarkFig7QualityPredictor(b *testing.B) {
 // architecture.
 func BenchmarkFig7PaperNet(b *testing.B) {
 	net := nn.New(nn.PaperConfig(15, 11, 1))
-	p := net.NewPredictor()
+	p := net.NewPredictor(1)
 	x := make([]float64, 15)
 	for i := range x {
 		x[i] = float64(i) * 1.7

@@ -104,7 +104,7 @@ func NewQR(e *engine.Engine, ds *predict.Dataset, queries []trace.Query, cfg QRC
 	if _, err := net.Train(xs, ys, tc); err != nil {
 		return nil, err
 	}
-	return &QR{net: net, pred: net.NewPredictor(), MaxCut: maxCut}, nil
+	return &QR{net: net, pred: net.NewPredictor(1), MaxCut: maxCut}, nil
 }
 
 // rankByEstimate returns shard indices in descending estimate order

@@ -61,117 +61,76 @@ var LatencyNames = [LatencyDim]string{
 	"IDF",
 }
 
-// qualityRow maps one term's index statistics onto Table I's vector order.
-func qualityRow(st *index.TermStats) [QualityDim]float64 {
-	return [QualityDim]float64{
-		st.Q1,
-		st.Mean,
-		st.Median,
-		st.GeoMean,
-		st.HarmMean,
-		st.Q3,
-		st.KthScore,
-		st.MaxScore,
-		st.Variance,
-		float64(st.PostingLen),
-		float64(st.DocsEverInTopK),
-		float64(st.DocsWithin5OfKth),
-		float64(st.DocsWithin5OfMax),
-		float64(st.NumMaxScore),
-		st.IDF,
-	}
-}
-
-// latencyRow maps one term's index statistics onto Table II's vector order.
-func latencyRow(st *index.TermStats) [LatencyDim]float64 {
-	return [LatencyDim]float64{
-		float64(st.PostingLen),
-		float64(st.DocsEverInTopK),
-		float64(st.NumLocalMaxima),
-		float64(st.NumMaximaAboveMean),
-		float64(st.NumMaxScore),
-		0, // query length is set after the loop, not MAXed
-		float64(st.DocsWithin5OfMax),
-		float64(st.DocsWithin5OfKth),
-		st.Mean,
-		st.GeoMean,
-		st.HarmMean,
-		st.MaxScore,
-		st.EstMaxScore,
-		st.Variance,
-		st.IDF,
-	}
-}
-
 // Quality builds the Table I feature vector for the query terms on shard
 // s. Terms missing from the shard contribute nothing; if no term matches,
 // ok is false and the caller should treat the shard's contribution as
 // zero without running the predictor.
 func Quality(s *index.Shard, terms []string) (vec [QualityDim]float64, ok bool) {
-	matched := false
-	for _, t := range terms {
-		ti, found := s.Lookup(t)
-		if !found {
-			continue
-		}
-		matched = true
-		f := qualityRow(&ti.Stats)
-		for i := range vec {
-			if f[i] > vec[i] {
-				vec[i] = f[i]
-			}
-		}
-	}
-	return vec, matched
+	var l [LatencyDim]float64
+	ok = Extract(s, terms, &vec, &l)
+	return vec, ok
 }
 
 // Latency builds the Table II feature vector for the query terms on shard
 // s, with the same MAX aggregation and missing-term handling as Quality.
 func Latency(s *index.Shard, terms []string) (vec [LatencyDim]float64, ok bool) {
-	matched := 0
-	for _, t := range terms {
-		ti, found := s.Lookup(t)
-		if !found {
-			continue
-		}
-		matched++
-		f := latencyRow(&ti.Stats)
-		for i := range vec {
-			if f[i] > vec[i] {
-				vec[i] = f[i]
-			}
-		}
-	}
-	vec[5] = float64(len(terms))
-	return vec, matched > 0
+	var q [QualityDim]float64
+	ok = Extract(s, terms, &q, &vec)
+	return vec, ok
 }
 
-// Extract builds both predictors' feature vectors in one pass, with a
-// single term-dictionary lookup per query term instead of the two that
-// calling Quality and Latency separately costs. The vectors are identical
-// to the ones the individual extractors produce; the serving path
-// (predict.ISNPredictor.Predict) runs both predictors on every query, so
-// it always wants both.
-func Extract(s *index.Shard, terms []string) (q [QualityDim]float64, l [LatencyDim]float64, ok bool) {
+// Extract writes both predictors' feature vectors for the query terms on
+// shard s into q and l (overwriting them), with a single term-dictionary
+// lookup per query term, and reports whether any term matched. Each
+// feature is the MAX over the matched terms, taken in place: a statistic
+// replaces the running value only when it is greater, so a NaN never
+// replaces a value and −0 never replaces the +0 start. The serving path
+// (predict.ISNPredictor.Predict) writes straight into its networks' input
+// rows.
+func Extract(s *index.Shard, terms []string, q *[QualityDim]float64, l *[LatencyDim]float64) (ok bool) {
+	*q = [QualityDim]float64{}
+	*l = [LatencyDim]float64{}
 	for _, t := range terms {
 		ti, found := s.Lookup(t)
 		if !found {
 			continue
 		}
 		ok = true
-		qf := qualityRow(&ti.Stats)
-		for i := range q {
-			if qf[i] > q[i] {
-				q[i] = qf[i]
-			}
-		}
-		lf := latencyRow(&ti.Stats)
-		for i := range l {
-			if lf[i] > l[i] {
-				l[i] = lf[i]
-			}
-		}
+		st := &ti.Stats
+		// Table I's vector order.
+		maxInto(&q[0], st.Q1)
+		maxInto(&q[1], st.Mean)
+		maxInto(&q[2], st.Median)
+		maxInto(&q[3], st.GeoMean)
+		maxInto(&q[4], st.HarmMean)
+		maxInto(&q[5], st.Q3)
+		maxInto(&q[6], st.KthScore)
+		maxInto(&q[7], st.MaxScore)
+		maxInto(&q[8], st.Variance)
+		maxInto(&q[9], float64(st.PostingLen))
+		maxInto(&q[10], float64(st.DocsEverInTopK))
+		maxInto(&q[11], float64(st.DocsWithin5OfKth))
+		maxInto(&q[12], float64(st.DocsWithin5OfMax))
+		maxInto(&q[13], float64(st.NumMaxScore))
+		maxInto(&q[14], st.IDF)
+		// The Table II statistics that Table I lacks.
+		maxInto(&l[2], float64(st.NumLocalMaxima))
+		maxInto(&l[3], float64(st.NumMaximaAboveMean))
+		maxInto(&l[12], st.EstMaxScore)
 	}
-	l[5] = float64(len(terms))
-	return q, l, ok
+	// The rest of Table II is the MAX of the same statistics over the
+	// same terms, so it equals the Table I slot bit for bit.
+	l[0], l[1], l[4] = q[9], q[10], q[13]
+	l[5] = float64(len(terms)) // query length is the term count, not MAXed
+	l[6], l[7] = q[12], q[11]
+	l[8], l[9], l[10], l[11] = q[1], q[3], q[4], q[7]
+	l[13], l[14] = q[8], q[14]
+	return ok
+}
+
+// maxInto raises *dst to v when v > *dst.
+func maxInto(dst *float64, v float64) {
+	if v > *dst {
+		*dst = v
+	}
 }

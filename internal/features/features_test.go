@@ -1,6 +1,7 @@
 package features
 
 import (
+	"math"
 	"testing"
 
 	"cottage/internal/index"
@@ -182,7 +183,103 @@ func TestExtractorsZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = Latency(s, q) }); allocs != 0 {
 		t.Errorf("Latency allocates %v per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = Extract(s, q) }); allocs != 0 {
+	var qv [QualityDim]float64
+	var lv [LatencyDim]float64
+	if allocs := testing.AllocsPerRun(100, func() { _ = Extract(s, q, &qv, &lv) }); allocs != 0 {
 		t.Errorf("Extract allocates %v per run, want 0", allocs)
+	}
+}
+
+// refRows maps one term's statistics onto Table I's and Table II's vector
+// orders (query length left 0), the per-term rows Extract takes the MAX of.
+func refRows(st *index.TermStats) (q [QualityDim]float64, l [LatencyDim]float64) {
+	q = [QualityDim]float64{
+		st.Q1, st.Mean, st.Median, st.GeoMean, st.HarmMean, st.Q3, st.KthScore,
+		st.MaxScore, st.Variance, float64(st.PostingLen), float64(st.DocsEverInTopK),
+		float64(st.DocsWithin5OfKth), float64(st.DocsWithin5OfMax),
+		float64(st.NumMaxScore), st.IDF,
+	}
+	l = [LatencyDim]float64{
+		float64(st.PostingLen), float64(st.DocsEverInTopK), float64(st.NumLocalMaxima),
+		float64(st.NumMaximaAboveMean), float64(st.NumMaxScore), 0,
+		float64(st.DocsWithin5OfMax), float64(st.DocsWithin5OfKth), st.Mean,
+		st.GeoMean, st.HarmMean, st.MaxScore, st.EstMaxScore, st.Variance, st.IDF,
+	}
+	return q, l
+}
+
+// TestExtractMaxRule holds Extract to the per-term MAX rule bit for bit —
+// a statistic replaces the running value only when it is greater, from a
+// +0 start — on statistics no index build produces: NaN (Shard.Validate
+// checks only IDF), −0 and negatives, for every ordering of the terms.
+// Quality and Latency must give the same vectors.
+func TestExtractMaxRule(t *testing.T) {
+	s := buildShard(t)
+	odd := []func(st *index.TermStats){
+		func(st *index.TermStats) {
+			st.Q1, st.Mean, st.Variance, st.EstMaxScore = math.NaN(), math.NaN(), math.NaN(), math.NaN()
+		},
+		func(st *index.TermStats) {
+			st.Median, st.GeoMean, st.KthScore = math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1)
+			st.HarmMean, st.Q3 = -2, math.Inf(-1)
+		},
+		func(st *index.TermStats) { st.MaxScore, st.IDF = math.Inf(1), math.NaN() },
+	}
+	for i, name := range []string{"tokyo", "city", "japan"} {
+		ti, ok := s.Lookup(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		odd[i](&ti.Stats)
+	}
+	for _, terms := range [][]string{
+		{"tokyo"}, {"city"}, {"tokyo", "city"}, {"city", "tokyo"},
+		{"japan", "tokyo", "absent"}, {"tokyo", "japan", "city", "toyota"},
+		{"toyota", "city", "japan", "tokyo"}, {"absent"},
+	} {
+		var wantQ [QualityDim]float64
+		var wantL [LatencyDim]float64
+		wantOK := false
+		for _, term := range terms {
+			ti, found := s.Lookup(term)
+			if !found {
+				continue
+			}
+			wantOK = true
+			rq, rl := refRows(&ti.Stats)
+			for i := range wantQ {
+				if rq[i] > wantQ[i] {
+					wantQ[i] = rq[i]
+				}
+			}
+			for i := range wantL {
+				if rl[i] > wantL[i] {
+					wantL[i] = rl[i]
+				}
+			}
+		}
+		wantL[5] = float64(len(terms))
+
+		q, l := [QualityDim]float64{1, 2, 3}, [LatencyDim]float64{4, 5, 6} // stale contents Extract must overwrite
+		ok := Extract(s, terms, &q, &l)
+		qv, qok := Quality(s, terms)
+		lv, lok := Latency(s, terms)
+		if ok != wantOK || qok != wantOK || lok != wantOK {
+			t.Fatalf("%v: matched %v/%v/%v, want %v", terms, ok, qok, lok, wantOK)
+		}
+		for i := range wantQ {
+			for _, got := range []float64{q[i], qv[i]} {
+				if math.Float64bits(got) != math.Float64bits(wantQ[i]) {
+					t.Errorf("%v: %s = %v, want %v", terms, QualityNames[i], got, wantQ[i])
+				}
+			}
+		}
+		for i := range wantL {
+			for _, got := range []float64{l[i], lv[i]} {
+				if math.Float64bits(got) != math.Float64bits(wantL[i]) {
+					t.Errorf("%v: %s = %v, want %v", terms, LatencyNames[i], got, wantL[i])
+				}
+			}
+		}
 	}
 }

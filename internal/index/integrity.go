@@ -67,9 +67,6 @@ type integState struct {
 	total    int
 	verified []atomic.Uint32
 	corrupt  []atomic.Uint32
-	// corruptBlocks counts blocks found corrupt by lazy verification —
-	// the signal the owning server's quarantine logic watches.
-	corruptBlocks atomic.Int64
 }
 
 func (st *integState) bit(g int) (word int, mask uint32) { return g >> 5, 1 << (uint(g) & 31) }
@@ -327,7 +324,6 @@ func (s *Shard) VerifyBlock(ti *TermInfo, bi int) error {
 				break
 			}
 		}
-		st.corruptBlocks.Add(1)
 		s.markVerified(w, mask)
 		return &CorruptionError{Shard: s.ID, Term: ti.Text, Block: bi, Want: ti.Sums[bi], Got: got}
 	}

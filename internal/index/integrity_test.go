@@ -6,17 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 )
 
-// corruptBlocks reports how many blocks lazy verification has found
+// corruptBlocks reports how many blocks lazy verification has flagged
 // corrupt so far.
 func corruptBlocks(s *Shard) int {
 	if s.integ == nil {
 		return 0
 	}
-	return int(s.integ.corruptBlocks.Load())
+	n := 0
+	for i := range s.integ.corrupt {
+		n += bits.OnesCount32(s.integ.corrupt[i].Load())
+	}
+	return n
 }
 
 // multiBlockTerm returns a term with at least two block-max blocks, so

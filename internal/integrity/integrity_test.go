@@ -153,22 +153,24 @@ func TestScrubberPacing(t *testing.T) {
 	if res.Scrubbed == 0 || res.Scrubbed >= s.TotalBlocks() {
 		t.Fatalf("paced step scrubbed %d of %d blocks", res.Scrubbed, s.TotalBlocks())
 	}
-	// Enough elapsed time covers the full shard and wraps the epoch.
+	// Enough elapsed time covers the full shard and wraps the epoch. On
+	// a clean shard the cursor starts at block 0 and never stops early,
+	// so completed passes are the blocks scrubbed over the shard's total.
+	scrubbed := res.Scrubbed
 	total := int64(s.PostingBytes())
-	sc.Step(s, 1000+total) // one full shard's worth of budget
-	sc.Step(s, 2000+2*total)
-	if sc.epochs == 0 {
-		t.Fatalf("no epoch completed after %d bytes of budget", 2*total)
+	scrubbed += sc.Step(s, 1000+total).Scrubbed // one full shard's worth of budget
+	scrubbed += sc.Step(s, 2000+2*total).Scrubbed
+	if scrubbed < s.TotalBlocks() {
+		t.Fatalf("no epoch completed after %d bytes of budget (%d of %d blocks)", 2*total, scrubbed, s.TotalBlocks())
 	}
 	// Budget carry is capped: a huge idle gap can't scrub more than one
 	// pass worth in a single step.
-	before := sc.epochs
 	res = sc.Step(s, 100_000_000)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if sc.epochs > before+2 {
-		t.Fatalf("idle gap scrubbed %d epochs in one step", sc.epochs-before)
+	if res.Scrubbed > 2*s.TotalBlocks() {
+		t.Fatalf("idle gap scrubbed %d blocks of %d in one step", res.Scrubbed, s.TotalBlocks())
 	}
 }
 

@@ -22,7 +22,6 @@ type Scrubber struct {
 	lastMS  int64   // time of the previous Step
 	started bool    // lastMS is valid
 	carry   float64 // unspent byte budget carried between Steps
-	epochs  int     // completed full passes
 }
 
 // StepResult summarizes one Step call.
@@ -41,7 +40,6 @@ func (sc *Scrubber) Reset() {
 	sc.cursor = 0
 	sc.carry = 0
 	sc.started = false
-	sc.epochs = 0
 }
 
 // EpochMS returns how long one full pass over s takes at the configured
@@ -104,7 +102,6 @@ func (sc *Scrubber) Step(s *index.Shard, nowMS int64) StepResult {
 		sc.cursor++
 		if sc.cursor == total {
 			sc.cursor = 0
-			sc.epochs++
 			s.ResetVerification()
 		}
 	}

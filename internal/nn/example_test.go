@@ -26,7 +26,7 @@ func Example() {
 	if _, err := net.Train(xs, ys, nn.DefaultTrainConfig(200)); err != nil {
 		panic(err)
 	}
-	p := net.NewPredictor()
+	p := net.NewPredictor(1)
 	fmt.Println("class of -3.3:", p.Classify([]float64{-3.3}))
 	fmt.Println("class of +7.1:", p.Classify([]float64{7.1}))
 	// Output:

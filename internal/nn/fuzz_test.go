@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,21 @@ func FuzzDecode(f *testing.F) {
 	for _, cut := range []int{len(valid), len(valid) - 1, len(valid) / 2, len(valid) / 4, 8, 0} {
 		f.Add(valid[:cut])
 	}
+	// Well-shaped networks whose values break inference: a NaN weight
+	// and a zero normalizer deviation.
+	for _, c := range []struct {
+		p *float64
+		v float64
+	}{{&n.Layers[1].W[3], math.NaN()}, {&n.Norm.Std[1], 0}} {
+		old := *c.p
+		*c.p = c.v
+		var b bytes.Buffer
+		if err := n.Encode(&b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+		*c.p = old
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, err := Decode(bytes.NewReader(data))
@@ -37,7 +53,7 @@ func FuzzDecode(f *testing.F) {
 		for i := range x {
 			x[i] = float64(i) - 1.5
 		}
-		p := n.NewPredictor()
+		p := n.NewPredictor(1)
 		if probs := p.Probs(x); len(probs) != n.Cfg.NumClasses {
 			t.Fatalf("forward pass gave %d probabilities for %d classes", len(probs), n.Cfg.NumClasses)
 		}

@@ -4,9 +4,9 @@ package nn
 
 // The kernels in kernels_amd64.s process a tile of output columns of the
 // transposed weight layout at a time: 32 lanes in eight YMM registers
-// when the CPU has AVX2, 16 lanes in eight XMM registers otherwise. The
-// wrappers here tile the output dimension and finish any remainder the
-// tiles leave with the scalar strided loop. Every path accumulates
+// when the CPU has AVX2, then one masked pass of up to 16 lanes per
+// remainder; 16 lanes in eight XMM registers otherwise, then 8- and
+// 4-lane tiles and the scalar strided loop. Every path accumulates
 // bias-first in ascending input order, so all of them are bit-identical
 // to each other and to the portable loops in kernels.go.
 
@@ -55,18 +55,12 @@ func colsDense4(z, a, wt, bias, x *float64, k, stride int)
 func avxCols32(z, a, wt, bias, x *float64, k, stride int)
 
 //go:noescape
-func avxCols8(z, a, wt, bias, x *float64, k, stride int)
+func avxCols16(z, a, wt, bias, x *float64, k, stride int, mask *int64)
 
-//go:noescape
-func avxCols4(z, a, wt, bias, x *float64, k, stride int, mask *int64)
-
-// avxMasks[n] selects the first n lanes of a four-lane avxCols4 tile.
-var avxMasks = [5][4]int64{
-	{0, 0, 0, 0},
-	{-1, 0, 0, 0},
-	{-1, -1, 0, 0},
-	{-1, -1, -1, 0},
-	{-1, -1, -1, -1},
+// avxMasks[16-n:] starts with n all-ones lanes and then zeros: the mask
+// of an avxCols16 tile that computes its first n lanes.
+var avxMasks = [32]int64{
+	-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
 }
 
 //go:noescape
@@ -135,11 +129,8 @@ func matvecWT(z, a, wt, bias, x []float64, out, k int) {
 			for ; o+32 <= out; o += 32 {
 				avxCols32(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride)
 			}
-			for ; o+8 <= out; o += 8 {
-				avxCols8(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride)
-			}
-			for ; o < out; o += 4 {
-				avxCols4(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride, &avxMasks[min(out-o, 4)][0])
+			for ; o < out; o += 16 {
+				avxCols16(&z[o], lane(a, o), &wt[o], &bias[o], &x[0], k, stride, &avxMasks[16-min(out-o, 16)])
 			}
 			return
 		}

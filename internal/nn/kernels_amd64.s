@@ -251,49 +251,15 @@ avx32ret:
 	VZEROUPPER
 	RET
 
-// func avxCols8(z, a, wt, bias, x *float64, k, stride int)
-// Eight-lane AVX2 tile for what the 32-lane tile leaves.
-TEXT ·avxCols8(SB), NOSPLIT, $0-56
-	MOVQ z+0(FP), DI
-	MOVQ a+8(FP), R8
-	MOVQ wt+16(FP), SI
-	MOVQ bias+24(FP), BX
-	MOVQ x+32(FP), R9
-	MOVQ k+40(FP), CX
-	MOVQ stride+48(FP), DX
-	VMOVUPD 0(BX), Y0
-	VMOVUPD 32(BX), Y1
-	XORQ AX, AX
-avx8loop:
-	CMPQ AX, CX
-	JGE  avx8done
-	VBROADCASTSD (R9)(AX*8), Y8
-	VMULPD 0(SI), Y8, Y9
-	VADDPD Y9, Y0, Y0
-	VMULPD 32(SI), Y8, Y10
-	VADDPD Y10, Y1, Y1
-	ADDQ DX, SI
-	INCQ AX
-	JMP  avx8loop
-avx8done:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	TESTQ R8, R8
-	JZ    avx8ret
-	VXORPD Y8, Y8, Y8
-	VMAXPD Y8, Y0, Y0
-	VMAXPD Y8, Y1, Y1
-	VMOVUPD Y0, 0(R8)
-	VMOVUPD Y1, 32(R8)
-avx8ret:
-	VZEROUPPER
-	RET
-
-// func avxCols4(z, a, wt, bias, x *float64, k, stride int, mask *int64)
-// The last one to four lanes. mask holds four int64 lanes, all ones for
-// the lanes to compute; VMASKMOVPD reads and writes only those, so a
-// partial tile never touches memory past the end of wt, bias, z or a.
-TEXT ·avxCols4(SB), NOSPLIT, $0-64
+// func avxCols16(z, a, wt, bias, x *float64, k, stride int, mask *int64)
+// Up to sixteen lanes in one pass over the inputs, for what the 32-lane
+// tile leaves (the output layers): four YMM accumulators of four lanes,
+// so four add chains are in flight where a narrower tile would wait on
+// one or two. mask holds sixteen int64 lanes, all ones for the lanes to
+// compute; each four-lane group loads its own quarter, and VMASKMOVPD
+// reads and writes only the selected lanes, so a partial tile never
+// touches memory past the end of wt, bias, z or a.
+TEXT ·avxCols16(SB), NOSPLIT, $0-64
 	MOVQ z+0(FP), DI
 	MOVQ a+8(FP), R8
 	MOVQ wt+16(FP), SI
@@ -302,27 +268,51 @@ TEXT ·avxCols4(SB), NOSPLIT, $0-64
 	MOVQ k+40(FP), CX
 	MOVQ stride+48(FP), DX
 	MOVQ mask+56(FP), R10
-	VMOVDQU (R10), Y15
-	VMASKMOVPD (BX), Y15, Y0
+	VMOVDQU 0(R10), Y12
+	VMOVDQU 32(R10), Y13
+	VMOVDQU 64(R10), Y14
+	VMOVDQU 96(R10), Y15
+	VMASKMOVPD 0(BX), Y12, Y0
+	VMASKMOVPD 32(BX), Y13, Y1
+	VMASKMOVPD 64(BX), Y14, Y2
+	VMASKMOVPD 96(BX), Y15, Y3
 	XORQ AX, AX
-avx4loop:
+avx16loop:
 	CMPQ AX, CX
-	JGE  avx4done
+	JGE  avx16done
 	VBROADCASTSD (R9)(AX*8), Y8
-	VMASKMOVPD (SI), Y15, Y9
-	VMULPD Y9, Y8, Y9
-	VADDPD Y9, Y0, Y0
+	VMASKMOVPD 0(SI), Y12, Y4
+	VMULPD Y4, Y8, Y4
+	VADDPD Y4, Y0, Y0
+	VMASKMOVPD 32(SI), Y13, Y5
+	VMULPD Y5, Y8, Y5
+	VADDPD Y5, Y1, Y1
+	VMASKMOVPD 64(SI), Y14, Y6
+	VMULPD Y6, Y8, Y6
+	VADDPD Y6, Y2, Y2
+	VMASKMOVPD 96(SI), Y15, Y7
+	VMULPD Y7, Y8, Y7
+	VADDPD Y7, Y3, Y3
 	ADDQ DX, SI
 	INCQ AX
-	JMP  avx4loop
-avx4done:
-	VMASKMOVPD Y0, Y15, (DI)
+	JMP  avx16loop
+avx16done:
+	VMASKMOVPD Y0, Y12, 0(DI)
+	VMASKMOVPD Y1, Y13, 32(DI)
+	VMASKMOVPD Y2, Y14, 64(DI)
+	VMASKMOVPD Y3, Y15, 96(DI)
 	TESTQ R8, R8
-	JZ    avx4ret
+	JZ    avx16ret
 	VXORPD Y8, Y8, Y8
 	VMAXPD Y8, Y0, Y0
-	VMASKMOVPD Y0, Y15, (R8)
-avx4ret:
+	VMAXPD Y8, Y1, Y1
+	VMAXPD Y8, Y2, Y2
+	VMAXPD Y8, Y3, Y3
+	VMASKMOVPD Y0, Y12, 0(R8)
+	VMASKMOVPD Y1, Y13, 32(R8)
+	VMASKMOVPD Y2, Y14, 64(R8)
+	VMASKMOVPD Y3, Y15, 96(R8)
+avx16ret:
 	VZEROUPPER
 	RET
 

@@ -39,23 +39,40 @@ func sameBits(a, b float64) bool {
 }
 
 // checkMatvec runs every path on one input and holds z to the reference
-// bit for bit, and the fused activation row to v > 0 ? v : 0 of it.
+// bit for bit, and the fused activation row to v > 0 ? v : 0 of it. The
+// rows are the front of longer buffers whose tails must come back
+// untouched: a masked tile may not store past the end of z or a.
 func checkMatvec(t *testing.T, w, bias, x []float64, out, k int) {
 	t.Helper()
 	want := make([]float64, out)
 	refMatvec(want, w, bias, x, out, k)
 	wt := transpose(w, out, k)
+	const guard, sentinel = 16, 12345.5
+	guarded := func(fill float64) []float64 {
+		buf := make([]float64, out+guard)
+		for i := range buf {
+			buf[i] = fill
+		}
+		for i := out; i < len(buf); i++ {
+			buf[i] = sentinel
+		}
+		return buf
+	}
 	for _, p := range matvecPaths() {
 		for _, fused := range []bool{false, true} {
-			z := make([]float64, out)
-			var a []float64
+			zbuf := guarded(0)
+			z := zbuf[:out:out]
+			var a, abuf []float64
 			if fused {
-				a = make([]float64, out)
-				for o := range a {
-					a[o] = math.NaN() // garbage the kernel must overwrite
-				}
+				abuf = guarded(math.NaN()) // garbage the kernel must overwrite
+				a = abuf[:out:out]
 			}
 			p.fn(z, a, wt, bias, x, out, k)
+			for i := out; i < out+guard; i++ {
+				if zbuf[i] != sentinel || (fused && abuf[i] != sentinel) {
+					t.Fatalf("%s out=%d k=%d fused=%v: wrote past the row at index %d", p.name, out, k, fused, i)
+				}
+			}
 			for o := range want {
 				if !sameBits(z[o], want[o]) {
 					t.Fatalf("%s out=%d k=%d fused=%v: z[%d] = %v, want %v", p.name, out, k, fused, o, z[o], want[o])
@@ -94,14 +111,27 @@ func transpose(w []float64, out, k int) []float64 {
 }
 
 // Shapes chosen to exercise every tile path: the 32-lane AVX2 and 16-lane
-// SSE2 tiles, the 8-lane tiles, the 4-lane and masked 1–3-lane tails, the
-// SSE2 scalar tail, out < 4, and k = 0.
-var kernelShapes = [][2]int{
+// SSE2 tiles, the masked AVX2 tail of up to 16 lanes, the 8- and 4-lane
+// SSE2 tiles, the SSE2 scalar tail, out < 4, and k = 0 — plus every output
+// width from 1 to 31 at k = 1, 15 and 64 (tailShapes), which covers each
+// tail mask and the output layers' input widths.
+var kernelShapes = append([][2]int{
 	{1, 1}, {2, 3}, {3, 5}, {4, 16}, {5, 2}, {6, 7}, {7, 15},
 	{8, 8}, {9, 6}, {11, 4}, {12, 13}, {15, 15}, {16, 24},
 	{20, 3}, {24, 64}, {128, 128}, {129, 130}, {3, 0},
 	{32, 7}, {33, 5}, {35, 3}, {40, 9}, {44, 2}, {63, 3}, {64, 15},
 	{11, 64}, {6, 64}, {20, 64}, {70, 1},
+}, tailShapes()...)
+
+// tailShapes is every output width from 1 to 31 at k = 1, 15 and 64.
+func tailShapes() [][2]int {
+	var shapes [][2]int
+	for out := 1; out < 32; out++ {
+		for _, k := range []int{1, 15, 64} {
+			shapes = append(shapes, [2]int{out, k})
+		}
+	}
+	return shapes
 }
 
 func TestMatvecWTMatchesReference(t *testing.T) {
@@ -182,6 +212,30 @@ func TestReLUSpecialValues(t *testing.T) {
 	}
 }
 
+// TestMatvecWTSpecialInputs drives every tail width through inputs of
+// −0, NaN, ±Inf and subnormals of both signs, one special value per
+// input row among ordinary ones, on every path. NaN and infinite inputs
+// must give the reference's NaN and ±Inf lanes; the rest must match bit
+// for bit, ReLU included.
+func TestMatvecWTSpecialInputs(t *testing.T) {
+	rng := xrand.New(17)
+	special := []float64{
+		math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030,
+	}
+	for _, shape := range tailShapes() {
+		out, k := shape[0], shape[1]
+		for si, v := range special {
+			x := randSlice(rng, k)
+			x[(si*7)%k] = v
+			if k > 1 {
+				x[(si*7+1)%k] = 0x1p-1060 // a subnormal beside every special
+			}
+			checkMatvec(t, randSlice(rng, out*k), randSlice(rng, out), x, out, k)
+		}
+	}
+}
+
 func TestGradWTMatchesReference(t *testing.T) {
 	rng := xrand.New(13)
 	for _, shape := range [][3]int{
@@ -259,28 +313,62 @@ func TestAdamBulkMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestForwardBatchMatchesForward: dataset evaluation (evalBatches, over
-// more rows than one chunk) visits every sample once, in order, with a
-// probability row bit-equal to the single-sample Predictor.Probs.
+// TestForwardBatchMatchesForward: the block path — Predictor.Forward over
+// blocks of 1, 7 and 32 rows, with and without the softmax, and dataset
+// evaluation (evalBatches, over more rows than one chunk, visiting every
+// sample once, in order) — gives every row logits and probabilities
+// bit-equal to the per-sample reference forward. The layer widths run the
+// 32-lane tile and the masked tail (40 = 32 + 8, 16, 11 classes).
 func TestForwardBatchMatchesForward(t *testing.T) {
 	xs, ys := spiralData(150, 88)
-	n := New(Config{InputDim: 2, Hidden: []int{16, 16}, NumClasses: 2, Seed: 3})
+	n := New(Config{InputDim: 2, Hidden: []int{40, 16}, NumClasses: 11, Seed: 3})
 	if _, err := n.Train(xs, ys, DefaultTrainConfig(30)); err != nil {
 		t.Fatal(err)
 	}
-	p := n.NewPredictor()
+	last := len(n.Layers) - 1
+	sc := n.newScratch()
+	wantZ := make([][]float64, len(xs))
+	wantP := make([][]float64, len(xs))
+	for i, x := range xs {
+		wantP[i] = append([]float64(nil), n.forward(x, sc)...)
+		wantZ[i] = append([]float64(nil), sc.zs[last]...)
+	}
+	same := func(what string, i int, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s sample %d: %d classes, want %d", what, i, len(got), len(want))
+		}
+		for c := range want {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("%s sample %d class %d: %v, reference %v", what, i, c, got[c], want[c])
+			}
+		}
+	}
+
+	p := n.NewPredictor(32)
+	for _, m := range []int{1, 7, 32} {
+		for base := 0; base+m <= len(xs); base += m {
+			for r := 0; r < m; r++ {
+				copy(p.Input(r), xs[base+r])
+			}
+			softmax := base%(2*m) == 0
+			p.Forward(m, softmax)
+			for r := 0; r < m; r++ {
+				same("Logits", base+r, p.Logits(r), wantZ[base+r])
+				if softmax {
+					same("Probabilities", base+r, p.Probabilities(r), wantP[base+r])
+				}
+			}
+		}
+	}
+
 	next := 0
 	n.evalBatches(xs, func(i int, probs []float64) {
 		if i != next {
 			t.Fatalf("evalBatches visited sample %d, want %d", i, next)
 		}
 		next++
-		want := p.Probs(xs[i])
-		for c := range want {
-			if probs[c] != want[c] {
-				t.Fatalf("sample %d class %d: batch %v, predictor %v", i, c, probs[c], want[c])
-			}
-		}
+		same("evalBatches", i, probs, wantP[i])
 	})
 	if next != len(xs) {
 		t.Fatalf("evalBatches visited %d of %d samples", next, len(xs))
@@ -327,7 +415,11 @@ func TestTrainMatchesPerSampleReference(t *testing.T) {
 
 func TestPredictorProbsZeroAlloc(t *testing.T) {
 	n := New(FastConfig(15, 24, 1))
-	p := n.NewPredictor()
+	n.Norm = &Normalizer{Mean: make([]float64, 15), Std: make([]float64, 15)}
+	for i := range n.Norm.Std {
+		n.Norm.Std[i] = 2
+	}
+	p := n.NewPredictor(32)
 	x := make([]float64, 15)
 	for i := range x {
 		x[i] = float64(i) * 0.1
@@ -337,5 +429,16 @@ func TestPredictorProbsZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = p.Classify(x) }); allocs != 0 {
 		t.Errorf("Predictor.Classify allocates %v per run, want 0", allocs)
+	}
+	for _, softmax := range []bool{true, false} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			for r := 0; r < 32; r++ {
+				copy(p.Input(r), x)
+			}
+			p.Forward(32, softmax)
+			_, _ = p.Logits(31), p.Probabilities(31)
+		}); allocs != 0 {
+			t.Errorf("Predictor.Forward(32, %v) allocates %v per run, want 0", softmax, allocs)
+		}
 	}
 }

@@ -134,89 +134,84 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// scratch holds per-forward activations so inference does not allocate.
-type scratch struct {
-	acts [][]float64 // activations per layer, acts[0] is the (normalized) input
-	zs   [][]float64 // pre-activations per layer
-}
-
-func (n *Network) newScratch() *scratch {
-	s := &scratch{}
-	s.acts = append(s.acts, make([]float64, n.Cfg.InputDim))
-	for _, l := range n.Layers {
-		s.zs = append(s.zs, make([]float64, l.Out))
-		s.acts = append(s.acts, make([]float64, l.Out))
-	}
-	return s
-}
-
-// forwardZ runs the network up to the output layer's pre-activations and
-// returns them (aliasing sc's last zs slice). Each hidden layer is one
-// dense kernel call that writes both z and its ReLU; the zero activations
-// it multiplies through contribute exact ±0 terms, which cannot change a
-// sum that started from the bias (DESIGN.md §12).
-func (n *Network) forwardZ(x []float64, sc *scratch) []float64 {
-	if n.Norm != nil {
-		n.Norm.Apply(x, sc.acts[0])
-	} else {
-		copy(sc.acts[0], x)
-	}
-	last := len(n.Layers) - 1
-	for li := range n.Layers {
-		l := &n.Layers[li]
-		var a []float64 // the output layer feeds softmax, not ReLU
-		if li < last {
-			a = sc.acts[li+1]
-		}
-		matvecWT(sc.zs[li], a, n.wt[li], l.B, sc.acts[li], l.Out, l.In)
-	}
-	return sc.zs[last]
-}
-
-// forward runs the network, filling sc, and returns the softmax output
-// (aliasing sc's last activation slice).
-func (n *Network) forward(x []float64, sc *scratch) []float64 {
-	z := n.forwardZ(x, sc)
-	out := sc.acts[len(n.Layers)]
-	softmax(z, out)
-	return out
-}
-
-// Predictor wraps a trained network with reusable scratch space for
-// allocation-free single-threaded inference. Each goroutine needs its own
-// Predictor.
+// Predictor runs a trained network over blocks of up to its row count of
+// inputs, with reusable scratch: the caller writes raw features into
+// Input rows, runs the first m with Forward, and reads each row's Logits
+// or Probabilities. Probs and Classify are the one-row case. Each
+// goroutine needs its own Predictor; steady-state use allocates nothing.
 type Predictor struct {
 	net *Network
-	sc  *scratch
+	bs  *batchScratch
 }
 
-// NewPredictor creates inference scratch bound to net.
-func (n *Network) NewPredictor() *Predictor {
-	return &Predictor{net: n, sc: n.newScratch()}
+// NewPredictor creates inference scratch for blocks of up to rows inputs
+// bound to net.
+func (n *Network) NewPredictor(rows int) *Predictor {
+	if rows < 1 {
+		panic("nn: a Predictor needs at least one row")
+	}
+	return &Predictor{net: n, bs: n.newBatchScratch(rows)}
+}
+
+// Input returns input row r for the caller to fill with raw features.
+// Forward standardizes it in place.
+func (p *Predictor) Input(r int) []float64 {
+	d := p.net.Cfg.InputDim
+	return p.bs.acts[0][r*d : (r+1)*d : (r+1)*d]
+}
+
+// Forward standardizes input rows [0, m) in place and runs them through
+// the network. With softmax it also computes each row's class
+// probabilities; without, only its logits.
+func (p *Predictor) Forward(m int, softmax bool) {
+	if nm := p.net.Norm; nm != nil {
+		for r := 0; r < m; r++ {
+			x := p.Input(r)
+			nm.Apply(x, x)
+		}
+	}
+	p.net.forwardBatch(p.bs, m, softmax)
+}
+
+// Logits returns row r's output-layer pre-activations from the last
+// Forward.
+func (p *Predictor) Logits(r int) []float64 {
+	c := p.net.Cfg.NumClasses
+	return p.bs.zs[len(p.net.Layers)-1][r*c : (r+1)*c : (r+1)*c]
+}
+
+// Probabilities returns row r's class distribution from the last Forward,
+// which must have computed the softmax.
+func (p *Predictor) Probabilities(r int) []float64 {
+	c := p.net.Cfg.NumClasses
+	return p.bs.acts[len(p.net.Layers)][r*c : (r+1)*c : (r+1)*c]
 }
 
 // Probs returns the class distribution for x. The returned slice is reused
 // by the next call.
 func (p *Predictor) Probs(x []float64) []float64 {
-	return p.net.forward(x, p.sc)
+	copy(p.Input(0), x)
+	p.Forward(1, true)
+	return p.Probabilities(0)
 }
 
 // Classify returns the argmax class for x. It skips the softmax — exp is
 // strictly increasing, so the logits' argmax is the probabilities' argmax.
 func (p *Predictor) Classify(x []float64) int {
-	return argmax(p.net.forwardZ(x, p.sc))
+	copy(p.Input(0), x)
+	p.Forward(1, false)
+	return argmax(p.Logits(0))
 }
 
-// batchScratch holds flat row-major activations for a mini-batch forward
-// pass: acts[li] is rows×dim with row r at acts[li][r*dim:].
+// batchScratch holds flat row-major activations for a block forward pass:
+// acts[li] is rows×dim with row r at acts[li][r*dim:].
 type batchScratch struct {
-	rows int
 	acts [][]float64
 	zs   [][]float64
 }
 
 func (n *Network) newBatchScratch(rows int) *batchScratch {
-	bs := &batchScratch{rows: rows}
+	bs := &batchScratch{}
 	bs.acts = append(bs.acts, make([]float64, rows*n.Cfg.InputDim))
 	for _, l := range n.Layers {
 		bs.zs = append(bs.zs, make([]float64, rows*l.Out))
@@ -225,35 +220,32 @@ func (n *Network) newBatchScratch(rows int) *batchScratch {
 	return bs
 }
 
-// forwardBatch runs the first m rows loaded into bs.acts[0] through the
-// network, one fused matvecWT+ReLU per row per layer (the transposed
-// weight panel stays hot in L1d across rows), leaving pre-activations in
-// bs.zs and class probabilities in the final bs.acts entry. Each row's
-// outputs are bit-identical to a single-sample forward of the same input.
-// Callers must have a current Rebuild (Train refreshes wt every step).
-func (n *Network) forwardBatch(bs *batchScratch, m int) {
+// forwardBatch is the forward pass of inference and training: it runs the
+// first m rows loaded into bs.acts[0] through the network a layer at a
+// time, one fused matvecWT+ReLU per row (the transposed weight panel stays
+// hot in cache across rows), leaving pre-activations in bs.zs and, with
+// softmax, class probabilities in the final bs.acts entry. Each row's
+// outputs are bit-identical to the per-sample reference forward. Callers
+// must have a current Rebuild (Train refreshes wt every step).
+func (n *Network) forwardBatch(bs *batchScratch, m int, softmax bool) {
 	last := len(n.Layers) - 1
 	for li := range n.Layers {
 		l := &n.Layers[li]
 		z, in, out := bs.zs[li], bs.acts[li], bs.acts[li+1]
 		for r := 0; r < m; r++ {
-			zr, or := z[r*l.Out:(r+1)*l.Out], out[r*l.Out:(r+1)*l.Out]
-			if li == last {
-				matvecWT(zr, nil, n.wt[li], l.B, in[r*l.In:(r+1)*l.In], l.Out, l.In)
-				softmax(zr, or)
-			} else {
-				matvecWT(zr, or, n.wt[li], l.B, in[r*l.In:(r+1)*l.In], l.Out, l.In)
+			var a []float64 // the output layer feeds softmax, not ReLU
+			if li < last {
+				a = out[r*l.Out : (r+1)*l.Out]
 			}
+			matvecWT(z[r*l.Out:(r+1)*l.Out], a, n.wt[li], l.B, in[r*l.In:(r+1)*l.In], l.Out, l.In)
 		}
 	}
-}
-
-// loadBatchRow standardizes (or copies) x into the given input row.
-func (n *Network) loadBatchRow(dst, x []float64) {
-	if n.Norm != nil {
-		n.Norm.Apply(x, dst)
-	} else {
-		copy(dst, x)
+	if softmax {
+		c := n.Cfg.NumClasses
+		z, probs := bs.zs[last], bs.acts[last+1]
+		for r := 0; r < m; r++ {
+			softmaxRow(z[r*c:(r+1)*c], probs[r*c:(r+1)*c])
+		}
 	}
 }
 
@@ -263,29 +255,23 @@ const evalChunk = 256
 // evalBatches streams the dataset through forwardBatch in bounded chunks,
 // invoking fn once per sample (in order) with its probability row.
 func (n *Network) evalBatches(xs [][]float64, fn func(i int, probs []float64)) {
-	rows := evalChunk
-	if len(xs) < rows {
-		rows = len(xs)
-	}
-	if rows == 0 {
+	if len(xs) == 0 {
 		return
 	}
-	bs := n.newBatchScratch(rows)
-	d, c := n.Cfg.InputDim, n.Cfg.NumClasses
-	probs := bs.acts[len(n.Layers)]
-	for base := 0; base < len(xs); base += rows {
-		m := min(rows, len(xs)-base)
+	p := n.NewPredictor(min(evalChunk, len(xs)))
+	for base := 0; base < len(xs); base += evalChunk {
+		m := min(evalChunk, len(xs)-base)
 		for r := 0; r < m; r++ {
-			n.loadBatchRow(bs.acts[0][r*d:(r+1)*d], xs[base+r])
+			copy(p.Input(r), xs[base+r])
 		}
-		n.forwardBatch(bs, m)
+		p.Forward(m, true)
 		for r := 0; r < m; r++ {
-			fn(base+r, probs[r*c:(r+1)*c])
+			fn(base+r, p.Probabilities(r))
 		}
 	}
 }
 
-func softmax(z, out []float64) {
+func softmaxRow(z, out []float64) {
 	max := z[0]
 	for _, v := range z[1:] {
 		if v > max {
@@ -380,7 +366,7 @@ func (n *Network) Train(xs [][]float64, ys []int, tc TrainConfig) ([]float64, er
 	// straight copy instead of batchSize normalizer passes per step.
 	normX := make([]float64, len(xs)*d)
 	for i, x := range xs {
-		n.loadBatchRow(normX[i*d:(i+1)*d], x)
+		n.Norm.Apply(x, normX[i*d:(i+1)*d])
 	}
 
 	opt := newAdam(n)
@@ -408,7 +394,7 @@ func (n *Network) Train(xs [][]float64, ys []int, tc TrainConfig) ([]float64, er
 		for r, i := range idx {
 			copy(bs.acts[0][r*d:(r+1)*d], normX[i*d:(i+1)*d])
 		}
-		n.forwardBatch(bs, batch)
+		n.forwardBatch(bs, batch, true)
 
 		// Output delta for softmax+CE: p - onehot, and the batch loss.
 		probs := bs.acts[numLayers]
@@ -463,6 +449,48 @@ func (n *Network) Train(xs [][]float64, ys []int, tc TrainConfig) ([]float64, er
 	}
 	n.Rebuild()
 	return losses, nil
+}
+
+// scratch holds one sample's activations for backprop.
+type scratch struct {
+	acts [][]float64 // activations per layer, acts[0] is the (normalized) input
+	zs   [][]float64 // pre-activations per layer
+}
+
+func (n *Network) newScratch() *scratch {
+	s := &scratch{}
+	s.acts = append(s.acts, make([]float64, n.Cfg.InputDim))
+	for _, l := range n.Layers {
+		s.zs = append(s.zs, make([]float64, l.Out))
+		s.acts = append(s.acts, make([]float64, l.Out))
+	}
+	return s
+}
+
+// forward runs the network on one sample, filling sc, and returns the
+// softmax output (aliasing sc's last activation slice). It is the
+// per-sample reference forwardBatch is held to. Each hidden layer is one
+// dense kernel call that writes both z and its ReLU; the zero activations
+// it multiplies through contribute exact ±0 terms, which cannot change a
+// sum that started from the bias (DESIGN.md §12).
+func (n *Network) forward(x []float64, sc *scratch) []float64 {
+	if n.Norm != nil {
+		n.Norm.Apply(x, sc.acts[0])
+	} else {
+		copy(sc.acts[0], x)
+	}
+	last := len(n.Layers) - 1
+	for li := range n.Layers {
+		l := &n.Layers[li]
+		var a []float64 // the output layer feeds softmax, not ReLU
+		if li < last {
+			a = sc.acts[li+1]
+		}
+		matvecWT(sc.zs[li], a, n.wt[li], l.B, sc.acts[li], l.Out, l.In)
+	}
+	out := sc.acts[last+1]
+	softmaxRow(sc.zs[last], out)
+	return out
 }
 
 // backprop runs one forward/backward pass, accumulating into g, and

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"cottage/internal/xrand"
@@ -60,7 +61,7 @@ func TestNewPanics(t *testing.T) {
 }
 
 func TestForwardIsDistribution(t *testing.T) {
-	p := New(Config{InputDim: 5, Hidden: []int{16}, NumClasses: 4, Seed: 2}).NewPredictor()
+	p := New(Config{InputDim: 5, Hidden: []int{16}, NumClasses: 4, Seed: 2}).NewPredictor(1)
 	rng := xrand.New(3)
 	for trial := 0; trial < 50; trial++ {
 		x := make([]float64, 5)
@@ -190,7 +191,7 @@ func TestPredictorMatchesForward(t *testing.T) {
 	if _, err := n.Train(xs, ys, DefaultTrainConfig(50)); err != nil {
 		t.Fatal(err)
 	}
-	p, q := n.NewPredictor(), n.NewPredictor()
+	p, q := n.NewPredictor(1), n.NewPredictor(1)
 	for i := 0; i < 20; i++ {
 		q.Probs(xs[len(xs)-1-i])
 		want := append([]float64(nil), p.Probs(xs[i])...)
@@ -220,7 +221,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, pb := n.NewPredictor(), got.NewPredictor()
+	pa, pb := n.NewPredictor(1), got.NewPredictor(1)
 	for i := 0; i < 20; i++ {
 		a := pa.Probs(xs[i])
 		b := pb.Probs(xs[i])
@@ -294,6 +295,59 @@ func TestDecodeRejectsMalformedShapes(t *testing.T) {
 	}
 	n := New(FastConfig(15, 11, 1))
 	n.Norm = &Normalizer{Mean: make([]float64, 15), Std: make([]float64, 15)}
+	for i := range n.Norm.Std {
+		n.Norm.Std[i] = 1
+	}
+	var buf bytes.Buffer
+	if err := n.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(&buf); err != nil {
+		t.Fatalf("well-formed network rejected: %v", err)
+	}
+}
+
+// TestDecodeRejectsNonFiniteParameters: Decode refuses a network whose
+// weights, biases or normalizer would make inference silently wrong — a
+// NaN output weight used to decode and turn every probability into NaN,
+// and a zero deviation made the normalizer divide by zero.
+func TestDecodeRejectsNonFiniteParameters(t *testing.T) {
+	withNorm := func(n *Network) *Normalizer {
+		n.Norm = &Normalizer{Mean: make([]float64, 15), Std: make([]float64, 15)}
+		for i := range n.Norm.Std {
+			n.Norm.Std[i] = 1
+		}
+		return n.Norm
+	}
+	for _, tc := range []struct {
+		name   string
+		mangle func(n *Network)
+	}{
+		{"NaN output weight", func(n *Network) { n.Layers[2].W[7] = math.NaN() }},
+		{"+Inf hidden weight", func(n *Network) { n.Layers[0].W[0] = math.Inf(1) }},
+		{"-Inf bias", func(n *Network) { n.Layers[1].B[63] = math.Inf(-1) }},
+		{"NaN bias", func(n *Network) { n.Layers[2].B[0] = math.NaN() }},
+		{"NaN normalizer mean", func(n *Network) { withNorm(n).Mean[3] = math.NaN() }},
+		{"infinite normalizer mean", func(n *Network) { withNorm(n).Mean[0] = math.Inf(-1) }},
+		{"zero deviation", func(n *Network) { withNorm(n).Std[14] = 0 }},
+		{"negative deviation", func(n *Network) { withNorm(n).Std[2] = -1 }},
+		{"NaN deviation", func(n *Network) { withNorm(n).Std[5] = math.NaN() }},
+		{"infinite deviation", func(n *Network) { withNorm(n).Std[9] = math.Inf(1) }},
+	} {
+		n := New(FastConfig(15, 11, 1))
+		tc.mangle(n)
+		var buf bytes.Buffer
+		if err := n.Encode(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := Decode(&buf); err == nil {
+			t.Errorf("%s: Decode accepted the network", tc.name)
+		} else if !strings.HasPrefix(err.Error(), "nn: ") {
+			t.Errorf("%s: error %q lacks the nn: prefix", tc.name, err)
+		}
+	}
+	n := New(FastConfig(15, 11, 1))
+	withNorm(n).Std[4] = 1e-9
 	var buf bytes.Buffer
 	if err := n.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -351,7 +405,7 @@ func benchInputs(dim int) [][]float64 {
 }
 
 func BenchmarkInferenceFast(b *testing.B) {
-	p := New(FastConfig(16, 24, 1)).NewPredictor()
+	p := New(FastConfig(16, 24, 1)).NewPredictor(1)
 	xs := benchInputs(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -363,7 +417,7 @@ func BenchmarkInferenceFast(b *testing.B) {
 // 5x128 architecture — the quantity Figs. 7b/8b report (41-80 us on the
 // paper's hardware).
 func BenchmarkInferencePaper(b *testing.B) {
-	p := New(PaperConfig(16, 24, 1)).NewPredictor()
+	p := New(PaperConfig(16, 24, 1)).NewPredictor(1)
 	xs := benchInputs(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -396,7 +450,7 @@ func TestGradientCheck(t *testing.T) {
 	g.zero()
 	n.backprop(x, y, sc, g)
 
-	p := n.NewPredictor()
+	p := n.NewPredictor(1)
 	loss := func() float64 {
 		n.Rebuild() // the perturbation loop below edits Layers directly
 		probs := p.Probs(x)

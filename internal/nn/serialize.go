@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // netWire is the gob wire form of a Network; all fields of Network are
@@ -28,6 +29,9 @@ func Decode(r io.Reader) (*Network, error) {
 	}
 	n := &Network{Cfg: w.Cfg, Layers: w.Layers, Norm: w.Norm}
 	if err := n.checkShapes(); err != nil {
+		return nil, fmt.Errorf("nn: decoded network: %w", err)
+	}
+	if err := n.checkValues(); err != nil {
 		return nil, fmt.Errorf("nn: decoded network: %w", err)
 	}
 	n.Rebuild()
@@ -67,4 +71,43 @@ func (n *Network) checkShapes() error {
 		return fmt.Errorf("normalizer has %d means and %d deviations for %d inputs", len(nm.Mean), len(nm.Std), n.Cfg.InputDim)
 	}
 	return nil
+}
+
+// checkValues verifies, on a network that passed checkShapes, that every
+// weight, bias and normalizer mean is finite and every normalizer
+// deviation positive and finite. Training never produces anything else;
+// one NaN weight in the output layer would make every probability NaN,
+// and a zero deviation would make Normalizer.Apply divide by zero, both
+// without an error anywhere.
+func (n *Network) checkValues() error {
+	for li, l := range n.Layers {
+		if i := nonFinite(l.W); i >= 0 {
+			return fmt.Errorf("layer %d weight %d is %v", li, i, l.W[i])
+		}
+		if i := nonFinite(l.B); i >= 0 {
+			return fmt.Errorf("layer %d bias %d is %v", li, i, l.B[i])
+		}
+	}
+	if nm := n.Norm; nm != nil {
+		if i := nonFinite(nm.Mean); i >= 0 {
+			return fmt.Errorf("normalizer mean %d is %v", i, nm.Mean[i])
+		}
+		for i, s := range nm.Std {
+			if !(s > 0) || math.IsInf(s, 1) {
+				return fmt.Errorf("normalizer deviation %d is %v", i, s)
+			}
+		}
+	}
+	return nil
+}
+
+// nonFinite returns the index of the first NaN or infinite value in xs,
+// or -1.
+func nonFinite(xs []float64) int {
+	for i, v := range xs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
 }

@@ -69,14 +69,12 @@ func (*GaugeFunc) metricKind() string { return "gauge" }
 // one atomic increment per bucket, one per total count and a CAS-add on
 // the sum per Observe — no mutex anywhere on the update path. Bounds
 // are upper bucket edges (ascending); an implicit +Inf bucket catches
-// the overflow, and min/max are tracked exactly.
+// the overflow.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
 	count  atomic.Uint64
 	sum    atomicFloat
-	min    atomic.Uint64 // float bits; initialized to +Inf
-	max    atomic.Uint64 // float bits; initialized to -Inf
 }
 
 // NewHistogram builds a histogram over the given ascending upper bucket
@@ -84,10 +82,7 @@ type Histogram struct {
 func NewHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
-	h := &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-	h.min.Store(math.Float64bits(math.Inf(1)))
-	h.max.Store(math.Float64bits(math.Inf(-1)))
-	return h
+	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // ExpBuckets returns n bounds growing geometrically from start by
@@ -111,22 +106,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // failure-detection timeout.
 func LatencyBucketsMS() []float64 { return ExpBuckets(0.05, 2, 20) }
 
-// Observe records one value. Min/max are published before the counts,
-// and Snapshot reads the counts before min/max, so a scrape that sees a
-// value's bucket also sees the range that value widened.
+// Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	for {
-		old := h.min.Load()
-		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -143,8 +124,6 @@ type HistogramSnapshot struct {
 	Counts []uint64  // len(Bounds)+1
 	Count  uint64
 	Sum    float64
-	Min    float64 // +Inf when empty
-	Max    float64 // -Inf when empty
 }
 
 // Snapshot copies the histogram's counters.
@@ -158,8 +137,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
-	s.Min = math.Float64frombits(h.min.Load())
-	s.Max = math.Float64frombits(h.max.Load())
 	return s
 }
 

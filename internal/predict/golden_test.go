@@ -3,6 +3,7 @@ package predict
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -44,5 +45,80 @@ func TestTrainGolden(t *testing.T) {
 	const want = "b3d816cc2c0ef557ee7d83ca6c12386a99ffaf9da773e59f7f48d1704de5e371"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("trained predictor digest %s, want %s", got, want)
+	}
+}
+
+// TestPredictTraceGolden pins what a trained fleet predicts, bit for bit:
+// the SHA-256 of predictionBits for every (query, ISN) of PredictTrace
+// over a trace longer than any inference block, with unmatched terms,
+// repeated terms and repeated queries mixed in. The per-query PredictAll
+// must give the same rows.
+func TestPredictTraceGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a predictor")
+	}
+	ccfg := textgen.DefaultConfig()
+	ccfg.NumDocs = 1500
+	ccfg.VocabSize = 2000
+	ccfg.NumTopics = 8
+	ccfg.TopicTermCount = 100
+	corpus := textgen.Generate(ccfg)
+	shards := buildShards(corpus, corpus.AllocateTopical(3, 2, 0.15, 3))
+	qs := trace.Generate(corpus, trace.Config{Kind: trace.Wikipedia, Seed: 19, NumQueries: 500, QPS: 10})
+	ds := Harvest(shards, qs[:200], 10, search.StrategyMaxScore, cluster.DefaultCostModel())
+	cfg := DefaultConfig(10)
+	cfg.QualitySteps = 60
+	cfg.LatencySteps = 30
+	fleet, err := Train(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var terms [][]string
+	for i, q := range qs[200:] {
+		ts := q.Terms
+		switch i % 9 {
+		case 3:
+			ts = []string{"no-such-term"}
+		case 5:
+			ts = append([]string{"no-such-term"}, ts...)
+		case 7:
+			ts = append(append([]string(nil), ts...), ts[0])
+		}
+		terms = append(terms, ts)
+		if i%31 == 0 {
+			terms = append(terms, ts)
+		}
+	}
+	if len(terms) < 240 {
+		t.Fatalf("trace of %d queries", len(terms))
+	}
+	rows := fleet.PredictTrace(shards, terms)
+	h := sha256.New()
+	var buf [7 * 8]byte
+	matched, unmatched := 0, 0
+	for q, row := range rows {
+		want := fleet.PredictAll(shards, terms[q])
+		for isn, p := range row {
+			bits := predictionBits(p)
+			if bits != predictionBits(want[isn]) {
+				t.Fatalf("query %d ISN %d: PredictTrace %v, PredictAll %v", q, isn, bits, predictionBits(want[isn]))
+			}
+			for i, b := range bits {
+				binary.LittleEndian.PutUint64(buf[i*8:], b)
+			}
+			h.Write(buf[:])
+			if p.Matched {
+				matched++
+			} else {
+				unmatched++
+			}
+		}
+	}
+	if matched == 0 || unmatched == 0 {
+		t.Fatalf("%d matched and %d unmatched predictions: the trace must have both", matched, unmatched)
+	}
+	const want = "f78d529a4782f73cce197e55e11e95b3c4131df81c8fd09218d108304765c6ea"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("%d queries × %d ISNs: prediction digest %s, want %s", len(rows), len(shards), got, want)
 	}
 }

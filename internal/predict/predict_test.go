@@ -113,8 +113,9 @@ func BenchmarkPredictAll(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(terms)), "us/query")
 }
 
-// BenchmarkPredictTrace is the same work ISN-major (what the twin does
-// inside Engine.Run): every query through one ISN, then the next ISN.
+// BenchmarkPredictTrace is the same work ISN-major and net-major (what the
+// twin does inside Engine.Run): each ISN runs the trace in blocks of
+// blockRows queries, one network over the whole block at a time.
 func BenchmarkPredictTrace(b *testing.B) {
 	fleet, shards, terms := getFleet16(b)
 	b.ResetTimer()
@@ -408,9 +409,9 @@ func BenchmarkGammaEstimate(b *testing.B) {
 }
 
 func TestISNPredictorPredictZeroAllocSteadyState(t *testing.T) {
-	// The per-query serving path — feature extraction plus three softmax
-	// inferences — must not allocate once the inference scratch pools are
-	// warm.
+	// The per-query serving path — feature extraction plus three
+	// inferences — and the block path under it allocate nothing: the
+	// inference scratch is built with the predictor.
 	f := getFixture(t)
 	ds := Harvest(f.shards[:1], f.train[:80], 10, search.StrategyMaxScore, cluster.DefaultCostModel())
 	cfg := DefaultConfig(10)
@@ -422,9 +423,22 @@ func TestISNPredictorPredictZeroAllocSteadyState(t *testing.T) {
 	}
 	p := fleet.Predictors[0]
 	terms := f.test[0].Terms
-	_ = p.Predict(f.shards[0], terms) // warm the scratch pools
 	if allocs := testing.AllocsPerRun(100, func() { _ = p.Predict(f.shards[0], terms) }); allocs != 0 {
 		t.Errorf("ISNPredictor.Predict allocates %v per run, want 0", allocs)
+	}
+	// The block path PredictTrace runs: a full block of queries, matched
+	// and unmatched.
+	var block [][]string
+	for _, q := range f.test[:blockRows-1] {
+		block = append(block, q.Terms)
+	}
+	block = append(block, []string{"no-such-term"})
+	out := make([]Prediction, blockRows)
+	if allocs := testing.AllocsPerRun(20, func() { p.predictBlock(f.shards[0], block, out, 1) }); allocs != 0 {
+		t.Errorf("ISNPredictor.predictBlock allocates %v per run, want 0", allocs)
+	}
+	if out[blockRows-1].Matched || !out[0].Matched {
+		t.Fatalf("block predictions: first matched %v, last (no-such-term) matched %v", out[0].Matched, out[blockRows-1].Matched)
 	}
 }
 
@@ -432,8 +446,8 @@ func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	// Harvest, Train, PredictAll, PredictTrace and Evaluate all fan out
 	// through par.For; index-addressed writes mean the worker count must
 	// never change a bit of any result. Replaying at 1 and 8 procs must
-	// agree exactly, and the ISN-major trace rows must equal the
-	// query-major PredictAll rows bit for bit.
+	// agree exactly, and the trace rows, predicted in blocks, must equal
+	// the one-query PredictAll rows bit for bit.
 	f := getFixture(t)
 	type snapshot struct {
 		ds    *Dataset
@@ -567,11 +581,13 @@ func TestPredictIsOrderInsensitive(t *testing.T) {
 	orders := 0
 	for _, terms := range queries {
 		for si, sh := range shards {
-			wantQ, wantL, wantOK := features.Extract(sh, terms)
+			var wantQ, gotQ [features.QualityDim]float64
+			var wantL, gotL [features.LatencyDim]float64
+			wantOK := features.Extract(sh, terms, &wantQ, &wantL)
 			want := predictionBits(fleet.Predictors[si].Predict(sh, terms))
 			permutations(terms, func(p []string) {
 				orders++
-				gotQ, gotL, gotOK := features.Extract(sh, p)
+				gotOK := features.Extract(sh, p, &gotQ, &gotL)
 				if gotOK != wantOK {
 					t.Fatalf("shard %d %v vs %v: matched %v vs %v", si, p, terms, gotOK, wantOK)
 				}
@@ -597,8 +613,8 @@ func TestPredictIsOrderInsensitive(t *testing.T) {
 
 	// The counter-example the key has to respect.
 	a := []string{f.test[0].Terms[0]}
-	_, la, _ := features.Extract(shards[0], a)
-	_, laa, _ := features.Extract(shards[0], append(a, a[0]))
+	la, _ := features.Latency(shards[0], a)
+	laa, _ := features.Latency(shards[0], append(a, a[0]))
 	if la == laa {
 		t.Fatal("a repeated term left the latency features unchanged: the key could deduplicate after all")
 	}

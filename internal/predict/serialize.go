@@ -82,11 +82,5 @@ func DecodeISNPredictor(r io.Reader) (*ISNPredictor, error) {
 				c.name, c.net.Cfg.InputDim, c.net.Cfg.NumClasses, c.in, c.classes)
 		}
 	}
-	return &ISNPredictor{
-		ISN: w.ISN, K: w.K,
-		QKNet: qk, QK2Net: qk2, LatNet: lat, LatBins: w.LatBins,
-		qkPred:  qk.NewPredictor(),
-		qk2Pred: qk2.NewPredictor(),
-		latPred: lat.NewPredictor(),
-	}, nil
+	return newISNPredictor(w.ISN, w.K, qk, qk2, lat, w.LatBins), nil
 }
