@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench-build fuzz-smoke bench-smoke corpus corpus-check cover check clean
+.PHONY: all build vet test race determinism bench-build fuzz-smoke bench-smoke corpus corpus-check cover check clean
 
 all: build
 
@@ -37,6 +37,17 @@ test:
 # and repair (harness TestIntegritySmoke, TestIntegrityDeterministic).
 race:
 	$(GO) test -race -timeout 45m ./...
+
+# Every golden test (TestReplayGolden, TestBuildShardsGolden,
+# TestGenerateGolden, TestPredictTraceGolden, TestTrainGolden,
+# TestExtrasGolden, TestSnapshotGolden: output digests pinned before an
+# optimization or refactor) runs twice in one process, at one P and at
+# the default, so run-to-run or scheduling nondeterminism (a map-order
+# dependence, a racy reduction) fails here instead of needing a hand
+# diff of cottage-bench output to find it.
+determinism:
+	GOMAXPROCS=1 $(GO) test -count=2 -run 'Golden$$' ./...
+	$(GO) test -count=2 -run 'Golden$$' ./...
 
 # The repository benchmark (bench/, BENCHMARK.json) is its own module
 # with `replace cottage => ../`, so the root ./... patterns skip it. It
@@ -113,7 +124,7 @@ cover:
 	$(GO) test -cover ./... | $(GO) run ./tools/covergate -floor $(COVERFLOOR) \
 		-require cottage/internal/search,cottage/internal/index,cottage/internal/simdpack,cottage/internal/autoscale,cottage/internal/integrity
 
-check: vet build bench-build corpus-check race fuzz-smoke bench-smoke cover
+check: vet build bench-build corpus-check determinism race fuzz-smoke bench-smoke cover
 
 clean:
 	$(GO) clean ./...

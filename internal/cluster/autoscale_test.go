@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cottage/internal/faults"
 	"cottage/internal/power"
 )
 
@@ -142,7 +143,8 @@ func TestHedgeFiresOnlyPastDelay(t *testing.T) {
 // execution is returned, and the primary's wasted work is billed.
 func TestHedgeWins(t *testing.T) {
 	c := newReplicated(t, 1, 2)
-	c.SetExtraDelayMS(0, 300) // node 0 limps: GC pause / noisy neighbour
+	c.Faults = faults.NewInjector(0)
+	c.Faults.SetPlan(0, faults.Plan{SlowMS: 300}) // node 0 limps: GC pause / noisy neighbour
 	// Both idle at t=0, tie goes to node 0 → slow primary (~305 ms).
 	ex, hr := c.ExecuteShardHedged(0, 0, 9e6, 1.8, math.Inf(1), 20)
 	if !hr.Hedged || !hr.Won || ex.ISN != 1 {
@@ -198,7 +200,8 @@ func TestResetRestoresScaleState(t *testing.T) {
 // siblings stay at zero.
 func TestDefectEWMAFlagsSilentStraggler(t *testing.T) {
 	c := newDynamic(t, 1, 2)
-	c.SetExtraDelayMS(0, 80)
+	c.Faults = faults.NewInjector(0)
+	c.Faults.SetPlan(0, faults.Plan{SlowMS: 80})
 
 	if got := c.ISNs[0].defectMS; got != 0 {
 		t.Fatalf("defect before any request: %v", got)

@@ -156,6 +156,13 @@ func DefaultNetwork() Network {
 	return Network{AggToISNMS: 0.05, ClientMS: 0.2}
 }
 
+// FailTimeoutMS is the aggregator's failure-detection timeout: how long
+// it waits for an ISN that will never answer before giving up, when no
+// tighter per-query budget applies (budgeted queries give up at the
+// budget). Real aggregators detect dead peers with TCP
+// resets/heartbeats in tens of milliseconds.
+const FailTimeoutMS = 100
+
 // ISN is the simulated state of one index-serving node: a single FIFO
 // worker, when it frees up, and cumulative accounting.
 type ISN struct {
@@ -166,18 +173,6 @@ type ISN struct {
 	// latency predictors absorb it because each ISN's model is trained on
 	// its own observed service costs.
 	SpeedFactor float64
-	// Failed marks the node dead: it answers neither predictions nor
-	// searches, and requests routed to it are lost until the aggregator's
-	// failure-detection timeout. Fault state is configuration, not
-	// accumulated statistics — Reset keeps it so an availability sweep
-	// can inject failures once and replay many policies (ClearFaults
-	// undoes injection).
-	Failed bool
-	// ExtraDelayMS is injected per-request latency (a virtual-time
-	// straggler: GC pause, noisy neighbour, degraded disk). It is charged
-	// as busy time at the serving frequency — the node burns power while
-	// it limps.
-	ExtraDelayMS float64
 	// freeAtMS is when the node finishes its current backlog: requests
 	// are served one at a time in arrival order (one core for power
 	// accounting).
@@ -204,11 +199,10 @@ type ISN struct {
 	rotQueue []faults.CorruptionEvent
 	// defectMS is a rolling estimate of this node's per-request latency
 	// defect — observed service time beyond what the cost model predicts
-	// (injected straggler delay, chaos slowdowns). It is the twin's
-	// counterpart of the live path's replica.Tracker service EWMA: Eq. 2
-	// cannot see a silent straggler whose queue happens to be empty, but
-	// its history can. Predictive hedging adds it to the predicted leg
-	// latency.
+	// (injected slowdowns). It is the twin's counterpart of the live
+	// path's replica.Tracker service EWMA: Eq. 2 cannot see a silent
+	// straggler whose queue happens to be empty, but its history can.
+	// Predictive hedging adds it to the predicted leg latency.
 	defectMS float64
 	// Totals for reporting.
 	BusyMS        float64
@@ -219,7 +213,7 @@ type ISN struct {
 // replication (Config.Replicas > 1) the fleet holds Shards × R nodes in
 // replica.Topology's row-major layout: node r*Shards+shard is shard's
 // r-th copy, so replica row 0 is the familiar unreplicated fleet and
-// every node-level method (Execute, FailISN, EquivalentLatencyMS, ...)
+// every node-level method (Execute, EquivalentLatencyMS, ...)
 // keeps its meaning unchanged. Shard-level methods (ExecuteShard,
 // ShardFailed, ...) layer replica selection and virtual-time failover on
 // top.
@@ -230,12 +224,21 @@ type Cluster struct {
 	Net     Network
 	Meter   *power.Meter
 	InferMS float64 // per-query predictor inference time charged at the ISN
-	// Faults, when set, deals per-request chaos (crash/drop/slow) into
-	// Execute from a deterministic seeded schedule. Crashed plans also
-	// count as dead for shard-level availability — the twin's stand-in
-	// for the live path's prober, which discovers crashed replicas within
-	// a probe interval — while drop and slow stay per-request surprises
-	// that only mid-query failover can absorb.
+	// Faults, when set, is the twin's one fault switchboard, keyed by
+	// node id. A crashed node (Injector.Crash) is dead: it answers
+	// neither predictions nor searches, requests routed to it are lost
+	// until the aggregator's failure-detection timeout, and shard-level
+	// availability counts it out — the twin's stand-in for the live
+	// path's prober, which discovers crashed replicas within a probe
+	// interval. Every other verdict is dealt per request into Execute
+	// from the node's seeded stream: a drop or corrupt reply is a
+	// surprise only mid-query failover can absorb, and a slowdown
+	// (Plan.SlowMS, plus any jitter) is a virtual-time straggler — GC
+	// pause, noisy neighbour, degraded disk — charged as busy time at the
+	// serving frequency, so the node burns power while it limps. Fault
+	// state is configuration, not accumulated statistics: Reset keeps
+	// it, so a sweep can inject faults once and replay many policies;
+	// ClearFaults drops the injector.
 	Faults *faults.Injector
 	// topo is the shard × replica layout (R=1 when unconfigured), and
 	// groups[s] is shard s's replica group in it, built once.
@@ -244,12 +247,6 @@ type Cluster struct {
 	// rankCands and rankOrder are rankShard's scratch.
 	rankCands []replica.Candidate
 	rankOrder []int
-	// FailTimeoutMS is the aggregator's failure-detection timeout: how
-	// long it waits for an ISN that will never answer before giving up,
-	// when no tighter per-query budget applies (budgeted queries give up
-	// at the budget). Real aggregators detect dead peers with TCP
-	// resets/heartbeats in tens of milliseconds.
-	FailTimeoutMS float64
 	// MaxQueueMS, when positive, bounds each ISN's admission queue in
 	// time: a request arriving to find more than this much backlog is
 	// shed immediately (no work, no power) instead of queuing without
@@ -312,16 +309,6 @@ type Config struct {
 	// documents on the same hardware class — so per-shard latency
 	// predictors stay valid across failover.
 	SpeedFactors []float64
-	// FailTimeoutMS overrides the failure-detection timeout (default 100).
-	FailTimeoutMS float64
-	// MaxQueueMS bounds per-ISN queueing delay; arrivals beyond it are
-	// shed (0 = unbounded).
-	MaxQueueMS float64
-	// ScrubEpochMS sets the background scrubber's full-sweep time per
-	// node (0 = off); RepairMS sets detection-to-readmission repair time
-	// for quarantined copies (0 = no repair). See integrity.go.
-	ScrubEpochMS float64
-	RepairMS     float64
 	// DynamicMachines switches power accounting to integrated machine
 	// time so SetActiveReplicas can scale replica rows up and down
 	// mid-run: only powered-on nodes pay the idle floor, and MachineMS
@@ -358,17 +345,13 @@ func New(cfg Config) *Cluster {
 		pw.IdleWatts *= float64(r) // R replica rows = R× the idle hardware
 	}
 	c := &Cluster{
-		Ladder:        cfg.Ladder,
-		Cost:          cfg.Cost,
-		Net:           cfg.Net,
-		Meter:         power.NewMeter(pw),
-		InferMS:       cfg.InferMS,
-		FailTimeoutMS: cfg.FailTimeoutMS,
-		MaxQueueMS:    cfg.MaxQueueMS,
-		ScrubEpochMS:  cfg.ScrubEpochMS,
-		RepairMS:      cfg.RepairMS,
-		dynamic:       cfg.DynamicMachines,
-		topo:          replica.Topology{Shards: cfg.NumISNs, R: r},
+		Ladder:  cfg.Ladder,
+		Cost:    cfg.Cost,
+		Net:     cfg.Net,
+		Meter:   power.NewMeter(pw),
+		InferMS: cfg.InferMS,
+		dynamic: cfg.DynamicMachines,
+		topo:    replica.Topology{Shards: cfg.NumISNs, R: r},
 	}
 	c.groups = c.topo.Groups()
 	c.rankCands = make([]replica.Candidate, r)
@@ -377,9 +360,6 @@ func New(cfg Config) *Cluster {
 		// The idle floor is integrated per replica row (IdleWatts is the
 		// per-row package floor; a row is Shards nodes).
 		c.Meter.SetDynamicIdle(true)
-	}
-	if c.FailTimeoutMS <= 0 {
-		c.FailTimeoutMS = 100
 	}
 	for i := 0; i < c.topo.Nodes(); i++ {
 		shard := c.topo.ShardOf(i)
@@ -403,28 +383,22 @@ func (c *Cluster) Replicas() int { return c.topo.R }
 // Topo returns the shard × replica layout.
 func (c *Cluster) Topo() replica.Topology { return c.topo }
 
-// FailISN marks an ISN dead (see ISN.Failed).
-func (c *Cluster) FailISN(isn int) { c.ISNs[isn].Failed = true }
-
 // FailedCount returns how many ISNs are currently dead.
 func (c *Cluster) FailedCount() int {
 	n := 0
-	for _, node := range c.ISNs {
-		if node.Failed {
+	for i := range c.ISNs {
+		if c.nodeDead(i) {
 			n++
 		}
 	}
 	return n
 }
 
-// nodeDead reports whether a node can serve at all: configured dead
-// (FailISN) or crashed in the fault injector's standing plan. The latter
-// mirrors what the live path's prober would know; probabilistic drops
-// and slowdowns are per-request and stay invisible here.
+// nodeDead reports whether a node can serve at all: crashed in the fault
+// injector's standing plan. That mirrors what the live path's prober
+// would know; probabilistic drops and slowdowns are per-request and stay
+// invisible here.
 func (c *Cluster) nodeDead(node int) bool {
-	if c.ISNs[node].Failed {
-		return true
-	}
 	return c.Faults != nil && c.Faults.Crashed(node)
 }
 
@@ -541,17 +515,13 @@ func (c *Cluster) ShardPredictedLegMS(shard int, tMS, predictedCycles, f float64
 	return c.EquivalentLatencyMS(n, tMS, predictedCycles, f) + c.ISNs[n].defectMS
 }
 
-// SetExtraDelayMS injects a per-request virtual-time slowdown on an ISN.
-func (c *Cluster) SetExtraDelayMS(isn int, ms float64) { c.ISNs[isn].ExtraDelayMS = ms }
-
-// ClearFaults removes all injected failures, slowdowns and pending
-// (undetected) corruption; quarantined nodes are re-admitted on the
-// spot. The accumulated integrity ledger is statistics, not fault
-// state, so it survives (Reset clears it).
+// ClearFaults drops the fault injector (every crash, drop and slowdown)
+// and all pending (undetected) corruption; quarantined nodes are
+// re-admitted on the spot. The accumulated integrity ledger is
+// statistics, not fault state, so it survives (Reset clears it).
 func (c *Cluster) ClearFaults() {
+	c.Faults = nil
 	for _, node := range c.ISNs {
-		node.Failed = false
-		node.ExtraDelayMS = 0
 		node.resetIntegrityState()
 		node.rotQueue = nil
 	}
@@ -769,7 +739,7 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 	node := c.ISNs[isn]
 	shard, rep := c.topo.ShardOf(isn), c.topo.ReplicaOf(isn)
 	arrive := tMS + c.Net.AggToISNMS
-	if node.Failed {
+	if c.nodeDead(isn) {
 		// The request is lost; the node does no work and burns no power.
 		c.observe(arrive)
 		return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegFailed}
@@ -788,22 +758,15 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 		c.observe(arrive)
 		return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegCorrupt}
 	}
-	// Per-request chaos from the seeded schedule: a crashed plan loses
-	// the request like a dead node; a drop or corrupt verdict lets the
-	// work proceed (the server keeps serving a severed connection) but
-	// the reply never lands; a slow verdict stretches service time.
+	// Per-request chaos from the seeded schedule (a crashed node never
+	// gets here): a drop or corrupt verdict lets the work proceed (the
+	// server keeps serving a severed connection) but the reply never
+	// lands; a slowdown stretches service time.
 	injDelayMS, dropped := 0.0, false
 	if c.Faults != nil {
-		switch d := c.Faults.OnRequest(isn); d.Kind {
-		case faults.Crash:
-			c.observe(arrive)
-			return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegFailed}
-		case faults.Drop, faults.Corrupt:
-			dropped = true
-			injDelayMS = d.DelayMS
-		default:
-			injDelayMS = d.DelayMS
-		}
+		d := c.Faults.OnRequest(isn)
+		injDelayMS = d.DelayMS
+		dropped = d.Kind == faults.Drop || d.Kind == faults.Corrupt
 	}
 	if qd := c.QueueDelayMS(isn, arrive); c.MaxQueueMS > 0 && qd > c.MaxQueueMS {
 		// Admission control: the backlog already exceeds the queue bound.
@@ -821,8 +784,8 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 	if node.freeAtMS > start {
 		start = node.freeAtMS
 	}
-	full := ServiceMS(cycles, f) + node.ExtraDelayMS + injDelayMS
-	node.defectMS += defectAlpha * ((node.ExtraDelayMS + injDelayMS) - node.defectMS)
+	full := ServiceMS(cycles, f) + injDelayMS
+	node.defectMS += defectAlpha * (injDelayMS - node.defectMS)
 	finish := start + full
 	busy := full
 	status := LegAnswered

@@ -45,14 +45,15 @@ func TestReplicatedLayout(t *testing.T) {
 
 func TestShardAvailability(t *testing.T) {
 	c := newReplicated(t, 2, 2)
-	c.FailISN(0) // shard 0 replica 0
+	c.Faults = faults.NewInjector(0)
+	c.Faults.Crash(0) // shard 0 replica 0
 	if c.ShardFailed(0) || c.FailedShardCount() != 0 {
 		t.Fatal("shard with a live sibling reported failed")
 	}
 	if got := c.LiveReplicas(0); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("LiveReplicas(0) = %v, want [2]", got)
 	}
-	c.FailISN(2) // shard 0 replica 1 — whole group down
+	c.Faults.Crash(2) // shard 0 replica 1 — whole group down
 	if !c.ShardFailed(0) || c.FailedShardCount() != 1 {
 		t.Fatal("fully-failed shard not reported")
 	}
@@ -70,7 +71,8 @@ func TestShardAvailability(t *testing.T) {
 
 func TestExecuteShardRoutesAroundDeadReplica(t *testing.T) {
 	c := newReplicated(t, 2, 2)
-	c.FailISN(0) // shard 0 replica 0 dead; sibling is node 2
+	c.Faults = faults.NewInjector(0)
+	c.Faults.Crash(0) // shard 0 replica 0 dead; sibling is node 2
 	ex := c.ExecuteShard(0, 0, 1e6, 1.8, math.Inf(1))
 	if ex.Status != LegAnswered {
 		t.Fatalf("execution lost: %+v", ex)

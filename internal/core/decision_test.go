@@ -8,6 +8,7 @@ import (
 
 	"cottage/internal/cluster"
 	"cottage/internal/engine"
+	"cottage/internal/faults"
 	"cottage/internal/obs"
 	"cottage/internal/predict"
 	"cottage/internal/textgen"
@@ -132,10 +133,11 @@ func TestTwinRecordsTruncatedLegs(t *testing.T) {
 	// A straggler the predictors cannot see: every leg on shard 0 runs
 	// 30 ms long, so it overruns Cottage's budget.
 	eng.Anytime = true
-	eng.Cluster.SetExtraDelayMS(0, 30)
+	eng.Cluster.Faults = faults.NewInjector(0)
+	eng.Cluster.Faults.SetPlan(0, faults.Plan{SlowMS: 30})
 	defer func() {
 		eng.Anytime = false
-		eng.Cluster.SetExtraDelayMS(0, 0)
+		eng.Cluster.Faults = nil
 	}()
 	truncated := 0
 	for _, tr := range tracedRun(eng, NewCottage(), evs) {

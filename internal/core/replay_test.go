@@ -38,8 +38,8 @@ func replicatedTwin(eng *engine.Engine) *engine.Engine {
 	rep.Fleet = eng.Fleet
 	rep.Hedge = cluster.Hedge{AfterMS: 1.5}
 	topo := rep.Cluster.Topo()
-	rep.Cluster.FailISN(topo.Node(1, 0))
 	inj := faults.NewInjector(35)
+	inj.Crash(topo.Node(1, 0))
 	inj.SetPlan(topo.Node(2, 1), faults.Plan{DropProb: 0.3})
 	inj.SetPlan(topo.Node(3, 0), faults.Plan{CorruptProb: 0.25})
 	inj.SetPlan(topo.Node(0, 0), faults.Plan{SlowMS: 2, SlowJitterMS: 1})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cottage/internal/autoscale"
+	"cottage/internal/faults"
 	"cottage/internal/stats"
 	"cottage/internal/textgen"
 	"cottage/internal/trace"
@@ -117,7 +118,8 @@ func TestHedgingTamesInjectedStraggler(t *testing.T) {
 	qs := trace.Generate(corpus, trace.Config{
 		Kind: trace.Wikipedia, Seed: 4, NumQueries: 300, QPS: 25})
 	// Row 0 of shard 0 limps badly; its sibling (row 1) is clean.
-	e.Cluster.SetExtraDelayMS(0, 80)
+	e.Cluster.Faults = faults.NewInjector(0)
+	e.Cluster.Faults.SetPlan(0, faults.Plan{SlowMS: 80})
 	evs := e.EvaluateAll(qs)
 	p := &fixedPolicy{name: "all", select_: all, budgetMS: math.Inf(1)}
 

@@ -518,7 +518,7 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 	// the budget, or — with no budget — at its failure-detection timeout.
 	giveup := deadline
 	if math.IsInf(giveup, 1) {
-		giveup = dispatch + e.Cluster.FailTimeoutMS
+		giveup = dispatch + cluster.FailTimeoutMS
 	}
 	legs := e.legs[:0]
 	aggDone := dispatch

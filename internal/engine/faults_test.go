@@ -3,6 +3,9 @@ package engine
 import (
 	"math"
 	"testing"
+
+	"cottage/internal/cluster"
+	"cottage/internal/faults"
 )
 
 // TestFailedISNDegradesRun: failing nodes mid-fleet must degrade quality
@@ -15,8 +18,9 @@ func TestFailedISNDegradesRun(t *testing.T) {
 
 	healthy := Summarize(e.Run(p, evs))
 
-	e.Cluster.FailISN(1)
-	e.Cluster.FailISN(4)
+	e.Cluster.Faults = faults.NewInjector(0)
+	e.Cluster.Faults.Crash(1)
+	e.Cluster.Faults.Crash(4)
 	defer e.Cluster.ClearFaults()
 	degraded := e.Run(p, evs)
 	sm := Summarize(degraded)
@@ -38,7 +42,7 @@ func TestFailedISNDegradesRun(t *testing.T) {
 			t.Fatalf("query %d: ActiveISNs = %d", o.QueryID, o.ActiveISNs)
 		}
 		// With no budget, the aggregator waits out the failure timeout.
-		if o.LatencyMS < e.Cluster.FailTimeoutMS {
+		if o.LatencyMS < cluster.FailTimeoutMS {
 			t.Fatalf("query %d: latency %.2f below failure-detection timeout", o.QueryID, o.LatencyMS)
 		}
 	}
@@ -53,12 +57,13 @@ func TestFailedISNDegradesRun(t *testing.T) {
 func TestBudgetBoundsFailureWait(t *testing.T) {
 	e, qs := smallEngine(t)
 	evs := e.EvaluateAll(qs[:30])
-	e.Cluster.FailISN(0)
+	e.Cluster.Faults = faults.NewInjector(0)
+	e.Cluster.Faults.Crash(0)
 	defer e.Cluster.ClearFaults()
 
 	budget := 20.0
-	if budget >= e.Cluster.FailTimeoutMS {
-		t.Fatalf("test premise broken: budget %.0f >= fail timeout %.0f", budget, e.Cluster.FailTimeoutMS)
+	if budget >= cluster.FailTimeoutMS {
+		t.Fatalf("test premise broken: budget %.0f >= fail timeout %d", budget, cluster.FailTimeoutMS)
 	}
 	res := e.Run(&fixedPolicy{name: "budgeted", select_: all, budgetMS: budget}, evs)
 	slack := budget + 4*e.Cluster.Net.AggToISNMS + 2*e.Cluster.Net.ClientMS + 1

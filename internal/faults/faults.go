@@ -6,9 +6,12 @@
 // early termination) treats them as the common case, not the exception.
 // This package gives both substrates one switchboard for such faults:
 //
-//   - the simulated cluster (internal/cluster) reads per-ISN crash flags
-//     and virtual-time slowdowns from an Injector so harness sweeps can
-//     replay a trace at any availability level, and
+//   - the simulated cluster (internal/cluster) reads every fault from
+//     its Injector (Cluster.Faults): a crashed node is dead to replica
+//     selection and loses every request, and each request draws its
+//     drop, corrupt and slowdown verdict in virtual time, so harness
+//     sweeps replay a trace at any availability level or against a
+//     straggler, and
 //   - the real TCP transport (internal/rpc) wraps its listeners with
 //     WrapListener, which drops, delays or corrupts frames on the wire so
 //     retry/hedging logic is exercised against real sockets.

@@ -60,7 +60,7 @@ func Anatomy(s *Setup, w io.Writer) error {
 			// Replicated fleet with a limping row-0 replica on shard 0 —
 			// the setup where hedge-wait time shows up on the tail.
 			eng.Hedge = cluster.Hedge{AfterMS: hedgeFixedDelayMS}
-			eng.Cluster.SetExtraDelayMS(eng.Cluster.Topo().Node(0, 0), hedgeStragglerMS)
+			limpReplica(eng.Cluster)
 		}},
 	}
 	var medianMS float64

@@ -9,6 +9,7 @@ import (
 	"cottage/internal/cluster"
 	"cottage/internal/core"
 	"cottage/internal/engine"
+	"cottage/internal/faults"
 	"cottage/internal/stats"
 	"cottage/internal/trace"
 )
@@ -215,6 +216,14 @@ func (p predictiveAll) Decide(e *engine.Engine, q trace.Query, nowMS float64) en
 	return d
 }
 
+// limpReplica makes shard 0's row-0 replica the straggler: every
+// request it serves takes hedgeStragglerMS longer. It replaces the
+// cluster's fault injector.
+func limpReplica(c *cluster.Cluster) {
+	c.Faults = faults.NewInjector(0)
+	c.Faults.SetPlan(c.Topo().Node(0, 0), faults.Plan{SlowMS: hedgeStragglerMS})
+}
+
 // hedgingRow is one hedging mode's outcome.
 type hedgingRow struct {
 	label     string
@@ -234,7 +243,7 @@ func runHedgingRows(s *Setup) []hedgingRow {
 		Kind: trace.Wikipedia, Seed: 606, NumQueries: hedgeTraceQueries, QPS: hedgeTraceQPS,
 	})
 	eng := dynamicEngine(s, 2)
-	eng.Cluster.SetExtraDelayMS(eng.Cluster.Topo().Node(0, 0), hedgeStragglerMS)
+	limpReplica(eng.Cluster)
 	evs := s.Engine.EvaluateAll(qs)
 	pol := predictiveAll{cot: core.NewCottage()}
 

@@ -30,9 +30,11 @@ func TestReplicationFailureContrast(t *testing.T) {
 	run := func(eng *engine.Engine, failed int) engine.Summary {
 		eng.Cluster.ClearFaults()
 		topo := eng.Cluster.Topo()
+		inj := faults.NewInjector(0)
 		for _, sh := range faults.PickVictims(2022, failed, n) {
-			eng.Cluster.FailISN(topo.Node(sh, 0))
+			inj.Crash(topo.Node(sh, 0))
 		}
+		eng.Cluster.Faults = inj
 		return engine.Summarize(eng.Run(pol, s.WikiEval))
 	}
 

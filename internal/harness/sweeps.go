@@ -69,9 +69,11 @@ func Availability(s *Setup, w io.Writer) error {
 		"failed", "policy", "avg ms", "p95 ms", "P@10", "power W", "failfrac")
 	for failed := 0; failed <= maxFailed; failed++ {
 		s.Engine.Cluster.ClearFaults()
+		inj := faults.NewInjector(2022)
 		for _, isn := range faults.PickVictims(2022, failed, n) {
-			s.Engine.Cluster.FailISN(isn)
+			inj.Crash(isn)
 		}
+		s.Engine.Cluster.Faults = inj
 		for _, pol := range policies {
 			sm := engine.Summarize(s.Engine.Run(pol.p, s.WikiEval))
 			fmt.Fprintf(w, "%-8d %-14s %10.2f %10.2f %8.3f %10.2f %10.3f\n",
@@ -114,9 +116,11 @@ func Replication(s *Setup, w io.Writer) error {
 		topo := eng.Cluster.Topo()
 		for failed := 0; failed <= maxFailed; failed++ {
 			eng.Cluster.ClearFaults()
+			inj := faults.NewInjector(2022)
 			for _, sh := range faults.PickVictims(2022, failed, n) {
-				eng.Cluster.FailISN(topo.Node(sh, 0))
+				inj.Crash(topo.Node(sh, 0))
 			}
+			eng.Cluster.Faults = inj
 			sm := engine.Summarize(eng.Run(pol, s.WikiEval))
 			avail := 1 - float64(eng.Cluster.FailedShardCount())/float64(n)
 			fmt.Fprintf(w, "%-4d %-8d %10.3f %8.3f %10.2f %10.2f %10.2f %10.3f\n",

@@ -1,23 +1,21 @@
 // Package integrity is the quarantine/repair plane over the checksummed
-// shard format (internal/index). It supplies three cooperating pieces:
+// shard format (internal/index). It supplies two cooperating pieces:
 //
-//   - Ledger: a corruption ledger — every detected mismatch becomes an
-//     attributed event (which shard, which replica, detected where), and
-//     per-replica state machines track healthy → quarantined → repairing
-//     → healthy with MTTR accounting. The coordinator keeps one to rank
-//     quarantined replicas out of selection; each ISN keeps one for its
-//     own shard copy.
 //   - Scrubber: a paced, pull-based background verifier. Step(nowMS)
 //     checksums as many blocks as the elapsed time × bytes/sec budget
 //     allows, so integrity checking never competes with query latency,
 //     and the same code runs in wall-clock (a goroutine loop) and in the
 //     twin's virtual time (deterministic across GOMAXPROCS).
-//   - Manager: the per-ISN supervisor tying shard, scrubber, ledger and
-//     metrics together: query-time verification gate, quarantine on any
-//     mismatch, repair by re-fetching verified bytes (peer replica or
-//     disk), re-validation, and re-admission.
+//   - Manager: the per-ISN supervisor of one shard copy: query-time
+//     verification gate, quarantine on any mismatch, repair by
+//     re-fetching verified bytes (peer replica or disk), re-validation
+//     and an identity check, and re-admission. It owns the copy's
+//     healthy → quarantined → repairing → healthy state machine, its
+//     MTTR accounting, and an event log in which every detected
+//     mismatch is attributed (which shard, which replica, detected
+//     where).
 //
-// Detection without attribution is noise; the ledger makes every
+// Detection without attribution is noise; the event log makes every
 // corruption actionable, and the manager makes it survivable.
 package integrity
 
@@ -25,8 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
-	"sync"
 
 	"cottage/internal/obs"
 )
@@ -82,7 +78,7 @@ func (s *State) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Event is one ledger entry: a detected corruption or a state
+// Event is one log entry: a detected corruption or a state
 // transition, attributed and timestamped (virtual or wall ms).
 type Event struct {
 	TimeMS  int64 `json:"time_ms"`
@@ -95,17 +91,6 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// replicaKey identifies one shard copy.
-type replicaKey struct{ shard, replica int }
-
-// replicaState is the per-copy state machine plus repair accounting.
-type replicaState struct {
-	state           State
-	quarantinedAtMS int64
-	repairs         int
-	mttrTotalMS     int64
-}
-
 // ReplicaStatus is one replica's externally visible integrity state.
 type ReplicaStatus struct {
 	Shard           int   `json:"shard"`
@@ -116,8 +101,9 @@ type ReplicaStatus struct {
 	MeanMTTRMS      int64 `json:"mean_mttr_ms"`
 }
 
-// Snapshot is the ledger's full externally visible state — the
-// /debug/integrity payload.
+// Snapshot is a Manager's full externally visible state — the
+// /debug/integrity payload. Replicas is nil until the copy is first
+// quarantined, and holds the one supervised copy from then on.
 type Snapshot struct {
 	Replicas    []ReplicaStatus `json:"replicas"`
 	Events      []Event         `json:"events"`
@@ -125,175 +111,6 @@ type Snapshot struct {
 	Quarantines uint64          `json:"quarantines"`
 	Repairs     uint64          `json:"repairs"`
 	MeanMTTRMS  int64           `json:"mean_mttr_ms"`
-}
-
-// Ledger records detected corruptions and tracks each replica-shard's
-// quarantine/repair state machine. Safe for concurrent use.
-type Ledger struct {
-	mu       sync.Mutex
-	events   []Event // ring buffer of the last ledgerEvents, newest last
-	next     int     // ring cursor once full
-	replicas map[replicaKey]*replicaState
-
-	mismatches  uint64
-	quarantines uint64
-	repairs     uint64
-	mttrTotalMS int64
-
-	// Metrics, when set, mirrors transitions onto registry counters.
-	Metrics *Metrics
-}
-
-// ledgerEvents is how many events a Ledger retains.
-const ledgerEvents = 256
-
-// NewLedger builds a ledger retaining the last ledgerEvents events.
-func NewLedger() *Ledger {
-	return &Ledger{replicas: make(map[replicaKey]*replicaState)}
-}
-
-func (l *Ledger) record(ev Event) {
-	if len(l.events) < ledgerEvents {
-		l.events = append(l.events, ev)
-		return
-	}
-	l.events[l.next] = ev
-	l.next = (l.next + 1) % ledgerEvents
-}
-
-func (l *Ledger) replica(shard, replica int) *replicaState {
-	k := replicaKey{shard, replica}
-	rs := l.replicas[k]
-	if rs == nil {
-		rs = &replicaState{}
-		l.replicas[k] = rs
-	}
-	return rs
-}
-
-// RecordMismatch logs one detected corruption (it does not change
-// state; callers decide whether the finding quarantines the replica).
-func (l *Ledger) RecordMismatch(shard, replica int, nowMS int64, source, detail string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.mismatches++
-	l.record(Event{TimeMS: nowMS, Shard: shard, Replica: replica, Source: source, Detail: detail})
-	l.Metrics.mismatch()
-}
-
-// Quarantine moves a replica to Quarantined (idempotent: an already
-// quarantined or repairing replica is left alone so MTTR measures the
-// first detection to re-admission).
-func (l *Ledger) Quarantine(shard, replica int, nowMS int64, detail string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rs := l.replica(shard, replica)
-	if rs.state != Healthy {
-		return false
-	}
-	rs.state = Quarantined
-	rs.quarantinedAtMS = nowMS
-	l.quarantines++
-	l.record(Event{TimeMS: nowMS, Shard: shard, Replica: replica, Source: "quarantine", Detail: detail})
-	l.Metrics.quarantine()
-	return true
-}
-
-// StartRepair marks a quarantined replica as mid-repair.
-func (l *Ledger) StartRepair(shard, replica int, nowMS int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rs := l.replica(shard, replica)
-	if rs.state != Quarantined {
-		return
-	}
-	rs.state = Repairing
-	l.record(Event{TimeMS: nowMS, Shard: shard, Replica: replica, Source: "repair-start"})
-}
-
-// FailRepair returns a repairing replica to Quarantined (the fetch
-// failed; the repair loop will retry).
-func (l *Ledger) FailRepair(shard, replica int, nowMS int64, detail string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rs := l.replica(shard, replica)
-	if rs.state != Repairing {
-		return
-	}
-	rs.state = Quarantined
-	l.record(Event{TimeMS: nowMS, Shard: shard, Replica: replica, Source: "repair-failed", Detail: detail})
-}
-
-// Readmit completes a repair: the replica returns to Healthy and the
-// quarantine-to-readmission interval feeds MTTR.
-func (l *Ledger) Readmit(shard, replica int, nowMS int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rs := l.replica(shard, replica)
-	if rs.state == Healthy {
-		return
-	}
-	mttr := nowMS - rs.quarantinedAtMS
-	if mttr < 0 {
-		mttr = 0
-	}
-	rs.state = Healthy
-	rs.repairs++
-	rs.mttrTotalMS += mttr
-	l.repairs++
-	l.mttrTotalMS += mttr
-	l.record(Event{TimeMS: nowMS, Shard: shard, Replica: replica, Source: "repair-done",
-		Detail: fmt.Sprintf("mttr=%dms", mttr)})
-	l.Metrics.repair()
-}
-
-// IsQuarantined reports whether a replica is out of service (either
-// Quarantined or Repairing — it serves nothing until re-admitted).
-func (l *Ledger) IsQuarantined(shard, replica int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rs := l.replicas[replicaKey{shard, replica}]
-	return rs != nil && rs.state != Healthy
-}
-
-// Snapshot returns the full ledger state, events oldest-first.
-func (l *Ledger) Snapshot() Snapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	snap := Snapshot{
-		Mismatches:  l.mismatches,
-		Quarantines: l.quarantines,
-		Repairs:     l.repairs,
-		Events:      make([]Event, 0, len(l.events)),
-	}
-	if l.repairs > 0 {
-		snap.MeanMTTRMS = l.mttrTotalMS / int64(l.repairs)
-	}
-	// Ring order: next..end is the oldest run once wrapped.
-	if len(l.events) == ledgerEvents {
-		snap.Events = append(snap.Events, l.events[l.next:]...)
-		snap.Events = append(snap.Events, l.events[:l.next]...)
-	} else {
-		snap.Events = append(snap.Events, l.events...)
-	}
-	for k, rs := range l.replicas {
-		st := ReplicaStatus{Shard: k.shard, Replica: k.replica, State: rs.state, Repairs: rs.repairs}
-		if rs.state != Healthy {
-			st.QuarantinedAtMS = rs.quarantinedAtMS
-		}
-		if rs.repairs > 0 {
-			st.MeanMTTRMS = rs.mttrTotalMS / int64(rs.repairs)
-		}
-		snap.Replicas = append(snap.Replicas, st)
-	}
-	sort.Slice(snap.Replicas, func(i, j int) bool {
-		a, b := snap.Replicas[i], snap.Replicas[j]
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Replica < b.Replica
-	})
-	return snap
 }
 
 // Metrics are the integrity plane's registry counters. All methods are
@@ -343,7 +160,7 @@ func (m *Metrics) repair() {
 	}
 }
 
-// Handler serves a ledger snapshot as JSON — the /debug/integrity
+// Handler serves a snapshot as JSON — the /debug/integrity
 // endpoint (mount via obs.Endpoint on the debug mux).
 func Handler(snap func() Snapshot) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -355,7 +172,7 @@ func Handler(snap func() Snapshot) http.Handler {
 }
 
 // detailOf extracts a compact detail string from a verification error
-// for ledger entries.
+// for log entries.
 func detailOf(err error) string {
 	if err == nil {
 		return ""

@@ -52,83 +52,103 @@ func corruptOneBlock(t testing.TB, s *index.Shard) (string, int) {
 	return "", 0
 }
 
-// stateOf reads one replica's state from a ledger snapshot; a replica
-// the ledger has never seen is Healthy.
-func stateOf(snap Snapshot, shard, replica int) State {
-	for _, r := range snap.Replicas {
-		if r.Shard == shard && r.Replica == replica {
-			return r.State
-		}
+// managerState is the state of the replica a manager guards; a copy
+// that was never quarantined is Healthy.
+func managerState(m *Manager) State {
+	if r := m.Snapshot().Replicas; len(r) > 0 {
+		return r[0].State
 	}
 	return Healthy
 }
 
-// managerState is the state of the replica a manager guards.
-func managerState(m *Manager) State {
-	return stateOf(m.Snapshot(), m.cfg.ShardID, m.cfg.Replica)
-}
+// failingFetch is a repair source that is down.
+func failingFetch() (*index.Shard, error) { return nil, errors.New("peer down") }
 
-func TestLedgerStateMachine(t *testing.T) {
-	l := NewLedger()
-	if stateOf(l.Snapshot(), 3, 1) != Healthy || l.IsQuarantined(3, 1) {
+func TestManagerStateMachine(t *testing.T) {
+	s := buildShard(t, 3)
+	m := NewManager(Config{ShardID: 3, Replica: 1}, s)
+	if managerState(m) != Healthy || m.Shard() == nil {
 		t.Fatal("fresh replica not healthy")
 	}
-	l.RecordMismatch(3, 1, 100, "query", "block 1")
-	if !l.Quarantine(3, 1, 100, "block 1") {
-		t.Fatal("first quarantine rejected")
+	m.Quarantine(100, "query", errors.New("block 1"))
+	if managerState(m) != Quarantined || m.Shard() != nil {
+		t.Fatalf("state = %v, want quarantined", managerState(m))
 	}
-	if l.Quarantine(3, 1, 150, "again") {
-		t.Fatal("double quarantine accepted")
+	// Quarantine is idempotent: a second detection logs a mismatch but
+	// neither re-quarantines nor moves the MTTR start.
+	m.Quarantine(150, "scrub", errors.New("again"))
+	if snap := m.Snapshot(); snap.Mismatches != 2 || snap.Quarantines != 1 ||
+		snap.Replicas[0].QuarantinedAtMS != 100 {
+		t.Fatalf("double quarantine: %+v", snap)
 	}
-	if got := stateOf(l.Snapshot(), 3, 1); got != Quarantined {
-		t.Fatalf("state = %v, want quarantined", got)
+	// A repair that fails returns to quarantined; the replica serves
+	// nothing while the transfer runs.
+	err := m.Repair(200, func() (*index.Shard, error) {
+		if got := managerState(m); got != Repairing {
+			t.Errorf("state during repair = %v, want repairing", got)
+		}
+		if m.Shard() != nil {
+			t.Error("repairing replica must still be out of service")
+		}
+		return failingFetch()
+	})
+	if err == nil || managerState(m) != Quarantined {
+		t.Fatalf("state after failed repair = %v (err %v)", managerState(m), err)
 	}
-	// Repair that fails returns to quarantined; MTTR keeps counting
-	// from the first detection.
-	l.StartRepair(3, 1, 200)
-	if got := stateOf(l.Snapshot(), 3, 1); got != Repairing {
-		t.Fatalf("state = %v, want repairing", got)
+	// MTTR keeps counting from the first detection.
+	if err := m.Repair(600, func() (*index.Shard, error) { return buildShard(t, 3), nil }); err != nil {
+		t.Fatalf("repair: %v", err)
 	}
-	if !l.IsQuarantined(3, 1) {
-		t.Fatal("repairing replica must still be out of service")
+	snap := m.Snapshot()
+	if managerState(m) != Healthy || m.Shard() == nil {
+		t.Fatalf("state after readmit = %v", managerState(m))
 	}
-	l.FailRepair(3, 1, 250, "peer down")
-	if got := stateOf(l.Snapshot(), 3, 1); got != Quarantined {
-		t.Fatalf("state after failed repair = %v", got)
-	}
-	l.StartRepair(3, 1, 300)
-	l.Readmit(3, 1, 600)
-	if got := stateOf(l.Snapshot(), 3, 1); got != Healthy {
-		t.Fatalf("state after readmit = %v", got)
-	}
-	snap := l.Snapshot()
-	if snap.Mismatches != 1 || snap.Quarantines != 1 || snap.Repairs != 1 {
+	if snap.Mismatches != 2 || snap.Quarantines != 1 || snap.Repairs != 1 {
 		t.Fatalf("totals = %+v", snap)
 	}
 	if snap.MeanMTTRMS != 500 { // quarantined at 100, readmitted at 600
 		t.Fatalf("MTTR = %d, want 500", snap.MeanMTTRMS)
 	}
-	if len(snap.Replicas) != 1 || snap.Replicas[0].State != Healthy || snap.Replicas[0].Repairs != 1 {
+	if len(snap.Replicas) != 1 || snap.Replicas[0].Repairs != 1 || snap.Replicas[0].MeanMTTRMS != 500 ||
+		snap.Replicas[0].Shard != 3 || snap.Replicas[0].Replica != 1 {
 		t.Fatalf("replica status = %+v", snap.Replicas)
 	}
-	// Transition guards: out-of-order calls are no-ops.
-	l.StartRepair(3, 1, 700) // healthy: no-op
-	l.FailRepair(3, 1, 700, "x")
-	l.Readmit(3, 1, 700)
-	if got := l.Snapshot(); got.Repairs != 1 || stateOf(l.Snapshot(), 3, 1) != Healthy {
+	var sources []string
+	for _, ev := range snap.Events {
+		sources = append(sources, ev.Source)
+	}
+	want := "query quarantine scrub repair-start repair-failed repair-start repair-done"
+	if got := strings.Join(sources, " "); got != want {
+		t.Fatalf("events %q, want %q", got, want)
+	}
+	// Transition guards: a healthy replica does not start a repair.
+	if err := m.Repair(700, failingFetch); err != nil {
+		t.Fatalf("repair of a healthy replica: %v", err)
+	}
+	if got := m.Snapshot(); got.Repairs != 1 || len(got.Events) != len(snap.Events) || managerState(m) != Healthy {
 		t.Fatalf("guards leaked transitions: %+v", got)
+	}
+	// A second outage measures its own MTTR from its own detection.
+	m.Quarantine(1000, "query", errors.New("block 2"))
+	if err := m.Repair(1100, func() (*index.Shard, error) { return buildShard(t, 3), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if snap := m.Snapshot(); snap.Repairs != 2 || snap.MeanMTTRMS != 300 { // (500+100)/2
+		t.Fatalf("second outage: %+v", snap)
 	}
 }
 
-func TestLedgerEventRingWraps(t *testing.T) {
-	l := NewLedger()
-	const total = ledgerEvents + 3
+func TestManagerEventRingWraps(t *testing.T) {
+	m := NewManager(Config{}, buildShard(t, 0))
+	// The first detection logs a mismatch and the quarantine; each later
+	// one logs its mismatch alone.
+	const total = maxEvents + 3
 	for i := 0; i < total; i++ {
-		l.RecordMismatch(0, 0, int64(i), "scrub", fmt.Sprintf("e%d", i))
+		m.Quarantine(int64(i), "scrub", fmt.Errorf("e%d", i))
 	}
-	snap := l.Snapshot()
-	if len(snap.Events) != ledgerEvents {
-		t.Fatalf("ring holds %d events, want %d", len(snap.Events), ledgerEvents)
+	snap := m.Snapshot()
+	if len(snap.Events) != maxEvents {
+		t.Fatalf("ring holds %d events, want %d", len(snap.Events), maxEvents)
 	}
 	for i, ev := range snap.Events {
 		if want := fmt.Sprintf("e%d", i+3); ev.Detail != want {
@@ -356,10 +376,9 @@ func TestManagerScrubDetects(t *testing.T) {
 }
 
 func TestHandlerServesSnapshot(t *testing.T) {
-	l := NewLedger()
-	l.RecordMismatch(2, 1, 50, "frame", "payload crc")
-	l.Quarantine(2, 1, 50, "payload crc")
-	h := Handler(l.Snapshot)
+	m := NewManager(Config{ShardID: 2, Replica: 1}, buildShard(t, 2))
+	m.Quarantine(50, "frame", errors.New("payload crc"))
+	h := Handler(m.Snapshot)
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/integrity", nil))
 	if rr.Code != 200 {
@@ -369,7 +388,7 @@ func TestHandlerServesSnapshot(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if snap.Quarantines != 1 || len(snap.Replicas) != 1 {
+	if snap.Quarantines != 1 || len(snap.Replicas) != 1 || snap.Replicas[0].State != Quarantined {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	if !strings.Contains(rr.Body.String(), `"quarantined"`) {
@@ -422,5 +441,35 @@ func TestNilMetricsSafe(t *testing.T) {
 	m.repair()
 	if NewMetrics(nil) != nil {
 		t.Fatal("NewMetrics(nil) registered counters")
+	}
+}
+
+// TestManagerRepairRejectsOtherShard: a repair source that hands back a
+// valid shard of another partition (a misconfigured peer, a stale
+// build) must not re-admit the replica under this shard's identity.
+func TestManagerRepairRejectsOtherShard(t *testing.T) {
+	s := buildShard(t, 10)
+	m := NewManager(Config{ShardID: 10, Replica: 0}, s)
+	term, _ := corruptOneBlock(t, s)
+	if err := m.VerifyQuery([]string{term}, 10); !index.IsCorruption(err) {
+		t.Fatalf("corruption missed: %v", err)
+	}
+	err := m.Repair(20, func() (*index.Shard, error) { return buildShard(t, 11), nil })
+	var wrong *WrongShardError
+	if !errors.As(err, &wrong) {
+		t.Fatalf("repair from another shard: got %v, want a WrongShardError", err)
+	}
+	if wrong.WantID != 10 || wrong.GotID != 11 {
+		t.Fatalf("error = %+v, want shard 10 refused shard 11", wrong)
+	}
+	if managerState(m) != Quarantined || m.Shard() != nil {
+		t.Fatal("a foreign shard re-admitted the replica")
+	}
+	// A fresh build of the same shard is byte-identical and re-admits.
+	if err := m.Repair(30, func() (*index.Shard, error) { return buildShard(t, 10), nil }); err != nil {
+		t.Fatalf("repair from a sibling build: %v", err)
+	}
+	if managerState(m) != Healthy {
+		t.Fatal("sibling build did not re-admit")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Config parameterizes a Manager.
 type Config struct {
-	// ShardID / Replica attribute this copy in ledger events.
+	// ShardID / Replica attribute this copy in events and snapshots.
 	ShardID int
 	Replica int
 	// ScrubBytesPerSec paces the background scrubber (<= 0 disables).
@@ -27,26 +27,66 @@ type Config struct {
 // Manager supervises one ISN's shard copy: it gates queries on lazy
 // checksum verification, paces the background scrubber, quarantines the
 // replica on any detected mismatch, and repairs by swapping in freshly
-// fetched verified bytes. All methods are safe for concurrent use; the
-// query path costs one mutex acquisition for the shard pointer plus the
+// fetched verified bytes of the same shard. It owns the copy's state
+// machine — healthy → quarantined → repairing → healthy — with MTTR
+// measured from the first detection to re-admission, and keeps the last
+// maxEvents events. All methods are safe for concurrent use; the query
+// path costs one mutex acquisition for the shard pointer plus the
 // shard's own lock-free block verification.
 type Manager struct {
-	cfg    Config
-	ledger *Ledger
+	cfg Config
+	// id and digest name the supervised shard: a repair must bring back
+	// the same bytes (builds are byte-deterministic), not merely valid
+	// ones.
+	id     int
+	digest uint32
 
-	mu    sync.Mutex
-	shard *index.Shard
-	scrub Scrubber
+	mu              sync.Mutex
+	shard           *index.Shard
+	scrub           Scrubber
+	state           State
+	quarantinedAtMS int64
+	events          []Event // ring of the last maxEvents, newest last
+	next            int     // ring cursor once full
+	mismatches      uint64
+	quarantines     uint64
+	repairs         uint64
+	mttrTotalMS     int64
+}
+
+// maxEvents is how many events a Manager retains.
+const maxEvents = 256
+
+// WrongShardError is a repair refused because the fetched shard, valid
+// as it may be, is not the supervised one: another partition, or
+// another build of it.
+type WrongShardError struct {
+	WantID, GotID         int
+	WantDigest, GotDigest uint32
+}
+
+func (e *WrongShardError) Error() string {
+	return fmt.Sprintf("integrity: repair fetched shard %d (digest %08x), want shard %d (digest %08x)",
+		e.GotID, e.GotDigest, e.WantID, e.WantDigest)
 }
 
 // NewManager supervises s under cfg. The shard should already be
 // sealed (Finalize and ReadShard both leave it so).
 func NewManager(cfg Config, s *index.Shard) *Manager {
-	l := NewLedger()
-	l.Metrics = cfg.Metrics
-	m := &Manager{cfg: cfg, ledger: l, shard: s}
+	m := &Manager{cfg: cfg, id: s.ID, digest: s.Digest, shard: s}
 	m.scrub.BytesPerSec = cfg.ScrubBytesPerSec
 	return m
+}
+
+// record appends ev to the event ring. Callers hold mu.
+func (m *Manager) record(nowMS int64, source, detail string) {
+	ev := Event{TimeMS: nowMS, Shard: m.cfg.ShardID, Replica: m.cfg.Replica, Source: source, Detail: detail}
+	if len(m.events) < maxEvents {
+		m.events = append(m.events, ev)
+		return
+	}
+	m.events[m.next] = ev
+	m.next = (m.next + 1) % maxEvents
 }
 
 // Shard returns the serving shard, or nil while the replica is
@@ -55,7 +95,7 @@ func NewManager(cfg Config, s *index.Shard) *Manager {
 func (m *Manager) Shard() *index.Shard {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.ledger.IsQuarantined(m.cfg.ShardID, m.cfg.Replica) {
+	if m.state != Healthy {
 		return nil
 	}
 	return m.shard
@@ -83,12 +123,25 @@ func (m *Manager) VerifyQuery(terms []string, nowMS int64) error {
 	return err
 }
 
-// Quarantine takes the replica out of service for an externally
-// detected integrity failure (e.g. a typed decode error on load, or an
-// operator action). Idempotent.
+// Quarantine records a detected mismatch and takes the replica out of
+// service for it (e.g. a typed decode error on load, or an operator
+// action). Idempotent: an already quarantined or repairing replica only
+// logs the mismatch, so MTTR runs from the first detection.
 func (m *Manager) Quarantine(nowMS int64, source string, err error) {
-	m.ledger.RecordMismatch(m.cfg.ShardID, m.cfg.Replica, nowMS, source, detailOf(err))
-	m.ledger.Quarantine(m.cfg.ShardID, m.cfg.Replica, nowMS, detailOf(err))
+	detail := detailOf(err)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.mismatches++
+	m.record(nowMS, source, detail)
+	m.cfg.Metrics.mismatch()
+	if m.state != Healthy {
+		return
+	}
+	m.state = Quarantined
+	m.quarantinedAtMS = nowMS
+	m.quarantines++
+	m.record(nowMS, "quarantine", detail)
+	m.cfg.Metrics.quarantine()
 }
 
 // ScrubStep advances the background scrub to nowMS; a mismatch found
@@ -96,13 +149,11 @@ func (m *Manager) Quarantine(nowMS int64, source string, err error) {
 // detection. Returns blocks scrubbed this step.
 func (m *Manager) ScrubStep(nowMS int64) int {
 	m.mu.Lock()
-	s := m.shard
-	quarantined := m.ledger.IsQuarantined(m.cfg.ShardID, m.cfg.Replica)
-	if s == nil || quarantined {
+	if m.shard == nil || m.state != Healthy {
 		m.mu.Unlock()
 		return 0
 	}
-	res := m.scrub.Step(s, nowMS)
+	res := m.scrub.Step(m.shard, nowMS)
 	m.mu.Unlock()
 	m.cfg.Metrics.scrubbed(res.Scrubbed)
 	if res.Err != nil && index.IsCorruption(res.Err) {
@@ -120,20 +171,30 @@ func (m *Manager) ScrubEpochMS() int64 {
 }
 
 // Repair fetches fresh verified shard bytes via cfg.Fetch (or the
-// explicit fetch argument when non-nil), re-validates them, and swaps
-// the new shard in, re-admitting the replica. No-op when healthy.
+// explicit fetch argument when non-nil), re-validates them, checks they
+// are the supervised shard (WrongShardError otherwise), and swaps the
+// new shard in, re-admitting the replica. No-op when healthy. A failed
+// repair leaves the replica quarantined.
 func (m *Manager) Repair(nowMS int64, fetch func() (*index.Shard, error)) error {
-	if !m.ledger.IsQuarantined(m.cfg.ShardID, m.cfg.Replica) {
-		return nil
-	}
 	if fetch == nil {
 		fetch = m.cfg.Fetch
 	}
+	m.mu.Lock()
+	if m.state == Healthy {
+		m.mu.Unlock()
+		return nil
+	}
 	if fetch == nil {
+		m.mu.Unlock()
 		return fmt.Errorf("integrity: shard %d replica %d quarantined with no repair source",
 			m.cfg.ShardID, m.cfg.Replica)
 	}
-	m.ledger.StartRepair(m.cfg.ShardID, m.cfg.Replica, nowMS)
+	if m.state == Quarantined {
+		m.state = Repairing
+		m.record(nowMS, "repair-start", "")
+	}
+	m.mu.Unlock()
+
 	fresh, err := fetch()
 	if err == nil && fresh == nil {
 		err = fmt.Errorf("integrity: repair fetch returned no shard")
@@ -143,20 +204,58 @@ func (m *Manager) Repair(nowMS int64, fetch func() (*index.Shard, error)) error 
 		// before this replica serves again.
 		err = fresh.Validate()
 	}
+	if err == nil && (fresh.ID != m.id || fresh.Digest != m.digest) {
+		err = &WrongShardError{WantID: m.id, GotID: fresh.ID, WantDigest: m.digest, GotDigest: fresh.Digest}
+	}
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err != nil {
-		m.ledger.FailRepair(m.cfg.ShardID, m.cfg.Replica, nowMS, detailOf(err))
+		if m.state == Repairing {
+			m.state = Quarantined
+			m.record(nowMS, "repair-failed", detailOf(err))
+		}
 		return err
 	}
-	m.mu.Lock()
 	m.shard = fresh
 	m.scrub.Reset()
-	m.mu.Unlock()
-	m.ledger.Readmit(m.cfg.ShardID, m.cfg.Replica, nowMS)
+	if m.state != Healthy {
+		mttr := max(nowMS-m.quarantinedAtMS, 0)
+		m.state = Healthy
+		m.repairs++
+		m.mttrTotalMS += mttr
+		m.record(nowMS, "repair-done", fmt.Sprintf("mttr=%dms", mttr))
+		m.cfg.Metrics.repair()
+	}
 	return nil
 }
 
-// Snapshot returns the ledger snapshot plus live scrub progress.
-func (m *Manager) Snapshot() Snapshot { return m.ledger.Snapshot() }
+// Snapshot returns the copy's state, counters and events, oldest first.
+func (m *Manager) Snapshot() Snapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	snap := Snapshot{
+		Mismatches:  m.mismatches,
+		Quarantines: m.quarantines,
+		Repairs:     m.repairs,
+		Events:      make([]Event, 0, len(m.events)),
+	}
+	// Ring order: next..end is the oldest run once wrapped.
+	snap.Events = append(snap.Events, m.events[m.next:]...)
+	snap.Events = append(snap.Events, m.events[:m.next]...)
+	if m.repairs > 0 {
+		snap.MeanMTTRMS = m.mttrTotalMS / int64(m.repairs)
+	}
+	if m.quarantines > 0 {
+		st := ReplicaStatus{Shard: m.cfg.ShardID, Replica: m.cfg.Replica, State: m.state,
+			Repairs: int(m.repairs), MeanMTTRMS: snap.MeanMTTRMS}
+		if m.state != Healthy {
+			st.QuarantinedAtMS = m.quarantinedAtMS
+		}
+		snap.Replicas = []ReplicaStatus{st}
+	}
+	return snap
+}
 
 // RunLoop drives the manager on a wall-clock ticker until stop closes:
 // each tick advances the scrub and, while quarantined, attempts a
@@ -175,7 +274,7 @@ func (m *Manager) RunLoop(stop <-chan struct{}, tick time.Duration) {
 		case now := <-t.C:
 			nowMS := now.UnixMilli()
 			m.ScrubStep(nowMS)
-			if m.ledger.IsQuarantined(m.cfg.ShardID, m.cfg.Replica) {
+			if m.Shard() == nil { // quarantined or repairing
 				_ = m.Repair(nowMS, nil) // failures stay quarantined; retried next tick
 			}
 		}

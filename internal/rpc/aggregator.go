@@ -12,7 +12,6 @@ import (
 	"cottage/internal/cluster"
 	"cottage/internal/core"
 	"cottage/internal/engine"
-	"cottage/internal/integrity"
 	"cottage/internal/obs"
 	"cottage/internal/overload"
 	"cottage/internal/qcache"
@@ -25,6 +24,9 @@ import (
 // responses that arrive within the budget — the network counterpart of
 // the simulated engine.
 type Aggregator struct {
+	// Clients are the ISN connections, one per address. Each carries the
+	// aggregator's per-replica facts that outlive a query: its epoch and
+	// its quarantine bit (quarantine.go).
 	Clients []*Client
 	K       int
 	// Ladder converts predicted cycles into the current/boosted
@@ -73,9 +75,7 @@ type Aggregator struct {
 	memoEvictions    obs.Counter
 	tracker          *replica.Tracker // per-client EWMA leg time (nil until EnableReplicaGroups)
 	prober           *Prober
-	qOnce            sync.Once
-	quarantine       *integrity.Ledger // coordinator-side quarantine (lazy; see quarantine.go)
-	legs             legPool           // parked goroutines the per-shard legs run on
+	legs             legPool // parked goroutines the per-shard legs run on
 	memoOnce         sync.Once
 	memo             *predMemo // remembered predictions (lazy; see predmemo.go)
 
@@ -157,7 +157,7 @@ func (a *Aggregator) observeBreaker(i int, err error) {
 		// failure (the node isn't sick) — the breaker doesn't move.
 	case IsShardCorrupt(err):
 		// The replica answered: transport healthy, data bad. Quarantine
-		// (the coordinator ledger), not the breaker, takes it out of
+		// (the client's quarantine bit), not the breaker, takes it out of
 		// rotation — opening the breaker too would double-penalize and
 		// misattribute a data fault as node death.
 	case IsCorruptFrame(err):

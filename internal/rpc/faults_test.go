@@ -32,7 +32,7 @@ func startFaultyServer(tb testing.TB, sh *index.Shard, pred *predict.ISNPredicto
 func TestRetryUnderFaults(t *testing.T) {
 	sh := buildShard(t, 41)
 	want := search.MaxScore(sh, []string{"ga", "gb"}, 5)
-	fast := RetryPolicy{Max: 6, Backoff: time.Millisecond}
+	fast := RetryPolicy{Max: 6}
 
 	cases := []struct {
 		name    string
@@ -56,7 +56,7 @@ func TestRetryUnderFaults(t *testing.T) {
 		},
 		{
 			name: "drop-all-retries-exhausted", plan: faults.Plan{DropProb: 1},
-			policy: RetryPolicy{Max: 3, Backoff: time.Millisecond}, calls: 1, wantErr: true,
+			policy: RetryPolicy{Max: 3}, calls: 1, wantErr: true,
 			retriesOK: func(r uint64) bool { return r == 3 }, retriesDesc: "exactly Max=3",
 		},
 		{
@@ -150,7 +150,7 @@ func TestCrashedISNIsDegradedNotFatal(t *testing.T) {
 		}
 		defer c.Close()
 		c.SetTimeout(2 * time.Second)
-		c.SetRetryPolicy(RetryPolicy{Max: 2, Backoff: time.Millisecond})
+		c.SetRetryPolicy(RetryPolicy{Max: 2})
 		clients[i] = c
 	}
 	in.Crash(1)
@@ -308,7 +308,7 @@ func TestCottageFaultTolerance(t *testing.T) {
 		}
 		defer c.Close()
 		c.SetTimeout(2 * time.Second)
-		c.SetRetryPolicy(RetryPolicy{Max: 2, Backoff: time.Millisecond})
+		c.SetRetryPolicy(RetryPolicy{Max: 2})
 		clients[i] = c
 	}
 	agg := NewAggregator(clients, 10)
@@ -411,7 +411,7 @@ func TestOfflineISNDegradesThenRecovers(t *testing.T) {
 	defer c1.Close()
 	for _, c := range []*Client{c0, c1} {
 		c.SetTimeout(2 * time.Second)
-		c.SetRetryPolicy(RetryPolicy{Max: 2, Backoff: time.Millisecond})
+		c.SetRetryPolicy(RetryPolicy{Max: 2})
 	}
 
 	agg := NewAggregator([]*Client{c0, c1}, 10)

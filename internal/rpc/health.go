@@ -96,8 +96,7 @@ func (p *Prober) run() {
 // not closed) and data (coordinator-side quarantine). A quarantined but
 // reachable replica is probed too — its ping carries the remote
 // data-plane status, and the first ping reporting the copy healthy
-// again re-admits the replica into selection (closing the repair loop
-// and stamping its MTTR).
+// again re-admits the replica into selection (closing the repair loop).
 func (p *Prober) sweep() {
 	var wg sync.WaitGroup
 	now := time.Now()
@@ -126,12 +125,13 @@ func (p *Prober) sweep() {
 			if !remoteQuarantined {
 				// Repair completed (or the quarantine was never real on the
 				// server); return the replica to rotation. No-op when the
-				// ledger never quarantined this client.
+				// client was never quarantined.
 				p.agg.readmitClient(i)
 			}
 			if !transportDown {
 				// Pure data-plane probe: no breaker to close, no outage to
-				// account — quarantine bookkeeping (MTTR) lives in the ledger.
+				// account — repair bookkeeping (MTTR) lives in the ISN's
+				// integrity manager.
 				return
 			}
 			if b := p.agg.breaker(i); b != nil {

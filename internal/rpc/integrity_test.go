@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -293,7 +292,7 @@ func TestClientDetectsResponseCorruptionTyped(t *testing.T) {
 		t.Fatalf("detected corruption must keep frame identity, got %v", err)
 	}
 
-	c.SetRetryPolicy(RetryPolicy{Max: 3, Backoff: time.Millisecond})
+	c.SetRetryPolicy(RetryPolicy{Max: 3})
 	r, err := c.Search([]string{"ga", "gb"}, 5, 0)
 	if err != nil {
 		t.Fatalf("fresh connection after corruption: %v", err)
@@ -352,7 +351,7 @@ func TestAllReplicasQuarantinedIsShardCorrupt(t *testing.T) {
 	}
 	agg := NewAggregator(clients, 5)
 	for s := range clients {
-		agg.noteCorrupt(s, s, fmt.Errorf("scrub: %w", ErrShardCorrupt))
+		agg.noteCorrupt(s)
 	}
 	_, err := agg.SearchExhaustive([]string{"ga", "gb"})
 	if !IsShardCorrupt(err) {
@@ -473,9 +472,5 @@ func TestQuarantineFailoverAndRepair(t *testing.T) {
 	}
 	if got := agg.rankShard(0, nil, nil); len(got) != 2 {
 		t.Fatalf("rankShard after readmit = %v, want both replicas", got)
-	}
-	snap := agg.quarantineLedger().Snapshot()
-	if snap.Repairs == 0 {
-		t.Fatal("coordinator ledger recorded no repair")
 	}
 }

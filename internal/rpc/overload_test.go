@@ -164,7 +164,7 @@ func TestOverloadedRetriesAndSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetRetryPolicy(RetryPolicy{Max: 8, Backoff: 5 * time.Millisecond})
+	c.SetRetryPolicy(RetryPolicy{Max: 8})
 	if _, err := c.Search([]string{"ga"}, 5, 0); err != nil {
 		t.Fatalf("retries should outlast the overload: %v", err)
 	}

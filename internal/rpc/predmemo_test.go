@@ -264,7 +264,7 @@ func TestMemoReasksRestartedShard(t *testing.T) {
 	isns, qs := memoFleet(t, nil)
 	clients := dialFleet(t, isns)
 	for _, c := range clients {
-		c.SetRetryPolicy(RetryPolicy{Max: 3, Backoff: time.Millisecond})
+		c.SetRetryPolicy(RetryPolicy{Max: 3})
 	}
 	agg := NewAggregator(clients, 10)
 	terms := selectingQuery(t, agg, qs, 2)
@@ -338,7 +338,7 @@ func TestMemoBypassedForUnhealthyReplica(t *testing.T) {
 			}
 		}},
 		{"quarantined", func(t *testing.T, agg *Aggregator, _ *isn) {
-			agg.noteCorrupt(sick, sick, ErrShardCorrupt)
+			agg.noteCorrupt(sick)
 		}},
 	}
 	for _, tc := range cases {

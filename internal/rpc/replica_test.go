@@ -43,7 +43,7 @@ func replicatedFleet(t *testing.T, shards []*index.Shard, preds []*predict.ISNPr
 			}
 			t.Cleanup(func() { c.Close() })
 			c.SetTimeout(2 * time.Second)
-			c.SetRetryPolicy(RetryPolicy{Max: 1, Backoff: time.Millisecond})
+			c.SetRetryPolicy(RetryPolicy{Max: 1})
 			clients[ci] = c
 		}
 	}

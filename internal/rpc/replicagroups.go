@@ -63,12 +63,11 @@ func (a *Aggregator) replicaRow(shard, ci int) int {
 // storage (or the group itself, for a sole replica).
 func (a *Aggregator) rankShard(shard int, cands []replica.Candidate, order []int) []int {
 	members := a.Groups[shard]
-	quarantine := a.quarantineLedger()
 	if len(members) == 1 {
 		// Nothing to order. Only quarantine takes a sole copy out of
 		// selection (as replica.RankInto would); a broken or breaker-open one
 		// is still the only place to send the leg.
-		if quarantine.IsQuarantined(shard, members[0]) {
+		if a.clientQuarantined(members[0]) {
 			return nil
 		}
 		return members
@@ -84,7 +83,7 @@ func (a *Aggregator) rankShard(shard int, cands []replica.Candidate, order []int
 		}
 		cands = append(cands, replica.Candidate{
 			ID:          ci,
-			Quarantined: quarantine.IsQuarantined(shard, ci),
+			Quarantined: a.clientQuarantined(ci),
 			Breaker:     st,
 			Healthy:     !a.Clients[ci].Broken(),
 			ServiceMS:   a.tracker.ServiceMS(ci),
@@ -151,7 +150,7 @@ func (q *fanout) failover(shard int, span string, failovers *obs.Counter, deadli
 			return nil
 		}
 		if IsShardCorrupt(err) {
-			a.noteCorrupt(shard, ci, err)
+			a.noteCorrupt(ci)
 		}
 		sp.SetAttr("error", err.Error())
 		sp.End(nowUS())

@@ -617,19 +617,18 @@ func (s *Server) anytimeSearch(sh *index.Shard, req *Request, deadline time.Time
 
 // RetryPolicy bounds the client's transport-level retries. Retries
 // reconnect (a broken stream cannot be resumed) and back off
-// exponentially from Backoff, doubling per attempt, capped at 250 ms
-// (maxBackoff). Application-level errors from the server (bad request,
-// missing predictor) are never retried — only transport faults are.
+// exponentially from DefaultBackoff, doubling per attempt, capped at
+// 250 ms (maxBackoff). Application-level errors from the server (bad
+// request, missing predictor) are never retried — only transport faults
+// are.
 type RetryPolicy struct {
 	// Max is the number of additional attempts after the first (0
 	// disables retrying).
 	Max int
-	// Backoff is the first retry's delay. Zero means DefaultBackoff.
-	Backoff time.Duration
 }
 
 const (
-	// DefaultBackoff is the first retry's delay when Backoff is zero.
+	// DefaultBackoff is the first retry's delay.
 	DefaultBackoff = 2 * time.Millisecond
 	// maxBackoff caps the doubling.
 	maxBackoff = 250 * time.Millisecond
@@ -654,6 +653,9 @@ type Client struct {
 	// shard). Zero until the first connection. A memoised prediction is
 	// only as good as the epoch it was made in (predmemo.go).
 	epoch atomic.Uint64
+	// quarantined is the aggregator's mark for a replica that answered
+	// CodeQuarantined and has not pinged healthy since (quarantine.go).
+	quarantined atomic.Bool
 	// depth and avgServiceUS are the load feedback of the latest reply
 	// of any kind; see lastLoad.
 	depth        atomic.Int64
@@ -794,10 +796,7 @@ func (c *Client) reconnect() error {
 func (c *Client) call(req *Request, resp *Response) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	backoff := c.retry.Backoff
-	if backoff <= 0 {
-		backoff = DefaultBackoff
-	}
+	backoff := DefaultBackoff
 	for attempt := 0; ; attempt++ {
 		var err error
 		if c.broken.Load() {
