@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race determinism bench-build fuzz-smoke bench-smoke corpus corpus-check cover check clean
+.PHONY: all build vet test race determinism bench-build fuzz-smoke bench-smoke cover check clean
 
 all: build
 
@@ -40,11 +40,11 @@ race:
 
 # Every golden test (TestReplayGolden, TestBuildShardsGolden,
 # TestGenerateGolden, TestPredictTraceGolden, TestTrainGolden,
-# TestExtrasGolden, TestSnapshotGolden: output digests pinned before an
-# optimization or refactor) runs twice in one process, at one P and at
-# the default, so run-to-run or scheduling nondeterminism (a map-order
-# dependence, a racy reduction) fails here instead of needing a hand
-# diff of cottage-bench output to find it.
+# TestExtrasGolden, TestSnapshotGolden, TestWireGolden: output digests
+# pinned before an optimization or refactor) runs twice in one process,
+# at one P and at the default, so run-to-run or scheduling
+# nondeterminism (a map-order dependence, a racy reduction) fails here
+# instead of needing a hand diff of cottage-bench output to find it.
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'Golden$$' ./...
 	$(GO) test -count=2 -run 'Golden$$' ./...
@@ -97,20 +97,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkQuickBuild$$' -benchmem -benchtime 1x ./internal/harness
 	$(GO) test -run '^$$' -bench '^BenchmarkGenerate$$' -benchmem -benchtime 1x ./internal/textgen
 
-# Regenerate the checked-in fuzz seed corpus after wire-format changes.
-corpus:
-	$(GO) run ./tools/gencorpus
-
-# The checked-in corpus is what gencorpus writes: regenerate it and fail
-# on any difference from the git index (a wire change with stale seeds).
-# The shard seeds used to churn on every run, because Builder.Add ranges
-# over a map and terms were numbered in first-seen order; Finalize now
-# numbers them in lexical order, so two builds encode the same bytes.
-corpus-check: corpus
-	git diff --exit-code --stat -- '*/testdata/fuzz/*'
-	@untracked=$$(git ls-files --others --exclude-standard -- '*/testdata/fuzz/*'); \
-		if [ -n "$$untracked" ]; then echo "untracked corpus files: $$untracked"; exit 1; fi
-
 # Per-package statement coverage with a hard floor on the query
 # evaluation core, the capacity planner, and the integrity supervisor:
 # the anytime/block-max machinery is exactness-critical, the SIMD
@@ -124,7 +110,7 @@ cover:
 	$(GO) test -cover ./... | $(GO) run ./tools/covergate -floor $(COVERFLOOR) \
 		-require cottage/internal/search,cottage/internal/index,cottage/internal/simdpack,cottage/internal/autoscale,cottage/internal/integrity
 
-check: vet build bench-build corpus-check determinism race fuzz-smoke bench-smoke cover
+check: vet build bench-build determinism race fuzz-smoke bench-smoke cover
 
 clean:
 	$(GO) clean ./...

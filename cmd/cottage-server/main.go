@@ -123,7 +123,7 @@ func main() {
 				ShardID:          shard.ID,
 				Replica:          i,
 				ScrubBytesPerSec: *scrubBPS,
-				Fetch:            repairFetch(*repairSrc, *shardPath),
+				Fetch:            repairFetch(*repairSrc, *shardPath, shard),
 			}
 			if observer != nil {
 				mcfg.Metrics = integrity.NewMetrics(observer.Reg, obs.L("replica", strconv.Itoa(i)))
@@ -235,10 +235,12 @@ func main() {
 // repairFetch builds the verified-bytes source a quarantined endpoint
 // repairs from: each -repair-peer sibling in order (shard transfer over
 // the rpc fetch verb, re-verified checksum-by-checksum on decode), then
-// the local shard file as a last resort. The manager re-validates
-// whatever comes back before swapping it in, so a rotted source can
-// never be promoted.
-func repairFetch(peers, shardPath string) func() (*index.Shard, error) {
+// the local shard file as a last resort. A peer that hands back a shard
+// other than want (another partition, another build) is skipped like a
+// peer that is down, since the manager would refuse it. The manager
+// re-validates whatever comes back before swapping it in, so a rotted
+// source can never be promoted.
+func repairFetch(peers, shardPath string, want *index.Shard) func() (*index.Shard, error) {
 	var addrs []string
 	for _, a := range strings.Split(peers, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -257,6 +259,9 @@ func repairFetch(peers, shardPath string) func() (*index.Shard, error) {
 			}
 			s, err := c.FetchShard()
 			c.Close()
+			if err == nil && (s.ID != want.ID || s.Digest != want.Digest) {
+				err = &integrity.WrongShardError{WantID: want.ID, GotID: s.ID, WantDigest: want.Digest, GotDigest: s.Digest}
+			}
 			if err == nil {
 				return s, nil
 			}

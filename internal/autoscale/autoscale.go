@@ -110,12 +110,6 @@ type Config struct {
 	// Scale-ups are never delayed — under-capacity costs latency now,
 	// over-capacity only costs watts.
 	ScaleDownCooldownMS float64
-	// BoostQueueMS is the live queue-depth emergency trigger: a shard
-	// whose selected replica already has more than this much backlog at
-	// replan time gets one extra replica immediately, whatever the model
-	// says (default 0 = disabled). This is the Eq. 2 signal closing the
-	// loop on everything the M/M/1 model cannot see.
-	BoostQueueMS float64
 }
 
 func (c Config) withDefaults() Config {
@@ -233,6 +227,11 @@ func (c *Controller) Replan(tMS float64, queueMS []float64) []Change {
 	c.arrivals = 0
 	c.lastReplanMS = tMS
 
+	// The queue boost: a shard whose selected replica already holds more
+	// than half the SLO of backlog gets one extra replica now, whatever
+	// the model says — the Eq. 2 signal closing the loop on everything
+	// the M/M/1 model cannot see. No SLO, no boost.
+	boostMS := c.cfg.Planner.SLOp99MS / 2
 	var changes []Change
 	for s := range c.current {
 		svc := c.svcEWMA[s]
@@ -240,8 +239,7 @@ func (c *Controller) Replan(tMS float64, queueMS []float64) []Change {
 			continue // no service signal yet: hold
 		}
 		target := PlanReplicas(c.cfg.Planner, c.rateQPS, svc)
-		if c.cfg.BoostQueueMS > 0 && s < len(queueMS) &&
-			queueMS[s] > c.cfg.BoostQueueMS && target <= c.current[s] {
+		if boostMS > 0 && s < len(queueMS) && queueMS[s] > boostMS && target <= c.current[s] {
 			// The model thinks we're fine but the queue says otherwise:
 			// add a machine now, ask questions at the next cadence.
 			target = c.current[s] + 1

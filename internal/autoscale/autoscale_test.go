@@ -74,7 +74,6 @@ func controllerCfg() Config {
 	return Config{
 		Planner:          PlannerConfig{SLOp99MS: 200, MaxReplicas: 4},
 		ReplanIntervalMS: 1000,
-		BoostQueueMS:     50,
 	}
 }
 

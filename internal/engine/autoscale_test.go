@@ -46,7 +46,6 @@ func testScaler(maxR int) *autoscale.Controller {
 	return autoscale.New(autoscale.Config{
 		Planner:          autoscale.PlannerConfig{SLOp99MS: 40, MaxReplicas: maxR},
 		ReplanIntervalMS: 500,
-		BoostQueueMS:     20,
 	}, 8, 1)
 }
 

@@ -10,7 +10,6 @@ import (
 	"cottage/internal/core"
 	"cottage/internal/engine"
 	"cottage/internal/faults"
-	"cottage/internal/stats"
 	"cottage/internal/trace"
 )
 
@@ -85,7 +84,6 @@ func autoscaleController(shards int) *autoscale.Controller {
 		Planner:             autoscale.PlannerConfig{SLOp99MS: AutoscaleSLOp99MS, MaxReplicas: autoscaleMaxR},
 		ReplanIntervalMS:    AutoscaleReplanIntervalMS,
 		ScaleDownCooldownMS: AutoscaleScaleCooldownMS,
-		BoostQueueMS:        AutoscaleSLOp99MS / 2,
 	}, shards, 1)
 }
 
@@ -98,15 +96,6 @@ type autoscaleRow struct {
 	powerW      float64
 	meanRows    float64 // machine time normalized to always-on rows
 	scaleEvents int
-}
-
-// latencyP99 is the 99th percentile of a run's end-to-end latencies.
-func latencyP99(r engine.RunResult) float64 {
-	lats := make([]float64, len(r.Outcomes))
-	for i, o := range r.Outcomes {
-		lats[i] = o.LatencyMS
-	}
-	return stats.Percentile(lats, 99)
 }
 
 // sloMissFrac is the share of queries whose latency exceeded the SLO.
@@ -136,7 +125,7 @@ func runAutoscaleConfigs(s *Setup, qs []trace.Query) []autoscaleRow {
 		shards := float64(len(eng.Shards))
 		return autoscaleRow{
 			label:       label,
-			p99MS:       latencyP99(r),
+			p99MS:       sm.P99Latency,
 			missFrac:    sloMissFrac(r, AutoscaleSLOp99MS),
 			machineMS:   r.MachineMS,
 			powerW:      sm.AvgPowerW,
@@ -253,7 +242,7 @@ func runHedgingRows(s *Setup) []hedgingRow {
 		sm := engine.Summarize(r)
 		return hedgingRow{
 			label:     label,
-			p99MS:     latencyP99(r),
+			p99MS:     sm.P99Latency,
 			hedgeRate: sm.HedgeLegRate,
 			winFrac:   sm.HedgeWinFrac,
 			dupFrac:   sm.DuplicateWorkFrac,

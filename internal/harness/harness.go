@@ -217,12 +217,8 @@ func RenderComparison(w io.Writer, c *Comparison) {
 }
 
 // ExportCSVFromSetup runs (or reuses) the headline comparison and exports
-// its raw per-query outcomes as CSVs (see ExportCSV).
-func (s *Setup) exportComparisonCSV(dir string) error {
-	return ExportCSV(dir, s.comparison())
-}
-
-// ExportCSVFromSetup is the cottage-bench entry point for -csv.
+// its raw per-query outcomes as CSVs (see ExportCSV): the cottage-bench
+// entry point for -csv.
 func ExportCSVFromSetup(s *Setup, dir string) error {
-	return s.exportComparisonCSV(dir)
+	return ExportCSV(dir, s.comparison())
 }

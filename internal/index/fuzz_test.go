@@ -27,9 +27,10 @@ func fuzzSeedShard(f *testing.F) []byte {
 // a corrupted or inconsistent shard past the load gate. Seeds cover a
 // valid file, truncations, bit-flip rot (the at-rest corruption the
 // checksums exist for), files stamped v3, v4 and v5 (refused by version;
-// the checked-in corpus adds genuine ones), and a file whose writer overstated
-// a KthScore by one ulp and sealed it: every checksum agrees, and only
-// Validate's re-scoring can refuse it.
+// the frozen legacy-v3, legacy-v4, legacy-v5 and rot-v4 files under
+// testdata/fuzz are genuine ones, from writers that no longer exist), and
+// a file whose writer overstated a KthScore by one ulp and sealed it:
+// every checksum agrees, and only Validate's re-scoring can refuse it.
 func FuzzShardDecode(f *testing.F) {
 	valid := fuzzSeedShard(f)
 	f.Add(valid)

@@ -28,7 +28,7 @@ type State int32
 const (
 	StateOK   State = iota
 	StateWarn       // both windows burning faster than budget
-	StatePage       // both windows burning faster than PageBurn× budget
+	StatePage       // both windows burning faster than pageBurn× budget
 )
 
 // String returns the state's label.
@@ -50,18 +50,19 @@ type Config struct {
 	// quickly; the slow window keeps one bad burst from paging.
 	FastWindowMS float64
 	SlowWindowMS float64
-	// WarnBurn / PageBurn are the burn-rate thresholds (defaults 1 and
-	// 8): burn 1 means the error budget is being consumed exactly as
-	// fast as it accrues.
-	WarnBurn float64
-	PageBurn float64
-	// Buckets is the sliding-window resolution (default 24 buckets per
-	// window).
-	Buckets int
 	// NowMS supplies the clock in milliseconds. Defaults to wall time;
 	// the twin passes its virtual clock.
 	NowMS func() float64
 }
+
+// The burn-rate thresholds and the windows' resolution. Burn 1 means
+// the error budget is being consumed exactly as fast as it accrues.
+const (
+	warnBurn float64 = 1
+	pageBurn float64 = 8
+	// buckets is how many buckets each sliding window has.
+	buckets = 24
+)
 
 func (c *Config) fill() {
 	if c.FastWindowMS <= 0 {
@@ -69,15 +70,6 @@ func (c *Config) fill() {
 	}
 	if c.SlowWindowMS <= 0 {
 		c.SlowWindowMS = 720_000
-	}
-	if c.WarnBurn <= 0 {
-		c.WarnBurn = 1
-	}
-	if c.PageBurn <= 0 {
-		c.PageBurn = 8
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 24
 	}
 	if c.NowMS == nil {
 		c.NowMS = func() float64 { return float64(time.Now().UnixNano()) / 1e6 }
@@ -127,8 +119,8 @@ func (m *Monitor) Objective(name string, target float64) *Objective {
 		name:   name,
 		target: target,
 		m:      m,
-		fast:   newWindow(m.cfg.FastWindowMS, m.cfg.Buckets),
-		slow:   newWindow(m.cfg.SlowWindowMS, m.cfg.Buckets),
+		fast:   newWindow(m.cfg.FastWindowMS),
+		slow:   newWindow(m.cfg.SlowWindowMS),
 	}
 	m.objs = append(m.objs, o)
 	return o
@@ -178,8 +170,8 @@ type window struct {
 
 type bucket struct{ good, bad uint64 }
 
-func newWindow(widthMS float64, n int) window {
-	return window{bucketMS: widthMS / float64(n), buckets: make([]bucket, n)}
+func newWindow(widthMS float64) window {
+	return window{bucketMS: widthMS / buckets, buckets: make([]bucket, buckets)}
 }
 
 // rotate advances the window to nowMS, zeroing buckets that fell out.
@@ -260,9 +252,9 @@ func (o *Objective) Observe(good bool) {
 	fastBurn, slowBurn := fb/o.target, sb/o.target
 	next := StateOK
 	switch {
-	case fastBurn >= o.m.cfg.PageBurn && slowBurn >= o.m.cfg.PageBurn:
+	case fastBurn >= pageBurn && slowBurn >= pageBurn:
 		next = StatePage
-	case fastBurn >= o.m.cfg.WarnBurn && slowBurn >= o.m.cfg.WarnBurn:
+	case fastBurn >= warnBurn && slowBurn >= warnBurn:
 		next = StateWarn
 	}
 	paged := next == StatePage && o.state != StatePage

@@ -18,9 +18,6 @@ func newTestMonitor(c *clock) *Monitor {
 	return New(Config{
 		FastWindowMS: 1000,
 		SlowWindowMS: 10_000,
-		WarnBurn:     1,
-		PageBurn:     8,
-		Buckets:      10,
 		NowMS:        c.now,
 	})
 }

@@ -151,12 +151,13 @@ func (b Bins) Value(class int) float64 {
 	return math.Exp(b.LogLo + (float64(class)+0.5)*w)
 }
 
+// latencyBins is the latency model's output arity.
+const latencyBins = 20
+
 // Config controls predictor training.
 type Config struct {
 	// K is the top-K the quality models predict contributions to.
 	K int
-	// LatencyBins is the latency model's output arity.
-	LatencyBins int
 	// QualitySteps and LatencySteps are Adam gradient steps (the paper's
 	// "training iterations": ~600 for quality, ~60 for latency — see
 	// Figs. 7a/8a; the defaults give both models their convergence
@@ -174,7 +175,6 @@ type Config struct {
 func DefaultConfig(k int) Config {
 	return Config{
 		K:            k,
-		LatencyBins:  20,
 		QualitySteps: 600,
 		LatencySteps: 240,
 		Net:          nn.FastConfig,
@@ -379,9 +379,6 @@ func Train(ds *Dataset, cfg Config) (*Fleet, error) {
 	if cfg.Net == nil {
 		cfg.Net = nn.FastConfig
 	}
-	if cfg.LatencyBins <= 1 {
-		cfg.LatencyBins = 20
-	}
 	// Every ISN's three models train independently (the paper trains one
 	// model set per ISN on its own index); parallelize across CPUs with
 	// index-addressed results so the trained fleet is identical at any
@@ -437,7 +434,7 @@ func trainISN(isn int, samples []Sample, cfg Config) (*ISNPredictor, error) {
 	if len(qx) < 10 {
 		return nil, fmt.Errorf("only %d matched training samples", len(qx))
 	}
-	bins := FitBins(latC, cfg.LatencyBins)
+	bins := FitBins(latC, latencyBins)
 	latY := make([]int, len(latC))
 	for i, c := range latC {
 		latY[i] = bins.Class(c)

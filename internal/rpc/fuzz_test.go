@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/gob"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,9 +20,36 @@ import (
 // as a typed error, never a panic and never an allocation a lying count
 // sized. A panic here is a remote crash of a server (request path) or of
 // the aggregator (response path). Whatever does decode must survive
-// encode → decode unchanged. The seed corpus under testdata/fuzz/Fuzz*
-// (tools/gencorpus) holds valid frames, truncations, and mutations so
-// the fuzzer starts from structurally interesting inputs.
+// encode → decode unchanged. The f.Add seeds are the seed corpus —
+// valid frames, truncations, mutations and one input per rejection
+// path — so the fuzzer starts from structurally interesting inputs, and
+// they are built by this package's own codec, so they follow a wire
+// change. The files under testdata/fuzz are frozen inputs from a
+// generator that no longer exists; nothing rewrites them.
+
+// validRequests are one message of each verb a client sends: search,
+// predict and ping.
+func validRequests() []*Request {
+	return []*Request{
+		{Kind: KindSearch, ID: 1, Terms: []string{"ga", "gb"}, K: 10, DeadlineUS: 5000},
+		{Kind: KindPredict, ID: 2, Terms: []string{"tail", "latency"}},
+		{Kind: KindPing, ID: 3},
+	}
+}
+
+// validResponses are one response of each shape a server sends: hits,
+// a prediction, an error, spans and shard bytes.
+func validResponses() []*Response {
+	return []*Response{
+		{ID: 1, Hits: []search.Hit{{Doc: 4, Score: 2.5}, {Doc: 9, Score: 1.1}},
+			Stats: search.ExecStats{DocsScored: 40}},
+		{ID: 2, Pred: predict.Prediction{Matched: true, QK: 3, Cycles: 1e7}},
+		{ID: 3, Err: "deadline exceeded"},
+		{ID: 4, Spans: []obs.Span{{Trace: 7, ID: 8, Name: "serve.search",
+			Attrs: map[string]string{"queue_wait_us": "3", "service_us": "40"}}}},
+		{ID: 5, ShardBytes: []byte("shard image")},
+	}
+}
 
 // requestFrames concatenates the frames of reqs, as a client would
 // write them down one connection.
@@ -38,6 +67,24 @@ func responseFrames(tb testing.TB, resps ...*Response) []byte {
 		out = append(out, mustResponseFrame(tb, r)...)
 	}
 	return out
+}
+
+// patch32 returns a copy of b with the little-endian uint32 at off
+// overwritten by v.
+func patch32(b []byte, off int, v uint32) []byte {
+	m := bytes.Clone(b)
+	le.PutUint32(m[off:], v)
+	return m
+}
+
+// gobStream is what a pre-codec peer sent: v as a raw gob stream.
+func gobStream(tb testing.TB, v any) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // typedStreamErr reports whether err is one of the errors a frame
@@ -84,10 +131,8 @@ func drainRequests(t *testing.T, data []byte, visit func(*Request)) {
 }
 
 func FuzzDecodeRequest(f *testing.F) {
-	valid := requestFrames(f,
-		&Request{Kind: KindSearch, ID: 1, Terms: []string{"ga", "gb"}, K: 10, DeadlineUS: 5000},
-		&Request{Kind: KindPredict, ID: 2, Terms: []string{"tail", "latency"}},
-		&Request{Kind: KindPing, ID: 3})
+	reqs := validRequests()
+	valid := requestFrames(f, reqs...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:7])
@@ -101,6 +146,19 @@ func FuzzDecodeRequest(f *testing.F) {
 	// ValidateRequest exists to reject. Decoding them must stay boring;
 	// the interesting mutations start from real out-of-range payloads.
 	f.Add(requestFrames(f, absurdRequests()...))
+	// Malformed on purpose, one seed per rejection path: a cleanly framed
+	// message cut short, a term count no frame could back, a stale CRC
+	// (the header is [length][CRC32C], four bytes each), a header
+	// claiming more than a server reads, and what a pre-codec peer would
+	// send, raw and framed.
+	first := appendRequest(nil, reqs[0])
+	legacy := gobStream(f, &Request{Kind: KindSearch, ID: 1, Terms: []string{"ga"}, K: 10})
+	f.Add(frameOf(f, first[:20]))
+	f.Add(frameOf(f, patch32(first, requestFixedLen-4, math.MaxUint32)))
+	f.Add(patch32(valid, 4, 0xDEADBEEF))
+	f.Add(patch32(valid, 0, 1<<20))
+	f.Add(legacy)
+	f.Add(frameOf(f, legacy))
 
 	// Bare payloads: the CRC stops almost every mutated frame at the
 	// frame layer, so the same bytes are also fed to the decoder sealed —
@@ -116,8 +174,8 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // absurdRequests are decodable requests that must fail validation:
-// out-of-range K, oversized term lists, giant terms, negative deadlines.
-// Shared between the fuzz seeds here and tools/gencorpus.
+// out-of-range K, oversized term lists, giant terms, negative deadlines,
+// an unknown kind. The seed of both request fuzz targets.
 func absurdRequests() []*Request {
 	return []*Request{
 		{Kind: KindSearch, ID: 10, Terms: []string{"ga"}, K: 0},
@@ -135,7 +193,7 @@ func absurdRequests() []*Request {
 // invariants the dispatch layer relies on so absurd inputs never reach
 // index evaluation.
 func FuzzValidateRequest(f *testing.F) {
-	f.Add(requestFrames(f, &Request{Kind: KindSearch, ID: 1, Terms: []string{"ga"}, K: 10}))
+	f.Add(requestFrames(f, validRequests()...))
 	f.Add(requestFrames(f, absurdRequests()...))
 	f.Add([]byte{})
 
@@ -165,14 +223,8 @@ func FuzzValidateRequest(f *testing.F) {
 }
 
 func FuzzDecodeResponse(f *testing.F) {
-	valid := responseFrames(f,
-		&Response{ID: 1, Hits: []search.Hit{{Doc: 4, Score: 2.5}, {Doc: 9, Score: 1.1}},
-			Stats: search.ExecStats{DocsScored: 40}},
-		&Response{ID: 2, Pred: predict.Prediction{Matched: true, QK: 3, Cycles: 1e7}},
-		&Response{ID: 3, Err: "deadline exceeded"},
-		&Response{ID: 4, Spans: []obs.Span{{Trace: 7, ID: 8, Name: "serve.search",
-			Attrs: map[string]string{"queue_wait_us": "3", "service_us": "40"}}}},
-		&Response{ID: 5, ShardBytes: []byte("shard image")})
+	resps := validResponses()
+	valid := responseFrames(f, resps...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:9])
@@ -182,6 +234,16 @@ func FuzzDecodeResponse(f *testing.F) {
 		mangled[i] ^= 0x55
 	}
 	f.Add(mangled)
+	// The same rejection paths as on the request side. The first
+	// response's Err is empty, so its hit count follows the Err length.
+	first := appendResponse(nil, resps[0])
+	legacy := gobStream(f, &Response{ID: 1, Err: "deadline exceeded"})
+	f.Add(frameOf(f, first[:100]))
+	f.Add(frameOf(f, patch32(first, responseFixedLen+4, math.MaxUint32)))
+	f.Add(patch32(valid, 4, 0xDEADBEEF))
+	f.Add(patch32(valid, 0, 0xFFFFFFF0))
+	f.Add(legacy)
+	f.Add(frameOf(f, legacy))
 
 	f.Add(appendResponse(nil, &Response{ID: 1, Hits: []search.Hit{{Doc: 4, Score: 2.5}}, Err: "e",
 		Spans: []obs.Span{{Name: "s", Attrs: map[string]string{"k": "v"}}}, ShardBytes: []byte("shard")}))

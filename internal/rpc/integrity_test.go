@@ -20,7 +20,7 @@ import (
 // --- frame layer ---
 
 // frameOf wraps payload in one sealed frame.
-func frameOf(t *testing.T, payload []byte) []byte {
+func frameOf(t testing.TB, payload []byte) []byte {
 	t.Helper()
 	f := append(beginFrame(nil), payload...)
 	if err := sealFrame(f, 0, maxFramePayload); err != nil {

@@ -15,8 +15,7 @@ var fuzzShards sync.Map
 
 // decodeAnytimeFuzz maps arbitrary bytes onto an anytime evaluation:
 // shard seed, k, a pair of ordered posting budgets, and a term list
-// (including absent terms). tools/gencorpus mirrors this layout when it
-// writes the seed corpus — keep the two in sync.
+// (including absent terms). anytimeSeed writes this layout.
 //
 //	data[0:8]   shard seed (LE, folded into a small space for cache hits)
 //	data[8]     k = 1 + b%24
@@ -50,6 +49,18 @@ func decodeAnytimeFuzz(data []byte) (seed uint64, k, budget1, budget2 int, terms
 	return seed, k, budget1, budget2, terms, true
 }
 
+// anytimeSeed lays out one FuzzAnytimeDeadline input for
+// decodeAnytimeFuzz: the term count byte is len(termIdx)-1.
+func anytimeSeed(seed uint64, k byte, budget1, extra uint16, termIdx ...byte) []byte {
+	data := make([]byte, anytimeFuzzHeader, anytimeFuzzHeader+len(termIdx))
+	binary.LittleEndian.PutUint64(data[0:8], seed)
+	data[8] = k
+	binary.LittleEndian.PutUint16(data[9:11], budget1)
+	binary.LittleEndian.PutUint16(data[11:13], extra)
+	data[13] = byte(len(termIdx) - 1)
+	return append(data, termIdx...)
+}
+
 // FuzzAnytimeDeadline drives Anytime with an arbitrary shard, query and
 // deadline pair and checks the three guarantees no truncation point may
 // break: no panic, no duplicate documents with every score exact, and
@@ -58,6 +69,17 @@ func FuzzAnytimeDeadline(f *testing.F) {
 	f.Add([]byte("\x01\x00\x00\x00\x00\x00\x00\x00\x09\x10\x00\x40\x00\x02\x05\x0a"))
 	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("\x2a\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\xff\x03\x01\x02\x03"))
+	// Budget 0: the deadline fires before any range, the empty truncated
+	// answer whose bound must still cover the shard.
+	f.Add(anytimeSeed(1, 9, 0, 0, 5, 10))
+	// A budget beyond any shard's posting count: bitwise exhaustive, with
+	// Terminated false.
+	f.Add(anytimeSeed(42, 9, 0xffff, 0xffff, 1, 2, 3))
+	// Mid-traversal truncations at two nearby budgets, where the
+	// monotone-quality comparison can actually differ.
+	f.Add(anytimeSeed(7, 4, 40, 25, 3, 3, 0, 17))
+	// An absent-only query on the largest seed the decoder folds to.
+	f.Add(anytimeSeed(1023, 24, 100, 1, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seed, k, budget1, budget2, terms, ok := decodeAnytimeFuzz(data)
 		if !ok {

@@ -29,53 +29,52 @@ type Config struct {
 	VocabSize int
 	NumTopics int
 
-	// ZipfExponent shapes the background term-frequency distribution.
-	// 1.0 reproduces classic Zipf behaviour for natural language.
-	ZipfExponent float64
-
-	// TopicZipfExponent shapes each topic's internal term distribution.
-	TopicZipfExponent float64
-
 	// TopicTermCount is how many vocabulary terms each topic draws its
 	// topical words from.
 	TopicTermCount int
+}
 
-	// TopicMixture is the probability that a token comes from the
+// The shape of every synthesized corpus. They are typed, so each is
+// the float64 nearest its literal wherever it is used: no expression
+// folds an exact untyped value into a different float64.
+const (
+	// zipfExponent shapes the background term-frequency distribution.
+	// 1.0 reproduces classic Zipf behaviour for natural language.
+	zipfExponent float64 = 1.05
+
+	// topicZipfExponent shapes each topic's internal term distribution.
+	topicZipfExponent float64 = 0.9
+
+	// topicMixture is the probability that a token comes from the
 	// document's topic rather than the background distribution. Higher
 	// values mean stronger shard skew after topic-aware allocation.
-	TopicMixture float64
+	topicMixture float64 = 0.55
 
-	// MeanDocLen and DocLenSigma parameterize the log-normal document
+	// meanDocLen and docLenSigma parameterize the log-normal document
 	// length distribution (in tokens).
-	MeanDocLen  float64
-	DocLenSigma float64
+	meanDocLen  float64 = 220
+	docLenSigma float64 = 0.55
 
-	// Burstiness is the probability that a topical token repeats a topic
+	// burstiness is the probability that a topical token repeats a topic
 	// term already used in the same document (Church–Gale term
 	// burstiness). Bursty term frequencies make per-term score
 	// distributions multi-modal — a tf=1 crowd plus a heavy high-tf
 	// mode — which is what real text looks like and why a fitted Gamma
 	// misestimates the tail (the paper's Fig. 6, and the root cause of
 	// Taily's quality loss).
-	Burstiness float64
-}
+	burstiness float64 = 0.45
+)
 
 // DefaultConfig returns the corpus used by the experiment harness: large
 // enough to exhibit the paper's variance phenomena, small enough to index
 // in a few seconds.
 func DefaultConfig() Config {
 	return Config{
-		Seed:              1,
-		NumDocs:           48000,
-		VocabSize:         24000,
-		NumTopics:         64,
-		ZipfExponent:      1.05,
-		TopicZipfExponent: 0.9,
-		TopicTermCount:    400,
-		TopicMixture:      0.55,
-		MeanDocLen:        220,
-		DocLenSigma:       0.55,
-		Burstiness:        0.45,
+		Seed:           1,
+		NumDocs:        48000,
+		VocabSize:      24000,
+		NumTopics:      64,
+		TopicTermCount: 400,
 	}
 }
 
@@ -120,10 +119,10 @@ func Generate(cfg Config) *Corpus {
 	c.Vocab = makeVocab(vocabRng, cfg.VocabSize)
 	c.TopicTerms = makeTopics(topicRng, cfg)
 
-	background := xrand.NewZipf(docRng, cfg.ZipfExponent, cfg.VocabSize)
+	background := xrand.NewZipf(docRng, zipfExponent, cfg.VocabSize)
 	topicSamplers := make([]*xrand.Zipf, cfg.NumTopics)
 	for i := range topicSamplers {
-		topicSamplers[i] = xrand.NewZipf(docRng, cfg.TopicZipfExponent, cfg.TopicTermCount)
+		topicSamplers[i] = xrand.NewZipf(docRng, topicZipfExponent, cfg.TopicTermCount)
 	}
 	topicPicker := xrand.NewZipf(docRng, 0.7, cfg.NumTopics)
 
@@ -148,7 +147,7 @@ func Generate(cfg Config) *Corpus {
 	ch := <-free
 	for i := range c.Docs {
 		topic := topicPicker.Draw()
-		length := int(docRng.LogNormal(logOfMean(cfg.MeanDocLen, cfg.DocLenSigma), cfg.DocLenSigma))
+		length := int(docRng.LogNormal(logOfMean(meanDocLen, docLenSigma), docLenSigma))
 		if length < 8 {
 			length = 8
 		}
@@ -156,8 +155,8 @@ func Generate(cfg Config) *Corpus {
 		start := len(ch.ids)
 		for tok := 0; tok < length; tok++ {
 			var term int
-			if docRng.Float64() < cfg.TopicMixture {
-				if len(usedTopical) > 0 && docRng.Float64() < cfg.Burstiness {
+			if docRng.Float64() < topicMixture {
+				if len(usedTopical) > 0 && docRng.Float64() < burstiness {
 					// Burst: repeat a topical term this document already
 					// used, concentrating its frequency.
 					term = usedTopical[docRng.Intn(len(usedTopical))]

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -38,9 +39,17 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		corrupted[i] ^= 0x55
 	}
 	f.Add(corrupted)
+	// Structurally valid gob frames carrying exactly the traces Load's
+	// validation exists to reject.
 	f.Add(mustSave(f, []Query{{Terms: []string{"x"}, ArrivalMS: -4}}))
 	f.Add(mustSave(f, []Query{{Terms: nil, ArrivalMS: 1}}))
 	f.Add([]byte{})
+	f.Add(mustSave(f, []Query{
+		{ID: 0, Terms: []string{"late"}, ArrivalMS: 50},
+		{ID: 1, Terms: []string{"early"}, ArrivalMS: 10},
+	}))
+	f.Add(mustSave(f, []Query{{Terms: make([]string, MaxTermsPerQuery+9), ArrivalMS: 0}}))
+	f.Add(mustSave(f, []Query{{Terms: []string{strings.Repeat("q", MaxTermLen+1)}, ArrivalMS: 0}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		qs, err := Load(bytes.NewReader(data))
