@@ -40,11 +40,12 @@ race:
 
 # Every golden test (TestReplayGolden, TestBuildShardsGolden,
 # TestGenerateGolden, TestPredictTraceGolden, TestTrainGolden,
-# TestExtrasGolden, TestSnapshotGolden, TestWireGolden: output digests
-# pinned before an optimization or refactor) runs twice in one process,
-# at one P and at the default, so run-to-run or scheduling
-# nondeterminism (a map-order dependence, a racy reduction) fails here
-# instead of needing a hand diff of cottage-bench output to find it.
+# TestExtrasGolden, TestFiguresGolden, TestSnapshotGolden,
+# TestWireGolden: output digests pinned before an optimization or
+# refactor) runs twice in one process, at one P and at the default, so
+# run-to-run or scheduling nondeterminism (a map-order dependence, a
+# racy reduction) fails here instead of needing a hand diff of
+# cottage-bench output to find it.
 determinism:
 	GOMAXPROCS=1 $(GO) test -count=2 -run 'Golden$$' ./...
 	$(GO) test -count=2 -run 'Golden$$' ./...

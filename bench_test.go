@@ -149,7 +149,7 @@ func BenchmarkFig8LatencyPredictor(b *testing.B) {
 	cfg.LatencySteps = 60
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := predict.Train(&predict.Dataset{K: ds.K, PerISN: ds.PerISN[:1]}, cfg); err != nil {
+		if _, err := predict.Train(&predict.Dataset{PerISN: ds.PerISN[:1]}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

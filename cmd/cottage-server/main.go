@@ -137,7 +137,7 @@ func main() {
 			if *aimd {
 				// The configured cap is the ceiling; AIMD probes downward from
 				// it under sheds and climbs back as completions succeed.
-				lim.EnableAIMD(1, *inflight)
+				lim.EnableAIMD(*inflight)
 			}
 			srv.Limit = lim
 			log.Printf("admission control on: %d in-flight, queue %d, aimd=%v", *inflight, *queueLen, *aimd)

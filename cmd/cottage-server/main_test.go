@@ -56,7 +56,7 @@ func TestRepairSkipsWrongShardPeer(t *testing.T) {
 	noDisk := filepath.Join(t.TempDir(), "missing.shard")
 	m := integrity.NewManager(integrity.Config{ShardID: own.ID, Fetch: repairFetch(peers, noDisk, own)}, own)
 	m.Quarantine(10, "test", nil)
-	if err := m.Repair(20, nil); err != nil {
+	if err := m.Repair(20); err != nil {
 		t.Fatalf("repair with a right peer behind a wrong one: %v", err)
 	}
 	if got := m.Shard(); got == nil || got.Digest != own.Digest {

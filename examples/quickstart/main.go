@@ -26,7 +26,7 @@ func main() {
 
 	engCfg := engine.DefaultConfig()
 	engCfg.NumShards = 8
-	shards := engine.BuildShards(corpus, engCfg, 2, 0.15, 1)
+	shards := engine.BuildShards(corpus, engCfg, 1)
 	eng := engine.New(shards, engCfg)
 
 	// 2. Train the per-ISN quality and latency predictors on a training

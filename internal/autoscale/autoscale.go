@@ -152,28 +152,21 @@ type Controller struct {
 	log          []Change
 }
 
-// New builds a controller for shards shards, each starting at initialR
-// active replicas (clamped to [1, MaxReplicas]). The caller is
-// responsible for starting the fleet in the same state.
-func New(cfg Config, shards, initialR int) *Controller {
+// New builds a controller for shards shards, each starting at one
+// active replica. The caller is responsible for starting the fleet in
+// the same state.
+func New(cfg Config, shards int) *Controller {
 	if shards <= 0 {
 		panic("autoscale: non-positive shard count")
 	}
-	cfg = cfg.withDefaults()
-	if initialR < 1 {
-		initialR = 1
-	}
-	if initialR > cfg.Planner.MaxReplicas {
-		initialR = cfg.Planner.MaxReplicas
-	}
 	c := &Controller{
-		cfg:          cfg,
+		cfg:          cfg.withDefaults(),
 		current:      make([]int, shards),
 		svcEWMA:      make([]float64, shards),
 		lastChangeMS: make([]float64, shards),
 	}
 	for s := range c.current {
-		c.current[s] = initialR
+		c.current[s] = 1
 	}
 	return c
 }
@@ -273,17 +266,12 @@ func (c *Controller) Replan(tMS float64, queueMS []float64) []Change {
 	return changes
 }
 
-// Reset returns the controller to its initial state (initialR as at
-// New, no observations, empty log), for run independence in sweeps.
-func (c *Controller) Reset(initialR int) {
-	if initialR < 1 {
-		initialR = 1
-	}
-	if initialR > c.cfg.Planner.MaxReplicas {
-		initialR = c.cfg.Planner.MaxReplicas
-	}
+// Reset returns the controller to its initial state (one replica per
+// shard as at New, no observations, empty log), for run independence in
+// sweeps.
+func (c *Controller) Reset() {
 	for s := range c.current {
-		c.current[s] = initialR
+		c.current[s] = 1
 		c.svcEWMA[s] = 0
 		c.lastChangeMS[s] = 0
 	}

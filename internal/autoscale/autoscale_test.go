@@ -88,7 +88,7 @@ func feed(c *Controller, shards, n int, svcMS float64) {
 }
 
 func TestControllerScalesUpOnLoad(t *testing.T) {
-	c := New(controllerCfg(), 2, 1)
+	c := New(controllerCfg(), 2)
 	// 150 arrivals over 1000 ms = 150 QPS at 10 ms service: needs R=2.
 	feed(c, 2, 150, 10)
 	ch := c.Replan(1000, nil)
@@ -106,7 +106,7 @@ func TestControllerScalesUpOnLoad(t *testing.T) {
 }
 
 func TestControllerCadence(t *testing.T) {
-	c := New(controllerCfg(), 1, 1)
+	c := New(controllerCfg(), 1)
 	feed(c, 1, 300, 10)
 	if ch := c.Replan(500, nil); ch != nil {
 		t.Fatalf("replanned before the cadence: %v", ch)
@@ -118,7 +118,7 @@ func TestControllerCadence(t *testing.T) {
 
 func TestControllerScaleDownCooldownAndHysteresis(t *testing.T) {
 	cfg := controllerCfg() // cooldown defaults to 3× cadence = 3000 ms
-	c := New(cfg, 1, 1)
+	c := New(cfg, 1)
 	feed(c, 1, 300, 10) // 300 QPS → R=4 (ρ at R=3 would be 1.0)
 	c.Replan(1000, nil)
 	if c.current[0] != 4 {
@@ -147,7 +147,7 @@ func TestControllerScaleDownCooldownAndHysteresis(t *testing.T) {
 }
 
 func TestControllerQueueBoost(t *testing.T) {
-	c := New(controllerCfg(), 1, 1)
+	c := New(controllerCfg(), 1)
 	// Light modeled load but a deep live queue: boost one step anyway.
 	feed(c, 1, 10, 10)
 	ch := c.Replan(1000, []float64{120})
@@ -165,7 +165,7 @@ func TestControllerQueueBoost(t *testing.T) {
 // an identical plan log, run to run.
 func TestControllerDeterministic(t *testing.T) {
 	run := func() string {
-		c := New(controllerCfg(), 3, 1)
+		c := New(controllerCfg(), 3)
 		for tick := 1; tick <= 20; tick++ {
 			n := 30 + 20*((tick*7)%5) // deterministic pseudo-load
 			feed(c, 3, n, float64(5+(tick%4)*10))
@@ -183,7 +183,8 @@ func TestControllerDeterministic(t *testing.T) {
 }
 
 func TestControllerHoldsWithoutServiceSignal(t *testing.T) {
-	c := New(controllerCfg(), 1, 2)
+	c := New(controllerCfg(), 1)
+	c.current[0] = 2
 	for i := 0; i < 500; i++ {
 		c.RecordArrival()
 	}
@@ -191,22 +192,22 @@ func TestControllerHoldsWithoutServiceSignal(t *testing.T) {
 		t.Fatalf("replanned a shard with no service data: %v", ch)
 	}
 	if c.current[0] != 2 {
-		t.Fatal("initial R not held")
+		t.Fatal("R not held")
 	}
 }
 
 func TestControllerReset(t *testing.T) {
-	c := New(controllerCfg(), 2, 1)
+	c := New(controllerCfg(), 2)
 	feed(c, 2, 300, 10)
 	c.Replan(1000, nil)
-	c.Reset(1)
+	c.Reset()
 	if c.current[0] != 1 || c.current[1] != 1 || c.Log() != nil || c.rateQPS != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	// A reset controller replays to the same plan.
 	feed(c, 2, 300, 10)
 	first := fmt.Sprint(c.Replan(1000, nil))
-	c.Reset(1)
+	c.Reset()
 	feed(c, 2, 300, 10)
 	if again := fmt.Sprint(c.Replan(1000, nil)); again != first {
 		t.Fatalf("post-reset replay diverged: %s vs %s", again, first)
@@ -218,22 +219,16 @@ func TestControllerDefaultsAndClamps(t *testing.T) {
 	if cfg.ReplanIntervalMS != 2000 || cfg.ScaleDownCooldownMS != 6000 {
 		t.Fatalf("cadence defaults: %+v", cfg)
 	}
-	if New(Config{}, 1, 9).current[0] != 1 {
-		t.Fatal("initialR not clamped to MaxReplicas")
-	}
-	if New(Config{Planner: PlannerConfig{MaxReplicas: 4}}, 1, 0).current[0] != 1 {
-		t.Fatal("initialR not clamped to 1")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("New accepted zero shards")
 		}
 	}()
-	New(Config{}, 0, 1)
+	New(Config{}, 0)
 }
 
 func TestServiceEWMA(t *testing.T) {
-	c := New(controllerCfg(), 1, 1)
+	c := New(controllerCfg(), 1)
 	c.RecordService(0, -5) // no signal
 	c.RecordService(0, 10) // seeds the EWMA
 	c.RecordService(0, 20)
@@ -252,7 +247,7 @@ func TestChangeString(t *testing.T) {
 // TestControllerRateBlending: the windowed rate blends with rateAlpha
 // rather than whiplashing to the newest window.
 func TestControllerRateBlending(t *testing.T) {
-	c := New(controllerCfg(), 1, 1)
+	c := New(controllerCfg(), 1)
 	feed(c, 1, 100, 10)
 	c.Replan(1000, nil) // rate = 100
 	feed(c, 1, 300, 10)

@@ -18,10 +18,7 @@ import (
 // using a fixed threshold. Like the other selective-search baselines it
 // is latency-blind: it never budgets, boosts, or cuts stragglers.
 type QR struct {
-	net  *nn.Network
 	pred *nn.Predictor
-	// MaxCut caps the predicted cutoff (the model's class count).
-	MaxCut int
 }
 
 // qrFeatureDim: the top-8 ranked estimates, their total mass, the number
@@ -104,7 +101,7 @@ func NewQR(e *engine.Engine, ds *predict.Dataset, queries []trace.Query, cfg QRC
 	if _, err := net.Train(xs, ys, tc); err != nil {
 		return nil, err
 	}
-	return &QR{net: net, pred: net.NewPredictor(1), MaxCut: maxCut}, nil
+	return &QR{pred: net.NewPredictor(1)}, nil
 }
 
 // rankByEstimate returns shard indices in descending estimate order

@@ -25,13 +25,18 @@ func newDynamic(t *testing.T, shards, r int) *Cluster {
 // after a scale-down, restored after a scale-up.
 func TestDynamicMachineTime(t *testing.T) {
 	c := newDynamic(t, 2, 3) // 6 nodes
+	setAll := func(r int, tMS float64) {
+		for s := 0; s < 2; s++ {
+			c.SetActiveReplicas(s, r, tMS)
+		}
+	}
 	c.observe(100)
 	if got := c.MachineMS(); math.Abs(got-600) > 1e-9 {
 		t.Fatalf("machine time with full fleet: %v, want 600", got)
 	}
 	// Scale both shards to 1 replica at t=100: 4 idle nodes power off
 	// immediately (no backlog to drain).
-	c.SetAllActiveReplicas(1, 100)
+	setAll(1, 100)
 	if got := c.TotalActiveNodes(); got != 2 {
 		t.Fatalf("active nodes after scale-down: %d, want 2", got)
 	}
@@ -40,7 +45,7 @@ func TestDynamicMachineTime(t *testing.T) {
 		t.Fatalf("machine time after scale-down: %v, want 600+2·100=800", got)
 	}
 	// Scale back up at t=200; all 6 accrue again.
-	c.SetAllActiveReplicas(3, 200)
+	setAll(3, 200)
 	c.observe(300)
 	if got := c.MachineMS(); math.Abs(got-1400) > 1e-9 {
 		t.Fatalf("machine time after scale-up: %v, want 800+6·100=1400", got)
@@ -82,7 +87,7 @@ func TestScaleDownDrains(t *testing.T) {
 // time, so scaling down mid-run costs less energy than staying up.
 func TestDynamicIdlePower(t *testing.T) {
 	c := newDynamic(t, 2, 2)
-	c.SetAllActiveReplicas(1, 0) // half the fleet off from the start
+	c.SetAllActiveReplicas() // half the fleet off from the start
 	c.observe(1000)
 	got := c.Meter.TotalEnergyMJ(1000)
 	// 2 of 4 nodes on for 1000 ms = 1 replica-row unit × 1000 ms.
@@ -102,7 +107,7 @@ func TestDynamicIdlePower(t *testing.T) {
 // hooks are inert — committed figures cannot shift.
 func TestStaticModeIgnoresScaling(t *testing.T) {
 	c := newReplicated(t, 2, 2)
-	c.SetAllActiveReplicas(1, 0)
+	c.SetAllActiveReplicas()
 	if c.TotalActiveNodes() != 4 {
 		t.Fatal("static cluster deactivated nodes")
 	}
@@ -185,7 +190,7 @@ func TestHedgeDisabled(t *testing.T) {
 // machine-time accounting.
 func TestResetRestoresScaleState(t *testing.T) {
 	c := newDynamic(t, 2, 2)
-	c.SetAllActiveReplicas(1, 0)
+	c.SetAllActiveReplicas()
 	c.observe(100)
 	c.Reset()
 	if c.TotalActiveNodes() != 4 || c.MachineMS() != 0 {

@@ -359,7 +359,7 @@ func New(cfg Config) *Cluster {
 	if c.dynamic {
 		// The idle floor is integrated per replica row (IdleWatts is the
 		// per-row package floor; a row is Shards nodes).
-		c.Meter.SetDynamicIdle(true)
+		c.Meter.SetDynamicIdle()
 	}
 	for i := 0; i < c.topo.Nodes(); i++ {
 		shard := c.topo.ShardOf(i)
@@ -567,7 +567,7 @@ func (c *Cluster) accrueTo(tMS float64) {
 	}
 	c.machineNodeMS += nodeMS
 	// IdleWatts is calibrated per replica row (= Shards nodes).
-	c.Meter.AddIdleMachineMS(nodeMS/float64(c.topo.Shards), 1)
+	c.Meter.AddIdleMachineMS(nodeMS / float64(c.topo.Shards))
 	c.accruedToMS = tMS
 }
 
@@ -622,10 +622,11 @@ func (c *Cluster) SetActiveReplicas(shard, r int, tMS float64) {
 	}
 }
 
-// SetAllActiveReplicas applies SetActiveReplicas to every shard.
-func (c *Cluster) SetAllActiveReplicas(r int, tMS float64) {
+// SetAllActiveReplicas scales every shard to one active replica row at
+// virtual time 0, the state an autoscaled run starts from.
+func (c *Cluster) SetAllActiveReplicas() {
 	for s := 0; s < c.topo.Shards; s++ {
-		c.SetActiveReplicas(s, r, tMS)
+		c.SetActiveReplicas(s, 1, 0)
 	}
 }
 

@@ -39,10 +39,8 @@ type IntegrityStats struct {
 	// the rot first.
 	QueryDetections int
 	ScrubDetections int
-	// Quarantines counts quarantine transitions; Repairs counts
-	// re-admissions.
-	Quarantines int
-	Repairs     int
+	// Repairs counts re-admissions.
+	Repairs int
 	// CorruptRejects counts requests bounced by a quarantined or
 	// rot-detecting node (each bounce is one failover the query had to
 	// absorb).
@@ -59,7 +57,6 @@ type integrityTotals struct {
 	corruptions     int
 	queryDetections int
 	scrubDetections int
-	quarantines     int
 	repairs         int
 	corruptRejects  int
 	detectTotalMS   float64
@@ -113,7 +110,6 @@ func (c *Cluster) IntegrityStats() IntegrityStats {
 		Corruptions:     c.integ.corruptions,
 		QueryDetections: c.integ.queryDetections,
 		ScrubDetections: c.integ.scrubDetections,
-		Quarantines:     c.integ.quarantines,
 		Repairs:         c.integ.repairs,
 		CorruptRejects:  c.integ.corruptRejects,
 	}
@@ -155,7 +151,6 @@ func (c *Cluster) quarantineNode(node int, detectMS float64, byScrub bool) {
 	}
 	n.quarantined = true
 	n.quarantinedAtMS = detectMS
-	c.integ.quarantines++
 	c.integ.detectTotalMS += detectMS - n.corruptAtMS
 	if byScrub {
 		c.integ.scrubDetections++

@@ -33,7 +33,7 @@ func TestQueryDetectsRotAndFailsOver(t *testing.T) {
 	}
 	st := c.IntegrityStats()
 	if st.Corruptions != 1 || st.QueryDetections != 1 || st.ScrubDetections != 0 ||
-		st.Quarantines != 1 || st.CorruptRejects != 1 {
+		st.CorruptRejects != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.MeanDetectionMS <= 0 {
@@ -194,7 +194,7 @@ func TestResetAndClearFaultsClearIntegrity(t *testing.T) {
 	if c.ISNs[0].quarantined || !math.IsInf(c.ISNs[0].corruptAtMS, 1) {
 		t.Fatal("ClearFaults left integrity fault state")
 	}
-	if c.IntegrityStats().Quarantines != 1 {
+	if st := c.IntegrityStats(); st.QueryDetections+st.ScrubDetections != 1 {
 		t.Fatal("ClearFaults must keep the statistics ledger")
 	}
 

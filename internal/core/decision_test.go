@@ -73,7 +73,7 @@ func trainedTwin(t testing.TB) (*engine.Engine, []*engine.Evaluated) {
 		corpus := textgen.Generate(ccfg)
 		ecfg := engine.DefaultConfig()
 		ecfg.NumShards = 4
-		eng := engine.New(engine.BuildShards(corpus, ecfg, 2, 0.15, 3), ecfg)
+		eng := engine.New(engine.BuildShards(corpus, ecfg, 3), ecfg)
 		qs := trace.Generate(corpus, trace.Config{Kind: trace.Wikipedia, Seed: 5, NumQueries: 260, QPS: 50})
 		pcfg := predict.DefaultConfig(ecfg.K)
 		pcfg.QualitySteps = 150

@@ -16,11 +16,12 @@ import (
 // runDigest hashes everything a replay reports: every Outcome field
 // (%v prints floats in their shortest round-tripping form, so equal
 // text means equal bits) and the run-level power, utilization and time
-// totals as raw bits.
-func runDigest(r engine.RunResult) string {
+// totals as raw bits. Utilization is read from the cluster the run
+// left behind.
+func runDigest(r engine.RunResult, c *cluster.Cluster) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%v\n", r.Outcomes)
-	for _, v := range []float64{r.AvgPowerW, r.Utilization, r.MachineMS, r.TotalBusyMS} {
+	for _, v := range []float64{r.AvgPowerW, c.Utilization(), r.MachineMS, r.TotalBusyMS} {
 		fmt.Fprintf(h, "%016x\n", math.Float64bits(v))
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
@@ -67,7 +68,7 @@ func TestReplayGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		res := c.eng.Run(c.pol, evs)
-		if got := runDigest(res); got != c.want {
+		if got := runDigest(res, c.eng.Cluster); got != c.want {
 			t.Errorf("%s: replay digest %s, want %s", c.name, got, c.want)
 		}
 		if c.name != "replicated" {

@@ -27,7 +27,7 @@ func scaledEngine(tb testing.TB, r int) (*Engine, *textgen.Corpus) {
 	cfg.NumShards = 8
 	cfg.Cluster.Replicas = r
 	cfg.Cluster.DynamicMachines = true
-	shards := BuildShards(corpus, cfg, 2, 0.15, 5)
+	shards := BuildShards(corpus, cfg, 5)
 	return New(shards, cfg), corpus
 }
 
@@ -46,7 +46,7 @@ func testScaler(maxR int) *autoscale.Controller {
 	return autoscale.New(autoscale.Config{
 		Planner:          autoscale.PlannerConfig{SLOp99MS: 40, MaxReplicas: maxR},
 		ReplanIntervalMS: 500,
-	}, 8, 1)
+	}, 8)
 }
 
 // TestScaledRunDeterministicAcrossGOMAXPROCS: the closed-loop

@@ -37,7 +37,7 @@ func TestBuildShardsGolden(t *testing.T) {
 	// interleave shards and Finalize's chunks of terms.
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		shards := BuildShards(corpus, cfg, 2, 0.15, 5)
+		shards := BuildShards(corpus, cfg, 5)
 		shards = append(shards, BuildShardsRoundRobin(corpus, one)...)
 		runtime.GOMAXPROCS(prev)
 		if len(shards) != len(want) {

@@ -124,9 +124,10 @@ func DefaultConfig() Config {
 
 // BuildShards indexes a synthetic corpus into cfg.NumShards shards using
 // a topical allocation (the layout selective-search systems are designed
-// for; see textgen.AllocateTopical).
-func BuildShards(corpus *textgen.Corpus, cfg Config, homeShards int, spill float64, seed uint64) []*index.Shard {
-	alloc := corpus.AllocateTopical(cfg.NumShards, homeShards, spill, seed)
+// for; see textgen.AllocateTopical): two home shards per topic, 15 % of
+// documents spilled elsewhere.
+func BuildShards(corpus *textgen.Corpus, cfg Config, seed uint64) []*index.Shard {
+	alloc := corpus.AllocateTopical(cfg.NumShards, 2, 0.15, seed)
 	return BuildFromAllocation(corpus, alloc, cfg)
 }
 
@@ -375,11 +376,10 @@ type Outcome struct {
 
 // RunResult aggregates a full trace replay under one policy.
 type RunResult struct {
-	Policy      string
-	Outcomes    []Outcome
-	AvgPowerW   float64
-	Utilization float64
-	DurationMS  float64
+	Policy     string
+	Outcomes   []Outcome
+	AvgPowerW  float64
+	DurationMS float64
 	// CacheHitRate is the aggregator cache's hit rate for this run
 	// (zero when no cache is configured).
 	CacheHitRate float64
@@ -404,8 +404,8 @@ func (e *Engine) Run(p Policy, evs []*Evaluated) RunResult {
 		e.Cache.Reset()
 	}
 	if e.Scaler != nil {
-		e.Scaler.Reset(1)
-		e.Cluster.SetAllActiveReplicas(1, 0)
+		e.Scaler.Reset()
+		e.Cluster.SetAllActiveReplicas()
 	}
 	e.hists = e.Hists(p.Name())
 	if e.Obs != nil {
@@ -420,7 +420,6 @@ func (e *Engine) Run(p Policy, evs []*Evaluated) RunResult {
 	}
 	res.DurationMS = e.Cluster.NowMS()
 	res.AvgPowerW = e.Cluster.AveragePowerWatts()
-	res.Utilization = e.Cluster.Utilization()
 	res.MachineMS = e.Cluster.MachineMS()
 	for _, n := range e.Cluster.ISNs {
 		res.TotalBusyMS += n.BusyMS
@@ -687,7 +686,6 @@ type Summary struct {
 	MeanISNs    float64
 	MeanCRES    float64
 	AvgPowerW   float64
-	Utilization float64
 	Queries     int
 	DroppedFrac float64
 	// TruncatedFrac is the share of queries where at least one
@@ -696,12 +694,6 @@ type Summary struct {
 	// FailedFrac is the share of queries that dispatched to at least one
 	// dead ISN (injected failures).
 	FailedFrac float64
-	// ShedFrac is the share of queries that had at least one participant
-	// shed by admission control (bounded queues under overload).
-	ShedFrac float64
-	// CorruptFrac is the share of queries that lost at least one shard
-	// to an integrity bounce (every replica of the shard quarantined).
-	CorruptFrac float64
 	// FailoverFrac is the share of queries where at least one leg failed
 	// over to a sibling replica mid-query.
 	FailoverFrac float64
@@ -714,19 +706,16 @@ type Summary struct {
 	// DuplicateWorkFrac is hedging's wasted busy time as a fraction of
 	// all busy time.
 	DuplicateWorkFrac float64
-	// MachineMS is the run's integrated machine time in node·ms.
-	MachineMS float64
 }
 
 // Summarize computes a Summary from a RunResult.
 func Summarize(r RunResult) Summary {
-	s := Summary{Policy: r.Policy, AvgPowerW: r.AvgPowerW, Utilization: r.Utilization,
-		Queries: len(r.Outcomes), MachineMS: r.MachineMS}
+	s := Summary{Policy: r.Policy, AvgPowerW: r.AvgPowerW, Queries: len(r.Outcomes)}
 	if len(r.Outcomes) == 0 {
 		return s
 	}
 	lats := make([]float64, len(r.Outcomes))
-	dropped, truncated, failed, shed, corrupt, failedOver := 0, 0, 0, 0, 0, 0
+	dropped, truncated, failed, failedOver := 0, 0, 0, 0
 	legs, hedged, hedgeWon := 0, 0, 0
 	dupMS := 0.0
 	for i, o := range r.Outcomes {
@@ -747,12 +736,6 @@ func Summarize(r RunResult) Summary {
 		if o.FailedISNs > 0 {
 			failed++
 		}
-		if o.ShedISNs > 0 {
-			shed++
-		}
-		if o.CorruptISNs > 0 {
-			corrupt++
-		}
 		if o.Failovers > 0 {
 			failedOver++
 		}
@@ -768,7 +751,7 @@ func Summarize(r RunResult) Summary {
 	}
 	n := float64(len(r.Outcomes))
 	s.MeanLatency = stats.Mean(lats)
-	s.LatencyCILo, s.LatencyCIHi = stats.BootstrapCI(lats, 200, 0.95, 42)
+	s.LatencyCILo, s.LatencyCIHi = stats.BootstrapCI(lats)
 	s.P95Latency = stats.Percentile(lats, 95)
 	s.P99Latency = stats.Percentile(lats, 99)
 	s.MeanPAtK /= n
@@ -777,8 +760,6 @@ func Summarize(r RunResult) Summary {
 	s.DroppedFrac = float64(dropped) / n
 	s.TruncatedFrac = float64(truncated) / n
 	s.FailedFrac = float64(failed) / n
-	s.ShedFrac = float64(shed) / n
-	s.CorruptFrac = float64(corrupt) / n
 	s.FailoverFrac = float64(failedOver) / n
 	return s
 }

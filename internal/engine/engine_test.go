@@ -23,7 +23,7 @@ func smallEngine(tb testing.TB) (*Engine, []trace.Query) {
 	corpus := textgen.Generate(ccfg)
 	cfg := DefaultConfig()
 	cfg.NumShards = 8
-	shards := BuildShards(corpus, cfg, 2, 0.15, 5)
+	shards := BuildShards(corpus, cfg, 5)
 	e := New(shards, cfg)
 	qs := trace.Generate(corpus, trace.Config{Kind: trace.Wikipedia, Seed: 3, NumQueries: 120, QPS: 10})
 	return e, qs

@@ -270,18 +270,16 @@ func (t *Telemetry) Accuracy() *obs.Accuracy {
 // query after its trace, so a page it triggers finds the trace already
 // in the flight recorder. failed marks a query that returned an error
 // instead of an answer: degraded, and past any latency limit however
-// fast it failed. It returns the trace's ID (0 without one).
-func (t *Telemetry) FinishQuery(h QueryHists, tb *obs.TraceBuilder, latencyMS, budgetMS float64, failed, degraded bool) uint64 {
+// fast it failed.
+func (t *Telemetry) FinishQuery(h QueryHists, tb *obs.TraceBuilder, latencyMS, budgetMS float64, failed, degraded bool) {
 	if h.latency != nil {
 		h.latency.Observe(latencyMS)
 		if budgetMS > 0 && !math.IsInf(budgetMS, 1) {
 			h.budget.Observe(budgetMS)
 		}
 	}
-	var id uint64
 	if tr := tb.Finish(); tr != nil {
 		t.Obs.AddTrace(tr)
-		id = tr.ID
 		if t.Anatomy != nil {
 			if attr, ok := anatomy.FromTrace(tr); ok {
 				t.Anatomy.Observe(attr)
@@ -294,5 +292,4 @@ func (t *Telemetry) FinishQuery(h QueryHists, tb *obs.TraceBuilder, latencyMS, b
 		}
 		t.SLO.ObserveQuery(latencyMS, failed || degraded)
 	}
-	return id
 }

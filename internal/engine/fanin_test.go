@@ -123,8 +123,9 @@ func TestFinishQuery(t *testing.T) {
 		tb := obs.NewTraceBuilder(0)
 		root := tb.StartSpan("query", 0, 0)
 		root.End(1000)
-		if id := tel.FinishQuery(h, tb, 1, budget, false, false); id != tb.TraceID() {
-			t.Fatalf("trace ID %#x, builder's %#x", id, tb.TraceID())
+		tel.FinishQuery(h, tb, 1, budget, false, false)
+		if id := tel.Obs.Traces.Recent(1)[0].ID; id != tb.TraceID() {
+			t.Fatalf("newest trace ID %#x, builder's %#x", id, tb.TraceID())
 		}
 	}
 	if n := h.latency.Snapshot().Count; n != 3 {
@@ -145,9 +146,7 @@ func TestFinishQuery(t *testing.T) {
 	} {
 		mon := slo.New(slo.Config{})
 		q := &slo.QuerySLO{LatencyMS: 60_000, Latency: mon.Objective("latency", 0.01), Quality: mon.Objective("quality", 0.01)}
-		if id := (&Telemetry{SLO: q}).FinishQuery(QueryHists{}, nil, 1, 4, tc.failed, tc.degraded); id != 0 {
-			t.Errorf("no observer, trace ID %#x", id)
-		}
+		(&Telemetry{SLO: q}).FinishQuery(QueryHists{}, nil, 1, 4, tc.failed, tc.degraded)
 		if burning(q.Latency) != tc.slow || burning(q.Quality) != tc.poor {
 			t.Errorf("failed %v degraded %v: latency burning %v, quality burning %v",
 				tc.failed, tc.degraded, burning(q.Latency), burning(q.Quality))

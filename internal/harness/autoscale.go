@@ -84,7 +84,7 @@ func autoscaleController(shards int) *autoscale.Controller {
 		Planner:             autoscale.PlannerConfig{SLOp99MS: AutoscaleSLOp99MS, MaxReplicas: autoscaleMaxR},
 		ReplanIntervalMS:    AutoscaleReplanIntervalMS,
 		ScaleDownCooldownMS: AutoscaleScaleCooldownMS,
-	}, shards, 1)
+	}, shards)
 }
 
 // autoscaleRow is one sweep configuration's outcome.

@@ -28,7 +28,7 @@ func chaosFixture(t *testing.T) (*engine.Engine, []*engine.Evaluated) {
 	ecfg := engine.DefaultConfig()
 	ecfg.NumShards = 8
 	ecfg.Cluster.Replicas = 2
-	shards := engine.BuildShards(corpus, ecfg, 2, 0.15, 3)
+	shards := engine.BuildShards(corpus, ecfg, 3)
 	eng := engine.New(shards, ecfg)
 
 	qs := trace.Generate(corpus, trace.Config{

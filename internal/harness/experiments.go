@@ -201,8 +201,7 @@ func Fig6(s *Setup, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("harness: fig6 gamma fit: %w", err)
 	}
-	sum := stats.Summarize(scores)
-	h := stats.NewHistogram(scores, 0, sum.Max*1.001, 20)
+	h := stats.NewHistogram(scores, 0, stats.Max(scores)*1.001, 20)
 	fmt.Fprintf(w, "Score histogram for %q on ISN-0 (%d postings) vs fitted Gamma(shape=%.3f, scale=%.3f)\n",
 		term, len(scores), g.Shape, g.Scale)
 	fmt.Fprintf(w, "  %-16s %10s %10s\n", "score bin", "observed", "gamma")
@@ -229,7 +228,7 @@ func Fig6(s *Setup, w io.Writer) error {
 // heldOutDataset converts already-evaluated queries into a predict.Dataset
 // so Figs. 7/8 measure held-out accuracy without re-running retrieval.
 func heldOutDataset(s *Setup, evs []*engine.Evaluated) *predict.Dataset {
-	ds := &predict.Dataset{K: s.Engine.K, PerISN: make([][]predict.Sample, len(s.Engine.Shards))}
+	ds := &predict.Dataset{PerISN: make([][]predict.Sample, len(s.Engine.Shards))}
 	for si := range ds.PerISN {
 		ds.PerISN[si] = make([]predict.Sample, len(evs))
 	}
@@ -255,15 +254,14 @@ func heldOutDataset(s *Setup, evs []*engine.Evaluated) *predict.Dataset {
 	return ds
 }
 
-// inferenceMicros measures real wall-clock inference time per query for
-// one ISN's predictor pair — the right-hand axes of Figs. 7b/8b.
-func inferenceMicros(s *Setup, isn int, n int) float64 {
+// inferenceMicros measures real wall-clock inference time per query,
+// over the first 200 Wikipedia queries, for one ISN's predictor pair —
+// the right-hand axes of Figs. 7b/8b.
+func inferenceMicros(s *Setup, isn int) float64 {
 	sh := s.Engine.Shards[isn]
 	p := s.Engine.Fleet.Predictors[isn]
 	queries := s.WikiQueries
-	if n > len(queries) {
-		n = len(queries)
-	}
+	n := min(200, len(queries))
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		_ = p.Predict(sh, queries[i].Terms)
@@ -283,7 +281,7 @@ func Fig7(s *Setup, w io.Writer) error {
 	fmt.Fprintf(w, "%-5s %10s %10s %10s %12s\n", "ISN", "exact", "within-1", "zero-det", "infer us")
 	mean1, meanZ := 0.0, 0.0
 	for _, a := range accs {
-		us := inferenceMicros(s, a.ISN, 200)
+		us := inferenceMicros(s, a.ISN)
 		fmt.Fprintf(w, "%-5d %10.3f %10.3f %10.3f %12.2f\n",
 			a.ISN, a.QualityExact, a.QualityWithin1, a.QualityZero, us)
 		mean1 += a.QualityWithin1
@@ -305,7 +303,7 @@ func Fig8(s *Setup, w io.Writer) error {
 	fmt.Fprintf(w, "%-5s %10s %10s %12s\n", "ISN", "exact-bin", "within-1", "infer us")
 	mean := 0.0
 	for _, a := range accs {
-		us := inferenceMicros(s, a.ISN, 200)
+		us := inferenceMicros(s, a.ISN)
 		fmt.Fprintf(w, "%-5d %10.3f %10.3f %12.2f\n", a.ISN, a.LatencyExact, a.LatencyWithin1, us)
 		mean += a.LatencyWithin1
 	}
@@ -442,7 +440,7 @@ func Fig11(s *Setup, w io.Writer) error {
 	for pi := range c.Policies {
 		vals[pi] = c.Summaries[0][pi].MeanPAtK
 	}
-	RenderBars(w, "(wikipedia P@10)", "", c.Policies, vals, 40)
+	RenderBars(w, "(wikipedia P@10)", "", c.Policies, vals)
 	return nil
 }
 
@@ -516,7 +514,7 @@ func Fig14(s *Setup, w io.Writer) error {
 	for pi := range c.Policies {
 		vals[pi] = c.Summaries[0][pi].AvgPowerW
 	}
-	RenderBars(w, "(wikipedia package power, W)", "W", c.Policies, vals, 40)
+	RenderBars(w, "(wikipedia package power, W)", "W", c.Policies, vals)
 	return nil
 }
 

@@ -22,7 +22,28 @@ import (
 // (which inflates with load because Eq. 2's equivalent latency folds
 // the growing backlog into every prediction).
 func Overload(s *Setup, w io.Writer) error {
-	return OverloadSweep(s.Engine, s.WikiEval, 0, w)
+	points, bound := RunOverloadSweep(s.Engine, s.WikiEval)
+	fmt.Fprintf(w, "per-ISN queue bound: %.2f ms (shed on arrival past the bound)\n", bound)
+	fmt.Fprintf(w, "%-6s %-12s %10s %10s %12s %11s %9s\n",
+		"load", "policy", "shed disp", "shed qry", "admit p99", "budget ms", "power W")
+	byKey := make(map[string]OverloadPoint, len(points))
+	for _, pt := range points {
+		fmt.Fprintf(w, "%-6s %-12s %9.1f%% %9.1f%% %12.2f %11.2f %9.2f\n",
+			fmt.Sprintf("%.0fx", pt.Factor), pt.Policy,
+			100*pt.ShedDisp, 100*pt.QShed, pt.AdmitP99, pt.BudgetMS, pt.PowerW)
+		byKey[fmt.Sprintf("%s@%g", pt.Policy, pt.Factor)] = pt
+	}
+	base, peak := byKey["cottage@1"], byKey["cottage@4"]
+	if base.BudgetMS > 0 {
+		fmt.Fprintf(w, "cottage budget inflation at 4x load: %.2fx (Eq. 2 backlog correction)\n",
+			peak.BudgetMS/base.BudgetMS)
+	}
+	exB, exP := byKey["exhaustive@1"], byKey["exhaustive@4"]
+	if exB.AdmitP99 > 0 {
+		fmt.Fprintf(w, "exhaustive admitted p99 at 4x load: %.2fx of 1x (bounded queues hold the served tail)\n",
+			exP.AdmitP99/exB.AdmitP99)
+	}
+	return nil
 }
 
 // OverloadPoint is one (load factor, policy) cell of the sweep.
@@ -40,21 +61,17 @@ type OverloadPoint struct {
 var OverloadFactors = []float64{1, 2, 3, 4}
 
 // RunOverloadSweep replays the trace at OverloadFactors under exhaustive
-// and Cottage with per-ISN queues bounded at maxQueueMS. A non-positive
-// maxQueueMS derives the bound from the workload itself: half the p99
-// latency of an unbounded exhaustive replay at nominal load, so the
-// sweep is meaningful at both quick and full scale. Returns the points
-// (factors × policies, in order) and the bound used. The engine's queue
-// bound is restored afterwards.
-func RunOverloadSweep(e *engine.Engine, evs []*engine.Evaluated, maxQueueMS float64) ([]OverloadPoint, float64) {
+// and Cottage with per-ISN queues bounded by a bound derived from the
+// workload itself: half the p99 latency of an unbounded exhaustive
+// replay at nominal load, so the sweep is meaningful at both quick and
+// full scale. Returns the points (factors × policies, in order) and the
+// bound used. The engine's queue bound is restored afterwards.
+func RunOverloadSweep(e *engine.Engine, evs []*engine.Evaluated) ([]OverloadPoint, float64) {
 	prev := e.Cluster.MaxQueueMS
 	defer func() { e.Cluster.MaxQueueMS = prev }()
 
-	if maxQueueMS <= 0 {
-		e.Cluster.MaxQueueMS = 0
-		base := engine.Summarize(e.Run(baselines.Exhaustive{}, evs))
-		maxQueueMS = base.P99Latency / 2
-	}
+	e.Cluster.MaxQueueMS = 0
+	maxQueueMS := engine.Summarize(e.Run(baselines.Exhaustive{}, evs)).P99Latency / 2
 	e.Cluster.MaxQueueMS = maxQueueMS
 
 	policies := []engine.Policy{baselines.Exhaustive{}, core.NewCottage()}
@@ -97,30 +114,4 @@ func RunOverloadSweep(e *engine.Engine, evs []*engine.Evaluated, maxQueueMS floa
 		}
 	}
 	return points, maxQueueMS
-}
-
-// OverloadSweep runs RunOverloadSweep and renders it.
-func OverloadSweep(e *engine.Engine, evs []*engine.Evaluated, maxQueueMS float64, w io.Writer) error {
-	points, bound := RunOverloadSweep(e, evs, maxQueueMS)
-	fmt.Fprintf(w, "per-ISN queue bound: %.2f ms (shed on arrival past the bound)\n", bound)
-	fmt.Fprintf(w, "%-6s %-12s %10s %10s %12s %11s %9s\n",
-		"load", "policy", "shed disp", "shed qry", "admit p99", "budget ms", "power W")
-	byKey := make(map[string]OverloadPoint, len(points))
-	for _, pt := range points {
-		fmt.Fprintf(w, "%-6s %-12s %9.1f%% %9.1f%% %12.2f %11.2f %9.2f\n",
-			fmt.Sprintf("%.0fx", pt.Factor), pt.Policy,
-			100*pt.ShedDisp, 100*pt.QShed, pt.AdmitP99, pt.BudgetMS, pt.PowerW)
-		byKey[fmt.Sprintf("%s@%g", pt.Policy, pt.Factor)] = pt
-	}
-	base, peak := byKey["cottage@1"], byKey["cottage@4"]
-	if base.BudgetMS > 0 {
-		fmt.Fprintf(w, "cottage budget inflation at 4x load: %.2fx (Eq. 2 backlog correction)\n",
-			peak.BudgetMS/base.BudgetMS)
-	}
-	exB, exP := byKey["exhaustive@1"], byKey["exhaustive@4"]
-	if exB.AdmitP99 > 0 {
-		fmt.Fprintf(w, "exhaustive admitted p99 at 4x load: %.2fx of 1x (bounded queues hold the served tail)\n",
-			exP.AdmitP99/exB.AdmitP99)
-	}
-	return nil
 }

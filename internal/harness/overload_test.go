@@ -16,7 +16,7 @@ import (
 // every prediction.
 func TestOverloadSweepSmoke(t *testing.T) {
 	s := testSetup(t)
-	points, bound := RunOverloadSweep(s.Engine, s.WikiEval, 0)
+	points, bound := RunOverloadSweep(s.Engine, s.WikiEval)
 	if bound <= 0 {
 		t.Fatalf("derived queue bound = %v, want positive", bound)
 	}

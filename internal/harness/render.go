@@ -27,9 +27,12 @@ func Bar(value, max float64, width int) string {
 	return strings.Repeat("#", n)
 }
 
+// barWidth is the length of a full-scale bar in BarRow.
+const barWidth = 40
+
 // BarRow writes one labelled bar line: "label value |#####".
-func BarRow(w io.Writer, label string, value, max float64, width int, unit string) {
-	fmt.Fprintf(w, "  %-16s %9.2f %-3s |%s\n", label, value, unit, Bar(value, max, width))
+func BarRow(w io.Writer, label string, value, max float64, unit string) {
+	fmt.Fprintf(w, "  %-16s %9.2f %-3s |%s\n", label, value, unit, Bar(value, max, barWidth))
 }
 
 // Sparkline compresses a series into one line of block characters, used
@@ -67,7 +70,7 @@ func Sparkline(values []float64) string {
 
 // RenderBars prints a labelled bar chart for a set of (label, value)
 // pairs, scaled to the maximum value.
-func RenderBars(w io.Writer, title, unit string, labels []string, values []float64, width int) {
+func RenderBars(w io.Writer, title, unit string, labels []string, values []float64) {
 	if len(labels) != len(values) {
 		panic("harness: RenderBars label/value mismatch")
 	}
@@ -79,7 +82,7 @@ func RenderBars(w io.Writer, title, unit string, labels []string, values []float
 	}
 	fmt.Fprintf(w, "%s\n", title)
 	for i := range labels {
-		BarRow(w, labels[i], values[i], max, width, unit)
+		BarRow(w, labels[i], values[i], max, unit)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestSparkline(t *testing.T) {
 
 func TestRenderBars(t *testing.T) {
 	var buf bytes.Buffer
-	RenderBars(&buf, "title", "W", []string{"a", "bb"}, []float64{1, 2}, 10)
+	RenderBars(&buf, "title", "W", []string{"a", "bb"}, []float64{1, 2})
 	out := buf.String()
 	if !strings.Contains(out, "title") || !strings.Contains(out, "bb") {
 		t.Errorf("missing content: %q", out)
@@ -64,7 +64,7 @@ func TestRenderBars(t *testing.T) {
 				t.Error("mismatched labels/values should panic")
 			}
 		}()
-		RenderBars(&buf, "t", "", []string{"a"}, []float64{1, 2}, 10)
+		RenderBars(&buf, "t", "", []string{"a"}, []float64{1, 2})
 	}()
 }
 

@@ -28,7 +28,7 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Fatalf("corruption missed: %v", err)
 	}
 	got = append(got, serve())
-	if err := m.Repair(70, func() (*index.Shard, error) {
+	if err := repairFrom(m, 70, func() (*index.Shard, error) {
 		bad := buildShard(t, 9)
 		corruptOneBlock(t, bad)
 		return bad, nil
@@ -36,7 +36,7 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Fatalf("corrupt transfer accepted: %v", err)
 	}
 	got = append(got, serve())
-	if err := m.Repair(340, func() (*index.Shard, error) { return buildShard(t, 9), nil }); err != nil {
+	if err := repairFrom(m, 340, func() (*index.Shard, error) { return buildShard(t, 9), nil }); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	got = append(got, serve())

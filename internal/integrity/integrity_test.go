@@ -61,6 +61,12 @@ func managerState(m *Manager) State {
 	return Healthy
 }
 
+// repairFrom runs m's repair with fetch as its Config.Fetch source.
+func repairFrom(m *Manager, nowMS int64, fetch func() (*index.Shard, error)) error {
+	m.cfg.Fetch = fetch
+	return m.Repair(nowMS)
+}
+
 // failingFetch is a repair source that is down.
 func failingFetch() (*index.Shard, error) { return nil, errors.New("peer down") }
 
@@ -83,7 +89,7 @@ func TestManagerStateMachine(t *testing.T) {
 	}
 	// A repair that fails returns to quarantined; the replica serves
 	// nothing while the transfer runs.
-	err := m.Repair(200, func() (*index.Shard, error) {
+	err := repairFrom(m, 200, func() (*index.Shard, error) {
 		if got := managerState(m); got != Repairing {
 			t.Errorf("state during repair = %v, want repairing", got)
 		}
@@ -96,7 +102,7 @@ func TestManagerStateMachine(t *testing.T) {
 		t.Fatalf("state after failed repair = %v (err %v)", managerState(m), err)
 	}
 	// MTTR keeps counting from the first detection.
-	if err := m.Repair(600, func() (*index.Shard, error) { return buildShard(t, 3), nil }); err != nil {
+	if err := repairFrom(m, 600, func() (*index.Shard, error) { return buildShard(t, 3), nil }); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	snap := m.Snapshot()
@@ -122,7 +128,7 @@ func TestManagerStateMachine(t *testing.T) {
 		t.Fatalf("events %q, want %q", got, want)
 	}
 	// Transition guards: a healthy replica does not start a repair.
-	if err := m.Repair(700, failingFetch); err != nil {
+	if err := repairFrom(m, 700, failingFetch); err != nil {
 		t.Fatalf("repair of a healthy replica: %v", err)
 	}
 	if got := m.Snapshot(); got.Repairs != 1 || len(got.Events) != len(snap.Events) || managerState(m) != Healthy {
@@ -130,7 +136,7 @@ func TestManagerStateMachine(t *testing.T) {
 	}
 	// A second outage measures its own MTTR from its own detection.
 	m.Quarantine(1000, "query", errors.New("block 2"))
-	if err := m.Repair(1100, func() (*index.Shard, error) { return buildShard(t, 3), nil }); err != nil {
+	if err := repairFrom(m, 1100, func() (*index.Shard, error) { return buildShard(t, 3), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if snap := m.Snapshot(); snap.Repairs != 2 || snap.MeanMTTRMS != 300 { // (500+100)/2
@@ -286,7 +292,7 @@ func TestManagerRepairReadmits(t *testing.T) {
 	}, s)
 
 	// Repair on a healthy replica is a no-op.
-	if err := m.Repair(0, nil); err != nil {
+	if err := m.Repair(0); err != nil {
 		t.Fatalf("healthy repair: %v", err)
 	}
 	term, _ := corruptOneBlock(t, s)
@@ -294,7 +300,7 @@ func TestManagerRepairReadmits(t *testing.T) {
 		t.Fatalf("corruption missed: %v", err)
 	}
 	// First attempt fails (peer down) — still quarantined.
-	if err := m.Repair(200, nil); err == nil {
+	if err := m.Repair(200); err == nil {
 		t.Fatal("failed fetch reported success")
 	}
 	if managerState(m) != Quarantined || m.Shard() != nil {
@@ -302,7 +308,7 @@ func TestManagerRepairReadmits(t *testing.T) {
 	}
 	// Second attempt succeeds: fresh shard swaps in, state is healthy,
 	// scrubbing resumes, MTTR covers detection → readmission.
-	if err := m.Repair(600, nil); err != nil {
+	if err := m.Repair(600); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	if managerState(m) != Healthy || m.Shard() == nil {
@@ -335,7 +341,7 @@ func TestManagerRepairRejectsCorruptTransfer(t *testing.T) {
 	}
 	// The repair source itself hands back rotten bytes: re-validation
 	// must reject them and the replica stays out of service.
-	err := m.Repair(20, func() (*index.Shard, error) {
+	err := repairFrom(m, 20, func() (*index.Shard, error) {
 		bad := buildShard(t, 6)
 		corruptOneBlock(t, bad)
 		return bad, nil
@@ -347,7 +353,7 @@ func TestManagerRepairRejectsCorruptTransfer(t *testing.T) {
 		t.Fatalf("state = %v after corrupt transfer", managerState(m))
 	}
 	// No repair source configured at all: typed failure, still out.
-	if err := m.Repair(30, nil); err == nil || !strings.Contains(err.Error(), "no repair source") {
+	if err := repairFrom(m, 30, nil); err == nil || !strings.Contains(err.Error(), "no repair source") {
 		t.Fatalf("got %v, want no-repair-source error", err)
 	}
 }
@@ -454,7 +460,7 @@ func TestManagerRepairRejectsOtherShard(t *testing.T) {
 	if err := m.VerifyQuery([]string{term}, 10); !index.IsCorruption(err) {
 		t.Fatalf("corruption missed: %v", err)
 	}
-	err := m.Repair(20, func() (*index.Shard, error) { return buildShard(t, 11), nil })
+	err := repairFrom(m, 20, func() (*index.Shard, error) { return buildShard(t, 11), nil })
 	var wrong *WrongShardError
 	if !errors.As(err, &wrong) {
 		t.Fatalf("repair from another shard: got %v, want a WrongShardError", err)
@@ -466,7 +472,7 @@ func TestManagerRepairRejectsOtherShard(t *testing.T) {
 		t.Fatal("a foreign shard re-admitted the replica")
 	}
 	// A fresh build of the same shard is byte-identical and re-admits.
-	if err := m.Repair(30, func() (*index.Shard, error) { return buildShard(t, 10), nil }); err != nil {
+	if err := repairFrom(m, 30, func() (*index.Shard, error) { return buildShard(t, 10), nil }); err != nil {
 		t.Fatalf("repair from a sibling build: %v", err)
 	}
 	if managerState(m) != Healthy {

@@ -170,15 +170,12 @@ func (m *Manager) ScrubEpochMS() int64 {
 	return m.scrub.EpochMS(m.shard)
 }
 
-// Repair fetches fresh verified shard bytes via cfg.Fetch (or the
-// explicit fetch argument when non-nil), re-validates them, checks they
-// are the supervised shard (WrongShardError otherwise), and swaps the
-// new shard in, re-admitting the replica. No-op when healthy. A failed
-// repair leaves the replica quarantined.
-func (m *Manager) Repair(nowMS int64, fetch func() (*index.Shard, error)) error {
-	if fetch == nil {
-		fetch = m.cfg.Fetch
-	}
+// Repair fetches fresh verified shard bytes via cfg.Fetch, re-validates
+// them, checks they are the supervised shard (WrongShardError
+// otherwise), and swaps the new shard in, re-admitting the replica.
+// No-op when healthy. A failed repair leaves the replica quarantined.
+func (m *Manager) Repair(nowMS int64) error {
+	fetch := m.cfg.Fetch
 	m.mu.Lock()
 	if m.state == Healthy {
 		m.mu.Unlock()
@@ -260,11 +257,8 @@ func (m *Manager) Snapshot() Snapshot {
 // RunLoop drives the manager on a wall-clock ticker until stop closes:
 // each tick advances the scrub and, while quarantined, attempts a
 // repair. This is the live-path wrapper around the same Step/Repair
-// calls the twin drives in virtual time.
+// calls the twin drives in virtual time. tick must be positive.
 func (m *Manager) RunLoop(stop <-chan struct{}, tick time.Duration) {
-	if tick <= 0 {
-		tick = 100 * time.Millisecond
-	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {
@@ -275,7 +269,7 @@ func (m *Manager) RunLoop(stop <-chan struct{}, tick time.Duration) {
 			nowMS := now.UnixMilli()
 			m.ScrubStep(nowMS)
 			if m.Shard() == nil { // quarantined or repairing
-				_ = m.Repair(nowMS, nil) // failures stay quarantined; retried next tick
+				_ = m.Repair(nowMS) // failures stay quarantined; retried next tick
 			}
 		}
 	}

@@ -561,16 +561,16 @@ func (n *Network) Accuracy(xs [][]float64, ys []int) float64 {
 }
 
 // AccuracyWithin returns the fraction of samples whose predicted class is
-// within tol bins of the true class — the paper's notion of an "accurate"
+// within one bin of the true class — the paper's notion of an "accurate"
 // latency prediction over binned service times.
-func (n *Network) AccuracyWithin(xs [][]float64, ys []int, tol int) float64 {
+func (n *Network) AccuracyWithin(xs [][]float64, ys []int) float64 {
 	correct := 0
 	n.evalBatches(xs, func(i int, probs []float64) {
 		d := argmax(probs) - ys[i]
 		if d < 0 {
 			d = -d
 		}
-		if d <= tol {
+		if d <= 1 {
 			correct++
 		}
 	})

@@ -85,26 +85,18 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
-// ExpBuckets returns n bounds growing geometrically from start by
-// factor: the log-spaced binning internal/stats uses for latency
-// classes, reused here for latency histograms.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n <= 0 {
-		panic("obs: ExpBuckets wants start > 0, factor > 1, n > 0")
-	}
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
-}
-
 // LatencyBucketsMS is the default latency binning: 0.05 ms to ~26 s in
 // 20 doubling buckets, covering fabric round trips through the
 // failure-detection timeout.
-func LatencyBucketsMS() []float64 { return ExpBuckets(0.05, 2, 20) }
+func LatencyBucketsMS() []float64 {
+	b := make([]float64, 20)
+	v := 0.05
+	for i := range b {
+		b[i] = v
+		v *= 2
+	}
+	return b
+}
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {

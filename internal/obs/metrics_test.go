@@ -113,7 +113,7 @@ func TestHistogramEmpty(t *testing.T) {
 // a reader snapshots it — the race detector is the real assertion, plus
 // the final totals must add up exactly.
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(ExpBuckets(0.1, 2, 16))
+	h := NewHistogram(LatencyBucketsMS())
 	const writers = 8
 	const perWriter = 5000
 	stop := make(chan struct{})

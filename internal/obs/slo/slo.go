@@ -205,8 +205,8 @@ func (w *window) add(nowMS float64, good bool) {
 	}
 }
 
-// badFrac returns the window's bad fraction and total event count.
-func (w *window) badFrac(nowMS float64) (float64, uint64) {
+// badFrac returns the window's bad fraction, 0 when it holds no events.
+func (w *window) badFrac(nowMS float64) float64 {
 	w.rotate(nowMS)
 	var good, bad uint64
 	for _, b := range w.buckets {
@@ -215,9 +215,9 @@ func (w *window) badFrac(nowMS float64) (float64, uint64) {
 	}
 	total := good + bad
 	if total == 0 {
-		return 0, 0
+		return 0
 	}
-	return float64(bad) / float64(total), total
+	return float64(bad) / float64(total)
 }
 
 // Objective is one monitored SLO.
@@ -229,7 +229,6 @@ type Objective struct {
 	mu         sync.Mutex
 	fast, slow window
 	state      State
-	warns      uint64
 
 	pages obs.Counter // exported; transitions into page
 }
@@ -247,9 +246,7 @@ func (o *Objective) Observe(good bool) {
 	o.mu.Lock()
 	o.fast.add(now, good)
 	o.slow.add(now, good)
-	fb, _ := o.fast.badFrac(now)
-	sb, _ := o.slow.badFrac(now)
-	fastBurn, slowBurn := fb/o.target, sb/o.target
+	fastBurn, slowBurn := o.fast.badFrac(now)/o.target, o.slow.badFrac(now)/o.target
 	next := StateOK
 	switch {
 	case fastBurn >= pageBurn && slowBurn >= pageBurn:
@@ -260,9 +257,6 @@ func (o *Objective) Observe(good bool) {
 	paged := next == StatePage && o.state != StatePage
 	if paged {
 		o.pages.Inc()
-	}
-	if next == StateWarn && o.state == StateOK {
-		o.warns++
 	}
 	o.state = next
 	o.mu.Unlock()
@@ -284,9 +278,7 @@ func (o *Objective) Burn() (fast, slow float64) {
 	now := o.m.cfg.NowMS()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	fb, _ := o.fast.badFrac(now)
-	sb, _ := o.slow.badFrac(now)
-	return fb / o.target, sb / o.target
+	return o.fast.badFrac(now) / o.target, o.slow.badFrac(now) / o.target
 }
 
 // State returns the objective's current alert state.

@@ -36,9 +36,9 @@ type Limiter struct {
 	queue    []*waiter
 	closed   bool
 
-	// AIMD state. aimd=false keeps the cap fixed.
+	// AIMD state. aimd=false keeps the cap fixed; the cap never falls
+	// below 1.
 	aimd      bool
-	minLimit  int
 	maxLimit  int
 	successes int
 
@@ -79,20 +79,17 @@ func NewLimiter(maxInflight, queueDepth int, clock Clock) *Limiter {
 }
 
 // EnableAIMD turns on adaptive sizing of the concurrency cap, clamped
-// to [min, max]. The current cap is clamped into range immediately.
-func (l *Limiter) EnableAIMD(min, max int) {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
+// to [1, max]. The current cap is clamped into range immediately.
+func (l *Limiter) EnableAIMD(max int) {
+	if max < 1 {
+		max = 1
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.aimd = true
-	l.minLimit, l.maxLimit = min, max
-	if l.limit < min {
-		l.limit = min
+	l.maxLimit = max
+	if l.limit < 1 {
+		l.limit = 1
 	}
 	if l.limit > max {
 		l.limit = max
@@ -187,8 +184,8 @@ func (l *Limiter) decreaseLocked() {
 		return
 	}
 	l.limit /= 2
-	if l.limit < l.minLimit {
-		l.limit = l.minLimit
+	if l.limit < 1 {
+		l.limit = 1
 	}
 	l.successes = 0
 }

@@ -131,7 +131,7 @@ func TestLimiterCloseShedsQueueKeepsInflight(t *testing.T) {
 
 func TestLimiterAIMD(t *testing.T) {
 	l := NewLimiter(4, 0, nil)
-	l.EnableAIMD(1, 8)
+	l.EnableAIMD(8)
 
 	// Multiplicative decrease: with no queue, an overflow Acquire sheds
 	// and halves the cap.

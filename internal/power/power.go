@@ -114,17 +114,14 @@ func (mt *Meter) Attribution() (freqs, mj []float64) {
 // recorded via AddIdleMachineMS, instead of IdleWatts × horizon. An
 // autoscaled fleet uses this so machines that are scaled away stop
 // burning idle power.
-func (mt *Meter) SetDynamicIdle(on bool) { mt.dynamicIdle = on }
+func (mt *Meter) SetDynamicIdle() { mt.dynamicIdle = true }
 
-// AddIdleMachineMS records machineUnits machines idling (or serving —
-// the floor is paid either way) for durationMS. Only meaningful in
+// AddIdleMachineMS records machineUnitMS machine-unit·ms of idling (or
+// serving — the floor is paid either way). Only meaningful in
 // dynamic-idle mode; a machine unit is whatever granularity the caller
 // calibrated IdleWatts for.
-func (mt *Meter) AddIdleMachineMS(machineUnits, durationMS float64) {
-	if durationMS < 0 {
-		panic("power: negative duration")
-	}
-	mt.idleMachineMS += machineUnits * durationMS
+func (mt *Meter) AddIdleMachineMS(machineUnitMS float64) {
+	mt.idleMachineMS += machineUnitMS
 }
 
 // TotalEnergyMJ returns the package energy over a horizon of horizonMS

@@ -43,7 +43,6 @@ type Sample struct {
 
 // Dataset holds harvested samples, PerISN[isn][query].
 type Dataset struct {
-	K      int
 	PerISN [][]Sample
 }
 
@@ -55,7 +54,7 @@ type Dataset struct {
 func Harvest(shards []*index.Shard, queries []trace.Query, k int,
 	strat search.Strategy, cost cluster.CostModel) *Dataset {
 
-	ds := &Dataset{K: k, PerISN: make([][]Sample, len(shards))}
+	ds := &Dataset{PerISN: make([][]Sample, len(shards))}
 	for i := range ds.PerISN {
 		ds.PerISN[i] = make([]Sample, len(queries))
 	}
@@ -484,7 +483,6 @@ type Accuracy struct {
 	QualityZero    float64
 	LatencyWithin1 float64 // within one log bin — the paper's "accurate"
 	LatencyExact   float64
-	Samples        int
 }
 
 // Evaluate measures per-ISN accuracy of fleet on ds (use a held-out
@@ -504,12 +502,12 @@ func Evaluate(fleet *Fleet, ds *Dataset) []Accuracy {
 			lx = append(lx, append([]float64(nil), sm.LatencyVec[:]...))
 			ly = append(ly, p.LatBins.Class(sm.Cycles))
 		}
-		a := Accuracy{ISN: isn, Samples: len(qx)}
+		a := Accuracy{ISN: isn}
 		if len(qx) > 0 {
 			a.QualityExact = p.QKNet.Accuracy(qx, qy)
-			a.QualityWithin1 = p.QKNet.AccuracyWithin(qx, qy, 1)
+			a.QualityWithin1 = p.QKNet.AccuracyWithin(qx, qy)
 			a.LatencyExact = p.LatNet.Accuracy(lx, ly)
-			a.LatencyWithin1 = p.LatNet.AccuracyWithin(lx, ly, 1)
+			a.LatencyWithin1 = p.LatNet.AccuracyWithin(lx, ly)
 			zeroOK := 0
 			for i := range qx {
 				got := p.one.qk.Classify(qx[i])

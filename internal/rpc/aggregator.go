@@ -229,7 +229,6 @@ func (a *Aggregator) Stats() Stats {
 type Result struct {
 	Hits     []search.Hit
 	BudgetMS float64
-	Cut      []int
 	Elapsed  time.Duration
 	// Filing's Selected, Failed and Truncated say how each shard's leg
 	// ended; exhaustive search lists only the shards that answered as
@@ -239,9 +238,6 @@ type Result struct {
 	// the others' came out of the prediction memo. Empty when the predict
 	// round was skipped.
 	Predicted []int
-	// TraceID identifies the query's recorded trace (0 when the
-	// aggregator has no observer); look it up in /debug/traces.
-	TraceID uint64
 }
 
 // nowUS is the span clock for the live path.
@@ -346,7 +342,7 @@ func (a *Aggregator) searchHedged(l *engine.Leg, isn int, sc obs.SpanContext, te
 func (a *Aggregator) finishQuery(q *fanout, root *obs.ActiveSpan, res *Result, h engine.QueryHists, start time.Time, failed bool) {
 	res.Elapsed = time.Since(start)
 	root.End(nowUS())
-	res.TraceID = a.FinishQuery(h, q.tb, float64(res.Elapsed.Microseconds())/1000, res.BudgetMS,
+	a.FinishQuery(h, q.tb, float64(res.Elapsed.Microseconds())/1000, res.BudgetMS,
 		failed, len(res.Failed)+len(res.Truncated) > 0)
 }
 
@@ -595,7 +591,6 @@ func (a *Aggregator) SearchCottage(terms []string) (Result, error) {
 	budgetSpan.SetDecision(rec)
 	budgetSpan.End(nowUS())
 	res.BudgetMS = budget.BudgetMS
-	res.Cut = budget.Cut
 	if len(budget.Selected) > 0 {
 		// Steps 5-7: budget-bounded search on the selected shards.
 		q.selected = budget.Selected

@@ -8,6 +8,7 @@ import (
 
 	"cottage/internal/faults"
 	"cottage/internal/index"
+	"cottage/internal/obs"
 	"cottage/internal/predict"
 	"cottage/internal/search"
 )
@@ -312,6 +313,7 @@ func TestCottageFaultTolerance(t *testing.T) {
 		clients[i] = c
 	}
 	agg := NewAggregator(clients, 10)
+	agg.Obs = obs.NewObserver(len(clients), 4)
 
 	terms := func() []string {
 		for _, q := range qs {
@@ -379,7 +381,7 @@ func TestCottageFaultTolerance(t *testing.T) {
 	if !foundDead {
 		t.Fatalf("dead ISN 0 not in Failed: %v", part.Failed)
 	}
-	if len(part.Selected)+len(part.Cut) == 0 {
+	if d := newestTrace(t, agg).Find("budget").Decision; len(d.Selected)+len(d.Dropped) == 0 {
 		t.Fatal("no surviving ISN was considered")
 	}
 }

@@ -373,22 +373,23 @@ func TestQuarantineFailoverAndRepair(t *testing.T) {
 	sh1 := buildShard(t, 73) // same seed: true replicas
 	want := search.MaxScore(sh1, []string{"ga", "gb"}, 5)
 
-	mgr := integrity.NewManager(integrity.Config{ShardID: 0, Replica: 0, ScrubBytesPerSec: 1 << 20}, sh0)
-	addr0, stop0 := startIntegrityServer(t, mgr)
-	defer stop0()
 	addr1, stop1 := startServer(t, sh1, nil)
 	defer stop1()
-
-	c0, err := Dial(addr0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
 	c1, err := Dial(addr1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
+	// Replica 0 repairs from its healthy sibling over the wire.
+	mgr := integrity.NewManager(integrity.Config{ShardID: 0, Replica: 0, ScrubBytesPerSec: 1 << 20,
+		Fetch: c1.FetchShard}, sh0)
+	addr0, stop0 := startIntegrityServer(t, mgr)
+	defer stop0()
+	c0, err := Dial(addr0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
 
 	agg := NewAggregator([]*Client{c0, c1}, 5)
 	if err := agg.EnableReplicaGroups([][]int{{0, 1}}); err != nil {
@@ -445,9 +446,7 @@ func TestQuarantineFailoverAndRepair(t *testing.T) {
 
 	// Repair from the healthy sibling over the wire. The fetched bytes
 	// re-verify end-to-end before the swap.
-	if err := mgr.Repair(time.Now().UnixMilli(), func() (*index.Shard, error) {
-		return c1.FetchShard()
-	}); err != nil {
+	if err := mgr.Repair(time.Now().UnixMilli()); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	if mgr.Shard() == nil {

@@ -48,7 +48,7 @@ func TestSpanPropagation(t *testing.T) {
 	defer c.Close()
 
 	sc := obs.SpanContext{Trace: obs.NewID(), Parent: obs.NewID()}
-	_, spans, err := c.SearchSpan(sc, []string{"ga"}, 5, time.Second)
+	_, spans, err := c.searchCall(sc, []string{"ga"}, 5, time.Second, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSpanPropagation(t *testing.T) {
 	}
 
 	// Untraced requests must stay span-free end to end.
-	_, spans, err = c.SearchSpan(obs.SpanContext{}, []string{"ga"}, 5, time.Second)
+	_, spans, err = c.searchCall(obs.SpanContext{}, []string{"ga"}, 5, time.Second, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +140,7 @@ func TestObsSmoke(t *testing.T) {
 
 	var res Result
 	var terms []string
+	var resID uint64
 	found := false
 	for _, q := range qs[:20] {
 		r, err := agg.SearchCottage(q.Terms)
@@ -147,8 +148,9 @@ func TestObsSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A query asked in full: its trace has every predict leg.
-		if r.TraceID != 0 && len(r.Selected) > 0 && len(r.Hits) > 0 && len(r.Predicted) == len(clients) {
+		if len(r.Selected) > 0 && len(r.Hits) > 0 && len(r.Predicted) == len(clients) {
 			res, found, terms = r, true, q.Terms
+			resID = newestTrace(t, agg).ID
 			break
 		}
 	}
@@ -160,6 +162,7 @@ func TestObsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hitID := newestTrace(t, agg).ID
 	if len(hit.Predicted) != 0 || hit.BudgetMS != res.BudgetMS {
 		t.Fatalf("repeat asked %v and got budget %v (first time %v), want a memo hit with the same budget",
 			hit.Predicted, hit.BudgetMS, res.BudgetMS)
@@ -210,14 +213,14 @@ func TestObsSmoke(t *testing.T) {
 	var tr, hitTr *obs.Trace
 	for _, c := range traces {
 		switch c.ID {
-		case res.TraceID:
+		case resID:
 			tr = c
-		case hit.TraceID:
+		case hitID:
 			hitTr = c
 		}
 	}
 	if tr == nil || hitTr == nil {
-		t.Fatalf("traces %#x and %#x not both in /debug/traces", res.TraceID, hit.TraceID)
+		t.Fatalf("traces %#x and %#x not both in /debug/traces", resID, hitID)
 	}
 
 	// The memo hit: same phases, a predict span that says so and has no

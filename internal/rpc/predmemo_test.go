@@ -145,14 +145,29 @@ func mustCottage(tb testing.TB, agg *Aggregator, terms []string) Result {
 	return res
 }
 
+// decision is one query's Result and the shards Algorithm 1 cut, read
+// from the query's decision record.
+type decision struct {
+	Result
+	cut []int
+}
+
+// decide runs SearchCottage on agg, which needs an observer and no other
+// query in flight: the cut comes from agg's newest trace.
+func decide(tb testing.TB, agg *Aggregator, terms []string) decision {
+	tb.Helper()
+	res := mustCottage(tb, agg, terms)
+	return decision{res, newestTrace(tb, agg).Find("budget").Decision.Dropped}
+}
+
 // sameDecision compares what the memo must not change: Algorithm 1's
 // outcome always, and the hits whenever no leg missed its budget (a leg
 // timing out on a loaded box is the machine's doing, not the memo's).
-func sameDecision(got, want Result) error {
-	if !reflect.DeepEqual(got.Selected, want.Selected) || !reflect.DeepEqual(got.Cut, want.Cut) ||
+func sameDecision(got, want decision) error {
+	if !reflect.DeepEqual(got.Selected, want.Selected) || !slices.Equal(got.cut, want.cut) ||
 		math.Float64bits(got.BudgetMS) != math.Float64bits(want.BudgetMS) {
 		return fmt.Errorf("selected %v cut %v budget %v, want %v %v %v",
-			got.Selected, got.Cut, got.BudgetMS, want.Selected, want.Cut, want.BudgetMS)
+			got.Selected, got.cut, got.BudgetMS, want.Selected, want.cut, want.BudgetMS)
 	}
 	if len(got.Failed)+len(want.Failed) == 0 && !reflect.DeepEqual(got.Hits, want.Hits) {
 		return fmt.Errorf("hits %v, want %v", got.Hits, want.Hits)
@@ -185,11 +200,13 @@ func TestMemoEquivalence(t *testing.T) {
 	remembering := NewAggregator(dialFleet(t, isns), 10)
 	forgetting := NewAggregator(dialFleet(t, isns), 10)
 	shards := len(isns)
+	remembering.Obs = obs.NewObserver(shards, 1)
+	forgetting.Obs = obs.NewObserver(shards, 1)
 
-	want := make([]Result, len(qs))
+	want := make([]decision, len(qs))
 	for i, q := range qs {
 		forgetting.predMemo().reset()
-		want[i] = mustCottage(t, forgetting, q.Terms)
+		want[i] = decide(t, forgetting, q.Terms)
 		if len(want[i].Predicted) != shards {
 			t.Fatalf("query %d: a forgotten memo asked %v, want all %d shards", i, want[i].Predicted, shards)
 		}
@@ -199,7 +216,7 @@ func TestMemoEquivalence(t *testing.T) {
 	}
 
 	for i, q := range qs {
-		if err := sameDecision(mustCottage(t, remembering, q.Terms), want[i]); err != nil {
+		if err := sameDecision(decide(t, remembering, q.Terms), want[i]); err != nil {
 			t.Fatalf("first pass, query %d %v: %v", i, q.Terms, err)
 		}
 	}
@@ -216,12 +233,12 @@ func TestMemoEquivalence(t *testing.T) {
 	for i, q := range qs {
 		rev := slices.Clone(q.Terms)
 		slices.Reverse(rev)
-		res := mustCottage(t, remembering, rev)
+		res := decide(t, remembering, rev)
 		if len(res.Predicted) != 0 {
 			t.Fatalf("second pass, query %d %v: asked %v, want a full hit", i, rev, res.Predicted)
 		}
 		forgetting.predMemo().reset()
-		if err := sameDecision(res, mustCottage(t, forgetting, rev)); err != nil {
+		if err := sameDecision(res, decide(t, forgetting, rev)); err != nil {
 			t.Fatalf("second pass, query %d %v: %v", i, rev, err)
 		}
 		res.Hits = want[i].Hits
@@ -230,6 +247,8 @@ func TestMemoEquivalence(t *testing.T) {
 		}
 	}
 
+	// Concurrent queries cannot tell their traces apart, so this pass
+	// checks the Result only; the passes above pinned every query's cut.
 	nproc := max(2, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for w := 0; w < nproc; w++ {
@@ -240,7 +259,7 @@ func TestMemoEquivalence(t *testing.T) {
 				i := (n + w*7) % len(qs)
 				res, err := remembering.SearchCottage(qs[i].Terms)
 				if err == nil {
-					err = sameDecision(res, want[i])
+					err = sameDecision(decision{res, want[i].cut}, want[i])
 				}
 				if err != nil {
 					t.Errorf("client %d, query %d: %v", w, i, err)
@@ -267,6 +286,7 @@ func TestMemoReasksRestartedShard(t *testing.T) {
 		c.SetRetryPolicy(RetryPolicy{Max: 3})
 	}
 	agg := NewAggregator(clients, 10)
+	agg.Obs = obs.NewObserver(len(isns), 1)
 	terms := selectingQuery(t, agg, qs, 2)
 
 	if res := mustCottage(t, agg, terms); len(res.Predicted) != len(isns) {
@@ -300,14 +320,15 @@ func TestMemoReasksRestartedShard(t *testing.T) {
 	if st := agg.Stats(); st.MemoPartial != 1 {
 		t.Fatalf("stats %+v, want one partial hit", st)
 	}
-	again := mustCottage(t, agg, terms)
+	again := decide(t, agg, terms)
 	if len(again.Predicted) != 0 {
 		t.Fatalf("the new process's answer was not remembered: asked %v", again.Predicted)
 	}
 	// What is remembered for shard 2 is the new process's answer: a fresh
 	// aggregator over the same fleet decides the same.
 	fresh := NewAggregator(dialFleet(t, append(slices.Clone(isns[:2]), swapped, isns[3])), 10)
-	if err := sameDecision(again, mustCottage(t, fresh, terms)); err != nil {
+	fresh.Obs = obs.NewObserver(len(isns), 1)
+	if err := sameDecision(again, decide(t, fresh, terms)); err != nil {
 		t.Fatalf("memo after restart vs fresh aggregator: %v", err)
 	}
 }
@@ -346,6 +367,7 @@ func TestMemoBypassedForUnhealthyReplica(t *testing.T) {
 			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
 				isns, qs := memoFleet(t, nil)
 				agg := NewAggregator(dialFleet(t, isns), 10)
+				agg.Obs = obs.NewObserver(len(isns), 1)
 				agg.EnableBreakers(1, time.Hour)
 				agg.Degraded = mode
 				terms := selectingQuery(t, agg, qs, sick)
@@ -355,7 +377,7 @@ func TestMemoBypassedForUnhealthyReplica(t *testing.T) {
 				}
 
 				tc.sicken(t, agg, isns[sick])
-				got := mustCottage(t, agg, terms)
+				got := decide(t, agg, terms)
 				if !reflect.DeepEqual(got.Predicted, []int{sick}) {
 					t.Fatalf("asked %v, want only the sick shard [%d]", got.Predicted, sick)
 				}
@@ -363,7 +385,7 @@ func TestMemoBypassedForUnhealthyReplica(t *testing.T) {
 					t.Fatalf("sick shard not in Failed %v: its prediction was not treated as missing", got.Failed)
 				}
 				agg.predMemo().reset()
-				want := mustCottage(t, agg, terms)
+				want := decide(t, agg, terms)
 				if !reflect.DeepEqual(got.Failed, want.Failed) {
 					t.Fatalf("failed %v, want %v", got.Failed, want.Failed)
 				}
@@ -388,21 +410,27 @@ func TestMemoBypassedForUnhealthyReplica(t *testing.T) {
 	}
 }
 
-// backlogMS reads from a query's trace the Eq. 2 backlog Algorithm 1 was
-// given for shard s.
-func backlogMS(tb testing.TB, agg *Aggregator, res Result, s int) float64 {
+// newestTrace returns the trace of the last query agg finished.
+func newestTrace(tb testing.TB, agg *Aggregator) *obs.Trace {
 	tb.Helper()
-	for _, tr := range agg.Obs.Traces.Recent(0) {
-		if tr.ID != res.TraceID {
-			continue
-		}
-		for _, r := range tr.Find("budget").Decision.Reports {
-			if r.ISN == s {
-				return r.PredLatencyMS - r.PredServiceMS
-			}
+	trs := agg.Obs.Traces.Recent(1)
+	if len(trs) == 0 {
+		tb.Fatal("no trace recorded")
+	}
+	return trs[0]
+}
+
+// backlogMS reads from the last query's trace the Eq. 2 backlog
+// Algorithm 1 was given for shard s.
+func backlogMS(tb testing.TB, agg *Aggregator, s int) float64 {
+	tb.Helper()
+	tr := newestTrace(tb, agg)
+	for _, r := range tr.Find("budget").Decision.Reports {
+		if r.ISN == s {
+			return r.PredLatencyMS - r.PredServiceMS
 		}
 	}
-	tb.Fatalf("no report for shard %d in trace %#x", s, res.TraceID)
+	tb.Fatalf("no report for shard %d in trace %#x", s, tr.ID)
 	return 0
 }
 
@@ -426,8 +454,8 @@ func TestMemoKeepsEq2Live(t *testing.T) {
 
 	mustCottage(t, agg, terms)
 	res := mustCottage(t, agg, terms)
-	if len(res.Predicted) != 0 || backlogMS(t, agg, res, busy) != 0 {
-		t.Fatalf("idle repeat: asked %v, backlog %v; want a hit with none", res.Predicted, backlogMS(t, agg, res, busy))
+	if len(res.Predicted) != 0 || backlogMS(t, agg, busy) != 0 {
+		t.Fatalf("idle repeat: asked %v, backlog %v; want a hit with none", res.Predicted, backlogMS(t, agg, busy))
 	}
 
 	// Two requests take slots at the ISN. The aggregator cannot know
@@ -450,7 +478,7 @@ func TestMemoKeepsEq2Live(t *testing.T) {
 	if !reflect.DeepEqual(res.Predicted, []int{busy}) {
 		t.Fatalf("asked %v, want the queued ISN [%d] only", res.Predicted, busy)
 	}
-	if b := backlogMS(t, agg, res, busy); b <= 0 {
+	if b := backlogMS(t, agg, busy); b <= 0 {
 		t.Fatalf("queued ISN asked live got backlog %v, want 2 x its service time", b)
 	}
 
@@ -467,7 +495,7 @@ func TestMemoKeepsEq2Live(t *testing.T) {
 	if len(res.Predicted) != 0 {
 		t.Fatalf("ISN reported %+v yet was asked again: %v", load, res.Predicted)
 	}
-	if got, want := backlogMS(t, agg, res, busy), core.QueueBacklogMS(load.Depth, float64(load.AvgServiceUS)/1000); got != want {
+	if got, want := backlogMS(t, agg, busy), core.QueueBacklogMS(load.Depth, float64(load.AvgServiceUS)/1000); got != want {
 		t.Fatalf("hit applied backlog %v, its last reply carried %v (%+v)", got, want, load)
 	}
 }
@@ -555,8 +583,8 @@ func TestEveryExitIsObserved(t *testing.T) {
 	empty, deadCottage, deadExhaustive := newAgg(), newAgg(), newAgg()
 
 	res := mustCottage(t, empty, []string{"no-shard-has-this-term"})
-	if len(res.Selected) != 0 || res.TraceID == 0 {
-		t.Fatalf("unmatched query: selected %v, trace %#x", res.Selected, res.TraceID)
+	if len(res.Selected) != 0 || empty.Obs.Traces.Total() != 1 {
+		t.Fatalf("unmatched query: selected %v, %d traces", res.Selected, empty.Obs.Traces.Total())
 	}
 	if n := latencies(empty, "cottage"); n != 1 {
 		t.Fatalf("no-ISN-selected exit: %d latency observations, want 1", n)

@@ -151,20 +151,13 @@ func TestReplicaGroupPredictFailover(t *testing.T) {
 		t.Fatalf("prediction served past a dead replica without a failover: %+v", st)
 	}
 	want := agg.replicaRow(0, ranked[1])
-	for _, tr := range agg.Obs.Traces.Recent(0) {
-		if tr.ID != res.TraceID {
-			continue
-		}
-		r := tr.Find("budget").Decision.Report(0)
-		if r == nil {
-			t.Fatal("no report for shard 0 in the decision record")
-		}
-		if r.Replica != want {
-			t.Fatalf("shard 0 predicted by replica row %d, want the sibling's row %d", r.Replica, want)
-		}
-		return
+	r := newestTrace(t, agg).Find("budget").Decision.Report(0)
+	if r == nil {
+		t.Fatal("no report for shard 0 in the decision record")
 	}
-	t.Fatalf("no trace %#x", res.TraceID)
+	if r.Replica != want {
+		t.Fatalf("shard 0 predicted by replica row %d, want the sibling's row %d", r.Replica, want)
+	}
 }
 
 // TestProbeKeepsBreakerIdentity pins the prober/breaker interplay for

@@ -915,17 +915,14 @@ func (c *Client) PingStatus() (quarantined bool, err error) {
 
 // Search evaluates a query on the remote shard.
 func (c *Client) Search(terms []string, k int, deadline time.Duration) (search.Result, error) {
-	r, _, err := c.SearchSpan(obs.SpanContext{}, terms, k, deadline)
+	r, _, err := c.searchCall(obs.SpanContext{}, terms, k, deadline, false)
 	return r, err
 }
 
-// SearchSpan is Search with trace propagation: sc's IDs ride on the
-// request, and the server's spans (if it recorded any) come back for
-// grafting into the caller's trace. A zero sc disables both.
-func (c *Client) SearchSpan(sc obs.SpanContext, terms []string, k int, deadline time.Duration) (search.Result, []obs.Span, error) {
-	return c.searchCall(sc, terms, k, deadline, false)
-}
-
+// searchCall is Search with trace propagation and the anytime flag: sc's
+// IDs ride on the request, and the server's spans (if it recorded any)
+// come back for grafting into the caller's trace. A zero sc disables
+// both.
 func (c *Client) searchCall(sc obs.SpanContext, terms []string, k int, deadline time.Duration, anytime bool) (search.Result, []obs.Span, error) {
 	var resp Response
 	err := c.call(&Request{
@@ -986,7 +983,7 @@ func (c *Client) FetchShard() (*index.Shard, error) {
 }
 
 // PredictLoadSpan is PredictLoad with trace propagation (see
-// SearchSpan).
+// searchCall).
 func (c *Client) PredictLoadSpan(sc obs.SpanContext, terms []string) (predict.Prediction, QueueInfo, []obs.Span, error) {
 	var resp Response
 	err := c.call(&Request{Kind: KindPredict, Terms: terms, Trace: sc.Trace, Span: sc.Parent}, &resp)

@@ -7,6 +7,7 @@ import (
 
 	"cottage/internal/cluster"
 	"cottage/internal/index"
+	"cottage/internal/obs"
 	"cottage/internal/predict"
 	"cottage/internal/search"
 	"cottage/internal/textgen"
@@ -178,6 +179,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 		clients[i] = c
 	}
 	agg := NewAggregator(clients, 10)
+	agg.Obs = obs.NewObserver(len(clients), 4)
 
 	overlapSum, n := 0.0, 0
 	for _, q := range qs[:40] {
@@ -195,8 +197,8 @@ func TestAggregatorEndToEnd(t *testing.T) {
 		want := search.DocSet(exh.Hits)
 		overlapSum += float64(search.Overlap(cot.Hits, want)) / float64(len(exh.Hits))
 		n++
-		if len(cot.Selected)+len(cot.Cut) > len(shards) {
-			t.Fatalf("selected+cut exceeds cluster: %v %v", cot.Selected, cot.Cut)
+		if d := newestTrace(t, agg).Find("budget").Decision; len(d.Selected)+len(d.Dropped) > len(shards) {
+			t.Fatalf("selected+cut exceeds cluster: %v %v", d.Selected, d.Dropped)
 		}
 		if cot.Elapsed <= 0 {
 			t.Fatal("no elapsed time measured")

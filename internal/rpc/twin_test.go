@@ -38,10 +38,7 @@ func TestLiveMatchesTwinDecision(t *testing.T) {
 	compared := 0
 	for _, q := range qs {
 		res := mustCottage(t, agg, q.Terms)
-		tr := agg.Obs.Traces.Recent(1)[0]
-		if tr.ID != res.TraceID {
-			t.Fatalf("query %v: newest trace %#x, result's %#x", q.Terms, tr.ID, res.TraceID)
-		}
+		tr := newestTrace(t, agg)
 		live := tr.Find("budget").Decision
 		d := pol.Decide(eng, q, 0)
 		if !reflect.DeepEqual(live, d.Record) {

@@ -18,12 +18,3 @@ func ExampleFitGamma() {
 	// Output:
 	// mean 3.2, P(X > 6) = 0.112
 }
-
-// ExampleSummarize computes the descriptive summary that feeds the
-// Table I quality features.
-func ExampleSummarize() {
-	s := stats.Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	fmt.Printf("mean %.1f median %.1f max %.0f\n", s.Mean, s.Median, s.Max)
-	// Output:
-	// mean 5.0 median 4.5 max 9
-}

@@ -121,47 +121,6 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Summary bundles the moments and quantiles of one sample. It is the raw
-// material for both predictor feature vectors and evaluation tables.
-type Summary struct {
-	N             int
-	Mean          float64
-	Variance      float64
-	GeometricMean float64
-	HarmonicMean  float64
-	Min           float64
-	Q1            float64 // 25th percentile
-	Median        float64
-	Q3            float64 // 75th percentile
-	P95           float64
-	P99           float64
-	Max           float64
-}
-
-// Summarize computes a Summary of xs in one pass over a sorted copy.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	return Summary{
-		N:             len(c),
-		Mean:          Mean(c),
-		Variance:      Variance(c),
-		GeometricMean: GeometricMean(c),
-		HarmonicMean:  HarmonicMean(c),
-		Min:           c[0],
-		Q1:            PercentileSorted(c, 25),
-		Median:        PercentileSorted(c, 50),
-		Q3:            PercentileSorted(c, 75),
-		P95:           PercentileSorted(c, 95),
-		P99:           PercentileSorted(c, 99),
-		Max:           c[len(c)-1],
-	}
-}
-
 // Histogram is a fixed-width binning of a sample, as plotted in Fig. 2(a)
 // and Fig. 6 of the paper.
 type Histogram struct {
@@ -214,22 +173,26 @@ func (h *Histogram) Fraction(i int) float64 {
 	return float64(h.Counts[i]) / float64(t)
 }
 
-// BootstrapCI estimates a confidence interval for the mean of xs by
-// percentile bootstrap: resamples samples of len(xs) with replacement,
-// each contributing one mean; the interval spans the (1-level)/2 and
-// (1+level)/2 percentiles of those means. Deterministic given seed.
+// BootstrapCI estimates a 95 % confidence interval for the mean of xs
+// by percentile bootstrap: 200 resamples of len(xs) with replacement,
+// each contributing one mean; the interval spans the 2.5th and 97.5th
+// percentiles of those means. Deterministic: the seed is fixed at 42.
 // Returns (lo, hi); degenerate inputs return the point mean twice.
-func BootstrapCI(xs []float64, resamples int, level float64, seed uint64) (lo, hi float64) {
+func BootstrapCI(xs []float64) (lo, hi float64) {
+	const resamples, seed = 200, 42
+	// A variable, not a constant: (1-level)/2 and the percentiles below
+	// are float64 arithmetic, which constant folding would round differently.
+	level := 0.95
 	if len(xs) == 0 {
 		return 0, 0
 	}
 	m := Mean(xs)
-	if len(xs) == 1 || resamples <= 1 || level <= 0 || level >= 1 {
+	if len(xs) == 1 {
 		return m, m
 	}
 	// A local SplitMix64 keeps this package free of the xrand dependency
 	// (xrand already depends on nothing; stats stays a leaf too).
-	state := seed
+	state := uint64(seed)
 	next := func() uint64 {
 		state += 0x9e3779b97f4a7c15
 		z := state
