@@ -102,15 +102,15 @@ func DetermineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOpti
 }
 
 // budgetBuf is storage Algorithm 1 fills instead of allocating: the
-// stage-1 survivors, and the Cut and Selected lists the BudgetResult
-// returns in it. A zero budgetBuf gives fresh slices each call. The twin
-// keeps one per engine, with its reports, in the engine's
-// DecisionBuffers (see decisionBufs), so a result there is valid until
-// the engine's next Decide.
+// stage-1 survivors, as indices into the reports, and the Cut and
+// Selected lists the BudgetResult returns in it. A zero budgetBuf gives
+// fresh slices each call. The twin keeps one per engine, with its
+// reports, in the engine's DecisionBuffers (see decisionBufs), so a
+// result there is valid until the engine's next Decide.
 type budgetBuf struct {
-	reports, cands []ISNReport
-	cut            []int
-	selected       []Assignment
+	reports    []ISNReport
+	cands, cut []int
+	selected   []Assignment
 }
 
 // decisionBufs returns e's decision storage and core's buffers kept in it.
@@ -126,7 +126,7 @@ func decisionBufs(e *engine.Engine) (*engine.DecisionBuffers, *budgetBuf) {
 
 func determineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOptions, buf *budgetBuf) BudgetResult {
 	if cap(buf.cands) < len(reports) {
-		buf.cands = make([]ISNReport, 0, len(reports))
+		buf.cands = make([]int, 0, len(reports))
 		buf.cut = make([]int, 0, len(reports))
 		buf.selected = make([]Assignment, 0, len(reports))
 	}
@@ -134,39 +134,39 @@ func determineBudget(reports []ISNReport, ladder cluster.Ladder, opts BudgetOpti
 	// predicted top-K contribution.
 	res := BudgetResult{Cut: buf.cut[:0], Selected: buf.selected[:0]}
 	cands := buf.cands[:0]
-	for _, r := range reports {
-		if !r.HasK {
-			res.Cut = append(res.Cut, r.ISN)
+	for i := range reports {
+		if !reports[i].HasK {
+			res.Cut = append(res.Cut, reports[i].ISN)
 			continue
 		}
-		cands = append(cands, r)
+		cands = append(cands, i)
 	}
 	// These are the orders sort.Slice and sort.SliceStable gave with
 	// less = "a's key > b's": each comparator is negative exactly when
 	// that less is true, and the slices sorts come from the same
 	// templates, so every input permutes the same way, ties and NaN
 	// included (TestDetermineBudgetMatchesReflectSorts). Which tied
-	// candidate comes first decides the budget ISN.
-	slices.SortFunc(cands, func(a, b ISNReport) int { return descending(a.ExpQK, b.ExpQK) })
-	slices.SortStableFunc(cands, func(a, b ISNReport) int { return descending(a.LBoosted, b.LBoosted) })
+	// candidate comes first decides the budget ISN. The sorts permute
+	// indices, not the reports themselves.
+	slices.SortFunc(cands, func(a, b int) int { return descending(reports[a].ExpQK, reports[b].ExpQK) })
+	slices.SortStableFunc(cands, func(a, b int) int { return descending(reports[a].LBoosted, reports[b].LBoosted) })
 	if len(cands) == 0 {
 		res.BudgetMS = math.Inf(1)
 		res.BudgetISN = -1
 		return res
 	}
 	// Stage 2: descending boosted latency; budget = first K/2 contributor.
-	T := cands[0].LBoosted
-	res.BudgetISN = cands[0].ISN
+	top := &reports[cands[0]]
 	if !opts.StrictTopK {
-		for _, c := range cands {
-			if c.HasK2 {
-				T = c.LBoosted
-				res.BudgetISN = c.ISN
+		for _, i := range cands {
+			if reports[i].HasK2 {
+				top = &reports[i]
 				break
 			}
 		}
 	}
-	assignFrequencies(&res, cands, T, ladder, opts)
+	res.BudgetISN = top.ISN
+	assignFrequencies(&res, reports, cands, top.LBoosted, ladder, opts)
 	return res
 }
 
@@ -184,12 +184,14 @@ func descending(a, b float64) int {
 }
 
 // assignFrequencies is Algorithm 1's assignment stage for a chosen
-// budget T: cut candidates that cannot meet T even boosted, and give the
-// rest the smallest ladder frequency that does.
-func assignFrequencies(res *BudgetResult, cands []ISNReport, T float64, ladder cluster.Ladder, opts BudgetOptions) {
+// budget T: cut the candidates (indices into reports) that cannot meet T
+// even boosted, and give the rest the smallest ladder frequency that
+// does.
+func assignFrequencies(res *BudgetResult, reports []ISNReport, cands []int, T float64, ladder cluster.Ladder, opts BudgetOptions) {
 	res.BudgetMS = T
 	const eps = 1e-9
-	for _, c := range cands {
+	for _, i := range cands {
+		c := &reports[i]
 		if c.LBoosted > T+eps {
 			// Cannot meet the budget even at max frequency: sacrificed
 			// bottom-K/2 quality for response time (Fig. 9's ISN-7).

@@ -436,13 +436,15 @@ func (e *Engine) Run(p Policy, evs []*Evaluated) RunResult {
 // Predictions returns every ISN's prediction for q (steps 2–3 of the
 // protocol), for policies that predict. Inside Run, the first call
 // predicts the whole replayed trace at once with Fleet.PredictTrace,
-// which keeps one ISN's weights in cache across all of its queries, and
-// every later call for the query being replayed reads its row. The fill
-// is lazy, so a policy that never asks never pays, and the table is
-// dropped when Run returns, so every replay still does all of its own
-// inference. Any other call — outside Run, or for a query that is not the
-// one being replayed — runs Fleet.PredictAll. Both give the same bits.
-// Callers must not modify the returned slice.
+// which runs each distinct query of the trace once and keeps one ISN's
+// weights in cache across all of its queries, and every later call for
+// the query being replayed reads its row. The fill is lazy, so a policy
+// that never asks never pays, and the table is dropped when Run returns:
+// each distinct query is predicted once per replay, and nothing is kept
+// across Run. Any other call — outside Run, or for a query that is not
+// the one being replayed — runs Fleet.PredictAll. Both give the same
+// bits. Callers must not modify the returned slice, which repeated
+// queries share.
 func (e *Engine) Predictions(q trace.Query) []predict.Prediction {
 	r := &e.run
 	if r.at < len(r.evs) && r.evs[r.at].Query.ID == q.ID && slices.Equal(r.evs[r.at].Query.Terms, q.Terms) {

@@ -81,18 +81,39 @@ func Latency(s *index.Shard, terms []string) (vec [LatencyDim]float64, ok bool) 
 
 // Extract writes both predictors' feature vectors for the query terms on
 // shard s into q and l (overwriting them), with a single term-dictionary
-// lookup per query term, and reports whether any term matched. Each
-// feature is the MAX over the matched terms, taken in place: a statistic
-// replaces the running value only when it is greater, so a NaN never
-// replaces a value and −0 never replaces the +0 start. The serving path
-// (predict.ISNPredictor.Predict) writes straight into its networks' input
-// rows.
+// lookup per query term, and reports whether any term matched: Resolve,
+// then Aggregate.
 func Extract(s *index.Shard, terms []string, q *[QualityDim]float64, l *[LatencyDim]float64) (ok bool) {
+	var buf [8]*index.TermInfo
+	return Aggregate(Resolve(s, terms, buf[:0]), q, l)
+}
+
+// Resolve appends to dst the dictionary entry of each of terms on shard
+// s, nil where the shard lacks the term, and returns the extended slice.
+func Resolve(s *index.Shard, terms []string, dst []*index.TermInfo) []*index.TermInfo {
+	for _, t := range terms {
+		ti, _ := s.Lookup(t)
+		dst = append(dst, ti)
+	}
+	return dst
+}
+
+// Aggregate writes both feature vectors of a query into q and l
+// (overwriting them) from its resolved terms, one entry per query term
+// with nil for a term the shard lacks, and reports whether any term
+// matched. Each feature is the MAX over the matched terms, taken in
+// place: a statistic replaces the running value only when it is greater,
+// so a NaN never replaces a value and −0 never replaces the +0 start,
+// and the result does not depend on the order of infos. The query
+// length is len(infos), misses and repeats included. The serving path
+// (predict.ISNPredictor.Predict) and the trace path
+// (predict.Fleet.PredictTrace) write straight into their networks' input
+// rows.
+func Aggregate(infos []*index.TermInfo, q *[QualityDim]float64, l *[LatencyDim]float64) (ok bool) {
 	*q = [QualityDim]float64{}
 	*l = [LatencyDim]float64{}
-	for _, t := range terms {
-		ti, found := s.Lookup(t)
-		if !found {
+	for _, ti := range infos {
+		if ti == nil {
 			continue
 		}
 		ok = true
@@ -121,7 +142,7 @@ func Extract(s *index.Shard, terms []string, q *[QualityDim]float64, l *[Latency
 	// The rest of Table II is the MAX of the same statistics over the
 	// same terms, so it equals the Table I slot bit for bit.
 	l[0], l[1], l[4] = q[9], q[10], q[13]
-	l[5] = float64(len(terms)) // query length is the term count, not MAXed
+	l[5] = float64(len(infos)) // query length is the term count, not MAXed
 	l[6], l[7] = q[12], q[11]
 	l[8], l[9], l[10], l[11] = q[1], q[3], q[4], q[7]
 	l[13], l[14] = q[8], q[14]

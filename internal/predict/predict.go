@@ -21,6 +21,8 @@ package predict
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"cottage/internal/cluster"
 	"cottage/internal/features"
@@ -196,6 +198,8 @@ type ISNPredictor struct {
 	// layer, and query-major prediction ran slower than on a one-row
 	// set in 16 of 20 paired runs.
 	one, block scratch
+	// infos is Predict's resolved-term row.
+	infos []*index.TermInfo
 }
 
 // blockRows is how many queries an ISN's predictor runs through each
@@ -255,27 +259,28 @@ type Prediction struct {
 // Predict runs both predictors for one query on this ISN's shard: the
 // one-query case of the block path PredictTrace runs.
 func (p *ISNPredictor) Predict(s *index.Shard, terms []string) Prediction {
+	p.infos = features.Resolve(s, terms, p.infos[:0])
 	var out [1]Prediction
-	p.predictBlock(s, [][]string{terms}, out[:], 1)
+	p.predictBlock([][]*index.TermInfo{p.infos}, out[:], 1)
 	return out[0]
 }
 
-// predictBlock writes the prediction for query i of terms (at most
-// blockRows of them) to out[i*stride]. Both feature vectors of a query
-// come from one pass over the term dictionary, written straight into the
-// networks' input rows; then each network runs over the whole block of
-// matched queries, one after the other. The latency class is the argmax
-// of the logits: it skips the softmax.
-func (p *ISNPredictor) predictBlock(s *index.Shard, terms [][]string, out []Prediction, stride int) {
+// predictBlock writes the prediction for query i of rows (at most
+// blockRows of them) to out[i*stride]. A row is a query's resolved terms
+// (features.Aggregate's input); both feature vectors of a query are
+// written straight into the networks' input rows, then each network runs
+// over the whole block of matched queries, one after the other. The
+// latency class is the argmax of the logits: it skips the softmax.
+func (p *ISNPredictor) predictBlock(rows [][]*index.TermInfo, out []Prediction, stride int) {
 	sc := &p.block
-	if len(terms) == 1 {
+	if len(rows) == 1 {
 		sc = &p.one
 	}
 	qk, qk2, lat := sc.qk, sc.qk2, sc.lat
 	m := 0
-	for i, t := range terms {
+	for i, row := range rows {
 		qv := (*[features.QualityDim]float64)(qk.Input(m))
-		if !features.Extract(s, t, qv, (*[features.LatencyDim]float64)(lat.Input(m))) {
+		if !features.Aggregate(row, qv, (*[features.LatencyDim]float64)(lat.Input(m))) {
 			// No query term exists on this shard: zero contribution, and
 			// the only work is the dictionary miss.
 			out[i*stride] = Prediction{Matched: false, PZeroK: 1, PZeroK2: 1}
@@ -318,52 +323,160 @@ func argmax(xs []float64) int {
 	return best
 }
 
-// Fleet is the set of per-ISN predictors for a whole cluster.
+// Fleet is the set of per-ISN predictors for a whole cluster. Two
+// concurrent calls on the same Fleet are not allowed (the per-ISN
+// inference scratch and PredictTrace's interning storage are
+// single-threaded), matching the aggregator, which issues one prediction
+// round at a time per fleet.
 type Fleet struct {
 	K          int
 	Predictors []*ISNPredictor
+
+	trace traceScratch
 }
 
-// PredictAll runs every ISN's predictors for a query: the one-query case
-// of PredictTrace.
+// PredictAll runs every ISN's predictors for a query, one worker per ISN
+// — in production each ISN predicts on its own node concurrently. Every
+// ISN owns its predictor scratch and out is index-addressed, so the
+// fan-out is race-free and deterministic.
 func (f *Fleet) PredictAll(shards []*index.Shard, terms []string) []Prediction {
 	out := make([]Prediction, len(shards))
-	f.predict(out, shards, [][]string{terms})
+	par.For(len(shards), func(isn int) {
+		out[isn] = f.Predictors[isn].Predict(shards[isn], terms)
+	})
 	return out
 }
 
-// PredictTrace runs every ISN's predictors for every query of a trace and
-// returns one row per query, each what PredictAll returns for it. The
-// work is ISN-major and, within an ISN, net-major: each worker takes one
-// ISN and walks the trace in blocks of blockRows queries, running each of
-// the ISN's three networks over the whole block before the next, so a
-// layer's weights are read once per block instead of once per query.
+// PredictTrace runs every ISN's predictors for each distinct query of a
+// trace once and returns one row per query, each bit-equal to what
+// PredictAll returns for it. Queries are distinct when their term
+// multisets differ: "b a" is "a b", but "a a b" is not "a b", because
+// the query-length feature counts repeats. This is the key the
+// aggregator's prediction memo uses (DESIGN.md §19).
+// The rows of queries that are not distinct alias one another; callers
+// must not modify a row. Nothing is kept across calls but storage.
+//
+// The trace's terms are interned first, so each ISN looks each distinct
+// term up in its dictionary once per call. The work is then ISN-major
+// and, within an ISN, net-major: each worker takes one ISN and walks the
+// distinct queries in blocks of blockRows, running each of the ISN's
+// three networks over the whole block before the next, so a layer's
+// weights are read once per block instead of once per query.
 func (f *Fleet) PredictTrace(shards []*index.Shard, terms [][]string) [][]Prediction {
+	t := &f.trace
+	t.intern(terms)
 	n := len(shards)
-	flat := make([]Prediction, len(terms)*n)
-	f.predict(flat, shards, terms)
+	if len(t.isn) < n {
+		t.isn = make([]isnRows, n)
+	}
+	flat := make([]Prediction, len(t.first)*n)
+	par.For(n, func(isn int) {
+		p, r := f.Predictors[isn], &t.isn[isn]
+		r.terms = features.Resolve(shards[isn], t.terms, r.terms[:0])
+		for b := 0; b < len(t.first); b += blockRows {
+			p.predictBlock(r.gather(t, t.first[b:min(b+blockRows, len(t.first))]), flat[b*n+isn:], n)
+		}
+	})
 	rows := make([][]Prediction, len(terms))
-	for q := range rows {
-		rows[q] = flat[q*n : (q+1)*n : (q+1)*n]
+	for q, d := range t.class {
+		lo, hi := int(d)*n, int(d+1)*n
+		rows[q] = flat[lo:hi:hi]
 	}
 	return rows
 }
 
-// predict fills out[q*len(shards)+isn] with ISN isn's prediction for
-// query q, one worker per ISN — in production each ISN predicts on its
-// own node concurrently. Every ISN owns its predictor scratch and out is
-// index-addressed, so the fan-out is race-free and deterministic. Two
-// concurrent calls on the same Fleet are not allowed (the per-ISN
-// inference scratch is single-threaded), matching the aggregator, which
-// issues one prediction round at a time per fleet.
-func (f *Fleet) predict(out []Prediction, shards []*index.Shard, terms [][]string) {
-	n := len(shards)
-	par.For(n, func(isn int) {
-		p, sh := f.Predictors[isn], shards[isn]
-		for q := 0; q < len(terms); q += blockRows {
-			p.predictBlock(sh, terms[q:min(q+blockRows, len(terms))], out[q*n+isn:], n)
+// traceScratch is what PredictTrace interns a trace into. It lives on the
+// Fleet so that a warm replay allocates nothing per query.
+type traceScratch struct {
+	termID map[string]int32 // term → ID, dense from 0 in order of first use
+	terms  []string         // ID → term
+	// ids holds every query's term IDs, each query's sorted, back to
+	// back: query q's are ids[ends[q]:ends[q+1]], its key.
+	ids, ends []int32
+	// slots is an open-addressed set of the keys seen: 1 + an index into
+	// first, or 0 when empty. A Go map would need a string per distinct
+	// key, an allocation for most queries of a replay.
+	slots []int32
+	first []int32 // each distinct query's first occurrence, in trace order
+	class []int32 // query → the index of its distinct query in first
+	isn   []isnRows
+}
+
+// isnRows is one ISN's resolved terms for a PredictTrace call.
+type isnRows struct {
+	terms []*index.TermInfo   // term ID → dictionary entry, nil on a miss
+	infos []*index.TermInfo   // a block's rows, back to back
+	rows  [][]*index.TermInfo // the block's rows, views into infos
+}
+
+// key returns query q's sorted term IDs.
+func (t *traceScratch) key(q int32) []int32 { return t.ids[t.ends[q]:t.ends[q+1]] }
+
+// intern numbers the terms of a trace and groups its queries by key.
+func (t *traceScratch) intern(terms [][]string) {
+	if t.termID == nil {
+		t.termID = make(map[string]int32)
+	}
+	clear(t.termID)
+	t.terms, t.ids, t.ends = t.terms[:0], t.ids[:0], append(t.ends[:0], 0)
+	for _, q := range terms {
+		start := len(t.ids)
+		for _, term := range q {
+			id, ok := t.termID[term]
+			if !ok {
+				id = int32(len(t.terms))
+				t.termID[term] = id
+				t.terms = append(t.terms, term)
+			}
+			t.ids = append(t.ids, id)
 		}
-	})
+		slices.Sort(t.ids[start:])
+		t.ends = append(t.ends, int32(len(t.ids)))
+	}
+
+	// At most half full, so linear probing stays short.
+	lg := bits.Len(uint(2 * len(terms)))
+	t.slots = slices.Grow(t.slots[:0], 1<<lg)[:1<<lg]
+	clear(t.slots)
+	mask := uint64(len(t.slots) - 1)
+	t.first, t.class = t.first[:0], t.class[:0]
+	for q := range int32(len(terms)) {
+		key := t.key(q)
+		var h uint64
+		for _, id := range key {
+			h = (h + uint64(id) + 1) * 0x9e3779b97f4a7c15
+		}
+		for i := h >> (64 - lg); ; i = (i + 1) & mask {
+			d := t.slots[i] - 1
+			if d < 0 {
+				d = int32(len(t.first))
+				t.slots[i] = d + 1
+				t.first = append(t.first, q)
+			} else if !slices.Equal(key, t.key(t.first[d])) {
+				continue
+			}
+			t.class = append(t.class, d)
+			break
+		}
+	}
+}
+
+// gather resolves the queries qs (a block of distinct queries) through
+// r.terms into rows predictBlock takes.
+func (r *isnRows) gather(t *traceScratch, qs []int32) [][]*index.TermInfo {
+	total := 0
+	for _, q := range qs {
+		total += len(t.key(q))
+	}
+	r.infos, r.rows = slices.Grow(r.infos[:0], total), r.rows[:0]
+	for _, q := range qs {
+		start := len(r.infos)
+		for _, id := range t.key(q) {
+			r.infos = append(r.infos, r.terms[id])
+		}
+		r.rows = append(r.rows, r.infos[start:])
+	}
+	return r.rows
 }
 
 // Train fits per-ISN models from a harvested dataset. Returns an error if

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -115,15 +116,149 @@ func BenchmarkPredictAll(b *testing.B) {
 }
 
 // BenchmarkPredictTrace is the same work ISN-major and net-major (what the
-// twin does inside Engine.Run): each ISN runs the trace in blocks of
-// blockRows queries, one network over the whole block at a time.
+// twin does inside Engine.Run): each ISN runs the trace's distinct
+// queries in blocks of blockRows, one network over the whole block at a
+// time. rows/query is the distinct queries each ISN runs per trace query.
 func BenchmarkPredictTrace(b *testing.B) {
 	fleet, shards, terms := getFleet16(b)
+	benchmarkPredictTrace(b, fleet, shards, terms)
+}
+
+// BenchmarkPredictTraceNoRepeats is BenchmarkPredictTrace on the trace
+// with every repeated query dropped: no row to save, so it times what
+// the interning and deduplication cost when they save nothing.
+func BenchmarkPredictTraceNoRepeats(b *testing.B) {
+	fleet, shards, terms := getFleet16(b)
+	seen := map[string]bool{}
+	var distinct [][]string
+	for _, t := range terms {
+		if k := termKey(t); !seen[k] {
+			seen[k] = true
+			distinct = append(distinct, t)
+		}
+	}
+	benchmarkPredictTrace(b, fleet, shards, distinct)
+}
+
+func benchmarkPredictTrace(b *testing.B, fleet *Fleet, shards []*index.Shard, terms [][]string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fleet.PredictTrace(shards, terms)
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(terms)), "us/query")
+	b.ReportMetric(float64(len(fleet.trace.first))/float64(len(terms)), "rows/query")
+}
+
+// termKey is a query's canonical key: its terms sorted, repeats kept.
+func termKey(terms []string) string {
+	sorted := slices.Clone(terms)
+	slices.Sort(sorted)
+	return strings.Join(sorted, "\x00")
+}
+
+// TestPredictTraceDistinct: PredictTrace runs each distinct term
+// multiset once, and every row is bit-equal to PredictAll of its query.
+// Reordered terms are one query; a repeated term is another (the
+// query-length feature counts it); all-miss and zero-term queries
+// deduplicate like any other. The trace has more distinct queries than
+// one block, with repeats of queries from both sides of the first block
+// boundary. Rows of repeated queries alias one another, as PredictTrace
+// documents, and rows of distinct queries do not. The distinct queries
+// run in trace order of first occurrence, whatever the worker count.
+func TestPredictTraceDistinct(t *testing.T) {
+	f := getFixture(t)
+	ds := Harvest(f.shards, f.train[:80], 10, search.StrategyMaxScore, cluster.DefaultCostModel())
+	cfg := DefaultConfig(10)
+	cfg.QualitySteps = 20
+	cfg.LatencySteps = 20
+	fleet, err := Train(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := f.test[0].Terms[0], ""
+	for _, q := range f.test[1:] {
+		if q.Terms[0] != a {
+			b = q.Terms[0]
+			break
+		}
+	}
+	specials := [][]string{
+		{a, b}, {b, a}, {a, a, b}, {a, b, a},
+		{"no-such-term"}, {"no-such-term", "also-missing"}, {"also-missing", "no-such-term"}, {},
+	}
+	seen := map[string]bool{}
+	for _, q := range specials {
+		seen[termKey(q)] = true
+	}
+	// base[i] is distinct query len(seen)+i, so base[last] and base[last+1]
+	// are the last of the first block and the first of the second.
+	last := blockRows - len(seen) - 1
+	var base [][]string
+	for _, q := range f.test {
+		if k := termKey(q.Terms); !seen[k] && len(base) < 2*blockRows {
+			seen[k] = true
+			base = append(base, q.Terms)
+		}
+	}
+	if len(base) < 2*blockRows {
+		t.Fatalf("only %d distinct test queries", len(base))
+	}
+	reversed := func(q []string) []string {
+		r := slices.Clone(q)
+		slices.Reverse(r)
+		return r
+	}
+	queries := append(append([][]string(nil), specials...), base...)
+	queries = append(queries, []string{b, a}, nil, []string{"also-missing", "no-such-term"}, []string{a, a, b},
+		reversed(base[0]), base[last], reversed(base[last+1]), reversed(base[len(base)-1]))
+
+	rows := fleet.PredictTrace(f.shards, queries)
+	if len(rows) != len(queries) {
+		t.Fatalf("%d rows for %d queries", len(rows), len(queries))
+	}
+	ran := map[string]bool{}
+	var first []int32
+	// Whether some repeated query's row is in the first block, and some in a later one.
+	var repeatFirst, repeatLater bool
+	for q, terms := range queries {
+		want := fleet.PredictAll(f.shards, terms)
+		for isn := range want {
+			if got := predictionBits(rows[q][isn]); got != predictionBits(want[isn]) {
+				t.Fatalf("query %d %q ISN %d: PredictTrace %v, PredictAll %v", q, terms, isn, got, predictionBits(want[isn]))
+			}
+		}
+		k := termKey(terms)
+		switch {
+		case !ran[k]:
+			ran[k] = true
+			first = append(first, int32(q))
+		case fleet.trace.class[q] < blockRows:
+			repeatFirst = true
+		default:
+			repeatLater = true
+		}
+		for r := range q {
+			if alias := &rows[r][0] == &rows[q][0]; alias != (termKey(queries[r]) == k) {
+				t.Fatalf("queries %d %q and %d %q: rows alias %v", r, queries[r], q, terms, alias)
+			}
+		}
+	}
+	if !slices.Equal(fleet.trace.first, first) {
+		t.Fatalf("distinct queries ran as %v, want first occurrences %v", fleet.trace.first, first)
+	}
+	if len(first) <= blockRows || !repeatFirst || !repeatLater {
+		t.Fatalf("%d distinct queries, repeats in the first block %v and later %v: the trace must span blocks and repeat on both sides",
+			len(first), repeatFirst, repeatLater)
+	}
+	if rows[5][0].Matched || rows[7][0].Matched {
+		t.Fatal("an all-miss or zero-term query matched")
+	}
+	if &rows[0][0] != &rows[1][0] || &rows[0][0] == &rows[2][0] || &rows[2][0] != &rows[3][0] {
+		t.Fatal("a b, b a, a a b and a b a must share exactly two rows")
+	}
+	if again := fleet.PredictTrace(f.shards, queries); !reflect.DeepEqual(again, rows) {
+		t.Fatal("a second PredictTrace over the same trace differs")
+	}
 }
 
 func TestHarvestLabels(t *testing.T) {
@@ -429,13 +564,13 @@ func TestISNPredictorPredictZeroAllocSteadyState(t *testing.T) {
 	}
 	// The block path PredictTrace runs: a full block of queries, matched
 	// and unmatched.
-	var block [][]string
+	var block [][]*index.TermInfo
 	for _, q := range f.test[:blockRows-1] {
-		block = append(block, q.Terms)
+		block = append(block, features.Resolve(f.shards[0], q.Terms, nil))
 	}
-	block = append(block, []string{"no-such-term"})
+	block = append(block, features.Resolve(f.shards[0], []string{"no-such-term"}, nil))
 	out := make([]Prediction, blockRows)
-	if allocs := testing.AllocsPerRun(20, func() { p.predictBlock(f.shards[0], block, out, 1) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { p.predictBlock(block, out, 1) }); allocs != 0 {
 		t.Errorf("ISNPredictor.predictBlock allocates %v per run, want 0", allocs)
 	}
 	if out[blockRows-1].Matched || !out[0].Matched {
