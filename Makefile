@@ -81,8 +81,9 @@ fuzz-smoke:
 # ns/op acceptance bars), on one pass of fleet inference over a trace
 # (internal/predict BenchmarkPredictTrace, where a Cottage twin replay
 # spends most of its CPU), on one twin replay under Cottage and one under
-# exhaustive search (internal/core, the work twin_qps times) and one
-# replayed query (internal/engine), and on a live Cottage query with and without
+# exhaustive search (internal/core, the work twin_qps times), one
+# replayed query and one exhaustive replay on 16 shards (internal/engine,
+# the fanout16 shape), and on a live Cottage query with and without
 # its predictions remembered (internal/rpc, loopback fixture; the pair
 # asserts it really timed hits and misses), and on the build path: one
 # quick-scale setup (internal/harness: corpus, parallel shard builds,
@@ -94,7 +95,7 @@ bench-smoke:
 		-benchmem -benchtime 1x -timeout 10m .
 	$(GO) test -run '^$$' -bench '^BenchmarkPredictTrace$$' -benchmem -benchtime 1x ./internal/predict
 	$(GO) test -run '^$$' -bench 'RunCottage|RunExhaustive' -benchmem -benchtime 1x ./internal/core
-	$(GO) test -run '^$$' -bench '^BenchmarkRunQuery$$' -benchmem -benchtime 1x ./internal/engine
+	$(GO) test -run '^$$' -bench '^BenchmarkRunQuery$$|^BenchmarkRunExhaustive16$$' -benchmem -benchtime 1x ./internal/engine
 	$(GO) test -run '^$$' -bench 'SearchCottageMemo' -benchmem -benchtime 200x ./internal/rpc
 	$(GO) test -run '^$$' -bench '^BenchmarkQuickBuild$$' -benchmem -benchtime 1x ./internal/harness
 	$(GO) test -run '^$$' -bench '^BenchmarkGenerate$$' -benchmem -benchtime 1x ./internal/textgen

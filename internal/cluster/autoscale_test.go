@@ -57,7 +57,7 @@ func TestDynamicMachineTime(t *testing.T) {
 func TestScaleDownDrains(t *testing.T) {
 	c := newDynamic(t, 1, 2)
 	// Load replica row 1 (node 1) with work finishing well past t=0.
-	ex := c.Execute(1, 0, 90e6, 1.8, math.Inf(1)) // 50 ms at 1.8 GHz
+	ex := execute(c, 1, 0, 90e6, 1.8, math.Inf(1)) // 50 ms at 1.8 GHz
 	if ex.FinishMS <= 10 {
 		t.Fatalf("setup: finish %v too early", ex.FinishMS)
 	}
@@ -122,7 +122,7 @@ func TestStaticModeIgnoresScaling(t *testing.T) {
 func TestHedgeFiresOnlyPastDelay(t *testing.T) {
 	c := newReplicated(t, 1, 2)
 	// Fast request: ~0.56 ms service, hedge delay 10 ms → no hedge.
-	ex, hr := c.ExecuteShardHedged(0, 0, 1e6, 1.8, math.Inf(1), 10)
+	ex, hr := executeShardHedged(c, 0, 0, 1e6, 1.8, math.Inf(1), 10)
 	if hr.Hedged || ex.ISN != 0 {
 		t.Fatalf("fast primary hedged: %+v %+v", ex, hr)
 	}
@@ -130,8 +130,8 @@ func TestHedgeFiresOnlyPastDelay(t *testing.T) {
 	// Load node 0 with 100 ms of backlog; selection routes the primary to
 	// idle node 1, whose 50 ms of service still blows the 10 ms hedge
 	// timer. The hedge lands on node 0 behind the backlog and loses.
-	c.Execute(0, 0, 180e6, 1.8, math.Inf(1)) // 100 ms on node 0
-	ex, hr = c.ExecuteShardHedged(0, 0, 90e6, 1.8, math.Inf(1), 10)
+	execute(c, 0, 0, 180e6, 1.8, math.Inf(1)) // 100 ms on node 0
+	ex, hr = executeShardHedged(c, 0, 0, 90e6, 1.8, math.Inf(1), 10)
 	if !hr.Hedged {
 		t.Fatalf("slow primary did not hedge: %+v", ex)
 	}
@@ -151,14 +151,14 @@ func TestHedgeWins(t *testing.T) {
 	c.Faults = faults.NewInjector(0)
 	c.Faults.SetPlan(0, faults.Plan{SlowMS: 300}) // node 0 limps: GC pause / noisy neighbour
 	// Both idle at t=0, tie goes to node 0 → slow primary (~305 ms).
-	ex, hr := c.ExecuteShardHedged(0, 0, 9e6, 1.8, math.Inf(1), 20)
+	ex, hr := executeShardHedged(c, 0, 0, 9e6, 1.8, math.Inf(1), 20)
 	if !hr.Hedged || !hr.Won || ex.ISN != 1 {
 		t.Fatalf("expected winning hedge on node 1, got %+v serving %d", hr, ex.ISN)
 	}
 	if hr.DuplicateMS < 300 {
 		t.Fatalf("duplicate work %v should include the primary's 300 ms limp", hr.DuplicateMS)
 	}
-	if resp := c.ResponseAtAggregatorMS(ex); resp > 30 {
+	if resp := c.ResponseAtAggregatorMS(&ex); resp > 30 {
 		t.Fatalf("winning hedge response at %v, want ~25 ms", resp)
 	}
 }
@@ -166,8 +166,8 @@ func TestHedgeWins(t *testing.T) {
 // TestHedgeUnreplicatedNoop: with R=1 there is no sibling to hedge to.
 func TestHedgeUnreplicatedNoop(t *testing.T) {
 	c := newReplicated(t, 2, 1)
-	c.Execute(0, 0, 180e6, 1.8, math.Inf(1))
-	ex, hr := c.ExecuteShardHedged(0, 0, 90e6, 1.8, math.Inf(1), 1)
+	execute(c, 0, 0, 180e6, 1.8, math.Inf(1))
+	ex, hr := executeShardHedged(c, 0, 0, 90e6, 1.8, math.Inf(1), 1)
 	if hr.Hedged {
 		t.Fatalf("R=1 cluster hedged: %+v %+v", ex, hr)
 	}
@@ -177,10 +177,10 @@ func TestHedgeUnreplicatedNoop(t *testing.T) {
 // for arbitrarily slow primaries.
 func TestHedgeDisabled(t *testing.T) {
 	c := newReplicated(t, 1, 2)
-	c.Execute(0, 0, 900e6, 1.8, math.Inf(1))
-	c.Execute(1, 0, 900e6, 1.8, math.Inf(1))
+	execute(c, 0, 0, 900e6, 1.8, math.Inf(1))
+	execute(c, 1, 0, 900e6, 1.8, math.Inf(1))
 	for _, d := range []float64{-1, math.Inf(1)} {
-		if _, hr := c.ExecuteShardHedged(0, 1, 90e6, 1.8, math.Inf(1), d); hr.Hedged {
+		if _, hr := executeShardHedged(c, 0, 1, 90e6, 1.8, math.Inf(1), d); hr.Hedged {
 			t.Fatalf("delay %v hedged", d)
 		}
 	}
@@ -215,8 +215,8 @@ func TestDefectEWMAFlagsSilentStraggler(t *testing.T) {
 	// at every prediction instant.
 	tMS := 0.0
 	for i := 0; i < 8; i++ {
-		c.Execute(0, tMS, 9e6, 1.8, math.Inf(1))
-		c.Execute(1, tMS, 9e6, 1.8, math.Inf(1))
+		execute(c, 0, tMS, 9e6, 1.8, math.Inf(1))
+		execute(c, 1, tMS, 9e6, 1.8, math.Inf(1))
 		tMS += 500
 	}
 	if got := c.ISNs[0].defectMS; got < 70 {

@@ -689,7 +689,10 @@ const (
 	LegShed                       // rejected by admission control
 )
 
-// Execution reports what happened when an ISN processed a request.
+// Execution reports what happened when an ISN processed a request. The
+// caller owns it: Execute, ExecuteShard and ExecuteShardHedged write
+// their attempt into an Execution passed in, every field each time, so
+// one value can serve a whole replay.
 type Execution struct {
 	ISN       int
 	StartMS   float64 // service start (after queueing)
@@ -733,17 +736,19 @@ type Execution struct {
 //
 // Inference overhead (quality+latency predictors, step 2) is charged as
 // busy time at the default frequency before service.
-func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution {
+//
+// The attempt is written into ex, every field: nothing an earlier
+// attempt left there survives, and Failovers is 0.
+func (c *Cluster) Execute(ex *Execution, isn int, tMS, cycles, f, deadlineMS float64) {
 	if f <= 0 {
 		panic("cluster: non-positive frequency")
 	}
 	node := c.ISNs[isn]
-	shard, rep := c.topo.ShardOf(isn), c.topo.ReplicaOf(isn)
 	arrive := tMS + c.Net.AggToISNMS
 	if c.nodeDead(isn) {
 		// The request is lost; the node does no work and burns no power.
-		c.observe(arrive)
-		return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegFailed}
+		c.endOnArrival(ex, isn, arrive, f, LegFailed)
+		return
 	}
 	// Integrity gate: a quarantined copy refuses the request outright,
 	// and undetected rot is caught the moment a query reads the bad
@@ -756,8 +761,8 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 	}
 	if node.quarantined {
 		c.integ.corruptRejects++
-		c.observe(arrive)
-		return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegCorrupt}
+		c.endOnArrival(ex, isn, arrive, f, LegCorrupt)
+		return
 	}
 	// Per-request chaos from the seeded schedule (a crashed node never
 	// gets here): a drop or corrupt verdict lets the work proceed (the
@@ -777,8 +782,8 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 		// sheds it immediately — no work, no power, and the aggregator
 		// gets the rejection after one network hop.
 		if !c.Anytime || arrive+qd >= deadlineMS {
-			c.observe(arrive)
-			return Execution{ISN: isn, Shard: shard, Replica: rep, StartMS: arrive, FinishMS: arrive, Freq: f, Status: LegShed}
+			c.endOnArrival(ex, isn, arrive, f, LegShed)
+			return
 		}
 	}
 	start := arrive
@@ -819,18 +824,23 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 		// Finished or not, the reply is lost on the severed stream.
 		status = LegSevered
 	}
-	return Execution{
-		ISN:       isn,
-		Shard:     shard,
-		Replica:   rep,
-		StartMS:   start,
-		FinishMS:  finish,
-		ServiceMS: busy,
-		Freq:      f,
-		Status:    status,
-		WorkFrac:  workFrac,
-		QueueMS:   start - arrive,
-	}
+	c.record(ex, isn, start, finish, busy, start-arrive, f, workFrac, status)
+}
+
+// endOnArrival records an attempt on node isn that ended when it
+// arrived at arriveMS: no queueing, no work, no power.
+func (c *Cluster) endOnArrival(ex *Execution, isn int, arriveMS, f float64, status LegStatus) {
+	c.observe(arriveMS)
+	c.record(ex, isn, arriveMS, arriveMS, 0, 0, f, 0, status)
+}
+
+// record writes one attempt on node isn into ex, every field, so storage
+// reused across attempts keeps nothing from an earlier one; Failovers
+// is 0.
+func (c *Cluster) record(ex *Execution, isn int, startMS, finishMS, serviceMS, queueMS, f, workFrac float64, status LegStatus) {
+	ex.ISN, ex.Shard, ex.Replica, ex.Failovers = isn, c.topo.ShardOf(isn), c.topo.ReplicaOf(isn), 0
+	ex.StartMS, ex.FinishMS, ex.ServiceMS, ex.QueueMS = startMS, finishMS, serviceMS, queueMS
+	ex.Freq, ex.Status, ex.WorkFrac = f, status, workFrac
 }
 
 // ExecuteShard schedules a request on a shard's best live replica and
@@ -839,51 +849,43 @@ func (c *Cluster) Execute(isn int, tMS, cycles, f, deadlineMS float64) Execution
 // network round trip after send) or shed by admission control (rejected
 // after one round trip), the next-ranked replica gets the retry with
 // whatever deadline remains. Degraded Algorithm 1 is the caller's last
-// resort for when the loop exhausts the whole group. The returned
-// Execution carries the serving replica and the failover count; for a
-// shard with no live replica it reports LegFailed after one detection
-// round trip, like a node-level send to a dead ISN.
-func (c *Cluster) ExecuteShard(shard int, tMS, cycles, f, deadlineMS float64) Execution {
+// resort for when the loop exhausts the whole group. The attempt that
+// ended the leg is written into ex, with the serving replica and the
+// failover count; for a shard with no live replica it reports LegFailed
+// after one detection round trip, like a node-level send to a dead ISN.
+func (c *Cluster) ExecuteShard(ex *Execution, shard int, tMS, cycles, f, deadlineMS float64) {
 	order := c.rankShard(shard, tMS)
 	if len(order) == 0 {
-		arrive := tMS + c.Net.AggToISNMS
-		c.observe(arrive)
-		ex := Execution{
-			ISN: c.topo.Node(shard, 0), Shard: shard, Replica: 0,
-			StartMS: arrive, FinishMS: arrive, Freq: f,
-		}
 		// An empty group can mean two very different things: every
 		// replica dead (silence, then a reset — LegFailed) or every live
 		// replica quarantined mid-repair (a typed CodeQuarantined bounce
 		// after one hop — the aggregator knows precisely why the shard's
 		// contribution is missing, and that it is temporary).
-		ex.Status = LegFailed
+		status := LegFailed
 		if c.groupQuarantined(shard) {
-			ex.Status = LegCorrupt
+			status = LegCorrupt
 			c.integ.corruptRejects++
 		}
-		return ex
+		c.endOnArrival(ex, c.topo.Node(shard, 0), tMS+c.Net.AggToISNMS, f, status)
+		return
 	}
 	sendMS := tMS
-	var last Execution
 	for attempt, node := range order {
-		e := c.Execute(node, sendMS, cycles, f, deadlineMS)
-		e.Failovers = attempt
-		if e.Status < LegCorrupt {
-			return e
+		c.Execute(ex, node, sendMS, cycles, f, deadlineMS)
+		ex.Failovers = attempt
+		if ex.Status < LegCorrupt {
+			return
 		}
-		last = e
 		// Detection: a reset (failed/dropped) or rejection (shed) reaches
 		// the aggregator one hop after the attempt's send arrived. A
 		// dropped request keeps its node busy, but the client's reset
 		// fires at arrival, not service completion.
-		arriveMS := e.StartMS - e.QueueMS
+		arriveMS := ex.StartMS - ex.QueueMS
 		sendMS = arriveMS + c.Net.AggToISNMS
 		if sendMS >= deadlineMS {
-			break // no budget left to retry a sibling
+			break // no budget left to retry a sibling; ex holds the last attempt
 		}
 	}
-	return last
 }
 
 // HedgeResult reports what the hedging layer did for one shard request.
@@ -908,51 +910,54 @@ type HedgeResult struct {
 // hedgeDelayMS = 0 models predictive hedging (the caller already
 // decided this request looks like a straggler, so the duplicate goes
 // out immediately); hedgeDelayMS < 0 or +Inf disables hedging. Both
-// copies' work and power are charged — see HedgeResult.DuplicateMS.
-func (c *Cluster) ExecuteShardHedged(shard int, tMS, cycles, f, deadlineMS, hedgeDelayMS float64) (Execution, HedgeResult) {
-	primary := c.ExecuteShard(shard, tMS, cycles, f, deadlineMS)
+// copies' work and power are charged — see HedgeResult.DuplicateMS. The
+// winning attempt is written into ex, with the primary's failover count.
+func (c *Cluster) ExecuteShardHedged(ex *Execution, shard int, tMS, cycles, f, deadlineMS, hedgeDelayMS float64) HedgeResult {
+	c.ExecuteShard(ex, shard, tMS, cycles, f, deadlineMS)
 	var hr HedgeResult
 	if hedgeDelayMS < 0 || math.IsInf(hedgeDelayMS, 1) {
-		return primary, hr
+		return hr
 	}
-	if primary.Status >= LegCorrupt {
+	if ex.Status >= LegCorrupt {
 		// ExecuteShard already burned through the group's failover legs;
 		// there is no healthier sibling left for a hedge to reach.
-		return primary, hr
+		return hr
 	}
 	hedgeAt := tMS + hedgeDelayMS
-	if c.ResponseAtAggregatorMS(primary) <= hedgeAt {
-		return primary, hr // primary answered before the hedge timer fired
+	if c.ResponseAtAggregatorMS(ex) <= hedgeAt {
+		return hr // primary answered before the hedge timer fired
 	}
 	// Next-best active live replica, excluding the primary's server.
 	hedgeNode := -1
 	for _, n := range c.rankShard(shard, hedgeAt) {
-		if n != primary.ISN {
+		if n != ex.ISN {
 			hedgeNode = n
 			break
 		}
 	}
 	if hedgeNode < 0 {
-		return primary, hr // R=1 or siblings all down: nowhere to hedge
+		return hr // R=1 or siblings all down: nowhere to hedge
 	}
 	hr.Hedged = true
-	hedge := c.Execute(hedgeNode, hedgeAt, cycles, f, deadlineMS)
+	var hedge Execution
+	c.Execute(&hedge, hedgeNode, hedgeAt, cycles, f, deadlineMS)
 	if hedge.Status >= LegCorrupt {
 		hr.DuplicateMS = hedge.ServiceMS
-		return primary, hr
+		return hr
 	}
-	if c.ResponseAtAggregatorMS(hedge) < c.ResponseAtAggregatorMS(primary) {
+	if c.ResponseAtAggregatorMS(&hedge) < c.ResponseAtAggregatorMS(ex) {
 		hr.Won = true
-		hr.DuplicateMS = primary.ServiceMS
-		hedge.Failovers = primary.Failovers
-		return hedge, hr
+		hr.DuplicateMS = ex.ServiceMS
+		hedge.Failovers = ex.Failovers
+		*ex = hedge
+		return hr
 	}
 	hr.DuplicateMS = hedge.ServiceMS
-	return primary, hr
+	return hr
 }
 
 // ResponseAtAggregatorMS is when the aggregator holds the ISN's response.
-func (c *Cluster) ResponseAtAggregatorMS(e Execution) float64 {
+func (c *Cluster) ResponseAtAggregatorMS(e *Execution) float64 {
 	return e.FinishMS + c.Net.AggToISNMS
 }
 
@@ -962,7 +967,7 @@ func (c *Cluster) ResponseAtAggregatorMS(e Execution) float64 {
 // timer) before the leg that answered was even sent. Derived from the
 // execution's own timestamps: the attempt's send instant is its ISN
 // arrival (StartMS − QueueMS) minus one network hop.
-func (c *Cluster) FailoverDelayMS(e Execution, dispatchMS float64) float64 {
+func (c *Cluster) FailoverDelayMS(e *Execution, dispatchMS float64) float64 {
 	sendMS := e.StartMS - e.QueueMS - c.Net.AggToISNMS
 	d := sendMS - dispatchMS
 	if d < 0 {

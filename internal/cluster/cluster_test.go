@@ -8,6 +8,26 @@ import (
 	"cottage/internal/xrand"
 )
 
+// execute, executeShard and executeShardHedged run one request like the
+// Cluster methods they name and return the attempt written.
+func execute(c *Cluster, isn int, tMS, cycles, f, deadlineMS float64) Execution {
+	var ex Execution
+	c.Execute(&ex, isn, tMS, cycles, f, deadlineMS)
+	return ex
+}
+
+func executeShard(c *Cluster, shard int, tMS, cycles, f, deadlineMS float64) Execution {
+	var ex Execution
+	c.ExecuteShard(&ex, shard, tMS, cycles, f, deadlineMS)
+	return ex
+}
+
+func executeShardHedged(c *Cluster, shard int, tMS, cycles, f, deadlineMS, hedgeDelayMS float64) (Execution, HedgeResult) {
+	var ex Execution
+	hr := c.ExecuteShardHedged(&ex, shard, tMS, cycles, f, deadlineMS, hedgeDelayMS)
+	return ex, hr
+}
+
 func testCluster(n int) *Cluster {
 	cfg := DefaultConfig()
 	cfg.NumISNs = n
@@ -63,7 +83,7 @@ func TestServiceMS(t *testing.T) {
 func TestExecuteNoQueue(t *testing.T) {
 	c := testCluster(2)
 	// 3.6e6 cycles at 1.8 GHz = 2 ms.
-	e := c.Execute(0, 10, 3.6e6, 1.8, math.Inf(1))
+	e := execute(c, 0, 10, 3.6e6, 1.8, math.Inf(1))
 	if e.Status != LegAnswered {
 		t.Fatal("should complete")
 	}
@@ -81,8 +101,8 @@ func TestExecuteNoQueue(t *testing.T) {
 
 func TestExecuteQueueing(t *testing.T) {
 	c := testCluster(1)
-	e1 := c.Execute(0, 0, 1.8e6, 1.8, math.Inf(1)) // 1 ms
-	e2 := c.Execute(0, 0, 1.8e6, 1.8, math.Inf(1)) // queued behind e1
+	e1 := execute(c, 0, 0, 1.8e6, 1.8, math.Inf(1)) // 1 ms
+	e2 := execute(c, 0, 0, 1.8e6, 1.8, math.Inf(1)) // queued behind e1
 	if e2.StartMS < e1.FinishMS {
 		t.Error("second request started before first finished")
 	}
@@ -90,7 +110,7 @@ func TestExecuteQueueing(t *testing.T) {
 		t.Error("second request should have queued")
 	}
 	// A request to the other... (only one ISN here) — arriving later, no queue.
-	e3 := c.Execute(0, 100, 1.8e6, 1.8, math.Inf(1))
+	e3 := execute(c, 0, 100, 1.8e6, 1.8, math.Inf(1))
 	if e3.QueueMS != 0 {
 		t.Error("late request should not queue")
 	}
@@ -99,7 +119,7 @@ func TestExecuteQueueing(t *testing.T) {
 func TestDeadlineTruncation(t *testing.T) {
 	c := testCluster(1)
 	// 18e6 cycles at 1.8 GHz = 10 ms, but deadline at t=5.
-	e := c.Execute(0, 0, 18e6, 1.8, 5)
+	e := execute(c, 0, 0, 18e6, 1.8, 5)
 	if e.Status != LegDropped {
 		t.Fatal("should not complete")
 	}
@@ -110,7 +130,7 @@ func TestDeadlineTruncation(t *testing.T) {
 		t.Errorf("busy time %v should be truncated", e.ServiceMS)
 	}
 	// Deadline earlier than start: no busy time at all.
-	e2 := c.Execute(0, 0, 1e6, 1.8, 1)
+	e2 := execute(c, 0, 0, 1e6, 1.8, 1)
 	if e2.Status != LegDropped || e2.ServiceMS != 0 {
 		t.Errorf("pre-start deadline: %+v", e2)
 	}
@@ -120,8 +140,8 @@ func TestBoostFinishesFaster(t *testing.T) {
 	a := testCluster(1)
 	b := testCluster(1)
 	cycles := 2.7e7
-	slow := a.Execute(0, 0, cycles, 1.8, math.Inf(1))
-	fast := b.Execute(0, 0, cycles, 2.7, math.Inf(1))
+	slow := execute(a, 0, 0, cycles, 1.8, math.Inf(1))
+	fast := execute(b, 0, 0, cycles, 2.7, math.Inf(1))
 	ratio := slow.ServiceMS / fast.ServiceMS
 	if math.Abs(ratio-1.5) > 1e-9 {
 		t.Errorf("boost speedup = %v, want 1.5", ratio)
@@ -131,7 +151,7 @@ func TestBoostFinishesFaster(t *testing.T) {
 func TestEquivalentLatency(t *testing.T) {
 	c := testCluster(1)
 	// Load the ISN with 10 ms of work.
-	c.Execute(0, 0, 18e6, 1.8, math.Inf(1))
+	execute(c, 0, 0, 18e6, 1.8, math.Inf(1))
 	// Eq. 2: backlog + own service at f.
 	got := c.EquivalentLatencyMS(0, 0, 1.8e6, 1.8)
 	want := (10 + c.Net.AggToISNMS) + 1 // backlog (incl. fabric offset) + 1 ms
@@ -147,7 +167,7 @@ func TestEquivalentLatency(t *testing.T) {
 
 func TestEnergyAccounting(t *testing.T) {
 	c := testCluster(2)
-	c.Execute(0, 0, 18e6, 1.8, math.Inf(1)) // 10 ms busy at 1.8
+	execute(c, 0, 0, 18e6, 1.8, math.Inf(1)) // 10 ms busy at 1.8
 	model := c.Meter.Model()
 	wantBusy := model.BusyEnergyMJ(1.8, 10)
 	if got := c.Meter.BusyEnergyMJ(); math.Abs(got-wantBusy) > 1e-9 {
@@ -162,8 +182,8 @@ func TestEnergyAccounting(t *testing.T) {
 func TestHigherFrequencyCostsMoreEnergy(t *testing.T) {
 	a, b := testCluster(1), testCluster(1)
 	cycles := 2.7e7
-	a.Execute(0, 0, cycles, 1.8, math.Inf(1))
-	b.Execute(0, 0, cycles, 2.7, math.Inf(1))
+	execute(a, 0, 0, cycles, 1.8, math.Inf(1))
+	execute(b, 0, 0, cycles, 2.7, math.Inf(1))
 	// Same work: higher frequency burns more busy energy (cubic power
 	// dominates the shorter duration under the default model).
 	ea := a.Meter.BusyEnergyMJ()
@@ -178,7 +198,7 @@ func TestUtilizationAndReset(t *testing.T) {
 	if c.Utilization() != 0 {
 		t.Error("fresh cluster utilization should be 0")
 	}
-	c.Execute(0, 0, 18e6, 1.8, math.Inf(1))
+	execute(c, 0, 0, 18e6, 1.8, math.Inf(1))
 	u := c.Utilization()
 	if u <= 0 || u > 1 {
 		t.Errorf("utilization = %v", u)
@@ -202,7 +222,7 @@ func TestInferenceOverheadCharged(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumISNs = 1
 	c := New(cfg) // InferMS > 0
-	c.Execute(0, 0, 1.8e6, 1.8, math.Inf(1))
+	execute(c, 0, 0, 1.8e6, 1.8, math.Inf(1))
 	if c.ISNs[0].BusyMS <= 1 {
 		t.Error("inference time not charged to busy accounting")
 	}
@@ -245,8 +265,9 @@ func TestFrequencySweepMatchesFig4(t *testing.T) {
 
 func BenchmarkExecute(b *testing.B) {
 	c := testCluster(16)
+	var ex Execution
 	for i := 0; i < b.N; i++ {
-		c.Execute(i%16, float64(i), 1e7, 1.8, math.Inf(1))
+		c.Execute(&ex, i%16, float64(i), 1e7, 1.8, math.Inf(1))
 	}
 }
 
@@ -286,7 +307,7 @@ func TestTimelineInvariants(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			deadline = now + float64(1+rng.Intn(8))
 		}
-		e := c.Execute(isn, now, cycles, f, deadline)
+		e := execute(c, isn, now, cycles, f, deadline)
 		if e.StartMS < now+c.Net.AggToISNMS-1e-9 {
 			t.Fatalf("request %d started before arrival", i)
 		}

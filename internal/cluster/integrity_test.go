@@ -21,7 +21,7 @@ func TestQueryDetectsRotAndFailsOver(t *testing.T) {
 	c := integrityCluster(t, 2, 2, 0, 0) // no scrub, no repair
 	c.CorruptISN(0, 0, 0.5)              // shard 0 replica 0 rots at t=0
 
-	ex := c.ExecuteShard(0, 10, 1e6, 1.8, math.Inf(1))
+	ex := executeShard(c, 0, 10, 1e6, 1.8, math.Inf(1))
 	if ex.Status != LegAnswered {
 		t.Fatalf("query lost to a repairable fault: %+v", ex)
 	}
@@ -103,7 +103,7 @@ func TestRepairReadmitsWithMTTR(t *testing.T) {
 		t.Fatalf("MTTR %v, want RepairMS=40", st.MeanMTTRMS)
 	}
 	// The repaired copy serves again.
-	ex := c.ExecuteShard(0, 100, 1e6, 1.8, math.Inf(1))
+	ex := executeShard(c, 0, 100, 1e6, 1.8, math.Inf(1))
 	if ex.Status == LegCorrupt || ex.Status == LegFailed {
 		t.Fatalf("repaired shard cannot serve: %+v", ex)
 	}
@@ -137,7 +137,7 @@ func TestWholeGroupQuarantinedBouncesTyped(t *testing.T) {
 	c := integrityCluster(t, 1, 2, 0, 0)
 	c.CorruptISN(0, 0, 0.2)
 	c.CorruptISN(1, 0, 0.8)
-	ex := c.ExecuteShard(0, 10, 1e6, 1.8, math.Inf(1))
+	ex := executeShard(c, 0, 10, 1e6, 1.8, math.Inf(1))
 	if ex.Status != LegCorrupt {
 		t.Fatalf("whole-group corruption must surface typed, got %+v", ex)
 	}
@@ -150,7 +150,7 @@ func TestWholeGroupQuarantinedBouncesTyped(t *testing.T) {
 	// With the whole group now quarantined, later queries take the
 	// empty-rank path — still a typed bounce, never a silent failure:
 	// the group is alive and mid-repair, not dead.
-	ex = c.ExecuteShard(0, 20, 1e6, 1.8, math.Inf(1))
+	ex = executeShard(c, 0, 20, 1e6, 1.8, math.Inf(1))
 	if ex.Status != LegCorrupt {
 		t.Fatalf("fully quarantined group must bounce typed, got %+v", ex)
 	}
@@ -240,8 +240,8 @@ func TestHedgingSkipsQuarantinedSibling(t *testing.T) {
 	c := integrityCluster(t, 1, 2, 0, 0)
 	c.CorruptISN(1, 0, 0.5) // the would-be hedge target is rotted
 	// Force a hedge: primary (node 0) gets a slow leg via backlog.
-	c.Execute(0, 0, 50e6, 1.8, math.Inf(1))
-	ex, hr := c.ExecuteShardHedged(0, 1, 1e6, 1.8, math.Inf(1), 0)
+	execute(c, 0, 0, 50e6, 1.8, math.Inf(1))
+	ex, hr := executeShardHedged(c, 0, 1, 1e6, 1.8, math.Inf(1), 0)
 	if ex.Status == LegCorrupt || ex.Status == LegFailed {
 		t.Fatalf("primary leg lost: %+v", ex)
 	}

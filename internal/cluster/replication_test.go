@@ -63,7 +63,7 @@ func TestShardAvailability(t *testing.T) {
 	if !math.IsInf(c.ShardPredictedLegMS(0, 0, 1e6, 1.8), 1) {
 		t.Fatal("dead shard's predicted leg latency not +Inf")
 	}
-	ex := c.ExecuteShard(0, 0, 1e6, 1.8, math.Inf(1))
+	ex := executeShard(c, 0, 0, 1e6, 1.8, math.Inf(1))
 	if ex.Status != LegFailed || ex.Shard != 0 {
 		t.Fatalf("ExecuteShard on dead shard: %+v", ex)
 	}
@@ -73,7 +73,7 @@ func TestExecuteShardRoutesAroundDeadReplica(t *testing.T) {
 	c := newReplicated(t, 2, 2)
 	c.Faults = faults.NewInjector(0)
 	c.Faults.Crash(0) // shard 0 replica 0 dead; sibling is node 2
-	ex := c.ExecuteShard(0, 0, 1e6, 1.8, math.Inf(1))
+	ex := executeShard(c, 0, 0, 1e6, 1.8, math.Inf(1))
 	if ex.Status != LegAnswered {
 		t.Fatalf("execution lost: %+v", ex)
 	}
@@ -86,8 +86,8 @@ func TestExecuteShardRoutesAroundDeadReplica(t *testing.T) {
 
 func TestExecuteShardBalancesQueues(t *testing.T) {
 	c := newReplicated(t, 1, 2)
-	first := c.ExecuteShard(0, 0, 50e6, 1.8, math.Inf(1))
-	second := c.ExecuteShard(0, 0, 50e6, 1.8, math.Inf(1))
+	first := executeShard(c, 0, 0, 50e6, 1.8, math.Inf(1))
+	second := executeShard(c, 0, 0, 50e6, 1.8, math.Inf(1))
 	if first.ISN == second.ISN {
 		t.Fatalf("both requests queued on node %d with an idle sibling", first.ISN)
 	}
@@ -101,7 +101,7 @@ func TestExecuteShardFailsOverOnInjectedDrop(t *testing.T) {
 	inj := faults.NewInjector(7)
 	inj.SetPlan(0, faults.Plan{DropProb: 1}) // replica 0 severs every stream
 	c.Faults = inj
-	ex := c.ExecuteShard(0, 0, 1e6, 1.8, math.Inf(1))
+	ex := executeShard(c, 0, 0, 1e6, 1.8, math.Inf(1))
 	if ex.Status != LegAnswered {
 		t.Fatalf("failover did not recover the leg: %+v", ex)
 	}

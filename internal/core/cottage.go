@@ -274,9 +274,12 @@ func (c *Cottage) Reports(e *engine.Engine, q trace.Query, nowMS float64) []ISNR
 	return c.appendReports(make([]ISNReport, 0, len(e.Shards)), e, q, nowMS)
 }
 
-// appendReports is Reports appending to reports.
+// appendReports is Reports appending to reports, each report written in
+// its slot.
 func (c *Cottage) appendReports(reports []ISNReport, e *engine.Engine, q trace.Query, nowMS float64) []ISNReport {
-	for isn, p := range e.Predictions(q) {
+	preds := e.Predictions(q)
+	reports = slices.Grow(reports, len(preds))
+	for isn, p := range preds {
 		// A dead shard — every replica down — never answers the prediction
 		// round: its report is missing, and degraded-mode Algorithm 1
 		// (Cottage.Degraded) decides how to optimize without it. While any
@@ -285,7 +288,8 @@ func (c *Cottage) appendReports(reports []ISNReport, e *engine.Engine, q trace.Q
 			continue
 		}
 		row, queueMS := servingQueue(e, isn, nowMS)
-		reports = append(reports, c.Report(isn, p, c.LatencyMargin, queueMS, row, e.Cluster.Ladder))
+		reports = reports[:len(reports)+1]
+		c.Report(&reports[len(reports)-1], isn, p, c.LatencyMargin, queueMS, row, e.Cluster.Ladder)
 	}
 	return reports
 }

@@ -45,35 +45,28 @@ type quality struct {
 }
 
 // newReport is the one place an ISN's prediction becomes Algorithm 1's
-// input (Fig. 5 steps 2–3), on both serving paths. cycles is the raw
-// latency prediction; margin inflates it (Cottage.LatencyMargin), and
-// Eq. 2 adds queueMS, the work already queued at the serving replica, to
-// the service time at the default and the maximum frequency.
-func newReport(isn int, q quality, cycles, margin, queueMS float64, replica int, ladder cluster.Ladder) ISNReport {
+// input (Fig. 5 steps 2–3), on both serving paths; it writes every field
+// of r, in place. cycles is the raw latency prediction; margin inflates
+// it (Cottage.LatencyMargin), and Eq. 2 adds queueMS, the work already
+// queued at the serving replica, to the service time at the default and
+// the maximum frequency.
+func newReport(r *ISNReport, isn int, q quality, cycles, margin, queueMS float64, replica int, ladder cluster.Ladder) {
 	pred := cycles * (1 + margin)
-	return ISNReport{
-		ISN:        isn,
-		QK:         q.qk,
-		QK2:        q.qk2,
-		HasK:       q.hasK,
-		HasK2:      q.hasK2,
-		ExpQK:      q.expQK,
-		LCurrent:   queueMS + cluster.ServiceMS(pred, ladder.Default()),
-		LBoosted:   queueMS + cluster.ServiceMS(pred, ladder.Max()),
-		PredCycles: pred,
-		RawCycles:  cycles,
-		Replica:    replica,
-	}
+	r.ISN, r.Replica = isn, replica
+	r.QK, r.QK2, r.HasK, r.HasK2, r.ExpQK = q.qk, q.qk2, q.hasK, q.hasK2, q.expQK
+	r.LCurrent = queueMS + cluster.ServiceMS(pred, ladder.Default())
+	r.LBoosted = queueMS + cluster.ServiceMS(pred, ladder.Max())
+	r.PredCycles, r.RawCycles = pred, cycles
 }
 
-// Report builds ISN isn's report from its prediction, thresholding the
-// zero-class probabilities at the calibrated cutoffs. The live aggregator
-// passes margin 0 and the backlog its ISN last reported; the twin passes
-// its policy's margin and the simulated queue.
-func (p Params) Report(isn int, pred predict.Prediction, margin, queueMS float64, replica int, ladder cluster.Ladder) ISNReport {
+// Report writes ISN isn's report from its prediction into r,
+// thresholding the zero-class probabilities at the calibrated cutoffs.
+// The live aggregator passes margin 0 and the backlog its ISN last
+// reported; the twin passes its policy's margin and the simulated queue.
+func (p Params) Report(r *ISNReport, isn int, pred predict.Prediction, margin, queueMS float64, replica int, ladder cluster.Ladder) {
 	q := quality{qk: pred.QK, qk2: pred.QK2, expQK: pred.ExpQK,
 		hasK: pred.PZeroK < p.DropZeroProb, hasK2: pred.PZeroK2 < p.K2ZeroProb}
-	return newReport(isn, q, pred.Cycles, margin, queueMS, replica, ladder)
+	newReport(r, isn, q, pred.Cycles, margin, queueMS, replica, ladder)
 }
 
 // Budget is Fig. 5 step 4 on both serving paths: Algorithm 1 over the

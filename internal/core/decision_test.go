@@ -26,7 +26,8 @@ func TestReportAppliesMarginAndQueue(t *testing.T) {
 	p := Params{DropZeroProb: 0.8, K2ZeroProb: 0.95}
 	pred := predict.Prediction{Matched: true, QK: 3, QK2: 1, Cycles: 9e6, PZeroK: 0.5, PZeroK2: 0.96, ExpQK: 2.5}
 
-	r := p.Report(7, pred, 0.5, 4, 1, ladder)
+	var r ISNReport
+	p.Report(&r, 7, pred, 0.5, 4, 1, ladder)
 	if r.ISN != 7 || r.Replica != 1 || r.QK != 3 || r.QK2 != 1 || r.ExpQK != 2.5 || !r.HasK || r.HasK2 {
 		t.Fatalf("quality half wrong: %+v", r)
 	}
@@ -42,7 +43,8 @@ func TestReportAppliesMarginAndQueue(t *testing.T) {
 
 	// No margin and no queue: the bare service times, bit for bit — the
 	// live aggregator's unmargined reports.
-	bare := p.Report(7, pred, 0, 0, 1, ladder)
+	var bare ISNReport
+	p.Report(&bare, 7, pred, 0, 0, 1, ladder)
 	if bare.PredCycles != bare.RawCycles || bare.LCurrent != cluster.ServiceMS(9e6, ladder.Default()) {
 		t.Fatalf("unmargined report %+v", bare)
 	}

@@ -68,7 +68,8 @@ func (o *CottageOracle) Decide(e *engine.Engine, q trace.Query, nowMS float64) e
 		}
 		truth := quality{qk: qk[isn], qk2: qk2[isn], hasK: qk[isn] > 0, hasK2: qk2[isn] > 0, expQK: float64(qk[isn])}
 		row, queueMS := servingQueue(e, isn, nowMS)
-		reports = append(reports, newReport(isn, truth, p.Cycles, o.inner.LatencyMargin, queueMS, row, e.Cluster.Ladder))
+		reports = reports[:len(reports)+1]
+		newReport(&reports[len(reports)-1], isn, truth, p.Cycles, o.inner.LatencyMargin, queueMS, row, e.Cluster.Ladder)
 	}
 	db, buf := decisionBufs(e)
 	return o.inner.decideFromReports(e, reports, db, buf)

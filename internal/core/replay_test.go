@@ -11,6 +11,7 @@ import (
 	"cottage/internal/cluster"
 	"cottage/internal/engine"
 	"cottage/internal/faults"
+	"cottage/internal/trace"
 )
 
 // runDigest hashes everything a replay reports: every Outcome field
@@ -48,14 +49,63 @@ func replicatedTwin(eng *engine.Engine) *engine.Engine {
 	return rep
 }
 
-// TestReplayGolden pins three replays bit for bit, with digests computed
-// before the replay path reused its buffers: Cottage and exhaustive
-// search on the unreplicated fleet, and Cottage on the replicated fleet
-// with hedging and faults, where replica rankings are made and used
-// many times per query.
+// edgeTwin is the fixture on an R=2 fleet that takes the attempt
+// endings replicatedTwin does not: a bounded admission queue (LegShed),
+// a seeded at-rest rot schedule with scrubbing and repair (integrity
+// quarantine, LegCorrupt), anytime truncation of budget misses
+// (LegTruncated, replayed from an Execution's WorkFrac), and predictive
+// hedging (duplicates sent at dispatch). Both copies of shard 0 and one
+// of shard 2 are slowed, so backlogs outlast tight budgets.
+func edgeTwin(eng *engine.Engine, horizonMS float64) *engine.Engine {
+	cfg := engine.DefaultConfig()
+	cfg.NumShards = len(eng.Shards)
+	cfg.Cluster.Replicas = 2
+	edge := engine.New(eng.Shards, cfg)
+	edge.Fleet = eng.Fleet
+	edge.Anytime = true
+	edge.Hedge = cluster.Hedge{Predictive: true, ThresholdMS: 4}
+	c := edge.Cluster
+	c.MaxQueueMS = 2
+	c.ScrubEpochMS = 400
+	c.RepairMS = 150
+	c.Rot = faults.CorruptionSchedule(11, len(c.ISNs), horizonMS, 2)
+	topo := c.Topo()
+	inj := faults.NewInjector(23)
+	inj.SetPlan(topo.Node(0, 0), faults.Plan{SlowMS: 40, SlowJitterMS: 10})
+	inj.SetPlan(topo.Node(0, 1), faults.Plan{SlowMS: 40, SlowJitterMS: 10})
+	inj.SetPlan(topo.Node(2, 1), faults.Plan{SlowMS: 15, SlowJitterMS: 5})
+	c.Faults = inj
+	return edge
+}
+
+// tieredCottage is Cottage under a two-tier SLA: even query IDs get at
+// most 30 ms, odd ones at most 2 ms. In anytime mode a request is shed
+// only when its backlog outlasts its own deadline, which Cottage's
+// Eq. 2 budget never lets happen on the copy it plans for; a tight query
+// behind a loose one's backlog does.
+type tieredCottage struct{ *Cottage }
+
+func (c tieredCottage) Decide(e *engine.Engine, q trace.Query, nowMS float64) engine.Decision {
+	d := c.Cottage.Decide(e, q, nowMS)
+	limit := 2.0
+	if q.ID%2 == 0 {
+		limit = 30
+	}
+	d.BudgetMS = math.Min(d.BudgetMS, limit)
+	return d
+}
+
+// TestReplayGolden pins four replays bit for bit: Cottage and exhaustive
+// search on the unreplicated fleet, and Cottage on two replicated fleets.
+// The first three digests were computed before the replay path reused
+// its buffers, the edge digest before executions were written in place.
+// The replicated fleet hedges on a timer and fails over past crashes,
+// drops, corruption and slowdowns; the edge fleet sheds, quarantines
+// rotted copies, truncates anytime answers and hedges predictively.
 func TestReplayGolden(t *testing.T) {
 	eng, evs := trainedTwin(t)
 	rep := replicatedTwin(eng)
+	edge := edgeTwin(eng, evs[len(evs)-1].Query.ArrivalMS)
 	cases := []struct {
 		name string
 		eng  *engine.Engine
@@ -65,20 +115,33 @@ func TestReplayGolden(t *testing.T) {
 		{"cottage", eng, NewCottage(), "768a3f2ed13293b6"},
 		{"exhaustive", eng, baselines.Exhaustive{}, "899b61cb0a8009cd"},
 		{"replicated", rep, NewCottage(), "18b42fc2c82a10ef"},
+		{"edge", edge, tieredCottage{NewCottage()}, "92cc510892c7adb8"},
 	}
 	for _, c := range cases {
 		res := c.eng.Run(c.pol, evs)
 		if got := runDigest(res, c.eng.Cluster); got != c.want {
 			t.Errorf("%s: replay digest %s, want %s", c.name, got, c.want)
 		}
-		if c.name != "replicated" {
-			continue
-		}
 		// The digest only pins these paths if the run took them.
 		s := engine.Summarize(res)
-		if s.HedgeLegRate == 0 || s.FailoverFrac == 0 {
-			t.Errorf("replicated run hedged %v of legs and failed over on %v of queries; want both > 0",
-				s.HedgeLegRate, s.FailoverFrac)
+		switch c.name {
+		case "replicated":
+			if s.HedgeLegRate == 0 || s.FailoverFrac == 0 {
+				t.Errorf("replicated run hedged %v of legs and failed over on %v of queries; want both > 0",
+					s.HedgeLegRate, s.FailoverFrac)
+			}
+		case "edge":
+			shed := 0
+			for _, o := range res.Outcomes {
+				shed += o.ShedISNs
+			}
+			ist := c.eng.Cluster.IntegrityStats()
+			t.Logf("edge: shed %d legs, %d integrity bounces (%d query, %d scrub detections, %d repairs), truncated on %v and hedged %v of legs (%v won)",
+				shed, ist.CorruptRejects, ist.QueryDetections, ist.ScrubDetections, ist.Repairs, s.TruncatedFrac, s.HedgeLegRate, s.HedgeWinFrac)
+			if shed == 0 || ist.CorruptRejects == 0 || s.TruncatedFrac == 0 || s.HedgeLegRate == 0 {
+				t.Errorf("edge run shed %d legs, bounced %d on integrity, truncated on %v of queries and hedged %v of legs; want all > 0",
+					shed, ist.CorruptRejects, s.TruncatedFrac, s.HedgeLegRate)
+			}
 		}
 	}
 }

@@ -98,7 +98,8 @@ func (v *CottageNoML) Decide(e *engine.Engine, q trace.Query, nowMS float64) eng
 		est := quality{qk: int(math.Round(estK[isn])), qk2: int(math.Round(estK2[isn])), expQK: estK[isn],
 			hasK: estK[isn] >= v.Tau, hasK2: estK2[isn] >= v.Tau}
 		row, queueMS := servingQueue(e, isn, nowMS)
-		reports = append(reports, newReport(isn, est, p.Cycles, v.inner.LatencyMargin, queueMS, row, e.Cluster.Ladder))
+		reports = reports[:len(reports)+1]
+		newReport(&reports[len(reports)-1], isn, est, p.Cycles, v.inner.LatencyMargin, queueMS, row, e.Cluster.Ladder)
 	}
 	db, buf := decisionBufs(e)
 	return v.inner.decideFromReports(e, reports, db, buf)

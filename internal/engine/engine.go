@@ -84,9 +84,11 @@ type Engine struct {
 
 	hists QueryHists // the current Run's, resolved at its start
 	run   runTrace   // the current Run's trace; zero outside Run
-	// runOne's scratch: one query's legs, its merge, and the storage its
-	// policy decides in (DecisionBuffers).
+	// runOne's scratch: one query's legs, the execution each leg is read
+	// from, its merge, and the storage its policy decides in
+	// (DecisionBuffers).
 	legs     []Leg
+	exec     cluster.Execution
 	merge    MergeBuf
 	decision DecisionBuffers
 }
@@ -220,12 +222,26 @@ func (e *Engine) evaluate(q trace.Query, shardWorkers int) *Evaluated {
 		PerShard: make([]search.Result, len(e.Shards)),
 		Cycles:   make([]float64, len(e.Shards)),
 	}
-	lists := make([][]search.Hit, len(e.Shards))
 	par.ForMax(len(e.Shards), shardWorkers, func(si int) {
 		ev.PerShard[si] = search.Eval(e.Strategy, e.Shards[si], q.Terms, e.K)
 		ev.Cycles[si] = e.Cluster.EffectiveCycles(si, e.Cluster.Cost.Cycles(ev.PerShard[si].Stats))
-		lists[si] = ev.PerShard[si].Hits
 	})
+	// Every replay merges these lists, so they are moved into one backing
+	// array, each view capped at its own end; an empty list stays nil.
+	total := 0
+	for si := range ev.PerShard {
+		total += len(ev.PerShard[si].Hits)
+	}
+	hits := make([]search.Hit, 0, total)
+	lists := make([][]search.Hit, len(e.Shards))
+	for si := range ev.PerShard {
+		if h := ev.PerShard[si].Hits; len(h) > 0 {
+			off := len(hits)
+			hits = append(hits, h...)
+			ev.PerShard[si].Hits = hits[off:len(hits):len(hits)]
+		}
+		lists[si] = ev.PerShard[si].Hits
+	}
 	ev.TopK = search.Merge(e.K, lists...)
 	ev.TopKSet = search.DocSet(ev.TopK)
 	return ev
@@ -411,12 +427,12 @@ func (e *Engine) Run(p Policy, evs []*Evaluated) RunResult {
 	if e.Obs != nil {
 		e.Cluster.Register(e.Obs.Reg) // idempotent: create-or-get
 	}
-	res := RunResult{Policy: p.Name(), Outcomes: make([]Outcome, 0, len(evs))}
+	res := RunResult{Policy: p.Name(), Outcomes: make([]Outcome, len(evs))}
 	e.run = runTrace{evs: evs}
 	defer func() { e.run = runTrace{} }()
 	for i, ev := range evs {
 		e.run.at = i
-		res.Outcomes = append(res.Outcomes, e.runOne(p, ev))
+		e.runOne(&res.Outcomes[i], p, ev)
 	}
 	res.DurationMS = e.Cluster.NowMS()
 	res.AvgPowerW = e.Cluster.AveragePowerWatts()
@@ -463,25 +479,24 @@ func (e *Engine) Predictions(q trace.Query) []predict.Prediction {
 // cacheLookupMS is the aggregator-side cost of a cache probe.
 const cacheLookupMS = 0.02
 
-func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
+// runOne replays one query under p and writes its outcome into out,
+// every field.
+func (e *Engine) runOne(out *Outcome, p Policy, ev *Evaluated) {
 	arrive := ev.Query.ArrivalMS + e.Cluster.Net.ClientMS // at aggregator
+	*out = Outcome{}
+	out.QueryID, out.ArrivalMS = ev.Query.ID, ev.Query.ArrivalMS
 	if e.Cache != nil {
 		key := qcache.Key(ev.Query.Terms)
 		if hits, ok := e.Cache.Get(key); ok {
-			out := Outcome{
-				QueryID:   ev.Query.ID,
-				ArrivalMS: ev.Query.ArrivalMS,
-				LatencyMS: 2*e.Cluster.Net.ClientMS + cacheLookupMS,
-				BudgetMS:  0,
-				PAtK:      pAtK(hits, ev),
-			}
+			out.LatencyMS = 2*e.Cluster.Net.ClientMS + cacheLookupMS
+			out.PAtK = pAtK(hits, ev)
 			// A single query root, no fan-out: no phases to attribute.
 			tb, root := e.startTrace(p, ev)
 			root.SetAttr("cache", "hit")
 			root.End(vtUS(ev.Query.ArrivalMS + out.LatencyMS))
 			e.FinishQuery(e.hists, tb, out.LatencyMS, 0, false, false)
 			observe(p, out.LatencyMS)
-			return out
+			return
 		}
 	}
 	if e.Scaler != nil {
@@ -510,11 +525,7 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 		deadline = dispatch + d.BudgetMS
 	}
 
-	out := Outcome{
-		QueryID:   ev.Query.ID,
-		ArrivalMS: ev.Query.ArrivalMS,
-		BudgetMS:  d.BudgetMS,
-	}
+	out.BudgetMS = d.BudgetMS
 	// A dead participant never answers: the aggregator gives up on it at
 	// the budget, or — with no budget — at its failure-detection timeout.
 	giveup := deadline
@@ -522,6 +533,10 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 		giveup = dispatch + cluster.FailTimeoutMS
 	}
 	legs := e.legs[:0]
+	if cap(legs) < len(e.Shards) {
+		legs = make([]Leg, 0, len(e.Shards))
+	}
+	exec := &e.exec
 	aggDone := dispatch
 	for si := range e.Shards {
 		if !d.Participate[si] {
@@ -536,7 +551,7 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 			predMS, havePred = e.Cluster.ShardPredictedLegMS(si, dispatch, d.PredCycles[si], f), true
 		}
 		hedgeDelay := e.Hedge.DelayMS(predMS, havePred)
-		exec, hr := e.Cluster.ExecuteShardHedged(si, dispatch, ev.Cycles[si], f, deadline, hedgeDelay)
+		hr := e.Cluster.ExecuteShardHedged(exec, si, dispatch, ev.Cycles[si], f, deadline, hedgeDelay)
 		if hr.Hedged {
 			out.HedgedISNs++
 			if hr.Won {
@@ -544,11 +559,16 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 			}
 			out.DuplicateMS += hr.DuplicateMS
 		}
-		legs = append(legs, Leg{Shard: si, Client: si, Replica: exec.Replica, Failovers: exec.Failovers,
-			Truth: ev.PerShard[si].Hits, ActualMS: exec.ServiceMS,
-			QueueMS: exec.QueueMS, ServiceMS: exec.ServiceMS, FreqGHz: exec.Freq,
-			EndMS: e.Cluster.ResponseAtAggregatorMS(exec), Hedged: hr.Hedged, Status: exec.Status})
+		// The leg is built in its slot, zeroed and then written field by
+		// field: a composite literal here is built in a temporary and
+		// copied.
+		legs = legs[:len(legs)+1]
 		l := &legs[len(legs)-1]
+		*l = Leg{}
+		l.Shard, l.Client, l.Replica, l.Failovers = si, si, exec.Replica, exec.Failovers
+		l.Truth, l.ActualMS = ev.PerShard[si].Hits, exec.ServiceMS
+		l.QueueMS, l.ServiceMS, l.FreqGHz = exec.QueueMS, exec.ServiceMS, exec.Freq
+		l.EndMS, l.Hedged, l.Status = e.Cluster.ResponseAtAggregatorMS(exec), hr.Hedged, exec.Status
 		if hr.Hedged && hr.Won {
 			// The winning duplicate was sent at dispatch+hedgeDelay: that
 			// wait is hedge time, not failover time.
@@ -594,7 +614,7 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 		}
 	}
 	e.legs = legs
-	merged := Gather(e.K, legs, d.Record, e.Accuracy(), ev.TopKSet, &out, nil, &e.merge)
+	merged := Gather(e.K, legs, d.Record, e.Accuracy(), ev.TopKSet, out, nil, &e.merge)
 	out.PAtK = pAtK(merged, ev)
 	out.LatencyMS = aggDone + e.Cluster.Net.ClientMS - ev.Query.ArrivalMS
 	if e.Cache != nil {
@@ -606,7 +626,6 @@ func (e *Engine) runOne(p Policy, ev *Evaluated) Outcome {
 	}
 	e.FinishQuery(e.hists, tb, out.LatencyMS, d.BudgetMS, false, out.Degraded())
 	observe(p, out.LatencyMS)
-	return out
 }
 
 // pAtK is the share of the exhaustive top K that hits recovers; 1 when

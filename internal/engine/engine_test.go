@@ -305,13 +305,49 @@ func BenchmarkRunQuery(b *testing.B) {
 	e, qs := smallEngine(b)
 	evs := e.EvaluateAll(qs)
 	p := &fixedPolicy{name: "all", select_: all, budgetMS: math.Inf(1)}
+	var out Outcome
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%len(evs) == 0 {
 			e.Cluster.Reset()
 		}
-		_ = e.runOne(p, evs[i%len(evs)])
+		e.runOne(&out, p, evs[i%len(evs)])
 	}
+}
+
+// exhaustive is baselines.Exhaustive, which this package cannot import:
+// every shard, no budget, decided in the engine's DecisionBuffers.
+type exhaustive struct{}
+
+func (exhaustive) Name() string { return "exhaustive" }
+func (exhaustive) Decide(e *Engine, _ trace.Query, _ float64) Decision {
+	p := e.DecisionBuffers().Participate
+	for i := range p {
+		p[i] = true
+	}
+	return Decision{Participate: p, BudgetMS: math.Inf(1)}
+}
+
+// BenchmarkRunExhaustive16 is one exhaustive twin replay per op at the
+// fanout16 workloads' shape: a Wikipedia trace on 16 topical shards (a
+// third of their 48k documents, three home shards per topic), every
+// query sent to every shard. With no predictions and no Algorithm 1,
+// it times the replay path itself: routing, execution, power and
+// fan-in over 16 legs per query.
+func BenchmarkRunExhaustive16(b *testing.B) {
+	ccfg := textgen.DefaultConfig()
+	ccfg.NumDocs = 16000
+	corpus := textgen.Generate(ccfg)
+	cfg := DefaultConfig()
+	e := New(BuildFromAllocation(corpus, corpus.AllocateTopical(cfg.NumShards, 3, 0.15, 5), cfg), cfg)
+	evs := e.EvaluateAll(trace.Generate(corpus, trace.Config{Kind: trace.Wikipedia, Seed: 202, NumQueries: 1000, QPS: 45}))
+	e.Run(exhaustive{}, evs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Run(exhaustive{}, evs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(evs)), "us/query")
 }
 
 func TestCacheShortCircuitsRepeats(t *testing.T) {

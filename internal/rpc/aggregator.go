@@ -412,7 +412,7 @@ func (q *fanout) predictLeg(li int) {
 		}
 		q.graft(s, spans)
 		sp.End(nowUS())
-		q.preds[s] = a.predSlotFor(s, p, row, load)
+		a.fillPredSlot(&q.preds[s], s, p, row, load)
 		if c.epoch.Load() == epoch {
 			q.fresh[s] = memoSlot{pred: p, client: ci, epoch: epoch}
 		}

@@ -135,7 +135,7 @@ func (a *Aggregator) recallPredictions(q *fanout, key string) (ask []int, outcom
 	for s := range q.preds {
 		if slots != nil && a.usable(&slots[s]) {
 			sl := &slots[s]
-			q.preds[s] = a.predSlotFor(s, sl.pred, a.replicaRow(s, sl.client), a.Clients[sl.client].lastLoad())
+			a.fillPredSlot(&q.preds[s], s, sl.pred, a.replicaRow(s, sl.client), a.Clients[sl.client].lastLoad())
 			continue
 		}
 		if ask == nil {
@@ -173,17 +173,19 @@ func (a *Aggregator) rememberPredictions(q *fanout, key string) {
 	}
 }
 
-// predSlotFor turns one shard's bare prediction into its slot of the
+// fillPredSlot writes one shard's bare prediction into its slot of the
 // prediction round — the report Algorithm 1 reads — whether the ISN just
 // answered or the memo did. A prediction that matched nothing is a clean
 // "no match": the zero slot.
-func (a *Aggregator) predSlotFor(shard int, p predict.Prediction, row int, load QueueInfo) predSlot {
+func (a *Aggregator) fillPredSlot(sl *predSlot, shard int, p predict.Prediction, row int, load QueueInfo) {
 	if !p.Matched {
-		return predSlot{}
+		*sl = predSlot{}
+		return
 	}
 	// Eq. 2 with the serving replica's own backlog, measured live, so
 	// stage-1 cuts and the budget react to real load; replicas agree on
 	// Q^K/Q^{K/2}. The live path applies no latency margin.
 	queueMS := core.QueueBacklogMS(load.Depth, float64(load.AvgServiceUS)/1000)
-	return predSlot{report: a.Params.Report(shard, p, 0, queueMS, row, a.Ladder), ok: true}
+	a.Params.Report(&sl.report, shard, p, 0, queueMS, row, a.Ladder)
+	sl.ok, sl.err = true, nil
 }
