@@ -87,8 +87,10 @@ fuzz-smoke:
 # its predictions remembered (internal/rpc, loopback fixture; the pair
 # asserts it really timed hits and misses), and on the build path: one
 # quick-scale setup (internal/harness: corpus, parallel shard builds,
-# training) and one corpus synthesis (internal/textgen); keeps check fast
-# while catching gross regressions. End-to-end numbers come from the
+# training), one corpus synthesis (internal/textgen) and one build of
+# the fanout16 workloads' fleet, layer by layer (BuildFleetShape/wiki16:
+# generate, add, finalize, harvest, train); keeps check fast while
+# catching gross regressions. End-to-end numbers come from the
 # socket-level benchmark (bench/run.sh, BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig7QualityPredictor|Fig9BudgetDetermination' \
@@ -99,6 +101,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'SearchCottageMemo' -benchmem -benchtime 200x ./internal/rpc
 	$(GO) test -run '^$$' -bench '^BenchmarkQuickBuild$$' -benchmem -benchtime 1x ./internal/harness
 	$(GO) test -run '^$$' -bench '^BenchmarkGenerate$$' -benchmem -benchtime 1x ./internal/textgen
+	$(GO) test -run '^$$' -bench '^BenchmarkBuildFleetShape$$/^wiki16$$' -benchtime 1x .
 
 # Per-package statement coverage with a hard floor on the query
 # evaluation core, the capacity planner, and the integrity supervisor:

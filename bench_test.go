@@ -11,9 +11,11 @@ package cottage
 import (
 	"fmt"
 	"io"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"cottage/internal/baselines"
 	"cottage/internal/core"
@@ -450,6 +452,101 @@ func BenchmarkEvalFleetShape(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkBuildFleetShape times building the repository benchmark's
+// fleets from nothing, as bench/loadgen's setup builds them, one layer
+// at a time: corpus synthesis (generate), every shard's Builder.Add calls
+// (add) and Finalize calls (finalize), each under par.For over shards,
+// then the ground-truth harvest of the 900-query training trace
+// (harvest) and the predictors' training at 400/160 steps (train). Each
+// layer is reported in ms per build, beside the peak of the heap's object
+// bytes sampled every 2 ms (heap-peak-MB). The benchmark's setup_s
+// adds the evaluation trace, the listeners and the warm-up to these.
+func BenchmarkBuildFleetShape(b *testing.B) {
+	for _, f := range fleetShapes {
+		b.Run(f.name, func(b *testing.B) {
+			const layers = 5
+			var ms [layers]float64
+			stop, peak := sampleHeapPeak()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				lap := func(layer int) {
+					now := time.Now()
+					ms[layer] += float64(now.Sub(start).Microseconds()) / 1000
+					start = now
+				}
+				cc := textgen.DefaultConfig()
+				cc.NumDocs = f.docs
+				corpus := textgen.Generate(cc)
+				lap(0)
+				alloc := corpus.AllocateTopical(f.shards, f.home, 0.15, 5)
+				builders := make([]*index.Builder, len(alloc))
+				par.For(len(alloc), func(si int) {
+					builders[si] = index.NewBuilder(si, index.DefaultBM25(), 10)
+					for _, id := range alloc[si] {
+						d := &corpus.Docs[id]
+						terms := make(map[string]int, len(d.Terms))
+						for tid, tf := range d.Terms {
+							terms[corpus.Vocab[tid]] = tf
+						}
+						builders[si].Add(int64(id), terms, d.Length)
+					}
+				})
+				lap(1)
+				shards := make([]*index.Shard, len(builders))
+				par.For(len(builders), func(si int) { shards[si] = builders[si].Finalize() })
+				lap(2)
+				train := trace.Generate(corpus, trace.Config{Kind: f.kind, Seed: 101, NumQueries: 900, QPS: f.qps})
+				start = time.Now()
+				ecfg := engine.DefaultConfig()
+				ds := predict.Harvest(shards, train, 10, ecfg.Strategy, ecfg.Cluster.Cost)
+				lap(3)
+				pcfg := predict.DefaultConfig(10)
+				pcfg.QualitySteps, pcfg.LatencySteps = 400, 160
+				if _, err := predict.Train(ds, pcfg); err != nil {
+					b.Fatal(err)
+				}
+				lap(4)
+			}
+			stop()
+			for layer, name := range [layers]string{"generate", "add", "finalize", "harvest", "train"} {
+				b.ReportMetric(ms[layer]/float64(b.N), name+"-ms")
+			}
+			b.ReportMetric(float64(*peak)/(1<<20), "heap-peak-MB")
+		})
+	}
+}
+
+// sampleHeapPeak starts recording the peak of the heap's object bytes
+// (live and not yet swept), read every 2 ms. stop ends the sampling and
+// leaves the peak in *peak.
+func sampleHeapPeak() (stop func(), peak *uint64) {
+	peak = new(uint64)
+	done, finished := make(chan struct{}), make(chan struct{})
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() {
+		metrics.Read(sample)
+		*peak = max(*peak, sample[0].Value.Uint64())
+	}
+	go func() {
+		defer close(finished)
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				read()
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-finished
+		read()
+	}, peak
 }
 
 // BenchmarkOracle times the oracle-quality replay used in the predictor

@@ -284,8 +284,7 @@ func main() {
 				log.Fatal(err)
 			}
 			if len(exh.Hits) > 0 {
-				want := search.DocSet(exh.Hits)
-				ov := float64(search.Overlap(res.Hits, want)) / float64(len(exh.Hits))
+				ov := float64(search.CountIn(res.Hits, exh.Hits)) / float64(len(exh.Hits))
 				overlapSum += ov
 				fmt.Printf("%-40s overlap with exhaustive: %.2f\n", "", ov)
 			}

@@ -92,7 +92,7 @@ func main() {
 		}
 		overlap := 1.0
 		if len(exh.Hits) > 0 {
-			overlap = float64(search.Overlap(cot.Hits, search.DocSet(exh.Hits))) / float64(len(exh.Hits))
+			overlap = float64(search.CountIn(cot.Hits, exh.Hits)) / float64(len(exh.Hits))
 		}
 		sumOverlap += overlap
 		n++

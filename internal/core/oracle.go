@@ -33,13 +33,12 @@ func NewCottageOracle(e *engine.Engine, evs []*engine.Evaluated) *CottageOracle 
 		for si := range ev.PerShard {
 			lists[si] = ev.PerShard[si].Hits
 		}
-		inK := ev.TopKSet
-		inK2 := search.DocSet(search.Merge(e.K/2, lists...))
+		inK2 := search.Merge(e.K/2, lists...)
 		k := make([]int, len(ev.PerShard))
 		k2 := make([]int, len(ev.PerShard))
 		for si := range ev.PerShard {
-			k[si] = search.Overlap(ev.PerShard[si].Hits, inK)
-			k2[si] = search.Overlap(ev.PerShard[si].Hits, inK2)
+			k[si] = search.CountIn(ev.PerShard[si].Hits, ev.TopK)
+			k2[si] = search.CountIn(ev.PerShard[si].Hits, inK2)
 		}
 		o.truthK[ev.Query.ID] = k
 		o.truthK2[ev.Query.ID] = k2

@@ -86,8 +86,8 @@ func (v *CottageNoML) Decide(e *engine.Engine, q trace.Query, nowMS float64) eng
 	if e.Fleet == nil {
 		panic("core: CottageNoML requires a trained fleet for latency prediction")
 	}
-	estK := e.Gamma.Estimate(q.Terms, e.K)
-	estK2 := e.Gamma.Estimate(q.Terms, e.K/2)
+	fit := e.Gamma.Fit(q.Terms)
+	estK, estK2 := fit.Estimate(e.K), fit.Estimate(e.K/2)
 	preds := e.Predictions(q)
 
 	reports := make([]ISNReport, 0, len(preds))

@@ -207,9 +207,8 @@ type Evaluated struct {
 	// strategy.
 	Cycles []float64
 	// TopK is the global ground-truth top-K (what exhaustive search
-	// returns); TopKSet indexes it.
-	TopK    []search.Hit
-	TopKSet map[int64]bool
+	// returns).
+	TopK []search.Hit
 }
 
 // evaluate is Evaluate with an explicit cap on the per-shard fan-out.
@@ -232,7 +231,7 @@ func (e *Engine) evaluate(q trace.Query, shardWorkers int) *Evaluated {
 	for si := range ev.PerShard {
 		total += len(ev.PerShard[si].Hits)
 	}
-	hits := make([]search.Hit, 0, total)
+	hits := make([]search.Hit, 0, total+e.K)
 	lists := make([][]search.Hit, len(e.Shards))
 	for si := range ev.PerShard {
 		if h := ev.PerShard[si].Hits; len(h) > 0 {
@@ -242,8 +241,10 @@ func (e *Engine) evaluate(q trace.Query, shardWorkers int) *Evaluated {
 		}
 		lists[si] = ev.PerShard[si].Hits
 	}
-	ev.TopK = search.Merge(e.K, lists...)
-	ev.TopKSet = search.DocSet(ev.TopK)
+	// The top K goes right after the lists in the same array: a replay
+	// reads it (pAtK) just after merging the lists, so it is on the
+	// cache lines the merge has brought in, or the next ones.
+	ev.TopK = search.MergeInto(hits[len(hits):], e.K, lists...)
 	return ev
 }
 
@@ -614,7 +615,7 @@ func (e *Engine) runOne(out *Outcome, p Policy, ev *Evaluated) {
 		}
 	}
 	e.legs = legs
-	merged := Gather(e.K, legs, d.Record, e.Accuracy(), ev.TopKSet, out, nil, &e.merge)
+	merged := Gather(e.K, legs, d.Record, e.Accuracy(), ev.TopK, out, nil, &e.merge)
 	out.PAtK = pAtK(merged, ev)
 	out.LatencyMS = aggDone + e.Cluster.Net.ClientMS - ev.Query.ArrivalMS
 	if e.Cache != nil {
@@ -634,7 +635,7 @@ func pAtK(hits []search.Hit, ev *Evaluated) float64 {
 	if len(ev.TopK) == 0 {
 		return 1
 	}
-	return float64(search.Overlap(hits, ev.TopKSet)) / float64(len(ev.TopK))
+	return float64(search.CountIn(hits, ev.TopK)) / float64(len(ev.TopK))
 }
 
 // vtUS converts a virtual-time millisecond stamp into the microsecond

@@ -88,7 +88,7 @@ type MergeBuf struct {
 // on answered legs only (a cut leg's time is the budget, not the
 // query's cost), quality on every leg that reached a node, as whether
 // the leg placed a document in ref — the merged answer when ref is nil.
-func Gather(k int, legs []Leg, rec *obs.DecisionRecord, acc *obs.Accuracy, ref map[int64]bool, out *Outcome, f *Filing, buf *MergeBuf) []search.Hit {
+func Gather(k int, legs []Leg, rec *obs.DecisionRecord, acc *obs.Accuracy, ref []search.Hit, out *Outcome, f *Filing, buf *MergeBuf) []search.Hit {
 	if buf == nil {
 		buf = &MergeBuf{hits: []search.Hit{}} // search.Merge's storage
 	}
@@ -144,13 +144,13 @@ func Gather(k int, legs []Leg, rec *obs.DecisionRecord, acc *obs.Accuracy, ref m
 			acc.ObserveLatency(l.Client, l.Pred.LatencyMS, l.ActualMS)
 		}
 		if ref == nil {
-			ref = search.DocSet(hits)
+			ref = hits
 		}
 		scored := l.Hits
 		if l.Truth != nil {
 			scored = l.Truth
 		}
-		acc.ObserveQuality(l.Client, l.Pred.HasK, search.Overlap(scored, ref) > 0)
+		acc.ObserveQuality(l.Client, l.Pred.HasK, search.CountIn(scored, ref) > 0)
 	}
 	return hits
 }

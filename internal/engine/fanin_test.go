@@ -107,7 +107,7 @@ func TestGatherMergesInLegOrder(t *testing.T) {
 	}
 
 	acc := obs.NewAccuracy(2)
-	Gather(10, legs, nil, acc, map[int64]bool{8: true}, &Outcome{}, nil, nil)
+	Gather(10, legs, nil, acc, []search.Hit{{Doc: 8}}, &Outcome{}, nil, nil)
 	if a := acc.Snapshot()[1]; a.QualSamples != 1 || a.QualHitRate != 1 || a.LatSamples != 0 {
 		t.Fatalf("dropped leg scored %+v, want one quality hit on its truth", a)
 	}

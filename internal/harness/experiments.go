@@ -149,7 +149,7 @@ func Fig2(s *Setup, w io.Writer) error {
 	for _, ev := range s.WikiEval {
 		n := 0
 		for si := range ev.PerShard {
-			if search.Overlap(ev.PerShard[si].Hits, ev.TopKSet) > 0 {
+			if search.CountIn(ev.PerShard[si].Hits, ev.TopK) > 0 {
 				n++
 			}
 		}
@@ -237,7 +237,7 @@ func heldOutDataset(s *Setup, evs []*engine.Evaluated) *predict.Dataset {
 		for si := range ev.PerShard {
 			lists[si] = ev.PerShard[si].Hits
 		}
-		inK2 := search.DocSet(search.Merge(s.Engine.K/2, lists...))
+		inK2 := search.Merge(s.Engine.K/2, lists...)
 		for si, sh := range s.Engine.Shards {
 			qv, qok := features.Quality(sh, ev.Query.Terms)
 			lv, _ := features.Latency(sh, ev.Query.Terms)
@@ -245,8 +245,8 @@ func heldOutDataset(s *Setup, evs []*engine.Evaluated) *predict.Dataset {
 				QualityVec: qv,
 				LatencyVec: lv,
 				Matched:    qok,
-				QK:         search.Overlap(ev.PerShard[si].Hits, ev.TopKSet),
-				QK2:        search.Overlap(ev.PerShard[si].Hits, inK2),
+				QK:         search.CountIn(ev.PerShard[si].Hits, ev.TopK),
+				QK2:        search.CountIn(ev.PerShard[si].Hits, inK2),
 				Cycles:     ev.Cycles[si],
 			}
 		}
@@ -599,7 +599,7 @@ func Fig3(s *Setup, w io.Writer) error {
 		contributors := 0
 		lo, hi := math.Inf(1), 0.0
 		for si := range ev.PerShard {
-			if search.Overlap(ev.PerShard[si].Hits, ev.TopKSet) > 0 {
+			if search.CountIn(ev.PerShard[si].Hits, ev.TopK) > 0 {
 				contributors++
 			}
 			ms := cluster.ServiceMS(ev.Cycles[si], s.Engine.Cluster.Ladder.Default())
@@ -624,7 +624,7 @@ func Fig3(s *Setup, w io.Writer) error {
 	for si := range ev.PerShard {
 		ms := cluster.ServiceMS(ev.Cycles[si], s.Engine.Cluster.Ladder.Default())
 		fmt.Fprintf(w, "%-5d %12.2f %14d\n", si, ms,
-			search.Overlap(ev.PerShard[si].Hits, ev.TopKSet))
+			search.CountIn(ev.PerShard[si].Hits, ev.TopK))
 	}
 	// Replay just this query (empty cluster) under each policy class.
 	single := []*engine.Evaluated{ev}

@@ -99,17 +99,17 @@ func packedFuzzTerm(f *testing.F) (*Shard, []Posting) {
 		ps = append(ps, Posting{Doc: doc, TF: uint32(1 + d%9)})
 		doc += uint32(1 + d%5)
 	}
-	for _, p := range ps {
-		for int(p.Doc) >= len(b.docLens) {
-			b.docLens = append(b.docLens, 30)
-			b.globals = append(b.globals, int64(len(b.globals)))
-			b.totalLen += 30
+	// Every document is 30 tokens long; the ones between postings lack
+	// the term.
+	next := 0
+	for doc := 0; doc <= int(ps[len(ps)-1].Doc); doc++ {
+		var terms map[string]int
+		if p := ps[next]; int(p.Doc) == doc {
+			terms = map[string]int{"t": int(p.TF)}
+			next++
 		}
+		b.Add(int64(doc), terms, 30)
 	}
-	idx := int32(0)
-	b.dict["t"] = idx
-	b.terms = append(b.terms, "t")
-	b.postings = append(b.postings, ps)
 	s := b.Finalize()
 	if err := s.Validate(); err != nil {
 		f.Fatal(err)

@@ -195,18 +195,40 @@ func (s *Shard) NormTableBytes() int { return 8 * len(s.norms) }
 // Builder accumulates documents and produces an immutable Shard. It is not
 // safe for concurrent use; build shards in parallel with one Builder each.
 // Finalize itself spreads its per-term work over every core.
+//
+// Add appends every posting to one log and counts it under its term;
+// Finalize buckets the log by term into one backing array. The log is a
+// list of fixed-size blocks, so it never moves once written. Growing one
+// slice per term instead copied each long list several times over and
+// left part of each slice unused.
 type Builder struct {
-	shardID  int
-	bm25     BM25Params
-	statsK   int
-	docLens  []uint32
-	globals  []int64
-	dict     map[string]int32
-	postings [][]Posting
-	terms    []string
+	shardID int
+	bm25    BM25Params
+	statsK  int
+	docLens []uint32
+	globals []int64
+	dict    map[string]int32
+	terms   []string // by first-seen index
+	counts  []int32  // postings per term, by first-seen index
+	// log holds the postings in the order Add met them, logBlock to a
+	// block; logEnds[d] is the number logged up to and including
+	// document d, which is how a posting's document is known.
+	log      [][]logEntry
+	logged   int
+	logEnds  []int
 	totalLen uint64
 	sealed   bool
 }
+
+// logEntry is one logged posting: the first-seen index of its term and
+// its tf.
+type logEntry struct {
+	term int32
+	tf   uint32
+}
+
+// logBlock is how many postings one block of a Builder's log holds.
+const logBlock = 1 << 16
 
 // NewBuilder creates a Builder for shard shardID. statsK is the K used for
 // K-th-score term statistics (use 10 to match the paper's P@10 focus).
@@ -229,7 +251,6 @@ func (b *Builder) Add(globalID int64, terms map[string]int, length int) {
 	if b.sealed {
 		panic("index: Add after Finalize")
 	}
-	local := uint32(len(b.docLens))
 	b.docLens = append(b.docLens, uint32(length))
 	b.globals = append(b.globals, globalID)
 	b.totalLen += uint64(length)
@@ -242,10 +263,17 @@ func (b *Builder) Add(globalID int64, terms map[string]int, length int) {
 			idx = int32(len(b.terms))
 			b.dict[text] = idx
 			b.terms = append(b.terms, text)
-			b.postings = append(b.postings, nil)
+			b.counts = append(b.counts, 0)
 		}
-		b.postings[idx] = append(b.postings[idx], Posting{Doc: local, TF: uint32(tf)})
+		b.counts[idx]++
+		if b.logged%logBlock == 0 {
+			b.log = append(b.log, make([]logEntry, 0, logBlock))
+		}
+		blk := &b.log[len(b.log)-1]
+		*blk = append(*blk, logEntry{term: idx, tf: uint32(tf)})
+		b.logged++
 	}
+	b.logEnds = append(b.logEnds, b.logged)
 }
 
 // AddText tokenizes raw text with Tokenize and adds the document.
@@ -289,13 +317,35 @@ func (b *Builder) Finalize() *Shard {
 		StatsK:    b.statsK,
 	}
 	s.buildNorms()
+	// Number the terms lexically, then bucket the log by term in one
+	// stable counting pass: each term's postings keep the order Add
+	// logged them in, which is document order.
 	slices.Sort(b.terms)
+	next := make([]int, len(b.terms)) // by first-seen index: the bucket's next free slot
 	postings := make([][]Posting, len(b.terms))
+	backing := make([]Posting, b.logged)
+	off := 0
 	for id, text := range b.terms {
-		postings[id] = b.postings[b.dict[text]]
+		idx := b.dict[text]
+		start := off
+		off += int(b.counts[idx])
+		postings[id] = backing[start:off:off]
+		next[idx] = start
 		b.dict[text] = int32(id)
 		s.Terms[id].Text = text
 	}
+	doc, pos := 0, 0
+	for _, blk := range b.log {
+		for _, e := range blk {
+			for pos == b.logEnds[doc] {
+				doc++
+			}
+			backing[next[e.term]] = Posting{Doc: uint32(doc), TF: e.tf}
+			next[e.term]++
+			pos++
+		}
+	}
+	b.log, b.logEnds, b.counts = nil, nil, nil
 	chunks := (len(postings) + finalizeChunk - 1) / finalizeChunk
 	par.For(chunks, func(c int) {
 		var buf statsScratch

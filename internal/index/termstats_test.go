@@ -3,6 +3,7 @@ package index
 import (
 	"container/heap"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -75,6 +76,114 @@ func TestSortedMeansMatchStats(t *testing.T) {
 		if wh := stats.HarmonicMean(sorted); math.Float64bits(harm) != math.Float64bits(wh) {
 			t.Errorf("list %d: harmonic mean %v, want %v", li, harm, wh)
 		}
+	}
+}
+
+// referenceStats is computeTermStats the direct way, from the term's
+// document-ordered scores: sort a copy with sort.Float64s, read the order
+// statistics and means off it with the stats package, and count the bands
+// and local maxima in one scan.
+func referenceStats(s *Shard, ti *TermInfo) TermStats {
+	scores := s.Scores(ti)
+	df, k := len(scores), s.StatsK
+	sorted := slices.Clone(scores)
+	sort.Float64s(sorted)
+	st := TermStats{PostingLen: df, IDF: ti.Stats.IDF}
+	maxTF := uint32(0)
+	for _, p := range ti.AllPostings() {
+		maxTF = max(maxTF, p.TF)
+	}
+	st.EstMaxScore = st.IDF * (s.BM25.K1 + 1) * float64(maxTF)
+	for _, sc := range scores {
+		st.SumScore += sc
+		st.SumScore2 += sc * sc
+	}
+	st.MinScore, st.MaxScore = sorted[0], sorted[df-1]
+	st.Q1 = stats.PercentileSorted(sorted, 25)
+	st.Median = stats.PercentileSorted(sorted, 50)
+	st.Q3 = stats.PercentileSorted(sorted, 75)
+	st.Mean = st.SumScore / float64(df)
+	st.Variance = max(st.SumScore2/float64(df)-st.Mean*st.Mean, 0)
+	st.GeoMean, st.HarmMean = stats.GeometricMean(sorted), stats.HarmonicMean(sorted)
+	st.KthScore = sorted[0]
+	if df >= k {
+		st.KthScore = sorted[df-k]
+	}
+	for i, sc := range scores {
+		if sc >= st.MaxScore*0.95 {
+			st.DocsWithin5OfMax++
+		}
+		if sc >= st.KthScore*0.95 {
+			st.DocsWithin5OfKth++
+		}
+		if sc >= st.MaxScore-1e-12 {
+			st.NumMaxScore++
+		}
+		if (i == 0 || sc > scores[i-1]) && (i == df-1 || sc > scores[i+1]) {
+			st.NumLocalMaxima++
+			if sc > st.Mean {
+				st.NumMaximaAboveMean++
+			}
+		}
+	}
+	st.DocsEverInTopK = heapInsertions(scores, k)
+	return st
+}
+
+// TestTermStatsMatchReference: every TermStats field Finalize computes
+// equals, bit for bit, the one read off a sort.Float64s copy of the
+// term's scores — on shards whose (tf, length) postings tie in score
+// across different keys, with lists on both sides of the radix cutover.
+func TestTermStatsMatchReference(t *testing.T) {
+	// K1 = 1 and B = 1 make a posting's length normalisation dl/avgdl, so
+	// (tf, dl) keys with the same tf/dl ratio score alike in exact
+	// arithmetic, and (1, 8), (2, 16) and (4, 32) tie to the bit when the
+	// average length is a power of two.
+	rng := xrand.New(5)
+	ties := 0
+	lens := []int{8, 16, 24, 8, 32, 8} // averaging 16 over any multiple of 6 documents
+	for _, n := range []int{60, radixCutover + 2, 3 * radixCutover} {
+		b := NewBuilder(0, BM25Params{K1: 1, B: 1}, 10)
+		for d := 0; d < n; d++ {
+			dl := lens[d%len(lens)]
+			terms := map[string]int{
+				"ratio": dl / 8,
+				"head":  1 + rng.Intn(3),
+				"tail":  1 + rng.Intn(40),
+			}
+			if d%7 == 0 {
+				terms["sparse"] = 1 + d%2
+			}
+			b.Add(int64(d), terms, dl)
+		}
+		s := b.Finalize()
+		if s.AvgDocLen != 16 {
+			t.Fatalf("average length %v, want 16", s.AvgDocLen)
+		}
+		for i := range s.Terms {
+			ti := &s.Terms[i]
+			got, want := reflect.ValueOf(ti.Stats), reflect.ValueOf(referenceStats(s, ti))
+			for f := 0; f < got.NumField(); f++ {
+				g, w := got.Field(f), want.Field(f)
+				same := g.Kind() == reflect.Int && g.Int() == w.Int() ||
+					g.Kind() == reflect.Float64 && math.Float64bits(g.Float()) == math.Float64bits(w.Float())
+				if !same {
+					t.Fatalf("%d docs, term %q: %s = %v, want %v", n, ti.Text, got.Type().Field(f).Name, g, w)
+				}
+			}
+			keys := make(map[Posting]bool)
+			for _, p := range ti.AllPostings() {
+				keys[Posting{Doc: s.DocLens[p.Doc], TF: p.TF}] = true
+			}
+			distinct := make(map[float64]bool)
+			for _, sc := range s.Scores(ti) {
+				distinct[sc] = true
+			}
+			ties += len(keys) - len(distinct)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two (tf, length) keys tied in score: the shards test nothing")
 	}
 }
 

@@ -8,7 +8,9 @@ package nn
 // remainder; 16 lanes in eight XMM registers otherwise, then 8- and
 // 4-lane tiles and the scalar strided loop. Every path accumulates
 // bias-first in ascending input order, so all of them are bit-identical
-// to each other and to the portable loops in kernels.go.
+// to each other and to the portable loops in kernels.go. The gradient
+// kernels tile gradWT's lanes the same way (32 with AVX2, then 8 and 4),
+// each lane summing in ascending batch row.
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -64,35 +66,74 @@ var avxMasks = [32]int64{
 }
 
 //go:noescape
-func gradCols8(gw, act, delta *float64, batch, actStride, deltaStride int)
+func gradCols8(acc, vec, bcast *float64, batch, vecStride, bcastStride int)
 
 //go:noescape
-func gradCols4(gw, act, delta *float64, batch, actStride, deltaStride int)
+func gradCols4(acc, vec, bcast *float64, batch, vecStride, bcastStride int)
+
+//go:noescape
+func avxGrad32(acc, vec, bcast *float64, batch, vecStride, bcastStride int)
 
 // gradWT accumulates the mini-batch weight gradient gw[o*in+i] +=
-// Σ_r delta[r*out+o] * act[r*in+i], eight input columns at a time. Each
-// element's sum runs over ascending batch row r starting from gw's
-// current value — the same chain as the per-sample reference backward.
+// Σ_r delta[r*out+o] * act[r*in+i]. Each element's sum runs over
+// ascending batch row r starting from gw's current value — the same
+// chain as the per-sample reference backward — whichever tiles run.
 func gradWT(gw, act, delta []float64, batch, in, out int) {
-	for o := 0; o < out; o++ {
-		gwRow := gw[o*in : (o+1)*in]
-		i := 0
-		if batch > 0 {
-			for ; i+8 <= in; i += 8 {
-				gradCols8(&gwRow[i], &act[i], &delta[o], batch, in*8, out*8)
+	// Reslicing bounds every address the kernels touch.
+	gw, act, delta = gw[:out*in], act[:batch*in], delta[:batch*out]
+	if batch == 0 {
+		return
+	}
+	if in >= out {
+		// Lanes along a row of gw, one input each; the output's delta is
+		// broadcast.
+		for o := 0; o < out; o++ {
+			gradLanes(gw[o*in:(o+1)*in], act, delta[o:], batch, in, out)
+		}
+		return
+	}
+	// Fewer inputs than outputs (the first layer: 15 inputs, 64 outputs):
+	// lanes along a column of gw, one output each, gathered into a
+	// contiguous tile and scattered back; the input's activation is
+	// broadcast.
+	var col [32]float64
+	for i := 0; i < in; i++ {
+		for o := 0; o < out; o += len(col) {
+			tile := col[:min(out-o, len(col))]
+			for j := range tile {
+				tile[j] = gw[(o+j)*in+i]
 			}
-			if i+4 <= in {
-				gradCols4(&gwRow[i], &act[i], &delta[o], batch, in*8, out*8)
-				i += 4
+			gradLanes(tile, delta[o:], act[i:], batch, out, in)
+			for j, v := range tile {
+				gw[(o+j)*in+i] = v
 			}
 		}
-		for ; i < in; i++ {
-			s := gwRow[i]
-			for r := 0; r < batch; r++ {
-				s += float64(delta[r*out+o] * act[r*in+i])
-			}
-			gwRow[i] = s
+	}
+}
+
+// gradLanes adds Σ_r bcast[r*bcastStride] * vec[r*vecStride+l] to every
+// lane acc[l], in ascending r: 32 lanes at a time with AVX2, then eight
+// and four with SSE2, then one by one.
+func gradLanes(acc, vec, bcast []float64, batch, vecStride, bcastStride int) {
+	l := 0
+	if useAVX2 {
+		for ; l+32 <= len(acc); l += 32 {
+			avxGrad32(&acc[l], &vec[l], &bcast[0], batch, vecStride*8, bcastStride*8)
 		}
+	}
+	for ; l+8 <= len(acc); l += 8 {
+		gradCols8(&acc[l], &vec[l], &bcast[0], batch, vecStride*8, bcastStride*8)
+	}
+	if l+4 <= len(acc) {
+		gradCols4(&acc[l], &vec[l], &bcast[0], batch, vecStride*8, bcastStride*8)
+		l += 4
+	}
+	for ; l < len(acc); l++ {
+		s := acc[l]
+		for r := 0; r < batch; r++ {
+			s += float64(bcast[r*bcastStride] * vec[r*vecStride+l])
+		}
+		acc[l] = s
 	}
 }
 

@@ -316,19 +316,19 @@ avx16ret:
 	VZEROUPPER
 	RET
 
-// func gradCols8(gw, act, delta *float64, batch, actStride, deltaStride int)
-// gw[0..8) += Σ_{r<batch} delta[r*deltaStride/8] * act[r*actStride/8 .. +8)
-// The accumulators start from gw's current contents, so the per-element
-// chain is exactly the sequential ascending-r accumulation of the
-// reference backward pass. Strides are in bytes; act points at the first
-// of the eight input columns, delta at the output's column in row 0.
+// func gradCols8(acc, vec, bcast *float64, batch, vecStride, bcastStride int)
+// The SSE2 gradient tile: acc[0..8) += Σ_{r<batch} bcast[r*bcastStride/8]
+// * vec[r*vecStride/8 .. +8). The accumulators start from acc's current
+// contents, so the per-element chain is exactly the sequential
+// ascending-r accumulation of the reference backward pass. Strides are in
+// bytes.
 TEXT ·gradCols8(SB), NOSPLIT, $0-48
-	MOVQ gw+0(FP), DI
-	MOVQ act+8(FP), SI
-	MOVQ delta+16(FP), BX
+	MOVQ acc+0(FP), DI
+	MOVQ vec+8(FP), SI
+	MOVQ bcast+16(FP), BX
 	MOVQ batch+24(FP), CX
-	MOVQ actStride+32(FP), DX
-	MOVQ deltaStride+40(FP), R8
+	MOVQ vecStride+32(FP), DX
+	MOVQ bcastStride+40(FP), R8
 	MOVUPS 0(DI), X0
 	MOVUPS 16(DI), X1
 	MOVUPS 32(DI), X2
@@ -360,6 +360,65 @@ grad8done:
 	MOVUPS X1, 16(DI)
 	MOVUPS X2, 32(DI)
 	MOVUPS X3, 48(DI)
+	RET
+
+// func avxGrad32(acc, vec, bcast *float64, batch, vecStride, bcastStride int)
+// The AVX2 gradient tile: acc[0..32) += Σ_{r<batch} bcast[r*bcastStride/8]
+// * vec[r*vecStride/8 .. +32), in ascending r, starting from acc's
+// current contents. Eight YMM accumulators keep eight independent add
+// chains in flight. Strides are in bytes. gradWT points vec at the first
+// lane's column and bcast at the broadcast column, in row 0 of the
+// activations and the deltas (or the other way round).
+TEXT ·avxGrad32(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ vec+8(FP), SI
+	MOVQ bcast+16(FP), BX
+	MOVQ batch+24(FP), CX
+	MOVQ vecStride+32(FP), DX
+	MOVQ bcastStride+40(FP), R8
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	XORQ AX, AX
+agrad32loop:
+	CMPQ AX, CX
+	JGE  agrad32done
+	VBROADCASTSD (BX), Y8
+	VMULPD 0(SI), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(SI), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(SI), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(SI), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD 128(SI), Y8, Y13
+	VADDPD Y13, Y4, Y4
+	VMULPD 160(SI), Y8, Y14
+	VADDPD Y14, Y5, Y5
+	VMULPD 192(SI), Y8, Y15
+	VADDPD Y15, Y6, Y6
+	VMULPD 224(SI), Y8, Y9
+	VADDPD Y9, Y7, Y7
+	ADDQ DX, SI
+	ADDQ R8, BX
+	INCQ AX
+	JMP  agrad32loop
+agrad32done:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
 	RET
 
 // func colsDense4(z, a, wt, bias, x *float64, k, stride int)
@@ -402,15 +461,15 @@ dense4done:
 dense4ret:
 	RET
 
-// func gradCols4(gw, act, delta *float64, batch, actStride, deltaStride int)
-// Four-lane tail variant of gradCols8 for input blocks of 4..7.
+// func gradCols4(acc, vec, bcast *float64, batch, vecStride, bcastStride int)
+// Four-lane tail variant of gradCols8 for 4..7 remaining lanes.
 TEXT ·gradCols4(SB), NOSPLIT, $0-48
-	MOVQ gw+0(FP), DI
-	MOVQ act+8(FP), SI
-	MOVQ delta+16(FP), BX
+	MOVQ acc+0(FP), DI
+	MOVQ vec+8(FP), SI
+	MOVQ bcast+16(FP), BX
 	MOVQ batch+24(FP), CX
-	MOVQ actStride+32(FP), DX
-	MOVQ deltaStride+40(FP), R8
+	MOVQ vecStride+32(FP), DX
+	MOVQ bcastStride+40(FP), R8
 	MOVUPS 0(DI), X0
 	MOVUPS 16(DI), X1
 	XORQ AX, AX

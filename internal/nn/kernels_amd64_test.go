@@ -18,3 +18,20 @@ func dispatchPaths() []matvecPath {
 	}
 	return paths
 }
+
+// gradDispatchPaths returns gradWT at every dispatch level this CPU runs,
+// as dispatchPaths does for matvecWT.
+func gradDispatchPaths() []gradPath {
+	at := func(avx2 bool) gradFunc {
+		return func(gw, act, delta []float64, batch, in, out int) {
+			defer func(old bool) { useAVX2 = old }(useAVX2)
+			useAVX2 = avx2
+			gradWT(gw, act, delta, batch, in, out)
+		}
+	}
+	paths := []gradPath{{"sse2", at(false)}}
+	if hasAVX2 {
+		paths = append(paths, gradPath{"avx2", at(true)})
+	}
+	return paths
+}

@@ -437,10 +437,15 @@ func (n *Network) Train(xs [][]float64, ys []int, tc TrainConfig) ([]float64, er
 				for r := 0; r < batch; r++ {
 					matvecWT(nd[r*in:(r+1)*in], nil, l.W, zeroBias, delta[r*out:(r+1)*out], in, out)
 				}
+				// The mask is an AND of the bits, so it compiles without a
+				// branch: about half the pre-activations are ≤ 0, in no
+				// order a branch predictor could learn.
 				for i2, zv := range bs.zs[li-1][:batch*in] {
+					keep := ^uint64(0)
 					if zv <= 0 {
-						nd[i2] = 0
+						keep = 0
 					}
+					nd[i2] = math.Float64frombits(math.Float64bits(nd[i2]) & keep)
 				}
 			}
 			cur, nxt = nxt, cur

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"cottage/internal/cluster"
@@ -120,5 +121,48 @@ func TestPredictTraceGolden(t *testing.T) {
 	const want = "f78d529a4782f73cce197e55e11e95b3c4131df81c8fd09218d108304765c6ea"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("%d queries × %d ISNs: prediction digest %s, want %s", len(rows), len(shards), got, want)
+	}
+}
+
+// TestEstimateGolden pins the Taily estimator bit for bit: the SHA-256
+// of every shard's Estimate at K = 10 and at K = 5 over a Wikipedia and
+// a Lucene trace on eight shards, with unmatched and repeated terms
+// mixed in. The digest was computed before the per-query Gamma fits and
+// the bisection's early stop existed.
+func TestEstimateGolden(t *testing.T) {
+	ccfg := textgen.DefaultConfig()
+	ccfg.NumDocs = 3000
+	ccfg.VocabSize = 3000
+	ccfg.NumTopics = 12
+	ccfg.TopicTermCount = 150
+	corpus := textgen.Generate(ccfg)
+	shards := buildShards(corpus, corpus.AllocateTopical(8, 2, 0.15, 3))
+	g := &GammaEstimator{Shards: shards}
+	h := sha256.New()
+	var buf [8]byte
+	n := 0
+	for _, kind := range []trace.Kind{trace.Wikipedia, trace.Lucene} {
+		for i, q := range trace.Generate(corpus, trace.Config{Kind: kind, Seed: 23, NumQueries: 150, QPS: 10}) {
+			ts := q.Terms
+			switch i % 7 {
+			case 2:
+				ts = []string{"no-such-term"}
+			case 4:
+				ts = append([]string{"no-such-term"}, ts...)
+			case 6:
+				ts = append(append([]string(nil), ts...), ts[0])
+			}
+			for _, k := range []int{10, 5} {
+				for _, e := range g.Estimate(ts, k) {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e))
+					h.Write(buf[:])
+					n++
+				}
+			}
+		}
+	}
+	const want = "6a686e1c47dc59bcefa81e7734d70702edad8d1d2ae959f87131def37b94cbb1"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("%d estimates: digest %s, want %s", n, got, want)
 	}
 }

@@ -70,13 +70,13 @@ func Harvest(shards []*index.Shard, queries []trace.Query, k int,
 		for si := range perShard {
 			lists[si] = perShard[si].Hits
 		}
-		inK := search.DocSet(search.Merge(k, lists...))
-		inK2 := search.DocSet(search.Merge(k/2, lists...))
+		inK := search.Merge(k, lists...)
+		inK2 := search.Merge(k/2, lists...)
 		for si, s := range shards {
 			sm := &ds.PerISN[si][qi]
 			sm.Matched = features.Extract(s, q.Terms, &sm.QualityVec, &sm.LatencyVec)
-			sm.QK = search.Overlap(perShard[si].Hits, inK)
-			sm.QK2 = search.Overlap(perShard[si].Hits, inK2)
+			sm.QK = search.CountIn(perShard[si].Hits, inK)
+			sm.QK2 = search.CountIn(perShard[si].Hits, inK2)
 			sm.Cycles = cost.Cycles(perShard[si].Stats)
 		}
 	}

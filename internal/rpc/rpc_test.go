@@ -194,8 +194,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 		if len(exh.Hits) == 0 {
 			continue
 		}
-		want := search.DocSet(exh.Hits)
-		overlapSum += float64(search.Overlap(cot.Hits, want)) / float64(len(exh.Hits))
+		overlapSum += float64(search.CountIn(cot.Hits, exh.Hits)) / float64(len(exh.Hits))
 		n++
 		if d := newestTrace(t, agg).Find("budget").Decision; len(d.Selected)+len(d.Dropped) > len(shards) {
 			t.Fatalf("selected+cut exceeds cluster: %v %v", d.Selected, d.Dropped)

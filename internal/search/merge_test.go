@@ -151,6 +151,25 @@ func BenchmarkMerge16x10(b *testing.B) {
 	}
 }
 
+// TestCountInMatchesOverlap: CountIn counts what Overlap counts against
+// the DocSet of the same list, repeated documents in either list included.
+func TestCountInMatchesOverlap(t *testing.T) {
+	rng := xrand.New(17)
+	for trial := 0; trial < 500; trial++ {
+		hits := make([]Hit, rng.Intn(12))
+		in := make([]Hit, rng.Intn(12))
+		for i := range hits {
+			hits[i].Doc = int64(rng.Intn(20))
+		}
+		for i := range in {
+			in[i].Doc = int64(rng.Intn(20))
+		}
+		if got, want := CountIn(hits, in), Overlap(hits, DocSet(in)); got != want {
+			t.Fatalf("hits %v in %v: CountIn %d, Overlap %d", hits, in, got, want)
+		}
+	}
+}
+
 func TestDocSetAndOverlap(t *testing.T) {
 	hits := []Hit{{Doc: 1}, {Doc: 2}, {Doc: 3}}
 	set := DocSet(hits)

@@ -64,10 +64,7 @@ func (g GammaDist) Variance() float64 { return g.Shape * g.Scale * g.Scale }
 // CDF returns P(X <= x), the regularized lower incomplete gamma
 // P(shape, x/scale).
 func (g GammaDist) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return RegIncGammaLower(g.Shape, x/g.Scale)
+	return g.Tail().cdf(x)
 }
 
 // TailProb returns P(X > x). Taily uses this to estimate the count of
@@ -76,11 +73,48 @@ func (g GammaDist) TailProb(x float64) float64 {
 	return 1 - g.CDF(x)
 }
 
+// GammaTail is a GammaDist prepared for many tail queries: lgΓ(Shape),
+// which every evaluation of the incomplete gamma needs, is computed once.
+// Its answers have the bits of the GammaDist methods.
+type GammaTail struct {
+	dist    GammaDist
+	lgShape float64
+}
+
+// Tail prepares g for repeated TailProb calls.
+func (g GammaDist) Tail() GammaTail {
+	lg, _ := math.Lgamma(g.Shape)
+	return GammaTail{dist: g, lgShape: lg}
+}
+
+// TailProb returns P(X > x), as GammaDist.TailProb does.
+func (t GammaTail) TailProb(x float64) float64 {
+	return 1 - t.cdf(x)
+}
+
+func (t GammaTail) cdf(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return regIncGammaLower(t.dist.Shape, t.lgShape, x/t.dist.Scale)
+}
+
 // RegIncGammaLower computes the regularized lower incomplete gamma
 // function P(a, x) using the series expansion for x < a+1 and the
 // continued fraction for the complement otherwise (Numerical Recipes
 // §6.2 structure, implemented from the standard formulas).
 func RegIncGammaLower(a, x float64) float64 {
+	lg, _ := math.Lgamma(a)
+	return regIncGammaLower(a, lg, x)
+}
+
+// regIncGammaLower is RegIncGammaLower with lg = lgΓ(a) supplied. Both
+// expansions are scaled by the prefactor exp(−x + a·ln x − lgΓ(a)); where
+// it underflows to 0 the answer is 0 (series) or 1 (continued fraction)
+// whatever the expansion's finite value, so the expansion is skipped.
+// TestRegIncGammaLowerSkipsExactly holds this to the full evaluation over
+// a grid of (a, x).
+func regIncGammaLower(a, lg, x float64) float64 {
 	if a <= 0 {
 		panic("stats: RegIncGammaLower requires a > 0")
 	}
@@ -90,15 +124,24 @@ func RegIncGammaLower(a, x float64) float64 {
 	if x == 0 {
 		return 0
 	}
+	pre := math.Exp(-x + a*math.Log(x) - lg)
 	if x < a+1 {
-		return gammaSeries(a, x)
+		if pre == 0 {
+			return 0
+		}
+		return gammaSeries(a, x) * pre
 	}
-	return 1 - gammaContinuedFraction(a, x)
+	if pre == 0 {
+		return 1
+	}
+	// The conversion rounds the product before the subtraction, so no
+	// architecture fuses the two into one FMA.
+	return 1 - float64(pre*gammaContinuedFraction(a, x))
 }
 
-// gammaSeries evaluates P(a, x) by its power series.
+// gammaSeries evaluates P(a, x) by its power series, without the
+// prefactor.
 func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
 	ap := a
 	sum := 1 / a
 	del := sum
@@ -110,14 +153,13 @@ func gammaSeries(a, x float64) float64 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum
 }
 
 // gammaContinuedFraction evaluates Q(a, x) = 1 - P(a, x) by Lentz's
-// modified continued fraction.
+// modified continued fraction, without the prefactor.
 func gammaContinuedFraction(a, x float64) float64 {
 	const tiny = 1e-300
-	lg, _ := math.Lgamma(a)
 	b := x + 1 - a
 	c := 1 / tiny
 	d := 1 / b
@@ -140,7 +182,7 @@ func gammaContinuedFraction(a, x float64) float64 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return h
 }
 
 // KSDistance returns the two-sided Kolmogorov–Smirnov statistic between the

@@ -295,3 +295,55 @@ func TestBootstrapCI(t *testing.T) {
 		t.Error("single sample CI should collapse")
 	}
 }
+
+// refRegIncGammaLower is the full evaluation: the expansion always runs
+// and is scaled by the prefactor afterwards.
+func refRegIncGammaLower(a, x float64) float64 {
+	if x == 0 {
+		return 0
+	}
+	lg, _ := math.Lgamma(a)
+	if x < a+1 {
+		return gammaSeries(a, x) * math.Exp(-x+a*math.Log(x)-lg)
+	}
+	return 1 - float64(math.Exp(-x+a*math.Log(x)-lg)*gammaContinuedFraction(a, x))
+}
+
+// TestRegIncGammaLowerSkipsExactly: skipping the expansion where its
+// prefactor underflows gives the full evaluation's bits, for RegIncGammaLower
+// and for a prepared GammaTail, over a log grid of shapes and arguments
+// that reaches the underflow on both sides of x = a+1.
+func TestRegIncGammaLowerSkipsExactly(t *testing.T) {
+	sameBits := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	var skippedSeries, skippedFraction int
+	for ea := -3.0; ea <= 7; ea += 0.125 {
+		a := math.Pow(10, ea)
+		lg, _ := math.Lgamma(a)
+		tail := GammaDist{Shape: a, Scale: 1}.Tail()
+		xs := []float64{a, a + 1, math.Nextafter(a+1, 0), a * (1 - 1e-9), a * (1 + 1e-9)}
+		for ex := -300.0; ex <= 9; ex += 0.25 {
+			xs = append(xs, math.Pow(10, ex))
+		}
+		for _, x := range xs {
+			want := refRegIncGammaLower(a, x)
+			if got := RegIncGammaLower(a, x); !sameBits(got, want) {
+				t.Fatalf("P(%v, %v) = %v, want %v", a, x, got, want)
+			}
+			if got := tail.TailProb(x); !sameBits(got, 1-want) {
+				t.Fatalf("GammaTail(%v).TailProb(%v) = %v, want %v", a, x, got, 1-want)
+			}
+			if math.Exp(-x+a*math.Log(x)-lg) == 0 {
+				if x < a+1 {
+					skippedSeries++
+				} else {
+					skippedFraction++
+				}
+			}
+		}
+	}
+	if skippedSeries == 0 || skippedFraction == 0 {
+		t.Fatalf("the grid skipped %d series and %d continued fractions: it must reach both", skippedSeries, skippedFraction)
+	}
+}

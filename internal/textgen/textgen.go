@@ -16,7 +16,9 @@ package textgen
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 
 	"cottage/internal/xrand"
 )
@@ -119,31 +121,40 @@ func Generate(cfg Config) *Corpus {
 	c.Vocab = makeVocab(vocabRng, cfg.VocabSize)
 	c.TopicTerms = makeTopics(topicRng, cfg)
 
-	background := xrand.NewZipf(docRng, zipfExponent, cfg.VocabSize)
-	topicSamplers := make([]*xrand.Zipf, cfg.NumTopics)
-	for i := range topicSamplers {
-		topicSamplers[i] = xrand.NewZipf(docRng, topicZipfExponent, cfg.TopicTermCount)
+	r := &resolver{
+		docs:       make([]Document, cfg.NumDocs),
+		background: xrand.NewZipf(docRng, zipfExponent, cfg.VocabSize),
+		samplers:   make([]*xrand.Zipf, cfg.NumTopics),
+		topicTerms: c.TopicTerms,
+		vocabSize:  cfg.VocabSize,
+	}
+	for i := range r.samplers {
+		r.samplers[i] = xrand.NewZipf(docRng, topicZipfExponent, cfg.TopicTermCount)
 	}
 	topicPicker := xrand.NewZipf(docRng, 0.7, cfg.NumTopics)
+	c.Docs = r.docs
 
-	// Each document's tokens are counted in counts (indexed by term ID,
-	// all zero between documents) and the IDs it touched are listed, so
-	// its Terms map is made at its final size with one insert per
-	// distinct term. A second goroutine builds the maps, a chunk of
-	// documents at a time; the random stream stays on this one, in
-	// document order.
-	counts := make([]int32, cfg.VocabSize)
-	var usedTopical []int
-	c.Docs = make([]Document, cfg.NumDocs)
-	// Three chunks circulate: one being filled, one being turned into
-	// maps and one queued between the two. Both channels can hold all
-	// three, so no send blocks.
-	const chunks = 3
-	full, free, done := make(chan *termChunk, chunks), make(chan *termChunk, chunks), make(chan struct{})
+	// Generation runs in two stages. This goroutine consumes the random
+	// stream in document order, exactly as one loop resolving each token
+	// as it drew it would, but records each token's raw draw instead of
+	// its term. GOMAXPROCS workers take the draws a chunk of documents at
+	// a time, resolve them to term IDs through the pure Zipf.Rank, count
+	// them and build the documents' Terms maps. Every chunk in
+	// circulation fits in both channels, so no send blocks.
+	workers := runtime.GOMAXPROCS(0)
+	chunks := workers + 2
+	full, free := make(chan *drawChunk, chunks), make(chan *drawChunk, chunks)
 	for range chunks {
-		free <- new(termChunk)
+		free <- new(drawChunk)
 	}
-	go buildTermMaps(c.Docs, full, free, done)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.run(full, free)
+		}()
+	}
 	ch := <-free
 	for i := range c.Docs {
 		topic := topicPicker.Draw()
@@ -151,76 +162,119 @@ func Generate(cfg Config) *Corpus {
 		if length < 8 {
 			length = 8
 		}
-		usedTopical = usedTopical[:0]
-		start := len(ch.ids)
+		topical := 0 // topical (non-burst) tokens drawn so far in this document
 		for tok := 0; tok < length; tok++ {
-			var term int
+			var draw uint64
 			if docRng.Float64() < topicMixture {
-				if len(usedTopical) > 0 && docRng.Float64() < burstiness {
+				if topical > 0 && docRng.Float64() < burstiness {
 					// Burst: repeat a topical term this document already
 					// used, concentrating its frequency.
-					term = usedTopical[docRng.Intn(len(usedTopical))]
+					draw = drawBurst | uint64(docRng.Intn(topical))
 				} else {
-					term = c.TopicTerms[topic][topicSamplers[topic].Draw()]
-					usedTopical = append(usedTopical, term)
+					draw = drawTopical | docRng.Uint64()>>11
+					topical++
 				}
 			} else {
-				term = background.Draw()
+				draw = drawBackground | docRng.Uint64()>>11
 			}
-			if counts[term] == 0 {
-				ch.ids = append(ch.ids, term)
-			}
-			counts[term]++
+			ch.draws = append(ch.draws, draw)
 		}
-		for _, term := range ch.ids[start:] {
-			ch.tfs = append(ch.tfs, counts[term])
-			counts[term] = 0
-		}
-		ch.ends = append(ch.ends, len(ch.ids))
+		ch.ends = append(ch.ends, len(ch.draws))
 		c.Docs[i] = Document{ID: i, Topic: topic, Length: length}
 		if len(ch.ends) == chunkDocs || i == len(c.Docs)-1 {
 			full <- ch
-			ch = <-free
-			ch.first, ch.ends, ch.ids, ch.tfs = i+1, ch.ends[:0], ch.ids[:0], ch.tfs[:0]
+			if i < len(c.Docs)-1 {
+				ch = <-free
+				ch.first, ch.ends, ch.draws = i+1, ch.ends[:0], ch.draws[:0]
+			}
 		}
 	}
 	close(full)
-	<-done
+	wg.Wait()
 	return c
 }
 
-// chunkDocs is how many documents' term counts Generate hands to the
-// map-building goroutine at once.
+// chunkDocs is how many documents' draws Generate hands a worker at once.
 const chunkDocs = 512
 
-// termChunk is the term counts of consecutive documents, the first of
-// which is docs[first]: document first+j counted tfs[k] occurrences of
-// term ids[k] for k in [ends[j-1], ends[j]) (from 0 for j = 0).
-type termChunk struct {
+// A token's raw draw: its kind in the top two bits, the draw below them.
+// A Zipf draw keeps the 53 uniform bits RNG.Float64 scales into [0, 1);
+// a burst keeps its index into the document's topical draws so far.
+const (
+	drawBackground uint64 = 0 << 62
+	drawTopical    uint64 = 1 << 62
+	drawBurst      uint64 = 2 << 62
+	drawKind       uint64 = 3 << 62
+)
+
+// drawChunk is the raw draws of consecutive documents, the first of which
+// is docs[first]: document first+j drew draws[k] for k in
+// [ends[j-1], ends[j]) (from 0 for j = 0).
+type drawChunk struct {
 	first int
 	ends  []int
-	ids   []int
-	tfs   []int32
+	draws []uint64
 }
 
-// buildTermMaps fills the Terms map of every document in each chunk
-// received on full, returns the chunk on free, and closes done once full
-// is closed. It writes only the Terms field of documents the generating
-// goroutine has finished with.
-func buildTermMaps(docs []Document, full <-chan *termChunk, free chan<- *termChunk, done chan<- struct{}) {
+// resolver is what Generate's workers share: the documents, whose Terms
+// they fill, and the read-only samplers and topic tables that turn a raw
+// draw into a term ID.
+type resolver struct {
+	docs       []Document
+	background *xrand.Zipf
+	samplers   []*xrand.Zipf // per topic, over its TopicTerms
+	topicTerms [][]int
+	vocabSize  int
+}
+
+// run resolves every chunk received on full, fills its documents' Terms
+// maps and returns the chunk on free, until full is closed. It writes
+// only the Terms field of documents the generating goroutine has
+// finished with, and reads only their Topic.
+func (r *resolver) run(full <-chan *drawChunk, free chan<- *drawChunk) {
+	// counts is indexed by term ID and all zero between documents; ids
+	// lists the terms the current document touched, so its map is made
+	// at its final size with one insert per distinct term.
+	counts := make([]int32, r.vocabSize)
+	var ids, topical []int
 	for ch := range full {
 		start := 0
 		for j, end := range ch.ends {
-			terms := make(map[int]int, end-start)
-			for k := start; k < end; k++ {
-				terms[ch.ids[k]] = int(ch.tfs[k])
+			d := &r.docs[ch.first+j]
+			sampler, terms := r.samplers[d.Topic], r.topicTerms[d.Topic]
+			ids, topical = ids[:0], topical[:0]
+			for _, draw := range ch.draws[start:end] {
+				var term int
+				switch draw & drawKind {
+				case drawBackground:
+					term = r.background.Rank(unit(draw))
+				case drawTopical:
+					term = terms[sampler.Rank(unit(draw&^drawKind))]
+					topical = append(topical, term)
+				default:
+					term = topical[draw&^drawKind]
+				}
+				if counts[term] == 0 {
+					ids = append(ids, term)
+				}
+				counts[term]++
 			}
-			docs[ch.first+j].Terms = terms
+			m := make(map[int]int, len(ids))
+			for _, term := range ids {
+				m[term] = int(counts[term])
+				counts[term] = 0
+			}
+			d.Terms = m
 			start = end
 		}
 		free <- ch
 	}
-	close(done)
+}
+
+// unit is the uniform variate in [0, 1) that RNG.Float64 makes of the 53
+// bits u.
+func unit(u uint64) float64 {
+	return float64(u) / (1 << 53)
 }
 
 // logOfMean converts a desired arithmetic mean of a log-normal into the

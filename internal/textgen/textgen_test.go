@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"slices"
 	"testing"
+
+	"cottage/internal/xrand"
 )
 
 func smallConfig() Config {
@@ -80,6 +83,71 @@ func TestGenerateGolden(t *testing.T) {
 	const want = "e179ca3ba1e46a66e835865110887da8777acd3c5e46528f06ede28042b5f906"
 	if got := corpusDigest(Generate(smallConfig())); got != want {
 		t.Fatalf("corpus digest = %s, want %s", got, want)
+	}
+}
+
+// referenceGenerate is Generate as one loop: it resolves each token as
+// it draws it and fills each document's map as it goes. The two-stage
+// Generate must produce the same corpus from the same stream.
+func referenceGenerate(cfg Config) *Corpus {
+	root := xrand.New(cfg.Seed)
+	vocabRng := root.SplitName("vocab")
+	topicRng := root.SplitName("topics")
+	docRng := root.SplitName("docs")
+	c := &Corpus{Config: cfg}
+	c.Vocab = makeVocab(vocabRng, cfg.VocabSize)
+	c.TopicTerms = makeTopics(topicRng, cfg)
+	background := xrand.NewZipf(docRng, zipfExponent, cfg.VocabSize)
+	topicSamplers := make([]*xrand.Zipf, cfg.NumTopics)
+	for i := range topicSamplers {
+		topicSamplers[i] = xrand.NewZipf(docRng, topicZipfExponent, cfg.TopicTermCount)
+	}
+	topicPicker := xrand.NewZipf(docRng, 0.7, cfg.NumTopics)
+	c.Docs = make([]Document, cfg.NumDocs)
+	for i := range c.Docs {
+		topic := topicPicker.Draw()
+		length := int(docRng.LogNormal(logOfMean(meanDocLen, docLenSigma), docLenSigma))
+		if length < 8 {
+			length = 8
+		}
+		terms := make(map[int]int)
+		var usedTopical []int
+		for tok := 0; tok < length; tok++ {
+			var term int
+			if docRng.Float64() < topicMixture {
+				if len(usedTopical) > 0 && docRng.Float64() < burstiness {
+					term = usedTopical[docRng.Intn(len(usedTopical))]
+				} else {
+					term = c.TopicTerms[topic][topicSamplers[topic].Draw()]
+					usedTopical = append(usedTopical, term)
+				}
+			} else {
+				term = background.Draw()
+			}
+			terms[term]++
+		}
+		c.Docs[i] = Document{ID: i, Topic: topic, Length: length, Terms: terms}
+	}
+	return c
+}
+
+// TestGenerateMatchesReference: the two-stage Generate draws the corpus
+// the one-loop reference draws, at document counts on both sides of a
+// chunk boundary and with fewer, as many and more workers than cores
+// and than chunks in flight.
+func TestGenerateMatchesReference(t *testing.T) {
+	for _, n := range []int{1, chunkDocs - 1, chunkDocs, chunkDocs + 1, 2000} {
+		cfg := smallConfig()
+		cfg.NumDocs = n
+		want := corpusDigest(referenceGenerate(cfg))
+		for _, procs := range []int{1, 2, 5} {
+			old := runtime.GOMAXPROCS(procs)
+			got := corpusDigest(Generate(cfg))
+			runtime.GOMAXPROCS(old)
+			if got != want {
+				t.Errorf("%d docs at GOMAXPROCS %d: corpus digest %s, want the reference's %s", n, procs, got, want)
+			}
+		}
 	}
 }
 

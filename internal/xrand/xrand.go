@@ -187,12 +187,14 @@ func NewZipf(rng *RNG, s float64, n int) *Zipf {
 
 // Draw returns the next rank.
 func (z *Zipf) Draw() int {
-	return z.rank(z.rng.Float64())
+	return z.Rank(z.rng.Float64())
 }
 
-// rank returns the first rank whose CDF entry is >= u, or the last rank
-// if there is none, for u in [0, 1).
-func (z *Zipf) rank(u float64) int {
+// Rank returns the first rank whose CDF entry is >= u, or the last rank
+// if there is none, for u in [0, 1): the rank Draw returns when the
+// generator's Float64 is u. It reads only the sampler's tables, so any
+// number of goroutines may call it at once.
+func (z *Zipf) Rank(u float64) int {
 	b := int(u * float64(len(z.guide)-1))
 	lo, hi := int(z.guide[b]), int(z.guide[b+1])
 	for lo < hi {

@@ -235,7 +235,7 @@ func TestZipfDrawMatchesSearch(t *testing.T) {
 					if u < 0 || u >= 1 {
 						continue
 					}
-					if got, want := z.rank(u), searchCDF(z.cdf, u); got != want {
+					if got, want := z.Rank(u), searchCDF(z.cdf, u); got != want {
 						t.Fatalf("n=%d s=%v u=%v: rank %d, want %d", n, s, u, got, want)
 					}
 				}
@@ -245,7 +245,7 @@ func TestZipfDrawMatchesSearch(t *testing.T) {
 					if u < 0 || u >= 1 {
 						continue
 					}
-					if got, want := z.rank(u), searchCDF(z.cdf, u); got != want {
+					if got, want := z.Rank(u), searchCDF(z.cdf, u); got != want {
 						t.Fatalf("n=%d s=%v u=%v: rank %d, want %d", n, s, u, got, want)
 					}
 				}
