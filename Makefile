@@ -14,12 +14,18 @@ build:
 
 # The second pass type-checks the non-amd64 build: the portable kernels
 # (internal/nn, internal/simdpack kernels_generic.go) compile nowhere else.
-# The last step fails on any file gofmt would rewrite.
+# The gofmt step fails on any file gofmt would rewrite. The last step
+# fails on any non-test file outside bench/ that imports encoding/gob:
+# every file format is written in the internal/wire idiom, and
+# internal/rpc/gobcompat.go is the frozen benchmark's shim.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 		if [ -n "$$unformatted" ]; then echo "gofmt -l lists: $$unformatted"; exit 1; fi
+	@gob=$$(grep -rlE --include='*.go' '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"encoding/gob"' . | \
+		grep -vE '_test\.go$$|^\./(bench|\.bench_build)/|^\./internal/rpc/gobcompat\.go$$'); \
+		if [ -n "$$gob" ]; then echo "encoding/gob imported by: $$gob"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -62,7 +68,7 @@ bench-build:
 # Each fuzz target gets a short budget; any panic in the frame reader or
 # the wire decoder behind it (internal/rpc frame.go, codec.go) is a
 # remote crash, so this runs on every check. The model decoders' seeds
-# are kilobytes of gob, and Go's minimizer spends up to a minute on each
+# are kilobytes long, and Go's minimizer spends up to a minute on each
 # new input of that size (quadratic subset removal), so their targets
 # cap minimization at 1 s to leave the budget for mutation.
 fuzz-smoke:

@@ -53,7 +53,7 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "replicas per shard for a flat -servers list (row-major); ignored when -servers uses ';' groups")
 		mode      = flag.String("mode", "cottage", "protocol: exhaustive|cottage")
 		queries   = flag.String("queries", "", "file with one query per line")
-		tracePath = flag.String("trace", "", "timed trace (gob, from cottage-indexer -traceout) for paced replay")
+		tracePath = flag.String("trace", "", "timed trace file (from cottage-indexer -traceout) for paced replay")
 		speedup   = flag.Float64("speedup", 1, "replay the trace this many times faster than recorded")
 		k         = flag.Int("k", 10, "results per query")
 		compare   = flag.Bool("compare", false, "run both protocols and report overlap")

@@ -45,7 +45,7 @@ func main() {
 		train  = flag.Int("train", 0, "train predictors on this many synthetic queries (synthetic corpus only)")
 		k      = flag.Int("k", 10, "top-K the statistics and predictors target")
 		qout   = flag.String("queriesout", "", "also write sample queries (one per line) for cottage-client")
-		tout   = flag.String("traceout", "", "also write a timed query trace (gob) for paced replay")
+		tout   = flag.String("traceout", "", "also write a timed query trace file for paced replay")
 		nq     = flag.Int("numqueries", 200, "how many sample queries to write with -queriesout/-traceout")
 		dbgAdr = flag.String("debug-addr", "", "HTTP debug listener during the build (/metrics runtime gauges, /debug/pprof); empty = off")
 		verify = flag.Bool("verify", false, "verify existing shard files in -out instead of building (exit 1 on corruption)")
@@ -156,14 +156,7 @@ func main() {
 		}
 		for _, p := range fleet.Predictors {
 			path := filepath.Join(*out, fmt.Sprintf("isn-%02d.model", p.ISN))
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := p.Encode(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := os.WriteFile(path, p.Append(nil), 0o666); err != nil {
 				log.Fatal(err)
 			}
 			log.Printf("wrote %s", path)
@@ -197,9 +190,9 @@ func memStats(shards []*index.Shard) {
 // verifyShards loads every .shard file under dir through the eager
 // integrity verification (digest + every block checksum + structural
 // invariants) and reports per file. Corruption errors are localized to
-// (shard, term, block) by the per-block checksums; a file of an older
-// format (v3, v4 or v5) fails with its version named and the advice to
-// rebuild it.
+// (shard, term, block) by the per-block checksums; a gob-era file
+// (formats 3 to 6) fails with index.ErrShardFormat, which advises the
+// rebuild.
 func verifyShards(dir string) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.shard"))
 	if err != nil {

@@ -69,12 +69,10 @@ func main() {
 
 	var pred *predict.ISNPredictor
 	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			log.Fatal(err)
+		data, err := os.ReadFile(*modelPath)
+		if err == nil {
+			pred, err = predict.DecodeISNPredictor(data)
 		}
-		pred, err = predict.DecodeISNPredictor(f)
-		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

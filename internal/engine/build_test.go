@@ -13,6 +13,8 @@ import (
 // TestBuildShardsGolden pins the encoded bytes of every shard built from
 // a small corpus. Shards carry the postings and the term statistics the
 // predictors train on, so a faster build must encode exactly these bytes.
+// The digests are of shard file format 7; the shards themselves are the
+// ones the format-6 pins described, re-encoded.
 func TestBuildShardsGolden(t *testing.T) {
 	ccfg := textgen.DefaultConfig()
 	ccfg.NumDocs = 2000
@@ -25,13 +27,13 @@ func TestBuildShardsGolden(t *testing.T) {
 	one := DefaultConfig()
 	one.NumShards = 1
 	want := []string{
-		"974b68cfb09010e306e72054a8f924fb9a8ed997416788b2502a7f4fb891fa2e",
-		"4abdfb0c641bcfed8d7e1fe5d9eff601436ece747ea54170e7d755e550b5fc24",
-		"1e82e7493b6264f735b11de787c89c58e77ebc3af1780378deb8b78c23d950e2",
-		"6b73659d6642918f193068bbcc7d19c8ac5bf606bac8ff89e6afff55f838d38c",
+		"b0bb14ed5d96b0cadfb017564d9a6d98300aea644976c1f4f9e04302d5306dbe",
+		"1548a36c7b6887c1b3a8df72999ac3290f287525b42f55003b1df74f71f45568",
+		"02abb620211ea07e0f7212a75bc15f3edfa47501203682ef82804364c0f06a31",
+		"821e71e5b3888995998c02d6073f49f0c9a93b9f5b51a2e1a72885e7735a6c59",
 		// The whole corpus in one shard: its head terms' lists are long
 		// enough for Finalize's radix sort.
-		"bef3c662e5c8fcb6b67414b9a9fa4fd3878557ef745fe6c384bdf7ed8993c58f",
+		"5a256cd4da0d666adfb4b8f57e8c98b22bd5b563155ac339cb20134480d9e205",
 	}
 	// One worker builds every shard and Finalize inline; four
 	// interleave shards and Finalize's chunks of terms.

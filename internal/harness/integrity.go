@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -46,28 +45,16 @@ func IntegritySweep(s *Setup, w io.Writer) error {
 	return integrityTwinGrid(s, w)
 }
 
-// encodeShard0 serializes the setup's first shard once per caller.
-func encodeShard0(s *Setup) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.Engine.Shards[0].Encode(&buf); err != nil {
-		return nil, fmt.Errorf("harness: integrity encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // integrityAtRest drives the bit-flip ladder through a real encoded
 // shard and reports how each rung was caught at load time.
 func integrityAtRest(s *Setup, w io.Writer) error {
-	clean, err := encodeShard0(s)
-	if err != nil {
-		return err
-	}
+	clean := s.Engine.Shards[0].Append(nil)
 	fmt.Fprintf(w, "(1) load-time detection: seeded bit flips over a %d-byte encoded shard\n", len(clean))
 	fmt.Fprintf(w, "  %-8s %10s %12s %12s %10s\n", "flips", "detected", "checksummed", "structural", "served")
 	for _, n := range []int{1, 4, 16, 64, 256} {
 		rotted := append([]byte(nil), clean...)
 		faults.FlipBits(rotted, n, uint64(2026+n))
-		_, err := index.ReadShard(bytes.NewReader(rotted))
+		_, err := index.ParseShard(rotted)
 		if err == nil {
 			return fmt.Errorf("harness: %d-bit rot loaded clean", n)
 		}
@@ -85,12 +72,8 @@ func integrityAtRest(s *Setup, w io.Writer) error {
 // integrityQueryGate plants rot under a loaded shard and replays the
 // evaluation trace through the query-time checksum gate.
 func integrityQueryGate(s *Setup, w io.Writer) error {
-	clean, err := encodeShard0(s)
-	if err != nil {
-		return err
-	}
 	// A private clone, so rot never leaks into the shared setup.
-	sh, err := index.ReadShard(bytes.NewReader(clean))
+	sh, err := index.ParseShard(s.Engine.Shards[0].Append(nil))
 	if err != nil {
 		return fmt.Errorf("harness: integrity clone: %w", err)
 	}

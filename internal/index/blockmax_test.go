@@ -55,11 +55,11 @@ func TestBlocksBuiltInFinalize(t *testing.T) {
 }
 
 func TestPackPostingsEdges(t *testing.T) {
-	if packed, blocks := packPostings(nil); packed.N != 0 || packed.Data != nil || blocks != nil {
+	if packed, blocks := packPostings(nil, new([]byte)); packed.N != 0 || packed.Data != nil || blocks != nil {
 		t.Error("empty postings should pack to nothing")
 	}
 	ps := []Posting{{Doc: 3, TF: 1}}
-	packed, blocks := packPostings(ps)
+	packed, blocks := packPostings(ps, new([]byte))
 	fillBlockBounds(blocks, []float64{1.5})
 	if len(blocks) != 1 || blocks[0].MaxDoc != 3 || blocks[0].Max != 1.5 {
 		t.Errorf("single-posting overlay wrong: %+v", blocks)
@@ -92,7 +92,7 @@ func TestPackedRoundTrip(t *testing.T) {
 	shapes["sparse"] = []Posting{{Doc: 0, TF: 1}, {Doc: 1 << 20, TF: 2}, {Doc: ^uint32(0) - 1, TF: 3}}
 	shapes["hugetf"] = []Posting{{Doc: 5, TF: ^uint32(0)}, {Doc: 9, TF: 1}}
 	for name, ps := range shapes {
-		packed, blocks := packPostings(ps)
+		packed, blocks := packPostings(ps, new([]byte))
 		ti := &TermInfo{Text: name, Packed: packed, Blocks: blocks}
 		if err := ti.checkPackedGeometry(); err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -3,36 +3,36 @@ package index
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"cottage/internal/faults"
 )
 
-// fuzzSeedShard encodes the standard test shard to current wire bytes
-// once per fuzz process.
-func fuzzSeedShard(f *testing.F) []byte {
-	f.Helper()
-	s := buildTestShard(f)
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
-}
+// The shard decoder's allocation rule. Per input byte: the buffer
+// itself, a TermInfo (264 B) per 196-byte term record, a Block (24 B)
+// per 18 bytes of overlay, and the dictionary. The slack is the norm
+// table's ceiling (8 B × maxNormLen) and small fixed costs.
+const (
+	shardAllocPerByte = 4
+	shardAllocSlack   = 8*maxNormLen + 64<<10
+)
 
 // FuzzShardDecode throws arbitrary bytes at the shard decode path. The
-// contract under fuzzing: ReadShard never panics, and anything it
-// accepts is fully intact — the stored digest and every block checksum
-// verify, and the structural invariants hold — so no input can smuggle
-// a corrupted or inconsistent shard past the load gate. Seeds cover a
-// valid file, truncations, bit-flip rot (the at-rest corruption the
-// checksums exist for), files stamped v3, v4 and v5 (refused by version;
-// the frozen legacy-v3, legacy-v4, legacy-v5 and rot-v4 files under
-// testdata/fuzz are genuine ones, from writers that no longer exist), and
-// a file whose writer overstated a KthScore by one ulp and sealed it:
-// every checksum agrees, and only Validate's re-scoring can refuse it.
+// contract under fuzzing: ReadShard never panics, allocates at most
+// shardAllocPerByte bytes per input byte plus shardAllocSlack, and
+// anything it accepts is fully intact — the stored digest and every
+// block checksum verify, and the structural invariants hold — so no
+// input can smuggle a corrupted or inconsistent shard past the load
+// gate. Seeds cover a valid file, truncations, bit-flip rot (the at-rest
+// corruption the checksums exist for), gob-era files stamped v3, v4 and
+// v5 (refused by the format check, as is every frozen file under
+// testdata/fuzz: those are gob-era shards, from writers that no longer
+// exist), and a file whose writer overstated a KthScore by one ulp and
+// sealed it: every checksum agrees, and only Validate's re-scoring can
+// refuse it.
 func FuzzShardDecode(f *testing.F) {
-	valid := fuzzSeedShard(f)
+	valid := encodeShard(f, buildTestShard(f))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:11])
@@ -53,13 +53,15 @@ func FuzzShardDecode(f *testing.F) {
 	st := &overstated.Terms[0].Stats
 	st.KthScore = math.Nextafter(st.KthScore, math.Inf(1))
 	overstated.SealIntegrity()
-	var sealed bytes.Buffer
-	if err := overstated.Encode(&sealed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(sealed.Bytes())
+	f.Add(encodeShard(f, overstated))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		s, err := ReadShard(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(shardAllocPerByte*len(data)+shardAllocSlack) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
 		if err != nil {
 			return
 		}

@@ -353,7 +353,7 @@ func (b *Builder) Finalize() *Shard {
 			ps, ti := postings[id], &s.Terms[id]
 			var scores []float64
 			ti.Stats, scores = computeTermStats(s, ps, b.statsK, &buf)
-			ti.Packed, ti.Blocks = packPostings(ps)
+			ti.Packed, ti.Blocks = packPostings(ps, &buf.packed)
 			fillBlockBounds(ti.Blocks, scores)
 		}
 	})

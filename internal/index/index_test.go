@@ -80,7 +80,7 @@ func TestPostingsSortedAndValid(t *testing.T) {
 func mutatePostings(ti *TermInfo, f func(ps []Posting)) {
 	ps := ti.AllPostings()
 	f(ps)
-	packed, blocks := packPostings(ps)
+	packed, blocks := packPostings(ps, new([]byte))
 	for bi := range blocks {
 		if bi < len(ti.Blocks) {
 			blocks[bi].Max = ti.Blocks[bi].Max

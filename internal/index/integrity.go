@@ -5,15 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sync/atomic"
 )
 
 // Data-integrity plane, index layer: every term's postings are
 // checksummed per block-max block — CRC32C over the block's bit-packed
 // payload bytes plus the header that governs its decode (delta base,
-// MaxDoc, widths) — plus one whole-shard digest over the document
-// metadata and the per-block sums.
+// MaxDoc, widths) — plus one whole-shard digest over everything else the
+// shard file holds: its header and every term's metadata, per-block sums
+// included.
 // The sums are written with the shard (serialize.go), verified eagerly
 // when a shard is loaded, and lazily at query time — a block whose bytes
 // rotted since load is detected before any of its postings are scored.
@@ -89,7 +89,14 @@ func (s *Shard) blockSum(ti *TermInfo, bi int) uint32 {
 	binary.LittleEndian.PutUint32(hdr[4:8], blk.MaxDoc)
 	hdr[8] = blk.DocW
 	hdr[9] = blk.TFW
-	crc := crc32.Update(0, castagnoli, hdr[:])
+	// crc32.Update on hdr[:] would move hdr to the heap (the slice
+	// escapes through the package's dispatch), one allocation per block
+	// sealed or verified; ten bytes fold on the table instead.
+	crc := ^uint32(0)
+	for _, b := range hdr {
+		crc = castagnoli[byte(crc)^b] ^ crc>>8
+	}
+	crc = ^crc
 	lo := int(blk.Off)
 	hi := lo + ti.blockPayloadBytes(bi)
 	// Clamp: a corrupted shard can declare offsets past its payload, and
@@ -103,94 +110,21 @@ func (s *Shard) blockSum(ti *TermInfo, bi int) uint32 {
 	return crc32.Update(crc, castagnoli, ti.Packed.Data[lo:hi])
 }
 
-// digestWriter folds typed values into a running CRC32C for
-// computeDigest.
-type digestWriter struct {
-	crc uint32
-	buf [8]byte
-}
-
-func (d *digestWriter) u32(v uint32) {
-	binary.LittleEndian.PutUint32(d.buf[0:4], v)
-	d.crc = crc32.Update(d.crc, castagnoli, d.buf[0:4])
-}
-
-func (d *digestWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(d.buf[0:8], v)
-	d.crc = crc32.Update(d.crc, castagnoli, d.buf[:])
-}
-
-func (d *digestWriter) f64(v float64) { d.u64(math.Float64bits(v)) }
-
-func (d *digestWriter) text(s string) { d.crc = crc32.Update(d.crc, castagnoli, []byte(s)) }
-
-// foldShardHeader folds the document metadata and BM25 constants.
-func (d *digestWriter) foldShardHeader(id, numDocs, statsK int, avgDocLen float64, bm25 BM25Params, docLens []uint32, globalIDs []int64) {
-	d.u32(uint32(id))
-	d.u32(uint32(numDocs))
-	d.u32(uint32(statsK))
-	d.f64(avgDocLen)
-	d.f64(bm25.K1)
-	d.f64(bm25.B)
-	for _, dl := range docLens {
-		d.u32(dl)
-	}
-	for _, g := range globalIDs {
-		d.u64(uint64(g))
-	}
-}
-
-// foldStats folds all twenty term statistics in canonical order.
-func (d *digestWriter) foldStats(st *TermStats) {
-	d.u32(uint32(st.PostingLen))
-	d.f64(st.IDF)
-	d.f64(st.MinScore)
-	d.f64(st.Q1)
-	d.f64(st.Mean)
-	d.f64(st.Median)
-	d.f64(st.GeoMean)
-	d.f64(st.HarmMean)
-	d.f64(st.Q3)
-	d.f64(st.KthScore)
-	d.f64(st.MaxScore)
-	d.f64(st.Variance)
-	d.f64(st.SumScore)
-	d.f64(st.SumScore2)
-	d.u32(uint32(st.DocsEverInTopK))
-	d.u32(uint32(st.NumLocalMaxima))
-	d.u32(uint32(st.NumMaximaAboveMean))
-	d.u32(uint32(st.NumMaxScore))
-	d.u32(uint32(st.DocsWithin5OfMax))
-	d.u32(uint32(st.DocsWithin5OfKth))
-	d.f64(st.EstMaxScore)
-}
-
-// computeDigest folds every serialized region the per-block sums do NOT
-// cover into one whole-shard CRC32C: document metadata, BM25 constants,
-// per-term statistics, the full block overlay (bounds and payload
-// geometry), and the block sums themselves. Corruption anywhere in a
-// shard file therefore fails either a block sum (posting bytes) or the
-// digest (everything else) — a flipped bit can not land in an
-// unprotected byte.
+// computeDigest is the whole-shard CRC32C: the header and every term's
+// metadata (text, posting count, statistics, block overlay, block sums,
+// payload length) exactly as Encode writes them, appended into one
+// reused buffer. The block sums cover the payloads, so a flipped bit in
+// a shard file fails a block sum or the digest, or the format's own
+// framing, unless it lands in a payload's decoder pad, which no decode
+// reads.
 func (s *Shard) computeDigest() uint32 {
-	var d digestWriter
-	d.foldShardHeader(s.ID, s.NumDocs, s.StatsK, s.AvgDocLen, s.BM25, s.DocLens, s.GlobalIDs)
+	buf := s.appendHeader(make([]byte, 0, 64+4*len(s.DocLens)+8*len(s.GlobalIDs)))
+	crc := crc32.Update(0, castagnoli, buf)
 	for i := range s.Terms {
-		ti := &s.Terms[i]
-		d.text(ti.Text)
-		for _, sum := range ti.Sums {
-			d.u32(sum)
-		}
-		d.foldStats(&ti.Stats)
-		d.u32(uint32(ti.Packed.N))
-		for _, b := range ti.Blocks {
-			d.u32(b.MaxDoc)
-			d.f64(b.Max)
-			d.u32(b.Off)
-			d.u32(uint32(b.DocW) | uint32(b.TFW)<<8)
-		}
+		buf = s.Terms[i].appendMeta(buf[:0])
+		crc = crc32.Update(crc, castagnoli, buf)
 	}
-	return d.crc
+	return crc
 }
 
 // SealIntegrity computes and installs the shard's per-block checksums

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -196,17 +195,17 @@ func TestEncodeSealsUnsealedShard(t *testing.T) {
 	s := buildTestShard(t)
 	s.integ = nil // simulate a legacy in-memory build
 	s.Digest = 0
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	got, err := ReadShard(bytes.NewReader(encodeShard(t, s)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var w shardWire
-	if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
-		t.Fatal(err)
+	if got.Digest == 0 || got.Digest != s.Digest {
+		t.Fatalf("Encode wrote digest %08x, sealed %08x", got.Digest, s.Digest)
 	}
-	if w.Version != wireVersion || w.Digest == 0 || len(w.BlockSums) != len(w.TermTexts) {
-		t.Fatalf("Encode wrote an unsealed file: version %d digest %08x sums %d",
-			w.Version, w.Digest, len(w.BlockSums))
+	for i := range got.Terms {
+		if ti := &got.Terms[i]; len(ti.Sums) != len(ti.Blocks) {
+			t.Fatalf("term %q written with %d sums for %d blocks", ti.Text, len(ti.Sums), len(ti.Blocks))
+		}
 	}
 }
 

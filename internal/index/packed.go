@@ -51,22 +51,20 @@ func (ti *TermInfo) Len() int { return ti.Packed.N }
 // packPostings packs a document-ordered postings list, returning the
 // payload and the geometric skeleton of the block overlay (Off, DocW,
 // TFW, MaxDoc filled; Max is the caller's to fill from the per-posting
-// scores). Non-ascending or zero-tf inputs survive the
+// scores). The payload is built in *scratch, which the caller reuses
+// across terms, and returned as an exact-size copy, so a built shard
+// holds only its bytes. Non-ascending or zero-tf inputs survive the
 // round trip bit-exactly (gap arithmetic wraps mod 2^32), so Validate
 // still sees — and rejects — them after packing.
-func packPostings(ps []Posting) (PackedPostings, []Block) {
+func packPostings(ps []Posting, scratch *[]byte) (PackedPostings, []Block) {
 	if len(ps) == 0 {
 		return PackedPostings{}, nil
 	}
-	nb := (len(ps) + BlockSize - 1) / BlockSize
-	blocks := make([]Block, 0, nb)
-	data := make([]byte, 0, 4*len(ps))
+	blocks := make([]Block, 0, (len(ps)+BlockSize-1)/BlockSize)
+	data := (*scratch)[:0]
 	prev := uint32(0)
 	for lo := 0; lo < len(ps); lo += BlockSize {
-		hi := lo + BlockSize
-		if hi > len(ps) {
-			hi = len(ps)
-		}
+		hi := min(lo+BlockSize, len(ps))
 		live := hi - lo
 		var gaps, tfm1 [BlockSize]uint32
 		p := prev
@@ -78,14 +76,11 @@ func packPostings(ps []Posting) (PackedPostings, []Block) {
 		docW := simdpack.Width(gaps[:live])
 		tfW := simdpack.Width(tfm1[:live])
 		off := len(data)
+		data = append(data, make([]byte, payloadBytes(live, docW)+payloadBytes(live, tfW))...)
 		if live == BlockSize {
-			size := simdpack.PackedBytes(docW) + simdpack.PackedBytes(tfW)
-			data = append(data, make([]byte, size)...)
 			simdpack.Pack(data[off:], &gaps, docW)
 			simdpack.Pack(data[off+simdpack.PackedBytes(docW):], &tfm1, tfW)
 		} else {
-			size := tailBytes(live, docW) + tailBytes(live, tfW)
-			data = append(data, make([]byte, size)...)
 			packTail(data[off:], gaps[:live], docW)
 			packTail(data[off+tailBytes(live, docW):], tfm1[:live], tfW)
 		}
@@ -100,7 +95,18 @@ func packPostings(ps []Posting) (PackedPostings, []Block) {
 	if len(ps) >= BlockSize {
 		data = append(data, make([]byte, simdpack.Pad)...)
 	}
-	return PackedPostings{N: len(ps), Data: data}, blocks
+	*scratch = data
+	return PackedPostings{N: len(ps), Data: append(make([]byte, 0, len(data)), data...)}, blocks
+}
+
+// payloadBytes is the packed size of one run of a block's live values at
+// width w: vertical m128-word sizing for a full block, exact horizontal
+// sizing for a partial tail.
+func payloadBytes(live int, w uint32) int {
+	if live == BlockSize {
+		return simdpack.PackedBytes(w)
+	}
+	return tailBytes(live, w)
 }
 
 // tailBytes is the horizontal payload size of n values at width w:
@@ -225,15 +231,11 @@ func (ti *TermInfo) AllPostings() []Posting {
 	return out
 }
 
-// blockPayloadBytes returns the packed payload size of block bi:
-// vertical m128-word sizing for full blocks, exact horizontal sizing
-// for a partial tail.
+// blockPayloadBytes returns the packed payload size of block bi.
 func (ti *TermInfo) blockPayloadBytes(bi int) int {
 	blk := &ti.Blocks[bi]
-	if live := ti.Packed.N - bi*BlockSize; live < BlockSize {
-		return tailBytes(live, uint32(blk.DocW)) + tailBytes(live, uint32(blk.TFW))
-	}
-	return simdpack.PackedBytes(uint32(blk.DocW)) + simdpack.PackedBytes(uint32(blk.TFW))
+	live := min(ti.Packed.N-bi*BlockSize, BlockSize)
+	return payloadBytes(live, uint32(blk.DocW)) + payloadBytes(live, uint32(blk.TFW))
 }
 
 // BlockData returns the packed payload bytes of block bi — the exact

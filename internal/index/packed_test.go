@@ -23,7 +23,7 @@ func randomPostings(rng *xrand.RNG, n int) []Posting {
 // geometry decoding relies on.
 func packedTerm(t *testing.T, ps []Posting) *TermInfo {
 	t.Helper()
-	packed, blocks := packPostings(ps)
+	packed, blocks := packPostings(ps, new([]byte))
 	ti := &TermInfo{Text: "t", Packed: packed, Blocks: blocks}
 	if len(ps) > 0 {
 		if err := ti.checkPackedGeometry(); err != nil {
@@ -77,7 +77,7 @@ func TestDecodeErrors(t *testing.T) {
 // half the bytes gob needs for the flat postings.
 func TestCompressionShrinks(t *testing.T) {
 	ps := randomPostings(xrand.New(4), 10000)
-	packed, _ := packPostings(ps)
+	packed, _ := packPostings(ps, new([]byte))
 	var raw bytes.Buffer
 	if err := gob.NewEncoder(&raw).Encode(ps); err != nil {
 		t.Fatal(err)

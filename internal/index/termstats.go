@@ -45,12 +45,14 @@ type TermStats struct {
 	EstMaxScore        float64 // cheap upper-bound approximation of MaxScore
 }
 
-// statsScratch is computeTermStats's reusable working space: the score
-// list, its sorted copy and the radix sort's keys. Finalize keeps one per
-// goroutine, so a term's statistics allocate nothing once it has grown.
+// statsScratch is Finalize's reusable working space: computeTermStats's
+// score list, its sorted copy and the radix sort's keys, and the payload
+// packPostings builds. Finalize keeps one per goroutine, so a term's
+// statistics allocate nothing once it has grown.
 type statsScratch struct {
 	scores, sorted []float64
 	keys, tmp      []uint64
+	packed         []byte
 }
 
 // computeTermStats evaluates the term's score over every posting (exactly

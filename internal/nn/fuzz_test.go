@@ -1,27 +1,33 @@
 package nn
 
 import (
-	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// FuzzDecode hardens Decode against arbitrary bytes: every input yields
-// either an "nn:" error and no network, or a network whose forward pass
-// runs on an input of its declared dimension. A model file is read from
-// disk by every ISN, so a panic here is a crash at start-up.
+// The network parser's allocation rule. Per input byte: a layer (64 B)
+// per 24-byte layer record, and the weights once as read and once
+// transposed by Rebuild.
+const (
+	netAllocPerByte = 6
+	netAllocSlack   = 64 << 10
+)
+
+// FuzzDecode hardens Parse (through decode) against arbitrary bytes:
+// every input yields either an "nn:" error and no network, or a network
+// whose forward pass runs on an input of its declared dimension, and no
+// input makes one decode allocate more than netAllocPerByte bytes per
+// input byte plus netAllocSlack. Every ISN parses its model file at
+// start-up, so a panic here is a crash there.
 func FuzzDecode(f *testing.F) {
 	xs, ys := spiralData(50, 7)
 	n := New(Config{InputDim: 2, Hidden: []int{4}, NumClasses: 2, Seed: 3})
 	if _, err := n.Train(xs, ys, DefaultTrainConfig(50)); err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := n.Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := n.Append(nil)
 	for _, cut := range []int{len(valid), len(valid) - 1, len(valid) / 2, len(valid) / 4, 8, 0} {
 		f.Add(valid[:cut])
 	}
@@ -33,19 +39,21 @@ func FuzzDecode(f *testing.F) {
 	}{{&n.Layers[1].W[3], math.NaN()}, {&n.Norm.Std[1], 0}} {
 		old := *c.p
 		*c.p = c.v
-		var b bytes.Buffer
-		if err := n.Encode(&b); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b.Bytes())
+		f.Add(n.Append(nil))
 		*c.p = old
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := Decode(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := decode(data)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(netAllocPerByte*len(data)+netAllocSlack) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
 		if err != nil {
 			if n != nil || !strings.HasPrefix(err.Error(), "nn: ") {
-				t.Fatalf("Decode returned network %v with error %q", n != nil, err)
+				t.Fatalf("decode returned network %v with error %q", n != nil, err)
 			}
 			return
 		}

@@ -1,11 +1,12 @@
 package nn
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"cottage/internal/wire"
 	"cottage/internal/xrand"
 )
 
@@ -204,17 +205,24 @@ func TestPredictorMatchesForward(t *testing.T) {
 	}
 }
 
+// decode reads one network file the way an ISN predictor file's reader
+// does, and refuses trailing bytes.
+func decode(data []byte) (*Network, error) {
+	r := wire.Reader{B: data}
+	n, err := Parse(&r)
+	if err == nil && len(r.B) != 0 {
+		return nil, fmt.Errorf("nn: %d trailing bytes", len(r.B))
+	}
+	return n, err
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	xs, ys := spiralData(100, 55)
 	n := New(Config{InputDim: 2, Hidden: []int{8, 8}, NumClasses: 2, Seed: 6})
 	if _, err := n.Train(xs, ys, DefaultTrainConfig(100)); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := n.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	got, err := decode(n.Append(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +239,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not gob"))); err == nil {
+	if _, err := decode([]byte("not a network")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
@@ -282,12 +290,8 @@ func TestDecodeRejectsMalformedShapes(t *testing.T) {
 	} {
 		n := New(FastConfig(15, 11, 1))
 		tc.mangle(n)
-		var buf bytes.Buffer
-		if err := n.Encode(&buf); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got, err := Decode(&buf); err == nil {
-			t.Errorf("%s: Decode accepted a malformed network (%d layers)", tc.name, len(got.Layers))
+		if got, err := decode(n.Append(nil)); err == nil {
+			t.Errorf("%s: decode accepted a malformed network (%d layers)", tc.name, len(got.Layers))
 		}
 	}
 	n := New(FastConfig(15, 11, 1))
@@ -295,11 +299,7 @@ func TestDecodeRejectsMalformedShapes(t *testing.T) {
 	for i := range n.Norm.Std {
 		n.Norm.Std[i] = 1
 	}
-	var buf bytes.Buffer
-	if err := n.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(&buf); err != nil {
+	if _, err := decode(n.Append(nil)); err != nil {
 		t.Fatalf("well-formed network rejected: %v", err)
 	}
 }
@@ -333,23 +333,15 @@ func TestDecodeRejectsNonFiniteParameters(t *testing.T) {
 	} {
 		n := New(FastConfig(15, 11, 1))
 		tc.mangle(n)
-		var buf bytes.Buffer
-		if err := n.Encode(&buf); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if _, err := Decode(&buf); err == nil {
-			t.Errorf("%s: Decode accepted the network", tc.name)
+		if _, err := decode(n.Append(nil)); err == nil {
+			t.Errorf("%s: decode accepted the network", tc.name)
 		} else if !strings.HasPrefix(err.Error(), "nn: ") {
 			t.Errorf("%s: error %q lacks the nn: prefix", tc.name, err)
 		}
 	}
 	n := New(FastConfig(15, 11, 1))
 	withNorm(n).Std[4] = 1e-9
-	var buf bytes.Buffer
-	if err := n.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(&buf); err != nil {
+	if _, err := decode(n.Append(nil)); err != nil {
 		t.Fatalf("well-formed network rejected: %v", err)
 	}
 }

@@ -1,33 +1,61 @@
 package nn
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+
+	"cottage/internal/wire"
 )
 
-// netWire is the gob wire form of a Network; all fields of Network are
-// exported, but an explicit wire struct keeps the format stable if the
-// in-memory representation grows non-serializable members later.
-type netWire struct {
-	Cfg    Config
-	Layers []layer
-	Norm   *Normalizer
-}
+// Network file format 1, in the internal/wire idiom: magic "COTTAGEN",
+// u32 format 1; u64 InputDim, u32 n + n×u64 Hidden, u64 NumClasses,
+// u64 Seed; a u32 layer count and per layer u64 In, u64 Out and W and B
+// as u32 n + n×f64; then u8 1 and the normalizer's Mean and Std the same
+// way, or u8 0. ISN predictor files hold their networks inline.
+const netMagic = "COTTAGEN"
 
-// Encode serializes the network with encoding/gob.
-func (n *Network) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(netWire{Cfg: n.Cfg, Layers: n.Layers, Norm: n.Norm})
-}
+var le = binary.LittleEndian
 
-// Decode deserializes a network written by Encode.
-func Decode(r io.Reader) (*Network, error) {
-	var w netWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("nn: decoding network: %w", err)
+// Append appends the network's file form to dst.
+func (n *Network) Append(dst []byte) []byte {
+	dst = le.AppendUint64(wire.AppendHeader(dst, netMagic, 1), uint64(n.Cfg.InputDim))
+	dst = wire.AppendSlice(dst, n.Cfg.Hidden, func(b []byte, h int) []byte { return le.AppendUint64(b, uint64(h)) })
+	dst = le.AppendUint64(le.AppendUint64(dst, uint64(n.Cfg.NumClasses)), n.Cfg.Seed)
+	f64s := func(dst []byte, xs []float64) []byte { return wire.AppendSlice(dst, xs, wire.AppendF64) }
+	dst = le.AppendUint32(dst, uint32(len(n.Layers)))
+	for _, l := range n.Layers {
+		dst = f64s(f64s(le.AppendUint64(le.AppendUint64(dst, uint64(l.In)), uint64(l.Out)), l.W), l.B)
 	}
-	n := &Network{Cfg: w.Cfg, Layers: w.Layers, Norm: w.Norm}
+	if n.Norm == nil {
+		return append(dst, 0)
+	}
+	return f64s(f64s(append(dst, 1), n.Norm.Mean), n.Norm.Std)
+}
+
+// Parse reads one network's file form from r and checks that it can run
+// inference: its shapes chain and every value is finite.
+func Parse(r *wire.Reader) (*Network, error) {
+	if !r.Header(netMagic, 1) {
+		return nil, fmt.Errorf("nn: not a format-1 network file")
+	}
+	f64s := func() []float64 { return wire.Slice(r, 8, (*wire.Reader).F64) }
+	n := &Network{Cfg: Config{InputDim: int(r.U64())}}
+	n.Cfg.Hidden = wire.Slice(r, 8, func(r *wire.Reader) int { return int(r.U64()) })
+	n.Cfg.NumClasses, n.Cfg.Seed = int(r.U64()), r.U64()
+	n.Layers = make([]layer, r.Count(8+8+4+4))
+	for i := range n.Layers {
+		l := &n.Layers[i]
+		l.In, l.Out, l.W, l.B = int(r.U64()), int(r.U64()), f64s(), f64s()
+	}
+	if norm := r.U8(); norm == 1 {
+		n.Norm = &Normalizer{Mean: f64s(), Std: f64s()}
+	} else if norm != 0 {
+		r.Bad = true
+	}
+	if r.Bad {
+		return nil, fmt.Errorf("nn: decoding network: the file is truncated or malformed")
+	}
 	if err := n.checkShapes(); err != nil {
 		return nil, fmt.Errorf("nn: decoded network: %w", err)
 	}

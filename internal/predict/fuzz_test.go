@@ -1,7 +1,7 @@
 package predict
 
 import (
-	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,10 +10,22 @@ import (
 	"cottage/internal/search"
 )
 
+// The predictor decoder's allocation rule. Per input byte: what the
+// three networks cost nn.Parse (at most 6 B together), and the inference
+// scratch newISNPredictor sizes for 33 rows (one, plus a block of 32): a
+// pre-activation and an activation, 528 B per output unit, against the
+// at least 16 bytes (a bias and a weight) each unit takes in the file.
+const (
+	predictorAllocPerByte = 6 + 33
+	predictorAllocSlack   = 64 << 10
+)
+
 // FuzzDecodeISNPredictor hardens DecodeISNPredictor against arbitrary
 // bytes: every input yields either a "predict:" or "nn:" error and no
 // predictor, or a predictor whose three forward passes run on a real
-// shard and read back classes inside their roles' ranges.
+// shard and read back classes inside their roles' ranges. No input makes
+// one decode allocate more than predictorAllocPerByte bytes per input
+// byte plus predictorAllocSlack.
 func FuzzDecodeISNPredictor(f *testing.F) {
 	fx := getFixture(f)
 	ds := Harvest(fx.shards[:1], fx.train[:200], 10, search.StrategyMaxScore, cluster.DefaultCostModel())
@@ -30,18 +42,20 @@ func FuzzDecodeISNPredictor(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := fleet.Predictors[0].Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := fleet.Predictors[0].Append(nil)
 	for _, cut := range []int{len(valid), len(valid) - 1, len(valid) / 2, len(valid) / 4, 8, 0} {
 		f.Add(valid[:cut])
 	}
 	queries := [][]string{fx.test[0].Terms, fx.test[1].Terms, {"zzzznotaword"}}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeISNPredictor(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := DecodeISNPredictor(data)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(predictorAllocPerByte*len(data)+predictorAllocSlack) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
 		if err != nil {
 			if msg := err.Error(); p != nil || !(strings.HasPrefix(msg, "predict: ") || strings.HasPrefix(msg, "nn: ")) {
 				t.Fatalf("DecodeISNPredictor returned predictor %v with error %q", p != nil, err)

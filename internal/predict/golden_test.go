@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -38,12 +37,8 @@ func TestTrainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := fleet.Predictors[0].Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	const want = "b3d816cc2c0ef557ee7d83ca6c12386a99ffaf9da773e59f7f48d1704de5e371"
+	sum := sha256.Sum256(fleet.Predictors[0].Append(nil))
+	const want = "dbc6a016b75fdea6db4b787b643340b1552af5b3e9ab71c1a726d94366c01d75"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("trained predictor digest %s, want %s", got, want)
 	}

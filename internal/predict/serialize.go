@@ -1,86 +1,62 @@
 package predict
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
 
 	"cottage/internal/features"
 	"cottage/internal/nn"
+	"cottage/internal/wire"
 )
 
-// isnPredictorWire is the gob form of one ISN's trained models. Networks
-// are nested gob blobs so their wire format stays owned by package nn.
-type isnPredictorWire struct {
-	ISN     int
-	K       int
-	QK      []byte
-	QK2     []byte
-	Lat     []byte
-	LatBins Bins
+// ISN predictor file format 1, in the internal/wire idiom: magic
+// "COTTAGEP", u32 format 1, u64 ISN, u64 K, f64 LatBins.LogLo,
+// f64 LatBins.LogHi, u64 LatBins.N, then the QK, QK2 and latency
+// networks in nn's file form.
+const predictorMagic = "COTTAGEP"
+
+var le = binary.LittleEndian
+
+// Append appends the predictor's file form to dst.
+func (p *ISNPredictor) Append(dst []byte) []byte {
+	dst = le.AppendUint64(wire.AppendHeader(dst, predictorMagic, 1), uint64(p.ISN))
+	dst = wire.AppendF64(le.AppendUint64(dst, uint64(p.K)), p.LatBins.LogLo)
+	dst = le.AppendUint64(wire.AppendF64(dst, p.LatBins.LogHi), uint64(p.LatBins.N))
+	return p.LatNet.Append(p.QK2Net.Append(p.QKNet.Append(dst)))
 }
 
-func encodeNet(n *nn.Network) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := n.Encode(&buf); err != nil {
-		return nil, err
+// DecodeISNPredictor parses a predictor file written by Append.
+func DecodeISNPredictor(data []byte) (*ISNPredictor, error) {
+	rd := wire.Reader{B: data}
+	if !rd.Header(predictorMagic, 1) {
+		return nil, fmt.Errorf("predict: not a format-1 ISN predictor file")
 	}
-	return buf.Bytes(), nil
-}
-
-// Encode serializes the predictor with encoding/gob.
-func (p *ISNPredictor) Encode(w io.Writer) error {
-	qk, err := encodeNet(p.QKNet)
-	if err != nil {
-		return fmt.Errorf("predict: encoding QK net: %w", err)
+	isn, k := int(rd.U64()), int(rd.U64())
+	bins := Bins{LogLo: rd.F64(), LogHi: rd.F64(), N: int(rd.U64())}
+	var nets [3]*nn.Network
+	for i := range nets {
+		var err error
+		if nets[i], err = nn.Parse(&rd); err != nil {
+			return nil, err
+		}
 	}
-	qk2, err := encodeNet(p.QK2Net)
-	if err != nil {
-		return fmt.Errorf("predict: encoding QK2 net: %w", err)
-	}
-	lat, err := encodeNet(p.LatNet)
-	if err != nil {
-		return fmt.Errorf("predict: encoding latency net: %w", err)
-	}
-	return gob.NewEncoder(w).Encode(isnPredictorWire{
-		ISN: p.ISN, K: p.K, QK: qk, QK2: qk2, Lat: lat, LatBins: p.LatBins,
-	})
-}
-
-// DecodeISNPredictor deserializes a predictor written by Encode.
-func DecodeISNPredictor(r io.Reader) (*ISNPredictor, error) {
-	var w isnPredictorWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("predict: decoding predictor: %w", err)
-	}
-	qk, err := nn.Decode(bytes.NewReader(w.QK))
-	if err != nil {
-		return nil, err
-	}
-	qk2, err := nn.Decode(bytes.NewReader(w.QK2))
-	if err != nil {
-		return nil, err
-	}
-	lat, err := nn.Decode(bytes.NewReader(w.Lat))
-	if err != nil {
-		return nil, err
+	if len(rd.B) != 0 {
+		return nil, fmt.Errorf("predict: decoding predictor: %d trailing bytes", len(rd.B))
 	}
 	// Predict feeds fixed-size feature vectors and reads class indices as
 	// contributions and latency bins: each network must fit its role.
-	for _, c := range []struct {
+	for i, c := range []struct {
 		name        string
-		net         *nn.Network
 		in, classes int
 	}{
-		{"QK", qk, features.QualityDim, w.K + 1},
-		{"QK2", qk2, features.QualityDim, w.K/2 + 1},
-		{"latency", lat, features.LatencyDim, w.LatBins.N},
+		{"QK", features.QualityDim, k + 1},
+		{"QK2", features.QualityDim, k/2 + 1},
+		{"latency", features.LatencyDim, bins.N},
 	} {
-		if c.net.Cfg.InputDim != c.in || c.net.Cfg.NumClasses != c.classes {
+		if cfg := nets[i].Cfg; cfg.InputDim != c.in || cfg.NumClasses != c.classes {
 			return nil, fmt.Errorf("predict: decoding predictor: %s net maps %d inputs to %d classes, want %d to %d",
-				c.name, c.net.Cfg.InputDim, c.net.Cfg.NumClasses, c.in, c.classes)
+				c.name, cfg.InputDim, cfg.NumClasses, c.in, c.classes)
 		}
 	}
-	return newISNPredictor(w.ISN, w.K, qk, qk2, lat, w.LatBins), nil
+	return newISNPredictor(isn, k, nets[0], nets[1], nets[2], bins), nil
 }

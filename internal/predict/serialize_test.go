@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"bytes"
 	"testing"
 
 	"cottage/internal/cluster"
@@ -25,11 +24,7 @@ func TestISNPredictorRoundTrip(t *testing.T) {
 	}
 	p := fleet.Predictors[0]
 
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeISNPredictor(&buf)
+	got, err := DecodeISNPredictor(p.Append(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +68,7 @@ func TestDecodeISNPredictorRejectsMismatchedNets(t *testing.T) {
 	} {
 		p := good()
 		tc.mangle(p)
-		var buf bytes.Buffer
-		if err := p.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		_, err := DecodeISNPredictor(&buf)
+		_, err := DecodeISNPredictor(p.Append(nil))
 		if (err == nil) != (tc.name == "none") {
 			t.Errorf("%s: DecodeISNPredictor error = %v", tc.name, err)
 		}
@@ -85,7 +76,7 @@ func TestDecodeISNPredictorRejectsMismatchedNets(t *testing.T) {
 }
 
 func TestDecodeISNPredictorGarbage(t *testing.T) {
-	if _, err := DecodeISNPredictor(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := DecodeISNPredictor([]byte("junk")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }

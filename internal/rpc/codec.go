@@ -8,6 +8,7 @@ import (
 
 	"cottage/internal/obs"
 	"cottage/internal/search"
+	"cottage/internal/wire"
 )
 
 // Wire codec: one hand-written, fixed-layout encoding of Request and
@@ -16,19 +17,13 @@ import (
 // parsed straight out of the frame reader's, with no reflection, no
 // per-connection type table and no intermediate copy.
 //
-// One rule covers every field: a Go int, int64 or uint64 is 8 bytes
-// little-endian (two's complement), a float64 its IEEE-754 bits in 8
-// bytes, bools share one flags byte per message, a string or []byte is
-// a 4-byte length and its bytes, a slice or map a 4-byte count and its
-// elements. A message starts with a tag byte naming it and this layout's
-// version. The fixed part of each message sits at constant offsets; the
-// variable part follows in declaration order. DESIGN.md §18 has the
-// tables.
-//
-// Decoding trusts nothing: every length and count is checked against
-// the bytes left in the frame *before* anything is allocated, unknown
-// tag or flag bits are refused, and a message must fill its frame
-// exactly. Every failure is ErrBadFrame — the payload passed its CRC,
+// Fields follow internal/wire's rule (a map is a count and its pairs);
+// bools share one flags byte, and a message starts with a tag byte
+// naming it and this layout's version. The fixed part of each message
+// sits at constant offsets; the variable part follows in declaration
+// order. DESIGN.md §18 has the tables. Decoding trusts nothing: counts
+// are checked before allocation (wire.Reader), unknown tag or flag bits
+// are refused, and a message must fill its frame exactly. Every failure is ErrBadFrame — the payload passed its CRC,
 // so it was sent malformed, not mangled in transit.
 
 const (
@@ -56,10 +51,6 @@ const (
 
 var le = binary.LittleEndian
 
-func appendString(dst []byte, s string) []byte {
-	return append(le.AppendUint32(dst, uint32(len(s))), s...)
-}
-
 // appendRequest appends req's payload to dst.
 func appendRequest(dst []byte, req *Request) []byte {
 	var flags byte
@@ -75,7 +66,7 @@ func appendRequest(dst []byte, req *Request) []byte {
 	dst = le.AppendUint64(dst, req.Span)
 	dst = le.AppendUint32(dst, uint32(len(req.Terms)))
 	for _, t := range req.Terms {
-		dst = appendString(dst, t)
+		dst = wire.AppendString(dst, t)
 	}
 	return dst
 }
@@ -114,7 +105,7 @@ func appendResponse(dst []byte, resp *Response) []byte {
 	dst = le.AppendUint64(dst, math.Float64bits(p.PZeroK2))
 	dst = le.AppendUint64(dst, math.Float64bits(p.ExpQK))
 
-	dst = appendString(dst, resp.Err)
+	dst = wire.AppendString(dst, resp.Err)
 	dst = le.AppendUint32(dst, uint32(len(resp.Hits)))
 	for i := range resp.Hits {
 		h := &resp.Hits[i]
@@ -137,7 +128,7 @@ func appendSpan(dst []byte, sp *obs.Span) []byte {
 	dst = le.AppendUint64(dst, uint64(sp.ISN))
 	dst = le.AppendUint64(dst, uint64(sp.StartUS))
 	dst = le.AppendUint64(dst, uint64(sp.DurUS))
-	dst = appendString(dst, sp.Name)
+	dst = wire.AppendString(dst, sp.Name)
 	dst = le.AppendUint32(dst, uint32(len(sp.Attrs)))
 	// Attributes go out in key order so equal spans encode to equal bytes.
 	var stack [8]string
@@ -147,61 +138,11 @@ func appendSpan(dst []byte, sp *obs.Span) []byte {
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
-		dst = appendString(dst, k)
-		dst = appendString(dst, sp.Attrs[k])
+		dst = wire.AppendString(dst, k)
+		dst = wire.AppendString(dst, sp.Attrs[k])
 	}
 	return dst
 }
-
-// cursor walks the variable part of a payload. Reads past the end set
-// bad and return zero values, so a parse checks once at the end instead
-// of after every field.
-type cursor struct {
-	b   []byte
-	bad bool
-}
-
-func (c *cursor) u32() uint32 {
-	if len(c.b) < 4 {
-		c.bad, c.b = true, nil
-		return 0
-	}
-	v := le.Uint32(c.b)
-	c.b = c.b[4:]
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if len(c.b) < 8 {
-		c.bad, c.b = true, nil
-		return 0
-	}
-	v := le.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
-}
-
-// count reads an element count and refuses it unless that many elements
-// of at least minLen bytes each could still follow — the check that
-// keeps a lying count from sizing an allocation.
-func (c *cursor) count(minLen int) int {
-	n := c.u32()
-	if uint64(n) > uint64(len(c.b)/minLen) {
-		c.bad, c.b = true, nil
-		return 0
-	}
-	return int(n)
-}
-
-// bytes reads a length-prefixed run and returns it in place.
-func (c *cursor) bytes() []byte {
-	n := c.count(1)
-	v := c.b[:n]
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *cursor) str() string { return string(c.bytes()) }
 
 func badMessage(what, why string) error {
 	return fmt.Errorf("%w: %s: %s", ErrBadFrame, what, why)
@@ -229,26 +170,26 @@ func parseRequest(p []byte, req *Request) error {
 		Trace:      le.Uint64(p[34:]),
 		Span:       le.Uint64(p[42:]),
 	}
-	c := cursor{b: p[requestFixedLen-4:]}
-	if n := c.count(4); n > 0 {
+	c := wire.Reader{B: p[requestFixedLen-4:]}
+	if n := c.Count(4); n > 0 {
 		// The term region is [len][bytes] repeated; convert it once and
 		// slice each term out of the copy.
-		region := string(c.b)
+		region := string(c.B)
 		req.Terms = make([]string, n)
 		for i := range req.Terms {
-			l := c.count(1)
-			if c.bad {
+			l := c.Count(1)
+			if c.Bad {
 				break
 			}
-			off := len(region) - len(c.b)
+			off := len(region) - len(c.B)
 			req.Terms[i] = region[off : off+l]
-			c.b = c.b[l:]
+			c.B = c.B[l:]
 		}
 	}
-	if c.bad {
+	if c.Bad {
 		return badMessage("request", "term count or length overruns the frame")
 	}
-	if len(c.b) != 0 {
+	if len(c.B) != 0 {
 		return badMessage("request", "trailing bytes")
 	}
 	return nil
@@ -293,51 +234,51 @@ func parseResponse(p []byte, resp *Response) error {
 	resp.Pred.PZeroK2 = math.Float64frombits(u(14))
 	resp.Pred.ExpQK = math.Float64frombits(u(15))
 
-	c := cursor{b: p[responseFixedLen:]}
-	resp.Err = c.str()
-	if n := c.count(hitLen); n > 0 {
+	c := wire.Reader{B: p[responseFixedLen:]}
+	resp.Err = c.Str()
+	if n := c.Count(hitLen); n > 0 {
 		resp.Hits = make([]search.Hit, n)
 		for i := range resp.Hits {
-			h := c.b[i*hitLen:]
+			h := c.B[i*hitLen:]
 			resp.Hits[i] = search.Hit{
 				Doc:   int64(le.Uint64(h)),
 				Local: le.Uint32(h[8:]),
 				Score: math.Float64frombits(le.Uint64(h[12:])),
 			}
 		}
-		c.b = c.b[n*hitLen:]
+		c.B = c.B[n*hitLen:]
 	}
-	if n := c.count(spanMinLen); n > 0 {
+	if n := c.Count(spanMinLen); n > 0 {
 		resp.Spans = make([]obs.Span, n)
 		for i := range resp.Spans {
 			parseSpan(&c, &resp.Spans[i])
 		}
 	}
-	if b := c.bytes(); len(b) > 0 {
+	if b := c.Bytes(); len(b) > 0 {
 		resp.ShardBytes = append([]byte(nil), b...)
 	}
-	if c.bad {
+	if c.Bad {
 		return badMessage("response", "count or length overruns the frame")
 	}
-	if len(c.b) != 0 {
+	if len(c.B) != 0 {
 		return badMessage("response", "trailing bytes")
 	}
 	return nil
 }
 
-func parseSpan(c *cursor, sp *obs.Span) {
-	sp.Trace = c.u64()
-	sp.ID = c.u64()
-	sp.Parent = c.u64()
-	sp.ISN = int(c.u64())
-	sp.StartUS = int64(c.u64())
-	sp.DurUS = int64(c.u64())
-	sp.Name = c.str()
-	if n := c.count(attrMinLen); n > 0 {
+func parseSpan(c *wire.Reader, sp *obs.Span) {
+	sp.Trace = c.U64()
+	sp.ID = c.U64()
+	sp.Parent = c.U64()
+	sp.ISN = int(c.U64())
+	sp.StartUS = int64(c.U64())
+	sp.DurUS = int64(c.U64())
+	sp.Name = c.Str()
+	if n := c.Count(attrMinLen); n > 0 {
 		sp.Attrs = make(map[string]string, n)
 		for i := 0; i < n; i++ {
-			k := c.str()
-			sp.Attrs[k] = c.str()
+			k := c.Str()
+			sp.Attrs[k] = c.Str()
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -109,11 +108,7 @@ func memoFleet(tb testing.TB, customize func(i int, srv *Server, l net.Listener)
 // its own, for a second user of the same model.
 func clonePredictor(tb testing.TB, p *predict.ISNPredictor) *predict.ISNPredictor {
 	tb.Helper()
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	c, err := predict.DecodeISNPredictor(&buf)
+	c, err := predict.DecodeISNPredictor(p.Append(nil))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -15,7 +15,6 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -52,7 +51,7 @@ const (
 	// KindFetchShard asks the ISN for its full serialized shard — the
 	// repair transfer verb. The response carries the checksummed shard
 	// file bytes; the fetching side re-reads and re-verifies them end to
-	// end (index.ReadShard validates eagerly), so a transfer corrupted in
+	// end (index.ParseShard validates eagerly), so a transfer corrupted in
 	// flight can never be re-admitted.
 	KindFetchShard
 )
@@ -590,12 +589,7 @@ func (s *Server) dispatch(req *Request, arrived time.Time) *Response {
 		if sh == nil {
 			return quarantinedResp(req.ID)
 		}
-		var buf bytes.Buffer
-		if err := sh.Encode(&buf); err != nil {
-			resp.Err = fmt.Sprintf("encode shard: %v", err)
-			return resp
-		}
-		resp.ShardBytes = buf.Bytes()
+		resp.ShardBytes = sh.Append(nil)
 	default:
 		resp.Err = fmt.Sprintf("unknown request kind %d", req.Kind)
 	}
@@ -962,8 +956,8 @@ func (c *Client) PredictLoad(terms []string) (predict.Prediction, QueueInfo, err
 
 // FetchShard pulls the remote ISN's full shard image for replica
 // repair. The bytes travel as the shard file (per-block CRCs and digest
-// intact) inside checksummed frames, and ReadShard re-verifies end-to-end on
-// decode — a shard corrupted at the source, in transit, or by a buggy
+// intact) inside checksummed frames, and ParseShard re-verifies end-to-end
+// on decode — a shard corrupted at the source, in transit, or by a buggy
 // peer cannot be re-admitted. A quarantined source refuses to serve
 // (CodeQuarantined → ErrShardCorrupt), so repair never copies from a
 // replica that is itself lying.
@@ -975,7 +969,7 @@ func (c *Client) FetchShard() (*index.Shard, error) {
 	if len(resp.ShardBytes) == 0 {
 		return nil, fmt.Errorf("rpc: %s: fetchshard: empty shard payload", c.addr)
 	}
-	s, err := index.ReadShard(bytes.NewReader(resp.ShardBytes))
+	s, err := index.ParseShard(resp.ShardBytes)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: %s: fetchshard: %w", c.addr, err)
 	}

@@ -3,8 +3,17 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+)
+
+// The trace parser's allocation rule. Per input byte: the string its
+// terms are cut from, and at worst a string header (16 B) per 4-byte
+// empty term or a Query (40 B) per 20-byte record.
+const (
+	traceAllocPerByte = 6
+	traceAllocSlack   = 64 << 10
 )
 
 // fuzzTrace returns a small valid trace without needing a corpus: the
@@ -17,20 +26,14 @@ func fuzzTrace() []Query {
 	}
 }
 
-func mustSave(tb testing.TB, qs []Query) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := Save(&buf, qs); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzTraceRoundTrip hardens Load against arbitrary bytes: it must
-// never panic, and anything it accepts must survive a Save→Load round
-// trip unchanged (canonicalization would silently alter replays).
+// FuzzTraceRoundTrip hardens Parse against arbitrary bytes: it must
+// never panic, one Parse may allocate at most traceAllocPerByte bytes per
+// input byte plus traceAllocSlack, and anything it accepts must survive
+// an Append→Parse round trip unchanged (canonicalization would silently
+// alter replays). The frozen files under testdata/fuzz are format-1
+// (gob) traces, which now stop at the format check.
 func FuzzTraceRoundTrip(f *testing.F) {
-	valid := mustSave(f, fuzzTrace())
+	valid := Append(nil, fuzzTrace())
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:3])
@@ -39,20 +42,26 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		corrupted[i] ^= 0x55
 	}
 	f.Add(corrupted)
-	// Structurally valid gob frames carrying exactly the traces Load's
-	// validation exists to reject.
-	f.Add(mustSave(f, []Query{{Terms: []string{"x"}, ArrivalMS: -4}}))
-	f.Add(mustSave(f, []Query{{Terms: nil, ArrivalMS: 1}}))
+	// Well-formed files carrying exactly the traces Parse's validation
+	// exists to reject.
+	f.Add(Append(nil, []Query{{Terms: []string{"x"}, ArrivalMS: -4}}))
+	f.Add(Append(nil, []Query{{Terms: nil, ArrivalMS: 1}}))
 	f.Add([]byte{})
-	f.Add(mustSave(f, []Query{
+	f.Add(Append(nil, []Query{
 		{ID: 0, Terms: []string{"late"}, ArrivalMS: 50},
 		{ID: 1, Terms: []string{"early"}, ArrivalMS: 10},
 	}))
-	f.Add(mustSave(f, []Query{{Terms: make([]string, MaxTermsPerQuery+9), ArrivalMS: 0}}))
-	f.Add(mustSave(f, []Query{{Terms: []string{strings.Repeat("q", MaxTermLen+1)}, ArrivalMS: 0}}))
+	f.Add(Append(nil, []Query{{Terms: make([]string, MaxTermsPerQuery+9), ArrivalMS: 0}}))
+	f.Add(Append(nil, []Query{{Terms: []string{strings.Repeat("q", MaxTermLen+1)}, ArrivalMS: 0}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		qs, err := Load(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		qs, err := Parse(data)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(traceAllocPerByte*len(data)+traceAllocSlack) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
 		if err != nil {
 			return
 		}
@@ -68,11 +77,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			prev = q.ArrivalMS
 		}
 		// ...and round-trip exactly.
-		var buf bytes.Buffer
-		if err := Save(&buf, qs); err != nil {
-			t.Fatalf("re-saving accepted trace: %v", err)
-		}
-		again, err := Load(&buf)
+		again, err := Parse(Append(nil, qs))
 		if err != nil {
 			t.Fatalf("re-loading saved trace: %v", err)
 		}

@@ -1,12 +1,12 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
+
+	"cottage/internal/wire"
 )
 
 // Sanity bounds on decoded traces: generous multiples of anything the
@@ -20,30 +20,53 @@ const (
 	MaxTermLen = 1024
 )
 
-// traceWire versions the on-disk format.
-type traceWire struct {
-	Version int
-	Queries []Query
-}
+// Trace file format 2, in the internal/wire idiom: magic "COTTAGET",
+// u32 format 2, a u32 query count, and per query u64 ID, f64 ArrivalMS
+// and its terms as a u32 count of strings. Format 1 was a gob stream.
+const traceMagic = "COTTAGET"
 
-const wireVersion = 1
+var le = binary.LittleEndian
 
-// Save serializes a trace with encoding/gob.
-func Save(w io.Writer, qs []Query) error {
-	return gob.NewEncoder(w).Encode(traceWire{Version: wireVersion, Queries: qs})
-}
+// SaveFile writes a trace to path.
+func SaveFile(path string, qs []Query) error { return os.WriteFile(path, Append(nil, qs), 0o666) }
 
-// Load deserializes a trace written by Save.
-func Load(r io.Reader) ([]Query, error) {
-	var w traceWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("trace: decoding: %w", err)
+// Append appends the trace's file form to dst. Equal traces give equal
+// bytes.
+func Append(dst []byte, qs []Query) []byte {
+	dst = le.AppendUint32(wire.AppendHeader(dst, traceMagic, 2), uint32(len(qs)))
+	for _, q := range qs {
+		dst = wire.AppendF64(le.AppendUint64(dst, uint64(q.ID)), q.ArrivalMS)
+		dst = wire.AppendSlice(dst, q.Terms, wire.AppendString)
 	}
-	if w.Version != wireVersion {
-		return nil, fmt.Errorf("trace: unsupported trace version %d", w.Version)
+	return dst
+}
+
+// Parse reads a trace file written by Append and checks it against the
+// bounds above.
+func Parse(data []byte) ([]Query, error) {
+	rd := wire.Reader{B: data}
+	if !rd.Header(traceMagic, 2) {
+		return nil, fmt.Errorf("trace: not a format-2 trace file")
+	}
+	// Every term is a substring of one copy of the file: no term costs
+	// an allocation of its own.
+	text := string(data)
+	qs := make([]Query, rd.Count(8+8+4))
+	for i := range qs {
+		q := &qs[i]
+		q.ID, q.ArrivalMS, q.Terms = int(rd.U64()), rd.F64(), make([]string, rd.Count(4))
+		for j := range q.Terms {
+			l := rd.Count(1)
+			off := len(data) - len(rd.B)
+			q.Terms[j] = text[off : off+l]
+			rd.B = rd.B[l:]
+		}
+	}
+	if rd.Bad || len(rd.B) != 0 {
+		return nil, fmt.Errorf("trace: decoding: the file is truncated or malformed")
 	}
 	prev := 0.0
-	for i, q := range w.Queries {
+	for i, q := range qs {
 		if math.IsNaN(q.ArrivalMS) || math.IsInf(q.ArrivalMS, 0) || q.ArrivalMS < 0 {
 			return nil, fmt.Errorf("trace: query %d has non-finite or negative arrival %v", i, q.ArrivalMS)
 		}
@@ -63,33 +86,14 @@ func Load(r io.Reader) ([]Query, error) {
 		}
 		prev = q.ArrivalMS
 	}
-	return w.Queries, nil
-}
-
-// SaveFile writes a trace to path.
-func SaveFile(path string, qs []Query) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := Save(bw, qs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return qs, nil
 }
 
 // LoadFile reads a trace written by SaveFile.
 func LoadFile(path string) ([]Query, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(bufio.NewReader(f))
+	return Parse(data)
 }

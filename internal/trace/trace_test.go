@@ -1,7 +1,8 @@
 package trace
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -186,7 +187,7 @@ func BenchmarkGenerate(b *testing.B) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	c := testCorpus()
 	qs := Generate(c, Config{Kind: Wikipedia, Seed: 8, NumQueries: 150, QPS: 20})
-	path := t.TempDir() + "/trace.gob"
+	path := t.TempDir() + "/trace.bin"
 	if err := SaveFile(path, qs); err != nil {
 		t.Fatal(err)
 	}
@@ -209,26 +210,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceGolden pins the bytes Append writes for the benchmark's
+// evaluation trace (default vocabulary, seed 202, 4000 Wikipedia
+// queries): the same trace encodes to the same bytes in every process.
+func TestTraceGolden(t *testing.T) {
+	cc := textgen.DefaultConfig()
+	cc.NumDocs = 1
+	qs := Generate(textgen.Generate(cc), Config{Kind: Wikipedia, Seed: 202, NumQueries: 4000, QPS: 45})
+	sum := sha256.Sum256(Append(nil, qs))
+	const want = "6971d81e76b96156c5e6c37c38dff3e5558a91c0791c828d9af6b8dc577f3f28"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("trace SHA-256 %s, want %s", got, want)
+	}
+}
+
 func TestLoadRejectsBadTraces(t *testing.T) {
 	// Out-of-order arrivals.
-	var buf bytes.Buffer
 	bad := []Query{{ID: 0, Terms: []string{"a"}, ArrivalMS: 10}, {ID: 1, Terms: []string{"b"}, ArrivalMS: 5}}
-	if err := Save(&buf, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
+	if _, err := Parse(Append(nil, bad)); err == nil {
 		t.Error("out-of-order trace should fail to load")
 	}
 	// Empty terms.
-	buf.Reset()
-	if err := Save(&buf, []Query{{ID: 0, ArrivalMS: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
+	if _, err := Parse(Append(nil, []Query{{ID: 0, ArrivalMS: 1}})); err == nil {
 		t.Error("empty-terms trace should fail to load")
 	}
 	// Garbage bytes.
-	if _, err := Load(bytes.NewReader([]byte("nope"))); err == nil {
+	if _, err := Parse([]byte("nope")); err == nil {
 		t.Error("garbage should fail to load")
 	}
 }
